@@ -425,6 +425,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:
+        # the library's own range checks, e.g. past a cap raised by
+        # PORTSIM_MAX_PORTS, are bad arguments too
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,15 +172,14 @@ def _entry_vector(entry: EigenEntry) -> np.ndarray:
     return vec
 
 
-def _assemble(es: EigenSystem, transform=None) -> np.ndarray:
+def _assemble(es: EigenSystem) -> np.ndarray:
     dim = 2 ** (es.n_ports + 1)
     out = np.zeros((dim, dim))
     for entry in es.entries:
         if entry.value == 0.0:
             continue
-        value = float(entry.value_exact) if transform is None else transform(entry.value_exact)
         vec = _entry_vector(entry)
-        out += value * np.outer(vec, vec)
+        out += float(entry.value_exact) * np.outer(vec, vec)
     return out
 
 
@@ -204,22 +202,6 @@ def reconstruct_povm(es: EigenSystem, which: int) -> np.ndarray:
     return out
 
 
-def reconstruct_sqrt(es: EigenSystem, which: int) -> np.ndarray:
-    """Square root of an element, exact up to the eigenvector floats: the
-    eigenvalues are exact rationals, so the root is taken on Fractions."""
-    if es.element == FAILURE_ELEMENT:
-        if which != es.n_ports + 1:
-            raise ValueError("a failure eigensystem only describes outcome N+1")
-        return _assemble(es, transform=lambda v: math.sqrt(v))
-    if not 1 <= which <= es.n_ports:
-        raise ValueError(f"port outcome must be in 1..{es.n_ports}, got {which}")
-    out = _assemble(es, transform=lambda v: math.sqrt(v))
-    if which < es.n_ports:
-        perm = qubit_swap_permutation(es.n_ports + 1, which, es.n_ports)
-        out = out[np.ix_(perm, perm)]
-    return out
-
-
 def analytic_povm(regime: Regime, n_ports: int) -> PovmSet:
     """Full measurement set rebuilt from the closed-form tables alone."""
     es = port_eigensystem(regime, n_ports)
@@ -228,29 +210,3 @@ def analytic_povm(regime: Regime, n_ports: int) -> PovmSet:
         elements.append(reconstruct_povm(failure_eigensystem(regime, n_ports), n_ports + 1))
     return PovmSet(regime=regime, n_ports=n_ports, elements=elements)
 
-
-def eigenvalue_report(regime: Regime, n_ports: int, element: str = PORT_ELEMENT) -> dict:
-    """JSON-ready eigenvalue multisets grouped by total-spin sector."""
-    if element == PORT_ELEMENT:
-        es = port_eigensystem(regime, n_ports)
-    elif element == FAILURE_ELEMENT:
-        es = failure_eigensystem(regime, n_ports)
-    else:
-        raise ValueError(f"unknown element {element!r}")
-    sectors: dict[int, dict[Fraction, int]] = {}
-    for entry in es.entries:
-        st = entry.labels[0].s.twice
-        counts = sectors.setdefault(st, {})
-        counts[entry.value_exact] = counts.get(entry.value_exact, 0) + 1
-    report_sectors = []
-    for st in sorted(sectors):
-        values = [{"value": float(v), "exact": str(v), "count": c}
-                  for v, c in sorted(sectors[st].items())]
-        report_sectors.append({"s": st, "eigenvalues": values})
-    return {
-        "schema": "portsim/v1",
-        "regime": regime.value,
-        "n_ports": n_ports,
-        "element": element,
-        "sectors": report_sectors,
-    }

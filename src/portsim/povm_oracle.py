@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -222,8 +221,3 @@ def deformation_operator(n_ports: int) -> np.ndarray:
         out += math.sqrt(float(opt.nu[j])) * spin_projector(n_ports, j)
     return out
 
-
-def dump_operator(op: np.ndarray, path: str | Path) -> None:
-    """Raw binary dump: row-major complex128, little-endian."""
-    arr = np.ascontiguousarray(op, dtype="<c16")
-    Path(path).write_bytes(arr.tobytes(order="C"))

@@ -25,7 +25,7 @@ from .circuit import (AdjointOp, Block, CircuitAction, DenseSystem, PortCswap,
                       RegisterProjector, Registers, StateVector, SubspaceBlocks,
                       action_matrix, branch_weights, c_star, oaa, port_prepare)
 from .halfint import HalfInt
-from .povm_analytic import label_pattern, pair_families, port_eigensystem, reconstruct_sqrt
+from .povm_analytic import label_pattern, pair_families
 from .povm_oracle import deformation_operator
 from .schur import coupling_unitary, enumerate_labels, label_index, spin_projector
 from .spinalg import (Regime, RegimeScalars, chain_multiplicity, optimal_scalars,
@@ -86,9 +86,6 @@ class NaimarkProgram:
     def initial_state(self, system_amps: np.ndarray) -> StateVector:
         return StateVector.from_system(self.registers, system_amps)
 
-    def apply_bare(self, state: StateVector) -> StateVector:
-        return self.bare.apply(state)
-
     def apply(self, state: StateVector) -> StateVector:
         return self.action().apply(state)
 
@@ -98,13 +95,6 @@ class NaimarkProgram:
     @property
     def rotation_count(self) -> int:
         return self.bare.rotation_count
-
-    @property
-    def coupling_count(self) -> int:
-        return sum(1 for op in self.bare.ops if getattr(op, "coupling", False))
-
-    def to_matrix(self) -> np.ndarray:
-        return action_matrix(self.action(), self.registers)
 
     def bare_matrix(self) -> np.ndarray:
         return action_matrix(self.bare, self.registers)
@@ -306,69 +296,27 @@ def build_program(kind: ProtocolKind, n_ports: int) -> NaimarkProgram:
     return naimark_ppbt_opt(n_ports)
 
 
-_BELL = np.eye(2) / math.sqrt(2.0)
-
-
 def singlet_chain(n_ports: int) -> np.ndarray:
     """Amplitude matrix of N singlet pairs, row index Alice, column Bob."""
     pair = np.array([[0.0, 1.0], [-1.0, 0.0]]) / math.sqrt(2.0)
     return reduce(np.kron, [pair] * n_ports)
 
 
-def _entanglement_fidelity_of(n_ports: int, resource: np.ndarray,
-                              roots: list[np.ndarray]) -> float:
-    """Bell-pair throughput of the deterministic channel for an arbitrary
-    (possibly unnormalized) resource amplitude matrix."""
-    joint = np.einsum("ab,cr->acbr", resource, _BELL)
-    joint = joint.reshape(2 ** (n_ports + 1), 2 ** (n_ports + 1))
-    total = 0.0
-    for i, root in enumerate(roots):
-        image = root @ joint
-        stacked = image.reshape(image.shape[0], *([2] * n_ports), 2)
-        moved = np.moveaxis(stacked, 1 + i, -2)
-        kept = (moved[..., 0, 0] + moved[..., 1, 1]) / math.sqrt(2.0)
-        total += float(np.sum(np.abs(kept) ** 2))
-    return total
+def dpbt_opt_deformation(n_ports: int) -> tuple[tuple[HalfInt, float], ...]:
+    """Spin-sector weights w_j of the deterministic-optimal resource
+    O = sum_j w_j 1(j) applied to the singlet chain.
 
-
-@lru_cache(maxsize=None)
-def dpbt_opt_deformation(n_ports: int) -> tuple[tuple[tuple[HalfInt, float], ...], float]:
-    """Spin-sector weights of the deterministic-optimal port deformation and
-    the entanglement fidelity they achieve with the unchanged measurement.
-
-    The fidelity is a quadratic form in the per-sector weights, so the best
-    deformed resource in the family O = sum_j o_j 1(j) solves a small
-    generalized eigenproblem. The flat weighting (plain singlets) lies inside
-    the family, which forces the optimised regime to dominate the plain one
-    at every N. Weights are normalized to a unit resource state.
+    Closed form of Ishizaka and Hiroshima (PRA 79, 042306, 2009):
+    w_j = sin(pi (2j+1)/(N+2)) sqrt(2^(N+2) / ((N+2) m_N(j) (2j+1))),
+    normalized so that sum_j m_N(j) (2j+1) w_j^2 / 2^N = 1, a unit resource
+    state. It maximizes the entanglement fidelity over the family, reaching
+    cos^2(pi/(N+2)).
     """
-    es = port_eigensystem(Regime.DPBT, n_ports)
-    roots = [reconstruct_sqrt(es, i) for i in range(1, n_ports + 1)]
-    base = singlet_chain(n_ports)
-    js = spin_values(n_ports)
-    projectors = [spin_projector(n_ports, j) for j in js]
-
-    def form(weights: np.ndarray) -> float:
-        op = sum(w * proj for w, proj in zip(weights, projectors))
-        return _entanglement_fidelity_of(n_ports, op @ base, roots)
-
-    k = len(js)
-    quad = np.zeros((k, k))
-    for a in range(k):
-        quad[a, a] = form(np.eye(k)[a])
-    for a in range(k):
-        for b in range(a + 1, k):
-            cross = form(np.eye(k)[a] + np.eye(k)[b])
-            quad[a, b] = quad[b, a] = (cross - quad[a, a] - quad[b, b]) / 2.0
-    norms = np.array([chain_multiplicity(n_ports, j) * (j.twice + 1) / 2 ** n_ports
-                      for j in js])
-    whiten = np.diag(1.0 / np.sqrt(norms))
-    values, vectors = np.linalg.eigh(whiten @ quad @ whiten)
-    weights = whiten @ vectors[:, -1]
-    weights /= math.sqrt(float(weights ** 2 @ norms))
-    if weights.sum() < 0:
-        weights = -weights
-    return tuple(zip(js, map(float, weights))), float(values[-1])
+    return tuple(
+        (j, math.sin(math.pi * (j.twice + 1) / (n_ports + 2))
+         * math.sqrt(2 ** (n_ports + 2)
+                     / ((n_ports + 2) * chain_multiplicity(n_ports, j) * (j.twice + 1))))
+        for j in spin_values(n_ports))
 
 
 def resource_matrix(kind: ProtocolKind, n_ports: int) -> np.ndarray:
@@ -376,8 +324,7 @@ def resource_matrix(kind: ProtocolKind, n_ports: int) -> np.ndarray:
     if kind is ProtocolKind.PPBT_OPT:
         matrix = deformation_operator(n_ports) @ matrix
     elif kind is ProtocolKind.DPBT_OPT:
-        weights, _ = dpbt_opt_deformation(n_ports)
-        op = sum(w * spin_projector(n_ports, j) for j, w in weights)
+        op = sum(w * spin_projector(n_ports, j) for j, w in dpbt_opt_deformation(n_ports))
         matrix = op @ matrix
     if kind.optimised_resource:
         matrix = matrix / np.linalg.norm(matrix)
@@ -560,41 +507,30 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
 
 def entanglement_fidelity(kind: ProtocolKind, n_ports: int) -> float:
     """Exact entanglement fidelity of the deterministic channel: feed half of
-    a Bell pair through, project receiver and reference back onto it, summed
-    over outcomes via the analytic square roots."""
+    a Bell pair through and project receiver and reference back onto it.
+
+    Plain singlets follow the Ishizaka-Hiroshima sum (PRL 101, 240501, 2008)
+    F = 2^-(N+3) sum_k C(N,k) [(N-2k-1)/sqrt(k+1) + (N-2k+1)/sqrt(N-k+1)]^2;
+    the optimised resource reaches F = cos^2(pi/(N+2)) (PRA 79, 042306, 2009).
+    """
     if not kind.deterministic:
         raise ValueError("entanglement fidelity applies to the deterministic regime")
-    es = port_eigensystem(Regime.DPBT, n_ports)
-    roots = [reconstruct_sqrt(es, i) for i in range(1, n_ports + 1)]
-    return _entanglement_fidelity_of(n_ports, resource_matrix(kind, n_ports), roots)
+    if n_ports < 1:
+        raise ValueError(f"n_ports must be positive, got {n_ports}")
+    n = n_ports
+    if kind.optimised_resource:
+        return math.cos(math.pi / (n + 2)) ** 2
+    # C(N,k)/2^N as an exact-integer quotient stays finite for any N
+    return sum(math.comb(n, k) / 2 ** n
+               * ((n - 2 * k - 1) / math.sqrt(k + 1)
+                  + (n - 2 * k + 1) / math.sqrt(n - k + 1)) ** 2
+               for k in range(n + 1)) / 8
 
 
 def average_fidelity(kind: ProtocolKind, n_ports: int) -> float:
     """Average output fidelity over pure inputs of the deterministic
     protocol, via the standard qubit relation to entanglement fidelity."""
     return (2.0 * entanglement_fidelity(kind, n_ports) + 1.0) / 3.0
-
-
-def mc_average_fidelity(kind: ProtocolKind, n_ports: int, samples: int,
-                        seed: int | None = None) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the per-input fidelity over
-    Haar inputs, computed with the analytic square roots (no sampling noise
-    beyond the input draw)."""
-    es = port_eigensystem(Regime.DPBT, n_ports)
-    roots = [reconstruct_sqrt(es, i) for i in range(1, n_ports + 1)]
-    resource = resource_matrix(kind, n_ports)
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    values = np.empty(samples)
-    for trial in range(samples):
-        chi = haar_qubit(rng)
-        joint = np.einsum("ab,c->acb", resource, chi).reshape(2 ** (n_ports + 1), -1)
-        fid = 0.0
-        for i, root in enumerate(roots):
-            image = (root @ joint).reshape(-1, *([2] * n_ports))
-            kept = np.tensordot(chi.conj(), np.moveaxis(image, 1 + i, 0), axes=([0], [0]))
-            fid += float(np.sum(np.abs(kept) ** 2))
-        values[trial] = fid
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(samples))
 
 
 def success_probability_exact(kind: ProtocolKind, n_ports: int) -> Fraction:

@@ -107,13 +107,6 @@ def label_index(label: SchurLabel) -> int:
     return _index_map(label.n_qubits)[label]
 
 
-def index_label(n: int, index: int) -> SchurLabel:
-    labels = enumerate_labels(n)
-    if not 0 <= index < len(labels):
-        raise IndexError(f"index {index} out of range for n = {n}")
-    return labels[index]
-
-
 def _build_vector(spins: tuple[HalfInt, ...], m: HalfInt, memo: dict) -> np.ndarray:
     key = (spins, m)
     cached = memo.get(key)

@@ -86,21 +86,6 @@ def rho_eigenvalue(n_ports: int, j, s) -> Fraction:
     return Fraction(n_ports + j.twice + 2, 2 ** (n_ports + 1))
 
 
-def singlet_contraction(k, j, s) -> float:
-    """Overlap factor from projecting the last two of N+1 qubits onto the
-    singlet: sqrt(s/(2s+1)) on the (j = s-1/2, k = s) branch,
-    -sqrt((s+1)/(2s+1)) on the (j = s+1/2, k = s) branch, 0 when k != s.
-    """
-    k, j, s = HalfInt.of(k), HalfInt.of(j), HalfInt.of(s)
-    if abs(k.twice - j.twice) != 1 or abs(j.twice - s.twice) != 1:
-        raise ValueError(f"(k, j, s) = ({k}, {j}, {s}) is not a coupling chain")
-    if k.twice != s.twice:
-        return 0.0
-    if s.twice == j.twice + 1:
-        return math.sqrt(s.twice / (2 * (s.twice + 1)))
-    return -math.sqrt((s.twice + 2) / (2 * (s.twice + 1)))
-
-
 def chain_multiplicity(n_qubits: int, j) -> int:
     """Number of sequential-coupling chains on n_qubits qubits ending at total
     spin j; equals the multiplicity of that spin sector."""

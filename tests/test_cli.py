@@ -199,6 +199,21 @@ def test_port_cap_env_override_rejects_garbage(capsys, monkeypatch):
     assert "PORTSIM_MAX_PORTS" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["povm-check", "--ports", "7"],
+    ["schur", "--n", "21"],
+    ["table", "--metric", "success", "--ports", "20"],
+])
+def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
+    # a raised cap lets the request through to the library's own limits
+    monkeypatch.setenv("PORTSIM_MAX_PORTS", "25")
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- plumbing ----
 
 def test_missing_subcommand_exits_with_usage_error(capsys):

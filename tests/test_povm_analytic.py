@@ -1,23 +1,15 @@
-import json
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from portsim.povm_analytic import (
-    FAILURE_ELEMENT,
     MAX_STATE_PORTS,
-    PORT_ELEMENT,
     analytic_povm,
-    eigenvalue_report,
     failure_eigensystem,
     label_pattern,
     pair_families,
     port_eigensystem,
-    reconstruct_povm,
-    reconstruct_sqrt,
 )
-from portsim.povm_oracle import build_povm, psd_sqrt
+from portsim.povm_oracle import build_povm
 from portsim.schur import enumerate_labels, schur_vector
 from portsim.spinalg import Regime, regime_scalars
 
@@ -39,14 +31,6 @@ def test_analytic_elements_match_dense_oracle(regime, n):
     assert closed.n_outcomes == dense.n_outcomes
     for i in range(1, dense.n_outcomes + 1):
         np.testing.assert_allclose(closed.element(i), dense.element(i), atol=1e-9)
-
-
-def test_reconstructed_sqrt_is_the_psd_root():
-    es = port_eigensystem(Regime.PPBT_MES, 3)
-    root = reconstruct_sqrt(es, 2)
-    oracle = psd_sqrt(build_povm(Regime.PPBT_MES, 3).element(2))
-    np.testing.assert_allclose(root, oracle, atol=1e-10)
-    np.testing.assert_allclose(root @ root, reconstruct_povm(es, 2), atol=1e-10)
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -131,24 +115,6 @@ def test_pair_families_carry_rotation_data():
         assert fam.pair[0] ** 2 + fam.pair[1] ** 2 == pytest.approx(1.0, abs=1e-12)
         assert len(fam.labels) == 2
         assert {lab.s for lab in fam.labels} == {fam.s}
-
-
-# ---------------------------------------------------------------- report ----
-
-@pytest.mark.parametrize("element", [PORT_ELEMENT, FAILURE_ELEMENT])
-def test_eigenvalue_report_is_json_ready(element):
-    rep = eigenvalue_report(Regime.PPBT_MES, 3, element)
-    assert rep["schema"] == "portsim/v1"
-    assert rep["regime"] == "ppbt-mes"
-    assert rep["element"] == element
-    parsed = json.loads(json.dumps(rep))
-    total = sum(group["count"] for sector in parsed["sectors"]
-                for group in sector["eigenvalues"])
-    assert total == 2 ** 4
-    for sector in parsed["sectors"]:
-        for group in sector["eigenvalues"]:
-            assert float(Fraction(group["exact"])) == pytest.approx(
-                group["value"], abs=1e-15)
 
 
 def test_label_pattern_values():

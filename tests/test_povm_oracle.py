@@ -8,7 +8,6 @@ from portsim.povm_oracle import (
     SINGLET_PROJECTOR,
     build_povm,
     deformation_operator,
-    dump_operator,
     ensemble_average,
     pgm_povm,
     ppbt_mes_povm,
@@ -205,14 +204,6 @@ def test_deformation_operator_scales_each_spin_sector():
 
 
 # ------------------------------------------------------------- plumbing ----
-
-def test_dump_operator_round_trips(tmp_path):
-    op = signal_state(1, 2).astype(np.complex128)
-    path = tmp_path / "op.bin"
-    dump_operator(op, path)
-    back = np.fromfile(path, dtype=np.complex128).reshape(op.shape)
-    np.testing.assert_allclose(back, op, atol=0)
-
 
 def test_dense_build_caps():
     with pytest.raises(ValueError):

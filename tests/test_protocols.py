@@ -14,18 +14,20 @@ from portsim.protocols import (
     entanglement_fidelity,
     expected_outcome_distribution,
     haar_qubit,
-    mc_average_fidelity,
     naimark_dpbt,
     naimark_ppbt_mes,
     naimark_ppbt_opt,
     ppbt_mes_no_aa,
     resource_estimate,
+    resource_matrix,
+    singlet_chain,
     success_probability,
     success_probability_exact,
     teleport,
     teleport_batch,
 )
-from portsim.spinalg import chain_multiplicity, spin_values
+from portsim.schur import spin_projector
+from portsim.spinalg import Regime, chain_multiplicity, spin_values
 
 KINDS = list(ProtocolKind)
 HERALDED = [ProtocolKind.PPBT_MES, ProtocolKind.PPBT_OPT]
@@ -106,7 +108,7 @@ def test_good_amplitude_is_input_independent(n):
     for prog, expected in cases:
         for _ in range(3):
             psi = haar_system(rng, n + 1)
-            bare = prog.apply_bare(prog.initial_state(psi))
+            bare = prog.bare.apply(prog.initial_state(psi))
             amp = prog.good_mask.apply(bare).norm()
             assert amp == pytest.approx(expected, abs=1e-12)
 
@@ -189,23 +191,26 @@ def test_teleport_rejects_unnormalized_input():
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_batch_agrees_with_single_runs(kind):
+@pytest.mark.parametrize("n", [1, 2])
+def test_batch_agrees_with_single_runs(kind, n):
+    # covariance makes every per-input fidelity equal the exact average, so
+    # each sampled deterministic trial is checked against the closed form
     rng = np.random.default_rng(np.random.PCG64(31))
     chi = np.column_stack([haar_qubit(rng) for _ in range(40)])
-    batch = teleport_batch(kind, 2, chi, rng=7)
-    single = teleport(kind, 2, chi[:, 0], seed=0)
+    batch = teleport_batch(kind, n, chi, rng=7)
+    single = teleport(kind, n, chi[:, 0], seed=0)
     np.testing.assert_allclose(batch.probabilities[:, 0], single.probabilities,
                                atol=1e-10)
-    expected = expected_outcome_distribution(kind, 2)
+    expected = expected_outcome_distribution(kind, n)
     assert expected.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(batch.expected, expected, atol=0)
     n_out = len(expected)
     assert set(np.unique(batch.outcomes)) <= set(range(1, n_out + 1))
     if kind.deterministic:
         np.testing.assert_allclose(batch.fidelities,
-                                   average_fidelity(kind, 2), atol=1e-10)
+                                   average_fidelity(kind, n), atol=1e-10)
     else:
-        success = batch.outcomes <= 2
+        success = batch.outcomes <= n
         assert np.all(np.isnan(batch.fidelities[~success]))
         np.testing.assert_allclose(batch.fidelities[success], 1.0, atol=1e-9)
 
@@ -268,27 +273,45 @@ def test_known_closed_forms():
 
 # ------------------------------------------------------- optimal resource ----
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_deformation_weights_are_normalized(n):
-    weights, value = dpbt_opt_deformation(n)
-    total = sum(chain_multiplicity(n, j) * (j.twice + 1) * w * w / 2 ** n
-                for j, w in weights)
-    assert total == pytest.approx(1.0, abs=1e-12)
-    assert [j for j, _ in weights] == list(spin_values(n))
-    assert value == pytest.approx(entanglement_fidelity(ProtocolKind.DPBT_OPT, n),
-                                  abs=1e-12)
-    # the flat weighting is a member of the family, so the optimum dominates it
-    assert value >= entanglement_fidelity(ProtocolKind.DPBT_MES, n) - 1e-12
+def dense_bell_amplitudes(n: int, resource: np.ndarray, roots: list) -> np.ndarray:
+    """Amplitudes left on the Bell pair when half of it is teleported through
+    the deterministic channel, one block per port outcome; the entanglement
+    fidelity is their squared norm and is quadratic in the resource."""
+    bell = np.eye(2) / math.sqrt(2.0)
+    joint = np.einsum("ab,cr->acbr", resource, bell).reshape(2 ** (n + 1), -1)
+    kept = []
+    for i, root in enumerate(roots):
+        image = (root @ joint).reshape(-1, *([2] * n), 2)
+        moved = np.moveaxis(image, 1 + i, -2)
+        kept.append(np.ravel(moved[..., 0, 0] + moved[..., 1, 1]) / math.sqrt(2.0))
+    return np.concatenate(kept)
 
 
-@pytest.mark.parametrize("kind", DETERMINISTIC)
-@pytest.mark.parametrize("n", [1, 2])
-def test_monte_carlo_fidelity_matches_exact(kind, n):
-    # covariance makes the per-input fidelity constant, so the Monte Carlo
-    # mean should sit on the exact value with essentially zero spread
-    mc, se = mc_average_fidelity(kind, n, samples=200, seed=17)
-    assert abs(mc - average_fidelity(kind, n)) <= 3 * se + 1e-12
-    assert se < 1e-12
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_forms_match_dense_oracle(n):
+    povm = build_povm(Regime.DPBT, n)
+    roots = [psd_sqrt(povm.element(i)) for i in range(1, n + 1)]
+    for kind in DETERMINISTIC:
+        kept = dense_bell_amplitudes(n, resource_matrix(kind, n), roots)
+        assert np.vdot(kept, kept).real == pytest.approx(
+            entanglement_fidelity(kind, n), abs=1e-12)
+    # the closed-form weights are a unit resource and the top generalized
+    # eigenvector of the fidelity over the family sum_j w_j 1(j) (singlets)
+    weights = dpbt_opt_deformation(n)
+    js = [j for j, _ in weights]
+    assert js == list(spin_values(n))
+    w = np.array([w for _, w in weights])
+    norms = np.array([chain_multiplicity(n, j) * (j.twice + 1) / 2 ** n for j in js])
+    assert float(w ** 2 @ norms) == pytest.approx(1.0, abs=1e-12)
+    chain = singlet_chain(n)
+    columns = np.column_stack([dense_bell_amplitudes(n, spin_projector(n, j) @ chain, roots)
+                               for j in js])
+    quad = np.real(columns.conj().T @ columns)
+    whiten = np.diag(1.0 / np.sqrt(norms))
+    values, vectors = np.linalg.eigh(whiten @ quad @ whiten)
+    assert values[-1] == pytest.approx(
+        entanglement_fidelity(ProtocolKind.DPBT_OPT, n), abs=1e-12)
+    assert abs(vectors[:, -1] @ (np.sqrt(norms) * w)) == pytest.approx(1.0, abs=1e-12)
 
 
 # --------------------------------------------------------------- resources ----

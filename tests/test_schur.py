@@ -11,7 +11,6 @@ from portsim.schur import (
     SchurLabel,
     coupling_unitary,
     enumerate_labels,
-    index_label,
     label_index,
     label_table,
     schur_vector,
@@ -161,14 +160,6 @@ def test_coupling_unitary_respects_dense_cap():
 def test_label_index_round_trip(n):
     for i, lab in enumerate(enumerate_labels(n)):
         assert label_index(lab) == i
-        assert index_label(n, i) == lab
-
-
-def test_index_label_rejects_out_of_range():
-    with pytest.raises(IndexError):
-        index_label(3, 8)
-    with pytest.raises(IndexError):
-        index_label(3, -1)
 
 
 def test_label_table_serializes_to_json():

@@ -20,7 +20,6 @@ from portsim.spinalg import (
     rho_eigenvalue,
     rotation_pair,
     sector_eigenvalue,
-    singlet_contraction,
     spin_values,
     weight_norm,
 )
@@ -127,30 +126,6 @@ def test_rho_eigenvalue_rejects_non_adjacent_pair():
 def test_rho_eigenvalue_trace_identity(n):
     total = sum(rho_eigenvalue(n, lab.j, lab.s) for lab in enumerate_labels(n + 1))
     assert total == Fraction(n)
-
-
-# ------------------------------------------------- singlet contraction ----
-
-def test_singlet_contraction_branch_values():
-    assert singlet_contraction(HALF, ZERO, HALF) == pytest.approx(0.5)
-    assert singlet_contraction(HALF, h(2), HALF) == pytest.approx(-math.sqrt(3) / 2)
-    assert singlet_contraction(h(3), h(2), HALF) == 0.0
-
-
-def test_singlet_contraction_branch_exclusivity():
-    for k_twice in range(0, 8):
-        k = h(k_twice)
-        for j in (h(k_twice + 1), h(k_twice - 1)):
-            if j.twice < 0:
-                continue
-            for s in (h(j.twice + 1), h(j.twice - 1)):
-                if s.twice < 0:
-                    continue
-                value = singlet_contraction(k, j, s)
-                if k != s:
-                    assert value == 0.0
-                else:
-                    assert value != 0.0
 
 
 # ------------------------------------------------------ sector scalars ----
