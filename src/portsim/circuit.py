@@ -88,9 +88,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.registers, self.amps.copy())
-
     def flat(self) -> np.ndarray:
         """(dim, batch) view in register order (system, port, r)."""
         return self.amps.reshape(self.registers.dim, self.batch)
@@ -99,12 +96,11 @@ class StateVector:
 class DenseSystem:
     """Dense unitary on the system factor, identity on port and r."""
 
-    def __init__(self, matrix: np.ndarray, coupling: bool = False):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("system matrix must be square")
         self.matrix = matrix
-        self.coupling = coupling
         self.rotation_count = 0
 
     def _apply(self, state: StateVector, matrix: np.ndarray) -> StateVector:
@@ -131,7 +127,6 @@ class PortCswap:
         self.perms = [qubit_swap_permutation(n_ports + 1, i + 1, n_ports)
                       for i in range(n_ports)]
         self.rotation_count = n_ports
-        self.coupling = False
 
     def apply(self, state: StateVector) -> StateVector:
         regs = state.registers
@@ -145,19 +140,6 @@ class PortCswap:
         return StateVector(regs, amps)
 
     apply_adjoint = apply
-
-
-def apply_cswap(state: StateVector, n_ports: int, include_idle: bool) -> StateVector:
-    """Port-controlled swap with the register-size validation the protocols
-    rely on: exactly N branches without idles, N+1 or 2N with."""
-    port_dim = state.registers.port_dim
-    if include_idle:
-        if port_dim not in (n_ports + 1, 2 * n_ports):
-            raise ValueError(f"expected port dimension {n_ports + 1} or {2 * n_ports}, "
-                             f"got {port_dim}")
-    elif port_dim != n_ports:
-        raise ValueError(f"expected port dimension {n_ports}, got {port_dim}")
-    return PortCswap(n_ports).apply(state)
 
 
 @dataclass(frozen=True)
@@ -181,7 +163,6 @@ class SubspaceBlocks:
     def __init__(self, registers: Registers, blocks: list[Block], name: str = "blocks"):
         self.registers = registers
         self.name = name
-        self.coupling = False
         for block in blocks:
             k = block.matrix.shape[0]
             if block.matrix.shape != (k, k):
@@ -223,7 +204,6 @@ class AdjointOp:
 
     def __init__(self, op):
         self.op = op
-        self.coupling = getattr(op, "coupling", False)
 
     @property
     def rotation_count(self) -> int:
@@ -234,47 +214,6 @@ class AdjointOp:
 
     def apply_adjoint(self, state: StateVector) -> StateVector:
         return self.op.apply(state)
-
-
-def apply_subspace_unitary(state: StateVector, spec) -> StateVector:
-    """Apply a unitary given as {input index: {output index: coeff}} over
-    (system, port, r) tuples or flat indices, identity elsewhere.
-
-    The columns must be orthonormal and must not write outside the set of
-    listed inputs, otherwise extending by identity would break unitarity.
-    An empty spec is the identity.
-    """
-    regs = state.registers
-
-    def to_flat(idx) -> int:
-        if isinstance(idx, tuple):
-            return regs.flat_index(*idx)
-        return int(idx)
-
-    columns = {}
-    for key, column in spec.items():
-        flat_in = to_flat(key)
-        if flat_in in columns:
-            raise InvalidSubspaceSpec(f"duplicate input index {flat_in}")
-        columns[flat_in] = {to_flat(out): complex(c) for out, c in column.items()}
-    if not columns:
-        return state.copy()
-    touched = sorted(columns)
-    slot = {f: i for i, f in enumerate(touched)}
-    k = len(touched)
-    matrix = np.zeros((k, k), dtype=np.complex128)
-    for flat_in, column in columns.items():
-        for flat_out, coeff in column.items():
-            if flat_out not in slot:
-                raise InvalidSubspaceSpec(
-                    f"output index {flat_out} is outside the spec's input set")
-            matrix[slot[flat_out], slot[flat_in]] = coeff
-    if not np.allclose(matrix.conj().T @ matrix, np.eye(k), atol=1e-10):
-        raise InvalidSubspaceSpec("spec columns are not orthonormal")
-    amps = state.amps.copy()
-    flat = amps.reshape(regs.dim, state.batch)
-    flat[touched] = matrix @ flat[touched]
-    return StateVector(regs, amps)
 
 
 @dataclass(frozen=True)
@@ -295,25 +234,6 @@ class RegisterProjector:
             keep[list(self.r_values)] = True
             amps[:, :, ~keep] = 0
         return StateVector(state.registers, amps)
-
-    def matrix(self, registers: Registers) -> np.ndarray:
-        diag = np.ones((registers.system_dim, registers.port_dim, registers.r_dim))
-        if self.port_values is not None:
-            keep = np.zeros(registers.port_dim, dtype=bool)
-            keep[list(self.port_values)] = True
-            diag[:, ~keep] = 0
-        if self.r_values is not None:
-            keep = np.zeros(registers.r_dim, dtype=bool)
-            keep[list(self.r_values)] = True
-            diag[:, :, ~keep] = 0
-        return np.diag(diag.reshape(-1))
-
-
-def c_pi_not_matrix(projector: np.ndarray) -> np.ndarray:
-    """Dense NOT on a fresh control qubit, flipped exactly on the image of
-    the projector: X tensor P + I tensor (I - P)."""
-    eye = np.eye(projector.shape[0])
-    return np.block([[eye - projector, projector], [projector, eye - projector]])
 
 
 class CircuitAction:
@@ -398,27 +318,6 @@ def branch_weights(state: StateVector, register: str) -> np.ndarray:
     if register == "r":
         return density.sum(axis=(0, 1))
     raise ValueError(f"unknown register {register!r}")
-
-
-def measure_register(state: StateVector, register: str):
-    """Projective measurement of the port or r register.
-
-    Returns the outcome distribution (batch treated as part of the state) and
-    the renormalized post-measurement states, one per outcome; zero-weight
-    outcomes get a zero state.
-    """
-    weights = branch_weights(state, register).sum(axis=1)
-    axis = 1 if register == "port" else 2
-    posts = []
-    for value in range(state.amps.shape[axis]):
-        amps = np.zeros_like(state.amps)
-        index = [slice(None)] * 4
-        index[axis] = value
-        amps[tuple(index)] = state.amps[tuple(index)]
-        if weights[value] > 0:
-            amps /= math.sqrt(weights[value])
-        posts.append(StateVector(state.registers, amps))
-    return weights, posts
 
 
 def action_matrix(action, registers: Registers) -> np.ndarray:

@@ -57,8 +57,6 @@ SCHEMA = "portsim/v1"
 _CHECK_CAP = 5
 _TELEPORT_CAP = 6
 _TABLE_CAP = 6
-# Keep per-array scratch under ~128 MB when batching teleport trials.
-_BATCH_ENTRIES = 8_000_000
 
 
 class CliError(Exception):
@@ -225,22 +223,9 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     kind = ProtocolKind(args.regime)
     n = args.ports
     gen = np.random.default_rng(np.random.PCG64(args.seed))
-    per_trial_entries = 2 ** (n + 1) * (n + 1) * 2 * 2 ** n
-    chunk = max(1, _BATCH_ENTRIES // per_trial_entries)
-    outcomes = []
-    fidelities = []
-    rounds = c_star = None
-    done = 0
-    while done < args.trials:
-        block = min(chunk, args.trials - done)
-        batch = teleport_batch(kind, n, _haar_columns(gen, block), gen)
-        outcomes.append(batch.outcomes)
-        fidelities.append(batch.fidelities)
-        rounds, c_star = batch.rounds, batch.c_star
-        expected = batch.expected
-        done += block
-    outcome = np.concatenate(outcomes)
-    fidelity = np.concatenate(fidelities)
+    batch = teleport_batch(kind, n, _haar_columns(gen, args.trials), gen)
+    outcome, fidelity, expected = batch.outcomes, batch.fidelities, batch.expected
+    rounds, c_star = batch.rounds, batch.c_star
     success = outcome <= n
     counts = np.bincount(outcome - 1, minlength=len(expected))
     z_scores = _outcome_z(counts, expected, args.trials)

@@ -9,6 +9,10 @@ optimised-probabilistic variants then amplify the flagged branch with
 oblivious amplitude amplification; the singlet-resource probabilistic variant
 either amplifies to its fixed five rounds or runs measure-and-hope with
 doubled port branches and no block qubit.
+
+Sampling never runs a statevector per trial: each protocol is compiled once
+into a qubit instrument (`_instrument`), and every trial reads its outcome
+weights and receiver state off that instrument.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .circuit import (AdjointOp, Block, CircuitAction, DenseSystem, PortCswap,
                       RegisterProjector, Registers, StateVector, SubspaceBlocks,
-                      action_matrix, branch_weights, c_star, oaa, port_prepare)
+                      action_matrix, c_star, oaa, port_prepare)
 from .halfint import HalfInt
 from .povm_analytic import label_pattern, pair_families
 from .povm_oracle import deformation_operator
@@ -187,7 +191,7 @@ def _failure_attach_op(scal: RegimeScalars, regs: Registers, branch: int,
 
 def _skeleton(regs: Registers, n_ports: int, prep: SubspaceBlocks,
               rot: SubspaceBlocks, attach_ops: list) -> CircuitAction:
-    couple = DenseSystem(coupling_unitary(n_ports + 1), coupling=True)
+    couple = DenseSystem(coupling_unitary(n_ports + 1))
     cswap = PortCswap(n_ports)
     return CircuitAction([prep, cswap, AdjointOp(couple), rot, *attach_ops,
                           AdjointOp(rot), couple, cswap])
@@ -353,66 +357,30 @@ class TeleportRun:
     seed: int | None
 
 
-def _joint_input(kind: ProtocolKind, n_ports: int, input_state: np.ndarray) -> np.ndarray:
-    resource = resource_matrix(kind, n_ports)
-    chi = np.asarray(input_state, dtype=np.complex128)
-    if chi.shape != (2,) or abs(np.linalg.norm(chi) - 1.0) > 1e-10:
-        raise ValueError("input must be a normalized qubit amplitude pair")
-    joint = np.einsum("ab,c->acb", resource, chi)
-    return joint.reshape(2 ** (n_ports + 1), 2 ** n_ports)
-
-
-def _fold_probabilities(program: NaimarkProgram, weights: np.ndarray) -> np.ndarray:
-    """Outcome distribution indexed 0..N-1 for ports, slot N for failure when
-    the program has failure branches."""
-    n = program.n_ports
-    if not program.failure_branches:
-        return weights[:n].copy()
-    probs = np.zeros(n + 1)
-    probs[:n] = weights[:n]
-    probs[n] = weights[list(program.failure_branches)].sum()
-    return probs
-
-
-def _bob_density(final: StateVector, branch: int, n_ports: int) -> np.ndarray:
-    """Receiver qubit density matrix conditioned on port outcome `branch`."""
-    sliced = final.amps[:, branch, 0, :]
-    weight = float(np.sum(np.abs(sliced) ** 2))
-    stacked = sliced.reshape(sliced.shape[0], *([2] * n_ports))
-    moved = np.moveaxis(stacked, 1 + branch, 1)
-    flat = moved.reshape(moved.shape[0], 2, -1)
-    return np.einsum("aib,ajb->ij", flat, flat.conj()) / weight
-
-
 def teleport(kind: ProtocolKind, n_ports: int, input_state: np.ndarray,
              seed: int | None = None) -> TeleportRun:
-    """Run one full teleportation with Bob's halves riding the batch axis.
+    """Run one full teleportation: a one-column `teleport_batch`.
 
     The port measurement is sampled from the exact branch distribution with
     the named generator (PCG64 under the given seed); the deterministic
     regime reports every outcome as success with the conditional fidelity,
     the heralded ones report outcome N+1 as failure.
     """
-    program = build_program(kind, n_ports)
-    final = program.run(_joint_input(kind, n_ports, input_state))
-    weights = branch_weights(final, "port").sum(axis=1)
-    probs = _fold_probabilities(program, weights)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise AssertionError(f"branch weights sum to {total}, not 1")
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    slot = int(rng.choice(len(probs), p=probs / total))
+    chi = np.asarray(input_state, dtype=np.complex128)
+    if chi.shape != (2,):
+        raise ValueError("input must be a qubit amplitude pair")
+    batch = teleport_batch(kind, n_ports, chi[:, None], rng=seed)
+    slot = int(batch.outcomes[0]) - 1
     success = slot < n_ports
-    fidelity = None
     bob = None
     if success:
-        bob = _bob_density(final, slot, n_ports)
-        chi = np.asarray(input_state, dtype=np.complex128)
-        fidelity = float(np.real(chi.conj() @ bob @ chi))
-    return TeleportRun(kind=kind, n_ports=n_ports, rounds=program.rounds,
-                       c_star=program.c_star, probabilities=probs,
+        _, receiver = _instrument(kind, n_ports)
+        bob = _receiver_states(receiver, np.array([slot]), chi[:, None])[0]
+    return TeleportRun(kind=kind, n_ports=n_ports, rounds=batch.rounds,
+                       c_star=batch.c_star, probabilities=batch.probabilities[:, 0],
                        outcome=slot + 1, success=success,
-                       fidelity=fidelity, bob_state=bob, seed=seed)
+                       fidelity=float(batch.fidelities[0]) if success else None,
+                       bob_state=bob, seed=seed)
 
 
 @dataclass
@@ -445,18 +413,73 @@ def expected_outcome_distribution(kind: ProtocolKind, n_ports: int) -> np.ndarra
     return dist
 
 
-def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
-                   rng: np.random.Generator | int | None = None) -> TeleportBatch:
-    """Run one teleportation per input column in a single circuit pass.
+class NumericalInvariantError(ArithmeticError):
+    """A numerical identity of the compiled circuits fails by more than
+    rounding; `residual` is the size of the violation."""
 
-    Trial columns ride the batch axis next to the receiver halves, so the
-    cost of a block of trials is one application of the program to a wider
-    array instead of thousands of separate runs. Outcome sampling draws one
-    uniform per trial and inverts the per-trial cumulative distribution,
-    seeded through the same named generator as the scalar path.
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
+
+
+@lru_cache(maxsize=32)
+def _instrument(kind: ProtocolKind, n_ports: int) -> tuple[np.ndarray, np.ndarray]:
+    """The protocol as a qubit instrument, from one program run on the joint
+    inputs for chi = |0> and |1> (2 * 2^N columns).
+
+    The circuit is linear in the input chi, so for every input the weight of
+    outcome i is chi^dagger G[i] chi, with the failure branches summed into
+    slot N, and the unnormalized receiver state after port k is
+    sum_cd chi_c conj(chi_d) K[k][:, c, :, d]. Returns (G, K), read-only.
     """
     program = build_program(kind, n_ports)
-    resource = resource_matrix(kind, n_ports)
+    bob_dim = 2 ** n_ports
+    joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n_ports), np.eye(2))
+    final = program.run(joint.reshape(2 ** (n_ports + 1), bob_dim * 2))
+    # axes: system, port branch, block qubit, receiver halves, input basis
+    amps = final.amps.reshape(*final.amps.shape[:3], bob_dim, 2)
+    per_branch = np.einsum("xprbc,xprbd->pcd", amps.conj(), amps)
+    gram = per_branch[:n_ports]
+    if program.failure_branches:
+        failure = per_branch[list(program.failure_branches)].sum(axis=0)
+        gram = np.concatenate([gram, failure[None]])
+    residual = float(np.abs(gram.sum(axis=0) - np.eye(2)).max())
+    if residual > 1e-9:
+        raise NumericalInvariantError(
+            f"{kind.value} N={n_ports}: outcome weights miss 1 by {residual:.3e}",
+            residual)
+    receiver = np.empty((n_ports, 2, 2, 2, 2), dtype=np.complex128)
+    for k in range(n_ports):
+        # bring receiver qubit k forward and trace out everything else
+        kept = amps[:, k, 0].reshape(-1, *([2] * n_ports), 2)
+        kept = np.moveaxis(kept, 1 + k, 1).reshape(kept.shape[0], 2, -1, 2)
+        receiver[k] = np.einsum("xiyc,xjyd->icjd", kept, kept.conj())
+    gram.flags.writeable = False
+    receiver.flags.writeable = False
+    return gram, receiver
+
+
+def _receiver_states(receiver: np.ndarray, outcomes: np.ndarray,
+                     chi: np.ndarray) -> np.ndarray:
+    """Normalized receiver state per column of chi, read off the tensor K of
+    that column's port outcome (0-based, each below N)."""
+    states = np.empty((chi.shape[1], 2, 2), dtype=np.complex128)
+    for k, tensor in enumerate(receiver):
+        hit = outcomes == k
+        states[hit] = np.einsum("icjd,ct,dt->tij", tensor, chi[:, hit], chi[:, hit].conj())
+    return states / np.trace(states, axis1=1, axis2=2)[:, None, None]
+
+
+def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
+                   rng: np.random.Generator | int | None = None) -> TeleportBatch:
+    """Run one teleportation per input column through the compiled instrument.
+
+    Outcome weights and receiver states are quadratic forms of each input
+    read off `_instrument`, so a trial costs O(N) once the protocol is
+    compiled. Outcome sampling draws one uniform per trial and inverts the
+    per-trial cumulative distribution under the named generator (PCG64 when
+    given a seed).
+    """
     chi = np.asarray(input_states, dtype=np.complex128)
     if chi.ndim != 2 or chi.shape[0] != 2:
         raise ValueError("input_states must be a (2, trials) array")
@@ -464,41 +487,19 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
         raise ValueError("need at least one trial column")
     if np.max(np.abs(np.linalg.norm(chi, axis=0) - 1.0)) > 1e-10:
         raise ValueError("every input column must be normalized")
-    trials = chi.shape[1]
-    bob_dim = 2 ** n_ports
-    joint = np.einsum("ab,ct->acbt", resource, chi)
-    final = program.run(joint.reshape(2 ** (n_ports + 1), bob_dim * trials))
-    per_branch = branch_weights(final, "port")
-    per_branch = per_branch.reshape(-1, bob_dim, trials).sum(axis=1)
-    n_out = n_ports if kind.deterministic else n_ports + 1
-    probs = np.zeros((n_out, trials))
-    probs[:n_ports] = per_branch[:n_ports]
-    if not kind.deterministic:
-        probs[n_ports] = per_branch[list(program.failure_branches)].sum(axis=0)
-    totals = probs.sum(axis=0)
-    if np.max(np.abs(totals - 1.0)) > 1e-9:
-        raise AssertionError("per-trial branch weights do not sum to 1")
+    program = build_program(kind, n_ports)
+    gram, receiver = _instrument(kind, n_ports)
+    probs = np.einsum("ct,icd,dt->it", chi.conj(), gram, chi).real
     gen = rng if isinstance(rng, np.random.Generator) \
         else np.random.default_rng(np.random.PCG64(rng))
-    draws = gen.random(trials)
-    cumulative = np.cumsum(probs / totals, axis=0)
-    outcomes = np.minimum((cumulative < draws).sum(axis=0), n_out - 1)
-    # Receiver fidelity per successful trial: contract the input conjugate
-    # against the receiver slot of the post-measurement branch.
-    kept = final.amps[:, :n_ports, 0, :]
-    kept = kept.reshape(kept.shape[0], n_ports, bob_dim, trials)
-    fidelities = np.full(trials, np.nan)
-    for t in range(trials):
-        k = int(outcomes[t])
-        if k >= n_ports:
-            continue
-        block = kept[:, k, :, t]
-        weight = float(np.sum(np.abs(block) ** 2))
-        stacked = block.reshape(block.shape[0], *([2] * n_ports))
-        moved = np.moveaxis(stacked, 1 + k, 1)
-        flat = moved.reshape(block.shape[0], 2, -1)
-        amp = np.einsum("i,aib->ab", chi[:, t].conj(), flat)
-        fidelities[t] = float(np.sum(np.abs(amp) ** 2) / weight)
+    draws = gen.random(chi.shape[1])
+    cumulative = np.cumsum(probs / probs.sum(axis=0), axis=0)
+    outcomes = np.minimum((cumulative < draws).sum(axis=0), len(gram) - 1)
+    success = outcomes < n_ports
+    kept = chi[:, success]
+    states = _receiver_states(receiver, outcomes[success], kept)
+    fidelities = np.full(chi.shape[1], np.nan)
+    fidelities[success] = np.einsum("it,tij,jt->t", kept.conj(), states, kept).real
     return TeleportBatch(kind=kind, n_ports=n_ports, rounds=program.rounds,
                          c_star=program.c_star, outcomes=outcomes + 1,
                          fidelities=fidelities, probabilities=probs,
@@ -535,18 +536,18 @@ def average_fidelity(kind: ProtocolKind, n_ports: int) -> float:
 
 def success_probability_exact(kind: ProtocolKind, n_ports: int) -> Fraction:
     """Exact heralding probability, averaged over inputs, from the failure
-    element's label spectrum: one minus the failure weight on the measured
-    state, which is diagonal in the coupled basis."""
+    element's spectrum: one minus the failure weight on the measured state,
+    which is diagonal in the coupled basis. Each (j, s) sector holds
+    m_N(j) (2s+1) labels with one eigenvalue."""
     if kind.deterministic:
         raise ValueError("the deterministic regime always succeeds")
     scal = regime_scalars(kind.regime, n_ports)
     nu = optimal_scalars(n_ports).nu if kind.optimised_resource else None
     total = Fraction(0)
-    for label in enumerate_labels(n_ports + 1):
-        value = scal.failure_eigenvalue(label.j, label.s)
+    for (j, s), value in scal.failure_eig.items():
         if nu is not None:
-            value *= nu[label.j]
-        total += value
+            value *= nu[j]
+        total += value * chain_multiplicity(n_ports, j) * (s.twice + 1)
     return 1 - total / 2 ** (n_ports + 1)
 
 

@@ -13,12 +13,8 @@ from portsim.circuit import (
     StateVector,
     SubspaceBlocks,
     action_matrix,
-    apply_cswap,
-    apply_subspace_unitary,
     branch_weights,
-    c_pi_not_matrix,
     c_star,
-    measure_register,
     oaa,
     port_prepare,
 )
@@ -70,7 +66,7 @@ def test_cswap_branch_swaps_its_port_with_the_last():
     amps = np.zeros((8, 2, 1, 1), dtype=np.complex128)
     amps[0b011, 0] = 1 / math.sqrt(2)  # qubits (0,1,1), port 0
     amps[0b011, 1] = 1 / math.sqrt(2)
-    out = apply_cswap(StateVector(regs, amps), 2, include_idle=False)
+    out = PortCswap(2).apply(StateVector(regs, amps))
     assert out.amps[0b101, 0, 0, 0] == pytest.approx(1 / math.sqrt(2))
     assert out.amps[0b011, 0, 0, 0] == 0
     assert out.amps[0b011, 1, 0, 0] == pytest.approx(1 / math.sqrt(2))
@@ -79,34 +75,37 @@ def test_cswap_branch_swaps_its_port_with_the_last():
 def test_cswap_is_an_involution():
     regs = Registers(n_system=4, port_dim=3, r_dim=2)
     state = random_state(regs, batch=3)
-    twice = apply_cswap(apply_cswap(state, 3, False), 3, False)
+    cswap = PortCswap(3)
+    twice = cswap.apply_adjoint(cswap.apply(state))
     np.testing.assert_allclose(twice.amps, state.amps, atol=1e-14)
 
 
 def test_cswap_idle_branches_do_nothing():
     regs = Registers(n_system=3, port_dim=3, r_dim=1)
     state = random_state(regs)
-    out = apply_cswap(state, 2, include_idle=True)
+    out = PortCswap(2).apply(state)
     np.testing.assert_allclose(out.amps[:, 2], state.amps[:, 2], atol=0)
 
 
 def test_cswap_register_validation():
-    regs = Registers(n_system=3, port_dim=3, r_dim=1)
     with pytest.raises(ValueError):
-        apply_cswap(random_state(regs), 2, include_idle=False)
+        PortCswap(0)
+    regs = Registers(n_system=4, port_dim=2, r_dim=1)
     with pytest.raises(ValueError):
-        apply_cswap(random_state(regs), 3, include_idle=True)
+        PortCswap(3).apply(random_state(regs))  # port register too small
     wrong_system = Registers(n_system=2, port_dim=2, r_dim=1)
     with pytest.raises(ValueError):
-        apply_cswap(random_state(wrong_system), 2, include_idle=False)
+        PortCswap(2).apply(random_state(wrong_system))
 
 
-# ------------------------------------------------------- subspace unitary ----
+# -------------------------------------------------------- subspace blocks ----
 
 def test_empty_spec_is_the_identity():
     regs = Registers(n_system=1, port_dim=2, r_dim=1)
     state = random_state(regs)
-    out = apply_subspace_unitary(state, {})
+    op = SubspaceBlocks(regs, [])
+    assert op.rotation_count == 0
+    out = op.apply(state)
     np.testing.assert_allclose(out.amps, state.amps, atol=0)
     assert out.amps is not state.amps
 
@@ -115,32 +114,32 @@ def test_givens_spec_matches_dense_rotation():
     regs = Registers(n_system=1, port_dim=2, r_dim=1)
     cos, sin = math.cos(0.3), math.sin(0.3)
     a, b = regs.flat_index(0, 0, 0), regs.flat_index(0, 1, 0)
-    spec = {a: {a: cos, b: sin}, b: {a: -sin, b: cos}}
+    matrix = np.array([[cos, -sin], [sin, cos]])
+    op = SubspaceBlocks(regs, [Block(key=("givens",), matrix=matrix,
+                                     instances=np.array([[a, b]], dtype=np.intp))])
     dense = np.eye(regs.dim, dtype=complex)
-    dense[np.ix_([a, b], [a, b])] = [[cos, -sin], [sin, cos]]
+    dense[np.ix_([a, b], [a, b])] = matrix
     state = random_state(regs, batch=2)
-    out = apply_subspace_unitary(state, spec)
-    np.testing.assert_allclose(out.flat(), dense @ state.flat(), atol=1e-14)
-
-
-def test_spec_accepts_register_tuples():
-    regs = Registers(n_system=1, port_dim=2, r_dim=1)
-    spec = {(0, 0, 0): {(0, 1, 0): 1.0}, (0, 1, 0): {(0, 0, 0): 1.0}}
-    state = StateVector.from_system(regs, np.array([1.0, 0.0]))
-    out = apply_subspace_unitary(state, spec)
-    assert out.amps[0, 1, 0, 0] == 1.0
+    np.testing.assert_allclose(op.apply(state).flat(), dense @ state.flat(), atol=1e-14)
+    np.testing.assert_allclose(op.apply_adjoint(state).flat(), dense.T @ state.flat(),
+                               atol=1e-14)
 
 
 def test_spec_validation_errors():
     regs = Registers(n_system=1, port_dim=2, r_dim=1)
-    state = random_state(regs)
+
+    def blocks(matrix, instances):
+        return SubspaceBlocks(regs, [Block(key=("bad",), matrix=np.asarray(matrix),
+                                           instances=np.array(instances, dtype=np.intp))])
+
     with pytest.raises(InvalidSubspaceSpec):
-        apply_subspace_unitary(state, {0: {0: 0.5}})  # not orthonormal
+        blocks([[0.5, 0.0], [0.0, 1.0]], [[0, 1]])  # not unitary
     with pytest.raises(InvalidSubspaceSpec):
-        apply_subspace_unitary(state, {0: {3: 1.0}})  # writes outside the set
+        blocks(np.eye(2), [[0, regs.dim]])  # index outside the register
     with pytest.raises(InvalidSubspaceSpec):
-        # tuple and flat index naming the same slot
-        apply_subspace_unitary(state, {0: {0: 1.0}, (0, 0, 0): {0: 1.0}})
+        blocks(np.eye(2), [[0, 1, 2]])  # tuple length differs from the block
+    with pytest.raises(InvalidSubspaceSpec):
+        blocks(np.eye(3)[:2], [[0, 1]])  # not square
 
 
 def test_subspace_blocks_reject_overlapping_instances():
@@ -150,53 +149,21 @@ def test_subspace_blocks_reject_overlapping_instances():
         SubspaceBlocks(regs, [Block(key=("bad",), matrix=np.eye(2), instances=inst)])
 
 
-# ------------------------------------------------------------- projectors ----
-
-def test_register_projector_and_flip_matrix():
-    regs = Registers(n_system=1, port_dim=2, r_dim=1)
-    proj = RegisterProjector(port_values=(0,)).matrix(regs)
-    flip = c_pi_not_matrix(proj)
-    np.testing.assert_allclose(flip @ flip, np.eye(2 * regs.dim), atol=1e-14)
-    np.testing.assert_allclose(flip, flip.T, atol=0)
-    vec = np.zeros(2 * regs.dim)
-    vec[regs.flat_index(0, 0, 0)] = 1.0
-    out = flip @ vec
-    assert out[regs.dim + regs.flat_index(0, 0, 0)] == 1.0
-
-
 # ------------------------------------------------------------ measurement ----
 
 def test_measurement_of_a_basis_port_is_deterministic():
     regs = Registers(n_system=1, port_dim=3, r_dim=1)
     state = StateVector.from_system(regs, np.array([0.0, 1.0]), port=2)
-    weights, posts = measure_register(state, "port")
-    np.testing.assert_allclose(weights, [0, 0, 1], atol=0)
-    np.testing.assert_allclose(posts[2].amps, state.amps, atol=0)
-    assert posts[0].norm() == 0
+    np.testing.assert_allclose(branch_weights(state, "port")[:, 0], [0, 0, 1], atol=0)
+    np.testing.assert_allclose(branch_weights(state, "r")[:, 0], [1], atol=0)
 
 
 def test_measurement_of_uniform_superposition():
     regs = Registers(n_system=1, port_dim=4, r_dim=1)
     amps = np.zeros((2, 4, 1, 1), dtype=np.complex128)
     amps[0, :, 0, 0] = 0.5
-    weights, _ = measure_register(StateVector(regs, amps), "port")
+    weights = branch_weights(StateVector(regs, amps), "port")[:, 0]
     np.testing.assert_allclose(weights, [0.25] * 4, atol=1e-15)
-
-
-def test_measurement_follows_born_rule_and_renormalizes():
-    # batch columns count as part of one state, so normalize globally
-    regs = Registers(n_system=2, port_dim=3, r_dim=2)
-    state = random_state(regs, batch=2)
-    state = StateVector(regs, state.amps / state.norm())
-    weights, posts = measure_register(state, "r")
-    np.testing.assert_allclose(weights, branch_weights(state, "r").sum(axis=1),
-                               atol=1e-14)
-    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-    recon = sum(math.sqrt(w) * p.amps for w, p in zip(weights, posts))
-    np.testing.assert_allclose(recon, state.amps, atol=1e-12)
-    for w, post in zip(weights, posts):
-        if w > 0:
-            assert post.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_branch_weights_rejects_unknown_register():

@@ -202,7 +202,7 @@ def test_port_cap_env_override_rejects_garbage(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["povm-check", "--ports", "7"],
     ["schur", "--n", "21"],
-    ["table", "--metric", "success", "--ports", "20"],
+    ["table", "--metric", "resources", "--ports", "12"],
 ])
 def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
     # a raised cap lets the request through to the library's own limits
@@ -212,6 +212,16 @@ def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_success_table_needs_no_label_enumeration(capsys, monkeypatch):
+    # 22 qubits is past the label enumeration cap, which the sector sum never meets
+    monkeypatch.setenv("PORTSIM_MAX_PORTS", "25")
+    code, out, err = run(capsys, ["table", "--metric", "success", "--ports", "21",
+                                  "--format", "json"])
+    assert code == 0 and err == ""
+    row = json.loads(out)["rows"][0]
+    assert row["p_opt"] == pytest.approx(21 / 24, abs=1e-15)
 
 
 # ---------------------------------------------------------------- plumbing ----

@@ -4,8 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from portsim import protocols
+from portsim.circuit import branch_weights
 from portsim.povm_oracle import build_povm, psd_sqrt
 from portsim.protocols import (
+    NumericalInvariantError,
     ProtocolKind,
     SchurVariant,
     average_fidelity,
@@ -26,8 +29,8 @@ from portsim.protocols import (
     teleport,
     teleport_batch,
 )
-from portsim.schur import spin_projector
-from portsim.spinalg import Regime, chain_multiplicity, spin_values
+from portsim.schur import enumerate_labels, spin_projector
+from portsim.spinalg import Regime, chain_multiplicity, optimal_scalars, regime_scalars, spin_values
 
 KINDS = list(ProtocolKind)
 HERALDED = [ProtocolKind.PPBT_MES, ProtocolKind.PPBT_OPT]
@@ -215,6 +218,94 @@ def test_batch_agrees_with_single_runs(kind, n):
         np.testing.assert_allclose(batch.fidelities[success], 1.0, atol=1e-9)
 
 
+def direct_run(kind, n, chi):
+    """Oracle for the compiled instrument: the program run on the joint
+    input of one chi. Returns the outcome weights (failure branches summed
+    into slot N) and the unnormalized receiver state of each port branch."""
+    joint = np.einsum("ab,c->acb", resource_matrix(kind, n), chi)
+    program = build_program(kind, n)
+    final = program.run(joint.reshape(2 ** (n + 1), 2 ** n))
+    weights = branch_weights(final, "port").sum(axis=1)
+    if program.failure_branches:
+        weights = np.append(weights[:n], weights[list(program.failure_branches)].sum())
+    states = []
+    for k in range(n):
+        sliced = final.amps[:, k, 0, :]
+        stacked = sliced.reshape(sliced.shape[0], *([2] * n))
+        flat = np.moveaxis(stacked, 1 + k, 1).reshape(sliced.shape[0], 2, -1)
+        states.append(np.einsum("aib,ajb->ij", flat, flat.conj()))
+    return weights, states
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_instrument_matches_direct_runs(kind, n):
+    gram, receiver = protocols._instrument(kind, n)
+    assert gram.shape == (n if kind.deterministic else n + 1, 2, 2)
+    rng = np.random.default_rng(np.random.PCG64(40 + n))
+    for _ in range(3):
+        chi = haar_qubit(rng)
+        weights, states = direct_run(kind, n, chi)
+        forms = np.einsum("c,icd,d->i", chi.conj(), gram, chi)
+        np.testing.assert_allclose(forms, weights, atol=1e-12)
+        for k in range(n):
+            state = np.einsum("icjd,c,d->ij", receiver[k], chi, chi.conj())
+            np.testing.assert_allclose(state, states[k], atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_instrument_is_covariant(kind, n):
+    # outcome probabilities of port-based teleportation do not depend on the
+    # input, so every Gram form is a multiple of the identity
+    gram, _ = protocols._instrument(kind, n)
+    for g in gram:
+        assert np.linalg.norm(g - np.trace(g).real / 2 * np.eye(2)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_instrument_haar_averages_match_closed_forms(kind, n):
+    # E[conj(chi_i) chi_c conj(chi_d) chi_j] = (d_ic d_dj + d_ij d_cd) / 6
+    gram, receiver = protocols._instrument(kind, n)
+    success = float(np.einsum("icc->", gram[:n]).real) / 2
+    fidelity = float((np.einsum("kiijj->", receiver)
+                      + np.einsum("kicic->", receiver)).real) / 6
+    if kind.deterministic:
+        assert success == pytest.approx(1.0, abs=1e-12)
+        assert fidelity == pytest.approx(average_fidelity(kind, n), abs=1e-12)
+    else:
+        assert success == pytest.approx(success_probability(kind, n), abs=1e-12)
+        assert fidelity == pytest.approx(success_probability(kind, n), abs=1e-12)
+
+
+def test_broken_resource_raises_numerical_invariant_error(monkeypatch):
+    kind, n = ProtocolKind.PPBT_OPT, 2
+    scaled = 1.1 * resource_matrix(kind, n)
+    monkeypatch.setattr(protocols, "resource_matrix", lambda *_: scaled)
+    protocols._instrument.cache_clear()
+    try:
+        with pytest.raises(NumericalInvariantError) as info:
+            teleport(kind, n, np.array([1.0, 0.0]), seed=0)
+    finally:
+        protocols._instrument.cache_clear()
+    assert not isinstance(info.value, ValueError)
+    assert info.value.residual == pytest.approx(1.1 ** 2 - 1, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_teleport_samples_like_a_categorical_draw(kind, n):
+    # teleport(seed) consumes the first PCG64 uniform exactly as
+    # Generator.choice would on the exact outcome distribution
+    chi = np.array([0.6, 0.8j])
+    weights, _ = direct_run(kind, n, chi)
+    for seed in range(20):
+        rng = np.random.default_rng(np.random.PCG64(seed))
+        slot = int(rng.choice(len(weights), p=weights / weights.sum()))
+        assert teleport(kind, n, chi, seed=seed).outcome == slot + 1
+
+
 def test_batch_is_seed_deterministic():
     rng = np.random.default_rng(np.random.PCG64(5))
     chi = np.column_stack([haar_qubit(rng) for _ in range(10)])
@@ -245,6 +336,19 @@ def test_success_probability_anchors(n):
     assert success_probability_exact(ProtocolKind.PPBT_OPT, n) == Fraction(n, n + 3)
     assert success_probability(ProtocolKind.PPBT_OPT, n) == pytest.approx(
         n / (n + 3), abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", HERALDED)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_success_sector_sum_matches_label_sum(kind, n):
+    # every coupled-basis label carries the failure eigenvalue of its sector
+    scal = regime_scalars(kind.regime, n)
+    nu = optimal_scalars(n).nu if kind.optimised_resource else None
+    total = Fraction(0)
+    for label in enumerate_labels(n + 1):
+        value = scal.failure_eigenvalue(label.j, label.s)
+        total += value * nu[label.j] if nu is not None else value
+    assert success_probability_exact(kind, n) == 1 - total / 2 ** (n + 1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
