@@ -171,11 +171,12 @@ class SubspaceBlocks:
             if not np.allclose(gram, np.eye(k), atol=1e-10):
                 raise InvalidSubspaceSpec(f"{name}: block {block.key} is not unitary")
             inst = block.instances
-            if inst.ndim != 2 or inst.shape[1] != k:
-                raise InvalidSubspaceSpec(f"{name}: instance array shape {inst.shape}")
+            if inst.ndim != 2 or inst.shape[1] != k or inst.dtype.kind not in "iu":
+                raise InvalidSubspaceSpec(f"{name}: instance array {inst.dtype} {inst.shape}")
             if inst.size and (inst.min() < 0 or inst.max() >= registers.dim):
                 raise InvalidSubspaceSpec(f"{name}: instance index out of range")
-            if len(np.unique(inst)) != inst.size:
+            # bincount, not np.unique: numpy 2's unique imports numpy.ma
+            if np.bincount(inst.ravel(), minlength=registers.dim).max() > 1:
                 raise InvalidSubspaceSpec(f"{name}: block {block.key} reuses an index")
         self.blocks = blocks
         self.rotation_count = sum(1 for b in blocks if not b.is_identity())

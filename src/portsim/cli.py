@@ -18,8 +18,8 @@ Desk-scale caps on the port count guard against accidental huge dense
 builds; the PORTSIM_MAX_PORTS environment variable raises them for anyone
 willing to pay the memory bill.
 
-Exit codes: 0 on success, 1 when a requested check fails, 2 on bad
-arguments.
+Exit codes: 0 on success, 1 when a requested check or a numerical
+invariant of the compiled circuits fails, 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .halfint import HalfInt
 from .povm_analytic import analytic_povm
 from .povm_oracle import build_povm
 from .protocols import (
+    NumericalInvariantError,
     ProtocolKind,
     SchurVariant,
     average_fidelity,
@@ -214,6 +215,17 @@ def _outcome_z(counts: np.ndarray, expected: np.ndarray, trials: int) -> list[fl
     return scores
 
 
+def _json_records(rows):
+    """Trial records as json.dumps(indent=2) writes them two levels deep,
+    each led by its list separator; failed trials have a null fidelity."""
+    sep = "\n"
+    for i, o, ok, f in rows:
+        yield (f'{sep}    {{\n      "trial": {i},\n      "outcome": {o},\n'
+               f'      "success": {"true" if ok else "false"},\n'
+               f'      "fidelity": {repr(f) if ok else "null"}\n    }}')
+        sep = ",\n"
+
+
 def cmd_teleport(args: argparse.Namespace) -> int:
     if args.ports < 1:
         raise CliError(f"--ports must be positive, got {args.ports}")
@@ -235,37 +247,38 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     exact_p = None if kind.deterministic else success_probability(kind, n)
     exact_f = average_fidelity(kind, n) if kind.deterministic else 1.0
 
+    rows = zip(range(1, args.trials + 1), outcome.tolist(), success.tolist(),
+               fidelity.tolist())
     if args.format == "json":
-        detail = [{"trial": i + 1, "outcome": int(outcome[i]),
-                   "success": bool(success[i]),
-                   "fidelity": None if not success[i] else float(fidelity[i])}
-                  for i in range(args.trials)]
-        _emit_json({
+        envelope = json.dumps({
             "schema": SCHEMA, "command": "teleport", "regime": kind.value,
             "n_ports": n, "trials": args.trials, "seed": args.seed,
             "rounds": rounds, "c_star": c_star, "generator": "PCG64",
-            "trial_results": detail,
+            "trial_results": [],
             "summary": {
                 "counts": [int(c) for c in counts],
                 "expected_probabilities": [float(p) for p in expected],
                 "outcome_z": z_scores, "max_abs_z": max_z,
                 "success_rate": rate, "exact_success_probability": exact_p,
                 "mean_success_fidelity": mean_fid, "exact_fidelity": exact_f,
-            }})
+            }}, indent=2)
+        head, _, tail = envelope.partition('"trial_results": []')
+        sys.stdout.write(head + '"trial_results": [')
+        sys.stdout.writelines(_json_records(rows))
+        sys.stdout.write("\n  ]" + tail + "\n")
         return 0
     if args.format == "csv":
-        rows = [[i + 1, int(outcome[i]), "true" if success[i] else "false",
-                 _fmt(float(fidelity[i])) if success[i] else ""]
-                for i in range(args.trials)]
-        _emit_csv(["trial", "outcome", "success", "fidelity"], rows)
+        sys.stdout.write("trial,outcome,success,fidelity\r\n")
+        sys.stdout.writelines(
+            f"{i},{o},true,{_fmt(f)}\r\n" if ok else f"{i},{o},false,\r\n"
+            for i, o, ok, f in rows)
         return 0
     print(f"# teleport regime={kind.value} ports={n} trials={args.trials} "
           f"seed={args.seed} rounds={rounds} c_star={_fmt(c_star)} generator=PCG64")
     print(f"{'trial':>6} {'outcome':>7} {'result':<7} fidelity")
-    for i in range(args.trials):
-        fid = _fmt(float(fidelity[i])) if success[i] else "-"
-        result = "ok" if success[i] else "fail"
-        print(f"{i + 1:>6} {int(outcome[i]):>7} {result:<7} {fid}")
+    sys.stdout.writelines(
+        f"{i:>6} {o:>7} ok      {_fmt(f)}\n" if ok else f"{i:>6} {o:>7} fail    -\n"
+        for i, o, ok, f in rows)
     print("summary:")
     for slot, (count, p, z) in enumerate(zip(counts, expected, z_scores), start=1):
         tag = "fail" if (not kind.deterministic and slot == len(expected)) else f"port {slot}"
@@ -410,6 +423,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except NumericalInvariantError as exc:
+        # a broken identity of the compiled circuits is a failed check;
+        # the message carries the residual
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         # the library's own range checks, e.g. past a cap raised by
         # PORTSIM_MAX_PORTS, are bad arguments too

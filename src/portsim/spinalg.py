@@ -13,9 +13,12 @@ that basis with eigenvalue depending on (j, s) only.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .halfint import HalfInt, valid_total_spin, valid_z_component
 
@@ -116,15 +119,18 @@ class OptScalars:
     u: spectator weight per (N-1)-qubit spin s.
     multiplicity: chain count per N-qubit spin j.
     norm: the weight normalization for N ports.
+
+    The tables are read-only views, since one instance is shared per N.
     """
 
     n_ports: int
-    nu: dict[HalfInt, Fraction]
-    u: dict[HalfInt, Fraction]
-    multiplicity: dict[HalfInt, int]
+    nu: Mapping[HalfInt, Fraction]
+    u: Mapping[HalfInt, Fraction]
+    multiplicity: Mapping[HalfInt, int]
     norm: Fraction
 
 
+@lru_cache(maxsize=32)
 def optimal_scalars(n_ports: int) -> OptScalars:
     if n_ports < 1:
         raise ValueError("n_ports must be >= 1")
@@ -139,7 +145,8 @@ def optimal_scalars(n_ports: int) -> OptScalars:
     for s in spin_values(n_ports - 1):
         m = chain_multiplicity(n_ports - 1, s)
         u[s] = 2 ** (n_ports + 1) * h * Fraction(s.twice + 1, n_ports * m)
-    return OptScalars(n_ports=n_ports, nu=nu, u=u, multiplicity=mult, norm=h)
+    return OptScalars(n_ports=n_ports, nu=MappingProxyType(nu), u=MappingProxyType(u),
+                      multiplicity=MappingProxyType(mult), norm=h)
 
 
 def pair_sectors(n_ports: int) -> tuple[HalfInt, ...]:

@@ -142,6 +142,13 @@ def test_spec_validation_errors():
         blocks(np.eye(3)[:2], [[0, 1]])  # not square
 
 
+def test_subspace_blocks_reject_non_integer_instances():
+    regs = Registers(n_system=1, port_dim=2, r_dim=1)
+    inst = np.array([[0.0, 1.0]])
+    with pytest.raises(InvalidSubspaceSpec):
+        SubspaceBlocks(regs, [Block(key=("bad",), matrix=np.eye(2), instances=inst)])
+
+
 def test_subspace_blocks_reject_overlapping_instances():
     regs = Registers(n_system=1, port_dim=2, r_dim=1)
     inst = np.array([[0, 1], [1, 2]], dtype=np.intp)

@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import portsim
+from portsim import protocols
 from portsim.cli import main
+from portsim.protocols import ProtocolKind, resource_matrix
+
+KINDS = [kind.value for kind in ProtocolKind]
 
 
 def run(capsys, argv):
@@ -133,6 +141,76 @@ def test_teleport_argument_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2])
+def test_teleport_json_is_the_indented_dump_of_its_payload(capsys, kind, n):
+    code, out, _ = run(capsys, ["teleport", "--regime", kind, "--ports", str(n),
+                                "--trials", "200", "--seed", "3", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    records = payload["trial_results"]
+    assert [r["trial"] for r in records] == list(range(1, 201))
+    failed = [r for r in records if not r["success"]]
+    assert all(r["fidelity"] is None for r in failed)
+    assert bool(failed) == kind.startswith("ppbt")
+
+
+def test_teleport_csv_and_human_text_is_pinned(capsys):
+    argv = ["teleport", "--regime", "ppbt-opt", "--ports", "2",
+            "--trials", "12", "--seed", "5"]
+    outcomes = [1, 3, 1, 3, 2, 3, 2, 3, 3, 2, 3, 3]
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    assert out == "trial,outcome,success,fidelity\r\n" + "".join(
+        f"{i},{o},true,1\r\n" if o < 3 else f"{i},{o},false,\r\n"
+        for i, o in enumerate(outcomes, start=1))
+    code, out, _ = run(capsys, argv + ["--format", "human"])
+    assert code == 0
+    lines = out.splitlines(keepends=True)
+    assert "".join(lines[:14]) == (
+        "# teleport regime=ppbt-opt ports=2 trials=12 seed=5 rounds=3 "
+        "c_star=1.15470053838 generator=PCG64\n"
+        " trial outcome result  fidelity\n"
+        "     1       1 ok      1\n"
+        "     2       3 fail    -\n"
+        "     3       1 ok      1\n"
+        "     4       3 fail    -\n"
+        "     5       2 ok      1\n"
+        "     6       3 fail    -\n"
+        "     7       2 ok      1\n"
+        "     8       3 fail    -\n"
+        "     9       3 fail    -\n"
+        "    10       2 ok      1\n"
+        "    11       3 fail    -\n"
+        "    12       3 fail    -\n")
+    assert "".join(lines[14:19]) == (
+        "summary:\n"
+        "  port 1   count      2  expected       2.40  z -0.289\n"
+        "  port 2   count      3  expected       2.40  z +0.433\n"
+        "  fail     count      7  expected       7.20  z -0.118\n"
+        "  success rate 0.416666666667  exact 0.4  z +0.118\n")
+    # the deviation is a last-bit rounding residue, so only its layout is pinned
+    assert lines[19].startswith("  mean success fidelity 1  exact 1  |dev| ")
+    assert lines[20:] == ["  max outcome |z| 0.433\n"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_teleport_formats_agree_trial_by_trial(capsys, kind):
+    argv = ["teleport", "--regime", kind, "--ports", "2", "--trials", "40",
+            "--seed", "9", "--format"]
+    records = json.loads(run(capsys, argv + ["json"])[1])["trial_results"]
+    csv_rows = [line.split(",") for line in run(capsys, argv + ["csv"])[1].split("\r\n")[1:-1]]
+    human_rows = [line.split() for line in run(capsys, argv + ["human"])[1].splitlines()[2:42]]
+    assert len(records) == len(csv_rows) == len(human_rows) == 40
+    for record, row, line in zip(records, csv_rows, human_rows):
+        trial, outcome = str(record["trial"]), str(record["outcome"])
+        fid = record["fidelity"]
+        text = "" if fid is None else f"{fid:.12g}"
+        assert row == [trial, outcome, "true" if record["success"] else "false", text]
+        assert line == [trial, outcome, "ok" if record["success"] else "fail", text or "-"]
+
+
 # ------------------------------------------------------------------ table ----
 
 def test_fidelity_table_header_and_values(capsys):
@@ -225,6 +303,42 @@ def test_success_table_needs_no_label_enumeration(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------- plumbing ----
+
+def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch):
+    scaled = 1.1 * resource_matrix(ProtocolKind.PPBT_OPT, 2)
+    monkeypatch.setattr(protocols, "resource_matrix", lambda *_: scaled)
+    protocols._instrument.cache_clear()
+    try:
+        code, out, err = run(capsys, ["teleport", "--regime", "ppbt-opt",
+                                      "--ports", "2", "--trials", "5"])
+    finally:
+        protocols._instrument.cache_clear()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2.100e-01" in err  # the residual, 1.1^2 - 1
+    assert "Traceback" not in err
+
+
+def test_program_builds_and_teleport_never_import_numpy_ma():
+    script = (
+        "import contextlib, io, sys\n"
+        "from portsim.cli import main\n"
+        "from portsim.protocols import ProtocolKind, build_program\n"
+        "for kind in ProtocolKind:\n"
+        "    build_program(kind, 2)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['teleport', '--regime', 'ppbt-opt', '--ports', '2',\n"
+        "                 '--trials', '50', '--format', 'json']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(portsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
 
 def test_missing_subcommand_exits_with_usage_error(capsys):
     assert main([]) == 2

@@ -198,6 +198,15 @@ def test_optimal_scalars_three_ports():
     assert opt.u[ZERO] == Fraction(4, 15)
 
 
+def test_optimal_scalars_are_shared_read_only_tables():
+    opt = optimal_scalars(4)
+    assert optimal_scalars(4) is opt
+    for table in (opt.nu, opt.u, opt.multiplicity):
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = 0
+
+
 def test_failure_eigenvalue_values():
     # kept branch j = s - 1/2 carries the herald weight, the other is empty
     assert failure_eigenvalue(Regime.PPBT_MES, 2, ZERO, HALF) == Fraction(2, 3)
