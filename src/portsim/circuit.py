@@ -224,16 +224,22 @@ class RegisterProjector:
     port_values: tuple[int, ...] | None = None
     r_values: tuple[int, ...] | None = None
 
+    def mask(self, registers: Registers) -> np.ndarray:
+        """Flat boolean mask over the register basis: True where kept."""
+        keep = np.ones((registers.system_dim, registers.port_dim, registers.r_dim), dtype=bool)
+        if self.port_values is not None:
+            drop = np.ones(registers.port_dim, dtype=bool)
+            drop[list(self.port_values)] = False
+            keep[:, drop] = False
+        if self.r_values is not None:
+            drop = np.ones(registers.r_dim, dtype=bool)
+            drop[list(self.r_values)] = False
+            keep[:, :, drop] = False
+        return keep.reshape(registers.dim)
+
     def apply(self, state: StateVector) -> StateVector:
         amps = state.amps.copy()
-        if self.port_values is not None:
-            keep = np.zeros(state.registers.port_dim, dtype=bool)
-            keep[list(self.port_values)] = True
-            amps[:, ~keep] = 0
-        if self.r_values is not None:
-            keep = np.zeros(state.registers.r_dim, dtype=bool)
-            keep[list(self.r_values)] = True
-            amps[:, :, ~keep] = 0
+        amps.reshape(state.registers.dim, state.batch)[~self.mask(state.registers)] = 0
         return StateVector(state.registers, amps)
 
 
@@ -267,6 +273,12 @@ class OaaAction:
     by the reflection through the image of the start subspace; both
     reflections together advance the good-branch angle by pi/n, so the n-th
     round ends at angle pi/2 with no residual junk.
+
+    The guarantee covers start-subspace inputs only, and `apply` rejects any
+    other. U acts only on the start-subspace basis: since Pi U^dagger =
+    (U Pi)^dagger, the k-column image U Pi of that basis yields both U and
+    the reflection U Pi U^dagger. So `apply` costs one circuit pass over k
+    columns plus two matrix products per round, whatever n is.
     """
 
     def __init__(self, u, pi: RegisterProjector, pi_tilde: RegisterProjector, n: int):
@@ -278,15 +290,23 @@ class OaaAction:
         self.n = n
 
     def apply(self, state: StateVector) -> StateVector:
-        current = self.u.apply(state)
+        regs = state.registers
+        start = self.pi.mask(regs)
+        flat = state.flat()
+        if np.any(flat[~start]):
+            raise ValueError("amplitude amplification input leaves the start subspace")
+        columns = np.flatnonzero(start)
+        basis = np.zeros((regs.dim, columns.size), dtype=np.complex128)
+        basis[columns, np.arange(columns.size)] = 1.0
+        image = self.u.apply(StateVector(
+            regs, basis.reshape(*state.amps.shape[:3], columns.size))).flat()
+        current = image @ flat[columns]
+        image_adjoint = image.conj().T
+        junk = ~self.pi_tilde.mask(regs)
         for _ in range((self.n - 1) // 2):
-            flagged = self.pi_tilde.apply(current)
-            current = StateVector(current.registers, 2 * flagged.amps - current.amps)
-            back = self.u.apply_adjoint(current)
-            back = self.pi.apply(back)
-            back = self.u.apply(back)
-            current = StateVector(current.registers, current.amps - 2 * back.amps)
-        return current
+            current[junk] *= -1
+            current -= 2 * image @ (image_adjoint @ current)
+        return StateVector(regs, current.reshape(state.amps.shape))
 
 
 def oaa(u, pi: RegisterProjector, pi_tilde: RegisterProjector, n: int) -> OaaAction:

@@ -32,8 +32,8 @@ from .halfint import HalfInt
 from .povm_analytic import label_pattern, pair_families
 from .povm_oracle import deformation_operator
 from .schur import coupling_unitary, enumerate_labels, label_index, spin_projector
-from .spinalg import (Regime, RegimeScalars, chain_multiplicity, optimal_scalars,
-                      regime_scalars, spin_values)
+from .spinalg import (Regime, RegimeScalars, adjacent_pairs, chain_multiplicity,
+                      failure_eigenvalue, optimal_scalars, regime_scalars, spin_values)
 
 
 class ProtocolKind(Enum):
@@ -467,7 +467,8 @@ def _receiver_states(receiver: np.ndarray, outcomes: np.ndarray,
     for k, tensor in enumerate(receiver):
         hit = outcomes == k
         states[hit] = np.einsum("icjd,ct,dt->tij", tensor, chi[:, hit], chi[:, hit].conj())
-    return states / np.trace(states, axis1=1, axis2=2)[:, None, None]
+    states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
+    return states
 
 
 def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
@@ -489,11 +490,18 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
         raise ValueError("every input column must be normalized")
     program = build_program(kind, n_ports)
     gram, receiver = _instrument(kind, n_ports)
-    probs = np.einsum("ct,icd,dt->it", chi.conj(), gram, chi).real
+    # chi^dagger G chi = G00 |chi0|^2 + G11 |chi1|^2 + 2 Re(G01 conj(chi0) chi1),
+    # one real (outcomes x 4) @ (4 x trials) product
+    cross = chi[0].conj() * chi[1]
+    features = np.stack([np.abs(chi[0]) ** 2, np.abs(chi[1]) ** 2, cross.real, cross.imag])
+    weights = np.stack([gram[:, 0, 0].real, gram[:, 1, 1].real,
+                        2 * gram[:, 0, 1].real, -2 * gram[:, 0, 1].imag], axis=1)
+    probs = weights @ features
     gen = rng if isinstance(rng, np.random.Generator) \
         else np.random.default_rng(np.random.PCG64(rng))
     draws = gen.random(chi.shape[1])
-    cumulative = np.cumsum(probs / probs.sum(axis=0), axis=0)
+    cumulative = probs / probs.sum(axis=0)
+    np.cumsum(cumulative, axis=0, out=cumulative)
     outcomes = np.minimum((cumulative < draws).sum(axis=0), len(gram) - 1)
     success = outcomes < n_ports
     kept = chi[:, success]
@@ -541,10 +549,10 @@ def success_probability_exact(kind: ProtocolKind, n_ports: int) -> Fraction:
     m_N(j) (2s+1) labels with one eigenvalue."""
     if kind.deterministic:
         raise ValueError("the deterministic regime always succeeds")
-    scal = regime_scalars(kind.regime, n_ports)
     nu = optimal_scalars(n_ports).nu if kind.optimised_resource else None
     total = Fraction(0)
-    for (j, s), value in scal.failure_eig.items():
+    for j, s in adjacent_pairs(n_ports):
+        value = failure_eigenvalue(kind.regime, n_ports, j, s)
         if nu is not None:
             value *= nu[j]
         total += value * chain_multiplicity(n_ports, j) * (s.twice + 1)

@@ -158,7 +158,8 @@ def spin_projector(n: int, s) -> np.ndarray:
     s = HalfInt.of(s)
     if not valid_total_spin(n, s):
         raise ValueError(f"s = {s} is not an admissible {n}-qubit spin")
-    cols = [schur_vector(lab) for lab in enumerate_labels(n) if lab.s == s]
+    memo: dict = {}
+    cols = [_build_vector(lab.spins, lab.m, memo) for lab in enumerate_labels(n) if lab.s == s]
     mat = np.array(cols).T
     return mat @ mat.T
 

@@ -158,6 +158,11 @@ def pair_sectors(n_ports: int) -> tuple[HalfInt, ...]:
     return tuple(HalfInt(t) for t in range(start, n_ports, 2))
 
 
+def _is_pair_sector(n_ports: int, s: HalfInt) -> bool:
+    """Membership in `pair_sectors(n_ports)` by range and parity."""
+    return 0 <= s.twice < n_ports and (s.twice - n_ports - 1) % 2 == 0
+
+
 def sector_eigenvalue(regime: Regime, n_ports: int, s) -> Fraction:
     """The unique nonzero eigenvalue of the port measurement element on the
     spin-s sector (exact rational).
@@ -169,7 +174,7 @@ def sector_eigenvalue(regime: Regime, n_ports: int, s) -> Fraction:
     N = n_ports
     if regime is Regime.DPBT and s.twice == N + 1:
         return Fraction(1, N)
-    if s not in pair_sectors(N):
+    if not _is_pair_sector(N, s):
         raise ValueError(f"s = {s} is not a pair sector for N = {N}")
     st = s.twice
     if regime is Regime.DPBT:
@@ -191,7 +196,7 @@ def rotation_pair(regime: Regime, n_ports: int, s) -> tuple[float, float]:
     """
     s = HalfInt.of(s)
     N = n_ports
-    if s not in pair_sectors(N):
+    if not _is_pair_sector(N, s):
         raise ValueError(f"s = {s} is not a pair sector for N = {N}")
     st = s.twice
     if regime is Regime.PPBT_MES:
@@ -260,7 +265,7 @@ class RegimeScalars:
         return self.failure_eig[(HalfInt.of(j), HalfInt.of(s))]
 
 
-def _adjacent_pairs(n_ports: int):
+def adjacent_pairs(n_ports: int):
     """All admissible (j, s) label pairs of the N+1 qubit system."""
     for s in spin_values(n_ports + 1):
         for dt in (-1, 1):
@@ -270,7 +275,7 @@ def _adjacent_pairs(n_ports: int):
 
 
 def regime_scalars(regime: Regime, n_ports: int) -> RegimeScalars:
-    lam = {(j, s): rho_eigenvalue(n_ports, j, s) for j, s in _adjacent_pairs(n_ports)}
+    lam = {(j, s): rho_eigenvalue(n_ports, j, s) for j, s in adjacent_pairs(n_ports)}
     sector_eig = {s: sector_eigenvalue(regime, n_ports, s) for s in pair_sectors(n_ports)}
     if regime is Regime.DPBT:
         sector_eig[HalfInt(n_ports + 1)] = Fraction(1, n_ports)
@@ -278,6 +283,6 @@ def regime_scalars(regime: Regime, n_ports: int) -> RegimeScalars:
     failure = None
     if regime is not Regime.DPBT:
         failure = {(j, s): failure_eigenvalue(regime, n_ports, j, s)
-                   for j, s in _adjacent_pairs(n_ports)}
+                   for j, s in adjacent_pairs(n_ports)}
     return RegimeScalars(regime=regime, n_ports=n_ports, lam=lam,
                          sector_eig=sector_eig, pairs=pairs, failure_eig=failure)

@@ -214,6 +214,40 @@ def test_oaa_with_half_amplitude_needs_three_rounds():
     assert branch_weights(amplified, "port")[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_oaa_rejects_input_outside_the_start_subspace():
+    regs = Registers(n_system=1, port_dim=2, r_dim=1)
+    u = _toy_reflection(regs, 0.5)
+    flag = RegisterProjector(port_values=(0,))
+    amps = np.zeros((2, 2, 1, 2), dtype=np.complex128)
+    amps[0, 0, 0, :] = 1.0
+    amps[1, 1, 0, 1] = 1e-30  # second column leaks onto port 1
+    with pytest.raises(ValueError, match="start subspace"):
+        oaa(u, flag, flag, 3).apply(StateVector(regs, amps))
+
+
+def test_oaa_runs_the_circuit_once():
+    regs = Registers(n_system=1, port_dim=2, r_dim=1)
+    calls = []
+
+    class Counted:
+        def __init__(self, op):
+            self.op = op
+
+        def apply(self, state):
+            calls.append("apply")
+            return self.op.apply(state)
+
+        def apply_adjoint(self, state):
+            calls.append("apply_adjoint")
+            return self.op.apply_adjoint(state)
+
+    flag = RegisterProjector(port_values=(0,))
+    u = Counted(_toy_reflection(regs, math.sin(math.pi / 10)))
+    out = oaa(u, flag, flag, 5).apply(StateVector.from_system(regs, np.array([0.6, 0.8])))
+    assert calls == ["apply"]
+    np.testing.assert_allclose(out.amps[:, 0, 0, 0], [0.6, 0.8], atol=1e-12)
+
+
 def test_oaa_rejects_even_round_counts():
     regs = Registers(n_system=1, port_dim=2, r_dim=1)
     u = _toy_reflection(regs, 0.5)

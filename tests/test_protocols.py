@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from portsim import protocols
-from portsim.circuit import branch_weights
+from portsim.circuit import StateVector, branch_weights
 from portsim.povm_oracle import build_povm, psd_sqrt
 from portsim.protocols import (
     NumericalInvariantError,
@@ -114,6 +114,31 @@ def test_good_amplitude_is_input_independent(n):
             bare = prog.bare.apply(prog.initial_state(psi))
             amp = prog.good_mask.apply(bare).norm()
             assert amp == pytest.approx(expected, abs=1e-12)
+
+
+def _reflection_product(prog, state: StateVector) -> StateVector:
+    """The amplification rounds as the operator sequence U, then per round
+    the flag reflection and 1 - 2 U Pi U^dagger, each applied op by op."""
+    u, pi, pi_tilde = prog.bare, prog.start_mask, prog.good_mask
+    current = u.apply(state)
+    for _ in range((prog.rounds - 1) // 2):
+        flagged = pi_tilde.apply(current)
+        current = StateVector(current.registers, 2 * flagged.amps - current.amps)
+        back = u.apply(pi.apply(u.apply_adjoint(current)))
+        current = StateVector(current.registers, current.amps - 2 * back.amps)
+    return current
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_oaa_matches_the_reflection_product(kind, n):
+    prog = build_program(kind, n)
+    assert prog.rounds > 0
+    rng = np.random.default_rng(np.random.PCG64(700 + n))
+    psis = np.column_stack([haar_system(rng, n + 1) for _ in range(4)])
+    state = prog.initial_state(psis)
+    np.testing.assert_allclose(prog.apply(state).amps,
+                               _reflection_product(prog, state).amps, atol=1e-12)
 
 
 # ----------------------------------------------- measurement as a circuit ----
@@ -277,6 +302,22 @@ def test_instrument_haar_averages_match_closed_forms(kind, n):
     else:
         assert success == pytest.approx(success_probability(kind, n), abs=1e-12)
         assert fidelity == pytest.approx(success_probability(kind, n), abs=1e-12)
+
+
+def test_batch_weights_are_the_instrument_quadratic_forms(monkeypatch):
+    # a generic Hermitian form set, unlike the covariant ones the protocols
+    # compile to, so the cross terms of chi^dagger G chi count
+    kind, n = ProtocolKind.PPBT_OPT, 2
+    gram, receiver = protocols._instrument(kind, n)
+    rng = np.random.default_rng(np.random.PCG64(77))
+    raw = rng.normal(size=gram.shape) + 1j * rng.normal(size=gram.shape)
+    forms = np.einsum("icd,ied->ice", raw, raw.conj())
+    monkeypatch.setattr(protocols, "_instrument", lambda *_: (forms, receiver))
+    chi = np.column_stack([haar_qubit(rng) for _ in range(50)])
+    batch = teleport_batch(kind, n, chi, rng=3)
+    np.testing.assert_allclose(batch.probabilities,
+                               np.einsum("ct,icd,dt->it", chi.conj(), forms, chi).real,
+                               rtol=0, atol=1e-14)
 
 
 def test_broken_resource_raises_numerical_invariant_error(monkeypatch):

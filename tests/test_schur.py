@@ -186,3 +186,10 @@ def test_spin_projector_is_idempotent_with_known_rank():
     np.testing.assert_allclose(p, p.conj().T, atol=1e-14)
     rank = chain_multiplicity(4, HalfInt(2)) * 3
     assert round(np.trace(p).real) == rank
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_spin_projector_is_the_gram_of_its_sector_vectors(n):
+    for s in spin_values(n):
+        cols = np.array([schur_vector(lab) for lab in enumerate_labels(n) if lab.s == s]).T
+        assert np.array_equal(spin_projector(n, s), cols @ cols.T)

@@ -172,6 +172,21 @@ def test_rotation_pair_rejects_maximal_sector():
         rotation_pair(Regime.DPBT, 2, h(3))
 
 
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sector_checks_accept_exactly_the_pair_sectors(regime, n):
+    for st in range(-2, n + 4):
+        admitted = h(st) in pair_sectors(n)
+        for fn in (sector_eigenvalue, rotation_pair):
+            if fn is sector_eigenvalue and regime is Regime.DPBT and st == n + 1:
+                continue  # the pretty good measurement's maximal sector
+            if admitted:
+                fn(regime, n, h(st))
+            else:
+                with pytest.raises(ValueError, match="not a pair sector"):
+                    fn(regime, n, h(st))
+
+
 # ----------------------------------------------------- rational tables ----
 
 def test_weight_norm_single_port():
