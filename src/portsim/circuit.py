@@ -237,11 +237,6 @@ class RegisterProjector:
             keep[:, :, drop] = False
         return keep.reshape(registers.dim)
 
-    def apply(self, state: StateVector) -> StateVector:
-        amps = state.amps.copy()
-        amps.reshape(state.registers.dim, state.batch)[~self.mask(state.registers)] = 0
-        return StateVector(state.registers, amps)
-
 
 class CircuitAction:
     """Ordered unitary ops with a shared apply/apply_adjoint interface."""
@@ -329,26 +324,6 @@ def c_star(target_amp: float) -> tuple[float, int]:
     if abs(value - 1.0) < 1e-12:
         value = 1.0
     return max(1.0, value), n
-
-
-def branch_weights(state: StateVector, register: str) -> np.ndarray:
-    """Probability weight per register value and batch column."""
-    density = np.abs(state.amps) ** 2
-    if register == "port":
-        return density.sum(axis=(0, 2))
-    if register == "r":
-        return density.sum(axis=(0, 1))
-    raise ValueError(f"unknown register {register!r}")
-
-
-def action_matrix(action, registers: Registers) -> np.ndarray:
-    """Dense matrix of an action via one batched application to the full
-    computational basis. For testing; dimension grows as 4^N."""
-    dim = registers.dim
-    basis = np.eye(dim, dtype=np.complex128)
-    amps = basis.reshape(registers.system_dim, registers.port_dim, registers.r_dim, dim)
-    out = action.apply(StateVector(registers, amps))
-    return out.flat()
 
 
 def port_prepare(registers: Registers, amplitudes: np.ndarray) -> SubspaceBlocks:

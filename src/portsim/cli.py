@@ -169,6 +169,8 @@ def cmd_schur(args: argparse.Namespace) -> int:
 def cmd_povm_check(args: argparse.Namespace) -> int:
     lo, hi = args.ports
     _check_range(lo, hi, _cap(_CHECK_CAP))
+    if not 0.0 <= args.tolerance < math.inf:
+        raise CliError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
     regimes = list(Regime) if args.regime == "all" else [Regime(args.regime)]
     worst = 0.0
     failures = 0

@@ -1,14 +1,15 @@
 """End-to-end teleportation protocols built on the measurement circuits.
 
-Each protocol compiles to the same skeleton: prepare the port register,
-control-swap the addressed port behind the last system qubit, enter the
-coupled basis, rotate each two-label family so its kept eigenvector sits on
-one basis slot, attach the per-sector amplitude to the block qubit (or to a
-junk port branch), and undo the basis changes. The deterministic and
-optimised-probabilistic variants then amplify the flagged branch with
-oblivious amplitude amplification; the singlet-resource probabilistic variant
-either amplifies to its fixed five rounds or runs measure-and-hope with
-doubled port branches and no block qubit.
+One builder (`_compile`) turns every protocol into the same
+square-root-measurement circuit: prepare the port register, control-swap the
+addressed port behind the last system qubit, enter the coupled basis, rotate
+each two-label family so its kept eigenvector sits on one basis slot, attach
+the per-sector amplitude to the block qubit (or to a junk port branch), and
+undo the basis changes; oblivious amplitude amplification then removes the
+junk. A protocol is one row of per-kind data (`_Spec`): port amplitudes,
+flagged target amplitude, attach factors and where the junk goes. The
+singlet-resource measure-and-hope variant (`ppbt_mes_no_aa`) is one more
+row, with mirrored port branches, no block qubit and no amplification.
 
 Sampling never runs a statevector per trial: each protocol is compiled once
 into a qubit instrument (`_instrument`), and every trial reads its outcome
@@ -18,6 +19,7 @@ weights and receiver state off that instrument.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,7 +29,7 @@ import numpy as np
 
 from .circuit import (AdjointOp, Block, CircuitAction, DenseSystem, PortCswap,
                       RegisterProjector, Registers, StateVector, SubspaceBlocks,
-                      action_matrix, c_star, oaa, port_prepare)
+                      c_star, oaa, port_prepare)
 from .halfint import HalfInt
 from .povm_analytic import label_pattern, pair_families
 from .povm_oracle import deformation_operator
@@ -100,9 +102,6 @@ class NaimarkProgram:
     def rotation_count(self) -> int:
         return self.bare.rotation_count
 
-    def bare_matrix(self) -> np.ndarray:
-        return action_matrix(self.bare, self.registers)
-
 
 def _reflection(amplitude: float) -> np.ndarray:
     if amplitude > 1.0 + 1e-9:
@@ -122,14 +121,14 @@ def _reflection_blocks(regs: Registers, groups: dict, name: str) -> SubspaceBloc
     return SubspaceBlocks(regs, blocks, name=name)
 
 
-def _rotation_op(scal: RegimeScalars, regs: Registers, ports: range) -> SubspaceBlocks:
+def _rotation_op(scal: RegimeScalars, regs: Registers) -> SubspaceBlocks:
     """Per-family basis rotation taking the kept eigenvector of each two-label
     family to its higher-spin slot. One register-level rotation per sector."""
     by_sector: dict[int, dict] = {}
     for fam in pair_families(scal.regime, scal.n_ports):
         indices = [label_index(lab) for lab in fam.labels]
         entry = by_sector.setdefault(fam.s.twice, {"pair": fam.pair, "rows": []})
-        for p in ports:
+        for p in range(scal.n_ports):
             for r in range(regs.r_dim):
                 entry["rows"].append([regs.flat_index(i, p, r) for i in indices])
     blocks = []
@@ -146,27 +145,29 @@ def _rotation_op(scal: RegimeScalars, regs: Registers, ports: range) -> Subspace
     return SubspaceBlocks(regs, blocks, name="family-rotation")
 
 
-def _port_attach_groups(scal: RegimeScalars, regs: Registers, ports: range,
-                        scale: float, junk_slot) -> dict:
+def _port_attach_groups(scal: RegimeScalars, regs: Registers, scale: float,
+                        mirrored: bool) -> dict:
     """Reflection groups moving non-kept content off the flagged branch.
 
-    junk_slot(flat_label_index, port) names the partner slot: the r=1 level
-    for block-qubit circuits, the mirrored port branch for the unamplified
-    one. Kept labels of sector s reflect with amplitude
+    The partner slot of a label on port p is the r=1 level of p for
+    block-qubit circuits and the mirrored port branch p+N for unamplified
+    ones. Kept labels of sector s reflect with amplitude
     sqrt(sector eigenvalue) * scale; everything else swaps out entirely.
     """
+    n = scal.n_ports
     groups: dict = {}
-    for label in enumerate_labels(scal.n_ports + 1):
+    for label in enumerate_labels(n + 1):
         idx = label_index(label)
-        if label_pattern(scal.regime, scal.n_ports, label) == "++":
+        if label_pattern(scal.regime, n, label) == "++":
             amplitude = math.sqrt(float(scal.sector_eigenvalue(label.s))) * scale
             key = ("keep", label.s.twice)
         else:
             amplitude = 0.0
             key = ("drop",)
         entry = groups.setdefault(key, (amplitude, []))
-        for p in ports:
-            entry[1].append([regs.flat_index(idx, p, 0), junk_slot(idx, p)])
+        for p in range(n):
+            junk = regs.flat_index(idx, p + n, 0) if mirrored else regs.flat_index(idx, p, 1)
+            entry[1].append([regs.flat_index(idx, p, 0), junk])
     return groups
 
 
@@ -189,115 +190,89 @@ def _failure_attach_op(scal: RegimeScalars, regs: Registers, branch: int,
     return _reflection_blocks(regs, groups, name="failure-attach")
 
 
-def _skeleton(regs: Registers, n_ports: int, prep: SubspaceBlocks,
-              rot: SubspaceBlocks, attach_ops: list) -> CircuitAction:
-    couple = DenseSystem(coupling_unitary(n_ports + 1))
-    cswap = PortCswap(n_ports)
-    return CircuitAction([prep, cswap, AdjointOp(couple), rot, *attach_ops,
-                          AdjointOp(rot), couple, cswap])
+@dataclass(frozen=True)
+class _Spec:
+    """The per-kind data of the one program builder, `_compile`.
 
+    amplitudes(N) is the port preparation; target(N) the flagged amplitude
+    that amplification lifts to one (None: no amplification, c* = 1);
+    attach(N) and fail scale the port and failure attach amplitudes before
+    the 1/c* rescale (fail None: no failure attach). A mirrored program has
+    no block qubit and parks junk on port branches N..2N-1 instead.
+    """
+
+    regime: Regime
+    amplitudes: Callable[[int], np.ndarray]
+    target: Callable[[int], float] | None
+    attach: Callable[[int], float]
+    fail: float | None = None
+    mirrored: bool = False
+
+
+_DPBT = _Spec(Regime.DPBT, amplitudes=lambda n: np.full(n, 1.0 / math.sqrt(n)),
+              target=lambda n: 1.0 / math.sqrt(n), attach=lambda n: 1.0)
+_SPECS = {
+    ProtocolKind.DPBT_MES: _DPBT,
+    ProtocolKind.DPBT_OPT: _DPBT,
+    # the flagged amplitude is 1/(2 sqrt 2) for every N: always five rounds
+    ProtocolKind.PPBT_MES: _Spec(
+        Regime.PPBT_MES,
+        amplitudes=lambda n: np.append(np.full(n, 1.0 / math.sqrt(2.0 * n)),
+                                       1.0 / math.sqrt(2.0)),
+        target=lambda n: 1.0 / (2.0 * math.sqrt(2.0)),
+        attach=lambda n: math.sqrt(n) / 2.0, fail=0.5),
+    ProtocolKind.PPBT_OPT: _Spec(
+        Regime.PPBT_OPT, amplitudes=lambda n: np.full(n + 1, 1.0 / math.sqrt(n + 1)),
+        target=lambda n: 1.0 / math.sqrt(n + 1), attach=lambda n: 1.0, fail=1.0),
+}
+# measure-and-hope: the singlet-resource attach, unamplified
+_NO_AA = _Spec(Regime.PPBT_MES,
+               amplitudes=lambda n: np.append(np.full(n, 1.0 / math.sqrt(n)), np.zeros(n)),
+               target=None, attach=lambda n: math.sqrt(n) / 2.0, mirrored=True)
 
 _START = RegisterProjector(port_values=(0,), r_values=(0,))
 _GOOD = RegisterProjector(r_values=(0,))
 
 
-def naimark_dpbt(n_ports: int) -> NaimarkProgram:
-    """Deterministic measurement: N port branches, block qubit, amplification
-    to the exact square-root dilation of the port elements."""
-    scal = regime_scalars(Regime.DPBT, n_ports)
-    regs = Registers(n_ports + 1, n_ports, 2)
-    rescale, rounds = c_star(1.0 / math.sqrt(n_ports))
-    prep = port_prepare(regs, np.full(n_ports, 1.0 / math.sqrt(n_ports)))
-    ports = range(n_ports)
-    rot = _rotation_op(scal, regs, ports)
-    groups = _port_attach_groups(scal, regs, ports, scale=1.0 / rescale,
-                                 junk_slot=lambda idx, p: regs.flat_index(idx, p, 1))
-    attach = _reflection_blocks(regs, groups, name="port-attach")
-    return NaimarkProgram(regime=Regime.DPBT, n_ports=n_ports, registers=regs,
-                          bare=_skeleton(regs, n_ports, prep, rot, [attach]),
-                          rounds=rounds, c_star=rescale,
-                          start_mask=_START, good_mask=_GOOD, failure_branches=())
-
-
-def naimark_ppbt_mes(n_ports: int, rescale: bool = True) -> NaimarkProgram:
-    """Heralded measurement with the plain singlet resource: N port branches
-    plus a failure branch. The flagged amplitude is sin(pi/10) independent of
-    N, so amplification always takes exactly five rounds; rescale=False keeps
-    the raw amplitude (1 / (2 sqrt 2)) and schedules no amplification."""
-    scal = regime_scalars(Regime.PPBT_MES, n_ports)
-    regs = Registers(n_ports + 1, n_ports + 1, 2)
-    raw = 1.0 / (2.0 * math.sqrt(2.0))
-    adjust = math.sin(math.pi / 10.0) / raw if rescale else 1.0
-    amps = np.full(n_ports + 1, 1.0 / math.sqrt(2.0 * n_ports))
-    amps[n_ports] = 1.0 / math.sqrt(2.0)
-    prep = port_prepare(regs, amps)
-    ports = range(n_ports)
-    rot = _rotation_op(scal, regs, ports)
-    groups = _port_attach_groups(scal, regs, ports,
-                                 scale=math.sqrt(n_ports) / 2.0 * adjust,
-                                 junk_slot=lambda idx, p: regs.flat_index(idx, p, 1))
-    attach = _reflection_blocks(regs, groups, name="port-attach")
-    fail = _failure_attach_op(scal, regs, branch=n_ports, scale=adjust / 2.0)
-    return NaimarkProgram(regime=Regime.PPBT_MES, n_ports=n_ports, registers=regs,
-                          bare=_skeleton(regs, n_ports, prep, rot, [attach, fail]),
-                          rounds=5 if rescale else 0,
-                          c_star=raw / math.sin(math.pi / 10.0) if rescale else 1.0,
-                          start_mask=_START, good_mask=_GOOD,
-                          failure_branches=(n_ports,))
+def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
+    """Build the square-root-measurement circuit of one spec: port
+    preparation, port-controlled swap, coupled basis, family rotation,
+    amplitude attach, then the basis changes undone. Ports past N are
+    failure branches."""
+    scal = regime_scalars(spec.regime, n_ports)
+    amps = spec.amplitudes(n_ports)
+    regs = Registers(n_ports + 1, len(amps), 1 if spec.mirrored else 2)
+    rescale, rounds = (1.0, 0) if spec.target is None else c_star(spec.target(n_ports))
+    # scale by the reciprocal: seeded outputs are pinned to these exact floats
+    groups = _port_attach_groups(scal, regs, spec.attach(n_ports) * (1.0 / rescale),
+                                 spec.mirrored)
+    attach = [_reflection_blocks(regs, groups, name="port-attach")]
+    if spec.fail is not None:
+        attach.append(_failure_attach_op(scal, regs, branch=n_ports,
+                                         scale=spec.fail * (1.0 / rescale)))
+    rot = _rotation_op(scal, regs)
+    couple = DenseSystem(coupling_unitary(n_ports + 1))
+    cswap = PortCswap(n_ports)
+    bare = CircuitAction([port_prepare(regs, amps), cswap, AdjointOp(couple), rot,
+                          *attach, AdjointOp(rot), couple, cswap])
+    good = RegisterProjector(port_values=tuple(range(n_ports))) if spec.mirrored else _GOOD
+    return NaimarkProgram(regime=spec.regime, n_ports=n_ports, registers=regs, bare=bare,
+                          rounds=rounds, c_star=rescale, start_mask=_START,
+                          good_mask=good,
+                          failure_branches=tuple(range(n_ports, regs.port_dim)))
 
 
 def ppbt_mes_no_aa(n_ports: int) -> NaimarkProgram:
-    """Measure-and-hope variant: no block qubit, junk rides on a mirrored set
-    of port branches, no amplification. Success lands on branch i with
-    probability exactly one quarter of the heralded element's weight."""
-    scal = regime_scalars(Regime.PPBT_MES, n_ports)
-    regs = Registers(n_ports + 1, 2 * n_ports, 1)
-    amps = np.zeros(2 * n_ports)
-    amps[:n_ports] = 1.0 / math.sqrt(n_ports)
-    prep = port_prepare(regs, amps)
-    ports = range(n_ports)
-    rot = _rotation_op(scal, regs, ports)
-    groups = _port_attach_groups(scal, regs, ports, scale=math.sqrt(n_ports) / 2.0,
-                                 junk_slot=lambda idx, p: regs.flat_index(idx, p + n_ports, 0))
-    attach = _reflection_blocks(regs, groups, name="port-attach")
-    return NaimarkProgram(regime=Regime.PPBT_MES, n_ports=n_ports, registers=regs,
-                          bare=_skeleton(regs, n_ports, prep, rot, [attach]),
-                          rounds=0, c_star=1.0,
-                          start_mask=_START,
-                          good_mask=RegisterProjector(port_values=tuple(range(n_ports))),
-                          failure_branches=tuple(range(n_ports, 2 * n_ports)))
-
-
-def naimark_ppbt_opt(n_ports: int) -> NaimarkProgram:
-    """Heralded measurement with the optimised resource: uniform branch
-    preparation over N ports plus the failure branch, amplification schedule
-    from the 1/sqrt(N+1) flagged amplitude."""
-    scal = regime_scalars(Regime.PPBT_OPT, n_ports)
-    regs = Registers(n_ports + 1, n_ports + 1, 2)
-    rescale, rounds = c_star(1.0 / math.sqrt(n_ports + 1))
-    prep = port_prepare(regs, np.full(n_ports + 1, 1.0 / math.sqrt(n_ports + 1)))
-    ports = range(n_ports)
-    rot = _rotation_op(scal, regs, ports)
-    groups = _port_attach_groups(scal, regs, ports, scale=1.0 / rescale,
-                                 junk_slot=lambda idx, p: regs.flat_index(idx, p, 1))
-    attach = _reflection_blocks(regs, groups, name="port-attach")
-    fail = _failure_attach_op(scal, regs, branch=n_ports, scale=1.0 / rescale)
-    return NaimarkProgram(regime=Regime.PPBT_OPT, n_ports=n_ports, registers=regs,
-                          bare=_skeleton(regs, n_ports, prep, rot, [attach, fail]),
-                          rounds=rounds, c_star=rescale,
-                          start_mask=_START, good_mask=_GOOD,
-                          failure_branches=(n_ports,))
+    """Measure-and-hope variant: success lands on branch i with probability
+    exactly one quarter of the heralded element's weight."""
+    return _compile(_NO_AA, n_ports)
 
 
 @lru_cache(maxsize=32)
 def build_program(kind: ProtocolKind, n_ports: int) -> NaimarkProgram:
     """Compiled program per protocol; cached since programs are stateless and
     every apply is functional."""
-    if kind.deterministic:
-        return naimark_dpbt(n_ports)
-    if kind is ProtocolKind.PPBT_MES:
-        return naimark_ppbt_mes(n_ports)
-    return naimark_ppbt_opt(n_ports)
+    return _compile(_SPECS[kind], n_ports)
 
 
 def singlet_chain(n_ports: int) -> np.ndarray:
@@ -333,11 +308,6 @@ def resource_matrix(kind: ProtocolKind, n_ports: int) -> np.ndarray:
     if kind.optimised_resource:
         matrix = matrix / np.linalg.norm(matrix)
     return matrix
-
-
-def haar_qubit(rng: np.random.Generator) -> np.ndarray:
-    amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return amps / np.linalg.norm(amps)
 
 
 @dataclass

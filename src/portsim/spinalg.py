@@ -241,14 +241,12 @@ def failure_eigenvalue(regime: Regime, n_ports: int, j, s) -> Fraction:
 class RegimeScalars:
     """Tabulated per-sector scalars for one (regime, N) pair.
 
-    Rational quantities (sector eigenvalues, failure eigenvalues, the
-    port-average eigenvalues) are Fractions; the rotation pairs carry square
-    roots and are floats.
+    The sector and failure eigenvalues are Fractions; the rotation pairs
+    carry square roots and are floats.
     """
 
     regime: Regime
     n_ports: int
-    lam: dict[tuple[HalfInt, HalfInt], Fraction] = field(repr=False)
     sector_eig: dict[HalfInt, Fraction] = field(repr=False)
     pairs: dict[HalfInt, tuple[float, float]] = field(repr=False)
     failure_eig: dict[tuple[HalfInt, HalfInt], Fraction] | None = field(default=None, repr=False)
@@ -275,7 +273,6 @@ def adjacent_pairs(n_ports: int):
 
 
 def regime_scalars(regime: Regime, n_ports: int) -> RegimeScalars:
-    lam = {(j, s): rho_eigenvalue(n_ports, j, s) for j, s in adjacent_pairs(n_ports)}
     sector_eig = {s: sector_eigenvalue(regime, n_ports, s) for s in pair_sectors(n_ports)}
     if regime is Regime.DPBT:
         sector_eig[HalfInt(n_ports + 1)] = Fraction(1, n_ports)
@@ -284,5 +281,5 @@ def regime_scalars(regime: Regime, n_ports: int) -> RegimeScalars:
     if regime is not Regime.DPBT:
         failure = {(j, s): failure_eigenvalue(regime, n_ports, j, s)
                    for j, s in adjacent_pairs(n_ports)}
-    return RegimeScalars(regime=regime, n_ports=n_ports, lam=lam,
+    return RegimeScalars(regime=regime, n_ports=n_ports,
                          sector_eig=sector_eig, pairs=pairs, failure_eig=failure)

@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from portsim.circuit import branch_weights, c_star
+from helpers import branch_weights, haar_qubit
+from portsim.circuit import c_star
 from portsim.povm_analytic import analytic_povm
 from portsim.povm_oracle import build_povm, ensemble_average, psd_sqrt
 from portsim.protocols import (
@@ -21,8 +22,6 @@ from portsim.protocols import (
     average_fidelity,
     build_program,
     expected_outcome_distribution,
-    haar_qubit,
-    naimark_ppbt_mes,
     ppbt_mes_no_aa,
     resource_estimate,
     success_probability,
@@ -148,7 +147,7 @@ def test_criterion_4_circuits_reproduce_roots_large():
 def test_criterion_5_amplification_schedules():
     problems = []
     for n in range(1, 7):
-        mes = naimark_ppbt_mes(n)
+        mes = build_program(ProtocolKind.PPBT_MES, n)
         if mes.rounds != 5:
             problems.append(f"rescaled heralded N={n}: {mes.rounds} rounds")
         for kind, raw in [(ProtocolKind.DPBT_MES, 1 / math.sqrt(n)),

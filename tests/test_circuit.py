@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import action_matrix, branch_weights
 from portsim.circuit import (
     Block,
     CircuitAction,
@@ -12,8 +13,6 @@ from portsim.circuit import (
     RegisterProjector,
     StateVector,
     SubspaceBlocks,
-    action_matrix,
-    branch_weights,
     c_star,
     oaa,
     port_prepare,
@@ -171,12 +170,6 @@ def test_measurement_of_uniform_superposition():
     amps[0, :, 0, 0] = 0.5
     weights = branch_weights(StateVector(regs, amps), "port")[:, 0]
     np.testing.assert_allclose(weights, [0.25] * 4, atol=1e-15)
-
-
-def test_branch_weights_rejects_unknown_register():
-    regs = Registers(n_system=1, port_dim=2, r_dim=1)
-    with pytest.raises(ValueError):
-        branch_weights(random_state(regs), "flag")
 
 
 # ---------------------------------------------------------- amplification ----

@@ -281,6 +281,8 @@ def test_port_cap_env_override_rejects_garbage(capsys, monkeypatch):
     ["povm-check", "--ports", "7"],
     ["schur", "--n", "21"],
     ["table", "--metric", "resources", "--ports", "12"],
+    ["povm-check", "--ports", "1", "--tolerance", "nan"],
+    ["povm-check", "--ports", "1", "--tolerance", "-1"],
 ])
 def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
     # a raised cap lets the request through to the library's own limits

@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import action_matrix, branch_weights, haar_qubit
 from portsim import protocols
-from portsim.circuit import StateVector, branch_weights
+from portsim.circuit import StateVector
 from portsim.povm_oracle import build_povm, psd_sqrt
 from portsim.protocols import (
     NumericalInvariantError,
@@ -16,10 +17,6 @@ from portsim.protocols import (
     dpbt_opt_deformation,
     entanglement_fidelity,
     expected_outcome_distribution,
-    haar_qubit,
-    naimark_dpbt,
-    naimark_ppbt_mes,
-    naimark_ppbt_opt,
     ppbt_mes_no_aa,
     resource_estimate,
     resource_matrix,
@@ -76,43 +73,51 @@ def test_round_schedule_is_frozen(kind, n):
 
 
 def test_rescale_factors():
-    assert naimark_dpbt(1).c_star == 1.0
-    assert naimark_dpbt(2).c_star == pytest.approx(math.sqrt(2), abs=1e-12)
-    assert naimark_dpbt(3).c_star == pytest.approx(2 / math.sqrt(3), abs=1e-12)
-    assert naimark_dpbt(4).c_star == 1.0
+    dpbt = {n: build_program(ProtocolKind.DPBT_MES, n) for n in range(1, 5)}
+    assert dpbt[1].c_star == 1.0
+    assert dpbt[2].c_star == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert dpbt[3].c_star == pytest.approx(2 / math.sqrt(3), abs=1e-12)
+    assert dpbt[4].c_star == 1.0
     for n in range(1, 5):
-        mes = naimark_ppbt_mes(n)
+        mes = build_program(ProtocolKind.PPBT_MES, n)
         assert mes.c_star == pytest.approx(
             1 / (2 * math.sqrt(2) * math.sin(math.pi / 10)), abs=1e-12)
-        opt = naimark_ppbt_opt(n)
+        opt = build_program(ProtocolKind.PPBT_OPT, n)
         assert 1 / (opt.c_star * math.sqrt(n + 1)) == pytest.approx(
             math.sin(math.pi / (2 * opt.rounds)), abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", [*KINDS, "no-aa"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_bare_circuit_is_unitary(kind, n):
-    prog = build_program(kind, n)
-    matrix = prog.bare_matrix()
+    prog = ppbt_mes_no_aa(n) if kind == "no-aa" else build_program(kind, n)
+    matrix = action_matrix(prog.bare, prog.registers)
     np.testing.assert_allclose(matrix.conj().T @ matrix,
                                np.eye(matrix.shape[0]), atol=1e-10)
+
+
+def _project(projector, state: StateVector) -> StateVector:
+    amps = state.amps.copy()
+    amps.reshape(state.registers.dim, state.batch)[~projector.mask(state.registers)] = 0
+    return StateVector(state.registers, amps)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_good_amplitude_is_input_independent(n):
     # exact amplification needs the same angle for every input
     rng = np.random.default_rng(np.random.PCG64(42))
+    dpbt = build_program(ProtocolKind.DPBT_MES, n)
+    opt = build_program(ProtocolKind.PPBT_OPT, n)
     cases = [
-        (naimark_dpbt(n), 1 / (naimark_dpbt(n).c_star * math.sqrt(n))),
-        (naimark_ppbt_mes(n, rescale=False), 1 / (2 * math.sqrt(2))),
-        (naimark_ppbt_mes(n), math.sin(math.pi / 10)),
-        (naimark_ppbt_opt(n), 1 / (naimark_ppbt_opt(n).c_star * math.sqrt(n + 1))),
+        (dpbt, 1 / (dpbt.c_star * math.sqrt(n))),
+        (build_program(ProtocolKind.PPBT_MES, n), math.sin(math.pi / 10)),
+        (opt, 1 / (opt.c_star * math.sqrt(n + 1))),
     ]
     for prog, expected in cases:
         for _ in range(3):
             psi = haar_system(rng, n + 1)
             bare = prog.bare.apply(prog.initial_state(psi))
-            amp = prog.good_mask.apply(bare).norm()
+            amp = _project(prog.good_mask, bare).norm()
             assert amp == pytest.approx(expected, abs=1e-12)
 
 
@@ -122,9 +127,9 @@ def _reflection_product(prog, state: StateVector) -> StateVector:
     u, pi, pi_tilde = prog.bare, prog.start_mask, prog.good_mask
     current = u.apply(state)
     for _ in range((prog.rounds - 1) // 2):
-        flagged = pi_tilde.apply(current)
+        flagged = _project(pi_tilde, current)
         current = StateVector(current.registers, 2 * flagged.amps - current.amps)
-        back = u.apply(pi.apply(u.apply_adjoint(current)))
+        back = u.apply(_project(pi, u.apply_adjoint(current)))
         current = StateVector(current.registers, current.amps - 2 * back.amps)
     return current
 
@@ -353,12 +358,6 @@ def test_batch_is_seed_deterministic():
     a = teleport_batch(ProtocolKind.PPBT_OPT, 2, chi, rng=99)
     b = teleport_batch(ProtocolKind.PPBT_OPT, 2, chi, rng=99)
     np.testing.assert_array_equal(a.outcomes, b.outcomes)
-
-
-def test_haar_qubit_is_normalized():
-    rng = np.random.default_rng(np.random.PCG64(2))
-    for _ in range(20):
-        assert np.linalg.norm(haar_qubit(rng)) == pytest.approx(1.0, abs=1e-12)
 
 
 # ------------------------------------------------------------ exact values ----

@@ -301,5 +301,3 @@ def test_regime_scalars_tables_are_complete(regime, n):
         assert 0 <= scal.sector_eigenvalue(s) <= 1
         pair = scal.rotation_pair(s)
         assert pair[0] ** 2 + pair[1] ** 2 == pytest.approx(1.0, abs=1e-12)
-    for (j, s), lam in scal.lam.items():
-        assert lam == rho_eigenvalue(n, j, s)
