@@ -28,6 +28,15 @@ class InvalidSubspaceSpec(ValueError):
     """Raised when a requested subspace map does not extend to a unitary."""
 
 
+class NumericalInvariantError(ArithmeticError):
+    """A numerical identity of the compiled circuits fails by more than
+    rounding; `residual` is the size of the violation."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
+
+
 @dataclass(frozen=True)
 class Registers:
     """Shape of the composite space: n_system qubits, a port register of
@@ -84,9 +93,6 @@ class StateVector:
     @property
     def batch(self) -> int:
         return self.amps.shape[3]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
     def flat(self) -> np.ndarray:
         """(dim, batch) view in register order (system, port, r)."""
@@ -260,20 +266,19 @@ class CircuitAction:
 
 
 class OaaAction:
-    """Oblivious amplitude amplification: with U|x> = sin(pi/2n) W|x> + junk
-    for every |x> in the start subspace (junk outside the flag subspace), the
-    composite of n rounds lands exactly on W|x>.
+    """Oblivious amplitude amplification by its lemma (Berry, Childs, Cleve,
+    Kothari and Somma, arXiv:1312.1414): if Pi~ U Pi = sin(pi/2n) V with V an
+    isometry, n rounds send every start-subspace input x exactly to
+    Pi~ U x / sin(pi/2n), where Pi is the start projector and Pi~ the flag
+    projector.
 
-    Each round after the first applies the flag-subspace reflection followed
-    by the reflection through the image of the start subspace; both
-    reflections together advance the good-branch angle by pi/n, so the n-th
-    round ends at angle pi/2 with no residual junk.
-
-    The guarantee covers start-subspace inputs only, and `apply` rejects any
-    other. U acts only on the start-subspace basis: since Pi U^dagger =
-    (U Pi)^dagger, the k-column image U Pi of that basis yields both U and
-    the reflection U Pi U^dagger. So `apply` costs one circuit pass over k
-    columns plus two matrix products per round, whatever n is.
+    `apply` rejects inputs outside the start subspace, runs U once on the
+    input, keeps its flagged rows and divides by s = sin(pi/2n). It checks
+    the precondition on the input's own columns: the relative residual
+    max|(Pi~ U x)^dagger (Pi~ U x) - s^2 x^dagger x| / (s^2 max diag x^dagger x)
+    must stay below 1e-9, or `NumericalInvariantError` carries it. Input
+    columns that span the start subspace make this the lemma's full
+    precondition Pi U^dagger Pi~ U Pi = s^2 Pi.
     """
 
     def __init__(self, u, pi: RegisterProjector, pi_tilde: RegisterProjector, n: int):
@@ -290,18 +295,17 @@ class OaaAction:
         flat = state.flat()
         if np.any(flat[~start]):
             raise ValueError("amplitude amplification input leaves the start subspace")
-        columns = np.flatnonzero(start)
-        basis = np.zeros((regs.dim, columns.size), dtype=np.complex128)
-        basis[columns, np.arange(columns.size)] = 1.0
-        image = self.u.apply(StateVector(
-            regs, basis.reshape(*state.amps.shape[:3], columns.size))).flat()
-        current = image @ flat[columns]
-        image_adjoint = image.conj().T
-        junk = ~self.pi_tilde.mask(regs)
-        for _ in range((self.n - 1) // 2):
-            current[junk] *= -1
-            current -= 2 * image @ (image_adjoint @ current)
-        return StateVector(regs, current.reshape(state.amps.shape))
+        s = math.sin(math.pi / (2 * self.n))
+        out = self.u.apply(state).flat() * (self.pi_tilde.mask(regs) / s)[:, None]
+        x = flat[start]
+        gram = x.conj().T @ x
+        miss = float(np.abs(out.conj().T @ out - gram).max())
+        scale = float(gram.diagonal().real.max())
+        if miss > 1e-9 * scale:
+            raise NumericalInvariantError(
+                f"amplification precondition Pi~ U Pi = sin(pi/{2 * self.n}) V fails: "
+                f"relative Gram residual {miss / scale:.3e}", miss / scale)
+        return StateVector(regs, out.reshape(state.amps.shape))
 
 
 def oaa(u, pi: RegisterProjector, pi_tilde: RegisterProjector, n: int) -> OaaAction:

@@ -31,10 +31,6 @@ class HalfInt:
             raise ValueError(f"{value} is not a half-integer")
         return HalfInt(int(frac * 2))
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
 
@@ -55,9 +51,6 @@ class HalfInt:
 
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
 
     def __str__(self) -> str:
         # human rendering: "2" or "3/2"

@@ -128,14 +128,6 @@ class PovmSet:
     def min_eigenvalue(self) -> float:
         return min(np.linalg.eigvalsh(e).min() for e in self.elements)
 
-    def validate(self, sum_tol: float = 1e-10, psd_tol: float = -1e-10) -> None:
-        residual = self.completeness_residual()
-        if residual > sum_tol:
-            raise ValueError(f"elements do not sum to identity (residual {residual:.3e})")
-        low = self.min_eigenvalue()
-        if low < psd_tol:
-            raise ValueError(f"element not positive semidefinite (min eigenvalue {low:.3e})")
-
 
 def _port_covariant_set(regime: Regime, n_ports: int, pi_last: np.ndarray,
                         with_failure: bool) -> PovmSet:

@@ -27,15 +27,15 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .circuit import (AdjointOp, Block, CircuitAction, DenseSystem, PortCswap,
-                      RegisterProjector, Registers, StateVector, SubspaceBlocks,
-                      c_star, oaa, port_prepare)
+from .circuit import (AdjointOp, Block, CircuitAction, DenseSystem,
+                      NumericalInvariantError, PortCswap, RegisterProjector, Registers,
+                      StateVector, SubspaceBlocks, c_star, oaa, port_prepare)
 from .halfint import HalfInt
 from .povm_analytic import label_pattern, pair_families
 from .povm_oracle import deformation_operator
 from .schur import coupling_unitary, enumerate_labels, label_index, spin_projector
 from .spinalg import (Regime, RegimeScalars, adjacent_pairs, chain_multiplicity,
-                      failure_eigenvalue, optimal_scalars, regime_scalars, spin_values)
+                      failure_eigenvalue, regime_scalars, spin_values)
 
 
 class ProtocolKind(Enum):
@@ -70,8 +70,10 @@ class NaimarkProgram:
 
     The bare action U sends |psi>|0_port>|0_r> to
     sum_i (a_i / c_star) sqrt(Pi_i)|psi>|i>|0_r> plus junk orthogonal to the
-    good mask; `rounds` odd amplification rounds remove the junk exactly.
-    rounds == 0 means the program is meant to run unamplified.
+    good mask, with flagged amplitude sin(pi/2n) for n = `rounds`. By the
+    amplification lemma the n rounds leave exactly the flagged part divided
+    by sin(pi/2n); `action()` applies that as one checked projection (see
+    `OaaAction`). rounds == 0 means the program is meant to run unamplified.
     """
 
     regime: Regime
@@ -383,15 +385,6 @@ def expected_outcome_distribution(kind: ProtocolKind, n_ports: int) -> np.ndarra
     return dist
 
 
-class NumericalInvariantError(ArithmeticError):
-    """A numerical identity of the compiled circuits fails by more than
-    rounding; `residual` is the size of the violation."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 @lru_cache(maxsize=32)
 def _instrument(kind: ProtocolKind, n_ports: int) -> tuple[np.ndarray, np.ndarray]:
     """The protocol as a qubit instrument, from one program run on the joint
@@ -513,18 +506,22 @@ def average_fidelity(kind: ProtocolKind, n_ports: int) -> float:
 
 
 def success_probability_exact(kind: ProtocolKind, n_ports: int) -> Fraction:
-    """Exact heralding probability, averaged over inputs, from the failure
-    element's spectrum: one minus the failure weight on the measured state,
-    which is diagonal in the coupled basis. Each (j, s) sector holds
-    m_N(j) (2s+1) labels with one eigenvalue."""
+    """Exact heralding probability, averaged over inputs.
+
+    The optimised resource reaches N/(N+3) (Ishizaka and Hiroshima, PRA 79,
+    042306, 2009). For plain singlets it is one minus the failure element's
+    weight on the measured state, which is diagonal in the coupled basis:
+    each (j, s) sector holds m_N(j) (2s+1) labels with one eigenvalue.
+    """
     if kind.deterministic:
         raise ValueError("the deterministic regime always succeeds")
-    nu = optimal_scalars(n_ports).nu if kind.optimised_resource else None
+    if n_ports < 1:
+        raise ValueError(f"n_ports must be positive, got {n_ports}")
+    if kind.optimised_resource:
+        return Fraction(n_ports, n_ports + 3)
     total = Fraction(0)
     for j, s in adjacent_pairs(n_ports):
         value = failure_eigenvalue(kind.regime, n_ports, j, s)
-        if nu is not None:
-            value *= nu[j]
         total += value * chain_multiplicity(n_ports, j) * (s.twice + 1)
     return 1 - total / 2 ** (n_ports + 1)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 import portsim
 from portsim import protocols
 from portsim.cli import main
-from portsim.protocols import ProtocolKind, resource_matrix
+from portsim.protocols import NumericalInvariantError, ProtocolKind, resource_matrix
 
 KINDS = [kind.value for kind in ProtocolKind]
 
@@ -306,19 +307,38 @@ def test_success_table_needs_no_label_enumeration(capsys, monkeypatch):
 
 # ---------------------------------------------------------------- plumbing ----
 
-def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch):
+def _scaled_resource(monkeypatch) -> str:
     scaled = 1.1 * resource_matrix(ProtocolKind.PPBT_OPT, 2)
     monkeypatch.setattr(protocols, "resource_matrix", lambda *_: scaled)
+    return "2.100e-01"  # the branch-sum residual, 1.1^2 - 1
+
+
+def _detuned_attach(monkeypatch) -> str:
+    spec = protocols._SPECS[ProtocolKind.PPBT_OPT]
+    broken = dataclasses.replace(spec, attach=lambda n: spec.attach(n) * (1 - 1e-6))
+    monkeypatch.setitem(protocols._SPECS, ProtocolKind.PPBT_OPT, broken)
+    with pytest.raises(NumericalInvariantError) as info:
+        protocols._instrument(ProtocolKind.PPBT_OPT, 2)
+    assert 1e-6 <= info.value.residual <= 3e-6
+    return f"{info.value.residual:.3e}"  # the amplification precondition residual
+
+
+@pytest.mark.parametrize("breakage", [_scaled_resource, _detuned_attach],
+                         ids=["resource", "attach"])
+def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakage):
+    protocols.build_program.cache_clear()
     protocols._instrument.cache_clear()
     try:
+        residual = breakage(monkeypatch)
         code, out, err = run(capsys, ["teleport", "--regime", "ppbt-opt",
                                       "--ports", "2", "--trials", "5"])
     finally:
+        protocols.build_program.cache_clear()
         protocols._instrument.cache_clear()
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "2.100e-01" in err  # the residual, 1.1^2 - 1
+    assert residual in err
     assert "Traceback" not in err
 
 

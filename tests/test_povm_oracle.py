@@ -171,7 +171,8 @@ def test_validate_passes_for_every_regime(regime, n):
     povm = build_povm(regime, n)
     assert povm.regime == regime
     assert povm.n_outcomes == (n if regime == Regime.DPBT else n + 1)
-    povm.validate()
+    assert povm.completeness_residual() <= 1e-10
+    assert povm.min_eigenvalue() >= -1e-10
 
 
 @pytest.mark.parametrize("regime", REGIMES)

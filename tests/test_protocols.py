@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -117,7 +118,7 @@ def test_good_amplitude_is_input_independent(n):
         for _ in range(3):
             psi = haar_system(rng, n + 1)
             bare = prog.bare.apply(prog.initial_state(psi))
-            amp = _project(prog.good_mask, bare).norm()
+            amp = np.linalg.norm(_project(prog.good_mask, bare).amps)
             assert amp == pytest.approx(expected, abs=1e-12)
 
 
@@ -337,6 +338,20 @@ def test_broken_resource_raises_numerical_invariant_error(monkeypatch):
         protocols._instrument.cache_clear()
     assert not isinstance(info.value, ValueError)
     assert info.value.residual == pytest.approx(1.1 ** 2 - 1, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [2, 6])
+def test_detuned_attach_breaks_the_amplification_precondition(kind, n):
+    # one attach factor off by 1e-6 leaves the flagged amplitude off sin(pi/2n)
+    spec = protocols._SPECS[kind]
+    broken = dataclasses.replace(spec, attach=lambda m: spec.attach(m) * (1 - 1e-6))
+    prog = protocols._compile(broken, n)
+    joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n), np.eye(2))
+    with pytest.raises(NumericalInvariantError) as info:
+        prog.run(joint.reshape(2 ** (n + 1), 2 ** (n + 1)))
+    assert not isinstance(info.value, ValueError)
+    assert 1e-6 <= info.value.residual <= 3e-6
 
 
 @pytest.mark.parametrize("kind", KINDS)
