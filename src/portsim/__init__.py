@@ -24,7 +24,7 @@ from .protocols import (
     teleport_batch,
 )
 from .schur import SchurLabel, coupling_unitary, enumerate_labels, schur_vector
-from .spinalg import Regime, regime_scalars
+from .spinalg import Regime
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "entanglement_fidelity",
     "enumerate_labels",
     "port_eigensystem",
-    "regime_scalars",
     "resource_estimate",
     "schur_vector",
     "success_probability",

@@ -296,10 +296,11 @@ class OaaAction:
         if np.any(flat[~start]):
             raise ValueError("amplitude amplification input leaves the start subspace")
         s = math.sin(math.pi / (2 * self.n))
-        out = self.u.apply(state).flat() * (self.pi_tilde.mask(regs) / s)[:, None]
-        x = flat[start]
+        flagged = self.pi_tilde.mask(regs)
+        out = self.u.apply(state).flat() * (flagged / s)[:, None]
+        x, y = flat[start], out[flagged]
         gram = x.conj().T @ x
-        miss = float(np.abs(out.conj().T @ out - gram).max())
+        miss = float(np.abs(y.conj().T @ y - gram).max())
         scale = float(gram.diagonal().real.max())
         if miss > 1e-9 * scale:
             raise NumericalInvariantError(

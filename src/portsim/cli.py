@@ -15,8 +15,10 @@ randomness flows from numpy's PCG64 bit generator seeded with --seed, so
 repeating an invocation reproduces its output byte for byte.
 
 Desk-scale caps on the port count guard against accidental huge dense
-builds; the PORTSIM_MAX_PORTS environment variable raises them for anyone
-willing to pay the memory bill.
+builds. The PORTSIM_MAX_PORTS environment variable raises only these
+per-command caps. The library's own limits still hold past them
+(MAX_POVM_PORTS = 6, MAX_STATE_PORTS = 7, MAX_DENSE_QUBITS = 12,
+MAX_ENUMERATE_QUBITS = 20): a request beyond one exits 2 with one error line.
 
 Exit codes: 0 on success, 1 when a requested check or a numerical
 invariant of the compiled circuits fails, 2 on bad arguments.

@@ -6,9 +6,11 @@ pre-pair spin equals the total spin s. Each family carries exactly one
 nonzero eigenvalue, a pure function of s; every label outside such a family
 is in the kernel, except that the pretty good measurement spreads 1/N over
 the otherwise-unreached maximal-spin sector. The failure element of the
-probabilistic regimes is diagonal on single labels. Dense matrices
-reconstructed from these tables are what the brute-force oracle is tested
-against.
+probabilistic regimes is diagonal on single labels.
+
+These tables have two readers: `analytic_povm` assembles dense elements
+from them, which the brute-force oracle is tested against, and
+`protocols` compiles its rotation and attach amplitudes from them.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ import numpy as np
 
 from .halfint import HalfInt
 from .povm_oracle import MAX_STATE_PORTS, PovmSet, qubit_swap_permutation
-from .schur import SchurLabel, enumerate_labels, schur_vector
-from .spinalg import Regime, failure_eigenvalue, regime_scalars
-
-PORT_ELEMENT = "port"
-FAILURE_ELEMENT = "failure"
+from .schur import SchurLabel, coupling_unitary, enumerate_labels, label_index
+from .spinalg import Regime, failure_eigenvalue, rotation_pair, sector_eigenvalue
 
 
 def label_pattern(regime: Regime, n_ports: int, label: SchurLabel) -> str:
@@ -58,29 +57,30 @@ class PairFamily:
 
 
 def pair_families(regime: Regime, n_ports: int) -> tuple[PairFamily, ...]:
-    """All paired families, in canonical label order of their first member."""
-    scal = regime_scalars(regime, n_ports)
+    """All paired families, in canonical label order of their first member.
+    The sector scalars are computed once per sector."""
     groups: dict[tuple, list[SchurLabel]] = {}
     for lab in enumerate_labels(n_ports + 1):
         if lab.s.twice <= n_ports - 1 and lab.k_pair == lab.s:
             groups.setdefault((lab.spins[:-2], lab.s, lab.m), []).append(lab)
+    sectors = {s for _, s, _ in groups}
+    pairs = {s: rotation_pair(regime, n_ports, s) for s in sectors}
+    values = {s: sector_eigenvalue(regime, n_ports, s) for s in sectors}
     out = []
     for (_, s, m), labs in groups.items():
         labs.sort(key=lambda lab: lab.j.twice)
-        out.append(PairFamily(labels=tuple(labs), s=s, m=m,
-                              pair=scal.rotation_pair(s),
-                              eigenvalue=scal.sector_eigenvalue(s)))
+        out.append(PairFamily(labels=tuple(labs), s=s, m=m, pair=pairs[s],
+                              eigenvalue=values[s]))
     out.sort(key=lambda fam: fam.labels[0].sort_key())
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class EigenEntry:
-    """One eigenvector: value, the labels it combines (one or two, the
+    """One eigenvector: exact value, the labels it combines (one or two, the
     j = s - 1/2 label first), matching coefficients, and the branch tag of the
     slot it occupies."""
 
-    value: float
     value_exact: Fraction
     labels: tuple[SchurLabel, ...]
     coeffs: tuple[float, ...]
@@ -93,7 +93,6 @@ class EigenSystem:
 
     regime: Regime
     n_ports: int
-    element: str
     entries: tuple[EigenEntry, ...]
 
     def __post_init__(self) -> None:
@@ -102,17 +101,13 @@ class EigenSystem:
             raise ValueError(f"expected {expected} entries, got {len(self.entries)}")
 
 
-def _check_analytic_ports(n_ports: int) -> None:
-    if not 1 <= n_ports <= MAX_STATE_PORTS:
-        raise ValueError(f"n_ports must be in 1..{MAX_STATE_PORTS}, got {n_ports}")
-
-
 def port_eigensystem(regime: Regime, n_ports: int) -> EigenSystem:
     """Eigensystem of the port-N element. Paired families contribute their
     engineered eigenvector plus its in-family orthogonal complement at 0;
     unpaired labels sit in the kernel, or at 1/N on the maximal-spin sector
     under the pretty good measurement."""
-    _check_analytic_ports(n_ports)
+    if n_ports < 1:
+        raise ValueError(f"n_ports must be >= 1, got {n_ports}")
     in_family: dict[SchurLabel, PairFamily] = {}
     for fam in pair_families(regime, n_ports):
         for lab in fam.labels:
@@ -128,85 +123,63 @@ def port_eigensystem(regime: Regime, n_ports: int) -> EigenSystem:
                 value = Fraction(1, n_ports)
             else:
                 value = Fraction(0)
-            entries.append(EigenEntry(value=float(value), value_exact=value,
-                                      labels=(lab,), coeffs=(1.0,),
+            entries.append(EigenEntry(value_exact=value, labels=(lab,), coeffs=(1.0,),
                                       tag=label_pattern(regime, n_ports, lab)))
             continue
         emitted.update(fam.labels)
         w_minus, w_plus = fam.pair
         if len(fam.labels) == 1:
-            entries.append(EigenEntry(value=float(fam.eigenvalue),
-                                      value_exact=fam.eigenvalue,
-                                      labels=fam.labels, coeffs=(1.0,), tag="++"))
+            entries.append(EigenEntry(value_exact=fam.eigenvalue, labels=fam.labels,
+                                      coeffs=(1.0,), tag="++"))
             continue
-        entries.append(EigenEntry(value=float(fam.eigenvalue),
-                                  value_exact=fam.eigenvalue,
-                                  labels=fam.labels, coeffs=(w_minus, w_plus),
-                                  tag="++"))
-        entries.append(EigenEntry(value=0.0, value_exact=Fraction(0),
-                                  labels=fam.labels, coeffs=(w_plus, -w_minus),
-                                  tag="-+"))
-    return EigenSystem(regime=regime, n_ports=n_ports,
-                       element=PORT_ELEMENT, entries=tuple(entries))
+        entries.append(EigenEntry(value_exact=fam.eigenvalue, labels=fam.labels,
+                                  coeffs=(w_minus, w_plus), tag="++"))
+        entries.append(EigenEntry(value_exact=Fraction(0), labels=fam.labels,
+                                  coeffs=(w_plus, -w_minus), tag="-+"))
+    return EigenSystem(regime=regime, n_ports=n_ports, entries=tuple(entries))
 
 
 def failure_eigensystem(regime: Regime, n_ports: int) -> EigenSystem:
-    """Eigensystem of the failure element (outcome N+1), diagonal on labels."""
-    _check_analytic_ports(n_ports)
+    """Eigensystem of the failure element (outcome N+1), diagonal on labels.
+    Each eigenvalue is computed once per (j, s) sector."""
     if regime is Regime.DPBT:
         raise ValueError("the deterministic regime has no failure outcome")
+    values: dict[tuple[HalfInt, HalfInt], Fraction] = {}
     entries = []
     for lab in enumerate_labels(n_ports + 1):
-        value = failure_eigenvalue(regime, n_ports, lab.j, lab.s)
-        entries.append(EigenEntry(value=float(value), value_exact=value,
-                                  labels=(lab,), coeffs=(1.0,),
+        key = (lab.j, lab.s)
+        if key not in values:
+            values[key] = failure_eigenvalue(regime, n_ports, *key)
+        entries.append(EigenEntry(value_exact=values[key], labels=(lab,), coeffs=(1.0,),
                                   tag=label_pattern(regime, n_ports, lab)))
-    return EigenSystem(regime=regime, n_ports=n_ports,
-                       element=FAILURE_ELEMENT, entries=tuple(entries))
-
-
-def _entry_vector(entry: EigenEntry) -> np.ndarray:
-    vec = entry.coeffs[0] * schur_vector(entry.labels[0])
-    for coeff, lab in zip(entry.coeffs[1:], entry.labels[1:]):
-        vec = vec + coeff * schur_vector(lab)
-    return vec
+    return EigenSystem(regime=regime, n_ports=n_ports, entries=tuple(entries))
 
 
 def _assemble(es: EigenSystem) -> np.ndarray:
-    dim = 2 ** (es.n_ports + 1)
-    out = np.zeros((dim, dim))
+    """Dense element: the sum of value * |v><v| over the nonzero entries, each
+    eigenvector combined from columns of the coupling unitary."""
+    basis = coupling_unitary(es.n_ports + 1)
+    out = np.zeros_like(basis)
     for entry in es.entries:
-        if entry.value == 0.0:
+        if entry.value_exact == 0:
             continue
-        vec = _entry_vector(entry)
+        vec = sum(c * basis[:, label_index(lab)] for c, lab in zip(entry.coeffs, entry.labels))
         out += float(entry.value_exact) * np.outer(vec, vec)
     return out
 
 
-def reconstruct_povm(es: EigenSystem, which: int) -> np.ndarray:
-    """Dense element for outcome `which` (1-based).
-
-    A port eigensystem reconstructs outcome N directly and the other ports by
-    swap conjugation; a failure eigensystem only reconstructs outcome N+1.
-    """
-    if es.element == FAILURE_ELEMENT:
-        if which != es.n_ports + 1:
-            raise ValueError("a failure eigensystem only describes outcome N+1")
-        return _assemble(es)
-    if not 1 <= which <= es.n_ports:
-        raise ValueError(f"port outcome must be in 1..{es.n_ports}, got {which}")
-    out = _assemble(es)
-    if which < es.n_ports:
-        perm = qubit_swap_permutation(es.n_ports + 1, which, es.n_ports)
-        out = out[np.ix_(perm, perm)]
-    return out
-
-
 def analytic_povm(regime: Regime, n_ports: int) -> PovmSet:
-    """Full measurement set rebuilt from the closed-form tables alone."""
-    es = port_eigensystem(regime, n_ports)
-    elements = [reconstruct_povm(es, i) for i in range(1, n_ports + 1)]
+    """Full measurement set rebuilt from the closed-form tables alone: the
+    port-N element is assembled once and ports 1..N-1 are its qubit-swap
+    conjugates. Capped at `MAX_STATE_PORTS`, since every element is dense."""
+    if not 1 <= n_ports <= MAX_STATE_PORTS:
+        raise ValueError(f"n_ports must be in 1..{MAX_STATE_PORTS}, got {n_ports}")
+    last = _assemble(port_eigensystem(regime, n_ports))
+    elements = []
+    for i in range(1, n_ports):
+        perm = qubit_swap_permutation(n_ports + 1, i, n_ports)
+        elements.append(last[np.ix_(perm, perm)])
+    elements.append(last)
     if regime is not Regime.DPBT:
-        elements.append(reconstruct_povm(failure_eigensystem(regime, n_ports), n_ports + 1))
+        elements.append(_assemble(failure_eigensystem(regime, n_ports)))
     return PovmSet(regime=regime, n_ports=n_ports, elements=elements)
-

@@ -31,11 +31,11 @@ from .circuit import (AdjointOp, Block, CircuitAction, DenseSystem,
                       NumericalInvariantError, PortCswap, RegisterProjector, Registers,
                       StateVector, SubspaceBlocks, c_star, oaa, port_prepare)
 from .halfint import HalfInt
-from .povm_analytic import label_pattern, pair_families
+from .povm_analytic import EigenSystem, failure_eigensystem, pair_families, port_eigensystem
 from .povm_oracle import deformation_operator
 from .schur import coupling_unitary, enumerate_labels, label_index, spin_projector
-from .spinalg import (Regime, RegimeScalars, adjacent_pairs, chain_multiplicity,
-                      failure_eigenvalue, regime_scalars, spin_values)
+from .spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
+                      spin_values)
 
 
 class ProtocolKind(Enum):
@@ -123,14 +123,14 @@ def _reflection_blocks(regs: Registers, groups: dict, name: str) -> SubspaceBloc
     return SubspaceBlocks(regs, blocks, name=name)
 
 
-def _rotation_op(scal: RegimeScalars, regs: Registers) -> SubspaceBlocks:
+def _rotation_op(regime: Regime, n_ports: int, regs: Registers) -> SubspaceBlocks:
     """Per-family basis rotation taking the kept eigenvector of each two-label
     family to its higher-spin slot. One register-level rotation per sector."""
     by_sector: dict[int, dict] = {}
-    for fam in pair_families(scal.regime, scal.n_ports):
+    for fam in pair_families(regime, n_ports):
         indices = [label_index(lab) for lab in fam.labels]
         entry = by_sector.setdefault(fam.s.twice, {"pair": fam.pair, "rows": []})
-        for p in range(scal.n_ports):
+        for p in range(n_ports):
             for r in range(regs.r_dim):
                 entry["rows"].append([regs.flat_index(i, p, r) for i in indices])
     blocks = []
@@ -147,21 +147,22 @@ def _rotation_op(scal: RegimeScalars, regs: Registers) -> SubspaceBlocks:
     return SubspaceBlocks(regs, blocks, name="family-rotation")
 
 
-def _port_attach_groups(scal: RegimeScalars, regs: Registers, scale: float,
-                        mirrored: bool) -> dict:
-    """Reflection groups moving non-kept content off the flagged branch.
+def _port_attach_op(es: EigenSystem, regs: Registers, scale: float,
+                    mirrored: bool) -> SubspaceBlocks:
+    """Reflections moving non-kept content off the flagged branch.
 
     The partner slot of a label on port p is the r=1 level of p for
     block-qubit circuits and the mirrored port branch p+N for unamplified
-    ones. Kept labels of sector s reflect with amplitude
-    sqrt(sector eigenvalue) * scale; everything else swaps out entirely.
+    ones. Each "++" entry of the port eigensystem sits, after the family
+    rotation, on its last label, which reflects with amplitude
+    sqrt(value) * scale; everything else swaps out entirely.
     """
-    n = scal.n_ports
+    n = es.n_ports
+    kept = {entry.labels[-1]: entry.value_exact for entry in es.entries if entry.tag == "++"}
     groups: dict = {}
-    for label in enumerate_labels(n + 1):
-        idx = label_index(label)
-        if label_pattern(scal.regime, n, label) == "++":
-            amplitude = math.sqrt(float(scal.sector_eigenvalue(label.s))) * scale
+    for idx, label in enumerate(enumerate_labels(n + 1)):
+        if label in kept:
+            amplitude = math.sqrt(float(kept[label])) * scale
             key = ("keep", label.s.twice)
         else:
             amplitude = 0.0
@@ -170,25 +171,24 @@ def _port_attach_groups(scal: RegimeScalars, regs: Registers, scale: float,
         for p in range(n):
             junk = regs.flat_index(idx, p + n, 0) if mirrored else regs.flat_index(idx, p, 1)
             entry[1].append([regs.flat_index(idx, p, 0), junk])
-    return groups
+    return _reflection_blocks(regs, groups, name="port-attach")
 
 
-def _failure_attach_op(scal: RegimeScalars, regs: Registers, branch: int,
+def _failure_attach_op(es: EigenSystem, regs: Registers, branch: int,
                        scale: float) -> SubspaceBlocks:
     """Diagonal attach on the idle port branch carrying the failure element:
     each label keeps sqrt(failure eigenvalue) * scale on the block qubit."""
     groups: dict = {}
-    for label in enumerate_labels(scal.n_ports + 1):
-        value = scal.failure_eigenvalue(label.j, label.s)
-        if value == 0:
+    for entry in es.entries:
+        (label,) = entry.labels
+        if entry.value_exact == 0:
             key, amplitude = ("fail-drop",), 0.0
         else:
             key = ("fail", label.s.twice, label.j.twice)
-            amplitude = math.sqrt(float(value)) * scale
-        entry = groups.setdefault(key, (amplitude, []))
-        row = [regs.flat_index(label_index(label), branch, 0),
-               regs.flat_index(label_index(label), branch, 1)]
-        entry[1].append(row)
+            amplitude = math.sqrt(float(entry.value_exact)) * scale
+        idx = label_index(label)
+        row = [regs.flat_index(idx, branch, 0), regs.flat_index(idx, branch, 1)]
+        groups.setdefault(key, (amplitude, []))[1].append(row)
     return _reflection_blocks(regs, groups, name="failure-attach")
 
 
@@ -236,23 +236,23 @@ _START = RegisterProjector(port_values=(0,), r_values=(0,))
 _GOOD = RegisterProjector(r_values=(0,))
 
 
+@lru_cache(maxsize=32)
 def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
     """Build the square-root-measurement circuit of one spec: port
     preparation, port-controlled swap, coupled basis, family rotation,
-    amplitude attach, then the basis changes undone. Ports past N are
-    failure branches."""
-    scal = regime_scalars(spec.regime, n_ports)
+    amplitude attach read off the closed-form eigensystems, then the basis
+    changes undone. Ports past N are failure branches. Cached per spec,
+    since programs are stateless and every apply is functional."""
     amps = spec.amplitudes(n_ports)
     regs = Registers(n_ports + 1, len(amps), 1 if spec.mirrored else 2)
     rescale, rounds = (1.0, 0) if spec.target is None else c_star(spec.target(n_ports))
     # scale by the reciprocal: seeded outputs are pinned to these exact floats
-    groups = _port_attach_groups(scal, regs, spec.attach(n_ports) * (1.0 / rescale),
-                                 spec.mirrored)
-    attach = [_reflection_blocks(regs, groups, name="port-attach")]
+    attach = [_port_attach_op(port_eigensystem(spec.regime, n_ports), regs,
+                              spec.attach(n_ports) * (1.0 / rescale), spec.mirrored)]
     if spec.fail is not None:
-        attach.append(_failure_attach_op(scal, regs, branch=n_ports,
-                                         scale=spec.fail * (1.0 / rescale)))
-    rot = _rotation_op(scal, regs)
+        attach.append(_failure_attach_op(failure_eigensystem(spec.regime, n_ports), regs,
+                                         branch=n_ports, scale=spec.fail * (1.0 / rescale)))
+    rot = _rotation_op(spec.regime, n_ports, regs)
     couple = DenseSystem(coupling_unitary(n_ports + 1))
     cswap = PortCswap(n_ports)
     bare = CircuitAction([port_prepare(regs, amps), cswap, AdjointOp(couple), rot,
@@ -270,10 +270,9 @@ def ppbt_mes_no_aa(n_ports: int) -> NaimarkProgram:
     return _compile(_NO_AA, n_ports)
 
 
-@lru_cache(maxsize=32)
 def build_program(kind: ProtocolKind, n_ports: int) -> NaimarkProgram:
-    """Compiled program per protocol; cached since programs are stateless and
-    every apply is functional."""
+    """Compiled program per protocol. Kinds that share a spec (dpbt and
+    dpbt-opt differ only in their resource) share one program."""
     return _compile(_SPECS[kind], n_ports)
 
 

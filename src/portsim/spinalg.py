@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -117,8 +117,6 @@ class OptScalars:
     nu: deformation weight per N-qubit spin j (the port-side operator is
         sum_j sqrt(nu(j)) times the spin-j projector).
     u: spectator weight per (N-1)-qubit spin s.
-    multiplicity: chain count per N-qubit spin j.
-    norm: the weight normalization for N ports.
 
     The tables are read-only views, since one instance is shared per N.
     """
@@ -126,8 +124,6 @@ class OptScalars:
     n_ports: int
     nu: Mapping[HalfInt, Fraction]
     u: Mapping[HalfInt, Fraction]
-    multiplicity: Mapping[HalfInt, int]
-    norm: Fraction
 
 
 @lru_cache(maxsize=32)
@@ -135,31 +131,18 @@ def optimal_scalars(n_ports: int) -> OptScalars:
     if n_ports < 1:
         raise ValueError("n_ports must be >= 1")
     h = weight_norm(n_ports)
-    nu = {}
-    mult = {}
-    for j in spin_values(n_ports):
-        m = chain_multiplicity(n_ports, j)
-        mult[j] = m
-        nu[j] = 2 ** n_ports * h * Fraction(j.twice + 1, m)
-    u = {}
-    for s in spin_values(n_ports - 1):
-        m = chain_multiplicity(n_ports - 1, s)
-        u[s] = 2 ** (n_ports + 1) * h * Fraction(s.twice + 1, n_ports * m)
-    return OptScalars(n_ports=n_ports, nu=MappingProxyType(nu), u=MappingProxyType(u),
-                      multiplicity=MappingProxyType(mult), norm=h)
-
-
-def pair_sectors(n_ports: int) -> tuple[HalfInt, ...]:
-    """Total spins s <= (N-1)/2 of the N+1 qubit system, ascending. These are
-    the sectors where the port measurement element has its rank-one piece."""
-    if n_ports < 1:
-        raise ValueError("n_ports must be >= 1")
-    start = 0 if (n_ports + 1) % 2 == 0 else 1
-    return tuple(HalfInt(t) for t in range(start, n_ports, 2))
+    nu = {j: 2 ** n_ports * h * Fraction(j.twice + 1, chain_multiplicity(n_ports, j))
+          for j in spin_values(n_ports)}
+    u = {s: 2 ** (n_ports + 1) * h * Fraction(s.twice + 1,
+                                               n_ports * chain_multiplicity(n_ports - 1, s))
+         for s in spin_values(n_ports - 1)}
+    return OptScalars(n_ports=n_ports, nu=MappingProxyType(nu), u=MappingProxyType(u))
 
 
 def _is_pair_sector(n_ports: int, s: HalfInt) -> bool:
-    """Membership in `pair_sectors(n_ports)` by range and parity."""
+    """Whether s is a pair sector of N ports: a total spin s <= (N-1)/2 of
+    the N+1 qubit system, where the port measurement element has its
+    rank-one piece. Decided by range and parity."""
     return 0 <= s.twice < n_ports and (s.twice - n_ports - 1) % 2 == 0
 
 
@@ -237,32 +220,6 @@ def failure_eigenvalue(regime: Regime, n_ports: int, j, s) -> Fraction:
     return 1 - 2 ** (N - 1) * lam * opt.u[s] / opt.nu[j]
 
 
-@dataclass(frozen=True)
-class RegimeScalars:
-    """Tabulated per-sector scalars for one (regime, N) pair.
-
-    The sector and failure eigenvalues are Fractions; the rotation pairs
-    carry square roots and are floats.
-    """
-
-    regime: Regime
-    n_ports: int
-    sector_eig: dict[HalfInt, Fraction] = field(repr=False)
-    pairs: dict[HalfInt, tuple[float, float]] = field(repr=False)
-    failure_eig: dict[tuple[HalfInt, HalfInt], Fraction] | None = field(default=None, repr=False)
-
-    def sector_eigenvalue(self, s) -> Fraction:
-        return self.sector_eig[HalfInt.of(s)]
-
-    def rotation_pair(self, s) -> tuple[float, float]:
-        return self.pairs[HalfInt.of(s)]
-
-    def failure_eigenvalue(self, j, s) -> Fraction:
-        if self.failure_eig is None:
-            raise ValueError("the deterministic regime has no failure outcome")
-        return self.failure_eig[(HalfInt.of(j), HalfInt.of(s))]
-
-
 def adjacent_pairs(n_ports: int):
     """All admissible (j, s) label pairs of the N+1 qubit system."""
     for s in spin_values(n_ports + 1):
@@ -270,16 +227,3 @@ def adjacent_pairs(n_ports: int):
             j = HalfInt(s.twice + dt)
             if valid_total_spin(n_ports, j):
                 yield j, s
-
-
-def regime_scalars(regime: Regime, n_ports: int) -> RegimeScalars:
-    sector_eig = {s: sector_eigenvalue(regime, n_ports, s) for s in pair_sectors(n_ports)}
-    if regime is Regime.DPBT:
-        sector_eig[HalfInt(n_ports + 1)] = Fraction(1, n_ports)
-    pairs = {s: rotation_pair(regime, n_ports, s) for s in pair_sectors(n_ports)}
-    failure = None
-    if regime is not Regime.DPBT:
-        failure = {(j, s): failure_eigenvalue(regime, n_ports, j, s)
-                   for j, s in adjacent_pairs(n_ports)}
-    return RegimeScalars(regime=regime, n_ports=n_ports,
-                         sector_eig=sector_eig, pairs=pairs, failure_eig=failure)

@@ -1,9 +1,11 @@
 """Test oracles shared by the test modules: dense matrices of circuit
-actions, branch weights of a state and Haar-random qubit inputs."""
+actions, branch weights of a state, Haar-random qubit inputs and the list
+of pair sectors."""
 
 import numpy as np
 
 from portsim.circuit import Registers, StateVector
+from portsim.halfint import HalfInt
 
 
 def action_matrix(action, registers: Registers) -> np.ndarray:
@@ -24,3 +26,10 @@ def branch_weights(state: StateVector, register: str) -> np.ndarray:
 def haar_qubit(rng: np.random.Generator) -> np.ndarray:
     amps = rng.normal(size=2) + 1j * rng.normal(size=2)
     return amps / np.linalg.norm(amps)
+
+
+def pair_sectors(n_ports: int) -> tuple[HalfInt, ...]:
+    """Total spins s <= (N-1)/2 of the N+1 qubit system, ascending: the
+    sectors where the port measurement element has its rank-one piece."""
+    start = 0 if (n_ports + 1) % 2 == 0 else 1
+    return tuple(HalfInt(t) for t in range(start, n_ports, 2))

@@ -326,14 +326,14 @@ def _detuned_attach(monkeypatch) -> str:
 @pytest.mark.parametrize("breakage", [_scaled_resource, _detuned_attach],
                          ids=["resource", "attach"])
 def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakage):
-    protocols.build_program.cache_clear()
+    protocols._compile.cache_clear()
     protocols._instrument.cache_clear()
     try:
         residual = breakage(monkeypatch)
         code, out, err = run(capsys, ["teleport", "--regime", "ppbt-opt",
                                       "--ports", "2", "--trials", "5"])
     finally:
-        protocols.build_program.cache_clear()
+        protocols._compile.cache_clear()
         protocols._instrument.cache_clear()
     assert code == 1
     assert out == ""

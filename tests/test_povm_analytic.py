@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from portsim import povm_analytic
 from portsim.povm_analytic import (
     MAX_STATE_PORTS,
     analytic_povm,
@@ -11,7 +14,7 @@ from portsim.povm_analytic import (
 )
 from portsim.povm_oracle import build_povm
 from portsim.schur import enumerate_labels, schur_vector
-from portsim.spinalg import Regime, regime_scalars
+from portsim.spinalg import Regime, failure_eigenvalue, rotation_pair, sector_eigenvalue
 
 REGIMES = [Regime.DPBT, Regime.PPBT_MES, Regime.PPBT_OPT]
 
@@ -43,8 +46,9 @@ def test_analytic_povm_validates(regime):
 # ----------------------------------------------------------- eigensystem ----
 
 @pytest.mark.parametrize("regime", REGIMES)
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_eigensystem_spans_the_full_space(regime, n):
+    # the symbolic tables are uncapped; only the dense assembly has a cap
     es = port_eigensystem(regime, n)
     assert len(es.entries) == 2 ** (n + 1)
     if regime != Regime.DPBT:
@@ -69,17 +73,17 @@ def test_entries_satisfy_the_eigen_relation(regime, n):
         op = dense.element(which)
         for entry in es.entries:
             vec = entry_vector(entry)
-            np.testing.assert_allclose(op @ vec, entry.value * vec, atol=1e-10)
+            np.testing.assert_allclose(op @ vec, float(entry.value_exact) * vec, atol=1e-10)
 
 
 def test_two_port_pgm_spectrum():
-    values = sorted(e.value for e in port_eigensystem(Regime.DPBT, 2).entries)
+    values = sorted(float(e.value_exact) for e in port_eigensystem(Regime.DPBT, 2).entries)
     np.testing.assert_allclose(values, [0, 0, 0.5, 0.5, 0.5, 0.5, 1, 1], atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_spectrum_agrees_with_dense_eigensolve(n):
-    claimed = sorted(e.value for e in port_eigensystem(Regime.DPBT, n).entries)
+    claimed = sorted(float(e.value_exact) for e in port_eigensystem(Regime.DPBT, n).entries)
     solved = np.sort(np.linalg.eigvalsh(build_povm(Regime.DPBT, n).element(1)))
     np.testing.assert_allclose(claimed, solved, atol=1e-10)
 
@@ -87,17 +91,19 @@ def test_spectrum_agrees_with_dense_eigensolve(n):
 @pytest.mark.parametrize("regime", REGIMES)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_exact_values_back_the_floats(regime, n):
-    for entry in port_eigensystem(regime, n).entries:
-        assert entry.value == pytest.approx(float(entry.value_exact), abs=1e-15)
+    # the assembled port-N element carries the exact spectrum as floats
+    es = port_eigensystem(regime, n)
+    assert all(isinstance(e.value_exact, Fraction) for e in es.entries)
+    trace = np.trace(analytic_povm(regime, n).element(n))
+    assert trace == pytest.approx(float(sum(e.value_exact for e in es.entries)), abs=1e-12)
 
 
 @pytest.mark.parametrize("regime", [Regime.PPBT_MES, Regime.PPBT_OPT])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_failure_values_come_from_sector_scalars(regime, n):
-    scal = regime_scalars(regime, n)
     for entry in failure_eigensystem(regime, n).entries:
         (lab,) = entry.labels
-        assert entry.value_exact == scal.failure_eigenvalue(lab.spins[-2], lab.s)
+        assert entry.value_exact == failure_eigenvalue(regime, n, lab.spins[-2], lab.s)
 
 
 def test_failure_eigensystem_rejects_deterministic_regime():
@@ -108,12 +114,11 @@ def test_failure_eigensystem_rejects_deterministic_regime():
 # ---------------------------------------------------------- pair families ----
 
 def test_pair_families_carry_rotation_data():
-    scal = regime_scalars(Regime.PPBT_MES, 2)
     fams = pair_families(Regime.PPBT_MES, 2)
     assert len(fams) == 2
     for fam in fams:
-        assert fam.pair == scal.rotation_pair(fam.s)
-        assert fam.eigenvalue == scal.sector_eigenvalue(fam.s)
+        assert fam.pair == rotation_pair(Regime.PPBT_MES, 2, fam.s)
+        assert fam.eigenvalue == sector_eigenvalue(Regime.PPBT_MES, 2, fam.s)
         assert fam.pair[0] ** 2 + fam.pair[1] ** 2 == pytest.approx(1.0, abs=1e-12)
         assert len(fam.labels) == 2
         assert {lab.s for lab in fam.labels} == {fam.s}
@@ -135,3 +140,15 @@ def test_label_pattern_values():
 def test_analytic_build_respects_cap():
     with pytest.raises(ValueError):
         analytic_povm(Regime.DPBT, MAX_STATE_PORTS + 1)
+
+
+@pytest.mark.parametrize("regime, assemblies",
+                         [(Regime.DPBT, 1), (Regime.PPBT_MES, 2), (Regime.PPBT_OPT, 2)])
+def test_analytic_povm_assembles_each_eigensystem_once(monkeypatch, regime, assemblies):
+    # ports 1..N-1 are swap conjugates of the one port-N assembly
+    calls = []
+    assemble = povm_analytic._assemble
+    monkeypatch.setattr(povm_analytic, "_assemble", lambda es: calls.append(es) or assemble(es))
+    povm = analytic_povm(regime, 3)
+    assert len(calls) == assemblies
+    assert povm.n_outcomes == 3 + assemblies - 1

@@ -18,7 +18,8 @@ from portsim.povm_oracle import (
     support_pinv_sqrt,
 )
 from portsim.schur import coupling_unitary, enumerate_labels, schur_vector, spin_projector
-from portsim.spinalg import Regime, optimal_scalars, regime_scalars, rho_eigenvalue
+from portsim.spinalg import (Regime, adjacent_pairs, failure_eigenvalue, optimal_scalars,
+                             rho_eigenvalue)
 
 REGIMES = [Regime.DPBT, Regime.PPBT_MES, Regime.PPBT_OPT]
 
@@ -144,18 +145,17 @@ def test_heralded_failure_elements_are_psd():
 
 def test_mes_failure_spectrum_matches_sector_scalars():
     eigs = np.linalg.eigvalsh(ppbt_mes_povm(3).element(4))
-    expected = {0.0} | {float(v) for v in
-                        regime_scalars(Regime.PPBT_MES, 3).failure_eig.values()}
+    expected = {0.0} | {float(failure_eigenvalue(Regime.PPBT_MES, 3, j, s))
+                        for j, s in adjacent_pairs(3)}
     for e in eigs:
         assert min(abs(e - x) for x in expected) < 1e-10
 
 
 def test_opt_failure_diagonal_matches_sector_scalars():
     fail = ppbt_opt_povm(3).element(4)
-    scal = regime_scalars(Regime.PPBT_OPT, 3)
     for lab in enumerate_labels(4):
         vec = schur_vector(lab)
-        expect = float(scal.failure_eigenvalue(lab.spins[-2], lab.s))
+        expect = float(failure_eigenvalue(Regime.PPBT_OPT, 3, lab.spins[-2], lab.s))
         np.testing.assert_allclose((vec.conj() @ fail @ vec).real, expect, atol=1e-10)
 
 

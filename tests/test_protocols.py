@@ -28,7 +28,8 @@ from portsim.protocols import (
     teleport_batch,
 )
 from portsim.schur import enumerate_labels, spin_projector
-from portsim.spinalg import Regime, chain_multiplicity, optimal_scalars, regime_scalars, spin_values
+from portsim.spinalg import (Regime, chain_multiplicity, failure_eigenvalue, optimal_scalars,
+                             spin_values)
 
 KINDS = list(ProtocolKind)
 HERALDED = [ProtocolKind.PPBT_MES, ProtocolKind.PPBT_OPT]
@@ -86,6 +87,14 @@ def test_rescale_factors():
         opt = build_program(ProtocolKind.PPBT_OPT, n)
         assert 1 / (opt.c_star * math.sqrt(n + 1)) == pytest.approx(
             math.sin(math.pi / (2 * opt.rounds)), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_kinds_sharing_a_spec_share_one_program(n):
+    # dpbt and dpbt-opt differ only in their resource state; the compile has
+    # no dense-build cap, so N = 8 builds too
+    assert build_program(ProtocolKind.DPBT_MES, n) is build_program(ProtocolKind.DPBT_OPT, n)
+    assert build_program(ProtocolKind.PPBT_MES, n) is not build_program(ProtocolKind.PPBT_OPT, n)
 
 
 @pytest.mark.parametrize("kind", [*KINDS, "no-aa"])
@@ -397,11 +406,10 @@ def test_success_probability_anchors(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_success_sector_sum_matches_label_sum(kind, n):
     # every coupled-basis label carries the failure eigenvalue of its sector
-    scal = regime_scalars(kind.regime, n)
     nu = optimal_scalars(n).nu if kind.optimised_resource else None
     total = Fraction(0)
     for label in enumerate_labels(n + 1):
-        value = scal.failure_eigenvalue(label.j, label.s)
+        value = failure_eigenvalue(kind.regime, n, label.j, label.s)
         total += value * nu[label.j] if nu is not None else value
     assert success_probability_exact(kind, n) == 1 - total / 2 ** (n + 1)
 

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import pair_sectors
 from portsim.halfint import HALF, ZERO, HalfInt, valid_total_spin, valid_z_component
 from portsim.schur import enumerate_labels
 from portsim.spinalg import (
     Regime,
     UnsupportedCouplingError,
+    adjacent_pairs,
     chain_multiplicity,
     clebsch_gordan,
     failure_eigenvalue,
     optimal_scalars,
-    pair_sectors,
-    regime_scalars,
     rho_eigenvalue,
     rotation_pair,
     sector_eigenvalue,
@@ -137,7 +137,7 @@ def test_dpbt_sector_eigenvalue_is_one_below_maximal(n):
 def test_sector_eigenvalue_examples():
     assert sector_eigenvalue(Regime.PPBT_MES, 3, ZERO) == Fraction(2, 3)
     # maximal-spin sector of the deterministic measurement
-    assert regime_scalars(Regime.DPBT, 4).sector_eigenvalue(h(5)) == Fraction(1, 4)
+    assert sector_eigenvalue(Regime.DPBT, 4, h(5)) == Fraction(1, 4)
 
 
 def test_sector_eigenvalue_rejects_non_pair_sector():
@@ -215,7 +215,7 @@ def test_optimal_scalars_three_ports():
 def test_optimal_scalars_are_shared_read_only_tables():
     opt = optimal_scalars(4)
     assert optimal_scalars(4) is opt
-    for table in (opt.nu, opt.u, opt.multiplicity):
+    for table in (opt.nu, opt.u):
         key = next(iter(table))
         with pytest.raises(TypeError):
             table[key] = 0
@@ -233,7 +233,7 @@ def test_failure_eigenvalue_values():
 
 def test_dpbt_has_no_failure_outcome():
     with pytest.raises(ValueError):
-        regime_scalars(Regime.DPBT, 2).failure_eigenvalue(h(2), h(1))
+        failure_eigenvalue(Regime.DPBT, 2, h(2), h(1))
 
 
 # ------------------------------------------------- regime-level scans ----
@@ -270,20 +270,19 @@ def test_mes_failure_eigenvalue_peaks_at_maximal_spin(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_mes_failure_complements_eigenvalue_ratio(n):
     # herald weight is one minus the ratio of the two sector eigenvalues
-    scal = regime_scalars(Regime.PPBT_MES, n)
     for s in pair_sectors(n):
         j_low, j_high = h(s.twice - 1), h(s.twice + 1)
         if j_low.twice < 0 or not valid_total_spin(n, j_low):
             continue
         ratio = rho_eigenvalue(n, j_low, s) / rho_eigenvalue(n, j_high, s)
-        assert scal.failure_eigenvalue(j_low, s) == 1 - ratio
+        assert failure_eigenvalue(Regime.PPBT_MES, n, j_low, s) == 1 - ratio
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_opt_failure_complements_deformed_weight(n):
-    scal = regime_scalars(Regime.PPBT_OPT, n)
     opt = optimal_scalars(n)
-    for (j, s), value in scal.failure_eig.items():
+    for j, s in adjacent_pairs(n):
+        value = failure_eigenvalue(Regime.PPBT_OPT, n, j, s)
         lam = rho_eigenvalue(n, j, s)
         if lam == 0:
             assert value == 1
@@ -294,9 +293,10 @@ def test_opt_failure_complements_deformed_weight(n):
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("n", range(1, 9))
 def test_regime_scalars_tables_are_complete(regime, n):
-    scal = regime_scalars(regime, n)
-    assert scal.n_ports == n
     for s in pair_sectors(n):
-        assert 0 <= scal.sector_eigenvalue(s) <= 1
-        pair = scal.rotation_pair(s)
+        assert 0 <= sector_eigenvalue(regime, n, s) <= 1
+        pair = rotation_pair(regime, n, s)
         assert pair[0] ** 2 + pair[1] ** 2 == pytest.approx(1.0, abs=1e-12)
+    if regime is not Regime.DPBT:
+        for j, s in adjacent_pairs(n):
+            assert 0 <= failure_eigenvalue(regime, n, j, s) <= 1
