@@ -8,7 +8,8 @@ inputs. Amplitudes are stored as a dense complex array of shape
 
 Unitaries come in three shapes: dense operators on the system factor,
 the port-controlled swap, and block operations defined by small matrices
-repeated over explicit index tuples. Block operations carry a register-level
+repeated over explicit index tuples. Every op only applies forward; an
+inverse is built as an op of its own. Block operations carry a register-level
 key per block so two-level rotations can be counted the way a real register
 machine would implement them (one controlled rotation per key, not one per
 amplitude pair).
@@ -109,22 +110,17 @@ class DenseSystem:
         self.matrix = matrix
         self.rotation_count = 0
 
-    def _apply(self, state: StateVector, matrix: np.ndarray) -> StateVector:
-        if matrix.shape[0] != state.registers.system_dim:
-            raise ValueError("system dimension mismatch")
-        amps = np.tensordot(matrix, state.amps, axes=([1], [0]))
-        return StateVector(state.registers, np.ascontiguousarray(amps))
-
     def apply(self, state: StateVector) -> StateVector:
-        return self._apply(state, self.matrix)
-
-    def apply_adjoint(self, state: StateVector) -> StateVector:
-        return self._apply(state, self.matrix.conj().T)
+        if self.matrix.shape[0] != state.registers.system_dim:
+            raise ValueError("system dimension mismatch")
+        amps = np.tensordot(self.matrix, state.amps, axes=([1], [0]))
+        return StateVector(state.registers, np.ascontiguousarray(amps))
 
 
 class PortCswap:
     """Per-branch qubit swap: port value i (0-based) swaps system qubits i+1
-    and N; branches at N and above idle. Self-adjoint."""
+    and N; branches at N and above idle. An involution: it is its own
+    inverse."""
 
     def __init__(self, n_ports: int):
         if n_ports < 1:
@@ -144,8 +140,6 @@ class PortCswap:
         for i, perm in enumerate(self.perms):
             amps[:, i] = amps[perm, i]
         return StateVector(regs, amps)
-
-    apply_adjoint = apply
 
 
 @dataclass(frozen=True)
@@ -187,40 +181,15 @@ class SubspaceBlocks:
         self.blocks = blocks
         self.rotation_count = sum(1 for b in blocks if not b.is_identity())
 
-    def _apply(self, state: StateVector, adjoint: bool) -> StateVector:
+    def apply(self, state: StateVector) -> StateVector:
         amps = state.amps.copy()
         flat = amps.reshape(self.registers.dim, state.batch)
-        blocks = reversed(self.blocks) if adjoint else self.blocks
-        for block in blocks:
+        for block in self.blocks:
             if block.instances.size == 0:
                 continue
-            matrix = block.matrix.conj().T if adjoint else block.matrix
             sub = flat[block.instances]
-            flat[block.instances] = np.einsum("xy,iyb->ixb", matrix, sub)
+            flat[block.instances] = np.einsum("xy,iyb->ixb", block.matrix, sub)
         return StateVector(state.registers, amps)
-
-    def apply(self, state: StateVector) -> StateVector:
-        return self._apply(state, adjoint=False)
-
-    def apply_adjoint(self, state: StateVector) -> StateVector:
-        return self._apply(state, adjoint=True)
-
-
-class AdjointOp:
-    """Wrapper flipping apply and apply_adjoint of an op."""
-
-    def __init__(self, op):
-        self.op = op
-
-    @property
-    def rotation_count(self) -> int:
-        return self.op.rotation_count
-
-    def apply(self, state: StateVector) -> StateVector:
-        return self.op.apply_adjoint(state)
-
-    def apply_adjoint(self, state: StateVector) -> StateVector:
-        return self.op.apply(state)
 
 
 @dataclass(frozen=True)
@@ -245,7 +214,8 @@ class RegisterProjector:
 
 
 class CircuitAction:
-    """Ordered unitary ops with a shared apply/apply_adjoint interface."""
+    """Ordered unitary ops, applied first to last through their shared
+    `apply`."""
 
     def __init__(self, ops: list):
         self.ops = list(ops)
@@ -253,11 +223,6 @@ class CircuitAction:
     def apply(self, state: StateVector) -> StateVector:
         for op in self.ops:
             state = op.apply(state)
-        return state
-
-    def apply_adjoint(self, state: StateVector) -> StateVector:
-        for op in reversed(self.ops):
-            state = op.apply_adjoint(state)
         return state
 
     @property
@@ -307,10 +272,6 @@ class OaaAction:
                 f"amplification precondition Pi~ U Pi = sin(pi/{2 * self.n}) V fails: "
                 f"relative Gram residual {miss / scale:.3e}", miss / scale)
         return StateVector(regs, out.reshape(state.amps.shape))
-
-
-def oaa(u, pi: RegisterProjector, pi_tilde: RegisterProjector, n: int) -> OaaAction:
-    return OaaAction(u, pi, pi_tilde, n)
 
 
 def c_star(target_amp: float) -> tuple[float, int]:

@@ -27,11 +27,11 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .circuit import (AdjointOp, Block, CircuitAction, DenseSystem,
-                      NumericalInvariantError, PortCswap, RegisterProjector, Registers,
-                      StateVector, SubspaceBlocks, c_star, oaa, port_prepare)
+from .circuit import (Block, CircuitAction, DenseSystem, NumericalInvariantError,
+                      OaaAction, PortCswap, RegisterProjector, Registers, StateVector,
+                      SubspaceBlocks, c_star, port_prepare)
 from .halfint import HalfInt
-from .povm_analytic import EigenSystem, failure_eigensystem, pair_families, port_eigensystem
+from .povm_analytic import EigenSystem, failure_eigensystem, port_eigensystem
 from .povm_oracle import deformation_operator
 from .schur import coupling_unitary, enumerate_labels, label_index, spin_projector
 from .spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
@@ -89,7 +89,7 @@ class NaimarkProgram:
     def action(self):
         if self.rounds == 0:
             return self.bare
-        return oaa(self.bare, self.start_mask, self.good_mask, self.rounds)
+        return OaaAction(self.bare, self.start_mask, self.good_mask, self.rounds)
 
     def initial_state(self, system_amps: np.ndarray) -> StateVector:
         return StateVector.from_system(self.registers, system_amps)
@@ -123,27 +123,25 @@ def _reflection_blocks(regs: Registers, groups: dict, name: str) -> SubspaceBloc
     return SubspaceBlocks(regs, blocks, name=name)
 
 
-def _rotation_op(regime: Regime, n_ports: int, regs: Registers) -> SubspaceBlocks:
-    """Per-family basis rotation taking the kept eigenvector of each two-label
-    family to its higher-spin slot. One register-level rotation per sector."""
-    by_sector: dict[int, dict] = {}
-    for fam in pair_families(regime, n_ports):
-        indices = [label_index(lab) for lab in fam.labels]
-        entry = by_sector.setdefault(fam.s.twice, {"pair": fam.pair, "rows": []})
-        for p in range(n_ports):
+def _rotation_op(es: EigenSystem, regs: Registers) -> SubspaceBlocks:
+    """Per-family basis rotation taking the kept eigenvector of each family
+    to its last label's slot, built from the nonzero entries below the
+    maximal-spin sector. One register-level rotation per sector."""
+    by_sector: dict[int, tuple[np.ndarray, list]] = {}
+    for entry in es.entries:
+        s_twice = entry.labels[0].s.twice
+        if entry.value_exact == 0 or s_twice >= es.n_ports:
+            continue
+        c = entry.coeffs
+        matrix = np.array([[c[0]]]) if len(c) == 1 else np.array([[c[1], -c[0]], [c[0], c[1]]])
+        rows = by_sector.setdefault(s_twice, (matrix, []))[1]
+        indices = [label_index(lab) for lab in entry.labels]
+        for p in range(es.n_ports):
             for r in range(regs.r_dim):
-                entry["rows"].append([regs.flat_index(i, p, r) for i in indices])
-    blocks = []
-    for s_twice in sorted(by_sector):
-        pair = by_sector[s_twice]["pair"]
-        rows = by_sector[s_twice]["rows"]
-        w_minus, w_plus = pair
-        if s_twice == 0:
-            matrix = np.array([[w_plus]])
-        else:
-            matrix = np.array([[w_plus, -w_minus], [w_minus, w_plus]])
-        blocks.append(Block(key=("rot", s_twice), matrix=matrix,
-                            instances=np.array(rows, dtype=np.intp)))
+                rows.append([regs.flat_index(i, p, r) for i in indices])
+    blocks = [Block(key=("rot", s_twice), matrix=matrix,
+                    instances=np.array(rows, dtype=np.intp))
+              for s_twice, (matrix, rows) in sorted(by_sector.items())]
     return SubspaceBlocks(regs, blocks, name="family-rotation")
 
 
@@ -153,12 +151,13 @@ def _port_attach_op(es: EigenSystem, regs: Registers, scale: float,
 
     The partner slot of a label on port p is the r=1 level of p for
     block-qubit circuits and the mirrored port branch p+N for unamplified
-    ones. Each "++" entry of the port eigensystem sits, after the family
+    ones. Each nonzero entry of the port eigensystem sits, after the family
     rotation, on its last label, which reflects with amplitude
     sqrt(value) * scale; everything else swaps out entirely.
     """
     n = es.n_ports
-    kept = {entry.labels[-1]: entry.value_exact for entry in es.entries if entry.tag == "++"}
+    kept = {entry.labels[-1]: entry.value_exact
+            for entry in es.entries if entry.value_exact != 0}
     groups: dict = {}
     for idx, label in enumerate(enumerate_labels(n + 1)):
         if label in kept:
@@ -246,17 +245,21 @@ def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
     amps = spec.amplitudes(n_ports)
     regs = Registers(n_ports + 1, len(amps), 1 if spec.mirrored else 2)
     rescale, rounds = (1.0, 0) if spec.target is None else c_star(spec.target(n_ports))
+    eigen = port_eigensystem(spec.regime, n_ports)
     # scale by the reciprocal: seeded outputs are pinned to these exact floats
-    attach = [_port_attach_op(port_eigensystem(spec.regime, n_ports), regs,
-                              spec.attach(n_ports) * (1.0 / rescale), spec.mirrored)]
+    attach = [_port_attach_op(eigen, regs, spec.attach(n_ports) * (1.0 / rescale),
+                              spec.mirrored)]
     if spec.fail is not None:
         attach.append(_failure_attach_op(failure_eigensystem(spec.regime, n_ports), regs,
                                          branch=n_ports, scale=spec.fail * (1.0 / rescale)))
-    rot = _rotation_op(spec.regime, n_ports, regs)
-    couple = DenseSystem(coupling_unitary(n_ports + 1))
+    rot = _rotation_op(eigen, regs)
+    # the real orthogonal blocks and transform are undone by their transposes
+    unrot = SubspaceBlocks(regs, [Block(key=b.key, matrix=b.matrix.T, instances=b.instances)
+                                  for b in reversed(rot.blocks)], name="family-unrotation")
+    couple = coupling_unitary(n_ports + 1)
     cswap = PortCswap(n_ports)
-    bare = CircuitAction([port_prepare(regs, amps), cswap, AdjointOp(couple), rot,
-                          *attach, AdjointOp(rot), couple, cswap])
+    bare = CircuitAction([port_prepare(regs, amps), cswap, DenseSystem(couple.T), rot,
+                          *attach, unrot, DenseSystem(couple), cswap])
     good = RegisterProjector(port_values=tuple(range(n_ports))) if spec.mirrored else _GOOD
     return NaimarkProgram(regime=spec.regime, n_ports=n_ports, registers=regs, bare=bare,
                           rounds=rounds, c_star=rescale, start_mask=_START,
@@ -448,6 +451,8 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
         raise ValueError("input_states must be a (2, trials) array")
     if chi.shape[1] == 0:
         raise ValueError("need at least one trial column")
+    if not np.isfinite(chi).all():
+        raise ValueError("every input amplitude must be finite")
     if np.max(np.abs(np.linalg.norm(chi, axis=0) - 1.0)) > 1e-10:
         raise ValueError("every input column must be normalized")
     program = build_program(kind, n_ports)

@@ -8,13 +8,13 @@ from portsim.circuit import (
     Block,
     CircuitAction,
     InvalidSubspaceSpec,
+    OaaAction,
     PortCswap,
     Registers,
     RegisterProjector,
     StateVector,
     SubspaceBlocks,
     c_star,
-    oaa,
     port_prepare,
 )
 
@@ -75,7 +75,7 @@ def test_cswap_is_an_involution():
     regs = Registers(n_system=4, port_dim=3, r_dim=2)
     state = random_state(regs, batch=3)
     cswap = PortCswap(3)
-    twice = cswap.apply_adjoint(cswap.apply(state))
+    twice = cswap.apply(cswap.apply(state))
     np.testing.assert_allclose(twice.amps, state.amps, atol=1e-14)
 
 
@@ -120,8 +120,6 @@ def test_givens_spec_matches_dense_rotation():
     dense[np.ix_([a, b], [a, b])] = matrix
     state = random_state(regs, batch=2)
     np.testing.assert_allclose(op.apply(state).flat(), dense @ state.flat(), atol=1e-14)
-    np.testing.assert_allclose(op.apply_adjoint(state).flat(), dense.T @ state.flat(),
-                               atol=1e-14)
 
 
 def test_spec_validation_errors():
@@ -190,7 +188,7 @@ def test_oaa_lands_exactly_on_the_flag_subspace(n):
     u = _toy_reflection(regs, math.sin(math.pi / (2 * n)))
     flag = RegisterProjector(port_values=(0,))
     state = StateVector.from_system(regs, np.array([0.6, 0.8]))
-    out = oaa(u, flag, flag, n).apply(state)
+    out = OaaAction(u, flag, flag, n).apply(state)
     assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(out.amps[:, 0, 0, 0], [0.6, 0.8], atol=1e-10)
     np.testing.assert_allclose(out.amps[:, 1], 0, atol=1e-10)
@@ -203,7 +201,7 @@ def test_oaa_with_half_amplitude_needs_three_rounds():
     state = StateVector.from_system(regs, np.array([1.0, 0.0]))
     single = u.apply(state)
     assert branch_weights(single, "port")[0, 0] == pytest.approx(0.25, abs=1e-14)
-    amplified = oaa(u, flag, flag, 3).apply(state)
+    amplified = OaaAction(u, flag, flag, 3).apply(state)
     assert branch_weights(amplified, "port")[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -215,7 +213,7 @@ def test_oaa_rejects_input_outside_the_start_subspace():
     amps[0, 0, 0, :] = 1.0
     amps[1, 1, 0, 1] = 1e-30  # second column leaks onto port 1
     with pytest.raises(ValueError, match="start subspace"):
-        oaa(u, flag, flag, 3).apply(StateVector(regs, amps))
+        OaaAction(u, flag, flag, 3).apply(StateVector(regs, amps))
 
 
 def test_oaa_runs_the_circuit_once():
@@ -230,13 +228,10 @@ def test_oaa_runs_the_circuit_once():
             calls.append("apply")
             return self.op.apply(state)
 
-        def apply_adjoint(self, state):
-            calls.append("apply_adjoint")
-            return self.op.apply_adjoint(state)
-
     flag = RegisterProjector(port_values=(0,))
     u = Counted(_toy_reflection(regs, math.sin(math.pi / 10)))
-    out = oaa(u, flag, flag, 5).apply(StateVector.from_system(regs, np.array([0.6, 0.8])))
+    state = StateVector.from_system(regs, np.array([0.6, 0.8]))
+    out = OaaAction(u, flag, flag, 5).apply(state)
     assert calls == ["apply"]
     np.testing.assert_allclose(out.amps[:, 0, 0, 0], [0.6, 0.8], atol=1e-12)
 
@@ -246,9 +241,9 @@ def test_oaa_rejects_even_round_counts():
     u = _toy_reflection(regs, 0.5)
     flag = RegisterProjector(port_values=(0,))
     with pytest.raises(ValueError):
-        oaa(u, flag, flag, 2)
+        OaaAction(u, flag, flag, 2)
     with pytest.raises(ValueError):
-        oaa(u, flag, flag, 0)
+        OaaAction(u, flag, flag, 0)
 
 
 def test_rescale_factor_and_round_count():
@@ -313,14 +308,14 @@ def test_action_matrix_of_cswap_is_a_permutation():
     assert set(np.unique(matrix)) == {0.0, 1.0}
 
 
-def test_circuit_action_composes_and_inverts():
+def test_circuit_action_composes_in_order():
     regs = Registers(n_system=3, port_dim=2, r_dim=2)
-    prep = port_prepare(regs, np.array([0.8, 0.6]))
-    action = CircuitAction([prep, PortCswap(2)])
+    prep, cswap = port_prepare(regs, np.array([0.8, 0.6])), PortCswap(2)
+    action = CircuitAction([prep, cswap])
     assert action.rotation_count == prep.rotation_count + 2
-    state = random_state(regs, batch=4)
-    back = action.apply_adjoint(action.apply(state))
-    np.testing.assert_allclose(back.amps, state.amps, atol=1e-12)
+    np.testing.assert_allclose(action_matrix(action, regs),
+                               action_matrix(cswap, regs) @ action_matrix(prep, regs),
+                               atol=1e-12)
 
 
 def test_pipeline_preserves_norm_on_many_states():

@@ -8,12 +8,10 @@ from portsim.povm_analytic import (
     MAX_STATE_PORTS,
     analytic_povm,
     failure_eigensystem,
-    label_pattern,
-    pair_families,
     port_eigensystem,
 )
 from portsim.povm_oracle import build_povm
-from portsim.schur import enumerate_labels, schur_vector
+from portsim.schur import schur_vector
 from portsim.spinalg import Regime, failure_eigenvalue, rotation_pair, sector_eigenvalue
 
 REGIMES = [Regime.DPBT, Regime.PPBT_MES, Regime.PPBT_OPT]
@@ -113,28 +111,24 @@ def test_failure_eigensystem_rejects_deterministic_regime():
 
 # ---------------------------------------------------------- pair families ----
 
-def test_pair_families_carry_rotation_data():
-    fams = pair_families(Regime.PPBT_MES, 2)
-    assert len(fams) == 2
-    for fam in fams:
-        assert fam.pair == rotation_pair(Regime.PPBT_MES, 2, fam.s)
-        assert fam.eigenvalue == sector_eigenvalue(Regime.PPBT_MES, 2, fam.s)
-        assert fam.pair[0] ** 2 + fam.pair[1] ** 2 == pytest.approx(1.0, abs=1e-12)
-        assert len(fam.labels) == 2
-        assert {lab.s for lab in fam.labels} == {fam.s}
-
-
-def test_label_pattern_values():
-    pats = {label_pattern(Regime.DPBT, 2, lab) for lab in enumerate_labels(3)}
-    assert pats == {"++", "-+"}
-    # the deterministic measurement keeps the top sector, heralded ones drop it
-    top = enumerate_labels(4)[0]
-    assert label_pattern(Regime.DPBT, 3, top) == "++"
-    assert label_pattern(Regime.PPBT_OPT, 3, top) == "--"
-    for n in (2, 3):
-        for regime in REGIMES:
-            for lab in enumerate_labels(n + 1):
-                assert label_pattern(regime, n, lab) in {"++", "-+", "+-", "--"}
+def test_nonzero_entries_carry_the_sector_scalars():
+    # the compile reads its rotations and attaches off these entries alone
+    for regime in REGIMES:
+        for n in range(1, 5):
+            kept = [e for e in port_eigensystem(regime, n).entries
+                    if e.value_exact != 0 and e.labels[0].s.twice < n]
+            assert kept
+            for entry in kept:
+                s = entry.labels[0].s
+                assert {lab.s for lab in entry.labels} == {s}
+                assert len(entry.labels) == (1 if s.twice == 0 else 2)
+                assert entry.labels[-1].j.twice == s.twice + 1
+                assert entry.value_exact == sector_eigenvalue(regime, n, s)
+                assert entry.coeffs == rotation_pair(regime, n, s)[-len(entry.labels):]
+            # the deterministic measurement keeps the top sector, heralded ones drop it
+            top = port_eigensystem(regime, n).entries[0]
+            assert top.labels[0].s.twice == n + 1
+            assert top.value_exact == (Fraction(1, n) if regime is Regime.DPBT else 0)
 
 
 def test_analytic_build_respects_cap():
@@ -148,7 +142,8 @@ def test_analytic_povm_assembles_each_eigensystem_once(monkeypatch, regime, asse
     # ports 1..N-1 are swap conjugates of the one port-N assembly
     calls = []
     assemble = povm_analytic._assemble
-    monkeypatch.setattr(povm_analytic, "_assemble", lambda es: calls.append(es) or assemble(es))
+    monkeypatch.setattr(povm_analytic, "_assemble",
+                        lambda es, *args: calls.append(es) or assemble(es, *args))
     povm = analytic_povm(regime, 3)
     assert len(calls) == assemblies
     assert povm.n_outcomes == 3 + assemblies - 1

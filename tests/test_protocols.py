@@ -49,12 +49,14 @@ FIDELITY_OPT = {1: 0.5, 2: 2 / 3, 3: 0.7696723314583158,
                 4: 5 / 6, 5: 0.8744966006195779, 6: 0.9023689270621825}
 SUCCESS_MES = {1: Fraction(1, 4), 2: Fraction(1, 3), 3: Fraction(13, 32),
                4: Fraction(9, 20), 5: Fraction(47, 96), 6: Fraction(29, 56)}
+# odd N pin the single-label s = 0 rotation block
 ROTATIONS = {
-    ProtocolKind.DPBT_MES: {2: 10, 3: 16, 4: 19, 5: 25, 6: 28},
-    ProtocolKind.DPBT_OPT: {2: 10, 3: 16, 4: 19, 5: 25, 6: 28},
-    ProtocolKind.PPBT_MES: {2: 13, 3: 19, 4: 23, 5: 29, 6: 33},
-    ProtocolKind.PPBT_OPT: {2: 12, 3: 18, 4: 21, 5: 27, 6: 30},
+    ProtocolKind.DPBT_MES: {1: 6, 2: 10, 3: 16, 4: 19, 5: 25, 6: 28, 7: 34, 8: 37},
+    ProtocolKind.DPBT_OPT: {1: 6, 2: 10, 3: 16, 4: 19, 5: 25, 6: 28, 7: 34, 8: 37},
+    ProtocolKind.PPBT_MES: {1: 9, 2: 13, 3: 19, 4: 23, 5: 29, 6: 33, 7: 39, 8: 43},
+    ProtocolKind.PPBT_OPT: {1: 9, 2: 12, 3: 18, 4: 21, 5: 27, 6: 30, 7: 36, 8: 39},
 }
+ROTATIONS_NO_AA = {1: 6, 2: 9, 3: 15, 4: 18, 5: 24, 6: 27}
 
 
 def haar_system(rng: np.random.Generator, n_qubits: int) -> np.ndarray:
@@ -133,13 +135,16 @@ def test_good_amplitude_is_input_independent(n):
 
 def _reflection_product(prog, state: StateVector) -> StateVector:
     """The amplification rounds as the operator sequence U, then per round
-    the flag reflection and 1 - 2 U Pi U^dagger, each applied op by op."""
+    the flag reflection and 1 - 2 U Pi U^dagger: U applied op by op, U^dagger
+    as the conjugate transpose of U's dense matrix."""
     u, pi, pi_tilde = prog.bare, prog.start_mask, prog.good_mask
+    u_dagger = action_matrix(u, prog.registers).conj().T
     current = u.apply(state)
     for _ in range((prog.rounds - 1) // 2):
         flagged = _project(pi_tilde, current)
         current = StateVector(current.registers, 2 * flagged.amps - current.amps)
-        back = u.apply(_project(pi, u.apply_adjoint(current)))
+        undone = (u_dagger @ current.flat()).reshape(current.amps.shape)
+        back = u.apply(_project(pi, StateVector(current.registers, undone)))
         current = StateVector(current.registers, current.amps - 2 * back.amps)
     return current
 
@@ -231,6 +236,17 @@ def test_teleport_is_reproducible(kind):
 def test_teleport_rejects_unnormalized_input():
     with pytest.raises(ValueError):
         teleport(ProtocolKind.DPBT_MES, 2, np.array([1.0, 1.0]), seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        teleport(ProtocolKind.DPBT_MES, 2, np.array([bad, 0.0]), seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        teleport(ProtocolKind.PPBT_OPT, 2, np.array([1.0, complex(0.0, bad)]), seed=1)
+    # one bad column among normalized ones rejects the whole batch
+    with pytest.raises(ValueError, match="finite"):
+        teleport_batch(ProtocolKind.DPBT_MES, 2, np.array([[bad, 1.0], [0.0, 0.0]]), rng=1)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -487,6 +503,11 @@ def test_closed_forms_match_dense_oracle(n):
 def test_rotation_counts_are_frozen(kind):
     for n, count in ROTATIONS[kind].items():
         assert resource_estimate(kind, n).two_level_rotations == count
+
+
+def test_unamplified_rotation_counts_are_frozen():
+    for n, count in ROTATIONS_NO_AA.items():
+        assert ppbt_mes_no_aa(n).rotation_count == count
 
 
 def test_resource_estimate_fields():
