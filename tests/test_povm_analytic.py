@@ -111,8 +111,17 @@ def test_failure_eigensystem_rejects_deterministic_regime():
 
 # ---------------------------------------------------------- pair families ----
 
-def test_nonzero_entries_carry_the_sector_scalars():
-    # the compile reads its rotations and attaches off these entries alone
+def test_pair_families_carry_rotation_data():
+    # the compile reads its rotations off the nonzero entries alone
+    fams = [e for e in port_eigensystem(Regime.PPBT_MES, 2).entries
+            if e.value_exact != 0 and len(e.labels) == 2]
+    assert len(fams) == 2
+    for fam in fams:
+        s = fam.labels[0].s
+        assert fam.coeffs == rotation_pair(Regime.PPBT_MES, 2, s)
+        assert fam.value_exact == sector_eigenvalue(Regime.PPBT_MES, 2, s)
+        assert fam.coeffs[0] ** 2 + fam.coeffs[1] ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert {lab.s for lab in fam.labels} == {s}
     for regime in REGIMES:
         for n in range(1, 5):
             kept = [e for e in port_eigensystem(regime, n).entries
@@ -122,11 +131,25 @@ def test_nonzero_entries_carry_the_sector_scalars():
                 s = entry.labels[0].s
                 assert {lab.s for lab in entry.labels} == {s}
                 assert len(entry.labels) == (1 if s.twice == 0 else 2)
-                assert entry.labels[-1].j.twice == s.twice + 1
                 assert entry.value_exact == sector_eigenvalue(regime, n, s)
                 assert entry.coeffs == rotation_pair(regime, n, s)[-len(entry.labels):]
+
+
+def test_label_pattern_values():
+    # a family pairs the j = s - 1/2 and j = s + 1/2 labels of pre-pair spin s;
+    # every other label is unpaired and sits in the kernel
+    for regime in REGIMES:
+        for n in (1, 2, 3):
+            entries = port_eigensystem(regime, n).entries
+            for entry in entries:
+                s = entry.labels[0].s
+                if len(entry.labels) == 2:
+                    assert [lab.j.twice - s.twice for lab in entry.labels] == [-1, 1]
+                if entry.value_exact != 0 and s.twice <= n:
+                    assert all(lab.k_pair == s for lab in entry.labels)
+                    assert entry.labels[-1].j.twice == s.twice + 1
             # the deterministic measurement keeps the top sector, heralded ones drop it
-            top = port_eigensystem(regime, n).entries[0]
+            top = entries[0]
             assert top.labels[0].s.twice == n + 1
             assert top.value_exact == (Fraction(1, n) if regime is Regime.DPBT else 0)
 
