@@ -95,7 +95,7 @@ def _port_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _check_range(lo: int, hi: int, cap: int) -> None:
+def _check_range(hi: int, cap: int) -> None:
     if hi > cap:
         raise CliError(
             f"port count {hi} exceeds the desk-scale cap {cap}; "
@@ -170,7 +170,7 @@ def cmd_schur(args: argparse.Namespace) -> int:
 
 def cmd_povm_check(args: argparse.Namespace) -> int:
     lo, hi = args.ports
-    _check_range(lo, hi, _cap(_CHECK_CAP))
+    _check_range(hi, _cap(_CHECK_CAP))
     if not 0.0 <= args.tolerance < math.inf:
         raise CliError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
     regimes = list(Regime) if args.regime == "all" else [Regime(args.regime)]
@@ -233,7 +233,7 @@ def _json_records(rows):
 def cmd_teleport(args: argparse.Namespace) -> int:
     if args.ports < 1:
         raise CliError(f"--ports must be positive, got {args.ports}")
-    _check_range(args.ports, args.ports, _cap(_TELEPORT_CAP))
+    _check_range(args.ports, _cap(_TELEPORT_CAP))
     if args.trials < 1:
         raise CliError(f"--trials must be positive, got {args.trials}")
     kind = ProtocolKind(args.regime)
@@ -316,7 +316,7 @@ def _resource_header() -> list[str]:
 
 def cmd_table(args: argparse.Namespace) -> int:
     lo, hi = args.ports
-    _check_range(lo, hi, _cap(_TABLE_CAP))
+    _check_range(hi, _cap(_TABLE_CAP))
     if not 0.0 < args.epsilon < 1.0:
         raise CliError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
     variant = SchurVariant(args.schur_variant)

@@ -34,24 +34,6 @@ class HalfInt:
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
 
-    def __float__(self) -> float:
-        return self.twice / 2.0
-
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.twice + HalfInt.of(other).twice)
-
-    def __radd__(self, other) -> "HalfInt":
-        return self.__add__(other)
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.twice - HalfInt.of(other).twice)
-
-    def __rsub__(self, other) -> "HalfInt":
-        return HalfInt(HalfInt.of(other).twice - self.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
     def __str__(self) -> str:
         # human rendering: "2" or "3/2"
         return str(self.as_fraction())

@@ -9,13 +9,15 @@ the otherwise-unreached maximal-spin sector. The failure element of the
 probabilistic regimes is diagonal on single labels.
 
 These tables have two readers: `analytic_povm` assembles dense elements
-from them, which the brute-force oracle is tested against, and
+from them, one U D U^T per table with U the coupling unitary, which the
+brute-force oracle is tested against, and
 `protocols` compiles its family rotations and attach amplitudes from their
 nonzero entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +26,7 @@ import numpy as np
 from .halfint import HalfInt
 from .povm_oracle import MAX_STATE_PORTS, PovmSet, qubit_swap_permutation
 from .schur import SchurLabel, coupling_unitary, enumerate_labels, label_index
-from .spinalg import Regime, failure_eigenvalue, rotation_pair, sector_eigenvalue
+from .spinalg import Regime, failure_eigenvalue, pair_weights
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,7 @@ def port_eigensystem(regime: Regime, n_ports: int) -> EigenSystem:
     for lab in enumerate_labels(n_ports + 1):
         paired = lab.s.twice < n_ports and lab.k_pair == lab.s
         groups.setdefault((lab.spins[:-2], lab.s, lab.m) if paired else (lab,), []).append(lab)
-    pairs: dict[HalfInt, tuple[float, float]] = {}
-    values: dict[HalfInt, Fraction] = {}
+    sectors: dict[HalfInt, tuple[Fraction, tuple[float, float]]] = {}
     entries = []
     for key, group in groups.items():
         labs, s = tuple(group), group[0].s
@@ -76,15 +77,14 @@ def port_eigensystem(regime: Regime, n_ports: int) -> EigenSystem:
             value = Fraction(1, n_ports) if maximal else Fraction(0)
             entries.append(EigenEntry(value_exact=value, labels=labs, coeffs=(1.0,)))
             continue
-        if s not in pairs:
-            pairs[s] = rotation_pair(regime, n_ports, s)
-            values[s] = sector_eigenvalue(regime, n_ports, s)
-        entries.append(EigenEntry(value_exact=values[s], labels=labs,
-                                  coeffs=pairs[s][-len(labs):]))
+        if s not in sectors:
+            lo, hi = pair_weights(regime, n_ports, s)
+            sectors[s] = lo + hi, (math.sqrt(lo / (lo + hi)), -math.sqrt(hi / (lo + hi)))
+        value, pair = sectors[s]
+        entries.append(EigenEntry(value_exact=value, labels=labs, coeffs=pair[-len(labs):]))
         if len(labs) == 2:
-            w_minus, w_plus = pairs[s]
             entries.append(EigenEntry(value_exact=Fraction(0), labels=labs,
-                                      coeffs=(w_plus, -w_minus)))
+                                      coeffs=(pair[1], -pair[0])))
     return EigenSystem(regime=regime, n_ports=n_ports, entries=tuple(entries))
 
 
@@ -104,15 +104,16 @@ def failure_eigensystem(regime: Regime, n_ports: int) -> EigenSystem:
 
 
 def _assemble(es: EigenSystem, basis: np.ndarray) -> np.ndarray:
-    """Dense element: the sum of value * |v><v| over the nonzero entries, each
-    eigenvector combined from columns of the coupling unitary `basis`."""
-    out = np.zeros_like(basis)
+    """Dense element U D U^T: D holds the sum of value * c c^T over the
+    entries on their label indices (2x2 family blocks plus a diagonal), and
+    U is the coupling unitary `basis`."""
+    coupled = np.zeros_like(basis)
     for entry in es.entries:
-        if entry.value_exact == 0:
-            continue
-        vec = sum(c * basis[:, label_index(lab)] for c, lab in zip(entry.coeffs, entry.labels))
-        out += float(entry.value_exact) * np.outer(vec, vec)
-    return out
+        value = float(entry.value_exact)
+        for a, ca in zip(entry.labels, entry.coeffs):
+            for b, cb in zip(entry.labels, entry.coeffs):
+                coupled[label_index(a), label_index(b)] += value * ca * cb
+    return basis @ coupled @ basis.T
 
 
 def analytic_povm(regime: Regime, n_ports: int) -> PovmSet:

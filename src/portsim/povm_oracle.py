@@ -3,7 +3,9 @@
 Everything here is deliberately brute force: operators are materialized as
 2^(N+1) x 2^(N+1) matrices straight from their definitions, with no reuse of
 the eigenstructure results, so the analytic module has an independent target
-to be checked against. Memory is O(4^N); builds are hard-capped.
+to be checked against. Spin-sector weights (the spectator operator and the
+inverse deformation) become matrices through `schur.sector_operator`. Memory
+is O(4^N); builds are hard-capped.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfint import HalfInt
-from .schur import enumerate_labels, spin_projector
+from .schur import sector_operator
 from .spinalg import Regime, optimal_scalars, rho_eigenvalue, spin_values
 
 MAX_STATE_PORTS = 7
@@ -74,16 +76,16 @@ def ensemble_average(n_ports: int) -> np.ndarray:
     return out
 
 
-def psd_sqrt(op: np.ndarray, tol: float = PSD_TOLERANCE) -> np.ndarray:
-    """Hermitian square root; eigenvalues below -tol raise, small negatives
-    from roundoff are clipped to zero.
+def psd_sqrt(op: np.ndarray) -> np.ndarray:
+    """Hermitian square root; eigenvalues below -PSD_TOLERANCE raise, small
+    negatives from roundoff are clipped to zero.
 
     Eigenvalues under the relative support cutoff are zeroed outright: the
     square root amplifies ~1e-15 solver noise on a true null direction to
     ~3e-8, which would dominate every downstream comparison.
     """
     w, v = np.linalg.eigh(op)
-    if w.min() < -tol:
+    if w.min() < -PSD_TOLERANCE:
         raise ValueError(f"operator is not positive semidefinite (min eigenvalue {w.min():.3e})")
     w = np.clip(w, 0.0, None)
     if w.max() > 0.0:
@@ -91,13 +93,13 @@ def psd_sqrt(op: np.ndarray, tol: float = PSD_TOLERANCE) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def support_pinv_sqrt(op: np.ndarray, rtol: float = SUPPORT_RTOL) -> np.ndarray:
+def support_pinv_sqrt(op: np.ndarray) -> np.ndarray:
     """Inverse square root on the support; eigenvalues at or below
-    rtol * max(eigenvalue) are treated as exact zeros."""
+    SUPPORT_RTOL * max(eigenvalue) are treated as exact zeros."""
     w, v = np.linalg.eigh(op)
     if w.min() < -PSD_TOLERANCE:
         raise ValueError(f"operator is not positive semidefinite (min eigenvalue {w.min():.3e})")
-    cutoff = rtol * w.max()
+    cutoff = SUPPORT_RTOL * w.max()
     inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
     return (v * inv) @ v.conj().T
 
@@ -155,23 +157,12 @@ def pgm_povm(n_ports: int) -> PovmSet:
     return _port_covariant_set(Regime.DPBT, n_ports, pi_last, with_failure=False)
 
 
-def _spectator_weighted(n_ports: int, weight) -> np.ndarray:
-    """sum_s weight(s) * spin projector on the N-1 spectator qubits."""
-    if n_ports == 1:
-        return np.array([[float(weight(HalfInt(0)))]])
-    out = np.zeros((2 ** (n_ports - 1), 2 ** (n_ports - 1)))
-    for s in spin_values(n_ports - 1):
-        out += float(weight(s)) * spin_projector(n_ports - 1, s)
-    return out
-
-
 def ppbt_mes_povm(n_ports: int) -> PovmSet:
     """Conclusive measurement tuned to the product-of-singlets resource."""
     _check_ports(n_ports, MAX_POVM_PORTS)
-    theta = _spectator_weighted(
-        n_ports,
-        lambda s: 1 / (2 ** (n_ports - 1) * rho_eigenvalue(n_ports, HalfInt(s.twice + 1), s)),
-    )
+    theta = sector_operator(n_ports - 1, {
+        s: 1 / (2 ** (n_ports - 1) * rho_eigenvalue(n_ports, HalfInt(s.twice + 1), s))
+        for s in spin_values(n_ports - 1)})
     pi_last = np.kron(theta, SINGLET_PROJECTOR)
     return _port_covariant_set(Regime.PPBT_MES, n_ports, pi_last, with_failure=True)
 
@@ -181,14 +172,8 @@ def ppbt_opt_povm(n_ports: int) -> PovmSet:
     operator acts on the N port qubits and is inverted against the element."""
     _check_ports(n_ports, MAX_POVM_PORTS)
     opt = optimal_scalars(n_ports)
-    dim_ports = 2 ** n_ports
-    o_inv = np.zeros((dim_ports, dim_ports))
-    if n_ports == 1:
-        o_inv = np.eye(2) / math.sqrt(float(opt.nu[HalfInt(1)]))
-    else:
-        for j in spin_values(n_ports):
-            o_inv += spin_projector(n_ports, j) / math.sqrt(float(opt.nu[j]))
-    theta = _spectator_weighted(n_ports, lambda s: opt.u[s])
+    o_inv = sector_operator(n_ports, {j: 1 / math.sqrt(float(nu)) for j, nu in opt.nu.items()})
+    theta = sector_operator(n_ports - 1, opt.u)
     o_inv_full = np.kron(o_inv, np.eye(2))
     pi_last = o_inv_full @ np.kron(theta, SINGLET_PROJECTOR) @ o_inv_full
     return _port_covariant_set(Regime.PPBT_OPT, n_ports, pi_last, with_failure=True)
@@ -200,16 +185,3 @@ def build_povm(regime: Regime, n_ports: int) -> PovmSet:
     if regime is Regime.PPBT_MES:
         return ppbt_mes_povm(n_ports)
     return ppbt_opt_povm(n_ports)
-
-
-def deformation_operator(n_ports: int) -> np.ndarray:
-    """The port-side operator whose square reweights spin sectors in the
-    optimised resource state."""
-    opt = optimal_scalars(n_ports)
-    if n_ports == 1:
-        return np.eye(2) * math.sqrt(float(opt.nu[HalfInt(1)]))
-    out = np.zeros((2 ** n_ports, 2 ** n_ports))
-    for j in spin_values(n_ports):
-        out += math.sqrt(float(opt.nu[j])) * spin_projector(n_ports, j)
-    return out
-

@@ -32,10 +32,9 @@ from .circuit import (Block, CircuitAction, DenseSystem, NumericalInvariantError
                       SubspaceBlocks, c_star, port_prepare)
 from .halfint import HalfInt
 from .povm_analytic import EigenSystem, failure_eigensystem, port_eigensystem
-from .povm_oracle import deformation_operator
-from .schur import coupling_unitary, enumerate_labels, label_index, spin_projector
+from .schur import coupling_unitary, enumerate_labels, label_index, sector_operator
 from .spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
-                      spin_values)
+                      optimal_scalars, spin_values)
 
 
 class ProtocolKind(Enum):
@@ -235,6 +234,11 @@ _START = RegisterProjector(port_values=(0,), r_values=(0,))
 _GOOD = RegisterProjector(r_values=(0,))
 
 
+def _check_ports(n_ports: int) -> None:
+    if n_ports < 1:
+        raise ValueError(f"n_ports must be >= 1, got {n_ports}")
+
+
 @lru_cache(maxsize=32)
 def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
     """Build the square-root-measurement circuit of one spec: port
@@ -242,6 +246,7 @@ def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
     amplitude attach read off the closed-form eigensystems, then the basis
     changes undone. Ports past N are failure branches. Cached per spec,
     since programs are stateless and every apply is functional."""
+    _check_ports(n_ports)
     amps = spec.amplitudes(n_ports)
     regs = Registers(n_ports + 1, len(amps), 1 if spec.mirrored else 2)
     rescale, rounds = (1.0, 0) if spec.target is None else c_star(spec.target(n_ports))
@@ -303,15 +308,18 @@ def dpbt_opt_deformation(n_ports: int) -> tuple[tuple[HalfInt, float], ...]:
 
 
 def resource_matrix(kind: ProtocolKind, n_ports: int) -> np.ndarray:
+    """Amplitude matrix of the kind's resource: the singlet chain, or for the
+    optimised kinds the unit-norm image of sum_j w_j 1(j) applied to it
+    (w_j = sqrt(nu(j)) for ppbt-opt, `dpbt_opt_deformation` for dpbt-opt)."""
     matrix = singlet_chain(n_ports)
+    if not kind.optimised_resource:
+        return matrix
     if kind is ProtocolKind.PPBT_OPT:
-        matrix = deformation_operator(n_ports) @ matrix
-    elif kind is ProtocolKind.DPBT_OPT:
-        op = sum(w * spin_projector(n_ports, j) for j, w in dpbt_opt_deformation(n_ports))
-        matrix = op @ matrix
-    if kind.optimised_resource:
-        matrix = matrix / np.linalg.norm(matrix)
-    return matrix
+        weights = {j: math.sqrt(float(nu)) for j, nu in optimal_scalars(n_ports).nu.items()}
+    else:
+        weights = dict(dpbt_opt_deformation(n_ports))
+    matrix = sector_operator(n_ports, weights) @ matrix
+    return matrix / np.linalg.norm(matrix)
 
 
 @dataclass
@@ -379,6 +387,7 @@ def expected_outcome_distribution(kind: ProtocolKind, n_ports: int) -> np.ndarra
     The resource reduction and the branch operators are both covariant under
     port permutations, so the success weight splits evenly across ports.
     """
+    _check_ports(n_ports)
     if kind.deterministic:
         return np.full(n_ports, 1.0 / n_ports)
     p = float(success_probability_exact(kind, n_ports))
@@ -491,8 +500,7 @@ def entanglement_fidelity(kind: ProtocolKind, n_ports: int) -> float:
     """
     if not kind.deterministic:
         raise ValueError("entanglement fidelity applies to the deterministic regime")
-    if n_ports < 1:
-        raise ValueError(f"n_ports must be positive, got {n_ports}")
+    _check_ports(n_ports)
     n = n_ports
     if kind.optimised_resource:
         return math.cos(math.pi / (n + 2)) ** 2
@@ -519,8 +527,7 @@ def success_probability_exact(kind: ProtocolKind, n_ports: int) -> Fraction:
     """
     if kind.deterministic:
         raise ValueError("the deterministic regime always succeeds")
-    if n_ports < 1:
-        raise ValueError(f"n_ports must be positive, got {n_ports}")
+    _check_ports(n_ports)
     if kind.optimised_resource:
         return Fraction(n_ports, n_ports + 3)
     total = Fraction(0)

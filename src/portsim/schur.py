@@ -7,10 +7,15 @@ by exactly 1/2 and never go negative. There are exactly 2^n labels.
 
 Qubit convention: |0> carries z-spin +1/2, |1> carries -1/2; qubit 1 is the
 most significant bit of a basis index.
+
+The dense transform `coupling_unitary` is built once per n and shared
+read-only; every spin-sector operator sum_s w_s P_s (the oracle's weights,
+the optimised resources) is read off its columns by `sector_operator`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -140,9 +145,11 @@ def schur_vector(label: SchurLabel) -> np.ndarray:
     return _build_vector(label.spins, label.m, {})
 
 
+@lru_cache(maxsize=None)
 def coupling_unitary(n: int) -> np.ndarray:
     """Dense 2^n x 2^n change of basis; column label_index(L) holds the
-    amplitudes of label L. Capped at n = 12 (the matrix alone is 2^24 floats)."""
+    amplitudes of label L. Built once per n and returned read-only. Capped
+    at n = 12 (the matrix alone is 2^24 floats)."""
     if not 1 <= n <= MAX_DENSE_QUBITS:
         raise ValueError(f"n must be in 1..{MAX_DENSE_QUBITS} for the dense unitary, got {n}")
     labels = enumerate_labels(n)
@@ -150,18 +157,27 @@ def coupling_unitary(n: int) -> np.ndarray:
     memo: dict = {}
     for col, lab in enumerate(labels):
         out[:, col] = _build_vector(lab.spins, lab.m, memo)
+    out.flags.writeable = False
     return out
 
 
-def spin_projector(n: int, s) -> np.ndarray:
-    """Projector onto the total-spin-s sector of n qubits."""
-    s = HalfInt.of(s)
-    if not valid_total_spin(n, s):
-        raise ValueError(f"s = {s} is not an admissible {n}-qubit spin")
-    memo: dict = {}
-    cols = [_build_vector(lab.spins, lab.m, memo) for lab in enumerate_labels(n) if lab.s == s]
-    mat = np.array(cols).T
-    return mat @ mat.T
+def sector_operator(n: int, weights: Mapping) -> np.ndarray:
+    """sum_s weights[s] * P_s, where P_s projects n qubits onto total spin s
+    and is the Gram of the spin-s columns of `coupling_unitary(n)`. No qubits
+    (n = 0) means the one state of spin 0."""
+    if n == 0:
+        basis, spins = np.ones((1, 1)), np.zeros(1, dtype=int)
+    else:
+        basis = coupling_unitary(n)
+        spins = np.array([lab.s.twice for lab in enumerate_labels(n)])
+    out = np.zeros((2 ** n, 2 ** n))
+    for s, weight in weights.items():
+        s = HalfInt.of(s)
+        if not valid_total_spin(n, s):
+            raise ValueError(f"s = {s} is not an admissible {n}-qubit spin")
+        cols = basis[:, spins == s.twice]
+        out += float(weight) * (cols @ cols.T)
+    return out
 
 
 def label_table(n: int) -> list[dict]:

@@ -7,7 +7,10 @@ last moment and returned as floats.
 Conventions. N ports means N+1 qubits on the sender side. For a basis label
 the letter j is the total spin of the first N qubits, s the total spin of all
 N+1, and k the spin of the first N-1. The port-average state is diagonal in
-that basis with eigenvalue depending on (j, s) only.
+that basis with eigenvalue depending on (j, s) only. On each pair family the
+port measurement element is rank one, |v><v|; `pair_weights` gives the
+squared entries of v, from which its eigenvalue and normalized coefficients
+follow.
 """
 
 from __future__ import annotations
@@ -146,55 +149,29 @@ def _is_pair_sector(n_ports: int, s: HalfInt) -> bool:
     return 0 <= s.twice < n_ports and (s.twice - n_ports - 1) % 2 == 0
 
 
-def sector_eigenvalue(regime: Regime, n_ports: int, s) -> Fraction:
-    """The unique nonzero eigenvalue of the port measurement element on the
-    spin-s sector (exact rational).
+def pair_weights(regime: Regime, n_ports: int, s) -> tuple[Fraction, Fraction]:
+    """Exact squared entries (lo, hi) of the unnormalized eigenvector
+    v = (sqrt(lo), -sqrt(hi)) of the port measurement element on the spin-s
+    pair family, on its j = s-1/2 and j = s+1/2 labels; the element's
+    nonzero eigenvalue there is lo + hi.
 
-    For the pretty good measurement s = (N+1)/2 is also admitted and returns
-    1/N, the uniform value on the otherwise-unreached maximal-spin states.
-    """
-    s = HalfInt.of(s)
-    N = n_ports
-    if regime is Regime.DPBT and s.twice == N + 1:
-        return Fraction(1, N)
-    if not _is_pair_sector(N, s):
-        raise ValueError(f"s = {s} is not a pair sector for N = {N}")
-    st = s.twice
-    if regime is Regime.DPBT:
-        return Fraction(4 * (N + 1), (N + 1 - st) * (N + 3 + st))
-    if regime is Regime.PPBT_MES:
-        return Fraction(4, N + 3 + st)
-    opt = optimal_scalars(N)
-    gamma2 = Fraction(st, st + 1) / (2 * opt.nu[HalfInt(st - 1)]) if st > 0 else Fraction(0)
-    delta2 = Fraction(st + 2, st + 1) / (2 * opt.nu[HalfInt(st + 1)])
-    return opt.u[s] * (gamma2 + delta2)
-
-
-def rotation_pair(regime: Regime, n_ports: int, s) -> tuple[float, float]:
-    """Normalized coefficients (on the j = s-1/2 label, on the j = s+1/2
-    label) of the nonzero-eigenvalue combination in the spin-s sector.
-
-    At s = 0 the j = s-1/2 label does not exist and the first coefficient
-    is 0; the maximal sector s = (N+1)/2 has no pair and is rejected.
+    With t = 2s the pretty good measurement has lo = 2t/((t+1)(N+1-t)) and
+    hi = (2t+4)/((t+1)(N+3+t)); the singlet-resource measurement the same
+    with N+3+t in both denominators; the optimised one lo = u_s gamma^2 and
+    hi = u_s delta^2. At s = 0 the j = s-1/2 label does not exist and lo is 0.
     """
     s = HalfInt.of(s)
     N = n_ports
     if not _is_pair_sector(N, s):
         raise ValueError(f"s = {s} is not a pair sector for N = {N}")
-    st = s.twice
-    if regime is Regime.PPBT_MES:
-        lo = Fraction(st, 2 * (st + 1))
-        hi = Fraction(st + 2, 2 * (st + 1))
-        return math.sqrt(lo), -math.sqrt(hi)
-    if regime is Regime.DPBT:
-        lo = Fraction(2 * st, (st + 1) * (N + 1 - st))
-        hi = Fraction(2 * st + 4, (st + 1) * (N + 3 + st))
-    else:
+    t = s.twice
+    if regime is Regime.PPBT_OPT:
         opt = optimal_scalars(N)
-        lo = Fraction(st, st + 1) / (2 * opt.nu[HalfInt(st - 1)]) if st > 0 else Fraction(0)
-        hi = Fraction(st + 2, st + 1) / (2 * opt.nu[HalfInt(st + 1)])
-    total = lo + hi
-    return math.sqrt(lo / total), -math.sqrt(hi / total)
+        gamma2 = Fraction(t, t + 1) / (2 * opt.nu[HalfInt(t - 1)]) if t > 0 else Fraction(0)
+        delta2 = Fraction(t + 2, t + 1) / (2 * opt.nu[HalfInt(t + 1)])
+        return opt.u[s] * gamma2, opt.u[s] * delta2
+    lo_den = N + 1 - t if regime is Regime.DPBT else N + 3 + t
+    return Fraction(2 * t, (t + 1) * lo_den), Fraction(2 * t + 4, (t + 1) * (N + 3 + t))
 
 
 def failure_eigenvalue(regime: Regime, n_ports: int, j, s) -> Fraction:

@@ -1,11 +1,12 @@
 """Test oracles shared by the test modules: dense matrices of circuit
-actions, branch weights of a state, Haar-random qubit inputs and the list
-of pair sectors."""
+actions, branch weights of a state, Haar-random qubit inputs, the list of
+pair sectors and the kept eigenvector of a sector."""
 
 import numpy as np
 
 from portsim.circuit import Registers, StateVector
 from portsim.halfint import HalfInt
+from portsim.povm_analytic import port_eigensystem
 
 
 def action_matrix(action, registers: Registers) -> np.ndarray:
@@ -33,3 +34,10 @@ def pair_sectors(n_ports: int) -> tuple[HalfInt, ...]:
     sectors where the port measurement element has its rank-one piece."""
     start = 0 if (n_ports + 1) % 2 == 0 else 1
     return tuple(HalfInt(t) for t in range(start, n_ports, 2))
+
+
+def kept_entry(regime, n_ports: int, s: HalfInt):
+    """The first nonzero-eigenvalue entry of the port eigensystem on the
+    pair sector s: the family eigenvector the compile rotates onto a slot."""
+    return next(e for e in port_eigensystem(regime, n_ports).entries
+                if e.value_exact != 0 and e.labels[0].s == s)

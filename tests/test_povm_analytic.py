@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from portsim.povm_analytic import (
 )
 from portsim.povm_oracle import build_povm
 from portsim.schur import schur_vector
-from portsim.spinalg import Regime, failure_eigenvalue, rotation_pair, sector_eigenvalue
+from portsim.spinalg import Regime, failure_eigenvalue, pair_weights
 
 REGIMES = [Regime.DPBT, Regime.PPBT_MES, Regime.PPBT_OPT]
 
@@ -118,8 +119,10 @@ def test_pair_families_carry_rotation_data():
     assert len(fams) == 2
     for fam in fams:
         s = fam.labels[0].s
-        assert fam.coeffs == rotation_pair(Regime.PPBT_MES, 2, s)
-        assert fam.value_exact == sector_eigenvalue(Regime.PPBT_MES, 2, s)
+        lo, hi = pair_weights(Regime.PPBT_MES, 2, s)
+        assert fam.value_exact == lo + hi
+        assert fam.coeffs[0] >= 0 > fam.coeffs[1]
+        assert fam.coeffs[0] ** 2 == pytest.approx(lo / (lo + hi), abs=1e-15)
         assert fam.coeffs[0] ** 2 + fam.coeffs[1] ** 2 == pytest.approx(1.0, abs=1e-12)
         assert {lab.s for lab in fam.labels} == {s}
     for regime in REGIMES:
@@ -131,8 +134,9 @@ def test_pair_families_carry_rotation_data():
                 s = entry.labels[0].s
                 assert {lab.s for lab in entry.labels} == {s}
                 assert len(entry.labels) == (1 if s.twice == 0 else 2)
-                assert entry.value_exact == sector_eigenvalue(regime, n, s)
-                assert entry.coeffs == rotation_pair(regime, n, s)[-len(entry.labels):]
+                lo, hi = pair_weights(regime, n, s)
+                assert entry.value_exact == lo + hi
+                assert entry.coeffs[-1] == -math.sqrt(hi / (lo + hi))
 
 
 def test_label_pattern_values():

@@ -7,7 +7,6 @@ from portsim.povm_oracle import (
     MAX_STATE_PORTS,
     SINGLET_PROJECTOR,
     build_povm,
-    deformation_operator,
     ensemble_average,
     pgm_povm,
     ppbt_mes_povm,
@@ -17,7 +16,8 @@ from portsim.povm_oracle import (
     signal_state,
     support_pinv_sqrt,
 )
-from portsim.schur import coupling_unitary, enumerate_labels, schur_vector, spin_projector
+from portsim.protocols import ProtocolKind, resource_matrix, singlet_chain
+from portsim.schur import coupling_unitary, enumerate_labels, schur_vector, sector_operator
 from portsim.spinalg import (Regime, adjacent_pairs, failure_eigenvalue, optimal_scalars,
                              rho_eigenvalue)
 
@@ -120,7 +120,7 @@ def test_pgm_null_space_slack_is_shared_evenly():
     # off the ensemble support each element carries 1/N of the top-spin block
     povm = pgm_povm(3)
     pinv_root = support_pinv_sqrt(ensemble_average(3))
-    slack = spin_projector(4, HalfInt(4)) / 3
+    slack = sector_operator(4, {HalfInt(4): 1 / 3})
     for i in (1, 2, 3):
         support_part = pinv_root @ signal_state(i, 3) @ pinv_root
         np.testing.assert_allclose(povm.element(i) - support_part, slack, atol=1e-10)
@@ -196,9 +196,13 @@ def test_element_index_is_one_based():
 # ---------------------------------------------------------- deformation ----
 
 def test_deformation_operator_scales_each_spin_sector():
-    op = deformation_operator(3)
+    # the ppbt-opt resource is R = O C / |O C| for the singlet chain C; with
+    # C C^T = 2^-N and |O C|^2 = tr(O^2) / 2^N, O = 2^N |O C| R C^T
     weights = optimal_scalars(3).nu
-    for lab in enumerate_labels(3):
+    labels = enumerate_labels(3)
+    norm = (sum(float(weights[lab.s]) for lab in labels) / 8) ** 0.5
+    op = resource_matrix(ProtocolKind.PPBT_OPT, 3) @ singlet_chain(3).T * 8 * norm
+    for lab in labels:
         vec = schur_vector(lab)
         scale = float(weights[lab.s]) ** 0.5
         np.testing.assert_allclose(op @ vec, scale * vec, atol=1e-12)

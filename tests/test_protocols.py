@@ -27,7 +27,7 @@ from portsim.protocols import (
     teleport,
     teleport_batch,
 )
-from portsim.schur import enumerate_labels, spin_projector
+from portsim.schur import enumerate_labels, sector_operator
 from portsim.spinalg import (Regime, chain_multiplicity, failure_eigenvalue, optimal_scalars,
                              spin_values)
 
@@ -247,6 +247,21 @@ def test_non_finite_inputs_are_rejected(bad):
     # one bad column among normalized ones rejects the whole batch
     with pytest.raises(ValueError, match="finite"):
         teleport_batch(ProtocolKind.DPBT_MES, 2, np.array([[bad, 1.0], [0.0, 0.0]]), rng=1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [0, -1])
+def test_port_counts_below_one_raise_one_value_error(kind, n):
+    entry_points = [
+        lambda: build_program(kind, n),
+        lambda: teleport_batch(kind, n, np.array([[1.0], [0.0]]), rng=0),
+        lambda: teleport(kind, n, np.array([1.0, 0.0]), seed=0),
+        lambda: resource_estimate(kind, n),
+        lambda: expected_outcome_distribution(kind, n),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match="n_ports must be >= 1"):
+            call()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -487,7 +502,7 @@ def test_closed_forms_match_dense_oracle(n):
     norms = np.array([chain_multiplicity(n, j) * (j.twice + 1) / 2 ** n for j in js])
     assert float(w ** 2 @ norms) == pytest.approx(1.0, abs=1e-12)
     chain = singlet_chain(n)
-    columns = np.column_stack([dense_bell_amplitudes(n, spin_projector(n, j) @ chain, roots)
+    columns = np.column_stack([dense_bell_amplitudes(n, sector_operator(n, {j: 1}) @ chain, roots)
                                for j in js])
     quad = np.real(columns.conj().T @ columns)
     whiten = np.diag(1.0 / np.sqrt(norms))

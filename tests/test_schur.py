@@ -14,7 +14,7 @@ from portsim.schur import (
     label_index,
     label_table,
     schur_vector,
-    spin_projector,
+    sector_operator,
 )
 from portsim.spinalg import chain_multiplicity, spin_values
 
@@ -99,7 +99,7 @@ def test_vectors_are_total_spin_eigenstates(n):
     s_sq = total_spin_squared(n)
     for lab in enumerate_labels(n):
         vec = schur_vector(lab)
-        s = float(lab.s)
+        s = lab.s.twice / 2
         np.testing.assert_allclose(s_sq @ vec, s * (s + 1) * vec, atol=1e-10)
 
 
@@ -108,7 +108,7 @@ def test_vector_support_respects_z_spin(n):
     for lab in enumerate_labels(n):
         vec = schur_vector(lab)
         for idx in np.flatnonzero(np.abs(vec) > 1e-14):
-            assert z_spin(int(idx), n) == float(lab.m)
+            assert z_spin(int(idx), n) == lab.m.twice / 2
 
 
 def test_gram_matrix_is_identity_at_four_qubits():
@@ -149,6 +149,14 @@ def test_singlet_column_values():
                                atol=1e-15)
 
 
+def test_coupling_unitary_is_built_once_and_read_only():
+    u = coupling_unitary(4)
+    assert coupling_unitary(4) is u
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+
+
 def test_coupling_unitary_respects_dense_cap():
     with pytest.raises(ValueError):
         coupling_unitary(MAX_DENSE_QUBITS + 1)
@@ -176,12 +184,12 @@ def test_label_table_serializes_to_json():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_spin_projectors_resolve_identity(n):
-    total = sum(spin_projector(n, s) for s in spin_values(n))
+    total = sector_operator(n, {s: 1 for s in spin_values(n)})
     np.testing.assert_allclose(total, np.eye(2 ** n), atol=1e-12)
 
 
 def test_spin_projector_is_idempotent_with_known_rank():
-    p = spin_projector(4, HalfInt(2))
+    p = sector_operator(4, {HalfInt(2): 1})
     np.testing.assert_allclose(p @ p, p, atol=1e-12)
     np.testing.assert_allclose(p, p.conj().T, atol=1e-14)
     rank = chain_multiplicity(4, HalfInt(2)) * 3
@@ -192,4 +200,18 @@ def test_spin_projector_is_idempotent_with_known_rank():
 def test_spin_projector_is_the_gram_of_its_sector_vectors(n):
     for s in spin_values(n):
         cols = np.array([schur_vector(lab) for lab in enumerate_labels(n) if lab.s == s]).T
-        assert np.array_equal(spin_projector(n, s), cols @ cols.T)
+        assert np.array_equal(sector_operator(n, {s: 1}), cols @ cols.T)
+    # weighted: each sector keeps its own weight on its own vectors
+    weights = {s: 1 + s.twice for s in spin_values(n)}
+    op = sector_operator(n, weights)
+    for lab in enumerate_labels(n):
+        vec = schur_vector(lab)
+        np.testing.assert_allclose(op @ vec, weights[lab.s] * vec, atol=1e-12)
+
+
+def test_sector_operator_of_no_qubits_and_inadmissible_spins():
+    # zero qubits: the one state of spin 0
+    assert np.array_equal(sector_operator(0, {ZERO: 3}), [[3.0]])
+    for n, s in ((0, HALF), (3, ZERO), (3, HalfInt(5))):
+        with pytest.raises(ValueError, match="admissible"):
+            sector_operator(n, {s: 1})

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import pair_sectors
+from helpers import kept_entry, pair_sectors
 from portsim.halfint import HALF, ZERO, HalfInt, valid_total_spin, valid_z_component
+from portsim.povm_analytic import port_eigensystem
 from portsim.schur import enumerate_labels
 from portsim.spinalg import (
     Regime,
@@ -18,8 +19,7 @@ from portsim.spinalg import (
     failure_eigenvalue,
     optimal_scalars,
     rho_eigenvalue,
-    rotation_pair,
-    sector_eigenvalue,
+    pair_weights,
     spin_values,
     weight_norm,
 )
@@ -38,13 +38,14 @@ def test_halfint_construction_and_formatting():
     assert str(h(4)) == "2"
     assert HALF.twice == 1 and ZERO.twice == 0
     assert h(3).as_fraction() == Fraction(3, 2)
-    assert float(h(3)) == 1.5
+    assert HalfInt.of(1.5).twice == 3
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40))
 def test_halfint_arithmetic_matches_fractions(a, b):
-    assert (h(a) + h(b)).as_fraction() == Fraction(a + b, 2)
-    assert (h(a) - h(b)).as_fraction() == Fraction(a - b, 2)
+    # spins add and subtract through their twice values
+    assert HalfInt(h(a).twice + h(b).twice).as_fraction() == Fraction(a + b, 2)
+    assert HalfInt(h(a).twice - h(b).twice).as_fraction() == Fraction(a - b, 2)
     assert (h(a) < h(b)) == (a < b)
 
 
@@ -98,8 +99,8 @@ def test_cg_coupling_matrix_is_orthogonal(j1_twice):
         for big_j in js:
             if not valid_z_component(big_j, m):
                 continue
-            col = [clebsch_gordan(j1, m - m2, HALF, m2, big_j, m)
-                   for m2 in (HALF, h(-1))]
+            col = [clebsch_gordan(j1, h(m_twice - m2_twice), HALF, h(m2_twice), big_j, m)
+                   for m2_twice in (1, -1)]
             cols.append(col)
         gram = np.array(cols) @ np.array(cols).T
         np.testing.assert_allclose(gram, np.eye(len(cols)), atol=1e-12)
@@ -131,59 +132,82 @@ def test_rho_eigenvalue_trace_identity(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_dpbt_sector_eigenvalue_is_one_below_maximal(n):
-    assert sector_eigenvalue(Regime.DPBT, n, h(n - 1)) == Fraction(1)
+    assert sum(pair_weights(Regime.DPBT, n, h(n - 1))) == Fraction(1)
 
 
 def test_sector_eigenvalue_examples():
-    assert sector_eigenvalue(Regime.PPBT_MES, 3, ZERO) == Fraction(2, 3)
+    assert sum(pair_weights(Regime.PPBT_MES, 3, ZERO)) == Fraction(2, 3)
     # maximal-spin sector of the deterministic measurement
-    assert sector_eigenvalue(Regime.DPBT, 4, h(5)) == Fraction(1, 4)
+    top = {e.value_exact for e in port_eigensystem(Regime.DPBT, 4).entries
+           if e.labels[0].s == h(5)}
+    assert top == {Fraction(1, 4)}
 
 
 def test_sector_eigenvalue_rejects_non_pair_sector():
     with pytest.raises(ValueError):
-        sector_eigenvalue(Regime.PPBT_MES, 2, h(4))
+        pair_weights(Regime.PPBT_MES, 2, h(4))
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_weights_sum_to_the_sector_eigenvalue(regime, n):
+    # lo + hi is the sector eigenvalue, lo / (lo + hi) its j = s - 1/2 share
+    for s in pair_sectors(n):
+        t = s.twice
+        lo, hi = pair_weights(regime, n, s)
+        if regime is Regime.DPBT:
+            assert lo + hi == Fraction(4 * (n + 1), (n + 1 - t) * (n + 3 + t))
+        elif regime is Regime.PPBT_MES:
+            assert lo + hi == Fraction(4, n + 3 + t)
+            assert lo / (lo + hi) == Fraction(t, 2 * (t + 1))
+        else:
+            opt = optimal_scalars(n)
+            assert hi == opt.u[s] * Fraction(t + 2, t + 1) / (2 * opt.nu[h(t + 1)])
 
 
 def test_rotation_pair_mes_half_sector():
-    w_minus, w_plus = rotation_pair(Regime.PPBT_MES, 2, HALF)
+    lo, hi = pair_weights(Regime.PPBT_MES, 2, HALF)
+    assert (lo / (lo + hi), hi / (lo + hi)) == (Fraction(1, 4), Fraction(3, 4))
+    w_minus, w_plus = kept_entry(Regime.PPBT_MES, 2, HALF).coeffs
     assert w_minus == pytest.approx(0.5, abs=1e-15)
     assert w_plus == pytest.approx(-math.sqrt(3) / 2, abs=1e-15)
 
 
 def test_rotation_pair_zero_sector_is_axis_vector():
-    assert rotation_pair(Regime.PPBT_MES, 3, ZERO) == (0.0, -1.0)
+    assert pair_weights(Regime.PPBT_MES, 3, ZERO)[0] == 0
+    assert kept_entry(Regime.PPBT_MES, 3, ZERO).coeffs == (-1.0,)
 
 
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("n", range(1, 7))
 def test_rotation_pairs_unit_norm_and_orthogonal_complement(regime, n):
-    for s in pair_sectors(n):
-        w_minus, w_plus = rotation_pair(regime, n, s)
+    families: dict = {}
+    for entry in port_eigensystem(regime, n).entries:
+        if len(entry.labels) == 2:
+            families.setdefault(entry.labels, []).append(entry)
+    for kept, zero in families.values():
+        w_minus, w_plus = kept.coeffs
         assert w_minus ** 2 + w_plus ** 2 == pytest.approx(1.0, abs=1e-12)
         # the discarded direction is the explicit orthogonal complement
-        zero_vec = (w_plus, -w_minus)
-        assert w_minus * zero_vec[0] + w_plus * zero_vec[1] == pytest.approx(0.0, abs=1e-15)
+        assert zero.value_exact == 0 and zero.coeffs == (w_plus, -w_minus)
+        dot = w_minus * zero.coeffs[0] + w_plus * zero.coeffs[1]
+        assert dot == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rotation_pair_rejects_maximal_sector():
     with pytest.raises(ValueError):
-        rotation_pair(Regime.DPBT, 2, h(3))
+        pair_weights(Regime.DPBT, 2, h(3))
 
 
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sector_checks_accept_exactly_the_pair_sectors(regime, n):
     for st in range(-2, n + 4):
-        admitted = h(st) in pair_sectors(n)
-        for fn in (sector_eigenvalue, rotation_pair):
-            if fn is sector_eigenvalue and regime is Regime.DPBT and st == n + 1:
-                continue  # the pretty good measurement's maximal sector
-            if admitted:
-                fn(regime, n, h(st))
-            else:
-                with pytest.raises(ValueError, match="not a pair sector"):
-                    fn(regime, n, h(st))
+        if h(st) in pair_sectors(n):
+            pair_weights(regime, n, h(st))
+        else:
+            with pytest.raises(ValueError, match="not a pair sector"):
+                pair_weights(regime, n, h(st))
 
 
 # ----------------------------------------------------- rational tables ----
@@ -240,7 +264,7 @@ def test_dpbt_has_no_failure_outcome():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_dpbt_sector_eigenvalues_bounded_by_one(n):
-    values = {s: sector_eigenvalue(Regime.DPBT, n, s) for s in pair_sectors(n)}
+    values = {s: sum(pair_weights(Regime.DPBT, n, s)) for s in pair_sectors(n)}
     for s, value in values.items():
         assert 0 < value <= 1
         assert (value == 1) == (s.twice == n - 1)
@@ -250,7 +274,7 @@ def test_dpbt_sector_eigenvalues_bounded_by_one(n):
 def test_mes_sector_eigenvalues_bounded(n):
     # N/4 times the sector value never exceeds N/(N+3)
     for s in pair_sectors(n):
-        scaled = Fraction(n, 4) * sector_eigenvalue(Regime.PPBT_MES, n, s)
+        scaled = Fraction(n, 4) * sum(pair_weights(Regime.PPBT_MES, n, s))
         assert scaled <= Fraction(n, n + 3) < 1
 
 
@@ -294,9 +318,9 @@ def test_opt_failure_complements_deformed_weight(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_regime_scalars_tables_are_complete(regime, n):
     for s in pair_sectors(n):
-        assert 0 <= sector_eigenvalue(regime, n, s) <= 1
-        pair = rotation_pair(regime, n, s)
-        assert pair[0] ** 2 + pair[1] ** 2 == pytest.approx(1.0, abs=1e-12)
+        lo, hi = pair_weights(regime, n, s)
+        # a normalizable pair: a nonzero j = s + 1/2 share
+        assert lo >= 0 < hi and lo + hi <= 1
     if regime is not Regime.DPBT:
         for j, s in adjacent_pairs(n):
             assert 0 <= failure_eigenvalue(regime, n, j, s) <= 1
