@@ -20,7 +20,6 @@ from .protocols import (
     resource_estimate,
     success_probability,
     success_probability_exact,
-    teleport,
     teleport_batch,
 )
 from .schur import SchurLabel, coupling_unitary, enumerate_labels, schur_vector
@@ -47,7 +46,6 @@ __all__ = [
     "schur_vector",
     "success_probability",
     "success_probability_exact",
-    "teleport",
     "teleport_batch",
     "__version__",
 ]

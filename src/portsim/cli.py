@@ -264,7 +264,10 @@ def cmd_teleport(args: argparse.Namespace) -> int:
                 "expected_probabilities": [float(p) for p in expected],
                 "outcome_z": z_scores, "max_abs_z": max_z,
                 "success_rate": rate, "exact_success_probability": exact_p,
-                "mean_success_fidelity": mean_fid, "exact_fidelity": exact_f,
+                # NaN is not JSON: no successful trial gives null, as a failed
+                # trial's fidelity does
+                "mean_success_fidelity": mean_fid if success.any() else None,
+                "exact_fidelity": exact_f,
             }}, indent=2)
         head, _, tail = envelope.partition('"trial_results": []')
         sys.stdout.write(head + '"trial_results": [')

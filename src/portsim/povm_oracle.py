@@ -76,23 +76,6 @@ def ensemble_average(n_ports: int) -> np.ndarray:
     return out
 
 
-def psd_sqrt(op: np.ndarray) -> np.ndarray:
-    """Hermitian square root; eigenvalues below -PSD_TOLERANCE raise, small
-    negatives from roundoff are clipped to zero.
-
-    Eigenvalues under the relative support cutoff are zeroed outright: the
-    square root amplifies ~1e-15 solver noise on a true null direction to
-    ~3e-8, which would dominate every downstream comparison.
-    """
-    w, v = np.linalg.eigh(op)
-    if w.min() < -PSD_TOLERANCE:
-        raise ValueError(f"operator is not positive semidefinite (min eigenvalue {w.min():.3e})")
-    w = np.clip(w, 0.0, None)
-    if w.max() > 0.0:
-        w[w < SUPPORT_RTOL * w.max()] = 0.0
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def support_pinv_sqrt(op: np.ndarray) -> np.ndarray:
     """Inverse square root on the support; eigenvalues at or below
     SUPPORT_RTOL * max(eigenvalue) are treated as exact zeros."""

@@ -71,12 +71,10 @@ class NaimarkProgram:
     sum_i (a_i / c_star) sqrt(Pi_i)|psi>|i>|0_r> plus junk orthogonal to the
     good mask, with flagged amplitude sin(pi/2n) for n = `rounds`. By the
     amplification lemma the n rounds leave exactly the flagged part divided
-    by sin(pi/2n); `action()` applies that as one checked projection (see
+    by sin(pi/2n); `run()` applies that as one checked projection (see
     `OaaAction`). rounds == 0 means the program is meant to run unamplified.
     """
 
-    regime: Regime
-    n_ports: int
     registers: Registers
     bare: CircuitAction
     rounds: int
@@ -85,19 +83,11 @@ class NaimarkProgram:
     good_mask: RegisterProjector
     failure_branches: tuple[int, ...]
 
-    def action(self):
-        if self.rounds == 0:
-            return self.bare
-        return OaaAction(self.bare, self.start_mask, self.good_mask, self.rounds)
-
-    def initial_state(self, system_amps: np.ndarray) -> StateVector:
-        return StateVector.from_system(self.registers, system_amps)
-
-    def apply(self, state: StateVector) -> StateVector:
-        return self.action().apply(state)
-
     def run(self, system_amps: np.ndarray) -> StateVector:
-        return self.apply(self.initial_state(system_amps))
+        state = StateVector.from_system(self.registers, system_amps)
+        if self.rounds == 0:
+            return self.bare.apply(state)
+        return OaaAction(self.bare, self.start_mask, self.good_mask, self.rounds).apply(state)
 
     @property
     def rotation_count(self) -> int:
@@ -266,9 +256,8 @@ def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
     bare = CircuitAction([port_prepare(regs, amps), cswap, DenseSystem(couple.T), rot,
                           *attach, unrot, DenseSystem(couple), cswap])
     good = RegisterProjector(port_values=tuple(range(n_ports))) if spec.mirrored else _GOOD
-    return NaimarkProgram(regime=spec.regime, n_ports=n_ports, registers=regs, bare=bare,
-                          rounds=rounds, c_star=rescale, start_mask=_START,
-                          good_mask=good,
+    return NaimarkProgram(registers=regs, bare=bare, rounds=rounds, c_star=rescale,
+                          start_mask=_START, good_mask=good,
                           failure_branches=tuple(range(n_ports, regs.port_dim)))
 
 
@@ -320,49 +309,6 @@ def resource_matrix(kind: ProtocolKind, n_ports: int) -> np.ndarray:
         weights = dict(dpbt_opt_deformation(n_ports))
     matrix = sector_operator(n_ports, weights) @ matrix
     return matrix / np.linalg.norm(matrix)
-
-
-@dataclass
-class TeleportRun:
-    """Record of a single teleportation: exact outcome distribution plus one
-    sampled outcome with the resulting receiver state."""
-
-    kind: ProtocolKind
-    n_ports: int
-    rounds: int
-    c_star: float
-    probabilities: np.ndarray
-    outcome: int
-    success: bool
-    fidelity: float | None
-    bob_state: np.ndarray | None
-    seed: int | None
-
-
-def teleport(kind: ProtocolKind, n_ports: int, input_state: np.ndarray,
-             seed: int | None = None) -> TeleportRun:
-    """Run one full teleportation: a one-column `teleport_batch`.
-
-    The port measurement is sampled from the exact branch distribution with
-    the named generator (PCG64 under the given seed); the deterministic
-    regime reports every outcome as success with the conditional fidelity,
-    the heralded ones report outcome N+1 as failure.
-    """
-    chi = np.asarray(input_state, dtype=np.complex128)
-    if chi.shape != (2,):
-        raise ValueError("input must be a qubit amplitude pair")
-    batch = teleport_batch(kind, n_ports, chi[:, None], rng=seed)
-    slot = int(batch.outcomes[0]) - 1
-    success = slot < n_ports
-    bob = None
-    if success:
-        _, receiver = _instrument(kind, n_ports)
-        bob = _receiver_states(receiver, np.array([slot]), chi[:, None])[0]
-    return TeleportRun(kind=kind, n_ports=n_ports, rounds=batch.rounds,
-                       c_star=batch.c_star, probabilities=batch.probabilities[:, 0],
-                       outcome=slot + 1, success=success,
-                       fidelity=float(batch.fidelities[0]) if success else None,
-                       bob_state=bob, seed=seed)
 
 
 @dataclass
@@ -593,6 +539,8 @@ def resource_estimate(kind: ProtocolKind, n_ports: int, epsilon: float = 1e-10,
     rounds_eff = max(n, 1)
     rotation_cost = p * log_n * max(1.0, math.log2(p * rounds_eff / epsilon))
     total = rounds_eff * (schur_cost + rotation_cost)
+    if not math.isfinite(total):
+        raise ValueError(f"epsilon {epsilon!r} is too small: the resource cost overflows")
     return ResourceEstimate(kind=kind, n_ports=n_ports, epsilon=epsilon,
                             schur_variant=schur_variant,
                             two_level_rotations=p, rounds=n,

@@ -1,12 +1,14 @@
 """Test oracles shared by the test modules: dense matrices of circuit
 actions, branch weights of a state, Haar-random qubit inputs, the list of
-pair sectors and the kept eigenvector of a sector."""
+pair sectors, the kept eigenvector of a sector and the Hermitian square root
+of a dense measurement element."""
 
 import numpy as np
 
 from portsim.circuit import Registers, StateVector
 from portsim.halfint import HalfInt
 from portsim.povm_analytic import port_eigensystem
+from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL
 
 
 def action_matrix(action, registers: Registers) -> np.ndarray:
@@ -41,3 +43,20 @@ def kept_entry(regime, n_ports: int, s: HalfInt):
     pair sector s: the family eigenvector the compile rotates onto a slot."""
     return next(e for e in port_eigensystem(regime, n_ports).entries
                 if e.value_exact != 0 and e.labels[0].s == s)
+
+
+def psd_sqrt(op: np.ndarray) -> np.ndarray:
+    """Hermitian square root; eigenvalues below -PSD_TOLERANCE raise, small
+    negatives from roundoff are clipped to zero.
+
+    Eigenvalues under the relative support cutoff are zeroed outright: the
+    square root amplifies ~1e-15 solver noise on a true null direction to
+    ~3e-8, which would dominate every downstream comparison.
+    """
+    w, v = np.linalg.eigh(op)
+    if w.min() < -PSD_TOLERANCE:
+        raise ValueError(f"operator is not positive semidefinite (min eigenvalue {w.min():.3e})")
+    w = np.clip(w, 0.0, None)
+    if w.max() > 0.0:
+        w[w < SUPPORT_RTOL * w.max()] = 0.0
+    return (v * np.sqrt(w)) @ v.conj().T

@@ -12,10 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import branch_weights, haar_qubit
+from helpers import branch_weights, haar_qubit, psd_sqrt
 from portsim.circuit import c_star
 from portsim.povm_analytic import analytic_povm
-from portsim.povm_oracle import build_povm, ensemble_average, psd_sqrt
+from portsim.povm_oracle import build_povm, ensemble_average
 from portsim.protocols import (
     ProtocolKind,
     SchurVariant,
@@ -109,7 +109,7 @@ def _naimark_deviation(kind: ProtocolKind, n: int, trials: int) -> float:
     roots = [psd_sqrt(povm.element(i)) for i in range(1, povm.n_outcomes + 1)]
     rng = np.random.default_rng(np.random.PCG64(1000 + n))
     psis = haar_columns(rng, 2 ** (n + 1), trials)
-    out = prog.apply(prog.initial_state(psis))
+    out = prog.run(psis)
     worst = 0.0
     branches = list(range(n)) + list(prog.failure_branches)
     for slot, root in zip(branches, roots):
@@ -171,7 +171,7 @@ def test_criterion_5_amplification_schedules():
         povm = analytic_povm(Regime.PPBT_MES, n)
         rng = np.random.default_rng(np.random.PCG64(50 + n))
         psis = haar_columns(rng, 2 ** (n + 1), 3)
-        out = prog.apply(prog.initial_state(psis))
+        out = prog.run(psis)
         got = branch_weights(out, "port")[:n].sum(axis=0)
         want = sum(np.einsum("bt,bc,ct->t", psis.conj(),
                              povm.element(i + 1), psis).real

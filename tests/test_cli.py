@@ -122,6 +122,21 @@ def test_teleport_deterministic_json_reports_exact_fidelity(capsys):
     assert summary["mean_success_fidelity"] == pytest.approx(0.5, abs=1e-10)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_teleport_json_without_successes_is_strict_json(capsys, seed):
+    # every trial fails at these seeds, so no success fidelity has a mean
+    code, out, _ = run(capsys, ["teleport", "--regime", "ppbt-mes", "--ports", "1",
+                                "--trials", "1", "--seed", str(seed), "--format", "json"])
+    assert code == 0
+    summary = json.loads(out, parse_constant=_reject_constant)["summary"]
+    assert summary["counts"] == [0, 1]
+    assert summary["mean_success_fidelity"] is None
+
+
 def test_teleport_csv_has_one_row_per_trial(capsys):
     code, out, _ = run(capsys, ["teleport", "--regime", "dpbt", "--ports", "2",
                                 "--trials", "5", "--seed", "2", "--format", "csv"])
@@ -284,6 +299,7 @@ def test_port_cap_env_override_rejects_garbage(capsys, monkeypatch):
     ["table", "--metric", "resources", "--ports", "12"],
     ["povm-check", "--ports", "1", "--tolerance", "nan"],
     ["povm-check", "--ports", "1", "--tolerance", "-1"],
+    ["table", "--metric", "resources", "--ports", "1", "--epsilon", "1e-310"],
 ])
 def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
     # a raised cap lets the request through to the library's own limits

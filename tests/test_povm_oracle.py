@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import psd_sqrt
 from portsim.halfint import HalfInt
 from portsim.povm_oracle import (
     MAX_POVM_PORTS,
@@ -11,7 +12,6 @@ from portsim.povm_oracle import (
     pgm_povm,
     ppbt_mes_povm,
     ppbt_opt_povm,
-    psd_sqrt,
     qubit_swap_permutation,
     signal_state,
     support_pinv_sqrt,

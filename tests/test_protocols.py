@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import action_matrix, branch_weights, haar_qubit
+from helpers import action_matrix, branch_weights, haar_qubit, psd_sqrt
 from portsim import protocols
 from portsim.circuit import StateVector
-from portsim.povm_oracle import build_povm, psd_sqrt
+from portsim.povm_oracle import build_povm
 from portsim.protocols import (
     NumericalInvariantError,
     ProtocolKind,
@@ -24,7 +24,6 @@ from portsim.protocols import (
     singlet_chain,
     success_probability,
     success_probability_exact,
-    teleport,
     teleport_batch,
 )
 from portsim.schur import enumerate_labels, sector_operator
@@ -128,7 +127,7 @@ def test_good_amplitude_is_input_independent(n):
     for prog, expected in cases:
         for _ in range(3):
             psi = haar_system(rng, n + 1)
-            bare = prog.bare.apply(prog.initial_state(psi))
+            bare = prog.bare.apply(StateVector.from_system(prog.registers, psi))
             amp = np.linalg.norm(_project(prog.good_mask, bare).amps)
             assert amp == pytest.approx(expected, abs=1e-12)
 
@@ -156,8 +155,8 @@ def test_oaa_matches_the_reflection_product(kind, n):
     assert prog.rounds > 0
     rng = np.random.default_rng(np.random.PCG64(700 + n))
     psis = np.column_stack([haar_system(rng, n + 1) for _ in range(4)])
-    state = prog.initial_state(psis)
-    np.testing.assert_allclose(prog.apply(state).amps,
+    state = StateVector.from_system(prog.registers, psis)
+    np.testing.assert_allclose(prog.run(psis).amps,
                                _reflection_product(prog, state).amps, atol=1e-12)
 
 
@@ -203,47 +202,48 @@ def test_unamplified_program_keeps_half_roots():
 # ------------------------------------------------------------ teleporting ----
 
 def test_single_port_deterministic_run_is_a_coin_flip_channel():
-    run = teleport(ProtocolKind.DPBT_MES, 1, np.array([1.0, 0.0]), seed=5)
-    np.testing.assert_allclose(run.probabilities, [1.0], atol=1e-12)
-    assert run.outcome == 1
-    assert run.success
-    assert run.fidelity == pytest.approx(0.5, abs=1e-10)
-    np.testing.assert_allclose(run.bob_state, np.eye(2) / 2, atol=1e-10)
+    chi = np.array([[1.0], [0.0]])
+    run = teleport_batch(ProtocolKind.DPBT_MES, 1, chi, rng=5)
+    np.testing.assert_allclose(run.probabilities[:, 0], [1.0], atol=1e-12)
+    assert run.outcomes[0] == 1
+    assert run.fidelities[0] == pytest.approx(0.5, abs=1e-10)
+    _, receiver = protocols._instrument(ProtocolKind.DPBT_MES, 1)
+    bob = protocols._receiver_states(receiver, run.outcomes - 1, chi)[0]
+    np.testing.assert_allclose(bob, np.eye(2) / 2, atol=1e-10)
 
 
 def test_single_port_heralded_run_probabilities():
     for seed in range(6):
-        run = teleport(ProtocolKind.PPBT_MES, 1, np.array([0.6, 0.8j]), seed=seed)
-        np.testing.assert_allclose(run.probabilities, [0.25, 0.75], atol=1e-10)
-        if run.success:
-            assert run.outcome == 1
-            assert run.fidelity == pytest.approx(1.0, abs=1e-9)
+        run = teleport_batch(ProtocolKind.PPBT_MES, 1, np.array([[0.6], [0.8j]]), rng=seed)
+        np.testing.assert_allclose(run.probabilities[:, 0], [0.25, 0.75], atol=1e-10)
+        if run.outcomes[0] == 1:
+            assert run.fidelities[0] == pytest.approx(1.0, abs=1e-9)
         else:
-            assert run.outcome == 2
-            assert run.fidelity is None
+            assert run.outcomes[0] == 2
+            assert np.isnan(run.fidelities[0])
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_teleport_is_reproducible(kind):
-    chi = np.array([0.28, 0.96j])
-    first = teleport(kind, 2, chi, seed=123)
-    second = teleport(kind, 2, chi, seed=123)
-    assert first.outcome == second.outcome
-    assert first.fidelity == second.fidelity
+    chi = np.array([[0.28], [0.96j]])
+    first = teleport_batch(kind, 2, chi, rng=123)
+    second = teleport_batch(kind, 2, chi, rng=123)
+    np.testing.assert_array_equal(first.outcomes, second.outcomes)
+    np.testing.assert_array_equal(first.fidelities, second.fidelities)
     np.testing.assert_allclose(first.probabilities, second.probabilities, atol=0)
 
 
 def test_teleport_rejects_unnormalized_input():
     with pytest.raises(ValueError):
-        teleport(ProtocolKind.DPBT_MES, 2, np.array([1.0, 1.0]), seed=0)
+        teleport_batch(ProtocolKind.DPBT_MES, 2, np.array([[1.0], [1.0]]), rng=0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_inputs_are_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
-        teleport(ProtocolKind.DPBT_MES, 2, np.array([bad, 0.0]), seed=1)
+        teleport_batch(ProtocolKind.DPBT_MES, 2, np.array([[bad], [0.0]]), rng=1)
     with pytest.raises(ValueError, match="finite"):
-        teleport(ProtocolKind.PPBT_OPT, 2, np.array([1.0, complex(0.0, bad)]), seed=1)
+        teleport_batch(ProtocolKind.PPBT_OPT, 2, np.array([[1.0], [complex(0.0, bad)]]), rng=1)
     # one bad column among normalized ones rejects the whole batch
     with pytest.raises(ValueError, match="finite"):
         teleport_batch(ProtocolKind.DPBT_MES, 2, np.array([[bad, 1.0], [0.0, 0.0]]), rng=1)
@@ -255,7 +255,6 @@ def test_port_counts_below_one_raise_one_value_error(kind, n):
     entry_points = [
         lambda: build_program(kind, n),
         lambda: teleport_batch(kind, n, np.array([[1.0], [0.0]]), rng=0),
-        lambda: teleport(kind, n, np.array([1.0, 0.0]), seed=0),
         lambda: resource_estimate(kind, n),
         lambda: expected_outcome_distribution(kind, n),
     ]
@@ -272,8 +271,8 @@ def test_batch_agrees_with_single_runs(kind, n):
     rng = np.random.default_rng(np.random.PCG64(31))
     chi = np.column_stack([haar_qubit(rng) for _ in range(40)])
     batch = teleport_batch(kind, n, chi, rng=7)
-    single = teleport(kind, n, chi[:, 0], seed=0)
-    np.testing.assert_allclose(batch.probabilities[:, 0], single.probabilities,
+    single = teleport_batch(kind, n, chi[:, :1], rng=0)
+    np.testing.assert_allclose(batch.probabilities[:, 0], single.probabilities[:, 0],
                                atol=1e-10)
     expected = expected_outcome_distribution(kind, n)
     assert expected.sum() == pytest.approx(1.0, abs=1e-12)
@@ -373,7 +372,7 @@ def test_broken_resource_raises_numerical_invariant_error(monkeypatch):
     protocols._instrument.cache_clear()
     try:
         with pytest.raises(NumericalInvariantError) as info:
-            teleport(kind, n, np.array([1.0, 0.0]), seed=0)
+            teleport_batch(kind, n, np.array([[1.0], [0.0]]), rng=0)
     finally:
         protocols._instrument.cache_clear()
     assert not isinstance(info.value, ValueError)
@@ -397,14 +396,14 @@ def test_detuned_attach_breaks_the_amplification_precondition(kind, n):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_teleport_samples_like_a_categorical_draw(kind, n):
-    # teleport(seed) consumes the first PCG64 uniform exactly as
+    # a one-column batch under a seed consumes the first PCG64 uniform exactly as
     # Generator.choice would on the exact outcome distribution
     chi = np.array([0.6, 0.8j])
     weights, _ = direct_run(kind, n, chi)
     for seed in range(20):
         rng = np.random.default_rng(np.random.PCG64(seed))
         slot = int(rng.choice(len(weights), p=weights / weights.sum()))
-        assert teleport(kind, n, chi, seed=seed).outcome == slot + 1
+        assert teleport_batch(kind, n, chi[:, None], rng=seed).outcomes[0] == slot + 1
 
 
 def test_batch_is_seed_deterministic():
@@ -554,3 +553,7 @@ def test_resource_estimate_rejects_bad_epsilon():
         resource_estimate(ProtocolKind.DPBT_MES, 2, epsilon=0.0)
     with pytest.raises(ValueError):
         resource_estimate(ProtocolKind.DPBT_MES, 2, epsilon=1.5)
+    # 1/epsilon overflows to inf: no finite cost, for either transform model
+    for variant in SchurVariant:
+        with pytest.raises(ValueError, match="epsilon"):
+            resource_estimate(ProtocolKind.DPBT_MES, 2, epsilon=1e-310, schur_variant=variant)
