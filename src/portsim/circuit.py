@@ -18,6 +18,7 @@ amplitude pair).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,15 +245,22 @@ class OaaAction:
     must stay below 1e-9, or `NumericalInvariantError` carries it. Input
     columns that span the start subspace make this the lemma's full
     precondition Pi U^dagger Pi~ U Pi = s^2 Pi.
+
+    When U runs a few branches standing in for a larger register, `fold`
+    maps the (port_dim, batch, batch) stack of per-port-value Gram matrices,
+    of input and flagged output alike, to the larger register's Gram, and
+    the precondition compares those.
     """
 
-    def __init__(self, u, pi: RegisterProjector, pi_tilde: RegisterProjector, n: int):
+    def __init__(self, u, pi: RegisterProjector, pi_tilde: RegisterProjector, n: int,
+                 fold: Callable[[np.ndarray], np.ndarray] | None = None):
         if n < 1 or n % 2 == 0:
             raise ValueError(f"round count must be odd and positive, got {n}")
         self.u = u
         self.pi = pi
         self.pi_tilde = pi_tilde
         self.n = n
+        self.fold = fold
 
     def apply(self, state: StateVector) -> StateVector:
         regs = state.registers
@@ -263,15 +271,24 @@ class OaaAction:
         s = math.sin(math.pi / (2 * self.n))
         flagged = self.pi_tilde.mask(regs)
         out = self.u.apply(state).flat() * (flagged / s)[:, None]
-        x, y = flat[start], out[flagged]
-        gram = x.conj().T @ x
-        miss = float(np.abs(y.conj().T @ y - gram).max())
+        gram = self._gram(state.amps, start)
+        miss = float(np.abs(self._gram(out.reshape(state.amps.shape), flagged) - gram).max())
         scale = float(gram.diagonal().real.max())
         if miss > 1e-9 * scale:
             raise NumericalInvariantError(
                 f"amplification precondition Pi~ U Pi = sin(pi/{2 * self.n}) V fails: "
                 f"relative Gram residual {miss / scale:.3e}", miss / scale)
         return StateVector(regs, out.reshape(state.amps.shape))
+
+    def _gram(self, amps: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """Gram matrix of the kept rows, or with a fold, of each port value's
+        kept rows, folded."""
+        if self.fold is None:
+            rows = amps.reshape(keep.size, -1)[keep]
+            return rows.conj().T @ rows
+        keep = keep.reshape(amps.shape[:3])
+        per_port = [amps[:, p][keep[:, p]] for p in range(amps.shape[1])]
+        return self.fold(np.stack([rows.conj().T @ rows for rows in per_port]))
 
 
 def c_star(target_amp: float) -> tuple[float, int]:

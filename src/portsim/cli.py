@@ -236,6 +236,8 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     _check_range(args.ports, _cap(_TELEPORT_CAP))
     if args.trials < 1:
         raise CliError(f"--trials must be positive, got {args.trials}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     kind = ProtocolKind(args.regime)
     n = args.ports
     gen = np.random.default_rng(np.random.PCG64(args.seed))

@@ -13,7 +13,13 @@ row, with mirrored port branches, no block qubit and no amplification.
 
 Sampling never runs a statevector per trial: each protocol is compiled once
 into a qubit instrument (`_instrument`), and every trial reads its outcome
-weights and receiver state off that instrument.
+weights and receiver state off that instrument. The instrument comes from a
+branch program, the same builder on a register holding only the last port
+branch and the failure branch. The square-root measurement is
+port-permutation covariant (Studzinski et al., Sci. Rep. 7, 10871, 2017):
+every other port branch is a qubit-swap image of the last one, so all ports
+share its outcome form and receiver tensor. The whole-register program
+stays for what reads its structure: the gate-count model and the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -73,6 +79,14 @@ class NaimarkProgram:
     amplification lemma the n rounds leave exactly the flagged part divided
     by sin(pi/2n); `run()` applies that as one checked projection (see
     `OaaAction`). rounds == 0 means the program is meant to run unamplified.
+
+    A whole-register program prepares the port register itself: the input
+    enters on port value 0 (`entry` is (1,)). A branch program holds only the
+    last port branch, on port value 0, and the failure branch after it; the
+    input enters each with its port amplitude, and `fold` checks the
+    amplification precondition of the whole register through the other
+    ports' qubit-swap images, so it runs only on the joint input
+    resource (x) I_2 (see `_instrument`).
     """
 
     registers: Registers
@@ -82,12 +96,16 @@ class NaimarkProgram:
     start_mask: RegisterProjector
     good_mask: RegisterProjector
     failure_branches: tuple[int, ...]
+    entry: np.ndarray
+    fold: Callable[[np.ndarray], np.ndarray] | None = None
 
     def run(self, system_amps: np.ndarray) -> StateVector:
         state = StateVector.from_system(self.registers, system_amps)
+        state.amps[:, :len(self.entry), 0] = state.amps[:, :1, 0] * self.entry[:, None]
         if self.rounds == 0:
             return self.bare.apply(state)
-        return OaaAction(self.bare, self.start_mask, self.good_mask, self.rounds).apply(state)
+        return OaaAction(self.bare, self.start_mask, self.good_mask, self.rounds,
+                         self.fold).apply(state)
 
     @property
     def rotation_count(self) -> int:
@@ -112,10 +130,11 @@ def _reflection_blocks(regs: Registers, groups: dict, name: str) -> SubspaceBloc
     return SubspaceBlocks(regs, blocks, name=name)
 
 
-def _rotation_op(es: EigenSystem, regs: Registers) -> SubspaceBlocks:
-    """Per-family basis rotation taking the kept eigenvector of each family
-    to its last label's slot, built from the nonzero entries below the
-    maximal-spin sector. One register-level rotation per sector."""
+def _rotation_op(es: EigenSystem, regs: Registers, ports: range) -> SubspaceBlocks:
+    """Per-family basis rotation on each listed port branch, taking the kept
+    eigenvector of each family to its last label's slot, built from the
+    nonzero entries below the maximal-spin sector. One register-level
+    rotation per sector."""
     by_sector: dict[int, tuple[np.ndarray, list]] = {}
     for entry in es.entries:
         s_twice = entry.labels[0].s.twice
@@ -125,7 +144,7 @@ def _rotation_op(es: EigenSystem, regs: Registers) -> SubspaceBlocks:
         matrix = np.array([[c[0]]]) if len(c) == 1 else np.array([[c[1], -c[0]], [c[0], c[1]]])
         rows = by_sector.setdefault(s_twice, (matrix, []))[1]
         indices = [label_index(lab) for lab in entry.labels]
-        for p in range(es.n_ports):
+        for p in ports:
             for r in range(regs.r_dim):
                 rows.append([regs.flat_index(i, p, r) for i in indices])
     blocks = [Block(key=("rot", s_twice), matrix=matrix,
@@ -134,9 +153,10 @@ def _rotation_op(es: EigenSystem, regs: Registers) -> SubspaceBlocks:
     return SubspaceBlocks(regs, blocks, name="family-rotation")
 
 
-def _port_attach_op(es: EigenSystem, regs: Registers, scale: float,
+def _port_attach_op(es: EigenSystem, regs: Registers, ports: range, scale: float,
                     mirrored: bool) -> SubspaceBlocks:
-    """Reflections moving non-kept content off the flagged branch.
+    """Reflections moving non-kept content off the flagged part of each
+    listed port branch.
 
     The partner slot of a label on port p is the r=1 level of p for
     block-qubit circuits and the mirrored port branch p+N for unamplified
@@ -156,7 +176,7 @@ def _port_attach_op(es: EigenSystem, regs: Registers, scale: float,
             amplitude = 0.0
             key = ("drop",)
         entry = groups.setdefault(key, (amplitude, []))
-        for p in range(n):
+        for p in ports:
             junk = regs.flat_index(idx, p + n, 0) if mirrored else regs.flat_index(idx, p, 1)
             entry[1].append([regs.flat_index(idx, p, 0), junk])
     return _reflection_blocks(regs, groups, name="port-attach")
@@ -229,36 +249,56 @@ def _check_ports(n_ports: int) -> None:
         raise ValueError(f"n_ports must be >= 1, got {n_ports}")
 
 
+def _fold_port_images(perms: list[np.ndarray], grams: np.ndarray) -> np.ndarray:
+    """The whole register's Gram from a branch register's per-port-value
+    Grams: the last port branch's once under each port's swap of the
+    receiver columns, plus the failure branch's."""
+    last = grams[0]
+    return sum(last[np.ix_(perm, perm)] for perm in perms) + grams[1:].sum(axis=0)
+
+
 @lru_cache(maxsize=32)
-def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
+def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
     """Build the square-root-measurement circuit of one spec: port
     preparation, port-controlled swap, coupled basis, family rotation,
     amplitude attach read off the closed-form eigensystems, then the basis
-    changes undone. Ports past N are failure branches. Cached per spec,
-    since programs are stateless and every apply is functional."""
+    changes undone. Ports past N are failure branches.
+
+    With `branch`, the register holds the last port branch (N-1) alone, plus
+    the failure branch: it needs neither the preparation nor the swap, which
+    exchanges qubit N with itself on that branch, and its amplification
+    check folds in the other ports' images (`_fold_port_images`). Cached per
+    spec, since programs are stateless and every apply is functional."""
     _check_ports(n_ports)
     amps = spec.amplitudes(n_ports)
-    regs = Registers(n_ports + 1, len(amps), 1 if spec.mirrored else 2)
+    ports = range(1) if branch else range(n_ports)
+    # the kept port branches, then the failure or mirrored ones
+    regs = Registers(n_ports + 1, len(amps) - n_ports + len(ports), 1 if spec.mirrored else 2)
     rescale, rounds = (1.0, 0) if spec.target is None else c_star(spec.target(n_ports))
     eigen = port_eigensystem(spec.regime, n_ports)
     # scale by the reciprocal: seeded outputs are pinned to these exact floats
-    attach = [_port_attach_op(eigen, regs, spec.attach(n_ports) * (1.0 / rescale),
+    attach = [_port_attach_op(eigen, regs, ports, spec.attach(n_ports) * (1.0 / rescale),
                               spec.mirrored)]
     if spec.fail is not None:
         attach.append(_failure_attach_op(failure_eigensystem(spec.regime, n_ports), regs,
-                                         branch=n_ports, scale=spec.fail * (1.0 / rescale)))
-    rot = _rotation_op(eigen, regs)
+                                         branch=len(ports), scale=spec.fail * (1.0 / rescale)))
+    rot = _rotation_op(eigen, regs, ports)
     # the real orthogonal blocks and transform are undone by their transposes
     unrot = SubspaceBlocks(regs, [Block(key=b.key, matrix=b.matrix.T, instances=b.instances)
                                   for b in reversed(rot.blocks)], name="family-unrotation")
     couple = coupling_unitary(n_ports + 1)
+    ops = [DenseSystem(couple.T), rot, *attach, unrot, DenseSystem(couple)]
     cswap = PortCswap(n_ports)
-    bare = CircuitAction([port_prepare(regs, amps), cswap, DenseSystem(couple.T), rot,
-                          *attach, unrot, DenseSystem(couple), cswap])
-    good = RegisterProjector(port_values=tuple(range(n_ports))) if spec.mirrored else _GOOD
-    return NaimarkProgram(registers=regs, bare=bare, rounds=rounds, c_star=rescale,
-                          start_mask=_START, good_mask=good,
-                          failure_branches=tuple(range(n_ports, regs.port_dim)))
+    if branch:
+        entry, start, fold = amps[n_ports - 1:], _GOOD, partial(_fold_port_images, cswap.perms)
+    else:
+        entry, start, fold = np.ones(1), _START, None
+        ops = [port_prepare(regs, amps), cswap, *ops, cswap]
+    good = RegisterProjector(port_values=tuple(ports)) if spec.mirrored else _GOOD
+    return NaimarkProgram(registers=regs, bare=CircuitAction(ops), rounds=rounds,
+                          c_star=rescale, start_mask=start, good_mask=good,
+                          failure_branches=tuple(range(len(ports), regs.port_dim)),
+                          entry=entry, fold=fold)
 
 
 def ppbt_mes_no_aa(n_ports: int) -> NaimarkProgram:
@@ -343,50 +383,52 @@ def expected_outcome_distribution(kind: ProtocolKind, n_ports: int) -> np.ndarra
 
 
 @lru_cache(maxsize=32)
-def _instrument(kind: ProtocolKind, n_ports: int) -> tuple[np.ndarray, np.ndarray]:
-    """The protocol as a qubit instrument, from one program run on the joint
-    inputs for chi = |0> and |1> (2 * 2^N columns).
+def _instrument(kind: ProtocolKind, n_ports: int
+                ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The protocol as a qubit instrument, from one branch-program run on the
+    joint inputs for chi = |0> and |1> (2 * 2^N columns).
 
     The circuit is linear in the input chi, so for every input the weight of
     outcome i is chi^dagger G[i] chi, with the failure branches summed into
-    slot N, and the unnormalized receiver state after port k is
-    sum_cd chi_c conj(chi_d) K[k][:, c, :, d]. Returns (G, K), read-only.
+    one form, and the unnormalized receiver state after port k is
+    sum_cd chi_c conj(chi_d) K_k[:, c, :, d]. The square-root measurement is
+    port-permutation covariant (Studzinski et al., Sci. Rep. 7, 10871, 2017):
+    port branch p of the whole register is the last port branch with system
+    qubits p+1 and N swapped and, the resource being symmetric under
+    exchanging pairs, Bob's qubits p+1 and N too. So the branch program
+    (`_compile` with `branch`) runs the last port and the failure branch
+    only, and every port shares the last port's G and K.
+
+    Returns (ports, failure, receiver), read-only: the (N, 2, 2) port forms,
+    views of the last port's; the failure form, None for the deterministic
+    kinds; and the (2, 2, 2, 2) receiver tensor K of every port.
     """
-    program = build_program(kind, n_ports)
+    program = _compile(_SPECS[kind], n_ports, branch=True)
     bob_dim = 2 ** n_ports
     joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n_ports), np.eye(2))
     final = program.run(joint.reshape(2 ** (n_ports + 1), bob_dim * 2))
     # axes: system, port branch, block qubit, receiver halves, input basis
     amps = final.amps.reshape(*final.amps.shape[:3], bob_dim, 2)
     per_branch = np.einsum("xprbc,xprbd->pcd", amps.conj(), amps)
-    gram = per_branch[:n_ports]
-    if program.failure_branches:
-        failure = per_branch[list(program.failure_branches)].sum(axis=0)
-        gram = np.concatenate([gram, failure[None]])
-    residual = float(np.abs(gram.sum(axis=0) - np.eye(2)).max())
+    per_branch.flags.writeable = False
+    residual = float(np.abs(n_ports * per_branch[0] + per_branch[1:].sum(axis=0)
+                            - np.eye(2)).max())
     if residual > 1e-9:
         raise NumericalInvariantError(
             f"{kind.value} N={n_ports}: outcome weights miss 1 by {residual:.3e}",
             residual)
-    receiver = np.empty((n_ports, 2, 2, 2, 2), dtype=np.complex128)
-    for k in range(n_ports):
-        # bring receiver qubit k forward and trace out everything else
-        kept = amps[:, k, 0].reshape(-1, *([2] * n_ports), 2)
-        kept = np.moveaxis(kept, 1 + k, 1).reshape(kept.shape[0], 2, -1, 2)
-        receiver[k] = np.einsum("xiyc,xjyd->icjd", kept, kept.conj())
-    gram.flags.writeable = False
+    # trace out everything but Bob's last qubit, the one port N-1 teleports to
+    kept = amps[:, 0, 0].reshape(amps.shape[0], -1, 2, 2)
+    receiver = np.einsum("xyic,xyjd->icjd", kept, kept.conj())
     receiver.flags.writeable = False
-    return gram, receiver
+    failure = per_branch[1] if program.failure_branches else None
+    return np.broadcast_to(per_branch[0], (n_ports, 2, 2)), failure, receiver
 
 
-def _receiver_states(receiver: np.ndarray, outcomes: np.ndarray,
-                     chi: np.ndarray) -> np.ndarray:
-    """Normalized receiver state per column of chi, read off the tensor K of
-    that column's port outcome (0-based, each below N)."""
-    states = np.empty((chi.shape[1], 2, 2), dtype=np.complex128)
-    for k, tensor in enumerate(receiver):
-        hit = outcomes == k
-        states[hit] = np.einsum("icjd,ct,dt->tij", tensor, chi[:, hit], chi[:, hit].conj())
+def _receiver_states(receiver: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Normalized receiver state per column of chi, read off the receiver
+    tensor K that every port outcome shares."""
+    states = np.einsum("icjd,ct,dt->tij", receiver, chi, chi.conj())
     states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
     return states
 
@@ -410,8 +452,9 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
         raise ValueError("every input amplitude must be finite")
     if np.max(np.abs(np.linalg.norm(chi, axis=0) - 1.0)) > 1e-10:
         raise ValueError("every input column must be normalized")
-    program = build_program(kind, n_ports)
-    gram, receiver = _instrument(kind, n_ports)
+    program = _compile(_SPECS[kind], n_ports, branch=True)
+    ports, failure, receiver = _instrument(kind, n_ports)
+    gram = ports if failure is None else np.concatenate([ports, failure[None]])
     # chi^dagger G chi = G00 |chi0|^2 + G11 |chi1|^2 + 2 Re(G01 conj(chi0) chi1),
     # one real (outcomes x 4) @ (4 x trials) product
     cross = chi[0].conj() * chi[1]
@@ -427,7 +470,7 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
     outcomes = np.minimum((cumulative < draws).sum(axis=0), len(gram) - 1)
     success = outcomes < n_ports
     kept = chi[:, success]
-    states = _receiver_states(receiver, outcomes[success], kept)
+    states = _receiver_states(receiver, kept)
     fidelities = np.full(chi.shape[1], np.nan)
     fidelities[success] = np.einsum("it,tij,jt->t", kept.conj(), states, kept).real
     return TeleportBatch(kind=kind, n_ports=n_ports, rounds=program.rounds,

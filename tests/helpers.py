@@ -1,7 +1,7 @@
 """Test oracles shared by the test modules: dense matrices of circuit
 actions, branch weights of a state, Haar-random qubit inputs, the list of
-pair sectors, the kept eigenvector of a sector and the Hermitian square root
-of a dense measurement element."""
+pair sectors, the kept eigenvector of a sector, the Hermitian square root
+of a dense measurement element and the whole-register qubit instrument."""
 
 import numpy as np
 
@@ -9,6 +9,7 @@ from portsim.circuit import Registers, StateVector
 from portsim.halfint import HalfInt
 from portsim.povm_analytic import port_eigensystem
 from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL
+from portsim.protocols import build_program, resource_matrix
 
 
 def action_matrix(action, registers: Registers) -> np.ndarray:
@@ -60,3 +61,31 @@ def psd_sqrt(op: np.ndarray) -> np.ndarray:
     if w.max() > 0.0:
         w[w < SUPPORT_RTOL * w.max()] = 0.0
     return (v * np.sqrt(w)) @ v.conj().T
+
+
+def whole_register_instrument(kind, n_ports: int) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for `protocols._instrument`: the whole-register program, every
+    port branch compiled and run, on the joint inputs for chi = |0> and |1>.
+
+    Returns (gram, receiver): the (N or N+1, 2, 2) outcome forms, failure
+    branches summed into slot N, and the (N, 2, 2, 2, 2) receiver tensors
+    K_k of every port k, each read off its own branch.
+    """
+    program = build_program(kind, n_ports)
+    bob_dim = 2 ** n_ports
+    joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n_ports), np.eye(2))
+    final = program.run(joint.reshape(2 ** (n_ports + 1), bob_dim * 2))
+    # axes: system, port branch, block qubit, receiver halves, input basis
+    amps = final.amps.reshape(*final.amps.shape[:3], bob_dim, 2)
+    per_branch = np.einsum("xprbc,xprbd->pcd", amps.conj(), amps)
+    gram = per_branch[:n_ports]
+    if program.failure_branches:
+        failure = per_branch[list(program.failure_branches)].sum(axis=0)
+        gram = np.concatenate([gram, failure[None]])
+    receiver = np.empty((n_ports, 2, 2, 2, 2), dtype=np.complex128)
+    for k in range(n_ports):
+        # bring receiver qubit k forward and trace out everything else
+        kept = amps[:, k, 0].reshape(-1, *([2] * n_ports), 2)
+        kept = np.moveaxis(kept, 1 + k, 1).reshape(kept.shape[0], 2, -1, 2)
+        receiver[k] = np.einsum("xiyc,xjyd->icjd", kept, kept.conj())
+    return gram, receiver

@@ -300,6 +300,7 @@ def test_port_cap_env_override_rejects_garbage(capsys, monkeypatch):
     ["povm-check", "--ports", "1", "--tolerance", "nan"],
     ["povm-check", "--ports", "1", "--tolerance", "-1"],
     ["table", "--metric", "resources", "--ports", "1", "--epsilon", "1e-310"],
+    ["teleport", "--regime", "dpbt", "--ports", "2", "--trials", "3", "--seed", "-1"],
 ])
 def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
     # a raised cap lets the request through to the library's own limits
@@ -309,6 +310,8 @@ def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    if "--seed" in argv:
+        assert "--seed" in err
 
 
 def test_success_table_needs_no_label_enumeration(capsys, monkeypatch):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import action_matrix, branch_weights, haar_qubit, psd_sqrt
+from helpers import (action_matrix, branch_weights, haar_qubit, psd_sqrt,
+                     whole_register_instrument)
 from portsim import protocols
 from portsim.circuit import StateVector
 from portsim.povm_oracle import build_povm
@@ -207,8 +208,8 @@ def test_single_port_deterministic_run_is_a_coin_flip_channel():
     np.testing.assert_allclose(run.probabilities[:, 0], [1.0], atol=1e-12)
     assert run.outcomes[0] == 1
     assert run.fidelities[0] == pytest.approx(0.5, abs=1e-10)
-    _, receiver = protocols._instrument(ProtocolKind.DPBT_MES, 1)
-    bob = protocols._receiver_states(receiver, run.outcomes - 1, chi)[0]
+    _, _, receiver = protocols._instrument(ProtocolKind.DPBT_MES, 1)
+    bob = protocols._receiver_states(receiver, chi)[0]
     np.testing.assert_allclose(bob, np.eye(2) / 2, atol=1e-10)
 
 
@@ -307,19 +308,28 @@ def direct_run(kind, n, chi):
     return weights, states
 
 
+def outcome_forms(kind, n):
+    """The instrument's weight form of every outcome, the failure one last."""
+    ports, failure, _ = protocols._instrument(kind, n)
+    return ports if failure is None else np.concatenate([ports, failure[None]])
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_instrument_matches_direct_runs(kind, n):
-    gram, receiver = protocols._instrument(kind, n)
+    gram = outcome_forms(kind, n)
+    receiver = protocols._instrument(kind, n)[2]
     assert gram.shape == (n if kind.deterministic else n + 1, 2, 2)
+    assert receiver.shape == (2, 2, 2, 2)
     rng = np.random.default_rng(np.random.PCG64(40 + n))
     for _ in range(3):
         chi = haar_qubit(rng)
         weights, states = direct_run(kind, n, chi)
         forms = np.einsum("c,icd,d->i", chi.conj(), gram, chi)
         np.testing.assert_allclose(forms, weights, atol=1e-12)
+        # every port leaves the one receiver tensor
+        state = np.einsum("icjd,c,d->ij", receiver, chi, chi.conj())
         for k in range(n):
-            state = np.einsum("icjd,c,d->ij", receiver[k], chi, chi.conj())
             np.testing.assert_allclose(state, states[k], atol=1e-12)
 
 
@@ -328,8 +338,7 @@ def test_instrument_matches_direct_runs(kind, n):
 def test_instrument_is_covariant(kind, n):
     # outcome probabilities of port-based teleportation do not depend on the
     # input, so every Gram form is a multiple of the identity
-    gram, _ = protocols._instrument(kind, n)
-    for g in gram:
+    for g in outcome_forms(kind, n):
         assert np.linalg.norm(g - np.trace(g).real / 2 * np.eye(2)) <= 1e-12
 
 
@@ -337,10 +346,11 @@ def test_instrument_is_covariant(kind, n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_instrument_haar_averages_match_closed_forms(kind, n):
     # E[conj(chi_i) chi_c conj(chi_d) chi_j] = (d_ic d_dj + d_ij d_cd) / 6
-    gram, receiver = protocols._instrument(kind, n)
-    success = float(np.einsum("icc->", gram[:n]).real) / 2
-    fidelity = float((np.einsum("kiijj->", receiver)
-                      + np.einsum("kicic->", receiver)).real) / 6
+    ports, _, receiver = protocols._instrument(kind, n)
+    success = float(np.einsum("icc->", ports).real) / 2
+    # every port leaves the one receiver tensor, so the port sum is N times it
+    fidelity = n * float((np.einsum("iijj->", receiver)
+                          + np.einsum("icic->", receiver)).real) / 6
     if kind.deterministic:
         assert success == pytest.approx(1.0, abs=1e-12)
         assert fidelity == pytest.approx(average_fidelity(kind, n), abs=1e-12)
@@ -353,11 +363,11 @@ def test_batch_weights_are_the_instrument_quadratic_forms(monkeypatch):
     # a generic Hermitian form set, unlike the covariant ones the protocols
     # compile to, so the cross terms of chi^dagger G chi count
     kind, n = ProtocolKind.PPBT_OPT, 2
-    gram, receiver = protocols._instrument(kind, n)
+    receiver = protocols._instrument(kind, n)[2]
     rng = np.random.default_rng(np.random.PCG64(77))
-    raw = rng.normal(size=gram.shape) + 1j * rng.normal(size=gram.shape)
+    raw = rng.normal(size=(n + 1, 2, 2)) + 1j * rng.normal(size=(n + 1, 2, 2))
     forms = np.einsum("icd,ied->ice", raw, raw.conj())
-    monkeypatch.setattr(protocols, "_instrument", lambda *_: (forms, receiver))
+    monkeypatch.setattr(protocols, "_instrument", lambda *_: (forms[:n], forms[n], receiver))
     chi = np.column_stack([haar_qubit(rng) for _ in range(50)])
     batch = teleport_batch(kind, n, chi, rng=3)
     np.testing.assert_allclose(batch.probabilities,
@@ -381,7 +391,7 @@ def test_broken_resource_raises_numerical_invariant_error(monkeypatch):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [2, 6])
-def test_detuned_attach_breaks_the_amplification_precondition(kind, n):
+def test_detuned_attach_breaks_the_amplification_precondition(monkeypatch, kind, n):
     # one attach factor off by 1e-6 leaves the flagged amplitude off sin(pi/2n)
     spec = protocols._SPECS[kind]
     broken = dataclasses.replace(spec, attach=lambda m: spec.attach(m) * (1 - 1e-6))
@@ -391,6 +401,64 @@ def test_detuned_attach_breaks_the_amplification_precondition(kind, n):
         prog.run(joint.reshape(2 ** (n + 1), 2 ** (n + 1)))
     assert not isinstance(info.value, ValueError)
     assert 1e-6 <= info.value.residual <= 3e-6
+    # the branch program checks the whole register's precondition through
+    # the port-swap images, so it raises the same residual
+    monkeypatch.setitem(protocols._SPECS, kind, broken)
+    protocols._instrument.cache_clear()
+    try:
+        with pytest.raises(NumericalInvariantError) as branch:
+            protocols._instrument(kind, n)
+    finally:
+        protocols._instrument.cache_clear()
+    assert branch.value.residual == pytest.approx(info.value.residual, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_branch_instrument_matches_the_whole_register(kind, n):
+    # ports 0..N-2 are the last port branch's qubit-swap images
+    ports, failure, receiver = protocols._instrument(kind, n)
+    gram, receivers = whole_register_instrument(kind, n)
+    np.testing.assert_allclose(ports, gram[:n], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.broadcast_to(receiver, receivers.shape), receivers,
+                               rtol=0, atol=1e-13)
+    if kind.deterministic:
+        assert failure is None and len(gram) == n
+    else:
+        np.testing.assert_allclose(failure, gram[n], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 6])
+def test_ports_share_one_read_only_form(kind, n):
+    ports, failure, receiver = protocols._instrument(kind, n)
+    assert ports.shape == (n, 2, 2) and receiver.shape == (2, 2, 2, 2)
+    assert np.shares_memory(ports[0], ports[-1])
+    for form in (ports, receiver) if failure is None else (ports, failure, receiver):
+        assert not form.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batch_reads_the_schedule_of_the_branch_program(n):
+    chi = np.array([[1.0], [0.0]])
+    for kind in KINDS:
+        batch = teleport_batch(kind, n, chi, rng=0)
+        whole = build_program(kind, n)
+        assert (batch.rounds, batch.c_star) == (whole.rounds, whole.c_star)
+
+
+def test_batch_never_compiles_the_whole_register(monkeypatch):
+    def whole_register(*_):
+        raise AssertionError("teleport_batch compiled the whole register")
+
+    monkeypatch.setattr(protocols, "build_program", whole_register)
+    protocols._instrument.cache_clear()
+    try:
+        for kind in KINDS:
+            batch = teleport_batch(kind, 3, np.array([[0.6], [0.8j]]), rng=4)
+            assert batch.outcomes.shape == (1,)
+    finally:
+        protocols._instrument.cache_clear()
 
 
 @pytest.mark.parametrize("kind", KINDS)
