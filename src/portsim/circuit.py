@@ -18,7 +18,7 @@ amplitude pair).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,17 +79,18 @@ class StateVector:
 
     @classmethod
     def from_system(cls, registers: Registers, system_amps: np.ndarray,
-                    port: int = 0, r: int = 0) -> "StateVector":
-        """State with the system factor given and the registers in basis
-        states; a 2-d input supplies one system vector per batch column."""
+                    entry: Sequence[float] = (1.0,)) -> "StateVector":
+        """State with the system factor given, `entry` on the first port values
+        and r = 0; a 2-d input supplies one system vector per batch column."""
         sys_amps = np.asarray(system_amps, dtype=np.complex128)
         if sys_amps.ndim == 1:
             sys_amps = sys_amps[:, None]
         if sys_amps.shape[0] != registers.system_dim:
             raise ValueError("system amplitude length mismatch")
+        entry = np.asarray(entry, dtype=float)
         amps = np.zeros((registers.system_dim, registers.port_dim, registers.r_dim,
                          sys_amps.shape[1]), dtype=np.complex128)
-        amps[:, port, r, :] = sys_amps
+        amps[:, :len(entry), 0] = sys_amps[:, None, :] * entry[:, None]
         return cls(registers, amps)
 
     @property

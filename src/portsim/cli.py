@@ -20,8 +20,8 @@ per-command caps. The library's own limits still hold past them
 (MAX_POVM_PORTS = 6, MAX_STATE_PORTS = 7, MAX_DENSE_QUBITS = 12,
 MAX_ENUMERATE_QUBITS = 20): a request beyond one exits 2 with one error line.
 
-Exit codes: 0 on success, 1 when a requested check or a numerical
-invariant of the compiled circuits fails, 2 on bad arguments.
+Exit codes: 0 on success, 1 when a check or a numerical invariant of the
+compiled circuits fails or stdout closes early, 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -176,10 +176,10 @@ def cmd_povm_check(args: argparse.Namespace) -> int:
     regimes = list(Regime) if args.regime == "all" else [Regime(args.regime)]
     worst = 0.0
     failures = 0
-    total = 0
+    # print after every suite has run, so a range error leaves stdout empty
+    lines = []
     for regime in regimes:
         for n in range(lo, hi + 1):
-            total += 1
             oracle = build_povm(regime, n)
             closed = analytic_povm(regime, n)
             if args.inject_fault:
@@ -193,10 +193,11 @@ def cmd_povm_check(args: argparse.Namespace) -> int:
             worst = max(worst, frob)
             ok = residual <= 1e-10 and low >= -1e-10 and frob <= args.tolerance
             failures += 0 if ok else 1
-            print(f"[{'PASS' if ok else 'FAIL'}] regime={regime.value} ports={n} "
-                  f"outcomes={closed.n_outcomes} completeness={residual:.3e} "
-                  f"min_eig={low:+.3e} max_frobenius={frob:.3e}")
-    print(f"{total - failures}/{total} suites passed; "
+            lines.append(f"[{'PASS' if ok else 'FAIL'}] regime={regime.value} ports={n} "
+                         f"outcomes={closed.n_outcomes} completeness={residual:.3e} "
+                         f"min_eig={low:+.3e} max_frobenius={frob:.3e}\n")
+    sys.stdout.writelines(lines)
+    print(f"{len(lines) - failures}/{len(lines)} suites passed; "
           f"worst frobenius {worst:.3e} (tolerance {args.tolerance:g})")
     return 1 if failures else 0
 
@@ -428,7 +429,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left (`| head -1`): keep the final flush off the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -100,8 +100,7 @@ class NaimarkProgram:
     fold: Callable[[np.ndarray], np.ndarray] | None = None
 
     def run(self, system_amps: np.ndarray) -> StateVector:
-        state = StateVector.from_system(self.registers, system_amps)
-        state.amps[:, :len(self.entry), 0] = state.amps[:, :1, 0] * self.entry[:, None]
+        state = StateVector.from_system(self.registers, system_amps, self.entry)
         if self.rounds == 0:
             return self.bare.apply(state)
         return OaaAction(self.bare, self.start_mask, self.good_mask, self.rounds,

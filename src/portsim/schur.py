@@ -8,9 +8,10 @@ by exactly 1/2 and never go negative. There are exactly 2^n labels.
 Qubit convention: |0> carries z-spin +1/2, |1> carries -1/2; qubit 1 is the
 most significant bit of a basis index.
 
-The dense transform `coupling_unitary` is built once per n and shared
-read-only; every spin-sector operator sum_s w_s P_s (the oracle's weights,
-the optimised resources) is read off its columns by `sector_operator`.
+The dense transform `coupling_unitary` is built qubit by qubit from the one
+below it and shared read-only up to 12 qubits; basis vectors are its columns,
+and every spin-sector operator sum_s w_s P_s (the oracle's weights, the
+optimised resources) is read off them by `sector_operator`.
 """
 
 from __future__ import annotations
@@ -112,51 +113,40 @@ def label_index(label: SchurLabel) -> int:
     return _index_map(label.n_qubits)[label]
 
 
-def _build_vector(spins: tuple[HalfInt, ...], m: HalfInt, memo: dict) -> np.ndarray:
-    key = (spins, m)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if len(spins) == 1:
-        vec = np.zeros(2)
-        vec[0 if m.twice == 1 else 1] = 1.0
-    else:
-        prev = spins[-2]
-        vec = np.zeros(2 ** len(spins))
-        for bit, xt in ((0, 1), (1, -1)):
-            m_prev = HalfInt(m.twice - xt)
-            if not valid_z_component(prev, m_prev):
-                continue
-            coeff = clebsch_gordan(prev, m_prev, HALF, HalfInt(xt), spins[-1], m)
-            if coeff == 0.0:
-                continue
-            vec[bit::2] = coeff * _build_vector(spins[:-1], m_prev, memo)
-    memo[key] = vec
-    return vec
-
-
 def schur_vector(label: SchurLabel) -> np.ndarray:
-    """Computational-basis amplitudes of the labelled coupling state.
+    """Computational-basis amplitudes of the labelled coupling state: a
+    writable copy of its column of `coupling_unitary`, so up to 12 qubits.
 
     The amplitude on bitstring x is the product of one Clebsch-Gordan factor
     per coupling step; support is restricted to bitstrings whose z-spins sum
     to m.
     """
-    return _build_vector(label.spins, label.m, {})
+    return coupling_unitary(label.n_qubits)[:, label_index(label)].copy()
 
 
 @lru_cache(maxsize=None)
 def coupling_unitary(n: int) -> np.ndarray:
     """Dense 2^n x 2^n change of basis; column label_index(L) holds the
-    amplitudes of label L. Built once per n and returned read-only. Capped
-    at n = 12 (the matrix alone is 2^24 floats)."""
+    amplitudes of label L. Built qubit by qubit: column L couples the last
+    qubit to the parent chain's columns of `coupling_unitary(n - 1)` at
+    m -+ 1/2, one Clebsch-Gordan factor each. Cached with every level below,
+    read-only and capped at n = 12 (the matrix alone is 2^24 floats)."""
     if not 1 <= n <= MAX_DENSE_QUBITS:
         raise ValueError(f"n must be in 1..{MAX_DENSE_QUBITS} for the dense unitary, got {n}")
-    labels = enumerate_labels(n)
-    out = np.zeros((2 ** n, 2 ** n))
-    memo: dict = {}
-    for col, lab in enumerate(labels):
-        out[:, col] = _build_vector(lab.spins, lab.m, memo)
+    if n == 1:
+        out = np.eye(2)
+    else:
+        parent = coupling_unitary(n - 1)
+        out = np.zeros((2 ** n, 2 ** n))
+        for col, lab in enumerate(enumerate_labels(n)):
+            # the last qubit is 0 (z-spin +1/2) on even rows, 1 (-1/2) on odd
+            for bit, xt in ((0, 1), (1, -1)):
+                m_prev = HalfInt(lab.m.twice - xt)
+                if not valid_z_component(lab.j, m_prev):
+                    continue
+                coeff = clebsch_gordan(lab.j, m_prev, HALF, HalfInt(xt), lab.s, lab.m)
+                prev = label_index(SchurLabel(lab.spins[:-1], m_prev))
+                out[bit::2, col] = coeff * parent[:, prev]
     out.flags.writeable = False
     return out
 

@@ -48,13 +48,25 @@ def test_registers_reject_nonpositive_sizes():
 
 def test_from_system_places_registers_in_basis_states():
     regs = Registers(n_system=1, port_dim=2, r_dim=2)
-    state = StateVector.from_system(regs, np.array([0.6, 0.8]), port=1, r=0)
+    state = StateVector.from_system(regs, np.array([0.6, 0.8]), entry=(0.0, 1.0))
     assert state.batch == 1
     assert np.linalg.norm(state.amps) == pytest.approx(1.0)
     np.testing.assert_allclose(state.amps[:, 1, 0, 0], [0.6, 0.8])
     assert np.abs(state.amps[:, 0]).max() == 0
+    assert np.abs(state.amps[:, :, 1]).max() == 0
     two = StateVector.from_system(regs, np.eye(2))
     assert two.batch == 2
+    np.testing.assert_array_equal(two.amps[:, 0, 0], np.eye(2))
+    assert np.abs(two.amps[:, 1]).max() == 0
+
+
+def test_from_system_spreads_the_input_over_the_entry_ports():
+    regs = Registers(n_system=1, port_dim=3, r_dim=2)
+    state = StateVector.from_system(regs, np.array([0.6, 0.8]), entry=(0.8, 0.6))
+    np.testing.assert_allclose(state.amps[:, :2, 0, 0],
+                               np.outer([0.6, 0.8], [0.8, 0.6]), atol=0)
+    assert np.abs(state.amps[:, 2]).max() == 0
+    assert np.abs(state.amps[:, :, 1]).max() == 0
 
 
 # ------------------------------------------------------------------ cswap ----
@@ -157,7 +169,7 @@ def test_subspace_blocks_reject_overlapping_instances():
 
 def test_measurement_of_a_basis_port_is_deterministic():
     regs = Registers(n_system=1, port_dim=3, r_dim=1)
-    state = StateVector.from_system(regs, np.array([0.0, 1.0]), port=2)
+    state = StateVector.from_system(regs, np.array([0.0, 1.0]), entry=(0.0, 0.0, 1.0))
     np.testing.assert_allclose(branch_weights(state, "port")[:, 0], [0, 0, 1], atol=0)
     np.testing.assert_allclose(branch_weights(state, "r")[:, 0], [1], atol=0)
 
@@ -267,7 +279,9 @@ def test_port_prepare_hits_the_target_amplitudes():
     regs = Registers(n_system=1, port_dim=4, r_dim=2)
     target = np.array([0.5, 0.5, 0.5, 0.5])
     prep = port_prepare(regs, target)
-    state = prep.apply(StateVector.from_system(regs, np.array([1.0, 0.0]), r=1))
+    amps = np.zeros((2, 4, 2, 1), dtype=np.complex128)
+    amps[0, 0, 1, 0] = 1.0  # system |0>, port 0, block qubit r = 1
+    state = prep.apply(StateVector(regs, amps))
     np.testing.assert_allclose(state.amps[0, :, 1, 0], target, atol=1e-12)
     assert prep.rotation_count == 3
 

@@ -301,12 +301,14 @@ def test_port_cap_env_override_rejects_garbage(capsys, monkeypatch):
     ["povm-check", "--ports", "1", "--tolerance", "-1"],
     ["table", "--metric", "resources", "--ports", "1", "--epsilon", "1e-310"],
     ["teleport", "--regime", "dpbt", "--ports", "2", "--trials", "3", "--seed", "-1"],
+    ["povm-check", "--ports", "6..7"],
 ])
 def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
     # a raised cap lets the request through to the library's own limits
     monkeypatch.setenv("PORTSIM_MAX_PORTS", "25")
-    code, _, err = run(capsys, argv)
+    code, out, err = run(capsys, argv)
     assert code == 2
+    assert out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
@@ -361,6 +363,28 @@ def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakag
     assert "Traceback" not in err
 
 
+def _src_env() -> dict:
+    src = os.path.dirname(os.path.dirname(portsim.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # `portsim teleport ... --format csv | head -1`: the reader leaves early
+    script = ("import sys\n"
+              "from portsim.cli import main\n"
+              "sys.exit(main(['teleport', '--regime', 'dpbt', '--ports', '2',\n"
+              "               '--trials', '200000', '--format', 'csv']))\n")
+    proc = subprocess.Popen([sys.executable, "-c", script], env=_src_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "trial,outcome,success,fidelity\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
 def test_program_builds_and_teleport_never_import_numpy_ma():
     script = (
         "import contextlib, io, sys\n"
@@ -372,10 +396,7 @@ def test_program_builds_and_teleport_never_import_numpy_ma():
         "    assert main(['teleport', '--regime', 'ppbt-opt', '--ports', '2',\n"
         "                 '--trials', '50', '--format', 'json']) == 0\n"
         "print('numpy.ma' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(portsim.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", script], env=env,
+    result = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -135,10 +136,40 @@ def test_coupling_unitary_is_unitary(n):
     np.testing.assert_allclose(u.conj().T @ u, np.eye(2 ** n), atol=1e-12)
 
 
-def test_coupling_unitary_columns_match_vectors():
-    u = coupling_unitary(3)
-    for i, lab in enumerate(enumerate_labels(3)):
-        np.testing.assert_allclose(u[:, i], schur_vector(lab), atol=1e-14)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coupling_unitary_columns_match_vectors(n):
+    u = coupling_unitary(n)
+    for i, lab in enumerate(enumerate_labels(n)):
+        vec = schur_vector(lab)
+        np.testing.assert_array_equal(vec, u[:, i])
+        assert vec.flags.writeable
+        assert not np.shares_memory(vec, u)
+
+
+# sha256 of the transform's bytes: every seeded output rests on these floats,
+# so the qubit-by-qubit recurrence must reproduce them bit for bit
+UNITARY_SHA256 = {
+    1: "7b38b86d9a7e623764dc234b5d8aa67afbf388f139b4dc5a266ed0b4b7a258ea",
+    2: "883a40cbd9062560ef18f4e734f8aebfdf402ed67eb1226b68dda6b877362d3c",
+    3: "b5f5fac06783f7f6ac040e6e831f3be4dba74037405e0a9bce5c45a5c2a0042d",
+    4: "8afc29fea50b8b4110895d33996bd3d39296360cef2d459d3dd154467ad2e28f",
+    5: "3e992012d18112ad3f4fe590e6c24dff1cf8a28f42e3b1e83f83488d5c0a1b6b",
+    6: "cf5bc545967ffa88ebebd7fb7bb152066ae52be4c37ce7765dd64fde6472eb13",
+    7: "24cb0676d7c9f7351bf1bf649fe853c95db9edcfab39a35188f01793d7a08f10",
+    8: "07d934ee9e6eecaebfd08713b64b1d2209abff800dbabaabfa20cfc5c02014bc",
+}
+
+
+@pytest.mark.parametrize("n", sorted(UNITARY_SHA256))
+def test_coupling_unitary_bytes_are_pinned(n):
+    assert hashlib.sha256(coupling_unitary(n).tobytes()).hexdigest() == UNITARY_SHA256[n]
+
+
+def test_schur_vector_stops_at_the_dense_cap():
+    n = MAX_DENSE_QUBITS + 1
+    stretched = SchurLabel(tuple(HalfInt(t) for t in range(1, n + 1)), HalfInt(n))
+    with pytest.raises(ValueError, match=f"1..{MAX_DENSE_QUBITS}"):
+        schur_vector(stretched)
 
 
 def test_singlet_column_values():
