@@ -91,6 +91,8 @@ def port_eigensystem(regime: Regime, n_ports: int) -> EigenSystem:
 def failure_eigensystem(regime: Regime, n_ports: int) -> EigenSystem:
     """Eigensystem of the failure element (outcome N+1), diagonal on labels.
     Each eigenvalue is computed once per (j, s) sector."""
+    if n_ports < 1:
+        raise ValueError(f"n_ports must be >= 1, got {n_ports}")
     if regime is Regime.DPBT:
         raise ValueError("the deterministic regime has no failure outcome")
     values: dict[tuple[HalfInt, HalfInt], Fraction] = {}

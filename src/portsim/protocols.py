@@ -4,12 +4,12 @@ One builder (`_compile`) turns every protocol into the same
 square-root-measurement circuit: prepare the port register, control-swap the
 addressed port behind the last system qubit, enter the coupled basis, rotate
 each two-label family so its kept eigenvector sits on one basis slot, attach
-the per-sector amplitude to the block qubit (or to a junk port branch), and
-undo the basis changes; oblivious amplitude amplification then removes the
-junk. A protocol is one row of per-kind data (`_Spec`): port amplitudes,
-flagged target amplitude, attach factors and where the junk goes. The
+the per-sector amplitude to the block qubit, whose r = 1 level takes the
+junk, and undo the basis changes; oblivious amplitude amplification then
+removes the junk. A protocol is one row of per-kind data (`_Spec`): port
+amplitudes, flagged target amplitude and attach factors. The
 singlet-resource measure-and-hope variant (`ppbt_mes_no_aa`) is one more
-row, with mirrored port branches, no block qubit and no amplification.
+row, the same circuit left unamplified.
 
 Sampling never runs a statevector per trial: each protocol is compiled once
 into a qubit instrument (`_instrument`), and every trial reads its outcome
@@ -74,11 +74,12 @@ class NaimarkProgram:
     """A compiled measurement circuit plus its amplification schedule.
 
     The bare action U sends |psi>|0_port>|0_r> to
-    sum_i (a_i / c_star) sqrt(Pi_i)|psi>|i>|0_r> plus junk orthogonal to the
-    good mask, with flagged amplitude sin(pi/2n) for n = `rounds`. By the
-    amplification lemma the n rounds leave exactly the flagged part divided
-    by sin(pi/2n); `run()` applies that as one checked projection (see
-    `OaaAction`). rounds == 0 means the program is meant to run unamplified.
+    sum_i (a_i / c_star) sqrt(Pi_i)|psi>|i>|0_r> plus junk on r = 1, with
+    flagged amplitude sin(pi/2n) for n = `rounds`. `run()` returns the
+    flagged (r = 0) part of every program. By the amplification lemma the n
+    rounds leave exactly the flagged part divided by sin(pi/2n), applied as
+    one checked projection (see `OaaAction`); rounds == 0 means the program
+    runs unamplified, and `run()` projects U's output onto r = 0 undivided.
 
     A whole-register program prepares the port register itself: the input
     enters on port value 0 (`entry` is (1,)). A branch program holds only the
@@ -94,7 +95,6 @@ class NaimarkProgram:
     rounds: int
     c_star: float
     start_mask: RegisterProjector
-    good_mask: RegisterProjector
     failure_branches: tuple[int, ...]
     entry: np.ndarray
     fold: Callable[[np.ndarray], np.ndarray] | None = None
@@ -102,8 +102,9 @@ class NaimarkProgram:
     def run(self, system_amps: np.ndarray) -> StateVector:
         state = StateVector.from_system(self.registers, system_amps, self.entry)
         if self.rounds == 0:
-            return self.bare.apply(state)
-        return OaaAction(self.bare, self.start_mask, self.good_mask, self.rounds,
+            flagged = self.bare.apply(state).flat() * _GOOD.mask(self.registers)[:, None]
+            return StateVector(self.registers, flagged.reshape(state.amps.shape))
+        return OaaAction(self.bare, self.start_mask, _GOOD, self.rounds,
                          self.fold).apply(state)
 
     @property
@@ -117,16 +118,6 @@ def _reflection(amplitude: float) -> np.ndarray:
     a = min(amplitude, 1.0)
     b = math.sqrt(max(0.0, 1.0 - a * a))
     return np.array([[a, b], [b, -a]])
-
-
-def _reflection_blocks(regs: Registers, groups: dict, name: str) -> SubspaceBlocks:
-    """groups: key -> (amplitude, list of [kept_index, junk_index] rows)."""
-    blocks = []
-    for key in sorted(groups):
-        amplitude, rows = groups[key]
-        blocks.append(Block(key=key, matrix=_reflection(amplitude),
-                            instances=np.array(rows, dtype=np.intp)))
-    return SubspaceBlocks(regs, blocks, name=name)
 
 
 def _rotation_op(es: EigenSystem, regs: Registers, ports: range) -> SubspaceBlocks:
@@ -152,62 +143,44 @@ def _rotation_op(es: EigenSystem, regs: Registers, ports: range) -> SubspaceBloc
     return SubspaceBlocks(regs, blocks, name="family-rotation")
 
 
-def _port_attach_op(es: EigenSystem, regs: Registers, ports: range, scale: float,
-                    mirrored: bool) -> SubspaceBlocks:
-    """Reflections moving non-kept content off the flagged part of each
-    listed port branch.
+def _attach_op(es: EigenSystem, regs: Registers, branches: range, scale: float,
+               name: str) -> SubspaceBlocks:
+    """Reflections moving what one element does not keep from the flagged
+    part (r = 0) of each listed branch to the block qubit's r = 1 level.
 
-    The partner slot of a label on port p is the r=1 level of p for
-    block-qubit circuits and the mirrored port branch p+N for unamplified
-    ones. Each nonzero entry of the port eigensystem sits, after the family
-    rotation, on its last label, which reflects with amplitude
-    sqrt(value) * scale; everything else swaps out entirely.
+    Each nonzero entry keeps its last label: the port element's after the
+    family rotation, the failure element's single label as it is. The kept
+    labels of one (s, j) sector reflect with amplitude sqrt(value) * scale,
+    one register-level rotation per sector; every other label swaps out
+    entirely, in one block.
     """
-    n = es.n_ports
-    kept = {entry.labels[-1]: entry.value_exact
-            for entry in es.entries if entry.value_exact != 0}
+    kept = {e.labels[-1]: e.value_exact for e in es.entries if e.value_exact}
     groups: dict = {}
-    for idx, label in enumerate(enumerate_labels(n + 1)):
-        if label in kept:
-            amplitude = math.sqrt(float(kept[label])) * scale
-            key = ("keep", label.s.twice)
+    for idx, label in enumerate(enumerate_labels(es.n_ports + 1)):
+        value = kept.get(label)
+        if value is None:
+            key, amplitude = ("drop",), 0.0
         else:
-            amplitude = 0.0
-            key = ("drop",)
-        entry = groups.setdefault(key, (amplitude, []))
-        for p in ports:
-            junk = regs.flat_index(idx, p + n, 0) if mirrored else regs.flat_index(idx, p, 1)
-            entry[1].append([regs.flat_index(idx, p, 0), junk])
-    return _reflection_blocks(regs, groups, name="port-attach")
-
-
-def _failure_attach_op(es: EigenSystem, regs: Registers, branch: int,
-                       scale: float) -> SubspaceBlocks:
-    """Diagonal attach on the idle port branch carrying the failure element:
-    each label keeps sqrt(failure eigenvalue) * scale on the block qubit."""
-    groups: dict = {}
-    for entry in es.entries:
-        (label,) = entry.labels
-        if entry.value_exact == 0:
-            key, amplitude = ("fail-drop",), 0.0
-        else:
-            key = ("fail", label.s.twice, label.j.twice)
-            amplitude = math.sqrt(float(entry.value_exact)) * scale
-        idx = label_index(label)
-        row = [regs.flat_index(idx, branch, 0), regs.flat_index(idx, branch, 1)]
-        groups.setdefault(key, (amplitude, []))[1].append(row)
-    return _reflection_blocks(regs, groups, name="failure-attach")
+            key = ("keep", label.s.twice, label.j.twice)
+            amplitude = math.sqrt(float(value)) * scale
+        rows = groups.setdefault(key, (amplitude, []))[1]
+        rows.extend([[regs.flat_index(idx, b, 0), regs.flat_index(idx, b, 1)] for b in branches])
+    blocks = [Block(key=key, matrix=_reflection(amplitude),
+                    instances=np.array(rows, dtype=np.intp))
+              for key, (amplitude, rows) in sorted(groups.items())]
+    return SubspaceBlocks(regs, blocks, name=name)
 
 
 @dataclass(frozen=True)
 class _Spec:
     """The per-kind data of the one program builder, `_compile`.
 
-    amplitudes(N) is the port preparation; target(N) the flagged amplitude
-    that amplification lifts to one (None: no amplification, c* = 1);
-    attach(N) and fail scale the port and failure attach amplitudes before
-    the 1/c* rescale (fail None: no failure attach). A mirrored program has
-    no block qubit and parks junk on port branches N..2N-1 instead.
+    amplitudes(N) is the port preparation, N port values plus the failure
+    branch of the heralded kinds; target(N) the flagged amplitude that
+    amplification lifts to one (None: no amplification, c* = 1); attach(N)
+    and fail scale the port and failure attach amplitudes before the 1/c*
+    rescale (fail None: no failure attach). Every program parks its junk on
+    the block qubit.
     """
 
     regime: Regime
@@ -215,7 +188,6 @@ class _Spec:
     target: Callable[[int], float] | None
     attach: Callable[[int], float]
     fail: float | None = None
-    mirrored: bool = False
 
 
 _DPBT = _Spec(Regime.DPBT, amplitudes=lambda n: np.full(n, 1.0 / math.sqrt(n)),
@@ -234,10 +206,9 @@ _SPECS = {
         Regime.PPBT_OPT, amplitudes=lambda n: np.full(n + 1, 1.0 / math.sqrt(n + 1)),
         target=lambda n: 1.0 / math.sqrt(n + 1), attach=lambda n: 1.0, fail=1.0),
 }
-# measure-and-hope: the singlet-resource attach, unamplified
-_NO_AA = _Spec(Regime.PPBT_MES,
-               amplitudes=lambda n: np.append(np.full(n, 1.0 / math.sqrt(n)), np.zeros(n)),
-               target=None, attach=lambda n: math.sqrt(n) / 2.0, mirrored=True)
+# measure-and-hope: the singlet-resource attach on N equal ports, unamplified
+_NO_AA = _Spec(Regime.PPBT_MES, amplitudes=lambda n: np.full(n, 1.0 / math.sqrt(n)),
+               target=None, attach=lambda n: math.sqrt(n) / 2.0)
 
 _START = RegisterProjector(port_values=(0,), r_values=(0,))
 _GOOD = RegisterProjector(r_values=(0,))
@@ -271,16 +242,17 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
     _check_ports(n_ports)
     amps = spec.amplitudes(n_ports)
     ports = range(1) if branch else range(n_ports)
-    # the kept port branches, then the failure or mirrored ones
-    regs = Registers(n_ports + 1, len(amps) - n_ports + len(ports), 1 if spec.mirrored else 2)
+    # the kept port branches, then the failure branch if any
+    regs = Registers(n_ports + 1, len(amps) - n_ports + len(ports))
     rescale, rounds = (1.0, 0) if spec.target is None else c_star(spec.target(n_ports))
     eigen = port_eigensystem(spec.regime, n_ports)
     # scale by the reciprocal: seeded outputs are pinned to these exact floats
-    attach = [_port_attach_op(eigen, regs, ports, spec.attach(n_ports) * (1.0 / rescale),
-                              spec.mirrored)]
+    attach = [_attach_op(eigen, regs, ports, spec.attach(n_ports) * (1.0 / rescale),
+                         "port-attach")]
     if spec.fail is not None:
-        attach.append(_failure_attach_op(failure_eigensystem(spec.regime, n_ports), regs,
-                                         branch=len(ports), scale=spec.fail * (1.0 / rescale)))
+        attach.append(_attach_op(failure_eigensystem(spec.regime, n_ports), regs,
+                                 range(len(ports), regs.port_dim),
+                                 spec.fail * (1.0 / rescale), "failure-attach"))
     rot = _rotation_op(eigen, regs, ports)
     # the real orthogonal blocks and transform are undone by their transposes
     unrot = SubspaceBlocks(regs, [Block(key=b.key, matrix=b.matrix.T, instances=b.instances)
@@ -293,15 +265,16 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
     else:
         entry, start, fold = np.ones(1), _START, None
         ops = [port_prepare(regs, amps), cswap, *ops, cswap]
-    good = RegisterProjector(port_values=tuple(ports)) if spec.mirrored else _GOOD
     return NaimarkProgram(registers=regs, bare=CircuitAction(ops), rounds=rounds,
-                          c_star=rescale, start_mask=start, good_mask=good,
+                          c_star=rescale, start_mask=start,
                           failure_branches=tuple(range(len(ports), regs.port_dim)),
                           entry=entry, fold=fold)
 
 
 def ppbt_mes_no_aa(n_ports: int) -> NaimarkProgram:
-    """Measure-and-hope variant: success lands on branch i with probability
+    """Measure-and-hope variant: the ppbt-mes circuit on N equal port values,
+    block qubit and all, left unamplified. Its flagged part holds half the
+    element's root on branch i, so success lands there with probability
     exactly one quarter of the heralded element's weight."""
     return _compile(_NO_AA, n_ports)
 
@@ -576,8 +549,8 @@ def resource_estimate(kind: ProtocolKind, n_ports: int, epsilon: float = 1e-10,
         schur_ancillas = math.ceil(max(1.0, math.log2(n_ports + 2)))
         ancilla_class = "O(log N)"
     port_bits = math.ceil(math.log2(program.registers.port_dim)) if program.registers.port_dim > 1 else 1
-    block_bits = 1 if program.registers.r_dim > 1 else 0
-    ancillas = schur_ancillas + port_bits + block_bits
+    # plus one for the block qubit
+    ancillas = schur_ancillas + port_bits + 1
     rounds_eff = max(n, 1)
     rotation_cost = p * log_n * max(1.0, math.log2(p * rounds_eff / epsilon))
     total = rounds_eff * (schur_cost + rotation_cost)

@@ -110,6 +110,14 @@ def test_failure_eigensystem_rejects_deterministic_regime():
         failure_eigensystem(Regime.DPBT, 2)
 
 
+@pytest.mark.parametrize("builder", [port_eigensystem, failure_eigensystem])
+@pytest.mark.parametrize("regime", [Regime.PPBT_MES, Regime.PPBT_OPT])
+@pytest.mark.parametrize("n", [0, -1])
+def test_eigensystems_reject_fewer_than_one_port(builder, regime, n):
+    with pytest.raises(ValueError, match="n_ports must be >= 1"):
+        builder(regime, n)
+
+
 # ---------------------------------------------------------- pair families ----
 
 def test_pair_families_carry_rotation_data():

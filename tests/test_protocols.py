@@ -8,7 +8,7 @@ import pytest
 from helpers import (action_matrix, branch_weights, haar_qubit, psd_sqrt,
                      whole_register_instrument)
 from portsim import protocols
-from portsim.circuit import StateVector
+from portsim.circuit import Registers, StateVector
 from portsim.povm_oracle import build_povm
 from portsim.protocols import (
     NumericalInvariantError,
@@ -108,6 +108,16 @@ def test_bare_circuit_is_unitary(kind, n):
                                np.eye(matrix.shape[0]), atol=1e-10)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_branch_circuit_is_unitary(kind, n):
+    # the branch program is the one the sampled instrument runs
+    prog = protocols._compile(protocols._SPECS[kind], n, branch=True)
+    matrix = action_matrix(prog.bare, prog.registers)
+    np.testing.assert_allclose(matrix.conj().T @ matrix,
+                               np.eye(matrix.shape[0]), atol=1e-10)
+
+
 def _project(projector, state: StateVector) -> StateVector:
     amps = state.amps.copy()
     amps.reshape(state.registers.dim, state.batch)[~projector.mask(state.registers)] = 0
@@ -129,7 +139,7 @@ def test_good_amplitude_is_input_independent(n):
         for _ in range(3):
             psi = haar_system(rng, n + 1)
             bare = prog.bare.apply(StateVector.from_system(prog.registers, psi))
-            amp = np.linalg.norm(_project(prog.good_mask, bare).amps)
+            amp = np.linalg.norm(_project(protocols._GOOD, bare).amps)
             assert amp == pytest.approx(expected, abs=1e-12)
 
 
@@ -137,7 +147,7 @@ def _reflection_product(prog, state: StateVector) -> StateVector:
     """The amplification rounds as the operator sequence U, then per round
     the flag reflection and 1 - 2 U Pi U^dagger: U applied op by op, U^dagger
     as the conjugate transpose of U's dense matrix."""
-    u, pi, pi_tilde = prog.bare, prog.start_mask, prog.good_mask
+    u, pi, pi_tilde = prog.bare, prog.start_mask, protocols._GOOD
     u_dagger = action_matrix(u, prog.registers).conj().T
     current = u.apply(state)
     for _ in range((prog.rounds - 1) // 2):
@@ -198,6 +208,18 @@ def test_unamplified_program_keeps_half_roots():
         weight = float(np.sum(np.abs(out.amps[:, i]) ** 2))
         born = float(np.real(psi.conj() @ povm.element(i + 1) @ psi))
         assert weight == pytest.approx(born / 4, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unamplified_run_returns_only_the_flagged_part(n):
+    prog = ppbt_mes_no_aa(n)
+    assert prog.registers == Registers(n + 1, n)
+    rng = np.random.default_rng(np.random.PCG64(30 + n))
+    psi = haar_system(rng, n + 1)
+    out = prog.run(psi)
+    assert not out.amps[:, :, 1].any()
+    bare = prog.bare.apply(StateVector.from_system(prog.registers, psi))
+    np.testing.assert_array_equal(out.amps[:, :, 0], bare.amps[:, :, 0])
 
 
 # ------------------------------------------------------------ teleporting ----
@@ -590,6 +612,32 @@ def test_rotation_counts_are_frozen(kind):
 def test_unamplified_rotation_counts_are_frozen():
     for n, count in ROTATIONS_NO_AA.items():
         assert ppbt_mes_no_aa(n).rotation_count == count
+
+
+# frozen like ROTATIONS: the transform's ancillas, the port register's bits
+# and the block qubit
+ANCILLAS = {
+    SchurVariant.BCH: {
+        ProtocolKind.DPBT_MES: [3, 4, 8, 11, 16, 20, 24, 28],
+        ProtocolKind.DPBT_OPT: [3, 4, 8, 11, 16, 20, 24, 28],
+        ProtocolKind.PPBT_MES: [3, 5, 8, 12, 16, 20, 24, 29],
+        ProtocolKind.PPBT_OPT: [3, 5, 8, 12, 16, 20, 24, 29],
+    },
+    SchurVariant.SPIN: {
+        ProtocolKind.DPBT_MES: [4, 4, 6, 6, 7, 7, 8, 8],
+        ProtocolKind.DPBT_OPT: [4, 4, 6, 6, 7, 7, 8, 8],
+        ProtocolKind.PPBT_MES: [4, 5, 6, 7, 7, 7, 8, 9],
+        ProtocolKind.PPBT_OPT: [4, 5, 6, 7, 7, 7, 8, 9],
+    },
+}
+
+
+@pytest.mark.parametrize("variant", list(SchurVariant))
+@pytest.mark.parametrize("kind", KINDS)
+def test_ancilla_counts_are_frozen(kind, variant):
+    counts = [resource_estimate(kind, n, schur_variant=variant).ancilla_qubits
+              for n in range(1, 9)]
+    assert counts == ANCILLAS[variant][kind]
 
 
 def test_resource_estimate_fields():
