@@ -4,15 +4,17 @@ A state lives on (system qubits) x (port register) x (block qubit r), with a
 trailing batch axis for anything that rides along unmeasured: Bob's halves of
 the resource pairs during teleportation, or a stack of independent test
 inputs. Amplitudes are stored as a dense complex array of shape
-(2^n_system, port_dim, r_dim, batch).
+(2^n_system, port_dim, 2, batch). The layout is fixed: the block qubit's
+r = 0 level is the flag subspace, and the start subspace is r = 0 on the
+first port values.
 
-Unitaries come in three shapes: dense operators on the system factor,
-the port-controlled swap, and block operations defined by small matrices
-repeated over explicit index tuples. Every op only applies forward; an
-inverse is built as an op of its own. Block operations carry a register-level
-key per block so two-level rotations can be counted the way a real register
-machine would implement them (one controlled rotation per key, not one per
-amplitude pair).
+Unitaries come in two shapes: dense operators on the system factor, and
+block operations defined by small matrices repeated over explicit index
+tuples. The port-controlled swap is one of the latter, one swap block per
+port value. Every op only applies forward; an inverse is built as an op of
+its own. Block operations carry a register-level key per block so two-level
+rotations can be counted the way a real register machine would implement
+them (one controlled rotation per key, not one per amplitude pair).
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
-
-from .povm_oracle import qubit_swap_permutation
 
 
 class InvalidSubspaceSpec(ValueError):
@@ -42,14 +43,14 @@ class NumericalInvariantError(ArithmeticError):
 @dataclass(frozen=True)
 class Registers:
     """Shape of the composite space: n_system qubits, a port register of
-    arbitrary dimension, and the block qubit (r_dim 1 when absent)."""
+    arbitrary dimension, and the block qubit r (r_dim, always 2)."""
 
     n_system: int
     port_dim: int
-    r_dim: int = 2
+    r_dim: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
-        if self.n_system < 1 or self.port_dim < 1 or self.r_dim < 1:
+        if self.n_system < 1 or self.port_dim < 1:
             raise ValueError("register sizes must be positive")
 
     @property
@@ -60,11 +61,11 @@ class Registers:
     def dim(self) -> int:
         return self.system_dim * self.port_dim * self.r_dim
 
-    def flat_index(self, system: int, port: int, r: int) -> int:
-        if not (0 <= system < self.system_dim and 0 <= port < self.port_dim
-                and 0 <= r < self.r_dim):
-            raise IndexError(f"({system}, {port}, {r}) outside {self}")
-        return (system * self.port_dim + port) * self.r_dim + r
+    @property
+    def index(self) -> np.ndarray:
+        """Flat index of each (system, port, r): the grid ops index into."""
+        return np.arange(self.dim, dtype=np.intp).reshape(
+            self.system_dim, self.port_dim, self.r_dim)
 
 
 @dataclass
@@ -119,31 +120,6 @@ class DenseSystem:
         return StateVector(state.registers, np.ascontiguousarray(amps))
 
 
-class PortCswap:
-    """Per-branch qubit swap: port value i (0-based) swaps system qubits i+1
-    and N; branches at N and above idle. An involution: it is its own
-    inverse."""
-
-    def __init__(self, n_ports: int):
-        if n_ports < 1:
-            raise ValueError("n_ports must be >= 1")
-        self.n_ports = n_ports
-        self.perms = [qubit_swap_permutation(n_ports + 1, i + 1, n_ports)
-                      for i in range(n_ports)]
-        self.rotation_count = n_ports
-
-    def apply(self, state: StateVector) -> StateVector:
-        regs = state.registers
-        if regs.n_system != self.n_ports + 1:
-            raise ValueError("system register must hold N+1 qubits")
-        if regs.port_dim < self.n_ports:
-            raise ValueError("port register smaller than port count")
-        amps = state.amps.copy()
-        for i, perm in enumerate(self.perms):
-            amps[:, i] = amps[perm, i]
-        return StateVector(regs, amps)
-
-
 @dataclass(frozen=True)
 class Block:
     """One register-level two-level (or k-level) rotation: a small unitary
@@ -194,27 +170,6 @@ class SubspaceBlocks:
         return StateVector(state.registers, amps)
 
 
-@dataclass(frozen=True)
-class RegisterProjector:
-    """Diagonal projector keeping listed port and r values (None = all)."""
-
-    port_values: tuple[int, ...] | None = None
-    r_values: tuple[int, ...] | None = None
-
-    def mask(self, registers: Registers) -> np.ndarray:
-        """Flat boolean mask over the register basis: True where kept."""
-        keep = np.ones((registers.system_dim, registers.port_dim, registers.r_dim), dtype=bool)
-        if self.port_values is not None:
-            drop = np.ones(registers.port_dim, dtype=bool)
-            drop[list(self.port_values)] = False
-            keep[:, drop] = False
-        if self.r_values is not None:
-            drop = np.ones(registers.r_dim, dtype=bool)
-            drop[list(self.r_values)] = False
-            keep[:, :, drop] = False
-        return keep.reshape(registers.dim)
-
-
 class CircuitAction:
     """Ordered unitary ops, applied first to last through their shared
     `apply`."""
@@ -236,8 +191,9 @@ class OaaAction:
     """Oblivious amplitude amplification by its lemma (Berry, Childs, Cleve,
     Kothari and Somma, arXiv:1312.1414): if Pi~ U Pi = sin(pi/2n) V with V an
     isometry, n rounds send every start-subspace input x exactly to
-    Pi~ U x / sin(pi/2n), where Pi is the start projector and Pi~ the flag
-    projector.
+    Pi~ U x / sin(pi/2n). The register layout defines both projectors: Pi~
+    keeps the block qubit's r = 0 level, Pi keeps r = 0 on the first
+    `start_ports` port values.
 
     `apply` rejects inputs outside the start subspace, runs U once on the
     input, keeps its flagged rows and divides by s = sin(pi/2n). It checks
@@ -253,43 +209,38 @@ class OaaAction:
     the precondition compares those.
     """
 
-    def __init__(self, u, pi: RegisterProjector, pi_tilde: RegisterProjector, n: int,
+    def __init__(self, u, n: int, start_ports: int = 1,
                  fold: Callable[[np.ndarray], np.ndarray] | None = None):
         if n < 1 or n % 2 == 0:
             raise ValueError(f"round count must be odd and positive, got {n}")
         self.u = u
-        self.pi = pi
-        self.pi_tilde = pi_tilde
         self.n = n
+        self.start_ports = start_ports
         self.fold = fold
 
     def apply(self, state: StateVector) -> StateVector:
-        regs = state.registers
-        start = self.pi.mask(regs)
-        flat = state.flat()
-        if np.any(flat[~start]):
+        amps = state.amps
+        if amps[:, self.start_ports:].any() or amps[:, :, 1].any():
             raise ValueError("amplitude amplification input leaves the start subspace")
         s = math.sin(math.pi / (2 * self.n))
-        flagged = self.pi_tilde.mask(regs)
-        out = self.u.apply(state).flat() * (flagged / s)[:, None]
-        gram = self._gram(state.amps, start)
-        miss = float(np.abs(self._gram(out.reshape(state.amps.shape), flagged) - gram).max())
+        out = self.u.apply(state).amps * (1.0 / s)
+        out[:, :, 1] = 0
+        gram = self._gram(amps[:, :, 0])
+        miss = float(np.abs(self._gram(out[:, :, 0]) - gram).max())
         scale = float(gram.diagonal().real.max())
         if miss > 1e-9 * scale:
             raise NumericalInvariantError(
                 f"amplification precondition Pi~ U Pi = sin(pi/{2 * self.n}) V fails: "
                 f"relative Gram residual {miss / scale:.3e}", miss / scale)
-        return StateVector(regs, out.reshape(state.amps.shape))
+        return StateVector(state.registers, out)
 
-    def _gram(self, amps: np.ndarray, keep: np.ndarray) -> np.ndarray:
-        """Gram matrix of the kept rows, or with a fold, of each port value's
-        kept rows, folded."""
+    def _gram(self, flagged: np.ndarray) -> np.ndarray:
+        """Gram matrix of the flagged (system, port, batch) rows, or with a
+        fold, of each port value's rows, folded."""
         if self.fold is None:
-            rows = amps.reshape(keep.size, -1)[keep]
+            rows = flagged.reshape(-1, flagged.shape[-1])
             return rows.conj().T @ rows
-        keep = keep.reshape(amps.shape[:3])
-        per_port = [amps[:, p][keep[:, p]] for p in range(amps.shape[1])]
-        return self.fold(np.stack([rows.conj().T @ rows for rows in per_port]))
+        return self.fold(np.stack([rows.conj().T @ rows for rows in flagged.transpose(1, 0, 2)]))
 
 
 def c_star(target_amp: float) -> tuple[float, int]:
@@ -321,14 +272,34 @@ def port_prepare(registers: Registers, amplitudes: np.ndarray) -> SubspaceBlocks
     if t[0] <= 0:
         raise ValueError("first amplitude must be positive")
     prefix = np.sqrt(np.cumsum(t ** 2))
+    index = registers.index
     blocks = []
-    sys_r = [(sys, r) for sys in range(registers.system_dim) for r in range(registers.r_dim)]
     for k in range(registers.port_dim - 1, 0, -1):
         if t[k] == 0.0:
             continue
         cos, sin = prefix[k - 1] / prefix[k], t[k] / prefix[k]
         matrix = np.array([[cos, -sin], [sin, cos]])
-        inst = np.array([[registers.flat_index(sys, 0, r), registers.flat_index(sys, k, r)]
-                         for sys, r in sys_r], dtype=np.intp)
+        # rows (system, r), columns (port 0, port k)
+        inst = index[:, [0, k]].transpose(0, 2, 1).reshape(-1, 2)
         blocks.append(Block(key=("prep", k), matrix=matrix, instances=inst))
     return SubspaceBlocks(registers, blocks, name="port-prepare")
+
+
+def port_cswap(registers: Registers, perms: Sequence[np.ndarray]) -> SubspaceBlocks:
+    """Port-controlled swap: on port value i, the system basis involution
+    perms[i] (a qubit swap), on both r levels; port values past len(perms)
+    idle. One [[0, 1], [1, 0]] block per port value over the index pairs
+    perms[i] moves, so each port value counts one rotation, even when its
+    perm moves nothing."""
+    if len(perms) > registers.port_dim or any(len(p) != registers.system_dim for p in perms):
+        raise ValueError(f"need at most {registers.port_dim} permutations of "
+                         f"{registers.system_dim} system states")
+    index = registers.index
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    blocks = []
+    for i, perm in enumerate(perms):
+        moved = np.flatnonzero(perm > np.arange(len(perm)))
+        # rows (pair, r), columns (x, perm[x])
+        inst = index[np.column_stack([moved, perm[moved]]), i].transpose(0, 2, 1).reshape(-1, 2)
+        blocks.append(Block(key=("cswap", i), matrix=swap, instances=inst))
+    return SubspaceBlocks(registers, blocks, name="port-cswap")

@@ -21,7 +21,8 @@ per-command caps. The library's own limits still hold past them
 MAX_ENUMERATE_QUBITS = 20): a request beyond one exits 2 with one error line.
 
 Exit codes: 0 on success, 1 when a check or a numerical invariant of the
-compiled circuits fails or stdout closes early, 2 on bad arguments.
+compiled circuits fails or stdout closes early, 2 on bad arguments,
+including a request that runs out of memory.
 """
 
 from __future__ import annotations
@@ -448,6 +449,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the library's own range checks, e.g. past a cap raised by
         # PORTSIM_MAX_PORTS, are bad arguments too
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -34,10 +34,11 @@ from functools import lru_cache, partial, reduce
 import numpy as np
 
 from .circuit import (Block, CircuitAction, DenseSystem, NumericalInvariantError,
-                      OaaAction, PortCswap, RegisterProjector, Registers, StateVector,
-                      SubspaceBlocks, c_star, port_prepare)
+                      OaaAction, Registers, StateVector, SubspaceBlocks, c_star,
+                      port_cswap, port_prepare)
 from .halfint import HalfInt
 from .povm_analytic import EigenSystem, failure_eigensystem, port_eigensystem
+from .povm_oracle import qubit_swap_permutation
 from .schur import coupling_unitary, enumerate_labels, label_index, sector_operator
 from .spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
                       optimal_scalars, spin_values)
@@ -79,12 +80,13 @@ class NaimarkProgram:
     flagged (r = 0) part of every program. By the amplification lemma the n
     rounds leave exactly the flagged part divided by sin(pi/2n), applied as
     one checked projection (see `OaaAction`); rounds == 0 means the program
-    runs unamplified, and `run()` projects U's output onto r = 0 undivided.
+    runs unamplified, and `run()` zeroes the r = 1 level of U's output.
 
-    A whole-register program prepares the port register itself: the input
-    enters on port value 0 (`entry` is (1,)). A branch program holds only the
-    last port branch, on port value 0, and the failure branch after it; the
-    input enters each with its port amplitude, and `fold` checks the
+    The input enters on r = 0 of the first len(`entry`) port values, the
+    start subspace, with those amplitudes. A whole-register program prepares
+    the port register itself (`entry` is (1,)). A branch program holds only
+    the last port branch, on port value 0, and the failure branch after it;
+    the input enters each with its port amplitude, and `fold` checks the
     amplification precondition of the whole register through the other
     ports' qubit-swap images, so it runs only on the joint input
     resource (x) I_2 (see `_instrument`).
@@ -94,7 +96,6 @@ class NaimarkProgram:
     bare: CircuitAction
     rounds: int
     c_star: float
-    start_mask: RegisterProjector
     failure_branches: tuple[int, ...]
     entry: np.ndarray
     fold: Callable[[np.ndarray], np.ndarray] | None = None
@@ -102,10 +103,10 @@ class NaimarkProgram:
     def run(self, system_amps: np.ndarray) -> StateVector:
         state = StateVector.from_system(self.registers, system_amps, self.entry)
         if self.rounds == 0:
-            flagged = self.bare.apply(state).flat() * _GOOD.mask(self.registers)[:, None]
-            return StateVector(self.registers, flagged.reshape(state.amps.shape))
-        return OaaAction(self.bare, self.start_mask, _GOOD, self.rounds,
-                         self.fold).apply(state)
+            flagged = self.bare.apply(state).amps
+            flagged[:, :, 1] = 0
+            return StateVector(self.registers, flagged)
+        return OaaAction(self.bare, self.rounds, len(self.entry), self.fold).apply(state)
 
     @property
     def rotation_count(self) -> int:
@@ -132,14 +133,13 @@ def _rotation_op(es: EigenSystem, regs: Registers, ports: range) -> SubspaceBloc
             continue
         c = entry.coeffs
         matrix = np.array([[c[0]]]) if len(c) == 1 else np.array([[c[1], -c[0]], [c[0], c[1]]])
-        rows = by_sector.setdefault(s_twice, (matrix, []))[1]
-        indices = [label_index(lab) for lab in entry.labels]
-        for p in ports:
-            for r in range(regs.r_dim):
-                rows.append([regs.flat_index(i, p, r) for i in indices])
+        by_sector.setdefault(s_twice, (matrix, []))[1].append(
+            [label_index(lab) for lab in entry.labels])
+    grid = regs.index[:, ports.start:ports.stop]
+    # rows (family, port, r), columns the family's labels
     blocks = [Block(key=("rot", s_twice), matrix=matrix,
-                    instances=np.array(rows, dtype=np.intp))
-              for s_twice, (matrix, rows) in sorted(by_sector.items())]
+                    instances=np.moveaxis(grid[families], 1, -1).reshape(-1, len(matrix)))
+              for s_twice, (matrix, families) in sorted(by_sector.items())]
     return SubspaceBlocks(regs, blocks, name="family-rotation")
 
 
@@ -163,11 +163,12 @@ def _attach_op(es: EigenSystem, regs: Registers, branches: range, scale: float,
         else:
             key = ("keep", label.s.twice, label.j.twice)
             amplitude = math.sqrt(float(value)) * scale
-        rows = groups.setdefault(key, (amplitude, []))[1]
-        rows.extend([[regs.flat_index(idx, b, 0), regs.flat_index(idx, b, 1)] for b in branches])
+        groups.setdefault(key, (amplitude, []))[1].append(idx)
+    index = regs.index
+    # rows (label, branch), columns (r = 0, r = 1)
     blocks = [Block(key=key, matrix=_reflection(amplitude),
-                    instances=np.array(rows, dtype=np.intp))
-              for key, (amplitude, rows) in sorted(groups.items())]
+                    instances=index[np.ix_(labels, branches)].reshape(-1, 2))
+              for key, (amplitude, labels) in sorted(groups.items())]
     return SubspaceBlocks(regs, blocks, name=name)
 
 
@@ -210,9 +211,6 @@ _SPECS = {
 _NO_AA = _Spec(Regime.PPBT_MES, amplitudes=lambda n: np.full(n, 1.0 / math.sqrt(n)),
                target=None, attach=lambda n: math.sqrt(n) / 2.0)
 
-_START = RegisterProjector(port_values=(0,), r_values=(0,))
-_GOOD = RegisterProjector(r_values=(0,))
-
 
 def _check_ports(n_ports: int) -> None:
     if n_ports < 1:
@@ -232,7 +230,8 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
     """Build the square-root-measurement circuit of one spec: port
     preparation, port-controlled swap, coupled basis, family rotation,
     amplitude attach read off the closed-form eigensystems, then the basis
-    changes undone. Ports past N are failure branches.
+    changes undone. Ports past N are failure branches. The swap's qubit
+    permutations serve the branch program's fold as well.
 
     With `branch`, the register holds the last port branch (N-1) alone, plus
     the failure branch: it needs neither the preparation nor the swap, which
@@ -259,15 +258,15 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
                                   for b in reversed(rot.blocks)], name="family-unrotation")
     couple = coupling_unitary(n_ports + 1)
     ops = [DenseSystem(couple.T), rot, *attach, unrot, DenseSystem(couple)]
-    cswap = PortCswap(n_ports)
+    perms = [qubit_swap_permutation(n_ports + 1, i + 1, n_ports) for i in range(n_ports)]
     if branch:
-        entry, start, fold = amps[n_ports - 1:], _GOOD, partial(_fold_port_images, cswap.perms)
+        entry, fold = amps[n_ports - 1:], partial(_fold_port_images, perms)
     else:
-        entry, start, fold = np.ones(1), _START, None
+        entry, fold = np.ones(1), None
+        cswap = port_cswap(regs, perms)
         ops = [port_prepare(regs, amps), cswap, *ops, cswap]
     return NaimarkProgram(registers=regs, bare=CircuitAction(ops), rounds=rounds,
-                          c_star=rescale, start_mask=start,
-                          failure_branches=tuple(range(len(ports), regs.port_dim)),
+                          c_star=rescale, failure_branches=tuple(range(len(ports), regs.port_dim)),
                           entry=entry, fold=fold)
 
 

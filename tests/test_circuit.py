@@ -1,22 +1,25 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import action_matrix, branch_weights
+from portsim import circuit
 from portsim.circuit import (
     Block,
     CircuitAction,
     InvalidSubspaceSpec,
     OaaAction,
-    PortCswap,
     Registers,
-    RegisterProjector,
     StateVector,
     SubspaceBlocks,
     c_star,
+    port_cswap,
     port_prepare,
 )
+from portsim.povm_oracle import qubit_swap_permutation
 
 RNG = np.random.default_rng(np.random.PCG64(20240817))
 
@@ -30,15 +33,22 @@ def random_state(registers: Registers, batch: int = 1) -> StateVector:
 
 # -------------------------------------------------------------- registers ----
 
-def test_flat_index_is_row_major_system_port_r():
-    regs = Registers(n_system=2, port_dim=3, r_dim=2)
+def test_index_is_row_major_system_port_r():
+    regs = Registers(n_system=2, port_dim=3)
     assert regs.dim == 24
-    assert regs.flat_index(0, 0, 0) == 0
-    assert regs.flat_index(0, 0, 1) == 1
-    assert regs.flat_index(0, 1, 0) == 2
-    assert regs.flat_index(1, 0, 0) == 6
+    assert regs.r_dim == 2
+    assert regs.index.shape == (4, 3, 2)
+    assert regs.index[0, 0, 0] == 0
+    assert regs.index[0, 0, 1] == 1
+    assert regs.index[0, 1, 0] == 2
+    assert regs.index[1, 0, 0] == 6
     with pytest.raises(IndexError):
-        regs.flat_index(0, 3, 0)
+        regs.index[0, 3, 0]
+
+
+def test_registers_always_hold_the_block_qubit():
+    with pytest.raises(TypeError):
+        Registers(n_system=1, port_dim=2, r_dim=1)
 
 
 def test_registers_reject_nonpositive_sizes():
@@ -47,7 +57,7 @@ def test_registers_reject_nonpositive_sizes():
 
 
 def test_from_system_places_registers_in_basis_states():
-    regs = Registers(n_system=1, port_dim=2, r_dim=2)
+    regs = Registers(n_system=1, port_dim=2)
     state = StateVector.from_system(regs, np.array([0.6, 0.8]), entry=(0.0, 1.0))
     assert state.batch == 1
     assert np.linalg.norm(state.amps) == pytest.approx(1.0)
@@ -61,7 +71,7 @@ def test_from_system_places_registers_in_basis_states():
 
 
 def test_from_system_spreads_the_input_over_the_entry_ports():
-    regs = Registers(n_system=1, port_dim=3, r_dim=2)
+    regs = Registers(n_system=1, port_dim=3)
     state = StateVector.from_system(regs, np.array([0.6, 0.8]), entry=(0.8, 0.6))
     np.testing.assert_allclose(state.amps[:, :2, 0, 0],
                                np.outer([0.6, 0.8], [0.8, 0.6]), atol=0)
@@ -71,48 +81,77 @@ def test_from_system_spreads_the_input_over_the_entry_ports():
 
 # ------------------------------------------------------------------ cswap ----
 
+def _swap_perms(n_ports: int) -> list[np.ndarray]:
+    # port value i exchanges system qubits i+1 and N, as the compiled circuits do
+    return [qubit_swap_permutation(n_ports + 1, i + 1, n_ports) for i in range(n_ports)]
+
+
 def test_cswap_branch_swaps_its_port_with_the_last():
     # n_ports=2: branch 0 exchanges system qubits 1 and 2, branch 1 idles
-    regs = Registers(n_system=3, port_dim=2, r_dim=1)
-    amps = np.zeros((8, 2, 1, 1), dtype=np.complex128)
-    amps[0b011, 0] = 1 / math.sqrt(2)  # qubits (0,1,1), port 0
-    amps[0b011, 1] = 1 / math.sqrt(2)
-    out = PortCswap(2).apply(StateVector(regs, amps))
+    regs = Registers(n_system=3, port_dim=2)
+    amps = np.zeros((8, 2, 2, 1), dtype=np.complex128)
+    amps[0b011, 0, 0] = 1 / math.sqrt(2)  # qubits (0,1,1), port 0
+    amps[0b011, 1, 0] = 1 / math.sqrt(2)
+    out = port_cswap(regs, _swap_perms(2)).apply(StateVector(regs, amps))
     assert out.amps[0b101, 0, 0, 0] == pytest.approx(1 / math.sqrt(2))
     assert out.amps[0b011, 0, 0, 0] == 0
     assert out.amps[0b011, 1, 0, 0] == pytest.approx(1 / math.sqrt(2))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cswap_is_the_per_branch_qubit_swap(n):
+    # one idle port value past the N swapping ones
+    regs = Registers(n_system=n + 1, port_dim=n + 1)
+    perms = _swap_perms(n)
+    op = port_cswap(regs, perms)
+    expected = np.zeros((regs.dim, regs.dim))
+    index = regs.index
+    for i, perm in enumerate(perms):
+        for x in range(regs.system_dim):
+            for r in range(2):
+                expected[index[x, i, r], index[perm[x], i, r]] = 1.0
+    idle = index[:, n].ravel()
+    expected[idle, idle] = 1.0
+    np.testing.assert_allclose(action_matrix(op, regs), expected, atol=0)
+    assert op.rotation_count == n
+
+
 def test_cswap_is_an_involution():
-    regs = Registers(n_system=4, port_dim=3, r_dim=2)
+    regs = Registers(n_system=4, port_dim=3)
     state = random_state(regs, batch=3)
-    cswap = PortCswap(3)
+    cswap = port_cswap(regs, _swap_perms(3))
     twice = cswap.apply(cswap.apply(state))
     np.testing.assert_allclose(twice.amps, state.amps, atol=1e-14)
 
 
 def test_cswap_idle_branches_do_nothing():
-    regs = Registers(n_system=3, port_dim=3, r_dim=1)
+    regs = Registers(n_system=3, port_dim=3)
     state = random_state(regs)
-    out = PortCswap(2).apply(state)
+    out = port_cswap(regs, _swap_perms(2)).apply(state)
     np.testing.assert_allclose(out.amps[:, 2], state.amps[:, 2], atol=0)
 
 
 def test_cswap_register_validation():
+    regs = Registers(n_system=4, port_dim=2)
     with pytest.raises(ValueError):
-        PortCswap(0)
-    regs = Registers(n_system=4, port_dim=2, r_dim=1)
+        port_cswap(regs, _swap_perms(3))  # port register too small
+    wrong_system = Registers(n_system=2, port_dim=2)
     with pytest.raises(ValueError):
-        PortCswap(3).apply(random_state(regs))  # port register too small
-    wrong_system = Registers(n_system=2, port_dim=2, r_dim=1)
-    with pytest.raises(ValueError):
-        PortCswap(2).apply(random_state(wrong_system))
+        port_cswap(wrong_system, _swap_perms(2))
+
+
+def test_circuit_does_not_import_the_oracle():
+    tree = ast.parse(Path(circuit.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "povm_oracle" not in (node.module or "").split(".")
+            assert all(alias.name != "povm_oracle" for alias in node.names)
 
 
 # -------------------------------------------------------- subspace blocks ----
 
 def test_empty_spec_is_the_identity():
-    regs = Registers(n_system=1, port_dim=2, r_dim=1)
+    regs = Registers(n_system=1, port_dim=2)
     state = random_state(regs)
     op = SubspaceBlocks(regs, [])
     assert op.rotation_count == 0
@@ -122,9 +161,9 @@ def test_empty_spec_is_the_identity():
 
 
 def test_givens_spec_matches_dense_rotation():
-    regs = Registers(n_system=1, port_dim=2, r_dim=1)
+    regs = Registers(n_system=1, port_dim=2)
     cos, sin = math.cos(0.3), math.sin(0.3)
-    a, b = regs.flat_index(0, 0, 0), regs.flat_index(0, 1, 0)
+    a, b = regs.index[0, 0, 0], regs.index[0, 1, 0]
     matrix = np.array([[cos, -sin], [sin, cos]])
     op = SubspaceBlocks(regs, [Block(key=("givens",), matrix=matrix,
                                      instances=np.array([[a, b]], dtype=np.intp))])
@@ -135,7 +174,7 @@ def test_givens_spec_matches_dense_rotation():
 
 
 def test_spec_validation_errors():
-    regs = Registers(n_system=1, port_dim=2, r_dim=1)
+    regs = Registers(n_system=1, port_dim=2)
 
     def blocks(matrix, instances):
         return SubspaceBlocks(regs, [Block(key=("bad",), matrix=np.asarray(matrix),
@@ -152,14 +191,14 @@ def test_spec_validation_errors():
 
 
 def test_subspace_blocks_reject_non_integer_instances():
-    regs = Registers(n_system=1, port_dim=2, r_dim=1)
+    regs = Registers(n_system=1, port_dim=2)
     inst = np.array([[0.0, 1.0]])
     with pytest.raises(InvalidSubspaceSpec):
         SubspaceBlocks(regs, [Block(key=("bad",), matrix=np.eye(2), instances=inst)])
 
 
 def test_subspace_blocks_reject_overlapping_instances():
-    regs = Registers(n_system=1, port_dim=2, r_dim=1)
+    regs = Registers(n_system=1, port_dim=2)
     inst = np.array([[0, 1], [1, 2]], dtype=np.intp)
     with pytest.raises(InvalidSubspaceSpec):
         SubspaceBlocks(regs, [Block(key=("bad",), matrix=np.eye(2), instances=inst)])
@@ -168,15 +207,15 @@ def test_subspace_blocks_reject_overlapping_instances():
 # ------------------------------------------------------------ measurement ----
 
 def test_measurement_of_a_basis_port_is_deterministic():
-    regs = Registers(n_system=1, port_dim=3, r_dim=1)
+    regs = Registers(n_system=1, port_dim=3)
     state = StateVector.from_system(regs, np.array([0.0, 1.0]), entry=(0.0, 0.0, 1.0))
     np.testing.assert_allclose(branch_weights(state, "port")[:, 0], [0, 0, 1], atol=0)
-    np.testing.assert_allclose(branch_weights(state, "r")[:, 0], [1], atol=0)
+    np.testing.assert_allclose(branch_weights(state, "r")[:, 0], [1, 0], atol=0)
 
 
 def test_measurement_of_uniform_superposition():
-    regs = Registers(n_system=1, port_dim=4, r_dim=1)
-    amps = np.zeros((2, 4, 1, 1), dtype=np.complex128)
+    regs = Registers(n_system=1, port_dim=4)
+    amps = np.zeros((2, 4, 2, 1), dtype=np.complex128)
     amps[0, :, 0, 0] = 0.5
     weights = branch_weights(StateVector(regs, amps), "port")[:, 0]
     np.testing.assert_allclose(weights, [0.25] * 4, atol=1e-15)
@@ -185,51 +224,58 @@ def test_measurement_of_uniform_superposition():
 # ---------------------------------------------------------- amplification ----
 
 def _toy_reflection(regs: Registers, amp: float) -> SubspaceBlocks:
-    # |port 0> -> amp |port 0> + sqrt(1-amp^2) |port 1>, identity elsewhere
+    # |r 0> -> amp |r 0> + sqrt(1-amp^2) |r 1> on every system and port value
     cos = math.sqrt(1 - amp * amp)
     matrix = np.array([[amp, -cos], [cos, amp]])
-    inst = np.array([[regs.flat_index(s, 0, r), regs.flat_index(s, 1, r)]
-                     for s in range(regs.system_dim)
-                     for r in range(regs.r_dim)], dtype=np.intp)
+    inst = regs.index.reshape(-1, 2)
     return SubspaceBlocks(regs, [Block(key=("toy",), matrix=matrix, instances=inst)])
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_oaa_lands_exactly_on_the_flag_subspace(n):
-    regs = Registers(n_system=1, port_dim=2, r_dim=1)
+    regs = Registers(n_system=1, port_dim=2)
     u = _toy_reflection(regs, math.sin(math.pi / (2 * n)))
-    flag = RegisterProjector(port_values=(0,))
     state = StateVector.from_system(regs, np.array([0.6, 0.8]))
-    out = OaaAction(u, flag, flag, n).apply(state)
+    out = OaaAction(u, n).apply(state)
     assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(out.amps[:, 0, 0, 0], [0.6, 0.8], atol=1e-10)
+    np.testing.assert_allclose(out.amps[:, :, 1], 0, atol=1e-10)
     np.testing.assert_allclose(out.amps[:, 1], 0, atol=1e-10)
 
 
+def test_oaa_start_subspace_spans_the_first_start_ports():
+    regs = Registers(n_system=1, port_dim=3)
+    u = _toy_reflection(regs, 0.5)
+    state = StateVector.from_system(regs, np.array([0.6, 0.8]), entry=(0.8, 0.6))
+    out = OaaAction(u, 3, start_ports=2).apply(state)
+    np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
+    with pytest.raises(ValueError, match="start subspace"):
+        OaaAction(u, 3).apply(state)
+
+
 def test_oaa_with_half_amplitude_needs_three_rounds():
-    regs = Registers(n_system=1, port_dim=2, r_dim=1)
+    regs = Registers(n_system=1, port_dim=2)
     u = _toy_reflection(regs, 0.5)  # sin(pi/6)
-    flag = RegisterProjector(port_values=(0,))
     state = StateVector.from_system(regs, np.array([1.0, 0.0]))
     single = u.apply(state)
-    assert branch_weights(single, "port")[0, 0] == pytest.approx(0.25, abs=1e-14)
-    amplified = OaaAction(u, flag, flag, 3).apply(state)
-    assert branch_weights(amplified, "port")[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert branch_weights(single, "r")[0, 0] == pytest.approx(0.25, abs=1e-14)
+    amplified = OaaAction(u, 3).apply(state)
+    assert branch_weights(amplified, "r")[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oaa_rejects_input_outside_the_start_subspace():
-    regs = Registers(n_system=1, port_dim=2, r_dim=1)
+    regs = Registers(n_system=1, port_dim=2)
     u = _toy_reflection(regs, 0.5)
-    flag = RegisterProjector(port_values=(0,))
-    amps = np.zeros((2, 2, 1, 2), dtype=np.complex128)
-    amps[0, 0, 0, :] = 1.0
-    amps[1, 1, 0, 1] = 1e-30  # second column leaks onto port 1
-    with pytest.raises(ValueError, match="start subspace"):
-        OaaAction(u, flag, flag, 3).apply(StateVector(regs, amps))
+    for port, r in [(1, 0), (0, 1)]:
+        amps = np.zeros((2, 2, 2, 2), dtype=np.complex128)
+        amps[0, 0, 0, :] = 1.0
+        amps[1, port, r, 1] = 1e-30  # second column leaks onto port 1 or onto r = 1
+        with pytest.raises(ValueError, match="start subspace"):
+            OaaAction(u, 3).apply(StateVector(regs, amps))
 
 
 def test_oaa_runs_the_circuit_once():
-    regs = Registers(n_system=1, port_dim=2, r_dim=1)
+    regs = Registers(n_system=1, port_dim=2)
     calls = []
 
     class Counted:
@@ -240,22 +286,20 @@ def test_oaa_runs_the_circuit_once():
             calls.append("apply")
             return self.op.apply(state)
 
-    flag = RegisterProjector(port_values=(0,))
     u = Counted(_toy_reflection(regs, math.sin(math.pi / 10)))
     state = StateVector.from_system(regs, np.array([0.6, 0.8]))
-    out = OaaAction(u, flag, flag, 5).apply(state)
+    out = OaaAction(u, 5).apply(state)
     assert calls == ["apply"]
     np.testing.assert_allclose(out.amps[:, 0, 0, 0], [0.6, 0.8], atol=1e-12)
 
 
 def test_oaa_rejects_even_round_counts():
-    regs = Registers(n_system=1, port_dim=2, r_dim=1)
+    regs = Registers(n_system=1, port_dim=2)
     u = _toy_reflection(regs, 0.5)
-    flag = RegisterProjector(port_values=(0,))
     with pytest.raises(ValueError):
-        OaaAction(u, flag, flag, 2)
+        OaaAction(u, 2)
     with pytest.raises(ValueError):
-        OaaAction(u, flag, flag, 0)
+        OaaAction(u, 0)
 
 
 def test_rescale_factor_and_round_count():
@@ -276,7 +320,7 @@ def test_rescale_factor_and_round_count():
 # ------------------------------------------------------------ preparation ----
 
 def test_port_prepare_hits_the_target_amplitudes():
-    regs = Registers(n_system=1, port_dim=4, r_dim=2)
+    regs = Registers(n_system=1, port_dim=4)
     target = np.array([0.5, 0.5, 0.5, 0.5])
     prep = port_prepare(regs, target)
     amps = np.zeros((2, 4, 2, 1), dtype=np.complex128)
@@ -287,7 +331,7 @@ def test_port_prepare_hits_the_target_amplitudes():
 
 
 def test_port_prepare_skips_zero_slots():
-    regs = Registers(n_system=1, port_dim=3, r_dim=1)
+    regs = Registers(n_system=1, port_dim=3)
     target = np.array([0.5, 0.0, math.sqrt(3) / 2])
     prep = port_prepare(regs, target)
     assert prep.rotation_count == 1
@@ -296,7 +340,7 @@ def test_port_prepare_skips_zero_slots():
 
 
 def test_port_prepare_is_unitary():
-    regs = Registers(n_system=1, port_dim=3, r_dim=1)
+    regs = Registers(n_system=1, port_dim=3)
     prep = port_prepare(regs, np.array([0.6, 0.0, 0.8]))
     matrix = action_matrix(prep, regs)
     np.testing.assert_allclose(matrix.conj().T @ matrix, np.eye(regs.dim),
@@ -304,7 +348,7 @@ def test_port_prepare_is_unitary():
 
 
 def test_port_prepare_input_validation():
-    regs = Registers(n_system=1, port_dim=3, r_dim=1)
+    regs = Registers(n_system=1, port_dim=3)
     with pytest.raises(ValueError):
         port_prepare(regs, np.array([0.6, 0.8]))
     with pytest.raises(ValueError):
@@ -316,15 +360,15 @@ def test_port_prepare_input_validation():
 # --------------------------------------------------------------- plumbing ----
 
 def test_action_matrix_of_cswap_is_a_permutation():
-    regs = Registers(n_system=3, port_dim=2, r_dim=1)
-    matrix = action_matrix(PortCswap(2), regs)
+    regs = Registers(n_system=3, port_dim=2)
+    matrix = action_matrix(port_cswap(regs, _swap_perms(2)), regs)
     np.testing.assert_allclose(matrix @ matrix, np.eye(regs.dim), atol=0)
     assert set(np.unique(matrix)) == {0.0, 1.0}
 
 
 def test_circuit_action_composes_in_order():
-    regs = Registers(n_system=3, port_dim=2, r_dim=2)
-    prep, cswap = port_prepare(regs, np.array([0.8, 0.6])), PortCswap(2)
+    regs = Registers(n_system=3, port_dim=2)
+    prep, cswap = port_prepare(regs, np.array([0.8, 0.6])), port_cswap(regs, _swap_perms(2))
     action = CircuitAction([prep, cswap])
     assert action.rotation_count == prep.rotation_count + 2
     np.testing.assert_allclose(action_matrix(action, regs),
@@ -333,8 +377,9 @@ def test_circuit_action_composes_in_order():
 
 
 def test_pipeline_preserves_norm_on_many_states():
-    regs = Registers(n_system=3, port_dim=2, r_dim=2)
-    action = CircuitAction([port_prepare(regs, np.array([0.8, 0.6])), PortCswap(2)])
+    regs = Registers(n_system=3, port_dim=2)
+    action = CircuitAction([port_prepare(regs, np.array([0.8, 0.6])),
+                            port_cswap(regs, _swap_perms(2))])
     state = random_state(regs, batch=100)
     out = action.apply(state)
     norms = np.linalg.norm(out.flat(), axis=0)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import portsim
-from portsim import protocols
+from portsim import cli, protocols
 from portsim.cli import main
 from portsim.protocols import NumericalInvariantError, ProtocolKind, resource_matrix
 
@@ -360,6 +360,19 @@ def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakag
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert residual in err
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):
+    def exhausted(rng, count):
+        raise MemoryError(f"Unable to allocate {count * 32} bytes")
+
+    monkeypatch.setattr(cli, "_haar_columns", exhausted)
+    code, out, err = run(capsys, ["teleport", "--regime", "dpbt", "--ports", "2",
+                                  "--trials", "100000000", "--format", "csv"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 3200000000 bytes\n"
     assert "Traceback" not in err
 
 
