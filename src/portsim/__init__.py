@@ -1,14 +1,13 @@
 """Exact desk-scale simulator and verification suite for qubit port-based
 teleportation.
 
-The layers build on each other: exact spin arithmetic (`halfint`,
-`spinalg`), the coupled basis (`schur`), dense measurement oracles and their
-closed-form twins (`povm_oracle`, `povm_analytic`), register-level circuits
-(`circuit`), and the four full protocols with figures of merit and resource
-counts (`protocols`). The `portsim` console script fronts all of it.
+The layers build on each other: exact spin arithmetic (`spinalg`, where
+every spin is an int holding twice its value), the coupled basis (`schur`),
+dense measurement oracles and their closed-form twins (`povm_oracle`,
+`povm_analytic`), register-level circuits (`circuit`), and the four full
+protocols with figures of merit and resource counts (`protocols`). The `portsim` console script fronts all of it.
 """
 
-from .halfint import HalfInt
 from .povm_analytic import analytic_povm, port_eigensystem
 from .povm_oracle import PovmSet, build_povm
 from .protocols import (
@@ -28,7 +27,6 @@ from .spinalg import Regime
 __version__ = "0.1.0"
 
 __all__ = [
-    "HalfInt",
     "PovmSet",
     "ProtocolKind",
     "Regime",

@@ -36,10 +36,10 @@ import os
 import re
 import sys
 from collections.abc import Sequence
+from fractions import Fraction
 
 import numpy as np
 
-from .halfint import HalfInt
 from .povm_analytic import analytic_povm
 from .povm_oracle import build_povm
 from .protocols import (
@@ -104,7 +104,7 @@ def _check_range(hi: int, cap: int) -> None:
 
 
 def _half(twice: int | None) -> str:
-    return "-" if twice is None else str(HalfInt(twice))
+    return "-" if twice is None else str(Fraction(twice, 2))
 
 
 def _fmt(value: float) -> str:
@@ -156,7 +156,7 @@ def cmd_schur(args: argparse.Namespace) -> int:
     header = f"{'index':>5}  {'chain':<18}{'j':>5}{'s':>5}{'m':>6}"
     print(header + ("  vector" if show_vectors else ""))
     for row, label in zip(rows, labels):
-        chain = " ".join(str(k) for k in label.spins[:-2]) or "-"
+        chain = " ".join(_half(k) for k in label.spins[:-2]) or "-"
         line = (f"{row['index']:>5}  {chain:<18}{_half(row['j']):>5}"
                 f"{_half(row['s']):>5}{_half(row['m']):>6}")
         if show_vectors:

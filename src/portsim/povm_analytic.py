@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .halfint import HalfInt
 from .povm_oracle import MAX_STATE_PORTS, PovmSet, qubit_swap_permutation
 from .schur import SchurLabel, coupling_unitary, enumerate_labels, label_index
 from .spinalg import Regime, failure_eigenvalue, pair_weights
@@ -66,14 +65,14 @@ def port_eigensystem(regime: Regime, n_ports: int) -> EigenSystem:
         raise ValueError(f"n_ports must be >= 1, got {n_ports}")
     groups: dict[tuple, list[SchurLabel]] = {}
     for lab in enumerate_labels(n_ports + 1):
-        paired = lab.s.twice < n_ports and lab.k_pair == lab.s
+        paired = lab.s < n_ports and lab.k_pair == lab.s
         groups.setdefault((lab.spins[:-2], lab.s, lab.m) if paired else (lab,), []).append(lab)
-    sectors: dict[HalfInt, tuple[Fraction, tuple[float, float]]] = {}
+    sectors: dict[int, tuple[Fraction, tuple[float, float]]] = {}
     entries = []
     for key, group in groups.items():
         labs, s = tuple(group), group[0].s
         if len(key) == 1:
-            maximal = regime is Regime.DPBT and s.twice == n_ports + 1
+            maximal = regime is Regime.DPBT and s == n_ports + 1
             value = Fraction(1, n_ports) if maximal else Fraction(0)
             entries.append(EigenEntry(value_exact=value, labels=labs, coeffs=(1.0,)))
             continue
@@ -95,7 +94,7 @@ def failure_eigensystem(regime: Regime, n_ports: int) -> EigenSystem:
         raise ValueError(f"n_ports must be >= 1, got {n_ports}")
     if regime is Regime.DPBT:
         raise ValueError("the deterministic regime has no failure outcome")
-    values: dict[tuple[HalfInt, HalfInt], Fraction] = {}
+    values: dict[tuple[int, int], Fraction] = {}
     entries = []
     for lab in enumerate_labels(n_ports + 1):
         key = (lab.j, lab.s)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfint import HalfInt
 from .schur import sector_operator
 from .spinalg import Regime, optimal_scalars, rho_eigenvalue, spin_values
 
@@ -144,7 +143,7 @@ def ppbt_mes_povm(n_ports: int) -> PovmSet:
     """Conclusive measurement tuned to the product-of-singlets resource."""
     _check_ports(n_ports, MAX_POVM_PORTS)
     theta = sector_operator(n_ports - 1, {
-        s: 1 / (2 ** (n_ports - 1) * rho_eigenvalue(n_ports, HalfInt(s.twice + 1), s))
+        s: 1 / (2 ** (n_ports - 1) * rho_eigenvalue(n_ports, s + 1, s))
         for s in spin_values(n_ports - 1)})
     pi_last = np.kron(theta, SINGLET_PROJECTOR)
     return _port_covariant_set(Regime.PPBT_MES, n_ports, pi_last, with_failure=True)

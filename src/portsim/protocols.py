@@ -36,10 +36,10 @@ import numpy as np
 from .circuit import (Block, CircuitAction, DenseSystem, NumericalInvariantError,
                       OaaAction, Registers, StateVector, SubspaceBlocks, c_star,
                       port_cswap, port_prepare)
-from .halfint import HalfInt
 from .povm_analytic import EigenSystem, failure_eigensystem, port_eigensystem
 from .povm_oracle import qubit_swap_permutation
-from .schur import coupling_unitary, enumerate_labels, label_index, sector_operator
+from .schur import (MAX_DENSE_QUBITS, coupling_unitary, enumerate_labels, label_index,
+                    sector_operator)
 from .spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
                       optimal_scalars, spin_values)
 
@@ -128,18 +128,18 @@ def _rotation_op(es: EigenSystem, regs: Registers, ports: range) -> SubspaceBloc
     rotation per sector."""
     by_sector: dict[int, tuple[np.ndarray, list]] = {}
     for entry in es.entries:
-        s_twice = entry.labels[0].s.twice
-        if entry.value_exact == 0 or s_twice >= es.n_ports:
+        s = entry.labels[0].s
+        if entry.value_exact == 0 or s >= es.n_ports:
             continue
         c = entry.coeffs
         matrix = np.array([[c[0]]]) if len(c) == 1 else np.array([[c[1], -c[0]], [c[0], c[1]]])
-        by_sector.setdefault(s_twice, (matrix, []))[1].append(
+        by_sector.setdefault(s, (matrix, []))[1].append(
             [label_index(lab) for lab in entry.labels])
     grid = regs.index[:, ports.start:ports.stop]
     # rows (family, port, r), columns the family's labels
-    blocks = [Block(key=("rot", s_twice), matrix=matrix,
+    blocks = [Block(key=("rot", s), matrix=matrix,
                     instances=np.moveaxis(grid[families], 1, -1).reshape(-1, len(matrix)))
-              for s_twice, (matrix, families) in sorted(by_sector.items())]
+              for s, (matrix, families) in sorted(by_sector.items())]
     return SubspaceBlocks(regs, blocks, name="family-rotation")
 
 
@@ -161,7 +161,7 @@ def _attach_op(es: EigenSystem, regs: Registers, branches: range, scale: float,
         if value is None:
             key, amplitude = ("drop",), 0.0
         else:
-            key = ("keep", label.s.twice, label.j.twice)
+            key = ("keep", label.s, label.j)
             amplitude = math.sqrt(float(value)) * scale
         groups.setdefault(key, (amplitude, []))[1].append(idx)
     index = regs.index
@@ -237,8 +237,12 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
     the failure branch: it needs neither the preparation nor the swap, which
     exchanges qubit N with itself on that branch, and its amplification
     check folds in the other ports' images (`_fold_port_images`). Cached per
-    spec, since programs are stateless and every apply is functional."""
+    spec, since programs are stateless and every apply is functional. The
+    N+1 qubit coupled basis caps N before anything is built."""
     _check_ports(n_ports)
+    if n_ports >= MAX_DENSE_QUBITS:
+        raise ValueError(f"n_ports must be in 1..{MAX_DENSE_QUBITS - 1} for a compiled "
+                         f"program, got {n_ports}")
     amps = spec.amplitudes(n_ports)
     ports = range(1) if branch else range(n_ports)
     # the kept port branches, then the failure branch if any
@@ -290,7 +294,7 @@ def singlet_chain(n_ports: int) -> np.ndarray:
     return reduce(np.kron, [pair] * n_ports)
 
 
-def dpbt_opt_deformation(n_ports: int) -> tuple[tuple[HalfInt, float], ...]:
+def dpbt_opt_deformation(n_ports: int) -> tuple[tuple[int, float], ...]:
     """Spin-sector weights w_j of the deterministic-optimal resource
     O = sum_j w_j 1(j) applied to the singlet chain.
 
@@ -301,9 +305,9 @@ def dpbt_opt_deformation(n_ports: int) -> tuple[tuple[HalfInt, float], ...]:
     cos^2(pi/(N+2)).
     """
     return tuple(
-        (j, math.sin(math.pi * (j.twice + 1) / (n_ports + 2))
+        (j, math.sin(math.pi * (j + 1) / (n_ports + 2))
          * math.sqrt(2 ** (n_ports + 2)
-                     / ((n_ports + 2) * chain_multiplicity(n_ports, j) * (j.twice + 1))))
+                     / ((n_ports + 2) * chain_multiplicity(n_ports, j) * (j + 1))))
         for j in spin_values(n_ports))
 
 
@@ -493,7 +497,7 @@ def success_probability_exact(kind: ProtocolKind, n_ports: int) -> Fraction:
     total = Fraction(0)
     for j, s in adjacent_pairs(n_ports):
         value = failure_eigenvalue(kind.regime, n_ports, j, s)
-        total += value * chain_multiplicity(n_ports, j) * (s.twice + 1)
+        total += value * chain_multiplicity(n_ports, j) * (s + 1)
     return 1 - total / 2 ** (n_ports + 1)
 
 

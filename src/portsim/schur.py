@@ -2,8 +2,10 @@
 
 A basis label stores the running totals of coupling one qubit at a time:
 spins[t] is the total spin of the first t+1 qubits, so spins[0] = 1/2 and
-spins[-1] is the overall spin; m is the z-projection. Adjacent entries differ
-by exactly 1/2 and never go negative. There are exactly 2^n labels.
+spins[-1] is the overall spin; m is the z-projection. Like every spin in
+portsim, each is an int holding twice its value, so spins[0] == 1 and
+adjacent entries differ by exactly 1, never going negative. There are
+exactly 2^n labels.
 
 Qubit convention: |0> carries z-spin +1/2, |1> carries -1/2; qubit 1 is the
 most significant bit of a basis index.
@@ -18,12 +20,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .halfint import HALF, HalfInt, valid_total_spin, valid_z_component
-from .spinalg import clebsch_gordan
+from .spinalg import clebsch_gordan, valid_total_spin, valid_z_component
 
 MAX_ENUMERATE_QUBITS = 20
 MAX_DENSE_QUBITS = 12
@@ -31,60 +33,59 @@ MAX_DENSE_QUBITS = 12
 
 @dataclass(frozen=True)
 class SchurLabel:
-    spins: tuple[HalfInt, ...]
-    m: HalfInt
+    spins: tuple[int, ...]
+    m: int
 
     def __post_init__(self) -> None:
         if not self.spins:
             raise ValueError("label needs at least one qubit")
-        if self.spins[0] != HALF:
+        if self.spins[0] != 1:
             raise ValueError("chain must start at spin 1/2")
         for a, b in zip(self.spins, self.spins[1:]):
-            if abs(a.twice - b.twice) != 1 or b.twice < 0:
-                raise ValueError(f"invalid chain step {a} -> {b}")
+            if abs(a - b) != 1 or b < 0:
+                raise ValueError(f"invalid chain step {Fraction(a, 2)} -> {Fraction(b, 2)}")
         if not valid_z_component(self.spins[-1], self.m):
-            raise ValueError(f"m = {self.m} invalid for total spin {self.spins[-1]}")
+            raise ValueError(f"m = {Fraction(self.m, 2)} invalid for total spin "
+                             f"{Fraction(self.spins[-1], 2)}")
 
     @property
     def n_qubits(self) -> int:
         return len(self.spins)
 
     @property
-    def s(self) -> HalfInt:
+    def s(self) -> int:
         """Total spin of all qubits."""
         return self.spins[-1]
 
     @property
-    def j(self) -> HalfInt:
+    def j(self) -> int:
         """Total spin of all but the last qubit (n >= 2)."""
         if len(self.spins) < 2:
             raise ValueError("single-qubit label has no penultimate spin")
         return self.spins[-2]
 
     @property
-    def k_pair(self) -> HalfInt:
+    def k_pair(self) -> int:
         """Total spin of all but the last two qubits; 0 when n <= 2."""
-        return self.spins[-3] if len(self.spins) >= 3 else HalfInt(0)
+        return self.spins[-3] if len(self.spins) >= 3 else 0
 
     @property
-    def ks(self) -> tuple[HalfInt, ...]:
+    def ks(self) -> tuple[int, ...]:
         """Intermediate chain between the leading 1/2 and the final two spins."""
         return self.spins[1:-2] if len(self.spins) >= 3 else ()
 
     def sort_key(self) -> tuple:
-        inner = tuple(k.twice for k in self.spins[1:-1])
-        return (-self.s.twice, inner, -self.m.twice)
+        return (-self.s, self.spins[1:-1], -self.m)
 
 
-def _chains(n: int) -> list[tuple[HalfInt, ...]]:
-    chains = [(HALF,)]
+def _chains(n: int) -> list[tuple[int, ...]]:
+    chains = [(1,)]
     for _ in range(n - 1):
         nxt = []
         for c in chains:
-            t = c[-1].twice
-            if t - 1 >= 0:
-                nxt.append(c + (HalfInt(t - 1),))
-            nxt.append(c + (HalfInt(t + 1),))
+            if c[-1] >= 1:
+                nxt.append(c + (c[-1] - 1,))
+            nxt.append(c + (c[-1] + 1,))
         chains = nxt
     return chains
 
@@ -98,8 +99,8 @@ def enumerate_labels(n: int) -> tuple[SchurLabel, ...]:
     labels = []
     for chain in _chains(n):
         s = chain[-1]
-        for mt in range(s.twice, -s.twice - 2, -2):
-            labels.append(SchurLabel(chain, HalfInt(mt)))
+        for m in range(s, -s - 2, -2):
+            labels.append(SchurLabel(chain, m))
     labels.sort(key=SchurLabel.sort_key)
     return tuple(labels)
 
@@ -141,10 +142,10 @@ def coupling_unitary(n: int) -> np.ndarray:
         for col, lab in enumerate(enumerate_labels(n)):
             # the last qubit is 0 (z-spin +1/2) on even rows, 1 (-1/2) on odd
             for bit, xt in ((0, 1), (1, -1)):
-                m_prev = HalfInt(lab.m.twice - xt)
+                m_prev = lab.m - xt
                 if not valid_z_component(lab.j, m_prev):
                     continue
-                coeff = clebsch_gordan(lab.j, m_prev, HALF, HalfInt(xt), lab.s, lab.m)
+                coeff = clebsch_gordan(lab.j, m_prev, xt, lab.s, lab.m)
                 prev = label_index(SchurLabel(lab.spins[:-1], m_prev))
                 out[bit::2, col] = coeff * parent[:, prev]
     out.flags.writeable = False
@@ -159,19 +160,18 @@ def sector_operator(n: int, weights: Mapping) -> np.ndarray:
         basis, spins = np.ones((1, 1)), np.zeros(1, dtype=int)
     else:
         basis = coupling_unitary(n)
-        spins = np.array([lab.s.twice for lab in enumerate_labels(n)])
+        spins = np.array([lab.s for lab in enumerate_labels(n)])
     out = np.zeros((2 ** n, 2 ** n))
     for s, weight in weights.items():
-        s = HalfInt.of(s)
         if not valid_total_spin(n, s):
-            raise ValueError(f"s = {s} is not an admissible {n}-qubit spin")
-        cols = basis[:, spins == s.twice]
+            raise ValueError(f"s = {Fraction(s, 2)} is not an admissible {n}-qubit spin")
+        cols = basis[:, spins == s]
         out += float(weight) * (cols @ cols.T)
     return out
 
 
 def label_table(n: int) -> list[dict]:
-    """Serialization-ready rows, half-integers as twice-value ints.
+    """Serialization-ready rows, spins as the twice-value ints they are.
 
     ks / j / s follow the N-port protocol reading of a chain: j is the
     penultimate running total, s the final one. A single-qubit label has no
@@ -180,10 +180,10 @@ def label_table(n: int) -> list[dict]:
     rows = []
     for i, lab in enumerate(enumerate_labels(n)):
         rows.append({
-            "ks": [k.twice for k in lab.ks],
-            "j": lab.j.twice if lab.n_qubits >= 2 else None,
-            "s": lab.s.twice,
-            "m": lab.m.twice,
+            "ks": list(lab.ks),
+            "j": lab.j if lab.n_qubits >= 2 else None,
+            "s": lab.s,
+            "m": lab.m,
             "index": i,
         })
     return rows

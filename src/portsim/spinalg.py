@@ -1,8 +1,10 @@
 """Spin-coupling scalars for the port teleportation measurements.
 
-Everything rational is computed with Fraction and big-int factorials so the
-verification suite can pin values exactly; square roots are deferred to the
-last moment and returned as floats.
+Every spin and z-component, here and in the modules above, is a plain int
+holding twice its value: 1 is spin 1/2, 4 is spin 2, -3 is m = -3/2. That
+keeps every admissibility check exact. Everything rational is computed with
+Fraction and big-int factorials so the verification suite can pin values
+exactly; square roots are deferred to the last moment and returned as floats.
 
 Conventions. N ports means N+1 qubits on the sender side. For a basis label
 the letter j is the total spin of the first N qubits, s the total spin of all
@@ -23,8 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .halfint import HalfInt, valid_total_spin, valid_z_component
-
 
 class Regime(Enum):
     """Measurement family: pretty good measurement, or one of the two
@@ -35,74 +35,76 @@ class Regime(Enum):
     PPBT_OPT = "ppbt-opt"
 
 
-class UnsupportedCouplingError(ValueError):
-    """Raised when a Clebsch-Gordan coupling outside j2 = 1/2 is requested."""
+def valid_total_spin(n_qubits: int, s: int) -> bool:
+    """Whether s can be the total spin of n_qubits spin-1/2 systems."""
+    return 0 <= s <= n_qubits and (s - n_qubits) % 2 == 0
 
 
-def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
-    """Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m> for j2 = 1/2.
+def valid_z_component(s: int, m: int) -> bool:
+    """Whether m is an admissible z-projection for total spin s."""
+    return abs(m) <= s and (m - s) % 2 == 0
+
+
+def clebsch_gordan(j1: int, m1: int, m2: int, j: int, m: int) -> float:
+    """Clebsch-Gordan coefficient <j1 m1; 1/2 m2 | j m> of coupling one qubit
+    to spin j1.
 
     Returns 0.0 when a selection rule (m = m1 + m2, triangle bound, range or
-    parity of any z-component) is violated; raises for j2 != 1/2 since the
-    closed form implemented here only covers coupling a single qubit.
+    parity of any z-component) is violated.
     """
-    j1, m1, j2, m2, j, m = (HalfInt.of(x) for x in (j1, m1, j2, m2, j, m))
-    if j2.twice != 1:
-        raise UnsupportedCouplingError(f"only j2 = 1/2 couplings supported, got j2 = {j2}")
-    if m.twice != m1.twice + m2.twice:
+    if m != m1 + m2 or abs(j - j1) != 1:
         return 0.0
-    if not (valid_z_component(j1, m1) and valid_z_component(j2, m2) and valid_z_component(j, m)):
-        return 0.0
-    if not abs(j1.twice - j2.twice) <= j.twice <= j1.twice + j2.twice:
-        return 0.0
-    if (j1.twice + j2.twice + j.twice) % 2 != 0:
+    if not (valid_z_component(j1, m1) and valid_z_component(1, m2) and valid_z_component(j, m)):
         return 0.0
     # ratio m / (j1 + 1/2), exact
-    x = Fraction(m.twice, j1.twice + 1)
-    if m2.twice == 1:
-        if j.twice == j1.twice + 1:
+    x = Fraction(m, j1 + 1)
+    if m2 == 1:
+        if j == j1 + 1:
             return math.sqrt((1 + x) / 2)
         return -math.sqrt((1 - x) / 2)
-    if j.twice == j1.twice + 1:
+    if j == j1 + 1:
         return math.sqrt((1 - x) / 2)
     return math.sqrt((1 + x) / 2)
 
 
-def spin_values(n_qubits: int) -> tuple[HalfInt, ...]:
+def spin_values(n_qubits: int) -> tuple[int, ...]:
     """Admissible total spins of n_qubits qubits, descending."""
     if n_qubits < 0:
         raise ValueError("n_qubits must be nonnegative")
-    return tuple(HalfInt(t) for t in range(n_qubits, -1, -2))
+    return tuple(range(n_qubits, -1, -2))
 
 
-def rho_eigenvalue(n_ports: int, j, s) -> Fraction:
+def _check_adjacent(n_ports: int, j: int, s: int) -> None:
+    """Raise unless (j, s) is a label pair of the N+1 qubit system."""
+    if n_ports < 1:
+        raise ValueError("n_ports must be >= 1")
+    if not valid_total_spin(n_ports, j):
+        raise ValueError(f"j = {Fraction(j, 2)} is not an admissible {n_ports}-qubit spin")
+    if not valid_total_spin(n_ports + 1, s) or abs(s - j) != 1:
+        raise ValueError(f"(j, s) = ({Fraction(j, 2)}, {Fraction(s, 2)}) is not an adjacent pair")
+
+
+def rho_eigenvalue(n_ports: int, j: int, s: int) -> Fraction:
     """Eigenvalue of the port-average state on the (j, s) sector.
 
     (N/2 - j)/2^N when s = j + 1/2, (N/2 + j + 1)/2^N when s = j - 1/2.
     """
-    j, s = HalfInt.of(j), HalfInt.of(s)
-    if n_ports < 1:
-        raise ValueError("n_ports must be >= 1")
-    if not valid_total_spin(n_ports, j):
-        raise ValueError(f"j = {j} is not an admissible {n_ports}-qubit spin")
-    if not valid_total_spin(n_ports + 1, s) or abs(s.twice - j.twice) != 1:
-        raise ValueError(f"(j, s) = ({j}, {s}) is not an adjacent pair")
-    if s.twice == j.twice + 1:
-        return Fraction(n_ports - j.twice, 2 ** (n_ports + 1))
-    return Fraction(n_ports + j.twice + 2, 2 ** (n_ports + 1))
+    _check_adjacent(n_ports, j, s)
+    if s == j + 1:
+        return Fraction(n_ports - j, 2 ** (n_ports + 1))
+    return Fraction(n_ports + j + 2, 2 ** (n_ports + 1))
 
 
-def chain_multiplicity(n_qubits: int, j) -> int:
+def chain_multiplicity(n_qubits: int, j: int) -> int:
     """Number of sequential-coupling chains on n_qubits qubits ending at total
     spin j; equals the multiplicity of that spin sector."""
-    j = HalfInt.of(j)
     if n_qubits < 0:
         raise ValueError("n_qubits must be nonnegative")
     if not valid_total_spin(n_qubits, j):
-        raise ValueError(f"j = {j} is not an admissible {n_qubits}-qubit spin")
-    down = (n_qubits - j.twice) // 2
-    up = (n_qubits + j.twice) // 2
-    return (j.twice + 1) * math.factorial(n_qubits) // (math.factorial(down) * math.factorial(up + 1))
+        raise ValueError(f"j = {Fraction(j, 2)} is not an admissible {n_qubits}-qubit spin")
+    down = (n_qubits - j) // 2
+    up = (n_qubits + j) // 2
+    return (j + 1) * math.factorial(n_qubits) // (math.factorial(down) * math.factorial(up + 1))
 
 
 def weight_norm(n_ports: int) -> Fraction:
@@ -125,8 +127,8 @@ class OptScalars:
     """
 
     n_ports: int
-    nu: Mapping[HalfInt, Fraction]
-    u: Mapping[HalfInt, Fraction]
+    nu: Mapping[int, Fraction]
+    u: Mapping[int, Fraction]
 
 
 @lru_cache(maxsize=32)
@@ -134,47 +136,39 @@ def optimal_scalars(n_ports: int) -> OptScalars:
     if n_ports < 1:
         raise ValueError("n_ports must be >= 1")
     h = weight_norm(n_ports)
-    nu = {j: 2 ** n_ports * h * Fraction(j.twice + 1, chain_multiplicity(n_ports, j))
+    nu = {j: 2 ** n_ports * h * Fraction(j + 1, chain_multiplicity(n_ports, j))
           for j in spin_values(n_ports)}
-    u = {s: 2 ** (n_ports + 1) * h * Fraction(s.twice + 1,
-                                               n_ports * chain_multiplicity(n_ports - 1, s))
+    u = {s: 2 ** (n_ports + 1) * h * Fraction(s + 1, n_ports * chain_multiplicity(n_ports - 1, s))
          for s in spin_values(n_ports - 1)}
     return OptScalars(n_ports=n_ports, nu=MappingProxyType(nu), u=MappingProxyType(u))
 
 
-def _is_pair_sector(n_ports: int, s: HalfInt) -> bool:
-    """Whether s is a pair sector of N ports: a total spin s <= (N-1)/2 of
-    the N+1 qubit system, where the port measurement element has its
-    rank-one piece. Decided by range and parity."""
-    return 0 <= s.twice < n_ports and (s.twice - n_ports - 1) % 2 == 0
-
-
-def pair_weights(regime: Regime, n_ports: int, s) -> tuple[Fraction, Fraction]:
+def pair_weights(regime: Regime, n_ports: int, s: int) -> tuple[Fraction, Fraction]:
     """Exact squared entries (lo, hi) of the unnormalized eigenvector
     v = (sqrt(lo), -sqrt(hi)) of the port measurement element on the spin-s
     pair family, on its j = s-1/2 and j = s+1/2 labels; the element's
     nonzero eigenvalue there is lo + hi.
 
-    With t = 2s the pretty good measurement has lo = 2t/((t+1)(N+1-t)) and
+    The pair sectors are the total spins s <= (N-1)/2 of the N+1 qubit
+    system, where the port measurement element has its rank-one piece. With
+    t = 2s the pretty good measurement has lo = 2t/((t+1)(N+1-t)) and
     hi = (2t+4)/((t+1)(N+3+t)); the singlet-resource measurement the same
     with N+3+t in both denominators; the optimised one lo = u_s gamma^2 and
     hi = u_s delta^2. At s = 0 the j = s-1/2 label does not exist and lo is 0.
     """
-    s = HalfInt.of(s)
-    N = n_ports
-    if not _is_pair_sector(N, s):
-        raise ValueError(f"s = {s} is not a pair sector for N = {N}")
-    t = s.twice
+    N, t = n_ports, s
+    if not (0 <= t < N and (t - N - 1) % 2 == 0):
+        raise ValueError(f"s = {Fraction(t, 2)} is not a pair sector for N = {N}")
     if regime is Regime.PPBT_OPT:
         opt = optimal_scalars(N)
-        gamma2 = Fraction(t, t + 1) / (2 * opt.nu[HalfInt(t - 1)]) if t > 0 else Fraction(0)
-        delta2 = Fraction(t + 2, t + 1) / (2 * opt.nu[HalfInt(t + 1)])
-        return opt.u[s] * gamma2, opt.u[s] * delta2
+        gamma2 = Fraction(t, t + 1) / (2 * opt.nu[t - 1]) if t > 0 else Fraction(0)
+        delta2 = Fraction(t + 2, t + 1) / (2 * opt.nu[t + 1])
+        return opt.u[t] * gamma2, opt.u[t] * delta2
     lo_den = N + 1 - t if regime is Regime.DPBT else N + 3 + t
     return Fraction(2 * t, (t + 1) * lo_den), Fraction(2 * t + 4, (t + 1) * (N + 3 + t))
 
 
-def failure_eigenvalue(regime: Regime, n_ports: int, j, s) -> Fraction:
+def failure_eigenvalue(regime: Regime, n_ports: int, j: int, s: int) -> Fraction:
     """Eigenvalue of the failure element (outcome N+1) on the label (j, s).
 
     Only the probabilistic regimes have a failure outcome. The result is
@@ -184,13 +178,11 @@ def failure_eigenvalue(regime: Regime, n_ports: int, j, s) -> Fraction:
     """
     if regime is Regime.DPBT:
         raise ValueError("the deterministic regime has no failure outcome")
-    j, s = HalfInt.of(j), HalfInt.of(s)
     N = n_ports
-    lam = rho_eigenvalue(N, j, s)
+    _check_adjacent(N, j, s)
     if regime is Regime.PPBT_MES:
-        if j.twice == s.twice - 1:
-            return Fraction(2 * (s.twice + 1), N + 3 + s.twice)
-        return Fraction(0)
+        return Fraction(2 * (s + 1), N + 3 + s) if j == s - 1 else Fraction(0)
+    lam = rho_eigenvalue(N, j, s)
     if lam == 0:
         return Fraction(1)
     opt = optimal_scalars(N)
@@ -200,7 +192,6 @@ def failure_eigenvalue(regime: Regime, n_ports: int, j, s) -> Fraction:
 def adjacent_pairs(n_ports: int):
     """All admissible (j, s) label pairs of the N+1 qubit system."""
     for s in spin_values(n_ports + 1):
-        for dt in (-1, 1):
-            j = HalfInt(s.twice + dt)
+        for j in (s - 1, s + 1):
             if valid_total_spin(n_ports, j):
                 yield j, s

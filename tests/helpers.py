@@ -6,7 +6,6 @@ of a dense measurement element and the whole-register qubit instrument."""
 import numpy as np
 
 from portsim.circuit import Registers, StateVector
-from portsim.halfint import HalfInt
 from portsim.povm_analytic import port_eigensystem
 from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL
 from portsim.protocols import build_program, resource_matrix
@@ -32,14 +31,14 @@ def haar_qubit(rng: np.random.Generator) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def pair_sectors(n_ports: int) -> tuple[HalfInt, ...]:
+def pair_sectors(n_ports: int) -> tuple[int, ...]:
     """Total spins s <= (N-1)/2 of the N+1 qubit system, ascending: the
     sectors where the port measurement element has its rank-one piece."""
     start = 0 if (n_ports + 1) % 2 == 0 else 1
-    return tuple(HalfInt(t) for t in range(start, n_ports, 2))
+    return tuple(range(start, n_ports, 2))
 
 
-def kept_entry(regime, n_ports: int, s: HalfInt):
+def kept_entry(regime, n_ports: int, s: int):
     """The first nonzero-eigenvalue entry of the port eigensystem on the
     pair sector s: the family eigenvector the compile rotates onto a slot."""
     return next(e for e in port_eigensystem(regime, n_ports).entries

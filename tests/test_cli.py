@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -302,6 +303,7 @@ def test_port_cap_env_override_rejects_garbage(capsys, monkeypatch):
     ["table", "--metric", "resources", "--ports", "1", "--epsilon", "1e-310"],
     ["teleport", "--regime", "dpbt", "--ports", "2", "--trials", "3", "--seed", "-1"],
     ["povm-check", "--ports", "6..7"],
+    ["teleport", "--regime", "dpbt", "--ports", "12", "--trials", "1"],
 ])
 def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
     # a raised cap lets the request through to the library's own limits
@@ -314,6 +316,9 @@ def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
     assert "Traceback" not in err
     if "--seed" in argv:
         assert "--seed" in err
+    if "12" in argv:
+        # the compile cap names the requested port count, not the qubit count
+        assert "12" in err and "13" not in err
 
 
 def test_success_table_needs_no_label_enumeration(capsys, monkeypatch):
@@ -324,6 +329,85 @@ def test_success_table_needs_no_label_enumeration(capsys, monkeypatch):
     assert code == 0 and err == ""
     row = json.loads(out)["rows"][0]
     assert row["p_opt"] == pytest.approx(21 / 24, abs=1e-15)
+
+
+# sha256 of the stdout bytes of schur labels and exact tables in all three
+# formats: the spin bookkeeping underneath must not move a single byte
+OUTPUT_SHA256 = {
+    "schur --n 1 --format human":
+        "56944b3bab2d964998418c9e1879368964f07917b89dc203200288aa01f25e4f",
+    "schur --n 1 --format json":
+        "bd2ab63a78065e68c0238bc76f2043ed82d2cbdfc70c63f0435895362a14841a",
+    "schur --n 1 --format csv":
+        "2d234c740be59f70bf456b0835713272066b190fcba7ee9295dfa840dc16dd2f",
+    "schur --n 2 --format human":
+        "f50a74cb8c1c13491bda83f21d0590690a9eb8de00cc23d6f1488e83442690aa",
+    "schur --n 2 --format json":
+        "955b193bf5c98123c6e5f53efab07937b8ff9a564785493cf438844c843376ed",
+    "schur --n 2 --format csv":
+        "69faa552ffd66757213209d6194be6ec7f3af58bff05a5e8411c3c562e593e10",
+    "schur --n 3 --format human":
+        "d2670adb90e02dd71151534deb3d120cff07b1863ef97ddb4dfacaa5ff2fe1f3",
+    "schur --n 3 --format json":
+        "20489b9a562aa54f6b45501fa333f2d1d754adcae826d46b99f558e1bea51f11",
+    "schur --n 3 --format csv":
+        "294b853117afdcb0f308348a78c60abbe59340cba872153afda5bb86896a1cbc",
+    "schur --n 4 --format human":
+        "36e1fe0052351867b53cb0a792aa37d47d61f8c0d3cbf8949c79515f8d195d6a",
+    "schur --n 4 --format json":
+        "e54acb2da127e4de34d779f0b3b324e66cfa4e53f87ea06d8821b753af1cbbae",
+    "schur --n 4 --format csv":
+        "7d7d1bd890e030c1c059e41691c938faf47d427b00a78da9d090fc8addea2de1",
+    "schur --n 5 --format human":
+        "b4f74dc9fce3c83f7d3fb609ca11c1957d295f782f59ac6073f2c33965516f5a",
+    "schur --n 5 --format json":
+        "9567b52b8be8cbd185c3ebbf974687116a9a5d575ad15947b770e7b36728857a",
+    "schur --n 5 --format csv":
+        "a75b87e430835b3c711b396c3dc9d283a451f41a49fce21534a9409fd8d3b65e",
+    "schur --n 6 --format human":
+        "e4099193b3cd29754b9d2feb1130cd91e9e5b2a16734a336e1ec7f6a91d361bb",
+    "schur --n 6 --format json":
+        "bf7a89d6f90b26c57d2125cd9fb283460968f255fc06dd7055ac11c5e2526ccf",
+    "schur --n 6 --format csv":
+        "5f1a94d47638e43fb3dc8c1e14bc3ec4e1616b959d4e8ad28c1c394b362a69d7",
+    "schur --n 7 --format human":
+        "205b050ab9db787c61e14591a49a78d37d5b8b7c40b8c5e41ceb6e17e85de25b",
+    "schur --n 7 --format json":
+        "f3d1e815a53684108d339ea5d7b964287958110fb1d0d630b7ce0a9db59a8843",
+    "schur --n 7 --format csv":
+        "0de87cb3fda588ae7a7a15634ca0f73a7d28ade67c15f86447615e94968100ad",
+    "table --metric fidelity --ports 1..6 --format human":
+        "51559d7c824299e44e3d7766ac2abb05cf7f71076fa8e54740bf1f8c99655de2",
+    "table --metric fidelity --ports 1..6 --format json":
+        "65998ab5775f5325f827a86a28c0275140cb323b423f32046d41ae4e5879a6ca",
+    "table --metric fidelity --ports 1..6 --format csv":
+        "0c0786382eac578fc9f86ecc5a0b8277c0ab764e93004c7e3eb9873d7ac468ea",
+    "table --metric success --ports 1..6 --format human":
+        "7a5f545c0c685d3b61ff6710dfbd36e58bb0d980419ee006f67d1fa18a694867",
+    "table --metric success --ports 1..6 --format json":
+        "5e12d844d6969ce2aff3031eb283f499706af7f7efce457ade3d55b76c0535b9",
+    "table --metric success --ports 1..6 --format csv":
+        "7ea0a0b8a25d0775da4d4b9c14f046bea4765d47294f0bb3e203fe3efe8b160f",
+    "table --metric resources --ports 1..6 --format human --schur-variant bch":
+        "97cea974c02a3b448d211585f3482bd98c78db07fcd34c7beb63ea3e79e86964",
+    "table --metric resources --ports 1..6 --format human --schur-variant spin":
+        "bd7b57f32494c71008c4ce55995db28a0e59d9d9d71d27b6095cdf8c7d2571c8",
+    "table --metric resources --ports 1..6 --format json --schur-variant bch":
+        "2435b2475cc627978d4a49ae9652f2e8131174a633303c237938b402e5bf9e92",
+    "table --metric resources --ports 1..6 --format json --schur-variant spin":
+        "d789e42a21355fc5304d2aefe5152ffceb4e5f4264684ac9d54a85b1dd1b145d",
+    "table --metric resources --ports 1..6 --format csv --schur-variant bch":
+        "43766af6d1dd4370ff8a4ca7b5b49dd83e9fec77a7eafb0a25b0f190c73f56f6",
+    "table --metric resources --ports 1..6 --format csv --schur-variant spin":
+        "4b15bfe552c0d5fe77f11897e63f85a3ee222f14e46ebbd57419104f97f4c975",
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_SHA256))
+def test_schur_and_table_output_bytes_are_pinned(capsys, command):
+    code, out, _ = run(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[command]
 
 
 # ---------------------------------------------------------------- plumbing ----

@@ -136,12 +136,12 @@ def test_pair_families_carry_rotation_data():
     for regime in REGIMES:
         for n in range(1, 5):
             kept = [e for e in port_eigensystem(regime, n).entries
-                    if e.value_exact != 0 and e.labels[0].s.twice < n]
+                    if e.value_exact != 0 and e.labels[0].s < n]
             assert kept
             for entry in kept:
                 s = entry.labels[0].s
                 assert {lab.s for lab in entry.labels} == {s}
-                assert len(entry.labels) == (1 if s.twice == 0 else 2)
+                assert len(entry.labels) == (1 if s == 0 else 2)
                 lo, hi = pair_weights(regime, n, s)
                 assert entry.value_exact == lo + hi
                 assert entry.coeffs[-1] == -math.sqrt(hi / (lo + hi))
@@ -156,13 +156,13 @@ def test_label_pattern_values():
             for entry in entries:
                 s = entry.labels[0].s
                 if len(entry.labels) == 2:
-                    assert [lab.j.twice - s.twice for lab in entry.labels] == [-1, 1]
-                if entry.value_exact != 0 and s.twice <= n:
+                    assert [lab.j - s for lab in entry.labels] == [-1, 1]
+                if entry.value_exact != 0 and s <= n:
                     assert all(lab.k_pair == s for lab in entry.labels)
-                    assert entry.labels[-1].j.twice == s.twice + 1
+                    assert entry.labels[-1].j == s + 1
             # the deterministic measurement keeps the top sector, heralded ones drop it
             top = entries[0]
-            assert top.labels[0].s.twice == n + 1
+            assert top.labels[0].s == n + 1
             assert top.value_exact == (Fraction(1, n) if regime is Regime.DPBT else 0)
 
 

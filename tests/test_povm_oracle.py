@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from helpers import psd_sqrt
-from portsim.halfint import HalfInt
 from portsim.povm_oracle import (
     MAX_POVM_PORTS,
     MAX_STATE_PORTS,
@@ -120,7 +119,7 @@ def test_pgm_null_space_slack_is_shared_evenly():
     # off the ensemble support each element carries 1/N of the top-spin block
     povm = pgm_povm(3)
     pinv_root = support_pinv_sqrt(ensemble_average(3))
-    slack = sector_operator(4, {HalfInt(4): 1 / 3})
+    slack = sector_operator(4, {4: 1 / 3})
     for i in (1, 2, 3):
         support_part = pinv_root @ signal_state(i, 3) @ pinv_root
         np.testing.assert_allclose(povm.element(i) - support_part, slack, atol=1e-10)

@@ -592,7 +592,7 @@ def test_closed_forms_match_dense_oracle(n):
     js = [j for j, _ in weights]
     assert js == list(spin_values(n))
     w = np.array([w for _, w in weights])
-    norms = np.array([chain_multiplicity(n, j) * (j.twice + 1) / 2 ** n for j in js])
+    norms = np.array([chain_multiplicity(n, j) * (j + 1) / 2 ** n for j in js])
     assert float(w ** 2 @ norms) == pytest.approx(1.0, abs=1e-12)
     chain = singlet_chain(n)
     columns = np.column_stack([dense_bell_amplitudes(n, sector_operator(n, {j: 1}) @ chain, roots)

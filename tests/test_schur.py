@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from portsim.halfint import HALF, ZERO, HalfInt
 from portsim.schur import (
     MAX_DENSE_QUBITS,
     MAX_ENUMERATE_QUBITS,
@@ -55,7 +54,7 @@ def test_label_count_is_two_to_the_n(n, count):
 
 def test_two_qubit_labels_cover_triplet_and_singlet():
     labels = enumerate_labels(2)
-    sm = [(lab.s.twice, lab.m.twice) for lab in labels]
+    sm = [(lab.s, lab.m) for lab in labels]
     assert sm == [(2, 2), (2, 0), (2, -2), (0, 0)]
 
 
@@ -63,15 +62,15 @@ def test_canonical_order_descending_spin_then_m():
     labels = enumerate_labels(3)
     keys = [lab.sort_key() for lab in labels]
     assert keys == sorted(keys)
-    assert labels[0].s.twice == 3 and labels[0].m.twice == 3
+    assert labels[0].s == 3 and labels[0].m == 3
 
 
 def test_label_chain_steps_are_half_unit():
     for lab in enumerate_labels(5):
-        assert lab.spins[0] == HALF
+        assert lab.spins[0] == 1
         for a, b in zip(lab.spins, lab.spins[1:]):
-            assert abs(a.twice - b.twice) == 1
-            assert b.twice >= 0
+            assert abs(a - b) == 1
+            assert b >= 0
 
 
 def test_enumerate_rejects_out_of_range():
@@ -84,14 +83,14 @@ def test_enumerate_rejects_out_of_range():
 # ------------------------------------------------------------- vectors ----
 
 def test_singlet_vector():
-    lab = next(l for l in enumerate_labels(2) if l.s == ZERO)
+    lab = next(l for l in enumerate_labels(2) if l.s == 0)
     np.testing.assert_allclose(
         schur_vector(lab), [0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0], atol=1e-15)
 
 
 def test_stretched_vector_is_all_zeros_bitstring():
     lab = enumerate_labels(2)[0]
-    assert lab.m.twice == 2
+    assert lab.m == 2
     np.testing.assert_allclose(schur_vector(lab), [1, 0, 0, 0], atol=1e-15)
 
 
@@ -100,7 +99,7 @@ def test_vectors_are_total_spin_eigenstates(n):
     s_sq = total_spin_squared(n)
     for lab in enumerate_labels(n):
         vec = schur_vector(lab)
-        s = lab.s.twice / 2
+        s = lab.s / 2
         np.testing.assert_allclose(s_sq @ vec, s * (s + 1) * vec, atol=1e-10)
 
 
@@ -109,7 +108,7 @@ def test_vector_support_respects_z_spin(n):
     for lab in enumerate_labels(n):
         vec = schur_vector(lab)
         for idx in np.flatnonzero(np.abs(vec) > 1e-14):
-            assert z_spin(int(idx), n) == lab.m.twice / 2
+            assert z_spin(int(idx), n) == lab.m / 2
 
 
 def test_gram_matrix_is_identity_at_four_qubits():
@@ -120,7 +119,7 @@ def test_gram_matrix_is_identity_at_four_qubits():
 def test_three_qubit_vector_matches_direct_product_sum():
     # independent evaluation: couple qubit by qubit with explicit 2x2 blocks
     lab = next(l for l in enumerate_labels(3)
-               if l.spins[1] == ZERO and l.m == HALF)
+               if l.spins[1] == 0 and l.m == 1)
     vec = schur_vector(lab)
     # chain 1/2 -> 0 -> 1/2: first two qubits form the singlet, third is free
     singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
@@ -167,14 +166,14 @@ def test_coupling_unitary_bytes_are_pinned(n):
 
 def test_schur_vector_stops_at_the_dense_cap():
     n = MAX_DENSE_QUBITS + 1
-    stretched = SchurLabel(tuple(HalfInt(t) for t in range(1, n + 1)), HalfInt(n))
+    stretched = SchurLabel(tuple(range(1, n + 1)), n)
     with pytest.raises(ValueError, match=f"1..{MAX_DENSE_QUBITS}"):
         schur_vector(stretched)
 
 
 def test_singlet_column_values():
     u = coupling_unitary(2)
-    lab = next(l for l in enumerate_labels(2) if l.s == ZERO)
+    lab = next(l for l in enumerate_labels(2) if l.s == 0)
     col = u[:, label_index(lab)]
     np.testing.assert_allclose(col, [0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0],
                                atol=1e-15)
@@ -220,10 +219,10 @@ def test_spin_projectors_resolve_identity(n):
 
 
 def test_spin_projector_is_idempotent_with_known_rank():
-    p = sector_operator(4, {HalfInt(2): 1})
+    p = sector_operator(4, {2: 1})
     np.testing.assert_allclose(p @ p, p, atol=1e-12)
     np.testing.assert_allclose(p, p.conj().T, atol=1e-14)
-    rank = chain_multiplicity(4, HalfInt(2)) * 3
+    rank = chain_multiplicity(4, 2) * 3
     assert round(np.trace(p).real) == rank
 
 
@@ -233,7 +232,7 @@ def test_spin_projector_is_the_gram_of_its_sector_vectors(n):
         cols = np.array([schur_vector(lab) for lab in enumerate_labels(n) if lab.s == s]).T
         assert np.array_equal(sector_operator(n, {s: 1}), cols @ cols.T)
     # weighted: each sector keeps its own weight on its own vectors
-    weights = {s: 1 + s.twice for s in spin_values(n)}
+    weights = {s: 1 + s for s in spin_values(n)}
     op = sector_operator(n, weights)
     for lab in enumerate_labels(n):
         vec = schur_vector(lab)
@@ -242,7 +241,7 @@ def test_spin_projector_is_the_gram_of_its_sector_vectors(n):
 
 def test_sector_operator_of_no_qubits_and_inadmissible_spins():
     # zero qubits: the one state of spin 0
-    assert np.array_equal(sector_operator(0, {ZERO: 3}), [[3.0]])
-    for n, s in ((0, HALF), (3, ZERO), (3, HalfInt(5))):
+    assert np.array_equal(sector_operator(0, {0: 3}), [[3.0]])
+    for n, s in ((0, 1), (3, 0), (3, 5)):
         with pytest.raises(ValueError, match="admissible"):
             sector_operator(n, {s: 1})
