@@ -14,7 +14,7 @@ tuples. The port-controlled swap is one of the latter, one swap block per
 port value. Every op only applies forward; an inverse is built as an op of
 its own. Block operations carry a register-level key per block so two-level
 rotations can be counted the way a real register machine would implement
-them (one controlled rotation per key, not one per amplitude pair).
+them (one controlled rotation per block, not one per amplitude pair).
 """
 
 from __future__ import annotations
@@ -98,10 +98,6 @@ class StateVector:
     def batch(self) -> int:
         return self.amps.shape[3]
 
-    def flat(self) -> np.ndarray:
-        """(dim, batch) view in register order (system, port, r)."""
-        return self.amps.reshape(self.registers.dim, self.batch)
-
 
 class DenseSystem:
     """Dense unitary on the system factor, identity on port and r."""
@@ -129,14 +125,12 @@ class Block:
     matrix: np.ndarray
     instances: np.ndarray
 
-    def is_identity(self) -> bool:
-        return bool(np.allclose(self.matrix, np.eye(self.matrix.shape[0]), atol=1e-14))
-
 
 class SubspaceBlocks:
     """Sequence of Blocks applied in order. Blocks may overlap (ordered
     cascades like the port preparation); instances within one block must be
-    disjoint since they are gathered and scattered in one shot."""
+    disjoint since they are gathered and scattered in one shot. Each block
+    counts as one rotation."""
 
     def __init__(self, registers: Registers, blocks: list[Block], name: str = "blocks"):
         self.registers = registers
@@ -146,7 +140,7 @@ class SubspaceBlocks:
             if block.matrix.shape != (k, k):
                 raise InvalidSubspaceSpec(f"{name}: block matrix must be square")
             gram = block.matrix.conj().T @ block.matrix
-            if not np.allclose(gram, np.eye(k), atol=1e-10):
+            if np.abs(gram - np.eye(k)).max() > 1e-10:
                 raise InvalidSubspaceSpec(f"{name}: block {block.key} is not unitary")
             inst = block.instances
             if inst.ndim != 2 or inst.shape[1] != k or inst.dtype.kind not in "iu":
@@ -157,7 +151,7 @@ class SubspaceBlocks:
             if np.bincount(inst.ravel(), minlength=registers.dim).max() > 1:
                 raise InvalidSubspaceSpec(f"{name}: block {block.key} reuses an index")
         self.blocks = blocks
-        self.rotation_count = sum(1 for b in blocks if not b.is_identity())
+        self.rotation_count = len(blocks)
 
     def apply(self, state: StateVector) -> StateVector:
         amps = state.amps.copy()

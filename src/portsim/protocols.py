@@ -38,8 +38,7 @@ from .circuit import (Block, CircuitAction, DenseSystem, NumericalInvariantError
                       port_cswap, port_prepare)
 from .povm_analytic import EigenSystem, failure_eigensystem, port_eigensystem
 from .povm_oracle import qubit_swap_permutation
-from .schur import (MAX_DENSE_QUBITS, coupling_unitary, enumerate_labels, label_index,
-                    sector_operator)
+from .schur import MAX_DENSE_QUBITS, coupling_unitary, sector_operator
 from .spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
                       optimal_scalars, spin_values)
 
@@ -123,23 +122,18 @@ def _reflection(amplitude: float) -> np.ndarray:
 
 def _rotation_op(es: EigenSystem, regs: Registers, ports: range) -> SubspaceBlocks:
     """Per-family basis rotation on each listed port branch, taking the kept
-    eigenvector of each family to its last label's slot, built from the
-    nonzero entries below the maximal-spin sector. One register-level
-    rotation per sector."""
-    by_sector: dict[int, tuple[np.ndarray, list]] = {}
-    for entry in es.entries:
-        s = entry.labels[0].s
-        if entry.value_exact == 0 or s >= es.n_ports:
-            continue
-        c = entry.coeffs
-        matrix = np.array([[c[0]]]) if len(c) == 1 else np.array([[c[1], -c[0]], [c[0], c[1]]])
-        by_sector.setdefault(s, (matrix, []))[1].append(
-            [label_index(lab) for lab in entry.labels])
+    eigenvector of each family to its last label's slot: one block per sector
+    below the maximal spin, over that sector's families."""
     grid = regs.index[:, ports.start:ports.stop]
-    # rows (family, port, r), columns the family's labels
-    blocks = [Block(key=("rot", s), matrix=matrix,
-                    instances=np.moveaxis(grid[families], 1, -1).reshape(-1, len(matrix)))
-              for s, (matrix, families) in sorted(by_sector.items())]
+    blocks = []
+    for sector in es.sectors:
+        if sector.s > es.n_ports:
+            continue
+        c = sector.coeffs
+        matrix = np.array([[c[0]]]) if len(c) == 1 else np.array([[c[1], -c[0]], [c[0], c[1]]])
+        # rows (family, port, r), columns the family's labels
+        instances = np.moveaxis(grid[sector.families], 1, -1).reshape(-1, len(c))
+        blocks.append(Block(key=("rot", sector.s), matrix=matrix, instances=instances))
     return SubspaceBlocks(regs, blocks, name="family-rotation")
 
 
@@ -148,27 +142,25 @@ def _attach_op(es: EigenSystem, regs: Registers, branches: range, scale: float,
     """Reflections moving what one element does not keep from the flagged
     part (r = 0) of each listed branch to the block qubit's r = 1 level.
 
-    Each nonzero entry keeps its last label: the port element's after the
-    family rotation, the failure element's single label as it is. The kept
-    labels of one (s, j) sector reflect with amplitude sqrt(value) * scale,
-    one register-level rotation per sector; every other label swaps out
-    entirely, in one block.
+    Each family keeps its last label: the port element's after the family
+    rotation, the failure element's single label as it is. The kept labels
+    of one (s, j) sector reflect with amplitude sqrt(value) * scale, one
+    block per sector; every other label swaps out entirely, in one more
+    block when there is any.
     """
-    kept = {e.labels[-1]: e.value_exact for e in es.entries if e.value_exact}
-    groups: dict = {}
-    for idx, label in enumerate(enumerate_labels(es.n_ports + 1)):
-        value = kept.get(label)
-        if value is None:
-            key, amplitude = ("drop",), 0.0
-        else:
-            key = ("keep", label.s, label.j)
-            amplitude = math.sqrt(float(value)) * scale
-        groups.setdefault(key, (amplitude, []))[1].append(idx)
-    index = regs.index
-    # rows (label, branch), columns (r = 0, r = 1)
-    blocks = [Block(key=key, matrix=_reflection(amplitude),
-                    instances=index[np.ix_(labels, branches)].reshape(-1, 2))
-              for key, (amplitude, labels) in sorted(groups.items())]
+    grid = regs.index[:, branches.start:branches.stop]
+    dropped = np.ones(regs.system_dim, dtype=bool)
+    blocks = []
+    for sector in es.sectors:
+        kept = sector.families[:, -1]
+        dropped[kept] = False
+        # rows (label, branch), columns (r = 0, r = 1)
+        blocks.append(Block(key=("keep", sector.s, sector.j),
+                            matrix=_reflection(math.sqrt(float(sector.value)) * scale),
+                            instances=grid[kept].reshape(-1, 2)))
+    if dropped.any():
+        blocks.append(Block(key=("drop",), matrix=_reflection(0.0),
+                            instances=grid[dropped].reshape(-1, 2)))
     return SubspaceBlocks(regs, blocks, name=name)
 
 

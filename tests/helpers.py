@@ -1,7 +1,8 @@
-"""Test oracles shared by the test modules: dense matrices of circuit
-actions, branch weights of a state, Haar-random qubit inputs, the list of
-pair sectors, the kept eigenvector of a sector, the Hermitian square root
-of a dense measurement element and the whole-register qubit instrument."""
+"""Test oracles shared by the test modules: a state's flat amplitudes,
+dense matrices of circuit actions, branch weights of a state, Haar-random
+qubit inputs, the list of pair sectors, the port element's table of a pair
+sector, the Hermitian square root of a dense measurement element and the
+whole-register qubit instrument."""
 
 import numpy as np
 
@@ -11,13 +12,18 @@ from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL
 from portsim.protocols import build_program, resource_matrix
 
 
+def flat(state: StateVector) -> np.ndarray:
+    """(dim, batch) view of the amplitudes in register order (system, port, r)."""
+    return state.amps.reshape(state.registers.dim, state.batch)
+
+
 def action_matrix(action, registers: Registers) -> np.ndarray:
     """Dense matrix of an action via one batched application to the full
     computational basis; dimension grows as 4^N."""
     dim = registers.dim
     basis = np.eye(dim, dtype=np.complex128)
     amps = basis.reshape(registers.system_dim, registers.port_dim, registers.r_dim, dim)
-    return action.apply(StateVector(registers, amps)).flat()
+    return flat(action.apply(StateVector(registers, amps)))
 
 
 def branch_weights(state: StateVector, register: str) -> np.ndarray:
@@ -38,11 +44,11 @@ def pair_sectors(n_ports: int) -> tuple[int, ...]:
     return tuple(range(start, n_ports, 2))
 
 
-def kept_entry(regime, n_ports: int, s: int):
-    """The first nonzero-eigenvalue entry of the port eigensystem on the
-    pair sector s: the family eigenvector the compile rotates onto a slot."""
-    return next(e for e in port_eigensystem(regime, n_ports).entries
-                if e.value_exact != 0 and e.labels[0].s == s)
+def kept_sector(regime, n_ports: int, s: int):
+    """The port eigensystem's sector on the pair sector s: the family
+    eigenvector the compile rotates onto a slot."""
+    return next(sector for sector in port_eigensystem(regime, n_ports).sectors
+                if sector.s == s)
 
 
 def psd_sqrt(op: np.ndarray) -> np.ndarray:

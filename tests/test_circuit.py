@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import action_matrix, branch_weights
+from helpers import action_matrix, branch_weights, flat
 from portsim import circuit
 from portsim.circuit import (
     Block,
@@ -170,7 +170,7 @@ def test_givens_spec_matches_dense_rotation():
     dense = np.eye(regs.dim, dtype=complex)
     dense[np.ix_([a, b], [a, b])] = matrix
     state = random_state(regs, batch=2)
-    np.testing.assert_allclose(op.apply(state).flat(), dense @ state.flat(), atol=1e-14)
+    np.testing.assert_allclose(flat(op.apply(state)), dense @ flat(state), atol=1e-14)
 
 
 def test_spec_validation_errors():
@@ -183,11 +183,23 @@ def test_spec_validation_errors():
     with pytest.raises(InvalidSubspaceSpec):
         blocks([[0.5, 0.0], [0.0, 1.0]], [[0, 1]])  # not unitary
     with pytest.raises(InvalidSubspaceSpec):
+        # residual 8e-6 on the diagonal, where a relative tolerance would hide it
+        blocks([[1.0 + 4e-6, 0.0], [0.0, 1.0]], [[0, 1]])
+    with pytest.raises(InvalidSubspaceSpec):
         blocks(np.eye(2), [[0, regs.dim]])  # index outside the register
     with pytest.raises(InvalidSubspaceSpec):
         blocks(np.eye(2), [[0, 1, 2]])  # tuple length differs from the block
     with pytest.raises(InvalidSubspaceSpec):
         blocks(np.eye(3)[:2], [[0, 1]])  # not square
+
+
+def test_every_block_counts_one_rotation():
+    # a phase rotation this close to the identity is still a gate to implement
+    regs = Registers(n_system=1, port_dim=2)
+    phase = np.diag([np.exp(1e-6j), 1.0])
+    op = SubspaceBlocks(regs, [Block(key=("phase",), matrix=phase,
+                                     instances=np.array([[0, 1]], dtype=np.intp))])
+    assert op.rotation_count == 1
 
 
 def test_subspace_blocks_reject_non_integer_instances():
@@ -382,5 +394,5 @@ def test_pipeline_preserves_norm_on_many_states():
                             port_cswap(regs, _swap_perms(2))])
     state = random_state(regs, batch=100)
     out = action.apply(state)
-    norms = np.linalg.norm(out.flat(), axis=0)
+    norms = np.linalg.norm(flat(out), axis=0)
     np.testing.assert_allclose(norms, 1.0, atol=1e-10)

@@ -332,7 +332,8 @@ def test_success_table_needs_no_label_enumeration(capsys, monkeypatch):
 
 
 # sha256 of the stdout bytes of schur labels and exact tables in all three
-# formats: the spin bookkeeping underneath must not move a single byte
+# formats, and of the closed-form against oracle report: the spin and sector
+# bookkeeping underneath must not move a single byte
 OUTPUT_SHA256 = {
     "schur --n 1 --format human":
         "56944b3bab2d964998418c9e1879368964f07917b89dc203200288aa01f25e4f",
@@ -400,6 +401,8 @@ OUTPUT_SHA256 = {
         "43766af6d1dd4370ff8a4ca7b5b49dd83e9fec77a7eafb0a25b0f190c73f56f6",
     "table --metric resources --ports 1..6 --format csv --schur-variant spin":
         "4b15bfe552c0d5fe77f11897e63f85a3ee222f14e46ebbd57419104f97f4c975",
+    "povm-check --regime all --ports 1..5":
+        "a1627510ad1d7eb0d94ce52bd1d128c3f0938f1cb2ed5b928c4bb37a529f0f76",
 }
 
 

@@ -12,15 +12,36 @@ from portsim.povm_analytic import (
     port_eigensystem,
 )
 from portsim.povm_oracle import build_povm
-from portsim.schur import schur_vector
-from portsim.spinalg import Regime, failure_eigenvalue, pair_weights
+from portsim.schur import coupling_unitary, enumerate_labels
+from portsim.spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
+                             pair_weights)
 
 REGIMES = [Regime.DPBT, Regime.PPBT_MES, Regime.PPBT_OPT]
 
 
-def entry_vector(entry) -> np.ndarray:
-    vec = sum(c * schur_vector(lab) for c, lab in zip(entry.coeffs, entry.labels))
-    return np.asarray(vec)
+def sector_vectors(es, sector) -> np.ndarray:
+    """The sector's eigenvectors as columns, one per family."""
+    return coupling_unitary(es.n_ports + 1)[:, sector.families] @ np.array(sector.coeffs)
+
+
+def element_tables(regime, n):
+    """(eigensystem, outcome) of the port-N element and, if any, the failure
+    element."""
+    tables = [(port_eigensystem(regime, n), n)]
+    if regime != Regime.DPBT:
+        tables.append((failure_eigensystem(regime, n), n + 1))
+    return tables
+
+
+def exact_trace(es) -> Fraction:
+    return sum(sector.value * len(sector.families) for sector in es.sectors)
+
+
+def spectrum(es) -> list[float]:
+    """All 2^(N+1) eigenvalues, ascending: the sector values with one copy
+    per family, and zeros on the labels no sector lists."""
+    values = [float(sector.value) for sector in es.sectors for _ in sector.families]
+    return sorted(values + [0.0] * (2 ** (es.n_ports + 1) - len(values)))
 
 
 # ---------------------------------------------------- against the oracle ----
@@ -47,42 +68,60 @@ def test_analytic_povm_validates(regime):
 @pytest.mark.parametrize("regime", REGIMES)
 @pytest.mark.parametrize("n", range(1, 9))
 def test_eigensystem_spans_the_full_space(regime, n):
-    # the symbolic tables are uncapped; only the dense assembly has a cap
-    es = port_eigensystem(regime, n)
-    assert len(es.entries) == 2 ** (n + 1)
+    # the symbolic tables are uncapped; only the dense assembly has a cap.
+    # The N port elements and the failure element sum to the identity, so
+    # their exact traces fill the whole 2^(N+1)-dimensional space
+    total = n * exact_trace(port_eigensystem(regime, n))
     if regime != Regime.DPBT:
-        assert len(failure_eigensystem(regime, n).entries) == 2 ** (n + 1)
+        total += exact_trace(failure_eigensystem(regime, n))
+    assert total == 2 ** (n + 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_eigenvectors_are_orthonormal(n):
     es = port_eigensystem(Regime.PPBT_OPT, n)
-    basis = np.column_stack([entry_vector(e) for e in es.entries])
-    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2 ** (n + 1)),
-                               atol=1e-10)
+    basis = np.column_stack([sector_vectors(es, sector) for sector in es.sectors])
+    np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-10)
 
 
 @pytest.mark.parametrize("regime", REGIMES)
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_entries_satisfy_the_eigen_relation(regime, n):
-    # the dense element must reproduce value * vector for every entry
+    # the dense element must reproduce value * vector for every family
     dense = build_povm(regime, n)
-    for es, which in [(port_eigensystem(regime, n), n)] + (
-            [(failure_eigensystem(regime, n), n + 1)] if regime != Regime.DPBT else []):
+    for es, which in element_tables(regime, n):
         op = dense.element(which)
-        for entry in es.entries:
-            vec = entry_vector(entry)
-            np.testing.assert_allclose(op @ vec, float(entry.value_exact) * vec, atol=1e-10)
+        for sector in es.sectors:
+            vecs = sector_vectors(es, sector)
+            np.testing.assert_allclose(op @ vecs, float(sector.value) * vecs, atol=1e-10)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sector_families_partition_labels_and_rebuild_the_oracle(regime, n):
+    # the unlisted labels are the kernel, so the sectors alone give the element
+    labels = enumerate_labels(n + 1)
+    dense = build_povm(regime, n)
+    for es, which in element_tables(regime, n):
+        listed = np.concatenate([sector.families.ravel() for sector in es.sectors])
+        assert len(np.unique(listed)) == len(listed)
+        element = np.zeros((2 ** (n + 1),) * 2)
+        for sector in es.sectors:
+            kept = [labels[i] for i in sector.families[:, -1]]
+            assert {(lab.s, lab.j) for lab in kept} == {(sector.s, sector.j)}
+            vecs = sector_vectors(es, sector)
+            element += float(sector.value) * vecs @ vecs.T
+        np.testing.assert_allclose(element, dense.element(which), atol=1e-9)
 
 
 def test_two_port_pgm_spectrum():
-    values = sorted(float(e.value_exact) for e in port_eigensystem(Regime.DPBT, 2).entries)
+    values = spectrum(port_eigensystem(Regime.DPBT, 2))
     np.testing.assert_allclose(values, [0, 0, 0.5, 0.5, 0.5, 0.5, 1, 1], atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_spectrum_agrees_with_dense_eigensolve(n):
-    claimed = sorted(float(e.value_exact) for e in port_eigensystem(Regime.DPBT, n).entries)
+    claimed = spectrum(port_eigensystem(Regime.DPBT, n))
     solved = np.sort(np.linalg.eigvalsh(build_povm(Regime.DPBT, n).element(1)))
     np.testing.assert_allclose(claimed, solved, atol=1e-10)
 
@@ -92,17 +131,25 @@ def test_spectrum_agrees_with_dense_eigensolve(n):
 def test_exact_values_back_the_floats(regime, n):
     # the assembled port-N element carries the exact spectrum as floats
     es = port_eigensystem(regime, n)
-    assert all(isinstance(e.value_exact, Fraction) for e in es.entries)
+    assert all(isinstance(sector.value, Fraction) for sector in es.sectors)
     trace = np.trace(analytic_povm(regime, n).element(n))
-    assert trace == pytest.approx(float(sum(e.value_exact for e in es.entries)), abs=1e-12)
+    assert trace == pytest.approx(float(exact_trace(es)), abs=1e-12)
 
 
 @pytest.mark.parametrize("regime", [Regime.PPBT_MES, Regime.PPBT_OPT])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_failure_values_come_from_sector_scalars(regime, n):
-    for entry in failure_eigensystem(regime, n).entries:
-        (lab,) = entry.labels
-        assert entry.value_exact == failure_eigenvalue(regime, n, lab.spins[-2], lab.s)
+    labels = enumerate_labels(n + 1)
+    listed = set()
+    for sector in failure_eigensystem(regime, n).sectors:
+        j, s = sector.j, sector.s
+        assert sector.value == failure_eigenvalue(regime, n, j, s) != 0
+        assert sector.families.shape == (chain_multiplicity(n, j) * (s + 1), 1)
+        assert {(labels[i].j, labels[i].s) for i in sector.families[:, 0]} == {(j, s)}
+        listed.add((j, s))
+    # the sectors left out are exactly the zero eigenvalues
+    for j, s in adjacent_pairs(n):
+        assert ((j, s) in listed) == (failure_eigenvalue(regime, n, j, s) != 0)
 
 
 def test_failure_eigensystem_rejects_deterministic_regime():
@@ -121,49 +168,54 @@ def test_eigensystems_reject_fewer_than_one_port(builder, regime, n):
 # ---------------------------------------------------------- pair families ----
 
 def test_pair_families_carry_rotation_data():
-    # the compile reads its rotations off the nonzero entries alone
-    fams = [e for e in port_eigensystem(Regime.PPBT_MES, 2).entries
-            if e.value_exact != 0 and len(e.labels) == 2]
-    assert len(fams) == 2
-    for fam in fams:
-        s = fam.labels[0].s
-        lo, hi = pair_weights(Regime.PPBT_MES, 2, s)
-        assert fam.value_exact == lo + hi
-        assert fam.coeffs[0] >= 0 > fam.coeffs[1]
-        assert fam.coeffs[0] ** 2 == pytest.approx(lo / (lo + hi), abs=1e-15)
-        assert fam.coeffs[0] ** 2 + fam.coeffs[1] ** 2 == pytest.approx(1.0, abs=1e-12)
-        assert {lab.s for lab in fam.labels} == {s}
+    # the compile reads its rotations off the pair sectors alone
+    labels = enumerate_labels(3)
+    (fam,) = [sector for sector in port_eigensystem(Regime.PPBT_MES, 2).sectors
+              if len(sector.coeffs) == 2]
+    assert fam.families.shape == (2, 2)
+    s = fam.s
+    lo, hi = pair_weights(Regime.PPBT_MES, 2, s)
+    assert fam.value == lo + hi
+    assert fam.coeffs[0] >= 0 > fam.coeffs[1]
+    assert fam.coeffs[0] ** 2 == pytest.approx(lo / (lo + hi), abs=1e-15)
+    assert fam.coeffs[0] ** 2 + fam.coeffs[1] ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert {labels[i].s for i in fam.families.ravel()} == {s}
     for regime in REGIMES:
         for n in range(1, 5):
-            kept = [e for e in port_eigensystem(regime, n).entries
-                    if e.value_exact != 0 and e.labels[0].s < n]
+            labels = enumerate_labels(n + 1)
+            kept = [sector for sector in port_eigensystem(regime, n).sectors if sector.s < n]
             assert kept
-            for entry in kept:
-                s = entry.labels[0].s
-                assert {lab.s for lab in entry.labels} == {s}
-                assert len(entry.labels) == (1 if s == 0 else 2)
+            for sector in kept:
+                s = sector.s
+                assert {labels[i].s for i in sector.families.ravel()} == {s}
+                assert sector.families.shape[1] == len(sector.coeffs) == (1 if s == 0 else 2)
                 lo, hi = pair_weights(regime, n, s)
-                assert entry.value_exact == lo + hi
-                assert entry.coeffs[-1] == -math.sqrt(hi / (lo + hi))
+                assert sector.value == lo + hi
+                assert sector.coeffs[-1] == -math.sqrt(hi / (lo + hi))
 
 
 def test_label_pattern_values():
-    # a family pairs the j = s - 1/2 and j = s + 1/2 labels of pre-pair spin s;
-    # every other label is unpaired and sits in the kernel
+    # a family pairs the j = s - 1/2 and j = s + 1/2 labels of pre-pair spin s
+    # and keeps the second; every label no sector lists is in the kernel
     for regime in REGIMES:
         for n in (1, 2, 3):
-            entries = port_eigensystem(regime, n).entries
-            for entry in entries:
-                s = entry.labels[0].s
-                if len(entry.labels) == 2:
-                    assert [lab.j - s for lab in entry.labels] == [-1, 1]
-                if entry.value_exact != 0 and s <= n:
-                    assert all(lab.k_pair == s for lab in entry.labels)
-                    assert entry.labels[-1].j == s + 1
+            labels = enumerate_labels(n + 1)
+            sectors = port_eigensystem(regime, n).sectors
+            for sector in sectors:
+                for row in sector.families:
+                    labs = [labels[i] for i in row]
+                    if len(labs) == 2:
+                        assert [lab.j - sector.s for lab in labs] == [-1, 1]
+                    if sector.s <= n:
+                        assert all(lab.k_pair == sector.s for lab in labs)
+                        assert labs[-1].j == sector.s + 1
             # the deterministic measurement keeps the top sector, heralded ones drop it
-            top = entries[0]
-            assert top.labels[0].s == n + 1
-            assert top.value_exact == (Fraction(1, n) if regime is Regime.DPBT else 0)
+            top = [sector for sector in sectors if sector.s == n + 1]
+            if regime is Regime.DPBT:
+                assert [sector.value for sector in top] == [Fraction(1, n)]
+                assert top[0].families.shape == (n + 2, 1)
+            else:
+                assert top == []
 
 
 def test_analytic_build_respects_cap():
@@ -176,8 +228,8 @@ def test_analytic_build_respects_cap():
 def test_analytic_povm_assembles_each_eigensystem_once(monkeypatch, regime, assemblies):
     # ports 1..N-1 are swap conjugates of the one port-N assembly
     calls = []
-    assemble = povm_analytic._assemble
-    monkeypatch.setattr(povm_analytic, "_assemble",
+    assemble = povm_analytic._dense_element
+    monkeypatch.setattr(povm_analytic, "_dense_element",
                         lambda es, *args: calls.append(es) or assemble(es, *args))
     povm = analytic_povm(regime, 3)
     assert len(calls) == assemblies

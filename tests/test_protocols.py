@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (action_matrix, branch_weights, haar_qubit, psd_sqrt,
+from helpers import (action_matrix, branch_weights, flat, haar_qubit, psd_sqrt,
                      whole_register_instrument)
 from portsim import protocols
 from portsim.circuit import Registers, StateVector
@@ -157,7 +157,7 @@ def _reflection_product(prog, state: StateVector) -> StateVector:
     for _ in range((prog.rounds - 1) // 2):
         flagged = _project(current)
         current = StateVector(current.registers, 2 * flagged.amps - current.amps)
-        undone = (u_dagger @ current.flat()).reshape(current.amps.shape)
+        undone = (u_dagger @ flat(current)).reshape(current.amps.shape)
         back = u.apply(_project(StateVector(current.registers, undone), len(prog.entry)))
         current = StateVector(current.registers, current.amps - 2 * back.amps)
     return current

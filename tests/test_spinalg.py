@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import kept_entry, pair_sectors
+from helpers import kept_sector, pair_sectors
 from portsim.povm_analytic import port_eigensystem
 from portsim.schur import enumerate_labels
 from portsim.spinalg import (
@@ -106,9 +106,9 @@ def test_dpbt_sector_eigenvalue_is_one_below_maximal(n):
 def test_sector_eigenvalue_examples():
     assert sum(pair_weights(Regime.PPBT_MES, 3, 0)) == Fraction(2, 3)
     # maximal-spin sector of the deterministic measurement
-    top = {e.value_exact for e in port_eigensystem(Regime.DPBT, 4).entries
-           if e.labels[0].s == 5}
-    assert top == {Fraction(1, 4)}
+    top = [sector.value for sector in port_eigensystem(Regime.DPBT, 4).sectors
+           if sector.s == 5]
+    assert top == [Fraction(1, 4)]
 
 
 def test_sector_eigenvalue_rejects_non_pair_sector():
@@ -136,30 +136,26 @@ def test_pair_weights_sum_to_the_sector_eigenvalue(regime, n):
 def test_rotation_pair_mes_half_sector():
     lo, hi = pair_weights(Regime.PPBT_MES, 2, 1)
     assert (lo / (lo + hi), hi / (lo + hi)) == (Fraction(1, 4), Fraction(3, 4))
-    w_minus, w_plus = kept_entry(Regime.PPBT_MES, 2, 1).coeffs
+    w_minus, w_plus = kept_sector(Regime.PPBT_MES, 2, 1).coeffs
     assert w_minus == pytest.approx(0.5, abs=1e-15)
     assert w_plus == pytest.approx(-math.sqrt(3) / 2, abs=1e-15)
 
 
 def test_rotation_pair_zero_sector_is_axis_vector():
     assert pair_weights(Regime.PPBT_MES, 3, 0)[0] == 0
-    assert kept_entry(Regime.PPBT_MES, 3, 0).coeffs == (-1.0,)
+    assert kept_sector(Regime.PPBT_MES, 3, 0).coeffs == (-1.0,)
 
 
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("n", range(1, 7))
 def test_rotation_pairs_unit_norm_and_orthogonal_complement(regime, n):
-    families: dict = {}
-    for entry in port_eigensystem(regime, n).entries:
-        if len(entry.labels) == 2:
-            families.setdefault(entry.labels, []).append(entry)
-    for kept, zero in families.values():
-        w_minus, w_plus = kept.coeffs
+    pairs = [sector.coeffs for sector in port_eigensystem(regime, n).sectors
+             if len(sector.coeffs) == 2]
+    assert len(pairs) == len([s for s in pair_sectors(n) if s > 0])
+    for w_minus, w_plus in pairs:
+        # the family's other direction, the orthogonal complement, is in the
+        # kernel, which no sector lists
         assert w_minus ** 2 + w_plus ** 2 == pytest.approx(1.0, abs=1e-12)
-        # the discarded direction is the explicit orthogonal complement
-        assert zero.value_exact == 0 and zero.coeffs == (w_plus, -w_minus)
-        dot = w_minus * zero.coeffs[0] + w_plus * zero.coeffs[1]
-        assert dot == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rotation_pair_rejects_maximal_sector():
