@@ -3,8 +3,11 @@
 A state lives on (system qubits) x (port register) x (block qubit r), with a
 trailing batch axis for anything that rides along unmeasured: Bob's halves of
 the resource pairs during teleportation, or a stack of independent test
-inputs. Amplitudes are stored as a dense complex array of shape
-(2^n_system, port_dim, 2, batch). The layout is fixed: the block qubit's
+inputs. Amplitudes are stored as a dense array of shape
+(2^n_system, port_dim, 2, batch), float64 when the input is real and
+complex128 when it is complex; every op keeps that dtype unless one of its
+own matrices is complex. The compiled circuits are real throughout, so a
+real input runs in half the memory. The layout is fixed: the block qubit's
 r = 0 level is the flag subspace, and the start subspace is r = 0 on the
 first port values.
 
@@ -82,15 +85,18 @@ class StateVector:
     def from_system(cls, registers: Registers, system_amps: np.ndarray,
                     entry: Sequence[float] = (1.0,)) -> "StateVector":
         """State with the system factor given, `entry` on the first port values
-        and r = 0; a 2-d input supplies one system vector per batch column."""
-        sys_amps = np.asarray(system_amps, dtype=np.complex128)
+        and r = 0; a 2-d input supplies one system vector per batch column.
+        The amplitudes are float64 for a real input, complex128 for a complex
+        one."""
+        sys_amps = np.asarray(system_amps, dtype=np.complex128 if np.iscomplexobj(system_amps)
+                              else np.float64)
         if sys_amps.ndim == 1:
             sys_amps = sys_amps[:, None]
         if sys_amps.shape[0] != registers.system_dim:
             raise ValueError("system amplitude length mismatch")
         entry = np.asarray(entry, dtype=float)
         amps = np.zeros((registers.system_dim, registers.port_dim, registers.r_dim,
-                         sys_amps.shape[1]), dtype=np.complex128)
+                         sys_amps.shape[1]), dtype=sys_amps.dtype)
         amps[:, :len(entry), 0] = sys_amps[:, None, :] * entry[:, None]
         return cls(registers, amps)
 
@@ -154,7 +160,8 @@ class SubspaceBlocks:
         self.rotation_count = len(blocks)
 
     def apply(self, state: StateVector) -> StateVector:
-        amps = state.amps.copy()
+        # a complex block promotes a real state; real blocks keep its dtype
+        amps = state.amps.astype(np.result_type(state.amps, *(b.matrix for b in self.blocks)))
         flat = amps.reshape(self.registers.dim, state.batch)
         for block in self.blocks:
             if block.instances.size == 0:

@@ -366,6 +366,9 @@ def _instrument(kind: ProtocolKind, n_ports: int
     (`_compile` with `branch`) runs the last port and the failure branch
     only, and every port shares the last port's G and K.
 
+    The resource and every op are real, so the run and the forms are
+    float64 (see `StateVector.from_system`).
+
     Returns (ports, failure, receiver), read-only: the (N, 2, 2) port forms,
     views of the last port's; the failure form, None for the deterministic
     kinds; and the (2, 2, 2, 2) receiver tensor K of every port.

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spinalg import clebsch_gordan, valid_total_spin, valid_z_component
+from .spinalg import valid_total_spin, valid_z_component
 
 MAX_ENUMERATE_QUBITS = 20
 MAX_DENSE_QUBITS = 12
@@ -128,26 +128,45 @@ def schur_vector(label: SchurLabel) -> np.ndarray:
 @lru_cache(maxsize=None)
 def coupling_unitary(n: int) -> np.ndarray:
     """Dense 2^n x 2^n change of basis; column label_index(L) holds the
-    amplitudes of label L. Built qubit by qubit: column L couples the last
-    qubit to the parent chain's columns of `coupling_unitary(n - 1)` at
-    m -+ 1/2, one Clebsch-Gordan factor each. Cached with every level below,
-    read-only and capped at n = 12 (the matrix alone is 2^24 floats)."""
+    amplitudes of label L. Built qubit by qubit from `coupling_unitary(n - 1)`
+    (the sequential Clebsch-Gordan construction of Bacon, Chuang and Harrow,
+    PRL 97, 170502, 2006). Spins are twice-value ints here too. On the rows
+    where the last qubit carries z-spin x = +-1, column L is the parent
+    chain's column at m - x times the factor of coupling that qubit to spin
+    j: sqrt((j + 1 + x m) / (2 (j + 1))) for s = j + 1 and
+    -x sqrt((j + 1 - x m) / (2 (j + 1))) for s = j - 1, as `clebsch_gordan`
+    gives it. One level is a few array expressions over the labels'
+    (s, j, m) and one gather per bit; a ratio of two exact integer floats
+    rounds as the exact fraction does, so the bytes match `clebsch_gordan`'s.
+    Cached with every level below, read-only and capped at n = 12 (the
+    matrix alone is 2^24 floats)."""
     if not 1 <= n <= MAX_DENSE_QUBITS:
         raise ValueError(f"n must be in 1..{MAX_DENSE_QUBITS} for the dense unitary, got {n}")
     if n == 1:
         out = np.eye(2)
     else:
         parent = coupling_unitary(n - 1)
-        out = np.zeros((2 ** n, 2 ** n))
-        for col, lab in enumerate(enumerate_labels(n)):
-            # the last qubit is 0 (z-spin +1/2) on even rows, 1 (-1/2) on odd
-            for bit, xt in ((0, 1), (1, -1)):
-                m_prev = lab.m - xt
-                if not valid_z_component(lab.j, m_prev):
-                    continue
-                coeff = clebsch_gordan(lab.j, m_prev, xt, lab.s, lab.m)
-                prev = label_index(SchurLabel(lab.spins[:-1], m_prev))
-                out[bit::2, col] = coeff * parent[:, prev]
+        # a piece whose m - x leaves the parent chain reads this zero column
+        # at factor +1, so it stays +0.0
+        padded = np.concatenate([parent, np.zeros((len(parent), 1))], axis=1)
+        # a chain's labels are consecutive in its level, m descending
+        first = {}
+        for i, lab in enumerate(enumerate_labels(n - 1)):
+            first.setdefault(lab.spins, i)
+        s, j, m, start = np.array([(lab.s, lab.j, lab.m, first[lab.spins[:-1]])
+                                   for lab in enumerate_labels(n)]).T
+        up = s > j
+        out = np.empty((2 ** n, 2 ** n))
+        # axes: the first n - 1 qubits, the last one, the label
+        rows = out.reshape(len(parent), 2, 2 ** n)
+        # the last qubit is 0 (z-spin +1/2) or 1 (-1/2)
+        for bit, x in ((0, 1), (1, -1)):
+            m_prev = m - x
+            inside = np.abs(m_prev) <= j
+            ratio = (j + 1 + np.where(up, x, -x) * m) / (2 * (j + 1))
+            coeff = np.where(inside, np.where(up, 1, -x) * np.sqrt(ratio), 1.0)
+            prev = np.where(inside, start + (j - m_prev) // 2, -1)
+            np.multiply(padded[:, prev], coeff, out=rows[:, bit])
     out.flags.writeable = False
     return out
 

@@ -1,8 +1,11 @@
 """Test oracles shared by the test modules: a state's flat amplitudes,
 dense matrices of circuit actions, branch weights of a state, Haar-random
-qubit inputs, the list of pair sectors, the port element's table of a pair
-sector, the Hermitian square root of a dense measurement element and the
-whole-register qubit instrument."""
+qubit inputs, the coupled basis one label at a time, the list of pair
+sectors, the port element's table of a pair sector, the Hermitian square
+root of a dense measurement element and the whole-register qubit
+instrument."""
+
+import math
 
 import numpy as np
 
@@ -10,6 +13,8 @@ from portsim.circuit import Registers, StateVector
 from portsim.povm_analytic import port_eigensystem
 from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL
 from portsim.protocols import build_program, resource_matrix
+from portsim.schur import enumerate_labels
+from portsim.spinalg import clebsch_gordan
 
 
 def flat(state: StateVector) -> np.ndarray:
@@ -35,6 +40,24 @@ def branch_weights(state: StateVector, register: str) -> np.ndarray:
 def haar_qubit(rng: np.random.Generator) -> np.ndarray:
     amps = rng.normal(size=2) + 1j * rng.normal(size=2)
     return amps / np.linalg.norm(amps)
+
+
+def coupling_oracle(n: int) -> np.ndarray:
+    """Oracle for `schur.coupling_unitary`: the amplitude of label L on
+    bitstring x is the product of one `clebsch_gordan` factor per coupling
+    step, the running z-spin read off x's leading bits (qubit 1 most
+    significant, |0> carrying +1/2)."""
+    out = np.zeros((2 ** n, 2 ** n))
+    for col, lab in enumerate(enumerate_labels(n)):
+        for x in range(2 ** n):
+            zs = [1 - 2 * ((x >> (n - 1 - t)) & 1) for t in range(n)]
+            if sum(zs) != lab.m:
+                continue
+            out[x, col] = math.prod(
+                clebsch_gordan(lab.spins[t - 1], sum(zs[:t]), zs[t], lab.spins[t],
+                               sum(zs[:t + 1]))
+                for t in range(1, n))
+    return out
 
 
 def pair_sectors(n_ports: int) -> tuple[int, ...]:
@@ -68,9 +91,11 @@ def psd_sqrt(op: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def whole_register_instrument(kind, n_ports: int) -> tuple[np.ndarray, np.ndarray]:
+def whole_register_instrument(kind, n_ports: int, dtype=np.float64
+                              ) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for `protocols._instrument`: the whole-register program, every
-    port branch compiled and run, on the joint inputs for chi = |0> and |1>.
+    port branch compiled and run, on the joint inputs for chi = |0> and |1>,
+    cast to `dtype` (complex128 runs every op on complex amplitudes).
 
     Returns (gram, receiver): the (N or N+1, 2, 2) outcome forms, failure
     branches summed into slot N, and the (N, 2, 2, 2, 2) receiver tensors
@@ -79,7 +104,7 @@ def whole_register_instrument(kind, n_ports: int) -> tuple[np.ndarray, np.ndarra
     program = build_program(kind, n_ports)
     bob_dim = 2 ** n_ports
     joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n_ports), np.eye(2))
-    final = program.run(joint.reshape(2 ** (n_ports + 1), bob_dim * 2))
+    final = program.run(joint.reshape(2 ** (n_ports + 1), bob_dim * 2).astype(dtype))
     # axes: system, port branch, block qubit, receiver halves, input basis
     amps = final.amps.reshape(*final.amps.shape[:3], bob_dim, 2)
     per_branch = np.einsum("xprbc,xprbd->pcd", amps.conj(), amps)
@@ -87,7 +112,7 @@ def whole_register_instrument(kind, n_ports: int) -> tuple[np.ndarray, np.ndarra
     if program.failure_branches:
         failure = per_branch[list(program.failure_branches)].sum(axis=0)
         gram = np.concatenate([gram, failure[None]])
-    receiver = np.empty((n_ports, 2, 2, 2, 2), dtype=np.complex128)
+    receiver = np.empty((n_ports, 2, 2, 2, 2), dtype=amps.dtype)
     for k in range(n_ports):
         # bring receiver qubit k forward and trace out everything else
         kept = amps[:, k, 0].reshape(-1, *([2] * n_ports), 2)

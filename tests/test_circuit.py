@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from helpers import action_matrix, branch_weights, flat
-from portsim import circuit
+from portsim import circuit, protocols
 from portsim.circuit import (
     Block,
     CircuitAction,
+    DenseSystem,
     InvalidSubspaceSpec,
     OaaAction,
     Registers,
@@ -20,6 +21,7 @@ from portsim.circuit import (
     port_prepare,
 )
 from portsim.povm_oracle import qubit_swap_permutation
+from portsim.protocols import ProtocolKind, resource_matrix
 
 RNG = np.random.default_rng(np.random.PCG64(20240817))
 
@@ -396,3 +398,49 @@ def test_pipeline_preserves_norm_on_many_states():
     out = action.apply(state)
     norms = np.linalg.norm(flat(out), axis=0)
     np.testing.assert_allclose(norms, 1.0, atol=1e-10)
+
+
+# ----------------------------------------------------------------- dtypes ----
+
+@pytest.mark.parametrize("system, dtype", [(np.array([0.6, 0.8]), np.float64),
+                                           ([1, 0], np.float64),
+                                           (np.array([0.6, 0.8j]), np.complex128)])
+def test_every_op_keeps_the_input_dtype(system, dtype):
+    regs = Registers(n_system=1, port_dim=2)
+    q = np.linalg.qr(RNG.normal(size=(2, 2)))[0]
+    ops = [DenseSystem(q), port_prepare(regs, np.array([0.8, 0.6])),
+           port_cswap(regs, [np.array([1, 0])]), _toy_reflection(regs, 0.5)]
+    state = StateVector.from_system(regs, system)
+    assert state.amps.dtype == dtype
+    for op in ops:
+        state = op.apply(state)
+        assert state.amps.dtype == dtype
+    assert CircuitAction(ops).apply(StateVector.from_system(regs, system)).amps.dtype == dtype
+    start = StateVector.from_system(regs, system)
+    assert OaaAction(_toy_reflection(regs, 0.5), 3).apply(start).amps.dtype == dtype
+
+
+def test_a_complex_block_promotes_a_real_state():
+    regs = Registers(n_system=1, port_dim=2)
+    phase = np.diag([1j, 1.0])
+    op = SubspaceBlocks(regs, [Block(key=("phase",), matrix=phase,
+                                     instances=np.array([[0, 1]], dtype=np.intp))])
+    out = op.apply(StateVector.from_system(regs, np.array([0.6, 0.8])))
+    assert out.amps.dtype == np.complex128
+    assert out.amps[0, 0, 0, 0] == 0.6j
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_a_complex_run_is_the_real_runs_of_its_parts(kind, n):
+    # a complex 2x2 map on chi commutes with the fold's port swaps of Bob's
+    # qubits, so every part is an input the branch program's check accepts
+    program = protocols._compile(protocols._SPECS[kind], n, branch=True)
+    joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n), np.eye(2))
+    mix = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
+    x = np.einsum("abcd,de->abce", joint, mix).reshape(2 ** (n + 1), -1)
+    real, imag = (program.run(part).amps for part in (x.real, x.imag))
+    assert real.dtype == imag.dtype == np.float64
+    out = program.run(x).amps
+    assert out.dtype == np.complex128
+    np.testing.assert_allclose(out, real + 1j * imag, rtol=0, atol=1e-15)

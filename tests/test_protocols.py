@@ -442,16 +442,20 @@ def test_detuned_attach_breaks_the_amplification_precondition(monkeypatch, kind,
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", range(1, 8))
 def test_branch_instrument_matches_the_whole_register(kind, n):
-    # ports 0..N-2 are the last port branch's qubit-swap images
+    # ports 0..N-2 are the last port branch's qubit-swap images; the real
+    # branch program also matches the whole register run on complex amplitudes
     ports, failure, receiver = protocols._instrument(kind, n)
-    gram, receivers = whole_register_instrument(kind, n)
-    np.testing.assert_allclose(ports, gram[:n], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(np.broadcast_to(receiver, receivers.shape), receivers,
-                               rtol=0, atol=1e-13)
-    if kind.deterministic:
-        assert failure is None and len(gram) == n
-    else:
-        np.testing.assert_allclose(failure, gram[n], rtol=0, atol=1e-13)
+    assert ports.dtype == receiver.dtype == np.float64
+    for dtype in (np.float64, np.complex128) if n <= 5 else (np.float64,):
+        gram, receivers = whole_register_instrument(kind, n, dtype)
+        assert gram.dtype == receivers.dtype == dtype
+        np.testing.assert_allclose(ports, gram[:n], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(np.broadcast_to(receiver, receivers.shape), receivers,
+                                   rtol=0, atol=1e-13)
+        if kind.deterministic:
+            assert failure is None and len(gram) == n
+        else:
+            np.testing.assert_allclose(failure, gram[n], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import coupling_oracle
 from portsim.schur import (
     MAX_DENSE_QUBITS,
     MAX_ENUMERATE_QUBITS,
@@ -145,8 +146,14 @@ def test_coupling_unitary_columns_match_vectors(n):
         assert not np.shares_memory(vec, u)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_coupling_unitary_matches_the_per_label_products(n):
+    np.testing.assert_allclose(coupling_unitary(n), coupling_oracle(n), rtol=0, atol=1e-14)
+
+
 # sha256 of the transform's bytes: every seeded output rests on these floats,
-# so the qubit-by-qubit recurrence must reproduce them bit for bit
+# so the qubit-by-qubit recurrence must reproduce them bit for bit (n = 9 and
+# 10 as the earlier column-by-column recurrence built them)
 UNITARY_SHA256 = {
     1: "7b38b86d9a7e623764dc234b5d8aa67afbf388f139b4dc5a266ed0b4b7a258ea",
     2: "883a40cbd9062560ef18f4e734f8aebfdf402ed67eb1226b68dda6b877362d3c",
@@ -156,6 +163,8 @@ UNITARY_SHA256 = {
     6: "cf5bc545967ffa88ebebd7fb7bb152066ae52be4c37ce7765dd64fde6472eb13",
     7: "24cb0676d7c9f7351bf1bf649fe853c95db9edcfab39a35188f01793d7a08f10",
     8: "07d934ee9e6eecaebfd08713b64b1d2209abff800dbabaabfa20cfc5c02014bc",
+    9: "abb22c41ec283aea237bd9505cf5c15ac5000963c7da12f576341b9090d0d8be",
+    10: "9b8736ed1afb6d752a2f738507b22d2cae00c950b30702b6406a0039402c512c",
 }
 
 
