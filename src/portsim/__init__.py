@@ -21,7 +21,7 @@ from .protocols import (
     success_probability_exact,
     teleport_batch,
 )
-from .schur import SchurLabel, coupling_unitary, enumerate_labels, schur_vector
+from .schur import SchurLabel, coupling_unitary, enumerate_labels
 from .spinalg import Regime
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ __all__ = [
     "enumerate_labels",
     "port_eigensystem",
     "resource_estimate",
-    "schur_vector",
     "success_probability",
     "success_probability_exact",
     "teleport_batch",

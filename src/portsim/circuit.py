@@ -15,9 +15,9 @@ Unitaries come in two shapes: dense operators on the system factor, and
 block operations defined by small matrices repeated over explicit index
 tuples. The port-controlled swap is one of the latter, one swap block per
 port value. Every op only applies forward; an inverse is built as an op of
-its own. Block operations carry a register-level key per block so two-level
-rotations can be counted the way a real register machine would implement
-them (one controlled rotation per block, not one per amplitude pair).
+its own. Each block counts one rotation, the way a real register machine
+would implement it (one controlled rotation per block, not one per amplitude
+pair).
 """
 
 from __future__ import annotations
@@ -127,7 +127,6 @@ class Block:
     """One register-level two-level (or k-level) rotation: a small unitary
     repeated over disjoint index tuples."""
 
-    key: tuple
     matrix: np.ndarray
     instances: np.ndarray
 
@@ -141,13 +140,13 @@ class SubspaceBlocks:
     def __init__(self, registers: Registers, blocks: list[Block], name: str = "blocks"):
         self.registers = registers
         self.name = name
-        for block in blocks:
+        for pos, block in enumerate(blocks):
             k = block.matrix.shape[0]
             if block.matrix.shape != (k, k):
                 raise InvalidSubspaceSpec(f"{name}: block matrix must be square")
             gram = block.matrix.conj().T @ block.matrix
             if np.abs(gram - np.eye(k)).max() > 1e-10:
-                raise InvalidSubspaceSpec(f"{name}: block {block.key} is not unitary")
+                raise InvalidSubspaceSpec(f"{name}: block {pos} is not unitary")
             inst = block.instances
             if inst.ndim != 2 or inst.shape[1] != k or inst.dtype.kind not in "iu":
                 raise InvalidSubspaceSpec(f"{name}: instance array {inst.dtype} {inst.shape}")
@@ -155,7 +154,7 @@ class SubspaceBlocks:
                 raise InvalidSubspaceSpec(f"{name}: instance index out of range")
             # bincount, not np.unique: numpy 2's unique imports numpy.ma
             if np.bincount(inst.ravel(), minlength=registers.dim).max() > 1:
-                raise InvalidSubspaceSpec(f"{name}: block {block.key} reuses an index")
+                raise InvalidSubspaceSpec(f"{name}: block {pos} reuses an index")
         self.blocks = blocks
         self.rotation_count = len(blocks)
 
@@ -264,25 +263,23 @@ def c_star(target_amp: float) -> tuple[float, int]:
 
 def port_prepare(registers: Registers, amplitudes: np.ndarray) -> SubspaceBlocks:
     """Cascade of two-level rotations sending port basis state 0 to the given
-    real unit vector (first entry positive), identity on empty tail slots."""
+    positive unit vector, one rotation per entry after the first."""
     t = np.asarray(amplitudes, dtype=float)
     if t.shape != (registers.port_dim,):
         raise ValueError("amplitude count must match the port dimension")
     if abs(np.linalg.norm(t) - 1.0) > 1e-12:
         raise ValueError("port preparation amplitudes must be a unit vector")
-    if t[0] <= 0:
-        raise ValueError("first amplitude must be positive")
+    if (t <= 0).any():
+        raise ValueError("port preparation amplitudes must be positive")
     prefix = np.sqrt(np.cumsum(t ** 2))
     index = registers.index
     blocks = []
     for k in range(registers.port_dim - 1, 0, -1):
-        if t[k] == 0.0:
-            continue
         cos, sin = prefix[k - 1] / prefix[k], t[k] / prefix[k]
         matrix = np.array([[cos, -sin], [sin, cos]])
         # rows (system, r), columns (port 0, port k)
         inst = index[:, [0, k]].transpose(0, 2, 1).reshape(-1, 2)
-        blocks.append(Block(key=("prep", k), matrix=matrix, instances=inst))
+        blocks.append(Block(matrix=matrix, instances=inst))
     return SubspaceBlocks(registers, blocks, name="port-prepare")
 
 
@@ -302,5 +299,5 @@ def port_cswap(registers: Registers, perms: Sequence[np.ndarray]) -> SubspaceBlo
         moved = np.flatnonzero(perm > np.arange(len(perm)))
         # rows (pair, r), columns (x, perm[x])
         inst = index[np.column_stack([moved, perm[moved]]), i].transpose(0, 2, 1).reshape(-1, 2)
-        blocks.append(Block(key=("cswap", i), matrix=swap, instances=inst))
+        blocks.append(Block(matrix=swap, instances=inst))
     return SubspaceBlocks(registers, blocks, name="port-cswap")

@@ -53,7 +53,7 @@ from .protocols import (
     success_probability,
     teleport_batch,
 )
-from .schur import MAX_DENSE_QUBITS, enumerate_labels, label_table, schur_vector
+from .schur import MAX_DENSE_QUBITS, coupling_unitary, enumerate_labels, label_table
 from .spinalg import Regime
 
 SCHEMA = "portsim/v1"
@@ -63,6 +63,8 @@ SCHEMA = "portsim/v1"
 _CHECK_CAP = 5
 _TELEPORT_CAP = 6
 _TABLE_CAP = 6
+# max Frobenius mismatch per measurement element: acceptance criterion 2
+_CHECK_TOLERANCE = 1e-9
 
 
 class CliError(Exception):
@@ -127,9 +129,7 @@ def _emit_json(payload: dict) -> None:
 
 # ---------------------------------------------------------------- schur ----
 
-def _vector_text(label) -> str:
-    vec = schur_vector(label)
-    n = label.n_qubits
+def _vector_text(vec: np.ndarray, n: int) -> str:
     terms = []
     for idx in np.flatnonzero(np.abs(vec) > 1e-12):
         terms.append(f"{vec[idx]:+.5f}|{idx:0{n}b}>")
@@ -154,6 +154,8 @@ def cmd_schur(args: argparse.Namespace) -> int:
         return 0
     labels = enumerate_labels(args.n)
     show_vectors = args.n <= 4
+    # a vector is its label's column, so only shown vectors build the transform
+    basis = coupling_unitary(args.n) if show_vectors else None
     print(f"coupled basis for n={args.n} qubits ({len(rows)} labels)")
     header = f"{'index':>5}  {'chain':<18}{'j':>5}{'s':>5}{'m':>6}"
     print(header + ("  vector" if show_vectors else ""))
@@ -162,7 +164,7 @@ def cmd_schur(args: argparse.Namespace) -> int:
         line = (f"{row['index']:>5}  {chain:<18}{_half(row['j']):>5}"
                 f"{_half(row['s']):>5}{_half(row['m']):>6}")
         if show_vectors:
-            line += "  " + _vector_text(label)
+            line += "  " + _vector_text(basis[:, row["index"]], args.n)
         print(line)
     if not show_vectors:
         print("(vectors omitted for n > 4; use --format json for the labels)")
@@ -174,8 +176,6 @@ def cmd_schur(args: argparse.Namespace) -> int:
 def cmd_povm_check(args: argparse.Namespace) -> int:
     lo, hi = args.ports
     _check_range(hi, _cap(_CHECK_CAP))
-    if not 0.0 <= args.tolerance < math.inf:
-        raise CliError(f"--tolerance must be finite and non-negative, got {args.tolerance}")
     regimes = list(Regime) if args.regime == "all" else [Regime(args.regime)]
     worst = 0.0
     failures = 0
@@ -194,14 +194,14 @@ def cmd_povm_check(args: argparse.Namespace) -> int:
             frob = max(np.linalg.norm(a - b)
                        for a, b in zip(oracle.elements, closed.elements))
             worst = max(worst, frob)
-            ok = residual <= 1e-10 and low >= -1e-10 and frob <= args.tolerance
+            ok = residual <= 1e-10 and low >= -1e-10 and frob <= _CHECK_TOLERANCE
             failures += 0 if ok else 1
             lines.append(f"[{'PASS' if ok else 'FAIL'}] regime={regime.value} ports={n} "
                          f"outcomes={closed.n_outcomes} completeness={residual:.3e} "
                          f"min_eig={low:+.3e} max_frobenius={frob:.3e}\n")
     sys.stdout.writelines(lines)
     print(f"{len(lines) - failures}/{len(lines)} suites passed; "
-          f"worst frobenius {worst:.3e} (tolerance {args.tolerance:g})")
+          f"worst frobenius {worst:.3e} (tolerance {_CHECK_TOLERANCE:g})")
     return 1 if failures else 0
 
 
@@ -396,8 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=("dpbt", "ppbt-mes", "ppbt-opt", "all"),
                    default="all")
     p.add_argument("--ports", type=_port_range, default=(1, 3), metavar="LO..HI")
-    p.add_argument("--tolerance", type=float, default=1e-9,
-                   help="max allowed Frobenius mismatch per element")
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one closed-form scalar; the run must then fail")
     p.set_defaults(func=cmd_povm_check)

@@ -133,7 +133,7 @@ def _rotation_op(es: EigenSystem, regs: Registers, ports: range) -> SubspaceBloc
         matrix = np.array([[c[0]]]) if len(c) == 1 else np.array([[c[1], -c[0]], [c[0], c[1]]])
         # rows (family, port, r), columns the family's labels
         instances = np.moveaxis(grid[sector.families], 1, -1).reshape(-1, len(c))
-        blocks.append(Block(key=("rot", sector.s), matrix=matrix, instances=instances))
+        blocks.append(Block(matrix=matrix, instances=instances))
     return SubspaceBlocks(regs, blocks, name="family-rotation")
 
 
@@ -155,12 +155,10 @@ def _attach_op(es: EigenSystem, regs: Registers, branches: range, scale: float,
         kept = sector.families[:, -1]
         dropped[kept] = False
         # rows (label, branch), columns (r = 0, r = 1)
-        blocks.append(Block(key=("keep", sector.s, sector.j),
-                            matrix=_reflection(math.sqrt(float(sector.value)) * scale),
+        blocks.append(Block(matrix=_reflection(math.sqrt(float(sector.value)) * scale),
                             instances=grid[kept].reshape(-1, 2)))
     if dropped.any():
-        blocks.append(Block(key=("drop",), matrix=_reflection(0.0),
-                            instances=grid[dropped].reshape(-1, 2)))
+        blocks.append(Block(matrix=_reflection(0.0), instances=grid[dropped].reshape(-1, 2)))
     return SubspaceBlocks(regs, blocks, name=name)
 
 
@@ -250,7 +248,7 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
                                  spec.fail * (1.0 / rescale), "failure-attach"))
     rot = _rotation_op(eigen, regs, ports)
     # the real orthogonal blocks and transform are undone by their transposes
-    unrot = SubspaceBlocks(regs, [Block(key=b.key, matrix=b.matrix.T, instances=b.instances)
+    unrot = SubspaceBlocks(regs, [Block(matrix=b.matrix.T, instances=b.instances)
                                   for b in reversed(rot.blocks)], name="family-unrotation")
     couple = coupling_unitary(n_ports + 1)
     ops = [DenseSystem(couple.T), rot, *attach, unrot, DenseSystem(couple)]

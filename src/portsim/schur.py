@@ -106,36 +106,16 @@ def enumerate_labels(n: int) -> tuple[SchurLabel, ...]:
 
 
 @lru_cache(maxsize=None)
-def _index_map(n: int) -> dict[SchurLabel, int]:
-    return {lab: i for i, lab in enumerate(enumerate_labels(n))}
-
-
-def label_index(label: SchurLabel) -> int:
-    return _index_map(label.n_qubits)[label]
-
-
-def schur_vector(label: SchurLabel) -> np.ndarray:
-    """Computational-basis amplitudes of the labelled coupling state: a
-    writable copy of its column of `coupling_unitary`, so up to 12 qubits.
-
-    The amplitude on bitstring x is the product of one Clebsch-Gordan factor
-    per coupling step; support is restricted to bitstrings whose z-spins sum
-    to m.
-    """
-    return coupling_unitary(label.n_qubits)[:, label_index(label)].copy()
-
-
-@lru_cache(maxsize=None)
 def coupling_unitary(n: int) -> np.ndarray:
-    """Dense 2^n x 2^n change of basis; column label_index(L) holds the
-    amplitudes of label L. Built qubit by qubit from `coupling_unitary(n - 1)`
-    (the sequential Clebsch-Gordan construction of Bacon, Chuang and Harrow,
-    PRL 97, 170502, 2006). Spins are twice-value ints here too. On the rows
-    where the last qubit carries z-spin x = +-1, column L is the parent
-    chain's column at m - x times the factor of coupling that qubit to spin
-    j: sqrt((j + 1 + x m) / (2 (j + 1))) for s = j + 1 and
-    -x sqrt((j + 1 - x m) / (2 (j + 1))) for s = j - 1, as `clebsch_gordan`
-    gives it. One level is a few array expressions over the labels'
+    """Dense 2^n x 2^n change of basis; column i holds the amplitudes of
+    label enumerate_labels(n)[i]. Built qubit by qubit from
+    `coupling_unitary(n - 1)` (the sequential Clebsch-Gordan construction of
+    Bacon, Chuang and Harrow, PRL 97, 170502, 2006). Spins are twice-value
+    ints here too. On the rows where the last qubit carries z-spin x = +-1,
+    column L is the parent chain's column at m - x times the factor of
+    coupling that qubit to spin j: sqrt((j + 1 + x m) / (2 (j + 1))) for
+    s = j + 1 and -x sqrt((j + 1 - x m) / (2 (j + 1))) for s = j - 1, as
+    `clebsch_gordan` gives it. One level is a few array expressions over the labels'
     (s, j, m) and one gather per bit; a ratio of two exact integer floats
     rounds as the exact fraction does, so the bytes match `clebsch_gordan`'s.
     Cached with every level below, read-only and capped at n = 12 (the

@@ -167,7 +167,7 @@ def test_givens_spec_matches_dense_rotation():
     cos, sin = math.cos(0.3), math.sin(0.3)
     a, b = regs.index[0, 0, 0], regs.index[0, 1, 0]
     matrix = np.array([[cos, -sin], [sin, cos]])
-    op = SubspaceBlocks(regs, [Block(key=("givens",), matrix=matrix,
+    op = SubspaceBlocks(regs, [Block(matrix=matrix,
                                      instances=np.array([[a, b]], dtype=np.intp))])
     dense = np.eye(regs.dim, dtype=complex)
     dense[np.ix_([a, b], [a, b])] = matrix
@@ -179,11 +179,16 @@ def test_spec_validation_errors():
     regs = Registers(n_system=1, port_dim=2)
 
     def blocks(matrix, instances):
-        return SubspaceBlocks(regs, [Block(key=("bad",), matrix=np.asarray(matrix),
+        return SubspaceBlocks(regs, [Block(matrix=np.asarray(matrix),
                                            instances=np.array(instances, dtype=np.intp))])
 
-    with pytest.raises(InvalidSubspaceSpec):
-        blocks([[0.5, 0.0], [0.0, 1.0]], [[0, 1]])  # not unitary
+    with pytest.raises(InvalidSubspaceSpec, match="^blocks: block 0 is not unitary$"):
+        blocks([[0.5, 0.0], [0.0, 1.0]], [[0, 1]])
+    # a bad block is named by its op and its position
+    good = Block(matrix=np.eye(2), instances=np.array([[0, 1]], dtype=np.intp))
+    bad = Block(matrix=np.eye(2), instances=np.array([[2, 2]], dtype=np.intp))
+    with pytest.raises(InvalidSubspaceSpec, match="^prep: block 1 reuses an index$"):
+        SubspaceBlocks(regs, [good, bad], name="prep")
     with pytest.raises(InvalidSubspaceSpec):
         # residual 8e-6 on the diagonal, where a relative tolerance would hide it
         blocks([[1.0 + 4e-6, 0.0], [0.0, 1.0]], [[0, 1]])
@@ -199,7 +204,7 @@ def test_every_block_counts_one_rotation():
     # a phase rotation this close to the identity is still a gate to implement
     regs = Registers(n_system=1, port_dim=2)
     phase = np.diag([np.exp(1e-6j), 1.0])
-    op = SubspaceBlocks(regs, [Block(key=("phase",), matrix=phase,
+    op = SubspaceBlocks(regs, [Block(matrix=phase,
                                      instances=np.array([[0, 1]], dtype=np.intp))])
     assert op.rotation_count == 1
 
@@ -208,14 +213,14 @@ def test_subspace_blocks_reject_non_integer_instances():
     regs = Registers(n_system=1, port_dim=2)
     inst = np.array([[0.0, 1.0]])
     with pytest.raises(InvalidSubspaceSpec):
-        SubspaceBlocks(regs, [Block(key=("bad",), matrix=np.eye(2), instances=inst)])
+        SubspaceBlocks(regs, [Block(matrix=np.eye(2), instances=inst)])
 
 
 def test_subspace_blocks_reject_overlapping_instances():
     regs = Registers(n_system=1, port_dim=2)
     inst = np.array([[0, 1], [1, 2]], dtype=np.intp)
     with pytest.raises(InvalidSubspaceSpec):
-        SubspaceBlocks(regs, [Block(key=("bad",), matrix=np.eye(2), instances=inst)])
+        SubspaceBlocks(regs, [Block(matrix=np.eye(2), instances=inst)])
 
 
 # ------------------------------------------------------------ measurement ----
@@ -242,7 +247,7 @@ def _toy_reflection(regs: Registers, amp: float) -> SubspaceBlocks:
     cos = math.sqrt(1 - amp * amp)
     matrix = np.array([[amp, -cos], [cos, amp]])
     inst = regs.index.reshape(-1, 2)
-    return SubspaceBlocks(regs, [Block(key=("toy",), matrix=matrix, instances=inst)])
+    return SubspaceBlocks(regs, [Block(matrix=matrix, instances=inst)])
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -344,18 +349,17 @@ def test_port_prepare_hits_the_target_amplitudes():
     assert prep.rotation_count == 3
 
 
-def test_port_prepare_skips_zero_slots():
+@pytest.mark.parametrize("target", [[0.5, 0.0, math.sqrt(3) / 2], [0.6, -0.8, 0.0],
+                                    [-0.6, 0.0, 0.8], [0.6, 0.8, 0.0]])
+def test_port_prepare_rejects_non_positive_amplitudes(target):
     regs = Registers(n_system=1, port_dim=3)
-    target = np.array([0.5, 0.0, math.sqrt(3) / 2])
-    prep = port_prepare(regs, target)
-    assert prep.rotation_count == 1
-    state = prep.apply(StateVector.from_system(regs, np.array([1.0, 0.0])))
-    np.testing.assert_allclose(state.amps[0, :, 0, 0], target, atol=1e-12)
+    with pytest.raises(ValueError, match="must be positive"):
+        port_prepare(regs, np.array(target))
 
 
 def test_port_prepare_is_unitary():
     regs = Registers(n_system=1, port_dim=3)
-    prep = port_prepare(regs, np.array([0.6, 0.0, 0.8]))
+    prep = port_prepare(regs, np.array([0.6, 0.48, 0.64]))
     matrix = action_matrix(prep, regs)
     np.testing.assert_allclose(matrix.conj().T @ matrix, np.eye(regs.dim),
                                atol=1e-12)
@@ -423,7 +427,7 @@ def test_every_op_keeps_the_input_dtype(system, dtype):
 def test_a_complex_block_promotes_a_real_state():
     regs = Registers(n_system=1, port_dim=2)
     phase = np.diag([1j, 1.0])
-    op = SubspaceBlocks(regs, [Block(key=("phase",), matrix=phase,
+    op = SubspaceBlocks(regs, [Block(matrix=phase,
                                      instances=np.array([[0, 1]], dtype=np.intp))])
     out = op.apply(StateVector.from_system(regs, np.array([0.6, 0.8])))
     assert out.amps.dtype == np.complex128

@@ -56,6 +56,18 @@ def test_schur_rejects_oversized_register(capsys):
     assert err.startswith("error:")
 
 
+def test_schur_human_labels_past_the_dense_cap(capsys, monkeypatch):
+    # without vectors (n > 4) the human table builds no transform, so a raised
+    # cap lists 13-qubit labels although the dense transform stops at 12
+    monkeypatch.setenv("PORTSIM_MAX_PORTS", "13")
+    code, out, err = run(capsys, ["schur", "--n", "13", "--format", "human"])
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "coupled basis for n=13 qubits (8192 labels)"
+    assert [int(line.split()[0]) for line in lines[2:-1]] == list(range(8192))
+    assert lines[-1].startswith("(vectors omitted")
+
+
 # ------------------------------------------------------------- povm-check ----
 
 def test_povm_check_default_sweep_passes(capsys):
@@ -86,6 +98,14 @@ def test_povm_check_port_range_validation(capsys):
     assert "error:" in err
     code, _, err = run(capsys, ["povm-check", "--ports", "3..2"])
     assert code == 2
+
+
+def test_povm_check_has_no_tolerance_option(capsys):
+    # the tolerance is acceptance criterion 2's, not a knob
+    code, out, err = run(capsys, ["povm-check", "--ports", "1", "--tolerance", "1e-3"])
+    assert code == 2
+    assert out == ""
+    assert "--tolerance" in err
 
 
 # --------------------------------------------------------------- teleport ----
@@ -298,8 +318,6 @@ def test_port_cap_env_override_rejects_garbage(capsys, monkeypatch):
     ["povm-check", "--ports", "7"],
     ["schur", "--n", "21"],
     ["table", "--metric", "resources", "--ports", "12"],
-    ["povm-check", "--ports", "1", "--tolerance", "nan"],
-    ["povm-check", "--ports", "1", "--tolerance", "-1"],
     ["table", "--metric", "resources", "--ports", "1", "--epsilon", "1e-310"],
     ["teleport", "--regime", "dpbt", "--ports", "2", "--trials", "3", "--seed", "-1"],
     ["povm-check", "--ports", "6..7"],

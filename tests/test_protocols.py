@@ -9,6 +9,7 @@ from helpers import (action_matrix, branch_weights, flat, haar_qubit, psd_sqrt,
                      whole_register_instrument)
 from portsim import protocols
 from portsim.circuit import Registers, StateVector
+from portsim.povm_analytic import failure_eigensystem, port_eigensystem
 from portsim.povm_oracle import build_povm
 from portsim.protocols import (
     NumericalInvariantError,
@@ -620,6 +621,30 @@ def test_rotation_counts_are_frozen(kind):
 def test_unamplified_rotation_counts_are_frozen():
     for n, count in ROTATIONS_NO_AA.items():
         assert ppbt_mes_no_aa(n).rotation_count == count
+
+
+def sector_rotation_count(spec, n: int) -> int:
+    """The compiled rotation count read off the spec and its sector tables:
+    the preparation, the controlled swap twice, the family rotation and its
+    undoing, and each attach's sectors plus a drop block for the labels it
+    does not keep. Each family keeps one label, so a table with fewer
+    families than labels drops some (dpbt at N = 2: its families cover all
+    eight labels, but keep six)."""
+    eigen = port_eigensystem(spec.regime, n)
+    attached = [eigen] if spec.fail is None else [eigen, failure_eigensystem(spec.regime, n)]
+    count = np.count_nonzero(spec.amplitudes(n)[1:]) + 2 * n
+    count += 2 * sum(sector.s <= n for sector in eigen.sectors)
+    for es in attached:
+        kept = sum(len(sector.families) for sector in es.sectors)
+        count += len(es.sectors) + (kept < 2 ** (n + 1))
+    return count
+
+
+@pytest.mark.parametrize("kind", [*KINDS, "no-aa"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rotation_counts_follow_the_sector_tables(kind, n):
+    spec = protocols._NO_AA if kind == "no-aa" else protocols._SPECS[kind]
+    assert sector_rotation_count(spec, n) == protocols._compile(spec, n).rotation_count
 
 
 # frozen like ROTATIONS: the transform's ancillas, the port register's bits

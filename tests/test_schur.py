@@ -9,12 +9,9 @@ from helpers import coupling_oracle
 from portsim.schur import (
     MAX_DENSE_QUBITS,
     MAX_ENUMERATE_QUBITS,
-    SchurLabel,
     coupling_unitary,
     enumerate_labels,
-    label_index,
     label_table,
-    schur_vector,
     sector_operator,
 )
 from portsim.spinalg import chain_multiplicity, spin_values
@@ -84,44 +81,39 @@ def test_enumerate_rejects_out_of_range():
 # ------------------------------------------------------------- vectors ----
 
 def test_singlet_vector():
-    lab = next(l for l in enumerate_labels(2) if l.s == 0)
+    i = next(i for i, l in enumerate(enumerate_labels(2)) if l.s == 0)
     np.testing.assert_allclose(
-        schur_vector(lab), [0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0], atol=1e-15)
+        coupling_unitary(2)[:, i], [0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0], atol=1e-15)
 
 
 def test_stretched_vector_is_all_zeros_bitstring():
-    lab = enumerate_labels(2)[0]
-    assert lab.m == 2
-    np.testing.assert_allclose(schur_vector(lab), [1, 0, 0, 0], atol=1e-15)
+    assert enumerate_labels(2)[0].m == 2
+    np.testing.assert_allclose(coupling_unitary(2)[:, 0], [1, 0, 0, 0], atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_vectors_are_total_spin_eigenstates(n):
     s_sq = total_spin_squared(n)
-    for lab in enumerate_labels(n):
-        vec = schur_vector(lab)
+    u = coupling_unitary(n)
+    for i, lab in enumerate(enumerate_labels(n)):
+        vec = u[:, i]
         s = lab.s / 2
         np.testing.assert_allclose(s_sq @ vec, s * (s + 1) * vec, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_vector_support_respects_z_spin(n):
-    for lab in enumerate_labels(n):
-        vec = schur_vector(lab)
-        for idx in np.flatnonzero(np.abs(vec) > 1e-14):
+    u = coupling_unitary(n)
+    for i, lab in enumerate(enumerate_labels(n)):
+        for idx in np.flatnonzero(np.abs(u[:, i]) > 1e-14):
             assert z_spin(int(idx), n) == lab.m / 2
-
-
-def test_gram_matrix_is_identity_at_four_qubits():
-    vectors = np.column_stack([schur_vector(l) for l in enumerate_labels(4)])
-    np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(16), atol=1e-12)
 
 
 def test_three_qubit_vector_matches_direct_product_sum():
     # independent evaluation: couple qubit by qubit with explicit 2x2 blocks
-    lab = next(l for l in enumerate_labels(3)
-               if l.spins[1] == 0 and l.m == 1)
-    vec = schur_vector(lab)
+    i = next(i for i, l in enumerate(enumerate_labels(3))
+             if l.spins[1] == 0 and l.m == 1)
+    vec = coupling_unitary(3)[:, i]
     # chain 1/2 -> 0 -> 1/2: first two qubits form the singlet, third is free
     singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
     expect = np.kron(singlet, [1, 0])
@@ -137,13 +129,14 @@ def test_coupling_unitary_is_unitary(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_coupling_unitary_columns_match_vectors(n):
+def test_columns_are_eigenstates_of_every_running_total(n):
+    # column i is label i: spins[t - 1] is the total spin of the first t qubits
     u = coupling_unitary(n)
-    for i, lab in enumerate(enumerate_labels(n)):
-        vec = schur_vector(lab)
-        np.testing.assert_array_equal(vec, u[:, i])
-        assert vec.flags.writeable
-        assert not np.shares_memory(vec, u)
+    labels = enumerate_labels(n)
+    for t in range(1, n + 1):
+        s_sq = np.kron(total_spin_squared(t), np.eye(2 ** (n - t)))
+        spin = np.array([lab.spins[t - 1] / 2 for lab in labels])
+        np.testing.assert_allclose(s_sq @ u, u * (spin * (spin + 1)), atol=1e-10)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -173,21 +166,6 @@ def test_coupling_unitary_bytes_are_pinned(n):
     assert hashlib.sha256(coupling_unitary(n).tobytes()).hexdigest() == UNITARY_SHA256[n]
 
 
-def test_schur_vector_stops_at_the_dense_cap():
-    n = MAX_DENSE_QUBITS + 1
-    stretched = SchurLabel(tuple(range(1, n + 1)), n)
-    with pytest.raises(ValueError, match=f"1..{MAX_DENSE_QUBITS}"):
-        schur_vector(stretched)
-
-
-def test_singlet_column_values():
-    u = coupling_unitary(2)
-    lab = next(l for l in enumerate_labels(2) if l.s == 0)
-    col = u[:, label_index(lab)]
-    np.testing.assert_allclose(col, [0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0],
-                               atol=1e-15)
-
-
 def test_coupling_unitary_is_built_once_and_read_only():
     u = coupling_unitary(4)
     assert coupling_unitary(4) is u
@@ -201,13 +179,7 @@ def test_coupling_unitary_respects_dense_cap():
         coupling_unitary(MAX_DENSE_QUBITS + 1)
 
 
-# ----------------------------------------------------------- bijection ----
-
-@pytest.mark.parametrize("n", [1, 3, 6])
-def test_label_index_round_trip(n):
-    for i, lab in enumerate(enumerate_labels(n)):
-        assert label_index(lab) == i
-
+# ---------------------------------------------------------- label rows ----
 
 def test_label_table_serializes_to_json():
     rows = label_table(3)
@@ -237,15 +209,15 @@ def test_spin_projector_is_idempotent_with_known_rank():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_spin_projector_is_the_gram_of_its_sector_vectors(n):
+    u = coupling_unitary(n)
+    spins = np.array([lab.s for lab in enumerate_labels(n)])
     for s in spin_values(n):
-        cols = np.array([schur_vector(lab) for lab in enumerate_labels(n) if lab.s == s]).T
+        cols = u[:, spins == s]
         assert np.array_equal(sector_operator(n, {s: 1}), cols @ cols.T)
     # weighted: each sector keeps its own weight on its own vectors
     weights = {s: 1 + s for s in spin_values(n)}
-    op = sector_operator(n, weights)
-    for lab in enumerate_labels(n):
-        vec = schur_vector(lab)
-        np.testing.assert_allclose(op @ vec, weights[lab.s] * vec, atol=1e-12)
+    scale = np.array([weights[s] for s in spins])
+    np.testing.assert_allclose(sector_operator(n, weights) @ u, u * scale, atol=1e-12)
 
 
 def test_sector_operator_of_no_qubits_and_inadmissible_spins():
