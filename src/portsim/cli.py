@@ -31,13 +31,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import os
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +67,8 @@ _TELEPORT_CAP = 6
 _TABLE_CAP = 6
 # max Frobenius mismatch per measurement element: acceptance criterion 2
 _CHECK_TOLERANCE = 1e-9
+# teleport rows joined into one stdout write
+_BLOCK_ROWS = 1000
 
 
 class CliError(Exception):
@@ -223,14 +227,23 @@ def _outcome_z(counts: np.ndarray, expected: np.ndarray, trials: int) -> list[fl
     return scores
 
 
-def _json_records(rows):
+def _write_blocks(lines: Iterable[str]) -> None:
+    """Write `lines` to stdout joined in blocks of at most _BLOCK_ROWS, one
+    write each: under PYTHONUNBUFFERED stdout is write-through, so every
+    write is a system call. Lines are rendered only as their block fills."""
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+        sys.stdout.write("".join(block))
+
+
+def _json_records(rows, text):
     """Trial records as json.dumps(indent=2) writes them two levels deep,
     each led by its list separator; failed trials have a null fidelity."""
     sep = "\n"
     for i, o, ok, f in rows:
         yield (f'{sep}    {{\n      "trial": {i},\n      "outcome": {o},\n'
                f'      "success": {"true" if ok else "false"},\n'
-               f'      "fidelity": {repr(f) if ok else "null"}\n    }}')
+               f'      "fidelity": {text(f) if ok else "null"}\n    }}')
         sep = ",\n"
 
 
@@ -259,6 +272,9 @@ def cmd_teleport(args: argparse.Namespace) -> int:
 
     rows = zip(range(1, args.trials + 1), outcome.tolist(), success.tolist(),
                fidelity.tolist())
+    # covariance leaves a few distinct fidelities per run: each is formatted
+    # once, and the cache never holds more strings than a block has rows
+    text = functools.lru_cache(maxsize=_BLOCK_ROWS)(repr if args.format == "json" else _fmt)
     if args.format == "json":
         envelope = json.dumps({
             "schema": SCHEMA, "command": "teleport", "regime": kind.value,
@@ -276,36 +292,38 @@ def cmd_teleport(args: argparse.Namespace) -> int:
                 "exact_fidelity": exact_f,
             }}, indent=2)
         head, _, tail = envelope.partition('"trial_results": []')
-        sys.stdout.write(head + '"trial_results": [')
-        sys.stdout.writelines(_json_records(rows))
-        sys.stdout.write("\n  ]" + tail + "\n")
+        _write_blocks(itertools.chain([head + '"trial_results": ['], _json_records(rows, text),
+                                      ["\n  ]" + tail + "\n"]))
         return 0
     if args.format == "csv":
-        sys.stdout.write("trial,outcome,success,fidelity\r\n")
-        sys.stdout.writelines(
-            f"{i},{o},true,{_fmt(f)}\r\n" if ok else f"{i},{o},false,\r\n"
-            for i, o, ok, f in rows)
+        _write_blocks(itertools.chain(
+            ["trial,outcome,success,fidelity\r\n"],
+            (f"{i},{o},true,{text(f)}\r\n" if ok else f"{i},{o},false,\r\n"
+             for i, o, ok, f in rows)))
         return 0
-    print(f"# teleport regime={kind.value} ports={n} trials={args.trials} "
-          f"seed={args.seed} rounds={rounds} c_star={_fmt(c_star)} generator=PCG64")
-    print(f"{'trial':>6} {'outcome':>7} {'result':<7} fidelity")
-    sys.stdout.writelines(
-        f"{i:>6} {o:>7} ok      {_fmt(f)}\n" if ok else f"{i:>6} {o:>7} fail    -\n"
-        for i, o, ok, f in rows)
-    print("summary:")
+    head = [f"# teleport regime={kind.value} ports={n} trials={args.trials} "
+            f"seed={args.seed} rounds={rounds} c_star={_fmt(c_star)} generator=PCG64\n",
+            f"{'trial':>6} {'outcome':>7} {'result':<7} fidelity\n"]
+    summary = ["summary:\n"]
     for slot, (count, p, z) in enumerate(zip(counts, expected, z_scores), start=1):
         tag = "fail" if (not kind.deterministic and slot == len(expected)) else f"port {slot}"
-        print(f"  {tag:<8} count {int(count):>6}  expected {args.trials * p:10.2f}  z {z:+.3f}")
+        summary.append(f"  {tag:<8} count {int(count):>6}  "
+                       f"expected {args.trials * p:10.2f}  z {z:+.3f}\n")
     if kind.deterministic:
-        print(f"  mean fidelity {_fmt(mean_fid)}  exact {_fmt(exact_f)}  "
-              f"|dev| {abs(mean_fid - exact_f):.3e}")
+        summary.append(f"  mean fidelity {_fmt(mean_fid)}  exact {_fmt(exact_f)}  "
+                       f"|dev| {abs(mean_fid - exact_f):.3e}\n")
     else:
         var = exact_p * (1.0 - exact_p) / args.trials
         rate_z = (rate - exact_p) / math.sqrt(var) if var > 0 else 0.0
-        print(f"  success rate {_fmt(rate)}  exact {_fmt(exact_p)}  z {rate_z:+.3f}")
-        print(f"  mean success fidelity {_fmt(mean_fid)}  exact 1  "
-              f"|dev| {abs(mean_fid - 1.0):.3e}")
-    print(f"  max outcome |z| {max_z:.3f}")
+        summary.append(f"  success rate {_fmt(rate)}  exact {_fmt(exact_p)}  z {rate_z:+.3f}\n")
+        summary.append(f"  mean success fidelity {_fmt(mean_fid)}  exact 1  "
+                       f"|dev| {abs(mean_fid - 1.0):.3e}\n")
+    summary.append(f"  max outcome |z| {max_z:.3f}\n")
+    _write_blocks(itertools.chain(
+        head,
+        (f"{i:>6} {o:>7} ok      {text(f)}\n" if ok else f"{i:>6} {o:>7} fail    -\n"
+         for i, o, ok, f in rows),
+        summary))
     return 0
 
 

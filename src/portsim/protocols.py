@@ -13,13 +13,14 @@ row, the same circuit left unamplified.
 
 Sampling never runs a statevector per trial: each protocol is compiled once
 into a qubit instrument (`_instrument`), and every trial reads its outcome
-weights and receiver state off that instrument. The instrument comes from a
-branch program, the same builder on a register holding only the last port
-branch and the failure branch. The square-root measurement is
-port-permutation covariant (Studzinski et al., Sci. Rep. 7, 10871, 2017):
-every other port branch is a qubit-swap image of the last one, so all ports
-share its outcome form and receiver tensor. The whole-register program
-stays for what reads its structure: the gate-count model and the tests.
+weights and fidelity off that instrument, as forms in four real features
+of its input. The instrument comes from a branch program, the same builder
+on a register holding only the last port branch and the failure branch.
+The square-root measurement is port-permutation covariant (Studzinski et
+al., Sci. Rep. 7, 10871, 2017): every other port branch is a qubit-swap
+image of the last one, so all ports share its outcome form and receiver
+tensor. The whole-register program stays for what reads its structure: the
+gate-count model and the tests.
 """
 
 from __future__ import annotations
@@ -393,23 +394,41 @@ def _instrument(kind: ProtocolKind, n_ports: int
     return np.broadcast_to(per_branch[0], (n_ports, 2, 2)), failure, receiver
 
 
-def _receiver_states(receiver: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """Normalized receiver state per column of chi, read off the receiver
-    tensor K that every port outcome shares."""
-    states = np.einsum("icjd,ct,dt->tij", receiver, chi, chi.conj())
-    states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
-    return states
+def _fidelity_forms(receiver: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The receiver tensor K as forms in an input's outcome features
+    f = (|chi0|^2, |chi1|^2, Re conj(chi0) chi1, Im conj(chi0) chi1).
+
+    chi chi^dagger = sum_k f_k B_k (`basis`), so the unnormalized receiver
+    state K(chi chi^dagger) is linear in f: its trace is the linear form
+    t . f, and its overlap with chi chi^dagger the quadratic form f^T Q f.
+    Both are real for every f, so the imaginary parts drop. Returns the
+    (4, 4) Q and the 4-vector t.
+    """
+    basis = np.zeros((4, 2, 2), dtype=np.complex128)
+    basis[0, 0, 0] = basis[1, 1, 1] = 1.0
+    basis[2, 1, 0] = basis[2, 0, 1] = 1.0
+    basis[3, 1, 0], basis[3, 0, 1] = 1j, -1j
+    quadratic = np.einsum("icjd,kcd,lji->kl", receiver, basis, basis).real
+    trace = np.einsum("icid,kcd->k", receiver, basis).real
+    return quadratic, trace
+
+
+def _combine(coeffs: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] * features[k], summed elementwise in a fixed order, so
+    the bytes of a seeded run do not depend on a BLAS kernel."""
+    return sum(c * row for c, row in zip(coeffs.tolist(), features))
 
 
 def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
                    rng: np.random.Generator | int | None = None) -> TeleportBatch:
     """Run one teleportation per input column through the compiled instrument.
 
-    Outcome weights and receiver states are quadratic forms of each input
-    read off `_instrument`, so a trial costs O(N) once the protocol is
-    compiled. Outcome sampling draws one uniform per trial and inverts the
-    per-trial cumulative distribution under the named generator (PCG64 when
-    given a seed).
+    Outcome weights are linear forms, and fidelities ratios of a quadratic
+    to a linear form, in four real features of each input, read off
+    `_instrument`; so a trial costs O(N) once the protocol is compiled.
+    Outcome sampling draws one uniform per trial and inverts the per-trial
+    cumulative distribution under the named generator (PCG64 when given a
+    seed).
     """
     chi = np.asarray(input_states, dtype=np.complex128)
     if chi.ndim != 2 or chi.shape[0] != 2:
@@ -437,10 +456,12 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
     np.cumsum(cumulative, axis=0, out=cumulative)
     outcomes = np.minimum((cumulative < draws).sum(axis=0), len(gram) - 1)
     success = outcomes < n_ports
-    kept = chi[:, success]
-    states = _receiver_states(receiver, kept)
+    # <chi|K(chi chi^dagger)|chi> / tr K(chi chi^dagger), every port sharing K
+    quadratic, trace = _fidelity_forms(receiver)
+    kept = features[:, success]
     fidelities = np.full(chi.shape[1], np.nan)
-    fidelities[success] = np.einsum("it,tij,jt->t", kept.conj(), states, kept).real
+    fidelities[success] = (sum(row * _combine(q, kept) for row, q in zip(kept, quadratic))
+                           / _combine(trace, kept))
     return TeleportBatch(kind=kind, n_ports=n_ports, rounds=program.rounds,
                          c_star=program.c_star, outcomes=outcomes + 1,
                          fidelities=fidelities, probabilities=probs,

@@ -2,8 +2,8 @@
 dense matrices of circuit actions, branch weights of a state, Haar-random
 qubit inputs, the coupled basis one label at a time, the list of pair
 sectors, the port element's table of a pair sector, the Hermitian square
-root of a dense measurement element and the whole-register qubit
-instrument."""
+root of a dense measurement element, the whole-register qubit instrument
+and the receiver states it leaves."""
 
 import math
 
@@ -119,3 +119,12 @@ def whole_register_instrument(kind, n_ports: int, dtype=np.float64
         kept = np.moveaxis(kept, 1 + k, 1).reshape(kept.shape[0], 2, -1, 2)
         receiver[k] = np.einsum("xiyc,xjyd->icjd", kept, kept.conj())
     return gram, receiver
+
+
+def receiver_states(receiver: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """Oracle for the fidelities of `protocols.teleport_batch`: the normalized
+    2x2 receiver state K(chi chi^dagger) / tr K(chi chi^dagger) per column of
+    chi, from the receiver tensor K that every port outcome shares."""
+    states = np.einsum("icjd,ct,dt->tij", receiver, chi, chi.conj())
+    states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
+    return states

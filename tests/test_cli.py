@@ -424,11 +424,99 @@ OUTPUT_SHA256 = {
 }
 
 
+# Seeded runs long enough to span several stdout blocks. The digests pin
+# numpy's PCG64 streams and the exact float arithmetic of every trial.
+TELEPORT_SHA256 = {
+    "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format human":
+        "76a5fe1247f6980e83cc209b8c654fb2271f351f122726e09867769c58ec813a",
+    "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format json":
+        "b14ca9722cda01a42ef85741160715479a66c1e4800d138ca58d4b22c9cec055",
+    "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format csv":
+        "a9188f7d5e09ad7a026c60fbc72bfe85040809b5385b80a2a4eded26dfc76c0e",
+    "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format human":
+        "bffc49be95b38852d24638ac5b3c52bc27c0c815e9e6559d95ff2b563a4de45e",
+    "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format json":
+        "f20c09b0383ecfdfdef4f6d525ba4829a3a3adc88df35ad30f97ab8702d93725",
+    "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format csv":
+        "e397eb39eefe119d78e66f87f90e6d3280e86f9ab5bc7a0d759832c99b2f69e5",
+    "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format human":
+        "08bbaa2c3cb5227f9e10ab65c328521ba82783597658bc2c467488a3f9271cc1",
+    "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format json":
+        "fcc6a2ddd669a3e6dd0097ae664c93108793036b49ccd5cb3b7a72f082f16177",
+    "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format csv":
+        "31eb9502d877cf8cd00b72eb5b00777d1a3f6f33660e07316080d1c5e2718079",
+    "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format human":
+        "f6ab3ce17652b250fca03c2ee4a6b153c71743afeb8905e29f48c39c7df9cde9",
+    "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format json":
+        "15e20fd6c34cff326ca794a48b3c729f47b159db6dcf2d9cebe9629b485eb90c",
+    "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format csv":
+        "7e6b954685856cc08492d4a30ada5d26ade292b802e0250439d781fb69ba94f6",
+    "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format human":
+        "53c87135cd863132c0b4e9b322af46d800cf969779008be241ce5b387ebb56bd",
+    "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format json":
+        "66ef98ff51f066487e405c429ce477a263a312d99ab5aee4e6ab6c46c56e55da",
+    "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format csv":
+        "0362f4d4fb0d4d8fa33adb0d79ffd9b3c3cc082e11c8ae1dd220fc61f842a324",
+    "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format human":
+        "db74cf94f636fe831217601276159543aee024668136252fa119d8cb50107487",
+    "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format json":
+        "c2ffb4ae475ed5b4417f8bf1674b7d808e54e05aa0cb47af6d8c0fcd54cef342",
+    "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
+        "4cc390fee877e37b8a8f2ba47c60903928ab2302789ea78fe8021183393e4cfd",
+    "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format human":
+        "d151203ffcad08079081e1c8ff224d252d3d22cda22e17ae6e32941868d78c6b",
+    "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format json":
+        "ec6dd25b429a6e9f683e5c68747bff91a012cfc6e2f96f68133f8806bedf4608",
+    "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format csv":
+        "beb73e8b792ba4bf62d936af2bb7e9094d8fc427a0a9ad006f66a44781d1bb68",
+    "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format human":
+        "d3b335de20af80308af7bc6304294f6923b7d5b2d3876f2d661c46ad991e43f2",
+    "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format json":
+        "da1004a2f5c9ab0d7a91036c4ab29f2dc17c1f81788150adb227fadf88306333",
+    "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
+        "594236a6e3445edc61772669e6a22f9d407027fa3f084ab91f47c62693146b4b",
+}
+
+
 @pytest.mark.parametrize("command", list(OUTPUT_SHA256))
 def test_schur_and_table_output_bytes_are_pinned(capsys, command):
     code, out, _ = run(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[command]
+
+
+@pytest.mark.parametrize("command", list(TELEPORT_SHA256))
+def test_seeded_teleport_output_bytes_are_pinned(capsys, command):
+    code, out, _ = run(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TELEPORT_SHA256[command]
+
+
+class _CountingWriter:
+    def __init__(self):
+        self.writes = 0
+        self.text = []
+
+    def write(self, text):
+        self.writes += 1
+        self.text.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_teleport_writes_rows_in_blocks(monkeypatch, fmt, kind):
+    # a write-through stdout (PYTHONUNBUFFERED) makes every write a system call
+    sink = _CountingWriter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["teleport", "--regime", kind, "--ports", "2", "--trials", "10000",
+                 "--seed", "4", "--format", fmt]) == 0
+    assert 10 <= sink.writes <= 20
+    rows = "".join(sink.text).count("\n")
+    assert rows >= 10000
 
 
 # ---------------------------------------------------------------- plumbing ----

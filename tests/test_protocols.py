@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (action_matrix, branch_weights, flat, haar_qubit, psd_sqrt,
-                     whole_register_instrument)
+                     receiver_states, whole_register_instrument)
 from portsim import protocols
 from portsim.circuit import Registers, StateVector
 from portsim.povm_analytic import failure_eigensystem, port_eigensystem
@@ -236,8 +236,43 @@ def test_single_port_deterministic_run_is_a_coin_flip_channel():
     assert run.outcomes[0] == 1
     assert run.fidelities[0] == pytest.approx(0.5, abs=1e-10)
     _, _, receiver = protocols._instrument(ProtocolKind.DPBT_MES, 1)
-    bob = protocols._receiver_states(receiver, chi)[0]
+    bob = receiver_states(receiver, chi)[0]
     np.testing.assert_allclose(bob, np.eye(2) / 2, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_batch_fidelities_match_the_dense_receiver_states(kind, n):
+    # the feature forms against <chi|rho|chi> of the dense 2x2 receiver state
+    rng = np.random.default_rng(np.random.PCG64(70 + n))
+    chi = rng.normal(size=(2, 300)) + 1j * rng.normal(size=(2, 300))
+    chi /= np.linalg.norm(chi, axis=0)
+    batch = teleport_batch(kind, n, chi, rng=n)
+    success = batch.outcomes <= n
+    assert success.any()
+    _, _, receiver = protocols._instrument(kind, n)
+    kept = chi[:, success]
+    states = receiver_states(receiver, kept)
+    oracle = np.einsum("it,tij,jt->t", kept.conj(), states, kept).real
+    np.testing.assert_allclose(batch.fidelities[success], oracle, rtol=0, atol=1e-14)
+    assert np.isnan(batch.fidelities[~success]).all()
+
+
+def test_batch_fidelities_follow_a_generic_receiver_tensor(monkeypatch):
+    # a covariant K is depolarizing, which hides a transposed basis, so the
+    # forms are also checked on a random completely positive K
+    rng = np.random.default_rng(np.random.PCG64(77))
+    kraus = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    receiver = np.einsum("aic,ajd->icjd", kraus, kraus.conj())
+    ports, failure, _ = protocols._instrument(ProtocolKind.DPBT_MES, 2)
+    monkeypatch.setattr(protocols, "_instrument", lambda *_: (ports, failure, receiver))
+    chi = rng.normal(size=(2, 200)) + 1j * rng.normal(size=(2, 200))
+    chi /= np.linalg.norm(chi, axis=0)
+    batch = teleport_batch(ProtocolKind.DPBT_MES, 2, chi, rng=0)
+    states = receiver_states(receiver, chi)
+    oracle = np.einsum("it,tij,jt->t", chi.conj(), states, chi).real
+    assert np.ptp(oracle) > 0.1
+    np.testing.assert_allclose(batch.fidelities, oracle, rtol=0, atol=1e-14)
 
 
 def test_single_port_heralded_run_probabilities():
