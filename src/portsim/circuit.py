@@ -165,8 +165,7 @@ class SubspaceBlocks:
         for block in self.blocks:
             if block.instances.size == 0:
                 continue
-            sub = flat[block.instances]
-            flat[block.instances] = np.einsum("xy,iyb->ixb", block.matrix, sub)
+            flat[block.instances] = block.matrix @ flat[block.instances]
         return StateVector(state.registers, amps)
 
 
@@ -204,9 +203,11 @@ class OaaAction:
     precondition Pi U^dagger Pi~ U Pi = s^2 Pi.
 
     When U runs a few branches standing in for a larger register, `fold`
-    maps the (port_dim, batch, batch) stack of per-port-value Gram matrices,
-    of input and flagged output alike, to the larger register's Gram, and
-    the precondition compares those.
+    maps a (port_dim, batch, batch) stack of per-port-value Gram matrices,
+    or the (port_dim, batch) stack of their diagonals, to the larger
+    register's. It is linear, so the precondition folds once, on the
+    difference of the output and input stacks, and its scale is the largest
+    entry of the folded input diagonal.
     """
 
     def __init__(self, u, n: int, start_ports: int = 1,
@@ -223,24 +224,32 @@ class OaaAction:
         if amps[:, self.start_ports:].any() or amps[:, :, 1].any():
             raise ValueError("amplitude amplification input leaves the start subspace")
         s = math.sin(math.pi / (2 * self.n))
-        out = self.u.apply(state).amps * (1.0 / s)
+        out = self.u.apply(state).amps
+        # scaled in place, unless U hands back the input's own amplitudes
+        if np.may_share_memory(out, amps):
+            out = out.copy()
+        out *= 1.0 / s
         out[:, :, 1] = 0
-        gram = self._gram(amps[:, :, 0])
-        miss = float(np.abs(self._gram(out[:, :, 0]) - gram).max())
-        scale = float(gram.diagonal().real.max())
+        gram = self._grams(amps[:, :, 0])
+        diff = self._grams(out[:, :, 0])
+        diff -= gram
+        diagonal = gram.diagonal(axis1=-2, axis2=-1).real
+        if self.fold is not None:
+            diff, diagonal = self.fold(diff), self.fold(diagonal)
+        miss = float(np.abs(diff).max())
+        scale = float(diagonal.max())
         if miss > 1e-9 * scale:
             raise NumericalInvariantError(
                 f"amplification precondition Pi~ U Pi = sin(pi/{2 * self.n}) V fails: "
                 f"relative Gram residual {miss / scale:.3e}", miss / scale)
         return StateVector(state.registers, out)
 
-    def _gram(self, flagged: np.ndarray) -> np.ndarray:
+    def _grams(self, flagged: np.ndarray) -> np.ndarray:
         """Gram matrix of the flagged (system, port, batch) rows, or with a
-        fold, of each port value's rows, folded."""
-        if self.fold is None:
-            rows = flagged.reshape(-1, flagged.shape[-1])
-            return rows.conj().T @ rows
-        return self.fold(np.stack([rows.conj().T @ rows for rows in flagged.transpose(1, 0, 2)]))
+        fold, the stack of each port value's, in one batched product."""
+        rows = flagged.reshape(-1, flagged.shape[-1]) if self.fold is None \
+            else flagged.transpose(1, 0, 2)
+        return rows.conj().swapaxes(-1, -2) @ rows
 
 
 def c_star(target_amp: float) -> tuple[float, int]:

@@ -31,15 +31,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
-import itertools
 import json
 import math
 import os
 import re
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -227,24 +225,66 @@ def _outcome_z(counts: np.ndarray, expected: np.ndarray, trials: int) -> list[fl
     return scores
 
 
-def _write_blocks(lines: Iterable[str]) -> None:
-    """Write `lines` to stdout joined in blocks of at most _BLOCK_ROWS, one
-    write each: under PYTHONUNBUFFERED stdout is write-through, so every
-    write is a system call. Lines are rendered only as their block fills."""
-    lines = iter(lines)
-    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
-        sys.stdout.write("".join(block))
+def _row_blocks(outcome: np.ndarray, fidelity: np.ndarray, success: np.ndarray,
+                tail: Callable[[int, float | None], str], head: str = "", width: int = 0,
+                sep: str = "") -> Iterator[str]:
+    """Trial rows as strings of at most _BLOCK_ROWS rows each: row i is
+    `head`, the trial number right-justified to `width`, then the tail of its
+    (outcome, fidelity) pair, and rows are joined by `sep`, which also leads
+    every block after the first.
+
+    Port covariance (Studzinski et al., Sci. Rep. 7, 10871, 2017) leaves a
+    run few distinct pairs, so each block codes its rows with one sort over
+    outcome and fidelity bits and renders each distinct pair's tail once, as
+    `tail(outcome, fidelity)`, the fidelity None for a failed trial. Failed
+    trials share one fidelity key. (np.unique would import numpy.ma.)"""
+    for start in range(0, len(outcome), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        out, ok = outcome[start:stop], success[start:stop]
+        fid = fidelity[start:stop]
+        bits = np.where(ok, fid.view(np.int64), 0)
+        order = np.lexsort((bits, out))
+        ranked = np.stack([out[order], bits[order]])
+        new = np.concatenate([[True], (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)])
+        codes = np.empty_like(order)
+        codes[order] = np.cumsum(new) - 1
+        tails = [tail(int(out[k]), float(fid[k]) if ok[k] else None)
+                 for k in order[new].tolist()]
+        numbers = range(start + 1, start + len(out) + 1)
+        if width:
+            numbers = [str(i).rjust(width) for i in numbers]
+        rows = [f"{head}{i}{tails[c]}" for i, c in zip(numbers, codes.tolist())]
+        if start:
+            rows[0] = sep + rows[0]
+        yield sep.join(rows)
 
 
-def _json_records(rows, text):
-    """Trial records as json.dumps(indent=2) writes them two levels deep,
-    each led by its list separator; failed trials have a null fidelity."""
-    sep = "\n"
-    for i, o, ok, f in rows:
-        yield (f'{sep}    {{\n      "trial": {i},\n      "outcome": {o},\n'
-               f'      "success": {"true" if ok else "false"},\n'
-               f'      "fidelity": {text(f) if ok else "null"}\n    }}')
-        sep = ",\n"
+def _write_blocks(head: str, blocks: Iterable[str], tail: str) -> None:
+    """Write `head`, each block and `tail` to stdout, one write each: under
+    PYTHONUNBUFFERED stdout is write-through, so every write is a system
+    call. Blocks are rendered only as they are written."""
+    sys.stdout.write(head)
+    for block in blocks:
+        sys.stdout.write(block)
+    sys.stdout.write(tail)
+
+
+def _json_tail(outcome: int, fidelity: float | None) -> str:
+    """A trial record after its number, as json.dumps(indent=2) writes it two
+    levels deep; a failed trial has a null fidelity."""
+    result = ("false,\n      \"fidelity\": null" if fidelity is None
+              else f"true,\n      \"fidelity\": {fidelity!r}")
+    return f',\n      "outcome": {outcome},\n      "success": {result}\n    }}'
+
+
+def _csv_tail(outcome: int, fidelity: float | None) -> str:
+    return f",{outcome},false,\r\n" if fidelity is None \
+        else f",{outcome},true,{_fmt(fidelity)}\r\n"
+
+
+def _human_tail(outcome: int, fidelity: float | None) -> str:
+    return f" {outcome:>7} fail    -\n" if fidelity is None \
+        else f" {outcome:>7} ok      {_fmt(fidelity)}\n"
 
 
 def cmd_teleport(args: argparse.Namespace) -> int:
@@ -270,11 +310,6 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     exact_p = None if kind.deterministic else success_probability(kind, n)
     exact_f = average_fidelity(kind, n) if kind.deterministic else 1.0
 
-    rows = zip(range(1, args.trials + 1), outcome.tolist(), success.tolist(),
-               fidelity.tolist())
-    # covariance leaves a few distinct fidelities per run: each is formatted
-    # once, and the cache never holds more strings than a block has rows
-    text = functools.lru_cache(maxsize=_BLOCK_ROWS)(repr if args.format == "json" else _fmt)
     if args.format == "json":
         envelope = json.dumps({
             "schema": SCHEMA, "command": "teleport", "regime": kind.value,
@@ -292,18 +327,18 @@ def cmd_teleport(args: argparse.Namespace) -> int:
                 "exact_fidelity": exact_f,
             }}, indent=2)
         head, _, tail = envelope.partition('"trial_results": []')
-        _write_blocks(itertools.chain([head + '"trial_results": ['], _json_records(rows, text),
-                                      ["\n  ]" + tail + "\n"]))
+        _write_blocks(head + '"trial_results": [',
+                      _row_blocks(outcome, fidelity, success, _json_tail,
+                                  head='\n    {\n      "trial": ', sep=","),
+                      "\n  ]" + tail + "\n")
         return 0
     if args.format == "csv":
-        _write_blocks(itertools.chain(
-            ["trial,outcome,success,fidelity\r\n"],
-            (f"{i},{o},true,{text(f)}\r\n" if ok else f"{i},{o},false,\r\n"
-             for i, o, ok, f in rows)))
+        _write_blocks("trial,outcome,success,fidelity\r\n",
+                      _row_blocks(outcome, fidelity, success, _csv_tail), "")
         return 0
-    head = [f"# teleport regime={kind.value} ports={n} trials={args.trials} "
-            f"seed={args.seed} rounds={rounds} c_star={_fmt(c_star)} generator=PCG64\n",
-            f"{'trial':>6} {'outcome':>7} {'result':<7} fidelity\n"]
+    head = (f"# teleport regime={kind.value} ports={n} trials={args.trials} "
+            f"seed={args.seed} rounds={rounds} c_star={_fmt(c_star)} generator=PCG64\n"
+            f"{'trial':>6} {'outcome':>7} {'result':<7} fidelity\n")
     summary = ["summary:\n"]
     for slot, (count, p, z) in enumerate(zip(counts, expected, z_scores), start=1):
         tag = "fail" if (not kind.deterministic and slot == len(expected)) else f"port {slot}"
@@ -319,11 +354,8 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         summary.append(f"  mean success fidelity {_fmt(mean_fid)}  exact 1  "
                        f"|dev| {abs(mean_fid - 1.0):.3e}\n")
     summary.append(f"  max outcome |z| {max_z:.3f}\n")
-    _write_blocks(itertools.chain(
-        head,
-        (f"{i:>6} {o:>7} ok      {text(f)}\n" if ok else f"{i:>6} {o:>7} fail    -\n"
-         for i, o, ok, f in rows),
-        summary))
+    _write_blocks(head, _row_blocks(outcome, fidelity, success, _human_tail, width=6),
+                  "".join(summary))
     return 0
 
 

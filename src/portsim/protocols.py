@@ -89,7 +89,9 @@ class NaimarkProgram:
     the input enters each with its port amplitude, and `fold` checks the
     amplification precondition of the whole register through the other
     ports' qubit-swap images, so it runs only on the joint input
-    resource (x) I_2 (see `_instrument`).
+    resource (x) I_2 (see `_instrument`). A branch program leaves out the
+    final transform out of the coupled basis, so its `run()` returns the
+    flagged part with the system rows in the coupled basis.
     """
 
     registers: Registers
@@ -211,9 +213,10 @@ def _check_ports(n_ports: int) -> None:
 def _fold_port_images(perms: list[np.ndarray], grams: np.ndarray) -> np.ndarray:
     """The whole register's Gram from a branch register's per-port-value
     Grams: the last port branch's once under each port's swap of the
-    receiver columns, plus the failure branch's."""
+    receiver columns, plus the failure branch's. A stack of Gram diagonals
+    folds to the whole register's diagonal the same way."""
     last = grams[0]
-    return sum(last[np.ix_(perm, perm)] for perm in perms) + grams[1:].sum(axis=0)
+    return sum(last[np.ix_(*[perm] * last.ndim)] for perm in perms) + grams[1:].sum(axis=0)
 
 
 @lru_cache(maxsize=32)
@@ -227,7 +230,12 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
     With `branch`, the register holds the last port branch (N-1) alone, plus
     the failure branch: it needs neither the preparation nor the swap, which
     exchanges qubit N with itself on that branch, and its amplification
-    check folds in the other ports' images (`_fold_port_images`). Cached per
+    check folds in the other ports' images (`_fold_port_images`). It also
+    stops before the final transform out of the coupled basis, so its `run`
+    returns the flagged part in that basis: every quantity read off it (the
+    outcome forms, the receiver tensor, the amplification Grams) sums over
+    the system rows, and so does not change under a real orthogonal change
+    of their basis. Cached per
     spec, since programs are stateless and every apply is functional. The
     N+1 qubit coupled basis caps N before anything is built."""
     _check_ports(n_ports)
@@ -252,14 +260,14 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
     unrot = SubspaceBlocks(regs, [Block(matrix=b.matrix.T, instances=b.instances)
                                   for b in reversed(rot.blocks)], name="family-unrotation")
     couple = coupling_unitary(n_ports + 1)
-    ops = [DenseSystem(couple.T), rot, *attach, unrot, DenseSystem(couple)]
+    ops = [DenseSystem(couple.T), rot, *attach, unrot]
     perms = [qubit_swap_permutation(n_ports + 1, i + 1, n_ports) for i in range(n_ports)]
     if branch:
         entry, fold = amps[n_ports - 1:], partial(_fold_port_images, perms)
     else:
         entry, fold = np.ones(1), None
         cswap = port_cswap(regs, perms)
-        ops = [port_prepare(regs, amps), cswap, *ops, cswap]
+        ops = [port_prepare(regs, amps), cswap, *ops, DenseSystem(couple), cswap]
     return NaimarkProgram(registers=regs, bare=CircuitAction(ops), rounds=rounds,
                           c_star=rescale, failure_branches=tuple(range(len(ports), regs.port_dim)),
                           entry=entry, fold=fold)
@@ -348,6 +356,12 @@ def expected_outcome_distribution(kind: ProtocolKind, n_ports: int) -> np.ndarra
     return dist
 
 
+def _gram_sum(rows: np.ndarray) -> np.ndarray:
+    """sum_x rows[..., x, :, :]^dagger rows[..., x, :, :], one small matrix
+    product per x, batched."""
+    return (rows.conj().swapaxes(-1, -2) @ rows).sum(axis=-3)
+
+
 @lru_cache(maxsize=32)
 def _instrument(kind: ProtocolKind, n_ports: int
                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
@@ -365,8 +379,10 @@ def _instrument(kind: ProtocolKind, n_ports: int
     (`_compile` with `branch`) runs the last port and the failure branch
     only, and every port shares the last port's G and K.
 
-    The resource and every op are real, so the run and the forms are
-    float64 (see `StateVector.from_system`).
+    The branch program's `run` returns the flagged part in the coupled
+    basis. Both the forms and K sum over the system rows, so they are the
+    same in the computational basis; the resource and every op are real, so
+    the run and the forms are float64 (see `StateVector.from_system`).
 
     Returns (ports, failure, receiver), read-only: the (N, 2, 2) port forms,
     views of the last port's; the failure form, None for the deterministic
@@ -376,9 +392,10 @@ def _instrument(kind: ProtocolKind, n_ports: int
     bob_dim = 2 ** n_ports
     joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n_ports), np.eye(2))
     final = program.run(joint.reshape(2 ** (n_ports + 1), bob_dim * 2))
-    # axes: system, port branch, block qubit, receiver halves, input basis
-    amps = final.amps.reshape(*final.amps.shape[:3], bob_dim, 2)
-    per_branch = np.einsum("xprbc,xprbd->pcd", amps.conj(), amps)
+    # the flagged part, r = 0, is all of the output; axes: system, port
+    # branch, receiver halves, input basis
+    flagged = final.amps[:, :, 0].reshape(-1, program.registers.port_dim, bob_dim, 2)
+    per_branch = _gram_sum(flagged.swapaxes(0, 1))
     per_branch.flags.writeable = False
     residual = float(np.abs(n_ports * per_branch[0] + per_branch[1:].sum(axis=0)
                             - np.eye(2)).max())
@@ -387,8 +404,8 @@ def _instrument(kind: ProtocolKind, n_ports: int
             f"{kind.value} N={n_ports}: outcome weights miss 1 by {residual:.3e}",
             residual)
     # trace out everything but Bob's last qubit, the one port N-1 teleports to
-    kept = amps[:, 0, 0].reshape(amps.shape[0], -1, 2, 2)
-    receiver = np.einsum("xyic,xyjd->icjd", kept, kept.conj())
+    kept = flagged[:, 0].reshape(flagged.shape[0], -1, 4)
+    receiver = _gram_sum(kept.conj()).reshape(2, 2, 2, 2)
     receiver.flags.writeable = False
     failure = per_branch[1] if program.failure_branches else None
     return np.broadcast_to(per_branch[0], (n_ports, 2, 2)), failure, receiver
@@ -501,18 +518,25 @@ def success_probability_exact(kind: ProtocolKind, n_ports: int) -> Fraction:
     The optimised resource reaches N/(N+3) (Ishizaka and Hiroshima, PRA 79,
     042306, 2009). For plain singlets it is one minus the failure element's
     weight on the measured state, which is diagonal in the coupled basis:
-    each (j, s) sector holds m_N(j) (2s+1) labels with one eigenvalue.
+    each (j, s) sector holds m_N(j) (2s+1) labels with one eigenvalue. The
+    weight is summed as one integer numerator over the common denominator
+    of the eigenvalues, so only the result is a Fraction.
     """
     if kind.deterministic:
         raise ValueError("the deterministic regime always succeeds")
     _check_ports(n_ports)
     if kind.optimised_resource:
         return Fraction(n_ports, n_ports + 3)
-    total = Fraction(0)
+    terms = []
     for j, s in adjacent_pairs(n_ports):
         value = failure_eigenvalue(kind.regime, n_ports, j, s)
-        total += value * chain_multiplicity(n_ports, j) * (s + 1)
-    return 1 - total / 2 ** (n_ports + 1)
+        if value:
+            terms.append((value, chain_multiplicity(n_ports, j) * (s + 1)))
+    common = math.lcm(*(value.denominator for value, _ in terms))
+    failed = sum(value.numerator * (common // value.denominator) * labels
+                 for value, labels in terms)
+    whole = common * 2 ** (n_ports + 1)
+    return Fraction(whole - failed, whole)
 
 
 def success_probability(kind: ProtocolKind, n_ports: int) -> float:

@@ -102,9 +102,10 @@ def chain_multiplicity(n_qubits: int, j: int) -> int:
         raise ValueError("n_qubits must be nonnegative")
     if not valid_total_spin(n_qubits, j):
         raise ValueError(f"j = {Fraction(j, 2)} is not an admissible {n_qubits}-qubit spin")
+    # the ballot count (j+1) N! / (((N-j)/2)! ((N+j)/2 + 1)!), as a difference
+    # of two binomials
     down = (n_qubits - j) // 2
-    up = (n_qubits + j) // 2
-    return (j + 1) * math.factorial(n_qubits) // (math.factorial(down) * math.factorial(up + 1))
+    return math.comb(n_qubits, down) - (math.comb(n_qubits, down - 1) if down else 0)
 
 
 def weight_norm(n_ports: int) -> Fraction:

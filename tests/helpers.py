@@ -3,13 +3,16 @@ dense matrices of circuit actions, branch weights of a state, Haar-random
 qubit inputs, the coupled basis one label at a time, the list of pair
 sectors, the port element's table of a pair sector, the Hermitian square
 root of a dense measurement element, the whole-register qubit instrument
-and the receiver states it leaves."""
+and the receiver states it leaves, the qubit instrument of a program run
+read off in any system basis, and teleport's trial rows rendered one row at
+a time."""
 
 import math
 
 import numpy as np
 
 from portsim.circuit import Registers, StateVector
+from portsim.cli import _fmt
 from portsim.povm_analytic import port_eigensystem
 from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL
 from portsim.protocols import build_program, resource_matrix
@@ -91,6 +94,22 @@ def psd_sqrt(op: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def branch_instrument(program, kind, n_ports: int) -> tuple[np.ndarray, np.ndarray]:
+    """The qubit instrument of a branch program, read off its run on the
+    joint inputs by einsum in whatever system basis the run ends in.
+
+    Returns (per_branch, receiver): the (port_dim, 2, 2) outcome form of
+    each port value and the (2, 2, 2, 2) receiver tensor of port value 0.
+    """
+    bob_dim = 2 ** n_ports
+    joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n_ports), np.eye(2))
+    final = program.run(joint.reshape(2 ** (n_ports + 1), bob_dim * 2))
+    amps = final.amps.reshape(*final.amps.shape[:3], bob_dim, 2)
+    per_branch = np.einsum("xprbc,xprbd->pcd", amps.conj(), amps)
+    kept = amps[:, 0, 0].reshape(amps.shape[0], -1, 2, 2)
+    return per_branch, np.einsum("xyic,xyjd->icjd", kept, kept.conj())
+
+
 def whole_register_instrument(kind, n_ports: int, dtype=np.float64
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for `protocols._instrument`: the whole-register program, every
@@ -128,3 +147,26 @@ def receiver_states(receiver: np.ndarray, chi: np.ndarray) -> np.ndarray:
     states = np.einsum("icjd,ct,dt->tij", receiver, chi, chi.conj())
     states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
     return states
+
+
+def teleport_rows(fmt: str, outcomes: np.ndarray, fidelities: np.ndarray,
+                  n_ports: int) -> str:
+    """Oracle for `cli._row_blocks`: the trial rows of `teleport` in `fmt`,
+    each rendered on its own; JSON records as json.dumps(indent=2) writes
+    them two levels deep, each led by its list separator."""
+    text = repr if fmt == "json" else _fmt
+    rows = zip(range(1, len(outcomes) + 1), outcomes.tolist(),
+               (outcomes <= n_ports).tolist(), fidelities.tolist())
+    if fmt == "csv":
+        return "".join(f"{i},{o},true,{text(f)}\r\n" if ok else f"{i},{o},false,\r\n"
+                       for i, o, ok, f in rows)
+    if fmt == "human":
+        return "".join(f"{i:>6} {o:>7} ok      {text(f)}\n" if ok
+                       else f"{i:>6} {o:>7} fail    -\n" for i, o, ok, f in rows)
+    records, sep = [], "\n"
+    for i, o, ok, f in rows:
+        records.append(f'{sep}    {{\n      "trial": {i},\n      "outcome": {o},\n'
+                       f'      "success": {"true" if ok else "false"},\n'
+                       f'      "fidelity": {text(f) if ok else "null"}\n    }}')
+        sep = ",\n"
+    return "".join(records)

@@ -5,12 +5,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import portsim
+from helpers import teleport_rows
 from portsim import cli, protocols
 from portsim.cli import main
-from portsim.protocols import NumericalInvariantError, ProtocolKind, resource_matrix
+from portsim.protocols import (NumericalInvariantError, ProtocolKind, resource_matrix,
+                               teleport_batch)
 
 KINDS = [kind.value for kind in ProtocolKind]
 
@@ -430,13 +433,13 @@ TELEPORT_SHA256 = {
     "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format human":
         "76a5fe1247f6980e83cc209b8c654fb2271f351f122726e09867769c58ec813a",
     "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format json":
-        "b14ca9722cda01a42ef85741160715479a66c1e4800d138ca58d4b22c9cec055",
+        "7dd64e6f1a37036dfed518f9b3122f28f88b19c93c72f00c3d555059b74f227f",
     "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format csv":
         "a9188f7d5e09ad7a026c60fbc72bfe85040809b5385b80a2a4eded26dfc76c0e",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format human":
         "bffc49be95b38852d24638ac5b3c52bc27c0c815e9e6559d95ff2b563a4de45e",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format json":
-        "f20c09b0383ecfdfdef4f6d525ba4829a3a3adc88df35ad30f97ab8702d93725",
+        "2d6951aae2936cecafdd3f382017c4d35cf8945c2ebbf2eff051d00f3f3e4ae3",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format csv":
         "e397eb39eefe119d78e66f87f90e6d3280e86f9ab5bc7a0d759832c99b2f69e5",
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format human":
@@ -448,31 +451,31 @@ TELEPORT_SHA256 = {
     "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format human":
         "f6ab3ce17652b250fca03c2ee4a6b153c71743afeb8905e29f48c39c7df9cde9",
     "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format json":
-        "15e20fd6c34cff326ca794a48b3c729f47b159db6dcf2d9cebe9629b485eb90c",
+        "b701785950a9d6a41fbde54b816698d755210834b37d7b03c34270c774f03c3a",
     "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format csv":
         "7e6b954685856cc08492d4a30ada5d26ade292b802e0250439d781fb69ba94f6",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format human":
-        "53c87135cd863132c0b4e9b322af46d800cf969779008be241ce5b387ebb56bd",
+        "d262a07fee9a7b8b09240aa8017b3aaf755ce1bdaf292eeeb5fa0f5dab158454",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format json":
-        "66ef98ff51f066487e405c429ce477a263a312d99ab5aee4e6ab6c46c56e55da",
+        "2d29631ee49b5da64d80d947b013f21d48951a80791f771c5a93e1f29a76a117",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format csv":
         "0362f4d4fb0d4d8fa33adb0d79ffd9b3c3cc082e11c8ae1dd220fc61f842a324",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format human":
         "db74cf94f636fe831217601276159543aee024668136252fa119d8cb50107487",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format json":
-        "c2ffb4ae475ed5b4417f8bf1674b7d808e54e05aa0cb47af6d8c0fcd54cef342",
+        "95aacd09aca3feede1bfe6f7ca73205ef334fab532d7a82b32a36e76cde0087c",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
         "4cc390fee877e37b8a8f2ba47c60903928ab2302789ea78fe8021183393e4cfd",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format human":
         "d151203ffcad08079081e1c8ff224d252d3d22cda22e17ae6e32941868d78c6b",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format json":
-        "ec6dd25b429a6e9f683e5c68747bff91a012cfc6e2f96f68133f8806bedf4608",
+        "8fd3739e6abfb59241c985caf0ea79100fe282b6114f5b55ee7fe64c38e80a6f",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format csv":
         "beb73e8b792ba4bf62d936af2bb7e9094d8fc427a0a9ad006f66a44781d1bb68",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format human":
         "d3b335de20af80308af7bc6304294f6923b7d5b2d3876f2d661c46ad991e43f2",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format json":
-        "da1004a2f5c9ab0d7a91036c4ab29f2dc17c1f81788150adb227fadf88306333",
+        "b044295313dd0967c242475b7d4e4fddff48bfa136c0ba28daac951d475dee29",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
         "594236a6e3445edc61772669e6a22f9d407027fa3f084ab91f47c62693146b4b",
 }
@@ -517,6 +520,45 @@ def test_teleport_writes_rows_in_blocks(monkeypatch, fmt, kind):
     assert 10 <= sink.writes <= 20
     rows = "".join(sink.text).count("\n")
     assert rows >= 10000
+
+
+def _rows_and_batch(capsys, fmt, kind, n, trials, seed):
+    """The trial rows `teleport` prints, cut out of its output, and the batch
+    they come from."""
+    code, out, _ = run(capsys, ["teleport", "--regime", kind, "--ports", str(n),
+                                "--trials", str(trials), "--seed", str(seed), "--format", fmt])
+    assert code == 0
+    if fmt == "csv":
+        rows = out.partition("\r\n")[2]
+    elif fmt == "human":
+        rows = "".join(out.splitlines(keepends=True)[2:2 + trials])
+    else:
+        rows = out.partition('"trial_results": [')[2].rpartition("\n  ]")[0]
+    gen = np.random.default_rng(np.random.PCG64(seed))
+    batch = teleport_batch(ProtocolKind(kind), n, cli._haar_columns(gen, trials), gen)
+    return rows, batch
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_block_rows_match_the_per_row_renderers(capsys, fmt, kind, n):
+    # runs that end inside, on and just past a block boundary
+    for trials in (1, 999, 1000, 1001, 2345):
+        rows, batch = _rows_and_batch(capsys, fmt, kind, n, trials, seed=trials)
+        assert rows == teleport_rows(fmt, batch.outcomes, batch.fidelities, n)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_block_rows_without_a_success(capsys, monkeypatch, fmt):
+    # seed 0 fails its one trial; with four rows to a block, seed 3 leaves
+    # whole blocks without a success
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+    for trials, seed in ((1, 0), (40, 3)):
+        rows, batch = _rows_and_batch(capsys, fmt, "ppbt-mes", 1, trials, seed)
+        failed = (batch.outcomes > 1).reshape(-1, min(trials, 4)).all(axis=1)
+        assert (failed.any() and not failed.all()) if trials > 1 else failed.all()
+        assert rows == teleport_rows(fmt, batch.outcomes, batch.fidelities, 1)
 
 
 # ---------------------------------------------------------------- plumbing ----

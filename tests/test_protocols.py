@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (action_matrix, branch_weights, flat, haar_qubit, psd_sqrt,
-                     receiver_states, whole_register_instrument)
+from helpers import (action_matrix, branch_instrument, branch_weights, flat, haar_qubit,
+                     psd_sqrt, receiver_states, whole_register_instrument)
 from portsim import protocols
-from portsim.circuit import Registers, StateVector
+from portsim.circuit import CircuitAction, DenseSystem, Registers, StateVector
 from portsim.povm_analytic import failure_eigensystem, port_eigensystem
 from portsim.povm_oracle import build_povm
 from portsim.protocols import (
@@ -28,9 +28,9 @@ from portsim.protocols import (
     success_probability_exact,
     teleport_batch,
 )
-from portsim.schur import enumerate_labels, sector_operator
-from portsim.spinalg import (Regime, chain_multiplicity, failure_eigenvalue, optimal_scalars,
-                             spin_values)
+from portsim.schur import coupling_unitary, enumerate_labels, sector_operator
+from portsim.spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
+                             optimal_scalars, spin_values)
 
 KINDS = list(ProtocolKind)
 HERALDED = [ProtocolKind.PPBT_MES, ProtocolKind.PPBT_OPT]
@@ -476,6 +476,44 @@ def test_detuned_attach_breaks_the_amplification_precondition(monkeypatch, kind,
 
 
 @pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [2, 6])
+def test_one_fold_on_the_difference_is_the_two_fold_residual(kind, n):
+    # the branch check folds G_out - G_in once; folding G_out and G_in apart
+    # and subtracting gives the same residual
+    spec = protocols._SPECS[kind]
+    broken = dataclasses.replace(spec, attach=lambda m: spec.attach(m) * (1 - 1e-6))
+    prog = protocols._compile(broken, n, branch=True)
+    joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n), np.eye(2))
+    x = joint.reshape(2 ** (n + 1), 2 ** (n + 1))
+    with pytest.raises(NumericalInvariantError) as info:
+        prog.run(x)
+    state = StateVector.from_system(prog.registers, x, prog.entry)
+    out = prog.bare.apply(state).amps[:, :, 0] / math.sin(math.pi / (2 * prog.rounds))
+    grams = [np.stack([rows.T @ rows for rows in amps.transpose(1, 0, 2)])
+             for amps in (state.amps[:, :, 0], out)]
+    gram_in, gram_out = (prog.fold(g) for g in grams)
+    residual = np.abs(gram_out - gram_in).max() / gram_in.diagonal().max()
+    assert 1e-6 <= residual <= 3e-6
+    assert info.value.residual == pytest.approx(residual, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_instrument_is_the_same_in_the_computational_basis(kind, n):
+    # the branch program ends in the coupled basis; every form sums over the
+    # system rows, so undoing that basis change leaves the instrument as it is
+    program = protocols._compile(protocols._SPECS[kind], n, branch=True)
+    undone = dataclasses.replace(program, bare=CircuitAction(
+        [*program.bare.ops, DenseSystem(coupling_unitary(n + 1))]))
+    per_branch, receiver = branch_instrument(undone, kind, n)
+    ports, failure, shared = protocols._instrument(kind, n)
+    np.testing.assert_allclose(ports[0], per_branch[0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(shared, receiver, rtol=0, atol=1e-13)
+    if failure is not None:
+        np.testing.assert_allclose(failure, per_branch[1], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", range(1, 8))
 def test_branch_instrument_matches_the_whole_register(kind, n):
     # ports 0..N-2 are the last port branch's qubit-swap images; the real
@@ -576,6 +614,14 @@ def test_success_sector_sum_matches_label_sum(kind, n):
         value = failure_eigenvalue(kind.regime, n, label.j, label.s)
         total += value * nu[label.j] if nu is not None else value
     assert success_probability_exact(kind, n) == 1 - total / 2 ** (n + 1)
+
+
+@pytest.mark.parametrize("n", [*range(1, 31), 100, 257])
+def test_success_probability_is_the_fraction_sum(n):
+    # the integer accumulation against a plain Fraction sum over (j, s)
+    total = sum((failure_eigenvalue(Regime.PPBT_MES, n, j, s) * chain_multiplicity(n, j)
+                 * (s + 1) for j, s in adjacent_pairs(n)), Fraction(0))
+    assert success_probability_exact(ProtocolKind.PPBT_MES, n) == 1 - total / 2 ** (n + 1)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -186,6 +186,14 @@ def test_chain_multiplicity_examples():
     assert chain_multiplicity(4, 2) == 3
 
 
+@pytest.mark.parametrize("n", [*range(0, 41), 257, 400])
+def test_chain_multiplicity_is_the_factorial_ballot_count(n):
+    for j in spin_values(n):
+        down, up = (n - j) // 2, (n + j) // 2
+        assert chain_multiplicity(n, j) == (j + 1) * math.factorial(n) // (
+            math.factorial(down) * math.factorial(up + 1))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_multiplicity_dimension_identity(n):
     total = sum(chain_multiplicity(n, s) * (s + 1) for s in spin_values(n))
