@@ -21,7 +21,7 @@ from .protocols import (
     success_probability_exact,
     teleport_batch,
 )
-from .schur import SchurLabel, coupling_unitary, enumerate_labels
+from .schur import coupling_unitary, enumerate_labels
 from .spinalg import Regime
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "PovmSet",
     "ProtocolKind",
     "Regime",
-    "SchurLabel",
     "SchurVariant",
     "analytic_povm",
     "average_fidelity",

@@ -53,7 +53,7 @@ from .protocols import (
     success_probability,
     teleport_batch,
 )
-from .schur import MAX_DENSE_QUBITS, coupling_unitary, enumerate_labels, label_table
+from .schur import MAX_DENSE_QUBITS, coupling_unitary, enumerate_labels
 from .spinalg import Regime
 
 SCHEMA = "portsim/v1"
@@ -138,38 +138,57 @@ def _vector_text(vec: np.ndarray, n: int) -> str:
     return " ".join(terms)
 
 
+def _label_blocks(labels: np.ndarray) -> Iterator[Iterator[tuple[int, int, int]]]:
+    """The label table in blocks of _BLOCK_ROWS rows, each row as (index,
+    chain, m) with its chain counted in table order: a chain's rows follow
+    its first row, where m = s."""
+    n = labels.shape[1] - 1
+    m = labels[:, n]
+    chain = np.cumsum(m == labels[:, n - 1]) - 1
+    for start in range(0, len(labels), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        yield zip(range(start, stop), chain[start:stop].tolist(), m[start:stop].tolist())
+
+
 def cmd_schur(args: argparse.Namespace) -> int:
     cap = _cap(MAX_DENSE_QUBITS)
-    if not 1 <= args.n <= cap:
+    n = args.n
+    if not 1 <= n <= cap:
         raise CliError(
-            f"--n must lie in 1..{cap} (dense coupled-basis size cap), got {args.n}")
-    rows = label_table(args.n)
+            f"--n must lie in 1..{cap} (dense coupled-basis size cap), got {n}")
+    labels = enumerate_labels(n)
+    # each chain's running spins once; ks / j / s follow the N-port reading,
+    # and a single qubit has no penultimate spin j
+    chains = labels[labels[:, n] == labels[:, n - 1], :n].tolist()
+    js = [c[-2] if n > 1 else None for c in chains]
     if args.format == "json":
-        _emit_json({"schema": SCHEMA, "command": "schur",
-                    "n_qubits": args.n, "labels": rows})
+        rows = [{"ks": chains[c][1:-2], "j": js[c], "s": chains[c][-1], "m": m, "index": i}
+                for block in _label_blocks(labels) for i, c, m in block]
+        _emit_json({"schema": SCHEMA, "command": "schur", "n_qubits": n, "labels": rows})
         return 0
     if args.format == "csv":
-        table = [[r["index"], ";".join(str(k) for k in r["ks"]),
-                  "" if r["j"] is None else r["j"], r["s"], r["m"]]
-                 for r in rows]
-        _emit_csv(["index", "ks_twice", "j_twice", "s_twice", "m_twice"], table)
+        heads = [f"{';'.join(map(str, c[1:-2]))},{'' if j is None else j},{c[-1]}"
+                 for c, j in zip(chains, js)]
+        _write_blocks("index,ks_twice,j_twice,s_twice,m_twice\r\n",
+                      ("".join([f"{i},{heads[c]},{m}\r\n" for i, c, m in block])
+                       for block in _label_blocks(labels)), "")
         return 0
-    labels = enumerate_labels(args.n)
-    show_vectors = args.n <= 4
+    show_vectors = n <= 4
     # a vector is its label's column, so only shown vectors build the transform
-    basis = coupling_unitary(args.n) if show_vectors else None
-    print(f"coupled basis for n={args.n} qubits ({len(rows)} labels)")
-    header = f"{'index':>5}  {'chain':<18}{'j':>5}{'s':>5}{'m':>6}"
-    print(header + ("  vector" if show_vectors else ""))
-    for row, label in zip(rows, labels):
-        chain = " ".join(_half(k) for k in label.spins[:-2]) or "-"
-        line = (f"{row['index']:>5}  {chain:<18}{_half(row['j']):>5}"
-                f"{_half(row['s']):>5}{_half(row['m']):>6}")
-        if show_vectors:
-            line += "  " + _vector_text(basis[:, row["index"]], args.n)
-        print(line)
-    if not show_vectors:
-        print("(vectors omitted for n > 4; use --format json for the labels)")
+    vectors = ["  " + _vector_text(col, n) for col in coupling_unitary(n).T] \
+        if show_vectors else None
+    halves = {v: _half(v) for v in range(-n, n + 1)}
+    heads = [f"{' '.join(halves[k] for k in c[:-2]) or '-':<18}{_half(j):>5}{halves[c[-1]]:>5}"
+             for c, j in zip(chains, js)]
+    head = (f"coupled basis for n={n} qubits ({len(labels)} labels)\n"
+            f"{'index':>5}  {'chain':<18}{'j':>5}{'s':>5}{'m':>6}"
+            f"{'  vector' if show_vectors else ''}\n")
+    _write_blocks(head, ("".join([f"{i:>5}  {heads[c]}{halves[m]:>6}"
+                                  f"{vectors[i] if show_vectors else ''}\n"
+                                  for i, c, m in block])
+                         for block in _label_blocks(labels)),
+                  "" if show_vectors else
+                  "(vectors omitted for n > 4; use --format json for the labels)\n")
     return 0
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .povm_oracle import MAX_STATE_PORTS, PovmSet, qubit_swap_permutation
 from .schur import coupling_unitary, enumerate_labels
-from .spinalg import Regime, failure_eigenvalue, pair_weights
+from .spinalg import Regime, adjacent_pairs, failure_eigenvalue, pair_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,23 +64,24 @@ def port_eigensystem(regime: Regime, n_ports: int) -> EigenSystem:
     """
     if n_ports < 1:
         raise ValueError(f"n_ports must be >= 1, got {n_ports}")
-    families: dict[int, dict[tuple, list[int]]] = {}
-    maximal = []
-    for idx, lab in enumerate(enumerate_labels(n_ports + 1)):
-        if lab.s < n_ports and lab.k_pair == lab.s:
-            families.setdefault(lab.s, {}).setdefault((lab.spins[:-2], lab.m), []).append(idx)
-        elif regime is Regime.DPBT and lab.s == n_ports + 1:
-            maximal.append([idx])
+    labels = enumerate_labels(n_ports + 1)
+    spin = labels[:, n_ports]
+    k_pair = labels[:, n_ports - 2] if n_ports >= 2 else 0
     sectors = []
-    for s, groups in sorted(families.items()):
+    for s in range((n_ports + 1) % 2, n_ports, 2):
+        # each prefix's rows are its j = s - 1/2 chain, then its j = s + 1/2
+        # chain, m descending in both; a family pairs the two at one m
+        idx = np.flatnonzero((spin == s) & (k_pair == s))
+        rows = (idx.reshape(-1, 2, s + 1).transpose(0, 2, 1).reshape(-1, 2) if s
+                else idx[:, None])
         lo, hi = pair_weights(regime, n_ports, s)
         pair = (math.sqrt(lo / (lo + hi)), -math.sqrt(hi / (lo + hi)))
-        rows = np.array(list(groups.values()))
         sectors.append(Sector(s=s, j=s + 1, value=lo + hi, coeffs=pair[-rows.shape[1]:],
                               families=rows))
-    if maximal:
+    if regime is Regime.DPBT:
         sectors.append(Sector(s=n_ports + 1, j=n_ports, value=Fraction(1, n_ports),
-                              coeffs=(1.0,), families=np.array(maximal)))
+                              coeffs=(1.0,),
+                              families=np.flatnonzero(spin == n_ports + 1)[:, None]))
     return EigenSystem(regime=regime, n_ports=n_ports, sectors=tuple(sectors))
 
 
@@ -92,14 +93,13 @@ def failure_eigensystem(regime: Regime, n_ports: int) -> EigenSystem:
         raise ValueError(f"n_ports must be >= 1, got {n_ports}")
     if regime is Regime.DPBT:
         raise ValueError("the deterministic regime has no failure outcome")
-    labels: dict[tuple[int, int], list[list[int]]] = {}
-    for idx, lab in enumerate(enumerate_labels(n_ports + 1)):
-        labels.setdefault((lab.s, lab.j), []).append([idx])
+    labels = enumerate_labels(n_ports + 1)
     sectors = []
-    for (s, j), rows in sorted(labels.items()):
+    for s, j in sorted((s, j) for j, s in adjacent_pairs(n_ports)):
         value = failure_eigenvalue(regime, n_ports, j, s)
         if value:
-            sectors.append(Sector(s=s, j=j, value=value, coeffs=(1.0,), families=np.array(rows)))
+            rows = np.flatnonzero((labels[:, n_ports] == s) & (labels[:, n_ports - 1] == j))
+            sectors.append(Sector(s=s, j=j, value=value, coeffs=(1.0,), families=rows[:, None]))
     return EigenSystem(regime=regime, n_ports=n_ports, sectors=tuple(sectors))
 
 

@@ -40,33 +40,6 @@ def valid_total_spin(n_qubits: int, s: int) -> bool:
     return 0 <= s <= n_qubits and (s - n_qubits) % 2 == 0
 
 
-def valid_z_component(s: int, m: int) -> bool:
-    """Whether m is an admissible z-projection for total spin s."""
-    return abs(m) <= s and (m - s) % 2 == 0
-
-
-def clebsch_gordan(j1: int, m1: int, m2: int, j: int, m: int) -> float:
-    """Clebsch-Gordan coefficient <j1 m1; 1/2 m2 | j m> of coupling one qubit
-    to spin j1.
-
-    Returns 0.0 when a selection rule (m = m1 + m2, triangle bound, range or
-    parity of any z-component) is violated.
-    """
-    if m != m1 + m2 or abs(j - j1) != 1:
-        return 0.0
-    if not (valid_z_component(j1, m1) and valid_z_component(1, m2) and valid_z_component(j, m)):
-        return 0.0
-    # ratio m / (j1 + 1/2), exact
-    x = Fraction(m, j1 + 1)
-    if m2 == 1:
-        if j == j1 + 1:
-            return math.sqrt((1 + x) / 2)
-        return -math.sqrt((1 - x) / 2)
-    if j == j1 + 1:
-        return math.sqrt((1 - x) / 2)
-    return math.sqrt((1 + x) / 2)
-
-
 def spin_values(n_qubits: int) -> tuple[int, ...]:
     """Admissible total spins of n_qubits qubits, descending."""
     if n_qubits < 0:

@@ -1,13 +1,16 @@
 """Test oracles shared by the test modules: a state's flat amplitudes,
 dense matrices of circuit actions, branch weights of a state, Haar-random
-qubit inputs, the coupled basis one label at a time, the list of pair
-sectors, the port element's table of a pair sector, the Hermitian square
+qubit inputs, spin-1/2 Clebsch-Gordan coefficients, the coupled-basis
+labels as sorted tuples and the coupled basis one label at a time, the
+eigensystem families grouped label by label, the list of pair sectors, the port element's table of a pair sector, the Hermitian square
 root of a dense measurement element, the whole-register qubit instrument
 and the receiver states it leaves, the qubit instrument of a program run
 read off in any system basis, and teleport's trial rows rendered one row at
 a time."""
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,8 +19,7 @@ from portsim.cli import _fmt
 from portsim.povm_analytic import port_eigensystem
 from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL
 from portsim.protocols import build_program, resource_matrix
-from portsim.schur import enumerate_labels
-from portsim.spinalg import clebsch_gordan
+from portsim.spinalg import Regime, failure_eigenvalue
 
 
 def flat(state: StateVector) -> np.ndarray:
@@ -45,22 +47,90 @@ def haar_qubit(rng: np.random.Generator) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def valid_z_component(s: int, m: int) -> bool:
+    """Whether m is an admissible z-projection for total spin s."""
+    return abs(m) <= s and (m - s) % 2 == 0
+
+
+def clebsch_gordan(j1: int, m1: int, m2: int, j: int, m: int) -> float:
+    """Clebsch-Gordan coefficient <j1 m1; 1/2 m2 | j m> of coupling one qubit
+    to spin j1, every spin a twice-value int.
+
+    Returns 0.0 when a selection rule (m = m1 + m2, triangle bound, range or
+    parity of any z-component) is violated.
+    """
+    if m != m1 + m2 or abs(j - j1) != 1:
+        return 0.0
+    if not (valid_z_component(j1, m1) and valid_z_component(1, m2) and valid_z_component(j, m)):
+        return 0.0
+    # ratio m / (j1 + 1/2), exact
+    x = Fraction(m, j1 + 1)
+    if m2 == 1:
+        if j == j1 + 1:
+            return math.sqrt((1 + x) / 2)
+        return -math.sqrt((1 - x) / 2)
+    if j == j1 + 1:
+        return math.sqrt((1 - x) / 2)
+    return math.sqrt((1 + x) / 2)
+
+
+@lru_cache(maxsize=None)
+def label_oracle(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Oracle for `schur.enumerate_labels`: every chain of running spins grown
+    one qubit at a time, each with its m values, sorted by total spin
+    descending, then the intermediate chain ascending, then m descending.
+    Each label is a (spins, m) pair."""
+    chains = [(1,)]
+    for _ in range(n - 1):
+        chains = [c + (k,) for c in chains for k in (c[-1] - 1, c[-1] + 1) if k >= 0]
+    labels = [(c, m) for c in chains for m in range(c[-1], -c[-1] - 2, -2)]
+    return tuple(sorted(labels, key=lambda lab: (-lab[0][-1], lab[0][1:-1], -lab[1])))
+
+
 def coupling_oracle(n: int) -> np.ndarray:
     """Oracle for `schur.coupling_unitary`: the amplitude of label L on
     bitstring x is the product of one `clebsch_gordan` factor per coupling
     step, the running z-spin read off x's leading bits (qubit 1 most
     significant, |0> carrying +1/2)."""
     out = np.zeros((2 ** n, 2 ** n))
-    for col, lab in enumerate(enumerate_labels(n)):
+    for col, (spins, m) in enumerate(label_oracle(n)):
         for x in range(2 ** n):
             zs = [1 - 2 * ((x >> (n - 1 - t)) & 1) for t in range(n)]
-            if sum(zs) != lab.m:
+            if sum(zs) != m:
                 continue
             out[x, col] = math.prod(
-                clebsch_gordan(lab.spins[t - 1], sum(zs[:t]), zs[t], lab.spins[t],
-                               sum(zs[:t + 1]))
+                clebsch_gordan(spins[t - 1], sum(zs[:t]), zs[t], spins[t], sum(zs[:t + 1]))
                 for t in range(1, n))
     return out
+
+
+def port_families(regime: Regime, n_ports: int) -> list[tuple[int, int, list[list[int]]]]:
+    """Oracle for the families of `povm_analytic.port_eigensystem`, as
+    (s, j, families) per sector: the labels of pre-pair spin s < N grouped
+    by (chain before the pair, m) in first-label order, one sector per s
+    ascending, and under dpbt the maximal-spin labels one at a time."""
+    groups: dict[int, dict[tuple, list[int]]] = {}
+    maximal = []
+    for idx, (spins, m) in enumerate(label_oracle(n_ports + 1)):
+        s = spins[-1]
+        k_pair = spins[-3] if len(spins) >= 3 else 0
+        if s < n_ports and k_pair == s:
+            groups.setdefault(s, {}).setdefault((spins[:-2], m), []).append(idx)
+        elif regime is Regime.DPBT and s == n_ports + 1:
+            maximal.append([idx])
+    out = [(s, s + 1, list(rows.values())) for s, rows in sorted(groups.items())]
+    return out + [(n_ports + 1, n_ports, maximal)] if maximal else out
+
+
+def failure_families(regime: Regime, n_ports: int) -> list[tuple[int, int, list[list[int]]]]:
+    """Oracle for the families of `povm_analytic.failure_eigensystem`, as
+    (s, j, families) per sector: every label alone, grouped by (s, j)
+    ascending, where the failure eigenvalue is nonzero."""
+    groups: dict[tuple[int, int], list[list[int]]] = {}
+    for idx, (spins, _) in enumerate(label_oracle(n_ports + 1)):
+        groups.setdefault((spins[-1], spins[-2]), []).append([idx])
+    return [(s, j, rows) for (s, j), rows in sorted(groups.items())
+            if failure_eigenvalue(regime, n_ports, j, s)]
 
 
 def pair_sectors(n_ports: int) -> tuple[int, ...]:

@@ -91,8 +91,8 @@ def test_criterion_3_state_spectrum():
     for n in range(2, 6):
         rho = ensemble_average(n)
         eigs = np.sort(np.linalg.eigvalsh(rho))
-        expected = np.sort([float(rho_eigenvalue(n, lab.spins[-2], lab.s))
-                            for lab in enumerate_labels(n + 1)])
+        expected = np.sort([float(rho_eigenvalue(n, j, s))
+                            for j, s in enumerate_labels(n + 1)[:, -3:-1].tolist()])
         if np.abs(eigs - expected).max() > 1e-10:
             problems.append(f"N={n}: spectrum off by "
                             f"{np.abs(eigs - expected).max():.3e}")

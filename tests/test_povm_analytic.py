@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import failure_families, port_families
 from portsim import povm_analytic
 from portsim.povm_analytic import (
     MAX_STATE_PORTS,
@@ -107,8 +108,8 @@ def test_sector_families_partition_labels_and_rebuild_the_oracle(regime, n):
         assert len(np.unique(listed)) == len(listed)
         element = np.zeros((2 ** (n + 1),) * 2)
         for sector in es.sectors:
-            kept = [labels[i] for i in sector.families[:, -1]]
-            assert {(lab.s, lab.j) for lab in kept} == {(sector.s, sector.j)}
+            kept = labels[sector.families[:, -1], -3:-1].tolist()
+            assert {(s, j) for j, s in kept} == {(sector.s, sector.j)}
             vecs = sector_vectors(es, sector)
             element += float(sector.value) * vecs @ vecs.T
         np.testing.assert_allclose(element, dense.element(which), atol=1e-9)
@@ -145,7 +146,7 @@ def test_failure_values_come_from_sector_scalars(regime, n):
         j, s = sector.j, sector.s
         assert sector.value == failure_eigenvalue(regime, n, j, s) != 0
         assert sector.families.shape == (chain_multiplicity(n, j) * (s + 1), 1)
-        assert {(labels[i].j, labels[i].s) for i in sector.families[:, 0]} == {(j, s)}
+        assert set(map(tuple, labels[sector.families[:, 0], -3:-1].tolist())) == {(j, s)}
         listed.add((j, s))
     # the sectors left out are exactly the zero eigenvalues
     for j, s in adjacent_pairs(n):
@@ -179,7 +180,7 @@ def test_pair_families_carry_rotation_data():
     assert fam.coeffs[0] >= 0 > fam.coeffs[1]
     assert fam.coeffs[0] ** 2 == pytest.approx(lo / (lo + hi), abs=1e-15)
     assert fam.coeffs[0] ** 2 + fam.coeffs[1] ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert {labels[i].s for i in fam.families.ravel()} == {s}
+    assert set(labels[fam.families.ravel(), -2].tolist()) == {s}
     for regime in REGIMES:
         for n in range(1, 5):
             labels = enumerate_labels(n + 1)
@@ -187,7 +188,7 @@ def test_pair_families_carry_rotation_data():
             assert kept
             for sector in kept:
                 s = sector.s
-                assert {labels[i].s for i in sector.families.ravel()} == {s}
+                assert set(labels[sector.families.ravel(), -2].tolist()) == {s}
                 assert sector.families.shape[1] == len(sector.coeffs) == (1 if s == 0 else 2)
                 lo, hi = pair_weights(regime, n, s)
                 assert sector.value == lo + hi
@@ -199,16 +200,17 @@ def test_label_pattern_values():
     # and keeps the second; every label no sector lists is in the kernel
     for regime in REGIMES:
         for n in (1, 2, 3):
-            labels = enumerate_labels(n + 1)
+            # (k_pair, j) per label, k_pair = 0 when n = 1
+            pairs = np.pad(enumerate_labels(n + 1), ((0, 0), (1, 0)))[:, -4:-2]
             sectors = port_eigensystem(regime, n).sectors
             for sector in sectors:
                 for row in sector.families:
-                    labs = [labels[i] for i in row]
+                    labs = pairs[row].tolist()
                     if len(labs) == 2:
-                        assert [lab.j - sector.s for lab in labs] == [-1, 1]
+                        assert [j - sector.s for _, j in labs] == [-1, 1]
                     if sector.s <= n:
-                        assert all(lab.k_pair == sector.s for lab in labs)
-                        assert labs[-1].j == sector.s + 1
+                        assert all(k_pair == sector.s for k_pair, _ in labs)
+                        assert labs[-1][1] == sector.s + 1
             # the deterministic measurement keeps the top sector, heralded ones drop it
             top = [sector for sector in sectors if sector.s == n + 1]
             if regime is Regime.DPBT:
@@ -216,6 +218,18 @@ def test_label_pattern_values():
                 assert top[0].families.shape == (n + 2, 1)
             else:
                 assert top == []
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("n", range(1, 12))
+def test_families_match_the_label_by_label_grouping(regime, n):
+    systems = [(port_eigensystem(regime, n), port_families(regime, n))]
+    if regime is not Regime.DPBT:
+        systems.append((failure_eigensystem(regime, n), failure_families(regime, n)))
+    for es, expected in systems:
+        got = [(sector.s, sector.j, sector.families.tolist()) for sector in es.sectors]
+        assert got == expected
+        assert all(sector.families.dtype == np.intp for sector in es.sectors)
 
 
 def test_analytic_build_respects_cap():

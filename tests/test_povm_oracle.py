@@ -77,8 +77,8 @@ def test_ensemble_average_diagonal_in_coupled_basis(n):
     conj = u.conj().T @ ensemble_average(n) @ u
     off = conj - np.diag(np.diag(conj))
     assert np.abs(off).max() < 1e-10
-    for idx, lab in enumerate(enumerate_labels(n + 1)):
-        expect = float(rho_eigenvalue(n, lab.spins[-2], lab.s))
+    for idx, (j, s) in enumerate(enumerate_labels(n + 1)[:, -3:-1].tolist()):
+        expect = float(rho_eigenvalue(n, j, s))
         np.testing.assert_allclose(conj[idx, idx].real, expect, atol=1e-10)
 
 
@@ -153,9 +153,8 @@ def test_mes_failure_spectrum_matches_sector_scalars():
 def test_opt_failure_diagonal_matches_sector_scalars():
     fail = ppbt_opt_povm(3).element(4)
     u = coupling_unitary(4)
-    for i, lab in enumerate(enumerate_labels(4)):
-        vec = u[:, i]
-        expect = float(failure_eigenvalue(Regime.PPBT_OPT, 3, lab.spins[-2], lab.s))
+    for vec, (j, s) in zip(u.T, enumerate_labels(4)[:, -3:-1].tolist()):
+        expect = float(failure_eigenvalue(Regime.PPBT_OPT, 3, j, s))
         np.testing.assert_allclose((vec.conj() @ fail @ vec).real, expect, atol=1e-10)
 
 
@@ -199,13 +198,12 @@ def test_deformation_operator_scales_each_spin_sector():
     # the ppbt-opt resource is R = O C / |O C| for the singlet chain C; with
     # C C^T = 2^-N and |O C|^2 = tr(O^2) / 2^N, O = 2^N |O C| R C^T
     weights = optimal_scalars(3).nu
-    labels = enumerate_labels(3)
-    norm = (sum(float(weights[lab.s]) for lab in labels) / 8) ** 0.5
+    spins = enumerate_labels(3)[:, 2].tolist()
+    norm = (sum(float(weights[s]) for s in spins) / 8) ** 0.5
     op = resource_matrix(ProtocolKind.PPBT_OPT, 3) @ singlet_chain(3).T * 8 * norm
     u = coupling_unitary(3)
-    for i, lab in enumerate(labels):
-        vec = u[:, i]
-        scale = float(weights[lab.s]) ** 0.5
+    for vec, s in zip(u.T, spins):
+        scale = float(weights[s]) ** 0.5
         np.testing.assert_allclose(op @ vec, scale * vec, atol=1e-12)
 
 

@@ -610,9 +610,9 @@ def test_success_sector_sum_matches_label_sum(kind, n):
     # every coupled-basis label carries the failure eigenvalue of its sector
     nu = optimal_scalars(n).nu if kind.optimised_resource else None
     total = Fraction(0)
-    for label in enumerate_labels(n + 1):
-        value = failure_eigenvalue(kind.regime, n, label.j, label.s)
-        total += value * nu[label.j] if nu is not None else value
+    for j, s in enumerate_labels(n + 1)[:, -3:-1].tolist():
+        value = failure_eigenvalue(kind.regime, n, j, s)
+        total += value * nu[j] if nu is not None else value
     assert success_probability_exact(kind, n) == 1 - total / 2 ** (n + 1)
 
 

@@ -1,17 +1,15 @@
 import hashlib
-import json
 import math
 
 import numpy as np
 import pytest
 
-from helpers import coupling_oracle
+from helpers import coupling_oracle, label_oracle
 from portsim.schur import (
     MAX_DENSE_QUBITS,
     MAX_ENUMERATE_QUBITS,
     coupling_unitary,
     enumerate_labels,
-    label_table,
     sector_operator,
 )
 from portsim.spinalg import chain_multiplicity, spin_values
@@ -47,28 +45,47 @@ def z_spin(bits: int, n: int) -> float:
 
 @pytest.mark.parametrize("n, count", [(1, 2), (2, 4), (3, 8), (5, 32)])
 def test_label_count_is_two_to_the_n(n, count):
-    assert len(enumerate_labels(n)) == count
+    assert enumerate_labels(n).shape == (count, n + 1)
 
 
 def test_two_qubit_labels_cover_triplet_and_singlet():
     labels = enumerate_labels(2)
-    sm = [(lab.s, lab.m) for lab in labels]
-    assert sm == [(2, 2), (2, 0), (2, -2), (0, 0)]
+    assert labels[:, 1:].tolist() == [[2, 2], [2, 0], [2, -2], [0, 0]]
 
 
 def test_canonical_order_descending_spin_then_m():
     labels = enumerate_labels(3)
-    keys = [lab.sort_key() for lab in labels]
+    keys = [(-lab[-2], lab[1:-2], -lab[-1]) for lab in labels.tolist()]
     assert keys == sorted(keys)
-    assert labels[0].s == 3 and labels[0].m == 3
+    assert labels[0, -2] == 3 and labels[0, -1] == 3
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_label_table_matches_the_sorted_chains(n):
+    assert enumerate_labels(n).tolist() == [[*spins, m] for spins, m in label_oracle(n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 14])
+def test_each_spin_has_its_multiplicity_of_rows(n):
+    spins = enumerate_labels(n)[:, n - 1]
+    for s in spin_values(n):
+        assert np.count_nonzero(spins == s) == chain_multiplicity(n, s) * (s + 1)
+    assert len(spins) == sum(chain_multiplicity(n, s) * (s + 1) for s in spin_values(n))
 
 
 def test_label_chain_steps_are_half_unit():
-    for lab in enumerate_labels(5):
-        assert lab.spins[0] == 1
-        for a, b in zip(lab.spins, lab.spins[1:]):
-            assert abs(a - b) == 1
-            assert b >= 0
+    labels = enumerate_labels(5)
+    assert (labels[:, 0] == 1).all()
+    assert (np.abs(np.diff(labels[:, :5], axis=1)) == 1).all()
+    assert (labels[:, :5] >= 0).all()
+
+
+def test_label_table_is_cached_and_read_only():
+    labels = enumerate_labels(4)
+    assert enumerate_labels(4) is labels
+    assert labels.dtype == np.int8
+    with pytest.raises(ValueError):
+        labels[0, 0] = 3
 
 
 def test_enumerate_rejects_out_of_range():
@@ -81,13 +98,13 @@ def test_enumerate_rejects_out_of_range():
 # ------------------------------------------------------------- vectors ----
 
 def test_singlet_vector():
-    i = next(i for i, l in enumerate(enumerate_labels(2)) if l.s == 0)
+    (i,) = np.flatnonzero(enumerate_labels(2)[:, 1] == 0)
     np.testing.assert_allclose(
         coupling_unitary(2)[:, i], [0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0], atol=1e-15)
 
 
 def test_stretched_vector_is_all_zeros_bitstring():
-    assert enumerate_labels(2)[0].m == 2
+    assert enumerate_labels(2)[0, -1] == 2
     np.testing.assert_allclose(coupling_unitary(2)[:, 0], [1, 0, 0, 0], atol=1e-15)
 
 
@@ -95,24 +112,23 @@ def test_stretched_vector_is_all_zeros_bitstring():
 def test_vectors_are_total_spin_eigenstates(n):
     s_sq = total_spin_squared(n)
     u = coupling_unitary(n)
-    for i, lab in enumerate(enumerate_labels(n)):
-        vec = u[:, i]
-        s = lab.s / 2
+    for vec, twice in zip(u.T, enumerate_labels(n)[:, n - 1].tolist()):
+        s = twice / 2
         np.testing.assert_allclose(s_sq @ vec, s * (s + 1) * vec, atol=1e-10)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_vector_support_respects_z_spin(n):
     u = coupling_unitary(n)
-    for i, lab in enumerate(enumerate_labels(n)):
-        for idx in np.flatnonzero(np.abs(u[:, i]) > 1e-14):
-            assert z_spin(int(idx), n) == lab.m / 2
+    for vec, m in zip(u.T, enumerate_labels(n)[:, n].tolist()):
+        for idx in np.flatnonzero(np.abs(vec) > 1e-14):
+            assert z_spin(int(idx), n) == m / 2
 
 
 def test_three_qubit_vector_matches_direct_product_sum():
     # independent evaluation: couple qubit by qubit with explicit 2x2 blocks
-    i = next(i for i, l in enumerate(enumerate_labels(3))
-             if l.spins[1] == 0 and l.m == 1)
+    labels = enumerate_labels(3)
+    (i,) = np.flatnonzero((labels[:, 1] == 0) & (labels[:, 3] == 1))
     vec = coupling_unitary(3)[:, i]
     # chain 1/2 -> 0 -> 1/2: first two qubits form the singlet, third is free
     singlet = np.array([0, 1, -1, 0]) / math.sqrt(2)
@@ -130,12 +146,12 @@ def test_coupling_unitary_is_unitary(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_columns_are_eigenstates_of_every_running_total(n):
-    # column i is label i: spins[t - 1] is the total spin of the first t qubits
+    # column i is label i: its column t - 1 is the total spin of the first t qubits
     u = coupling_unitary(n)
     labels = enumerate_labels(n)
     for t in range(1, n + 1):
         s_sq = np.kron(total_spin_squared(t), np.eye(2 ** (n - t)))
-        spin = np.array([lab.spins[t - 1] / 2 for lab in labels])
+        spin = labels[:, t - 1] / 2
         np.testing.assert_allclose(s_sq @ u, u * (spin * (spin + 1)), atol=1e-10)
 
 
@@ -179,18 +195,6 @@ def test_coupling_unitary_respects_dense_cap():
         coupling_unitary(MAX_DENSE_QUBITS + 1)
 
 
-# ---------------------------------------------------------- label rows ----
-
-def test_label_table_serializes_to_json():
-    rows = label_table(3)
-    assert len(rows) == 8
-    parsed = json.loads(json.dumps(rows))
-    assert parsed[0]["index"] == 0
-    assert all(isinstance(r["s"], int) and isinstance(r["m"], int) for r in parsed)
-    # one-qubit rows have no penultimate spin
-    assert label_table(1)[0]["j"] is None
-
-
 # ------------------------------------------------------ spin projectors ----
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -210,7 +214,7 @@ def test_spin_projector_is_idempotent_with_known_rank():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_spin_projector_is_the_gram_of_its_sector_vectors(n):
     u = coupling_unitary(n)
-    spins = np.array([lab.s for lab in enumerate_labels(n)])
+    spins = enumerate_labels(n)[:, n - 1]
     for s in spin_values(n):
         cols = u[:, spins == s]
         assert np.array_equal(sector_operator(n, {s: 1}), cols @ cols.T)
