@@ -14,6 +14,13 @@ twice-value integers while human output prints them as fractions. All
 randomness flows from numpy's PCG64 bit generator seeded with --seed, so
 repeating an invocation reproduces its output byte for byte.
 
+`teleport` streams its trials a chunk at a time: each chunk is drawn,
+sampled, written and added to the summary counts before the next, so memory
+stays flat in --trials. The chunks read the seeded streams from saved
+generator states, so every trial equals the one a single draw of all trials
+gives; only the mean success fidelity, summed chunk by chunk, may differ in
+its last bits past one chunk. `schur` output leaves in blocks as well.
+
 Desk-scale caps on the port count guard against accidental huge dense
 builds. The PORTSIM_MAX_PORTS environment variable raises only these
 per-command caps. The library's own limits still hold past them
@@ -32,6 +39,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -49,6 +57,7 @@ from .protocols import (
     ProtocolKind,
     SchurVariant,
     average_fidelity,
+    haar_inputs,
     resource_estimate,
     success_probability,
     teleport_batch,
@@ -67,6 +76,10 @@ _TABLE_CAP = 6
 _CHECK_TOLERANCE = 1e-9
 # teleport rows joined into one stdout write
 _BLOCK_ROWS = 1000
+# teleport trials drawn, sampled and rendered together: whole row blocks,
+# and a chunk's (2, trials) complex inputs, 32 bytes a trial, stay under
+# glibc's 128 KiB mmap threshold
+_CHUNK_TRIALS = 4 * _BLOCK_ROWS
 
 
 class CliError(Exception):
@@ -162,16 +175,25 @@ def cmd_schur(args: argparse.Namespace) -> int:
     chains = labels[labels[:, n] == labels[:, n - 1], :n].tolist()
     js = [c[-2] if n > 1 else None for c in chains]
     if args.format == "json":
-        rows = [{"ks": chains[c][1:-2], "j": js[c], "s": chains[c][-1], "m": m, "index": i}
-                for block in _label_blocks(labels) for i, c, m in block]
-        _emit_json({"schema": SCHEMA, "command": "schur", "n_qubits": n, "labels": rows})
+        # each chain's record up to m, as json.dumps(indent=2) writes it two
+        # levels deep; every record but the first is led by a comma
+        ks = [json.dumps(c[1:-2], indent=2).replace("\n", "\n      ") for c in chains]
+        heads = [f'\n    {{\n      "ks": {k},\n      "j": {json.dumps(j)},\n      "s": {c[-1]},'
+                 '\n      "m": ' for c, j, k in zip(chains, js, ks)]
+        head = json.dumps({"schema": SCHEMA, "command": "schur", "n_qubits": n, "labels": []},
+                          indent=2)
+        # the document up to its label list, cut before the empty list's "[]\n}"
+        _write_blocks(head[:-4] + "[",
+                      ("".join([f'{"," if i else ""}{heads[c]}{m},\n      "index": {i}\n    }}'
+                                for i, c, m in block]) for block in _label_blocks(labels)),
+                      "\n  ]\n}\n")
         return 0
     if args.format == "csv":
         heads = [f"{';'.join(map(str, c[1:-2]))},{'' if j is None else j},{c[-1]}"
                  for c, j in zip(chains, js)]
         _write_blocks("index,ks_twice,j_twice,s_twice,m_twice\r\n",
                       ("".join([f"{i},{heads[c]},{m}\r\n" for i, c, m in block])
-                       for block in _label_blocks(labels)), "")
+                       for block in _label_blocks(labels)))
         return 0
     show_vectors = n <= 4
     # a vector is its label's column, so only shown vectors build the transform
@@ -228,11 +250,6 @@ def cmd_povm_check(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------- teleport ----
 
-def _haar_columns(rng: np.random.Generator, count: int) -> np.ndarray:
-    amps = rng.normal(size=(2, count)) + 1j * rng.normal(size=(2, count))
-    return amps / np.linalg.norm(amps, axis=0)
-
-
 def _outcome_z(counts: np.ndarray, expected: np.ndarray, trials: int) -> list[float]:
     scores = []
     for count, p in zip(counts, expected):
@@ -246,11 +263,11 @@ def _outcome_z(counts: np.ndarray, expected: np.ndarray, trials: int) -> list[fl
 
 def _row_blocks(outcome: np.ndarray, fidelity: np.ndarray, success: np.ndarray,
                 tail: Callable[[int, float | None], str], head: str = "", width: int = 0,
-                sep: str = "") -> Iterator[str]:
+                sep: str = "", offset: int = 0) -> Iterator[str]:
     """Trial rows as strings of at most _BLOCK_ROWS rows each: row i is
-    `head`, the trial number right-justified to `width`, then the tail of its
-    (outcome, fidelity) pair, and rows are joined by `sep`, which also leads
-    every block after the first.
+    `head`, the trial number offset + i + 1 right-justified to `width`, then
+    the tail of its (outcome, fidelity) pair, and rows are joined by `sep`,
+    which also leads every block but the run's first.
 
     Port covariance (Studzinski et al., Sci. Rep. 7, 10871, 2017) leaves a
     run few distinct pairs, so each block codes its rows with one sort over
@@ -269,16 +286,16 @@ def _row_blocks(outcome: np.ndarray, fidelity: np.ndarray, success: np.ndarray,
         codes[order] = np.cumsum(new) - 1
         tails = [tail(int(out[k]), float(fid[k]) if ok[k] else None)
                  for k in order[new].tolist()]
-        numbers = range(start + 1, start + len(out) + 1)
+        numbers = range(offset + start + 1, offset + start + len(out) + 1)
         if width:
             numbers = [str(i).rjust(width) for i in numbers]
         rows = [f"{head}{i}{tails[c]}" for i, c in zip(numbers, codes.tolist())]
-        if start:
+        if offset + start:
             rows[0] = sep + rows[0]
         yield sep.join(rows)
 
 
-def _write_blocks(head: str, blocks: Iterable[str], tail: str) -> None:
+def _write_blocks(head: str, blocks: Iterable[str], tail: str = "") -> None:
     """Write `head`, each block and `tail` to stdout, one write each: under
     PYTHONUNBUFFERED stdout is write-through, so every write is a system
     call. Blocks are rendered only as they are written."""
@@ -315,66 +332,81 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise CliError(f"--seed must be non-negative, got {args.seed}")
     kind = ProtocolKind(args.regime)
-    n = args.ports
-    gen = np.random.default_rng(np.random.PCG64(args.seed))
-    batch = teleport_batch(kind, n, _haar_columns(gen, args.trials), gen)
-    outcome, fidelity, expected = batch.outcomes, batch.fidelities, batch.expected
-    rounds, c_star = batch.rounds, batch.c_star
-    success = outcome <= n
-    counts = np.bincount(outcome - 1, minlength=len(expected))
-    z_scores = _outcome_z(counts, expected, args.trials)
+    n, trials = args.ports, args.trials
+    batches = (teleport_batch(kind, n, chi, rng)
+               for chi, rng in haar_inputs(args.seed, trials, _CHUNK_TRIALS))
+    # the first chunk compiles and checks the instrument before any output
+    first = next(batches)
+    expected = first.expected
+    counts = np.zeros(len(expected), dtype=np.int64)
+    fidelity_sums = []
+
+    def rows(tail, **layout):
+        # each chunk's row blocks, adding to the summary as they go
+        for start, batch in zip(range(0, trials, _CHUNK_TRIALS),
+                                itertools.chain([first], batches)):
+            success = batch.outcomes <= n
+            counts[:] += np.bincount(batch.outcomes - 1, minlength=len(expected))
+            fidelity_sums.append(float(batch.fidelities[success].sum()))
+            yield from _row_blocks(batch.outcomes, batch.fidelities, success, tail,
+                                   offset=start, **layout)
+
+    if args.format == "csv":
+        _write_blocks("trial,outcome,success,fidelity\r\n", rows(_csv_tail))
+        return 0
+    if args.format == "json":
+        head = json.dumps({
+            "schema": SCHEMA, "command": "teleport", "regime": kind.value,
+            "n_ports": n, "trials": trials, "seed": args.seed, "rounds": first.rounds,
+            "c_star": first.c_star, "generator": "PCG64", "trial_results": []}, indent=2)
+        # the document up to its trial list, cut before the empty list's "[]\n}"
+        _write_blocks(head[:-4] + "[",
+                      rows(_json_tail, head='\n    {\n      "trial": ', sep=","))
+    else:
+        _write_blocks(f"# teleport regime={kind.value} ports={n} trials={trials} "
+                      f"seed={args.seed} rounds={first.rounds} c_star={_fmt(first.c_star)} "
+                      f"generator=PCG64\n{'trial':>6} {'outcome':>7} {'result':<7} fidelity\n",
+                      rows(_human_tail, width=6))
+
+    successes = int(counts[:n].sum())
+    z_scores = _outcome_z(counts, expected, trials)
     max_z = max(abs(z) for z in z_scores)
-    rate = float(success.mean())
-    mean_fid = float(fidelity[success].mean()) if success.any() else float("nan")
+    rate = successes / trials
+    # numpy's mean sums one pairwise tree over all successes; past one chunk
+    # this adds up the chunks' trees, which may differ in the last bits
+    mean_fid = math.fsum(fidelity_sums) / successes if successes else float("nan")
     exact_p = None if kind.deterministic else success_probability(kind, n)
     exact_f = average_fidelity(kind, n) if kind.deterministic else 1.0
 
     if args.format == "json":
-        envelope = json.dumps({
-            "schema": SCHEMA, "command": "teleport", "regime": kind.value,
-            "n_ports": n, "trials": args.trials, "seed": args.seed,
-            "rounds": rounds, "c_star": c_star, "generator": "PCG64",
-            "trial_results": [],
-            "summary": {
-                "counts": [int(c) for c in counts],
-                "expected_probabilities": [float(p) for p in expected],
-                "outcome_z": z_scores, "max_abs_z": max_z,
-                "success_rate": rate, "exact_success_probability": exact_p,
-                # NaN is not JSON: no successful trial gives null, as a failed
-                # trial's fidelity does
-                "mean_success_fidelity": mean_fid if success.any() else None,
-                "exact_fidelity": exact_f,
-            }}, indent=2)
-        head, _, tail = envelope.partition('"trial_results": []')
-        _write_blocks(head + '"trial_results": [',
-                      _row_blocks(outcome, fidelity, success, _json_tail,
-                                  head='\n    {\n      "trial": ', sep=","),
-                      "\n  ]" + tail + "\n")
+        # the summary follows the trial list, one level deep
+        sys.stdout.write("\n  ]," + json.dumps({"summary": {
+            "counts": [int(c) for c in counts],
+            "expected_probabilities": [float(p) for p in expected],
+            "outcome_z": z_scores, "max_abs_z": max_z,
+            "success_rate": rate, "exact_success_probability": exact_p,
+            # NaN is not JSON: no successful trial gives null, as a failed
+            # trial's fidelity does
+            "mean_success_fidelity": mean_fid if successes else None,
+            "exact_fidelity": exact_f,
+        }}, indent=2)[1:] + "\n")
         return 0
-    if args.format == "csv":
-        _write_blocks("trial,outcome,success,fidelity\r\n",
-                      _row_blocks(outcome, fidelity, success, _csv_tail), "")
-        return 0
-    head = (f"# teleport regime={kind.value} ports={n} trials={args.trials} "
-            f"seed={args.seed} rounds={rounds} c_star={_fmt(c_star)} generator=PCG64\n"
-            f"{'trial':>6} {'outcome':>7} {'result':<7} fidelity\n")
     summary = ["summary:\n"]
     for slot, (count, p, z) in enumerate(zip(counts, expected, z_scores), start=1):
         tag = "fail" if (not kind.deterministic and slot == len(expected)) else f"port {slot}"
         summary.append(f"  {tag:<8} count {int(count):>6}  "
-                       f"expected {args.trials * p:10.2f}  z {z:+.3f}\n")
+                       f"expected {trials * p:10.2f}  z {z:+.3f}\n")
     if kind.deterministic:
         summary.append(f"  mean fidelity {_fmt(mean_fid)}  exact {_fmt(exact_f)}  "
                        f"|dev| {abs(mean_fid - exact_f):.3e}\n")
     else:
-        var = exact_p * (1.0 - exact_p) / args.trials
+        var = exact_p * (1.0 - exact_p) / trials
         rate_z = (rate - exact_p) / math.sqrt(var) if var > 0 else 0.0
         summary.append(f"  success rate {_fmt(rate)}  exact {_fmt(exact_p)}  z {rate_z:+.3f}\n")
         summary.append(f"  mean success fidelity {_fmt(mean_fid)}  exact 1  "
                        f"|dev| {abs(mean_fid - 1.0):.3e}\n")
     summary.append(f"  max outcome |z| {max_z:.3f}\n")
-    _write_blocks(head, _row_blocks(outcome, fidelity, success, _human_tail, width=6),
-                  "".join(summary))
+    sys.stdout.write("".join(summary))
     return 0
 
 

@@ -20,13 +20,15 @@ The square-root measurement is port-permutation covariant (Studzinski et
 al., Sci. Rep. 7, 10871, 2017): every other port branch is a qubit-swap
 image of the last one, so all ports share its outcome form and receiver
 tensor. The whole-register program stays for what reads its structure: the
-gate-count model and the tests.
+gate-count model and the tests. Seeded Haar inputs come a chunk at a time
+(`haar_inputs`), each chunk equal to its slice of one draw of all trials,
+so a long run samples in flat memory.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -329,7 +331,8 @@ def resource_matrix(kind: ProtocolKind, n_ports: int) -> np.ndarray:
 class TeleportBatch:
     """Vectorized trial record: one sampled outcome per input column plus the
     exact per-trial distributions and the average distribution the counts
-    should reproduce when the inputs are Haar samples."""
+    should reproduce when the inputs are Haar samples (read-only, shared by
+    every batch of the protocol)."""
 
     kind: ProtocolKind
     n_ports: int
@@ -430,6 +433,28 @@ def _fidelity_forms(receiver: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return quadratic, trace
 
 
+@lru_cache(maxsize=32)
+def _trial_forms(kind: ProtocolKind, n_ports: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What every `teleport_batch` call of one protocol shares, read off
+    `_instrument` once: the (outcomes, 4) outcome weight forms and the
+    fidelity forms (Q, t) in an input's features, and the expected outcome
+    distribution. Read-only.
+
+    chi^dagger G chi = G00 |chi0|^2 + G11 |chi1|^2 + 2 Re(G01 conj(chi0) chi1),
+    so row i of the weights holds outcome i's coefficients of the features.
+    """
+    ports, failure, receiver = _instrument(kind, n_ports)
+    gram = ports if failure is None else np.concatenate([ports, failure[None]])
+    weights = np.stack([gram[:, 0, 0].real, gram[:, 1, 1].real,
+                        2 * gram[:, 0, 1].real, -2 * gram[:, 0, 1].imag], axis=1)
+    forms = (weights, *_fidelity_forms(receiver),
+             expected_outcome_distribution(kind, n_ports))
+    for form in forms:
+        form.flags.writeable = False
+    return forms
+
+
 def _combine(coeffs: np.ndarray, features: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] * features[k], summed elementwise in a fixed order, so
     the bytes of a seeded run do not depend on a BLAS kernel."""
@@ -457,32 +482,57 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
     if np.max(np.abs(np.linalg.norm(chi, axis=0) - 1.0)) > 1e-10:
         raise ValueError("every input column must be normalized")
     program = _compile(_SPECS[kind], n_ports, branch=True)
-    ports, failure, receiver = _instrument(kind, n_ports)
-    gram = ports if failure is None else np.concatenate([ports, failure[None]])
-    # chi^dagger G chi = G00 |chi0|^2 + G11 |chi1|^2 + 2 Re(G01 conj(chi0) chi1),
-    # one real (outcomes x 4) @ (4 x trials) product
+    weights, quadratic, trace, expected = _trial_forms(kind, n_ports)
+    # the outcome weights: one real (outcomes x 4) @ (4 x trials) product
     cross = chi[0].conj() * chi[1]
     features = np.stack([np.abs(chi[0]) ** 2, np.abs(chi[1]) ** 2, cross.real, cross.imag])
-    weights = np.stack([gram[:, 0, 0].real, gram[:, 1, 1].real,
-                        2 * gram[:, 0, 1].real, -2 * gram[:, 0, 1].imag], axis=1)
     probs = weights @ features
     gen = rng if isinstance(rng, np.random.Generator) \
         else np.random.default_rng(np.random.PCG64(rng))
     draws = gen.random(chi.shape[1])
     cumulative = probs / probs.sum(axis=0)
     np.cumsum(cumulative, axis=0, out=cumulative)
-    outcomes = np.minimum((cumulative < draws).sum(axis=0), len(gram) - 1)
+    outcomes = np.minimum((cumulative < draws).sum(axis=0), len(weights) - 1)
     success = outcomes < n_ports
     # <chi|K(chi chi^dagger)|chi> / tr K(chi chi^dagger), every port sharing K
-    quadratic, trace = _fidelity_forms(receiver)
     kept = features[:, success]
     fidelities = np.full(chi.shape[1], np.nan)
     fidelities[success] = (sum(row * _combine(q, kept) for row, q in zip(kept, quadratic))
                            / _combine(trace, kept))
     return TeleportBatch(kind=kind, n_ports=n_ports, rounds=program.rounds,
                          c_star=program.c_star, outcomes=outcomes + 1,
-                         fidelities=fidelities, probabilities=probs,
-                         expected=expected_outcome_distribution(kind, n_ports))
+                         fidelities=fidelities, probabilities=probs, expected=expected)
+
+
+def haar_inputs(seed: int, trials: int, chunk: int
+                ) -> Iterator[tuple[np.ndarray, np.random.Generator]]:
+    """Seeded Haar-random qubit inputs for `trials` trials as (2, chunk)
+    columns, the last chunk shorter, each with the generator that samples
+    its outcomes (`teleport_batch`'s `rng`).
+
+    The chunks equal one draw of all trials from PCG64(seed): the real
+    parts, then the imaginary parts, each one `normal(size=(2, trials))`,
+    then one uniform per trial. A normal takes a variable number of PCG64
+    words (ziggurat rejection), so one pass first draws the 4 * trials
+    normals, a chunk at a time, keeps each stream's first chunk, drops the
+    rest and saves the state where each stream's second chunk starts. The
+    streams are rows 0 and 1 of the real parts and of the imaginary parts;
+    the pass ends where the uniforms start.
+    """
+    gen = np.random.default_rng(np.random.PCG64(seed))
+    firsts, cursors = [], []
+    for _ in range(4):
+        firsts.append(gen.normal(size=min(chunk, trials)))
+        if trials > chunk:
+            cursors.append(np.random.Generator(np.random.PCG64(seed)))
+            cursors[-1].bit_generator.state = gen.bit_generator.state
+        for start in range(chunk, trials, chunk):
+            gen.normal(size=min(chunk, trials - start))
+    for start in range(0, trials, chunk):
+        parts = [c.normal(size=min(chunk, trials - start)) for c in cursors] if start \
+            else firsts
+        amps = np.stack(parts[:2]) + 1j * np.stack(parts[2:])
+        yield amps / np.linalg.norm(amps, axis=0), gen
 
 
 def entanglement_fidelity(kind: ProtocolKind, n_ports: int) -> float:

@@ -219,6 +219,16 @@ def receiver_states(receiver: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return states
 
 
+def one_shot_draws(seed: int, trials: int) -> tuple[np.ndarray, np.random.Generator]:
+    """Oracle for `protocols.haar_inputs`: all `trials` Haar columns at once
+    from the seeded PCG64 generator, the real parts' (2, trials) normals
+    before the imaginary parts', and the generator, left where the trials'
+    uniforms start."""
+    gen = np.random.default_rng(np.random.PCG64(seed))
+    amps = gen.normal(size=(2, trials)) + 1j * gen.normal(size=(2, trials))
+    return amps / np.linalg.norm(amps, axis=0), gen
+
+
 def teleport_rows(fmt: str, outcomes: np.ndarray, fidelities: np.ndarray,
                   n_ports: int) -> str:
     """Oracle for `cli._row_blocks`: the trial rows of `teleport` in `fmt`,

@@ -4,16 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import portsim
-from helpers import teleport_rows
+from helpers import one_shot_draws, teleport_rows
 from portsim import cli, protocols
 from portsim.cli import main
-from portsim.protocols import (NumericalInvariantError, ProtocolKind, resource_matrix,
-                               teleport_batch)
+from portsim.protocols import (NumericalInvariantError, ProtocolKind, haar_inputs,
+                               resource_matrix, teleport_batch)
 
 KINDS = [kind.value for kind in ProtocolKind]
 
@@ -534,8 +535,7 @@ def _rows_and_batch(capsys, fmt, kind, n, trials, seed):
         rows = "".join(out.splitlines(keepends=True)[2:2 + trials])
     else:
         rows = out.partition('"trial_results": [')[2].rpartition("\n  ]")[0]
-    gen = np.random.default_rng(np.random.PCG64(seed))
-    batch = teleport_batch(ProtocolKind(kind), n, cli._haar_columns(gen, trials), gen)
+    batch = teleport_batch(ProtocolKind(kind), n, *one_shot_draws(seed, trials))
     return rows, batch
 
 
@@ -561,6 +561,74 @@ def test_block_rows_without_a_success(capsys, monkeypatch, fmt):
         assert rows == teleport_rows(fmt, batch.outcomes, batch.fidelities, 1)
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("chunks", [1, 3])
+def test_chunked_draws_equal_the_one_shot_draws(chunks, offset):
+    # T = C - 1, C, C + 1 and 3C - 1, 3C, 3C + 1, and one trial
+    size = cli._CHUNK_TRIALS
+    for trials in {chunks * size + offset, 1}:
+        inputs = list(haar_inputs(5, trials, size))
+        assert [chi.shape[1] for chi, _ in inputs] == \
+            [min(size, trials - start) for start in range(0, trials, size)]
+        columns = np.concatenate([chi for chi, _ in inputs], axis=1)
+        uniform = inputs[0][1]
+        assert all(rng is uniform for _, rng in inputs)
+        uniforms = np.concatenate([uniform.random(chi.shape[1]) for chi, _ in inputs])
+        chi, gen = one_shot_draws(5, trials)
+        assert np.array_equal(columns, chi)
+        assert np.array_equal(uniforms, gen.random(trials))
+        assert uniform.bit_generator.state == gen.bit_generator.state
+
+
+# stdout of 10,003 trials at N=2, seed 7, before the draws were chunked; JSON
+# and human output without the mean fidelity line, which sums one pairwise
+# tree per chunk
+ONE_SHOT_SHA256 = {
+    ("dpbt", "json"): "6f2cbb537c8295af62aa8bacb379a6d35224e29f291b2e9b1ad93fd89d89294c",
+    ("dpbt", "csv"): "8a57c704d9b682b820f399a2abcfc0988778a93725f7604c7b511efb0081b758",
+    ("dpbt", "human"): "afddbc898ca177f8782cd7d13d8c3e7f379e13d4a411b00bb90ffaa4185f4c72",
+    ("dpbt-opt", "json"): "e2b6a539dee915bd934a5eadeefb86ffa05d2bd26e06498443ab4d1065d1d0c9",
+    ("dpbt-opt", "csv"): "7d8042100d7e613a0f03cc37fefb1c951877a09fa85022dabffbe6c4ece9cb8c",
+    ("dpbt-opt", "human"): "b87a43c89425e1e1dca8e212a6077ad6aa88d099c16818c59385e53e6b6d48bd",
+    ("ppbt-mes", "json"): "984a978c225ed286ea00f93a6dcb09697ce7ad96e8a277bd07a522fc6243fa8e",
+    ("ppbt-mes", "csv"): "19aa75cd5fb2a983db220e233fc5c9ed1082ac4aff8a9df461fdbc2b88b2a9d7",
+    ("ppbt-mes", "human"): "2c561049c75efcae75980ee21cb26555f96721107bef777111a7558e24db5f61",
+    ("ppbt-opt", "json"): "2718e35ebcb556cb813b6151761c28e3a2516cb06402fd0c5e51d5b2ed78fd7a",
+    ("ppbt-opt", "csv"): "47c1a7921aa2cd3eb2cbe82ee81163e6226527d88b0b615fb780011fe6799a59",
+    ("ppbt-opt", "human"): "b4835e9fba5fef1002af3b6f8f06ca01bb2bd97aa8249c5f2a7fcf6e31627b22",
+}
+
+
+@pytest.mark.parametrize("kind, fmt", list(ONE_SHOT_SHA256))
+def test_chunked_output_matches_the_one_shot_bytes(capsys, kind, fmt):
+    code, out, _ = run(capsys, ["teleport", "--regime", kind, "--ports", "2", "--trials",
+                                "10003", "--seed", "7", "--format", fmt])
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(keepends=True)
+                   if not line.lstrip().startswith(('"mean_success_fidelity"', "mean ")))
+    assert len(kept) < len(out) if fmt != "csv" else kept == out
+    assert hashlib.sha256(kept.encode()).hexdigest() == ONE_SHOT_SHA256[kind, fmt]
+    if fmt == "json":
+        # the mean keeps to within a few ulp of the one pairwise sum
+        payload = json.loads(out)
+        fidelities = [r["fidelity"] for r in payload["trial_results"] if r["success"]]
+        mean = payload["summary"]["mean_success_fidelity"]
+        assert abs(mean - np.mean(fidelities)) <= 4 * np.spacing(mean)
+
+
+def test_teleport_memory_does_not_grow_with_the_trials(monkeypatch):
+    # before chunking, a trial held about 190 bytes until the summary: 19 MB here
+    monkeypatch.setattr(sys, "stdout", _CountingWriter())
+    tracemalloc.start()
+    try:
+        assert main(["teleport", "--regime", "ppbt-opt", "--ports", "3", "--trials",
+                     "100000", "--format", "csv"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 # ---------------------------------------------------------------- plumbing ----
 
 def _scaled_resource(monkeypatch) -> str:
@@ -584,6 +652,8 @@ def _detuned_attach(monkeypatch) -> str:
 def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakage):
     protocols._compile.cache_clear()
     protocols._instrument.cache_clear()
+    # the batches read the rebuilt instrument, not forms cached before the breakage
+    monkeypatch.setattr(protocols, "_trial_forms", protocols._trial_forms.__wrapped__)
     try:
         residual = breakage(monkeypatch)
         code, out, err = run(capsys, ["teleport", "--regime", "ppbt-opt",
@@ -599,15 +669,17 @@ def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakag
 
 
 def test_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):
-    def exhausted(rng, count):
-        raise MemoryError(f"Unable to allocate {count * 32} bytes")
+    def exhausted(seed, trials, chunk):
+        raise MemoryError(f"Unable to allocate {chunk * 32} bytes")
+        yield
 
-    monkeypatch.setattr(cli, "_haar_columns", exhausted)
+    # the first chunk's draw fails, before any output
+    monkeypatch.setattr(cli, "haar_inputs", exhausted)
     code, out, err = run(capsys, ["teleport", "--regime", "dpbt", "--ports", "2",
                                   "--trials", "100000000", "--format", "csv"])
     assert code == 2
     assert out == ""
-    assert err == "error: out of memory: Unable to allocate 3200000000 bytes\n"
+    assert err == f"error: out of memory: Unable to allocate {cli._CHUNK_TRIALS * 32} bytes\n"
     assert "Traceback" not in err
 
 

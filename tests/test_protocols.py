@@ -266,6 +266,7 @@ def test_batch_fidelities_follow_a_generic_receiver_tensor(monkeypatch):
     receiver = np.einsum("aic,ajd->icjd", kraus, kraus.conj())
     ports, failure, _ = protocols._instrument(ProtocolKind.DPBT_MES, 2)
     monkeypatch.setattr(protocols, "_instrument", lambda *_: (ports, failure, receiver))
+    monkeypatch.setattr(protocols, "_trial_forms", protocols._trial_forms.__wrapped__)
     chi = rng.normal(size=(2, 200)) + 1j * rng.normal(size=(2, 200))
     chi /= np.linalg.norm(chi, axis=0)
     batch = teleport_batch(ProtocolKind.DPBT_MES, 2, chi, rng=0)
@@ -430,6 +431,7 @@ def test_batch_weights_are_the_instrument_quadratic_forms(monkeypatch):
     raw = rng.normal(size=(n + 1, 2, 2)) + 1j * rng.normal(size=(n + 1, 2, 2))
     forms = np.einsum("icd,ied->ice", raw, raw.conj())
     monkeypatch.setattr(protocols, "_instrument", lambda *_: (forms[:n], forms[n], receiver))
+    monkeypatch.setattr(protocols, "_trial_forms", protocols._trial_forms.__wrapped__)
     chi = np.column_stack([haar_qubit(rng) for _ in range(50)])
     batch = teleport_batch(kind, n, chi, rng=3)
     np.testing.assert_allclose(batch.probabilities,
@@ -441,6 +443,7 @@ def test_broken_resource_raises_numerical_invariant_error(monkeypatch):
     kind, n = ProtocolKind.PPBT_OPT, 2
     scaled = 1.1 * resource_matrix(kind, n)
     monkeypatch.setattr(protocols, "resource_matrix", lambda *_: scaled)
+    monkeypatch.setattr(protocols, "_trial_forms", protocols._trial_forms.__wrapped__)
     protocols._instrument.cache_clear()
     try:
         with pytest.raises(NumericalInvariantError) as info:
@@ -533,6 +536,28 @@ def test_branch_instrument_matches_the_whole_register(kind, n):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(1, 9))
+def test_instrument_is_the_covariant_closed_form(kind, n):
+    # SU(2) covariance makes every port a depolarizing channel with an
+    # input-independent weight: G_i = p_i I, and K = p (lam E + (1 - lam) I/2),
+    # lam = (4F - 1)/3 for the deterministic kinds and 1 for the heralded ones
+    ports, failure, receiver = protocols._instrument(kind, n)
+    eye = np.eye(2)
+    if kind.deterministic:
+        weight, lam = 1.0 / n, (4 * entanglement_fidelity(kind, n) - 1) / 3
+        assert failure is None
+    else:
+        p = float(success_probability_exact(kind, n))
+        weight, lam = p / n, 1.0
+        np.testing.assert_allclose(failure, (1 - p) * eye, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(ports, np.broadcast_to(weight * eye, (n, 2, 2)),
+                               rtol=0, atol=1e-13)
+    closed = weight * (lam * np.einsum("ac,bd->acbd", eye, eye)
+                       + (1 - lam) * np.einsum("cd,ab->acbd", eye, eye) / 2)
+    np.testing.assert_allclose(receiver, closed, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [1, 6])
 def test_ports_share_one_read_only_form(kind, n):
     ports, failure, receiver = protocols._instrument(kind, n)
@@ -540,6 +565,10 @@ def test_ports_share_one_read_only_form(kind, n):
     assert np.shares_memory(ports[0], ports[-1])
     for form in (ports, receiver) if failure is None else (ports, failure, receiver):
         assert not form.flags.writeable
+    # every batch reads one cached, read-only set of forms
+    forms = protocols._trial_forms(kind, n)
+    assert protocols._trial_forms(kind, n) is forms
+    assert not any(form.flags.writeable for form in forms)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -556,6 +585,7 @@ def test_batch_never_compiles_the_whole_register(monkeypatch):
         raise AssertionError("teleport_batch compiled the whole register")
 
     monkeypatch.setattr(protocols, "build_program", whole_register)
+    monkeypatch.setattr(protocols, "_trial_forms", protocols._trial_forms.__wrapped__)
     protocols._instrument.cache_clear()
     try:
         for kind in KINDS:
