@@ -8,11 +8,11 @@ Four subcommands mirror the package layers:
   table       exact figures of merit and rotation-count estimates against N
 
 Machine formats stay stable: JSON payloads carry a top-level
-``"schema": "portsim/v1"`` tag, CSV follows RFC 4180 (written with the csv
-module, CRLF line endings), and half-integer spins are encoded as
-twice-value integers while human output prints them as fractions. All
-randomness flows from numpy's PCG64 bit generator seeded with --seed, so
-repeating an invocation reproduces its output byte for byte.
+``"schema": "portsim/v1"`` tag, CSV follows RFC 4180 (CRLF line endings; no
+cell needs quoting), and half-integer spins are encoded as twice-value
+integers while human output prints them as fractions. All randomness flows
+from numpy's PCG64 bit generator seeded with --seed, so repeating an
+invocation reproduces its output byte for byte.
 
 `teleport` streams its trials a chunk at a time: each chunk is drawn,
 sampled, written and added to the summary counts before the next, so memory
@@ -21,8 +21,9 @@ generator states, so every trial equals the one a single draw of all trials
 gives; only the mean success fidelity, summed chunk by chunk, may differ in
 its last bits past one chunk. `schur` output leaves in blocks as well.
 
-Desk-scale caps on the port count guard against accidental huge dense
-builds. The PORTSIM_MAX_PORTS environment variable raises only these
+Desk-scale caps guard against accidental huge dense builds: 5 ports for
+povm-check, 6 for teleport and table, and MAX_ENUMERATE_QUBITS = 20 qubits
+for schur. The PORTSIM_MAX_PORTS environment variable replaces only these
 per-command caps. The library's own limits still hold past them
 (MAX_POVM_PORTS = 6, MAX_STATE_PORTS = 7, MAX_DENSE_QUBITS = 12,
 MAX_ENUMERATE_QUBITS = 20, and N <= MAX_DENSE_QUBITS - 1 = 11 for a compiled
@@ -37,8 +38,6 @@ including a request that runs out of memory.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
@@ -62,7 +61,7 @@ from .protocols import (
     success_probability,
     teleport_batch,
 )
-from .schur import MAX_DENSE_QUBITS, coupling_unitary, enumerate_labels
+from .schur import MAX_ENUMERATE_QUBITS, coupling_unitary, enumerate_labels
 from .spinalg import Regime
 
 SCHEMA = "portsim/v1"
@@ -82,25 +81,19 @@ _BLOCK_ROWS = 1000
 _CHUNK_TRIALS = 4 * _BLOCK_ROWS
 
 
-class CliError(Exception):
-    """Failure with a chosen process exit code."""
-
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
-
-
-def _cap(default: int) -> int:
-    raw = os.environ.get("PORTSIM_MAX_PORTS")
-    if raw is None or raw.strip() == "":
-        return default
+def _check_cap(hi: int, default: int) -> None:
+    """Reject a size `hi` past the command's desk-scale cap: PORTSIM_MAX_PORTS
+    when set, else `default`."""
+    raw = os.environ.get("PORTSIM_MAX_PORTS", "")
     try:
-        value = int(raw)
+        cap = int(raw) if raw.strip() else default
     except ValueError:
-        raise CliError(f"PORTSIM_MAX_PORTS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise CliError(f"PORTSIM_MAX_PORTS must be positive, got {value}")
-    return value
+        raise ValueError(f"PORTSIM_MAX_PORTS must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"PORTSIM_MAX_PORTS must be positive, got {cap}")
+    if hi > cap:
+        raise ValueError(f"size {hi} exceeds the desk-scale cap {cap}; PORTSIM_MAX_PORTS "
+                         "sets this cap, within the library's own limits")
 
 
 def _port_range(text: str) -> tuple[int, int]:
@@ -115,31 +108,12 @@ def _port_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _check_range(hi: int, cap: int) -> None:
-    if hi > cap:
-        raise CliError(
-            f"port count {hi} exceeds the desk-scale cap {cap}; "
-            "set PORTSIM_MAX_PORTS to override")
-
-
 def _half(twice: int | None) -> str:
     return "-" if twice is None else str(Fraction(twice, 2))
 
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
-
-
-def _emit_csv(header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------- schur ----
@@ -164,11 +138,8 @@ def _label_blocks(labels: np.ndarray) -> Iterator[Iterator[tuple[int, int, int]]
 
 
 def cmd_schur(args: argparse.Namespace) -> int:
-    cap = _cap(MAX_DENSE_QUBITS)
     n = args.n
-    if not 1 <= n <= cap:
-        raise CliError(
-            f"--n must lie in 1..{cap} (dense coupled-basis size cap), got {n}")
+    _check_cap(n, MAX_ENUMERATE_QUBITS)
     labels = enumerate_labels(n)
     # each chain's running spins once; ks / j / s follow the N-port reading,
     # and a single qubit has no penultimate spin j
@@ -218,11 +189,11 @@ def cmd_schur(args: argparse.Namespace) -> int:
 
 def cmd_povm_check(args: argparse.Namespace) -> int:
     lo, hi = args.ports
-    _check_range(hi, _cap(_CHECK_CAP))
+    _check_cap(hi, _CHECK_CAP)
     regimes = list(Regime) if args.regime == "all" else [Regime(args.regime)]
     worst = 0.0
     failures = 0
-    # print after every suite has run, so a range error leaves stdout empty
+    # write after every suite has run, so a range error leaves stdout empty
     lines = []
     for regime in regimes:
         for n in range(lo, hi + 1):
@@ -242,9 +213,9 @@ def cmd_povm_check(args: argparse.Namespace) -> int:
             lines.append(f"[{'PASS' if ok else 'FAIL'}] regime={regime.value} ports={n} "
                          f"outcomes={closed.n_outcomes} completeness={residual:.3e} "
                          f"min_eig={low:+.3e} max_frobenius={frob:.3e}\n")
-    sys.stdout.writelines(lines)
-    print(f"{len(lines) - failures}/{len(lines)} suites passed; "
-          f"worst frobenius {worst:.3e} (tolerance {_CHECK_TOLERANCE:g})")
+    lines.append(f"{len(lines) - failures}/{len(lines)} suites passed; "
+                 f"worst frobenius {worst:.3e} (tolerance {_CHECK_TOLERANCE:g})\n")
+    sys.stdout.write("".join(lines))
     return 1 if failures else 0
 
 
@@ -325,12 +296,12 @@ def _human_tail(outcome: int, fidelity: float | None) -> str:
 
 def cmd_teleport(args: argparse.Namespace) -> int:
     if args.ports < 1:
-        raise CliError(f"--ports must be positive, got {args.ports}")
-    _check_range(args.ports, _cap(_TELEPORT_CAP))
+        raise ValueError(f"--ports must be positive, got {args.ports}")
+    _check_cap(args.ports, _TELEPORT_CAP)
     if args.trials < 1:
-        raise CliError(f"--trials must be positive, got {args.trials}")
+        raise ValueError(f"--trials must be positive, got {args.trials}")
     if args.seed < 0:
-        raise CliError(f"--seed must be non-negative, got {args.seed}")
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     kind = ProtocolKind(args.regime)
     n, trials = args.ports, args.trials
     batches = (teleport_batch(kind, n, chi, rng)
@@ -426,9 +397,9 @@ def _resource_header() -> list[str]:
 
 def cmd_table(args: argparse.Namespace) -> int:
     lo, hi = args.ports
-    _check_range(hi, _cap(_TABLE_CAP))
+    _check_cap(hi, _TABLE_CAP)
     if not 0.0 < args.epsilon < 1.0:
-        raise CliError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
+        raise ValueError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
     variant = SchurVariant(args.schur_variant)
     if args.metric == "fidelity":
         header = _FIDELITY_HEADER
@@ -457,23 +428,19 @@ def cmd_table(args: argparse.Namespace) -> int:
                         est.ancilla_qubits, est.total_cost]
             rows.append(row)
     if args.format == "json":
-        payload = {"schema": SCHEMA, "command": "table", "metric": args.metric,
-                   "epsilon": args.epsilon, "schur_variant": variant.value,
-                   "columns": header,
-                   "rows": [dict(zip(header, row)) for row in rows]}
-        _emit_json(payload)
+        sys.stdout.write(json.dumps({
+            "schema": SCHEMA, "command": "table", "metric": args.metric,
+            "epsilon": args.epsilon, "schur_variant": variant.value, "columns": header,
+            "rows": [dict(zip(header, row)) for row in rows]}, indent=2) + "\n")
         return 0
+    cells = [header] + [[str(cell) if isinstance(cell, int) else _fmt(cell) for cell in row]
+                        for row in rows]
     if args.format == "csv":
-        formatted = [[cell if isinstance(cell, int) else _fmt(cell)
-                      for cell in row] for row in rows]
-        _emit_csv(header, formatted)
+        sys.stdout.write("".join(",".join(row) + "\r\n" for row in cells))
         return 0
     widths = [max(len(h), 14) for h in header]
-    print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        cells = [str(cell) if isinstance(cell, int) else _fmt(cell)
-                 for cell in row]
-        print("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
+    sys.stdout.write("".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n"
+                             for row in cells))
     return 0
 
 
@@ -538,17 +505,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the reader left (`| head -1`): keep the final flush off the pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except NumericalInvariantError as exc:
         # a broken identity of the compiled circuits is a failed check;
         # the message carries the residual
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # the library's own range checks, e.g. past a cap raised by
-        # PORTSIM_MAX_PORTS, are bad arguments too
+        # bad arguments: the command line's checks and the library's own
+        # range checks, e.g. past a cap raised by PORTSIM_MAX_PORTS
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

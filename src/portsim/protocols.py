@@ -334,8 +334,6 @@ class TeleportBatch:
     should reproduce when the inputs are Haar samples (read-only, shared by
     every batch of the protocol)."""
 
-    kind: ProtocolKind
-    n_ports: int
     rounds: int
     c_star: float
     outcomes: np.ndarray
@@ -499,8 +497,7 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
     fidelities = np.full(chi.shape[1], np.nan)
     fidelities[success] = (sum(row * _combine(q, kept) for row, q in zip(kept, quadratic))
                            / _combine(trace, kept))
-    return TeleportBatch(kind=kind, n_ports=n_ports, rounds=program.rounds,
-                         c_star=program.c_star, outcomes=outcomes + 1,
+    return TeleportBatch(rounds=program.rounds, c_star=program.c_star, outcomes=outcomes + 1,
                          fidelities=fidelities, probabilities=probs, expected=expected)
 
 

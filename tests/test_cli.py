@@ -61,15 +61,27 @@ def test_schur_rejects_oversized_register(capsys):
 
 
 def test_schur_human_labels_past_the_dense_cap(capsys, monkeypatch):
-    # without vectors (n > 4) the human table builds no transform, so a raised
-    # cap lists 13-qubit labels although the dense transform stops at 12
-    monkeypatch.setenv("PORTSIM_MAX_PORTS", "13")
+    # without vectors (n > 4) the human table builds no transform, so it
+    # lists 13-qubit labels although the dense transform stops at 12
+    monkeypatch.delenv("PORTSIM_MAX_PORTS", raising=False)
     code, out, err = run(capsys, ["schur", "--n", "13", "--format", "human"])
     assert code == 0 and err == ""
     lines = out.splitlines()
     assert lines[0] == "coupled basis for n=13 qubits (8192 labels)"
     assert [int(line.split()[0]) for line in lines[2:-1]] == list(range(8192))
     assert lines[-1].startswith("(vectors omitted")
+
+
+def test_schur_labels_need_no_override_up_to_the_enumeration_cap(capsys, monkeypatch):
+    # csv and json build no transform, so schur's cap is the label table's
+    monkeypatch.delenv("PORTSIM_MAX_PORTS", raising=False)
+    code, out, err = run(capsys, ["schur", "--n", "16", "--format", "csv"])
+    assert code == 0 and err == ""
+    assert out.count("\r\n") == 2 ** 16 + 1
+    for n in ("0", "21"):
+        code, out, err = run(capsys, ["schur", "--n", n, "--format", "csv"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------- povm-check ----
@@ -304,17 +316,31 @@ def test_table_argument_validation(capsys):
 
 # ------------------------------------------------------------- environment ----
 
-def test_port_cap_env_override_lowers_the_cap(capsys, monkeypatch):
+# one command per subcommand, each at size 3: within every default cap
+SIZE_3_COMMANDS = [
+    ["schur", "--n", "3"],
+    ["povm-check", "--ports", "1..3"],
+    ["teleport", "--regime", "dpbt", "--ports", "3", "--trials", "1"],
+    ["table", "--metric", "fidelity", "--ports", "1..3"],
+]
+
+
+@pytest.mark.parametrize("argv", SIZE_3_COMMANDS, ids=lambda argv: argv[0])
+def test_port_cap_env_override_lowers_the_cap(capsys, monkeypatch, argv):
     monkeypatch.setenv("PORTSIM_MAX_PORTS", "2")
-    code, _, err = run(capsys, ["schur", "--n", "3"])
-    assert code == 2
-    assert "error:" in err
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "cap 2" in err
 
 
-def test_port_cap_env_override_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("PORTSIM_MAX_PORTS", "many")
-    code, _, err = run(capsys, ["schur", "--n", "2"])
-    assert code == 2
+@pytest.mark.parametrize("argv", SIZE_3_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("raw", ["many", "0"])
+def test_port_cap_env_override_rejects_garbage(capsys, monkeypatch, argv, raw):
+    monkeypatch.setenv("PORTSIM_MAX_PORTS", raw)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "PORTSIM_MAX_PORTS" in err
 
 
@@ -521,6 +547,19 @@ def test_teleport_writes_rows_in_blocks(monkeypatch, fmt, kind):
     assert 10 <= sink.writes <= 20
     rows = "".join(sink.text).count("\n")
     assert rows >= 10000
+
+
+@pytest.mark.parametrize("argv", [
+    *(["table", "--metric", metric, "--format", fmt]
+      for metric in ("fidelity", "success", "resources") for fmt in ("human", "json", "csv")),
+    ["povm-check", "--ports", "1..5"],
+], ids=" ".join)
+def test_small_documents_leave_in_at_most_two_writes(monkeypatch, argv):
+    # a table or a povm-check report is one small document
+    sink = _CountingWriter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(argv) == 0
+    assert 1 <= sink.writes <= 2
 
 
 def _rows_and_batch(capsys, fmt, kind, n, trials, seed):
