@@ -186,6 +186,11 @@ class CircuitAction:
         return sum(op.rotation_count for op in self.ops)
 
 
+# (flagged input rows, flagged output rows) -> (Gram differences, input Gram
+# diagonals) of the register the precondition is checked on
+Fold = Callable[[np.ndarray, np.ndarray], tuple[Sequence[np.ndarray], Sequence[np.ndarray]]]
+
+
 class OaaAction:
     """Oblivious amplitude amplification by its lemma (Berry, Childs, Cleve,
     Kothari and Somma, arXiv:1312.1414): if Pi~ U Pi = sin(pi/2n) V with V an
@@ -202,16 +207,18 @@ class OaaAction:
     columns that span the start subspace make this the lemma's full
     precondition Pi U^dagger Pi~ U Pi = s^2 Pi.
 
-    When U runs a few branches standing in for a larger register, `fold`
-    maps a (port_dim, batch, batch) stack of per-port-value Gram matrices,
-    or the (port_dim, batch) stack of their diagonals, to the larger
-    register's. It is linear, so the precondition folds once, on the
-    difference of the output and input stacks, and its scale is the largest
-    entry of the folded input diagonal.
+    When U runs a few branches standing in for a larger register, or its
+    batch columns are not whole input vectors, `fold` takes the flagged
+    (system, port, batch) rows of the input and of the scaled output and
+    returns the larger register's Gram difference and input Gram diagonal,
+    each as a list of arrays that together hold all of its entries. The
+    residual is the largest entry of the differences, and its scale the
+    largest entry of the diagonals. A branch program in weight-class slots
+    is one such case: rows of different S_z classes share a batch column
+    there, so the fold forms each class's Grams from its own rows.
     """
 
-    def __init__(self, u, n: int, start_ports: int = 1,
-                 fold: Callable[[np.ndarray], np.ndarray] | None = None):
+    def __init__(self, u, n: int, start_ports: int = 1, fold: Fold | None = None):
         if n < 1 or n % 2 == 0:
             raise ValueError(f"round count must be odd and positive, got {n}")
         self.u = u
@@ -230,26 +237,19 @@ class OaaAction:
             out = out.copy()
         out *= 1.0 / s
         out[:, :, 1] = 0
-        gram = self._grams(amps[:, :, 0])
-        diff = self._grams(out[:, :, 0])
-        diff -= gram
-        diagonal = gram.diagonal(axis1=-2, axis2=-1).real
-        if self.fold is not None:
-            diff, diagonal = self.fold(diff), self.fold(diagonal)
-        miss = float(np.abs(diff).max())
-        scale = float(diagonal.max())
+        if self.fold is None:
+            rows_in, rows_out = (x[:, :, 0].reshape(-1, state.batch) for x in (amps, out))
+            gram = rows_in.conj().T @ rows_in
+            diffs, diagonals = [rows_out.conj().T @ rows_out - gram], [gram.diagonal().real]
+        else:
+            diffs, diagonals = self.fold(amps[:, :, 0], out[:, :, 0])
+        miss = max(float(np.abs(diff).max()) for diff in diffs)
+        scale = max(float(diagonal.max()) for diagonal in diagonals)
         if miss > 1e-9 * scale:
             raise NumericalInvariantError(
                 f"amplification precondition Pi~ U Pi = sin(pi/{2 * self.n}) V fails: "
                 f"relative Gram residual {miss / scale:.3e}", miss / scale)
         return StateVector(state.registers, out)
-
-    def _grams(self, flagged: np.ndarray) -> np.ndarray:
-        """Gram matrix of the flagged (system, port, batch) rows, or with a
-        fold, the stack of each port value's, in one batched product."""
-        rows = flagged.reshape(-1, flagged.shape[-1]) if self.fold is None \
-            else flagged.transpose(1, 0, 2)
-        return rows.conj().swapaxes(-1, -2) @ rows
 
 
 def c_star(target_amp: float) -> tuple[float, int]:

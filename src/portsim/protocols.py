@@ -19,10 +19,14 @@ on a register holding only the last port branch and the failure branch.
 The square-root measurement is port-permutation covariant (Studzinski et
 al., Sci. Rep. 7, 10871, 2017): every other port branch is a qubit-swap
 image of the last one, so all ports share its outcome form and receiver
-tensor. The whole-register program stays for what reads its structure: the
-gate-count model and the tests. Seeded Haar inputs come a chunk at a time
-(`haar_inputs`), each chunk equal to its slice of one draw of all trials,
-so a long run samples in flat memory.
+tensor. Every op also conserves the system's total S_z, and each column of
+the joint input lies in one weight class (`_weight_classes`), so the branch
+program runs on max_w C(N+1, w) slots instead of 2^(N+1) columns: slot k of
+a row holds the k-th column of the row's class, and the read-out and the
+amplification check go class by class. The whole-register program stays for
+what reads its structure: the gate-count model and the tests. Seeded Haar
+inputs come a chunk at a time (`haar_inputs`), each chunk equal to its slice
+of one draw of all trials, so a long run samples in flat memory.
 """
 
 from __future__ import annotations
@@ -36,12 +40,12 @@ from functools import lru_cache, partial, reduce
 
 import numpy as np
 
-from .circuit import (Block, CircuitAction, DenseSystem, NumericalInvariantError,
+from .circuit import (Block, CircuitAction, DenseSystem, Fold, NumericalInvariantError,
                       OaaAction, Registers, StateVector, SubspaceBlocks, c_star,
                       port_cswap, port_prepare)
 from .povm_analytic import EigenSystem, failure_eigensystem, port_eigensystem
 from .povm_oracle import qubit_swap_permutation
-from .schur import MAX_DENSE_QUBITS, coupling_unitary, sector_operator
+from .schur import MAX_DENSE_QUBITS, coupling_unitary, enumerate_labels, sector_operator
 from .spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
                       optimal_scalars, spin_values)
 
@@ -90,9 +94,12 @@ class NaimarkProgram:
     the last port branch, on port value 0, and the failure branch after it;
     the input enters each with its port amplitude, and `fold` checks the
     amplification precondition of the whole register through the other
-    ports' qubit-swap images, so it runs only on the joint input
-    resource (x) I_2 (see `_instrument`). A branch program leaves out the
-    final transform out of the coupled basis, so its `run()` returns the
+    ports' qubit-swap images. It runs only on the joint input
+    resource (x) I_2 in weight-class slots (`_slot_input`): the batch axis
+    holds max_w C(N+1, w) slots, and slot k of a row holds the k-th column
+    of the row's S_z class, so `fold` reads each class over its own rows
+    and first C(N+1, w) slots (`_fold_classes`). A branch program leaves out
+    the final transform out of the coupled basis, so its `run()` returns the
     flagged part with the system rows in the coupled basis.
     """
 
@@ -102,7 +109,7 @@ class NaimarkProgram:
     c_star: float
     failure_branches: tuple[int, ...]
     entry: np.ndarray
-    fold: Callable[[np.ndarray], np.ndarray] | None = None
+    fold: Fold | None = None
 
     def run(self, system_amps: np.ndarray) -> StateVector:
         state = StateVector.from_system(self.registers, system_amps, self.entry)
@@ -212,13 +219,74 @@ def _check_ports(n_ports: int) -> None:
         raise ValueError(f"n_ports must be >= 1, got {n_ports}")
 
 
-def _fold_port_images(perms: list[np.ndarray], grams: np.ndarray) -> np.ndarray:
-    """The whole register's Gram from a branch register's per-port-value
-    Grams: the last port branch's once under each port's swap of the
-    receiver columns, plus the failure branch's. A stack of Gram diagonals
-    folds to the whole register's diagonal the same way."""
-    last = grams[0]
-    return sum(last[np.ix_(*[perm] * last.ndim)] for perm in perms) + grams[1:].sum(axis=0)
+@dataclass(frozen=True, eq=False)
+class _WeightClass:
+    """One S_z sector of the N+1 system qubits, w of them in |1>: the
+    computational rows `inputs` of Hamming weight w, the coupled-basis rows
+    `outputs` of doubled m = N+1-2w, and the joint-input columns (b, d) of
+    class w = N - wt(b) + d, as flat indices 2b + d ascending, whose k-th
+    sits in slot k. `swaps[i]` is the in-class position of each column's
+    image under port i's swap of Bob's qubits i+1 and N, which keeps wt(b)."""
+
+    inputs: np.ndarray
+    outputs: np.ndarray
+    columns: np.ndarray
+    swaps: np.ndarray
+
+
+def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
+    return sum((x >> t) & 1 for t in range(bits))
+
+
+@lru_cache(maxsize=32)
+def _weight_classes(n_ports: int) -> tuple[_WeightClass, ...]:
+    """The N+2 weight classes of the joint input resource (x) I_2: its
+    column (b, d), Bob's N qubits and the chi' bit, touches only rows of
+    Hamming weight N - wt(b) + d, since the resource conserves S_z. Each
+    class holds C(N+1, w) rows and as many columns. Cached, read-only."""
+    qubits = n_ports + 1
+    flat_index = np.arange(2 ** qubits)
+    weight = _popcount(flat_index, qubits)
+    # N - wt(b) + d is the weight of the column index with Bob's bits flipped
+    column_class = _popcount(flat_index ^ (2 ** qubits - 2), qubits)
+    m = enumerate_labels(qubits)[:, -1]
+    perms = np.stack([qubit_swap_permutation(qubits, i + 1, n_ports) for i in range(n_ports)])
+    classes = []
+    for w in range(qubits + 1):
+        columns = np.flatnonzero(column_class == w)
+        parts = (np.flatnonzero(weight == w), np.flatnonzero(m == qubits - 2 * w), columns,
+                 np.searchsorted(columns, perms[:, columns]))
+        for part in parts:
+            part.flags.writeable = False
+        classes.append(_WeightClass(*parts))
+    return tuple(classes)
+
+
+def _fold_classes(classes: tuple[_WeightClass, ...], before: np.ndarray, after: np.ndarray
+                  ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The whole register's amplification Gram difference and input Gram
+    diagonal, per weight class, from a branch run in slots: the flagged
+    (system, port, slot) rows `before` and `after` it. Class by class, the
+    per-port-value Grams of its rows over its first C(N+1, w) slots give
+    D = G_after - G_before; the last port branch's D folds in once under
+    each port's swap of Bob's qubits, which maps the class onto itself, and
+    the failure branch's once. The dense fold is block-diagonal in class, so
+    these blocks hold every entry it can make nonzero."""
+    diffs, diagonals = [], []
+    for cls in classes:
+        width = len(cls.columns)
+        grams = []
+        for rows, amps in ((cls.inputs, before), (cls.outputs, after)):
+            part = amps[rows, :, :width].transpose(1, 0, 2)
+            grams.append(part.conj().swapaxes(-1, -2) @ part)
+        gram_in, diff = grams
+        diff -= gram_in
+        diagonal = gram_in.diagonal(axis1=-2, axis2=-1).real
+        swaps = cls.swaps
+        diffs.append(diff[0][swaps[:, :, None], swaps[:, None]].sum(axis=0)
+                     + diff[1:].sum(axis=0))
+        diagonals.append(diagonal[0][swaps].sum(axis=0) + diagonal[1:].sum(axis=0))
+    return diffs, diagonals
 
 
 @lru_cache(maxsize=32)
@@ -226,20 +294,24 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
     """Build the square-root-measurement circuit of one spec: port
     preparation, port-controlled swap, coupled basis, family rotation,
     amplitude attach read off the closed-form eigensystems, then the basis
-    changes undone. Ports past N are failure branches. The swap's qubit
-    permutations serve the branch program's fold as well.
+    changes undone. Ports past N are failure branches.
 
     With `branch`, the register holds the last port branch (N-1) alone, plus
     the failure branch: it needs neither the preparation nor the swap, which
     exchanges qubit N with itself on that branch, and its amplification
-    check folds in the other ports' images (`_fold_port_images`). It also
-    stops before the final transform out of the coupled basis, so its `run`
-    returns the flagged part in that basis: every quantity read off it (the
-    outcome forms, the receiver tensor, the amplification Grams) sums over
-    the system rows, and so does not change under a real orthogonal change
-    of their basis. Cached per
-    spec, since programs are stateless and every apply is functional. The
-    N+1 qubit coupled basis caps N before anything is built."""
+    check folds in the other ports' images class by class
+    (`_fold_classes`), so it runs on the slot input of `_slot_input`. Every
+    op conserves the system's S_z: the transform into the coupled basis maps
+    Hamming weight w to doubled m = N+1-2w, and every block's instances
+    share one m. So the ops act on each weight class's rows alone, and a
+    slot may hold a different column in each class. It also stops before
+    the final transform out of the coupled basis, so its `run` returns the
+    flagged part in that basis: every quantity read off it (the outcome
+    forms, the receiver tensor, the amplification Grams) sums over a class's
+    rows, and so does not change under a real orthogonal change of their
+    basis within the class. Cached per spec, since programs are stateless
+    and every apply is functional. The N+1 qubit coupled basis caps N
+    before anything is built."""
     _check_ports(n_ports)
     if n_ports >= MAX_DENSE_QUBITS:
         raise ValueError(f"n_ports must be in 1..{MAX_DENSE_QUBITS - 1} for a compiled "
@@ -263,12 +335,12 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
                                   for b in reversed(rot.blocks)], name="family-unrotation")
     couple = coupling_unitary(n_ports + 1)
     ops = [DenseSystem(couple.T), rot, *attach, unrot]
-    perms = [qubit_swap_permutation(n_ports + 1, i + 1, n_ports) for i in range(n_ports)]
     if branch:
-        entry, fold = amps[n_ports - 1:], partial(_fold_port_images, perms)
+        entry, fold = amps[n_ports - 1:], partial(_fold_classes, _weight_classes(n_ports))
     else:
         entry, fold = np.ones(1), None
-        cswap = port_cswap(regs, perms)
+        cswap = port_cswap(regs, [qubit_swap_permutation(n_ports + 1, i + 1, n_ports)
+                                  for i in range(n_ports)])
         ops = [port_prepare(regs, amps), cswap, *ops, DenseSystem(couple), cswap]
     return NaimarkProgram(registers=regs, bare=CircuitAction(ops), rounds=rounds,
                           c_star=rescale, failure_branches=tuple(range(len(ports), regs.port_dim)),
@@ -357,17 +429,43 @@ def expected_outcome_distribution(kind: ProtocolKind, n_ports: int) -> np.ndarra
     return dist
 
 
-def _gram_sum(rows: np.ndarray) -> np.ndarray:
-    """sum_x rows[..., x, :, :]^dagger rows[..., x, :, :], one small matrix
-    product per x, batched."""
-    return (rows.conj().swapaxes(-1, -2) @ rows).sum(axis=-3)
+def _slot_input(kind: ProtocolKind, n_ports: int) -> np.ndarray:
+    """The joint input resource (x) I_2 in weight-class slots: a
+    (2^(N+1), max_w C(N+1, w)) array whose row x holds in slot k the k-th
+    column of x's class, built class by class from the resource matrix.
+    The column (b, d) of row (a, c) is resource[a, b] when c = d and 0
+    otherwise; every row of a class past its own width stays 0."""
+    resource = resource_matrix(kind, n_ports)
+    classes = _weight_classes(n_ports)
+    slots = np.zeros((2 ** (n_ports + 1), max(len(c.columns) for c in classes)))
+    for cls in classes:
+        a, c = cls.inputs[:, None] >> 1, cls.inputs[:, None] & 1
+        b, d = cls.columns >> 1, cls.columns & 1
+        slots[cls.inputs, :len(b)] = resource[a, b] * (c == d)
+    return slots
+
+
+def _pair_gram(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """sum over rows x and over Bob's first N-1 qubits b' of outer(v, v),
+    where v holds rows[x, ..., k] at the two low bits (Bob's last qubit and
+    the chi' bit) of each column k = 4b' + q: the Gram a dense layout forms
+    after reshaping its columns to (b', q), read off one class."""
+    group = columns >> 2
+    # columns ascend, so each b' has consecutive columns
+    position = np.cumsum(np.diff(group, prepend=-1) != 0) - 1
+    rows = np.moveaxis(rows, 0, -2)
+    grid = np.zeros((*rows.shape[:-1], position[-1] + 1, 4))
+    grid[..., position, columns & 3] = rows
+    grid = grid.reshape(*rows.shape[:-2], -1, 4)
+    return grid.swapaxes(-1, -2) @ grid
 
 
 @lru_cache(maxsize=32)
 def _instrument(kind: ProtocolKind, n_ports: int
                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """The protocol as a qubit instrument, from one branch-program run on the
-    joint inputs for chi = |0> and |1> (2 * 2^N columns).
+    joint inputs for chi = |0> and |1> (2 * 2^N columns), held in
+    weight-class slots.
 
     The circuit is linear in the input chi, so for every input the weight of
     outcome i is chi^dagger G[i] chi, with the failure branches summed into
@@ -380,23 +478,32 @@ def _instrument(kind: ProtocolKind, n_ports: int
     (`_compile` with `branch`) runs the last port and the failure branch
     only, and every port shares the last port's G and K.
 
-    The branch program's `run` returns the flagged part in the coupled
-    basis. Both the forms and K sum over the system rows, so they are the
-    same in the computational basis; the resource and every op are real, so
-    the run and the forms are float64 (see `StateVector.from_system`).
+    Every op conserves the system's S_z, and the joint input's column (b, d)
+    lies in the one weight class w = N - wt(b) + d (`_weight_classes`). So
+    the run holds max_w C(N+1, w) slot columns, not 2^(N+1): slot k of a
+    row holds the k-th column of its class (`_slot_input`). G and K sum
+    over the rows of each class and its first C(N+1, w) slots, class by
+    class, and the amplification check folds the port images per class
+    (`_fold_classes`), so no 2^(N+1) x 2^(N+1) Gram is formed. The run ends
+    in the coupled basis, where class w is the rows of doubled m = N+1-2w;
+    the sums over a class's rows are the same in the computational basis.
+    The resource and every op are real, so the run and the forms are
+    float64 (see `StateVector.from_system`).
 
     Returns (ports, failure, receiver), read-only: the (N, 2, 2) port forms,
     views of the last port's; the failure form, None for the deterministic
     kinds; and the (2, 2, 2, 2) receiver tensor K of every port.
     """
     program = _compile(_SPECS[kind], n_ports, branch=True)
-    bob_dim = 2 ** n_ports
-    joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n_ports), np.eye(2))
-    final = program.run(joint.reshape(2 ** (n_ports + 1), bob_dim * 2))
     # the flagged part, r = 0, is all of the output; axes: system, port
-    # branch, receiver halves, input basis
-    flagged = final.amps[:, :, 0].reshape(-1, program.registers.port_dim, bob_dim, 2)
-    per_branch = _gram_sum(flagged.swapaxes(0, 1))
+    # branch, slot
+    flagged = program.run(_slot_input(kind, n_ports)).amps[:, :, 0]
+    # per port value, the Gram over (Bob's last qubit i, chi' bit c) pairs
+    grams = sum(_pair_gram(flagged[cls.outputs, :, :len(cls.columns)], cls.columns)
+                for cls in _weight_classes(n_ports))
+    # the outcome forms trace out Bob's last qubit; port N-1 teleports to it
+    per_branch = np.einsum("picid->pcd", grams.reshape(-1, 2, 2, 2, 2))
+    receiver = grams[0].reshape(2, 2, 2, 2)
     per_branch.flags.writeable = False
     residual = float(np.abs(n_ports * per_branch[0] + per_branch[1:].sum(axis=0)
                             - np.eye(2)).max())
@@ -404,9 +511,6 @@ def _instrument(kind: ProtocolKind, n_ports: int
         raise NumericalInvariantError(
             f"{kind.value} N={n_ports}: outcome weights miss 1 by {residual:.3e}",
             residual)
-    # trace out everything but Bob's last qubit, the one port N-1 teleports to
-    kept = flagged[:, 0].reshape(flagged.shape[0], -1, 4)
-    receiver = _gram_sum(kept.conj()).reshape(2, 2, 2, 2)
     receiver.flags.writeable = False
     failure = per_branch[1] if program.failure_branches else None
     return np.broadcast_to(per_branch[0], (n_ports, 2, 2)), failure, receiver
@@ -454,9 +558,15 @@ def _trial_forms(kind: ProtocolKind, n_ports: int
 
 
 def _combine(coeffs: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] * features[k], summed elementwise in a fixed order, so
-    the bytes of a seeded run do not depend on a BLAS kernel."""
-    return sum(c * row for c, row in zip(coeffs.tolist(), features))
+    """sum_k coeffs[k] (x) features[k], summed elementwise in a fixed order,
+    so the bytes of a seeded run do not depend on a BLAS kernel; coeffs[k]
+    is a scalar or one coefficient per outcome. The terms add in place into
+    one zeroed total, as Python's sum from 0 would add them, but holding one
+    temporary at a time."""
+    total = np.zeros(np.shape(coeffs[0]) + features.shape[1:])
+    for c, row in zip(coeffs, features):
+        total += np.multiply.outer(c, row)
+    return total
 
 
 def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
@@ -481,10 +591,10 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
         raise ValueError("every input column must be normalized")
     program = _compile(_SPECS[kind], n_ports, branch=True)
     weights, quadratic, trace, expected = _trial_forms(kind, n_ports)
-    # the outcome weights: one real (outcomes x 4) @ (4 x trials) product
+    # the outcome weights: (outcomes, trials) linear forms in the features
     cross = chi[0].conj() * chi[1]
     features = np.stack([np.abs(chi[0]) ** 2, np.abs(chi[1]) ** 2, cross.real, cross.imag])
-    probs = weights @ features
+    probs = _combine(weights.T, features)
     gen = rng if isinstance(rng, np.random.Generator) \
         else np.random.default_rng(np.random.PCG64(rng))
     draws = gen.random(chi.shape[1])

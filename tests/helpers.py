@@ -4,9 +4,10 @@ qubit inputs, spin-1/2 Clebsch-Gordan coefficients, the coupled-basis
 labels as sorted tuples and the coupled basis one label at a time, the
 eigensystem families grouped label by label, the list of pair sectors, the port element's table of a pair sector, the Hermitian square
 root of a dense measurement element, the whole-register qubit instrument
-and the receiver states it leaves, the qubit instrument of a program run
-read off in any system basis, and teleport's trial rows rendered one row at
-a time."""
+and the receiver states it leaves, the dense joint input, a branch
+program's run and qubit instrument in that dense layout, in any system
+basis, with its amplification fold, and teleport's trial rows rendered one
+row at a time."""
 
 import math
 from fractions import Fraction
@@ -17,7 +18,7 @@ import numpy as np
 from portsim.circuit import Registers, StateVector
 from portsim.cli import _fmt
 from portsim.povm_analytic import port_eigensystem
-from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL
+from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL, qubit_swap_permutation
 from portsim.protocols import build_program, resource_matrix
 from portsim.spinalg import Regime, failure_eigenvalue
 
@@ -164,20 +165,54 @@ def psd_sqrt(op: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def joint_input(kind, n_ports: int) -> np.ndarray:
+    """The dense joint input resource (x) I_2 for chi = |0> and |1>: rows
+    (Alice's N qubits, chi), columns (Bob's N qubits, d), 2^(N+1) each."""
+    joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n_ports), np.eye(2))
+    return joint.reshape(2 ** (n_ports + 1), 2 ** (n_ports + 1))
+
+
+def flagged_run(program, system_amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An amplified program's run without its check: `bare` once on the
+    start state, and the flagged part divided by sin(pi/2n). On the dense
+    joint input it is the oracle for a branch program's run in weight-class
+    slots. Returns the flagged (system, port, column) rows of the start
+    state and of that output."""
+    state = StateVector.from_system(program.registers, system_amps, program.entry)
+    out = program.bare.apply(state).amps[:, :, 0] / math.sin(math.pi / (2 * program.rounds))
+    return state.amps[:, :, 0], out
+
+
 def branch_instrument(program, kind, n_ports: int) -> tuple[np.ndarray, np.ndarray]:
-    """The qubit instrument of a branch program, read off its run on the
-    joint inputs by einsum in whatever system basis the run ends in.
+    """The qubit instrument of a branch program in the dense layout, read off
+    `flagged_run` on the dense joint input by einsum in whatever system
+    basis the run ends in.
 
     Returns (per_branch, receiver): the (port_dim, 2, 2) outcome form of
     each port value and the (2, 2, 2, 2) receiver tensor of port value 0.
     """
-    bob_dim = 2 ** n_ports
-    joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n_ports), np.eye(2))
-    final = program.run(joint.reshape(2 ** (n_ports + 1), bob_dim * 2))
-    amps = final.amps.reshape(*final.amps.shape[:3], bob_dim, 2)
-    per_branch = np.einsum("xprbc,xprbd->pcd", amps.conj(), amps)
-    kept = amps[:, 0, 0].reshape(amps.shape[0], -1, 2, 2)
+    _, flagged = flagged_run(program, joint_input(kind, n_ports))
+    amps = flagged.reshape(*flagged.shape[:2], 2 ** n_ports, 2)
+    per_branch = np.einsum("xpbc,xpbd->pcd", amps.conj(), amps)
+    kept = amps[:, 0].reshape(amps.shape[0], -1, 2, 2)
     return per_branch, np.einsum("xyic,xyjd->icjd", kept, kept.conj())
+
+
+def dense_fold(n_ports: int, before: np.ndarray, after: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for `protocols._fold_classes`: the whole register's Gram
+    difference and input Gram diagonal from a dense-layout branch run's
+    flagged rows, folding the per-port-value B x B Grams of the input and of
+    the output apart: the last port branch's once under each port's swap of
+    Bob's qubits, plus the failure branch's."""
+    perms = [qubit_swap_permutation(n_ports + 1, i + 1, n_ports) for i in range(n_ports)]
+
+    def fold(amps):
+        grams = np.stack([rows.conj().T @ rows for rows in amps.transpose(1, 0, 2)])
+        return sum(grams[0][np.ix_(p, p)] for p in perms) + grams[1:].sum(axis=0)
+
+    gram_in = fold(before)
+    return fold(after) - gram_in, gram_in.diagonal().real
 
 
 def whole_register_instrument(kind, n_ports: int, dtype=np.float64
@@ -192,8 +227,7 @@ def whole_register_instrument(kind, n_ports: int, dtype=np.float64
     """
     program = build_program(kind, n_ports)
     bob_dim = 2 ** n_ports
-    joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n_ports), np.eye(2))
-    final = program.run(joint.reshape(2 ** (n_ports + 1), bob_dim * 2).astype(dtype))
+    final = program.run(joint_input(kind, n_ports).astype(dtype))
     # axes: system, port branch, block qubit, receiver halves, input basis
     amps = final.amps.reshape(*final.amps.shape[:3], bob_dim, 2)
     per_branch = np.einsum("xprbc,xprbd->pcd", amps.conj(), amps)

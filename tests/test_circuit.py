@@ -21,7 +21,7 @@ from portsim.circuit import (
     port_prepare,
 )
 from portsim.povm_oracle import qubit_swap_permutation
-from portsim.protocols import ProtocolKind, resource_matrix
+from portsim.protocols import ProtocolKind
 
 RNG = np.random.default_rng(np.random.PCG64(20240817))
 
@@ -437,12 +437,12 @@ def test_a_complex_block_promotes_a_real_state():
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 @pytest.mark.parametrize("n", range(1, 5))
 def test_a_complex_run_is_the_real_runs_of_its_parts(kind, n):
-    # a complex 2x2 map on chi commutes with the fold's port swaps of Bob's
-    # qubits, so every part is an input the branch program's check accepts
+    # every op acts on each weight class's rows alone, so a complex factor
+    # per class commutes with the run and leaves the fold's check intact
     program = protocols._compile(protocols._SPECS[kind], n, branch=True)
-    joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n), np.eye(2))
-    mix = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
-    x = np.einsum("abcd,de->abce", joint, mix).reshape(2 ** (n + 1), -1)
+    x = protocols._slot_input(kind, n).astype(np.complex128)
+    for cls in protocols._weight_classes(n):
+        x[cls.inputs] *= complex(*RNG.normal(size=2))
     real, imag = (program.run(part).amps for part in (x.real, x.imag))
     assert real.dtype == imag.dtype == np.float64
     out = program.run(x).amps

@@ -466,7 +466,7 @@ TELEPORT_SHA256 = {
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format human":
         "bffc49be95b38852d24638ac5b3c52bc27c0c815e9e6559d95ff2b563a4de45e",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format json":
-        "2d6951aae2936cecafdd3f382017c4d35cf8945c2ebbf2eff051d00f3f3e4ae3",
+        "c17eb064cca1d97ae12638c1f6570c442d3894a0511455ac3635e558176dc7b1",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format csv":
         "e397eb39eefe119d78e66f87f90e6d3280e86f9ab5bc7a0d759832c99b2f69e5",
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format human":
@@ -484,25 +484,25 @@ TELEPORT_SHA256 = {
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format human":
         "d262a07fee9a7b8b09240aa8017b3aaf755ce1bdaf292eeeb5fa0f5dab158454",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format json":
-        "2d29631ee49b5da64d80d947b013f21d48951a80791f771c5a93e1f29a76a117",
+        "cd6ee1795e5ddead4d66d53595a8ed38c0506e832a75045223e70ca621968f16",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format csv":
         "0362f4d4fb0d4d8fa33adb0d79ffd9b3c3cc082e11c8ae1dd220fc61f842a324",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format human":
         "db74cf94f636fe831217601276159543aee024668136252fa119d8cb50107487",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format json":
-        "95aacd09aca3feede1bfe6f7ca73205ef334fab532d7a82b32a36e76cde0087c",
+        "a9436732a2b29a4aeae668745f686c4c9b8e0145543df0f345c54afb9cf61f29",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
         "4cc390fee877e37b8a8f2ba47c60903928ab2302789ea78fe8021183393e4cfd",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format human":
         "d151203ffcad08079081e1c8ff224d252d3d22cda22e17ae6e32941868d78c6b",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format json":
-        "8fd3739e6abfb59241c985caf0ea79100fe282b6114f5b55ee7fe64c38e80a6f",
+        "8ad0645ba0f7cfd61ce2b3a12eae276f60ae19c6ecc2e5d7bf1125da7a55664b",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format csv":
         "beb73e8b792ba4bf62d936af2bb7e9094d8fc427a0a9ad006f66a44781d1bb68",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format human":
         "d3b335de20af80308af7bc6304294f6923b7d5b2d3876f2d661c46ad991e43f2",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format json":
-        "b044295313dd0967c242475b7d4e4fddff48bfa136c0ba28daac951d475dee29",
+        "2c8d600992d80c587f6db3986468c92beeb2da99e4c77d43f87da8295a8b8ea0",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
         "594236a6e3445edc61772669e6a22f9d407027fa3f084ab91f47c62693146b4b",
 }
@@ -621,12 +621,14 @@ def test_chunked_draws_equal_the_one_shot_draws(chunks, offset):
 
 # stdout of 10,003 trials at N=2, seed 7, before the draws were chunked; JSON
 # and human output without the mean fidelity line, which sums one pairwise
-# tree per chunk
+# tree per chunk. The dpbt-opt JSON digest is of the weight-class-slot
+# instrument: its fidelities differ from the one-shot run's by at most 1 ulp,
+# with the same draws and outcomes
 ONE_SHOT_SHA256 = {
     ("dpbt", "json"): "6f2cbb537c8295af62aa8bacb379a6d35224e29f291b2e9b1ad93fd89d89294c",
     ("dpbt", "csv"): "8a57c704d9b682b820f399a2abcfc0988778a93725f7604c7b511efb0081b758",
     ("dpbt", "human"): "afddbc898ca177f8782cd7d13d8c3e7f379e13d4a411b00bb90ffaa4185f4c72",
-    ("dpbt-opt", "json"): "e2b6a539dee915bd934a5eadeefb86ffa05d2bd26e06498443ab4d1065d1d0c9",
+    ("dpbt-opt", "json"): "f2ac49c6435a01c83e0cec42e0a221f2c67f1f7ae7202ee5db0be21f7b0de109",
     ("dpbt-opt", "csv"): "7d8042100d7e613a0f03cc37fefb1c951877a09fa85022dabffbe6c4ece9cb8c",
     ("dpbt-opt", "human"): "b87a43c89425e1e1dca8e212a6077ad6aa88d099c16818c59385e53e6b6d48bd",
     ("ppbt-mes", "json"): "984a978c225ed286ea00f93a6dcb09697ce7ad96e8a277bd07a522fc6243fa8e",

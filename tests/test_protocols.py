@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import (action_matrix, branch_instrument, branch_weights, flat, haar_qubit,
-                     psd_sqrt, receiver_states, whole_register_instrument)
+from helpers import (action_matrix, branch_instrument, branch_weights, dense_fold, flat,
+                     flagged_run, haar_qubit, joint_input, psd_sqrt, receiver_states,
+                     whole_register_instrument)
 from portsim import protocols
 from portsim.circuit import CircuitAction, DenseSystem, Registers, StateVector
 from portsim.povm_analytic import failure_eigensystem, port_eigensystem
@@ -439,6 +441,22 @@ def test_batch_weights_are_the_instrument_quadratic_forms(monkeypatch):
                                rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_batch_probabilities_are_the_fixed_order_sum(kind):
+    # the four feature terms add in one fixed order, bit for bit, so no BLAS
+    # kernel can move a seeded outcome
+    n = 6
+    chi = np.column_stack([haar_qubit(np.random.default_rng(np.random.PCG64(t)))
+                           for t in range(500)])
+    weights = protocols._trial_forms(kind, n)[0]
+    cross = chi[0].conj() * chi[1]
+    features = [np.abs(chi[0]) ** 2, np.abs(chi[1]) ** 2, cross.real, cross.imag]
+    expected = sum(w[:, None] * row for w, row in zip(weights.T, features))
+    batch = teleport_batch(kind, n, chi, rng=1)
+    assert batch.probabilities.dtype == expected.dtype
+    np.testing.assert_array_equal(batch.probabilities, expected)
+
+
 def test_broken_resource_raises_numerical_invariant_error(monkeypatch):
     kind, n = ProtocolKind.PPBT_OPT, 2
     scaled = 1.1 * resource_matrix(kind, n)
@@ -454,16 +472,22 @@ def test_broken_resource_raises_numerical_invariant_error(monkeypatch):
     assert info.value.residual == pytest.approx(1.1 ** 2 - 1, abs=1e-12)
 
 
+def _detuned(kind):
+    """The kind's spec with one attach factor off by 1e-6, which leaves the
+    flagged amplitude off sin(pi/2n)."""
+    spec = protocols._SPECS[kind]
+    return dataclasses.replace(spec, attach=lambda m: spec.attach(m) * (1 - 1e-6))
+
+
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, *(pytest.param(n, marks=pytest.mark.slow)
+                                                for n in (7, 8))])
 def test_detuned_attach_breaks_the_amplification_precondition(monkeypatch, kind, n):
     # one attach factor off by 1e-6 leaves the flagged amplitude off sin(pi/2n)
-    spec = protocols._SPECS[kind]
-    broken = dataclasses.replace(spec, attach=lambda m: spec.attach(m) * (1 - 1e-6))
+    broken = _detuned(kind)
     prog = protocols._compile(broken, n)
-    joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n), np.eye(2))
     with pytest.raises(NumericalInvariantError) as info:
-        prog.run(joint.reshape(2 ** (n + 1), 2 ** (n + 1)))
+        prog.run(joint_input(kind, n))
     assert not isinstance(info.value, ValueError)
     assert 1e-6 <= info.value.residual <= 3e-6
     # the branch program checks the whole register's precondition through
@@ -481,23 +505,35 @@ def test_detuned_attach_breaks_the_amplification_precondition(monkeypatch, kind,
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [2, 6])
 def test_one_fold_on_the_difference_is_the_two_fold_residual(kind, n):
-    # the branch check folds G_out - G_in once; folding G_out and G_in apart
-    # and subtracting gives the same residual
-    spec = protocols._SPECS[kind]
-    broken = dataclasses.replace(spec, attach=lambda m: spec.attach(m) * (1 - 1e-6))
-    prog = protocols._compile(broken, n, branch=True)
-    joint = np.einsum("ab,cd->acbd", resource_matrix(kind, n), np.eye(2))
-    x = joint.reshape(2 ** (n + 1), 2 ** (n + 1))
+    # the slot run folds G_out - G_in once, class by class; the dense layout
+    # folding G_out and G_in apart and subtracting gives the same residual
+    prog = protocols._compile(_detuned(kind), n, branch=True)
     with pytest.raises(NumericalInvariantError) as info:
-        prog.run(x)
-    state = StateVector.from_system(prog.registers, x, prog.entry)
-    out = prog.bare.apply(state).amps[:, :, 0] / math.sin(math.pi / (2 * prog.rounds))
-    grams = [np.stack([rows.T @ rows for rows in amps.transpose(1, 0, 2)])
-             for amps in (state.amps[:, :, 0], out)]
-    gram_in, gram_out = (prog.fold(g) for g in grams)
-    residual = np.abs(gram_out - gram_in).max() / gram_in.diagonal().max()
+        prog.run(protocols._slot_input(kind, n))
+    diff, diagonal = dense_fold(n, *flagged_run(prog, joint_input(kind, n)))
+    residual = np.abs(diff).max() / diagonal.max()
     assert 1e-6 <= residual <= 3e-6
     assert info.value.residual == pytest.approx(residual, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_class_fold_is_the_dense_fold(kind, n):
+    # the dense fold is block-diagonal in weight class, and each block is the
+    # class fold of the slot run, on a detuned attach where it is not zero
+    prog = protocols._compile(_detuned(kind), n, branch=True)
+    diffs, diagonals = prog.fold(*flagged_run(prog, protocols._slot_input(kind, n)))
+    diff, diagonal = dense_fold(n, *flagged_run(prog, joint_input(kind, n)))
+    covered = np.zeros(diff.shape, dtype=bool)
+    classes = protocols._weight_classes(n)
+    assert len(diffs) == len(diagonals) == len(classes) == n + 2
+    for cls, block, diag in zip(classes, diffs, diagonals):
+        np.testing.assert_allclose(block, diff[np.ix_(cls.columns, cls.columns)],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(diag, diagonal[cls.columns], rtol=0, atol=1e-12)
+        covered[np.ix_(cls.columns, cls.columns)] = True
+    assert not diff[~covered].any()
+    assert np.abs(diff).max() >= 1e-6 * diagonal.max()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -514,6 +550,54 @@ def test_instrument_is_the_same_in_the_computational_basis(kind, n):
     np.testing.assert_allclose(shared, receiver, rtol=0, atol=1e-13)
     if failure is not None:
         np.testing.assert_allclose(failure, per_branch[1], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [*range(1, 8), *(pytest.param(n, marks=pytest.mark.slow)
+                                              for n in (8, 9))])
+def test_instrument_matches_the_dense_layout(kind, n):
+    # the slot run read off class by class equals the branch program run on
+    # every joint-input column whole
+    program = protocols._compile(protocols._SPECS[kind], n, branch=True)
+    per_branch, receiver = branch_instrument(program, kind, n)
+    ports, failure, shared = protocols._instrument(kind, n)
+    np.testing.assert_allclose(ports[0], per_branch[0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(shared, receiver, rtol=0, atol=1e-13)
+    if failure is not None:
+        np.testing.assert_allclose(failure, per_branch[1], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_branch_run_holds_one_slot_per_column_of_the_widest_class(monkeypatch, n):
+    widths = []
+    apply = CircuitAction.apply
+
+    def recorded(self, state):
+        widths.append(state.batch)
+        return apply(self, state)
+
+    monkeypatch.setattr(CircuitAction, "apply", recorded)
+    for kind in KINDS:
+        protocols._instrument.__wrapped__(kind, n)
+    assert widths == [math.comb(n + 1, (n + 1) // 2)] * len(KINDS)
+    classes = protocols._weight_classes(n)
+    assert [len(c.columns) for c in classes] == [math.comb(n + 1, w) for w in range(n + 2)]
+    assert [len(c.inputs) for c in classes] == [len(c.outputs) for c in classes] \
+        == [len(c.columns) for c in classes]
+
+
+def test_instrument_working_memory_stays_in_its_slots():
+    # the dense layout's state alone is 2^9 x 2 x 2 x 2^9 floats (8 MB) at
+    # N=8, and its run peaked at 34 MB; the slot state is 126 slots wide
+    kind, n = ProtocolKind.PPBT_OPT, 8
+    protocols._instrument.__wrapped__(kind, n)
+    tracemalloc.start()
+    try:
+        protocols._instrument.__wrapped__(kind, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 @pytest.mark.parametrize("kind", KINDS)
