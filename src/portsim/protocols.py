@@ -19,12 +19,14 @@ on a register holding only the last port branch and the failure branch.
 The square-root measurement is port-permutation covariant (Studzinski et
 al., Sci. Rep. 7, 10871, 2017): every other port branch is a qubit-swap
 image of the last one, so all ports share its outcome form and receiver
-tensor. Every op also conserves the system's total S_z, and each column of
-the joint input lies in one weight class (`_weight_classes`), so the branch
-program runs on max_w C(N+1, w) slots instead of 2^(N+1) columns: slot k of
-a row holds the k-th column of the row's class, and the read-out and the
-amplification check go class by class. The whole-register program stays for
-what reads its structure: the gate-count model and the tests. Seeded Haar
+tensor. The branch program starts and ends in the coupled basis, on a
+joint input read off in closed form there (`_slot_input`), so it holds
+block ops only. Every op conserves the system's total S_z, and each column
+of the joint input lies in one weight class (`_weight_classes`), so it runs
+on max_w C(N+1, w) slots instead of 2^(N+1) columns: slot k of a row holds
+the k-th column of the row's class, and the read-out and the amplification
+check go class by class. The whole-register program, which builds the dense
+transform, stays for the gate-count model and the tests. Seeded Haar
 inputs come a chunk at a time (`haar_inputs`), each chunk equal to its slice
 of one draw of all trials, so a long run samples in flat memory.
 """
@@ -36,7 +38,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from .circuit import (Block, CircuitAction, DenseSystem, Fold, NumericalInvarian
                       port_cswap, port_prepare)
 from .povm_analytic import EigenSystem, failure_eigensystem, port_eigensystem
 from .povm_oracle import qubit_swap_permutation
-from .schur import MAX_DENSE_QUBITS, coupling_unitary, enumerate_labels, sector_operator
+from .schur import MAX_DENSE_QUBITS, coupling_level, coupling_unitary, enumerate_labels
 from .spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
                       optimal_scalars, spin_values)
 
@@ -95,12 +97,12 @@ class NaimarkProgram:
     the input enters each with its port amplitude, and `fold` checks the
     amplification precondition of the whole register through the other
     ports' qubit-swap images. It runs only on the joint input
-    resource (x) I_2 in weight-class slots (`_slot_input`): the batch axis
-    holds max_w C(N+1, w) slots, and slot k of a row holds the k-th column
-    of the row's S_z class, so `fold` reads each class over its own rows
-    and first C(N+1, w) slots (`_fold_classes`). A branch program leaves out
-    the final transform out of the coupled basis, so its `run()` returns the
-    flagged part with the system rows in the coupled basis.
+    resource (x) I_2 in the coupled basis and in weight-class slots
+    (`_slot_input`): the batch axis holds max_w C(N+1, w) slots, and slot k
+    of a row holds the k-th column of the row's S_z class, so `fold` reads
+    each class over its own rows and first C(N+1, w) slots
+    (`_fold_classes`). A branch program holds neither transform of the
+    coupled basis, so its `run()` returns the flagged part in that basis.
     """
 
     registers: Registers
@@ -222,20 +224,15 @@ def _check_ports(n_ports: int) -> None:
 @dataclass(frozen=True, eq=False)
 class _WeightClass:
     """One S_z sector of the N+1 system qubits, w of them in |1>: the
-    computational rows `inputs` of Hamming weight w, the coupled-basis rows
-    `outputs` of doubled m = N+1-2w, and the joint-input columns (b, d) of
-    class w = N - wt(b) + d, as flat indices 2b + d ascending, whose k-th
-    sits in slot k. `swaps[i]` is the in-class position of each column's
-    image under port i's swap of Bob's qubits i+1 and N, which keeps wt(b)."""
+    coupled-basis rows `outputs` of doubled m = N+1-2w, which the branch
+    program reads and writes, and the joint-input columns (b, d) of class
+    w = N - wt(b) + d, as flat indices 2b + d ascending, whose k-th sits in
+    slot k. `swaps[i]` is the in-class position of each column's image under
+    port i's swap of Bob's qubits i+1 and N, which keeps wt(b)."""
 
-    inputs: np.ndarray
     outputs: np.ndarray
     columns: np.ndarray
     swaps: np.ndarray
-
-
-def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
-    return sum((x >> t) & 1 for t in range(bits))
 
 
 @lru_cache(maxsize=32)
@@ -245,16 +242,15 @@ def _weight_classes(n_ports: int) -> tuple[_WeightClass, ...]:
     Hamming weight N - wt(b) + d, since the resource conserves S_z. Each
     class holds C(N+1, w) rows and as many columns. Cached, read-only."""
     qubits = n_ports + 1
-    flat_index = np.arange(2 ** qubits)
-    weight = _popcount(flat_index, qubits)
     # N - wt(b) + d is the weight of the column index with Bob's bits flipped
-    column_class = _popcount(flat_index ^ (2 ** qubits - 2), qubits)
+    flipped = np.arange(2 ** qubits) ^ (2 ** qubits - 2)
+    column_class = sum((flipped >> t) & 1 for t in range(qubits))
     m = enumerate_labels(qubits)[:, -1]
     perms = np.stack([qubit_swap_permutation(qubits, i + 1, n_ports) for i in range(n_ports)])
     classes = []
     for w in range(qubits + 1):
         columns = np.flatnonzero(column_class == w)
-        parts = (np.flatnonzero(weight == w), np.flatnonzero(m == qubits - 2 * w), columns,
+        parts = (np.flatnonzero(m == qubits - 2 * w), columns,
                  np.searchsorted(columns, perms[:, columns]))
         for part in parts:
             part.flags.writeable = False
@@ -266,8 +262,9 @@ def _fold_classes(classes: tuple[_WeightClass, ...], before: np.ndarray, after: 
                   ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The whole register's amplification Gram difference and input Gram
     diagonal, per weight class, from a branch run in slots: the flagged
-    (system, port, slot) rows `before` and `after` it. Class by class, the
-    per-port-value Grams of its rows over its first C(N+1, w) slots give
+    (system, port, slot) rows `before` and `after` it, both in the coupled
+    basis. Class by class, the per-port-value Grams of its coupled rows
+    `outputs` over its first C(N+1, w) slots give
     D = G_after - G_before; the last port branch's D folds in once under
     each port's swap of Bob's qubits, which maps the class onto itself, and
     the failure branch's once. The dense fold is block-diagonal in class, so
@@ -276,8 +273,8 @@ def _fold_classes(classes: tuple[_WeightClass, ...], before: np.ndarray, after: 
     for cls in classes:
         width = len(cls.columns)
         grams = []
-        for rows, amps in ((cls.inputs, before), (cls.outputs, after)):
-            part = amps[rows, :, :width].transpose(1, 0, 2)
+        for amps in (before, after):
+            part = amps[cls.outputs, :, :width].transpose(1, 0, 2)
             grams.append(part.conj().swapaxes(-1, -2) @ part)
         gram_in, diff = grams
         diff -= gram_in
@@ -300,18 +297,17 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
     the failure branch: it needs neither the preparation nor the swap, which
     exchanges qubit N with itself on that branch, and its amplification
     check folds in the other ports' images class by class
-    (`_fold_classes`), so it runs on the slot input of `_slot_input`. Every
-    op conserves the system's S_z: the transform into the coupled basis maps
-    Hamming weight w to doubled m = N+1-2w, and every block's instances
-    share one m. So the ops act on each weight class's rows alone, and a
-    slot may hold a different column in each class. It also stops before
-    the final transform out of the coupled basis, so its `run` returns the
-    flagged part in that basis: every quantity read off it (the outcome
-    forms, the receiver tensor, the amplification Grams) sums over a class's
-    rows, and so does not change under a real orthogonal change of their
-    basis within the class. Cached per spec, since programs are stateless
-    and every apply is functional. The N+1 qubit coupled basis caps N
-    before anything is built."""
+    (`_fold_classes`), so it runs on the slot input of `_slot_input`. That
+    input is already in the coupled basis, so the program holds neither
+    transform, only the block ops, and its `run` returns the flagged part in
+    that basis: every quantity read off it (the outcome forms, the receiver
+    tensor, the amplification Grams) sums over a class's rows, and so does
+    not change under a real orthogonal change of their basis within the
+    class. Every block's instances share one doubled m = N+1-2w, so the ops
+    act on each weight class's rows alone, and a slot may hold a different
+    column in each class. Cached per spec, since programs are stateless and
+    every apply is functional. The N+1 qubit coupled basis caps N before
+    anything is built."""
     _check_ports(n_ports)
     if n_ports >= MAX_DENSE_QUBITS:
         raise ValueError(f"n_ports must be in 1..{MAX_DENSE_QUBITS - 1} for a compiled "
@@ -333,15 +329,16 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
     # the real orthogonal blocks and transform are undone by their transposes
     unrot = SubspaceBlocks(regs, [Block(matrix=b.matrix.T, instances=b.instances)
                                   for b in reversed(rot.blocks)], name="family-unrotation")
-    couple = coupling_unitary(n_ports + 1)
-    ops = [DenseSystem(couple.T), rot, *attach, unrot]
+    ops = [rot, *attach, unrot]
     if branch:
         entry, fold = amps[n_ports - 1:], partial(_fold_classes, _weight_classes(n_ports))
     else:
         entry, fold = np.ones(1), None
         cswap = port_cswap(regs, [qubit_swap_permutation(n_ports + 1, i + 1, n_ports)
                                   for i in range(n_ports)])
-        ops = [port_prepare(regs, amps), cswap, *ops, DenseSystem(couple), cswap]
+        couple = coupling_unitary(n_ports + 1)
+        ops = [port_prepare(regs, amps), cswap, DenseSystem(couple.T), *ops,
+               DenseSystem(couple), cswap]
     return NaimarkProgram(registers=regs, bare=CircuitAction(ops), rounds=rounds,
                           c_star=rescale, failure_branches=tuple(range(len(ports), regs.port_dim)),
                           entry=entry, fold=fold)
@@ -361,12 +358,6 @@ def build_program(kind: ProtocolKind, n_ports: int) -> NaimarkProgram:
     return _compile(_SPECS[kind], n_ports)
 
 
-def singlet_chain(n_ports: int) -> np.ndarray:
-    """Amplitude matrix of N singlet pairs, row index Alice, column Bob."""
-    pair = np.array([[0.0, 1.0], [-1.0, 0.0]]) / math.sqrt(2.0)
-    return reduce(np.kron, [pair] * n_ports)
-
-
 def dpbt_opt_deformation(n_ports: int) -> tuple[tuple[int, float], ...]:
     """Spin-sector weights w_j of the deterministic-optimal resource
     O = sum_j w_j 1(j) applied to the singlet chain.
@@ -382,21 +373,6 @@ def dpbt_opt_deformation(n_ports: int) -> tuple[tuple[int, float], ...]:
          * math.sqrt(2 ** (n_ports + 2)
                      / ((n_ports + 2) * chain_multiplicity(n_ports, j) * (j + 1))))
         for j in spin_values(n_ports))
-
-
-def resource_matrix(kind: ProtocolKind, n_ports: int) -> np.ndarray:
-    """Amplitude matrix of the kind's resource: the singlet chain, or for the
-    optimised kinds the unit-norm image of sum_j w_j 1(j) applied to it
-    (w_j = sqrt(nu(j)) for ppbt-opt, `dpbt_opt_deformation` for dpbt-opt)."""
-    matrix = singlet_chain(n_ports)
-    if not kind.optimised_resource:
-        return matrix
-    if kind is ProtocolKind.PPBT_OPT:
-        weights = {j: math.sqrt(float(nu)) for j, nu in optimal_scalars(n_ports).nu.items()}
-    else:
-        weights = dict(dpbt_opt_deformation(n_ports))
-    matrix = sector_operator(n_ports, weights) @ matrix
-    return matrix / np.linalg.norm(matrix)
 
 
 @dataclass
@@ -430,18 +406,40 @@ def expected_outcome_distribution(kind: ProtocolKind, n_ports: int) -> np.ndarra
 
 
 def _slot_input(kind: ProtocolKind, n_ports: int) -> np.ndarray:
-    """The joint input resource (x) I_2 in weight-class slots: a
-    (2^(N+1), max_w C(N+1, w)) array whose row x holds in slot k the k-th
-    column of x's class, built class by class from the resource matrix.
-    The column (b, d) of row (a, c) is resource[a, b] when c = d and 0
-    otherwise; every row of a class past its own width stays 0."""
-    resource = resource_matrix(kind, n_ports)
+    """The joint input resource (x) I_2 in the coupled basis of the N+1
+    system qubits, in weight-class slots: a (2^(N+1), max_w C(N+1, w))
+    array whose row X holds in slot k the k-th column (b, d) of X's class;
+    a class's rows past its width stay 0. A gather, with no matrix product.
+
+    The resource is R = O C / |O C|: C = eps^(x)N / 2^(N/2) is the singlet
+    chain, eps = [[0, 1], [-1, 0]], and O = sum_s w_s P_s is diagonal in the
+    coupled basis, where eps^(x)N is a signed m-reversal (u eps u^T = eps
+    for u in SU(2)). So row L of U_N^T R is w_L (-1)^((s-m)/2) / sqrt(sum
+    w_L^2) times row L + m (same chain, opposite m) of U_N^T, and entry
+    (X, (b, d)) is coeff[d, X] times that row at prev[d, X], column b, by
+    one Clebsch-Gordan level (`coupling_level`). The norm is an exact sum
+    (`math.fsum`), so no BLAS kernel moves a seeded byte."""
+    labels = enumerate_labels(n_ports).astype(np.int64)
+    spin, m = labels[:, -2], labels[:, -1]
+    if kind is ProtocolKind.PPBT_OPT:
+        weights = {j: math.sqrt(float(nu)) for j, nu in optimal_scalars(n_ports).nu.items()}
+    elif kind is ProtocolKind.DPBT_OPT:
+        weights = dict(dpbt_opt_deformation(n_ports))
+    else:
+        weights = dict.fromkeys(spin_values(n_ports), 1.0)
+    scale = np.array([weights[s] for s in spin.tolist()])
+    norm = math.sqrt(math.fsum(scale ** 2))
+    # a prev of -1 (the piece leaves the parent chain) reads a zero weight
+    scale = np.append(scale * (-1.0) ** ((spin - m) // 2) / norm, 0.0)
+    reverse = np.append(np.arange(len(m)) + m, 0)
+    prev, coeff = coupling_level(n_ports + 1)
+    basis = coupling_unitary(n_ports)
     classes = _weight_classes(n_ports)
     slots = np.zeros((2 ** (n_ports + 1), max(len(c.columns) for c in classes)))
     for cls in classes:
-        a, c = cls.inputs[:, None] >> 1, cls.inputs[:, None] & 1
-        b, d = cls.columns >> 1, cls.columns & 1
-        slots[cls.inputs, :len(b)] = resource[a, b] * (c == d)
+        x, b, d = cls.outputs[:, None], cls.columns >> 1, cls.columns & 1
+        row = prev[d, x]
+        slots[cls.outputs, :len(b)] = coeff[d, x] * scale[row] * basis[b, reverse[row]]
     return slots
 
 
@@ -453,11 +451,13 @@ def _pair_gram(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     group = columns >> 2
     # columns ascend, so each b' has consecutive columns
     position = np.cumsum(np.diff(group, prepend=-1) != 0) - 1
-    rows = np.moveaxis(rows, 0, -2)
-    grid = np.zeros((*rows.shape[:-1], position[-1] + 1, 4))
-    grid[..., position, columns & 3] = rows
-    grid = grid.reshape(*rows.shape[:-2], -1, 4)
-    return grid.swapaxes(-1, -2) @ grid
+    # axes: ..., q, b', x, so each of the four rows of the grid is contiguous
+    rows = np.moveaxis(rows, 0, -1)
+    grid = np.zeros((*rows.shape[:-2], 4, position[-1] + 1, rows.shape[-1]))
+    grid[..., columns & 3, position, :] = rows
+    grid = grid.reshape(*rows.shape[:-2], 4, -1)
+    # einsum, not BLAS: no kernel moves a seeded byte
+    return np.einsum("...ik,...jk->...ij", grid, grid)
 
 
 @lru_cache(maxsize=32)
@@ -481,14 +481,14 @@ def _instrument(kind: ProtocolKind, n_ports: int
     Every op conserves the system's S_z, and the joint input's column (b, d)
     lies in the one weight class w = N - wt(b) + d (`_weight_classes`). So
     the run holds max_w C(N+1, w) slot columns, not 2^(N+1): slot k of a
-    row holds the k-th column of its class (`_slot_input`). G and K sum
-    over the rows of each class and its first C(N+1, w) slots, class by
-    class, and the amplification check folds the port images per class
-    (`_fold_classes`), so no 2^(N+1) x 2^(N+1) Gram is formed. The run ends
-    in the coupled basis, where class w is the rows of doubled m = N+1-2w;
-    the sums over a class's rows are the same in the computational basis.
-    The resource and every op are real, so the run and the forms are
-    float64 (see `StateVector.from_system`).
+    row holds the k-th column of its class, read off in closed form in the
+    coupled basis (`_slot_input`), where class w is the rows of doubled
+    m = N+1-2w. G and K sum over the rows of each class and its first
+    C(N+1, w) slots, class by class, and the amplification check folds the
+    port images per class (`_fold_classes`), so no 2^(N+1) x 2^(N+1) Gram
+    or transform is formed; the sums over a class's rows are the same in
+    the computational basis. The resource and every op are real, so the
+    run and the forms are float64 (see `StateVector.from_system`).
 
     Returns (ports, failure, receiver), read-only: the (N, 2, 2) port forms,
     views of the last port's; the failure form, None for the deterministic

@@ -13,9 +13,10 @@ Qubit convention: |0> carries z-spin +1/2, |1> carries -1/2; qubit 1 is the
 most significant bit of a basis index.
 
 The dense transform `coupling_unitary` is built qubit by qubit from the one
-below it and shared read-only up to 12 qubits; basis vectors are its columns,
-and every spin-sector operator sum_s w_s P_s (the oracle's weights, the
-optimised resources) is read off them by `sector_operator`.
+below it, one Clebsch-Gordan level (`coupling_level`) at a time, and shared
+read-only up to 12 qubits; basis vectors are its columns, and the dense
+oracle's spin-sector operators sum_s w_s P_s are read off them by
+`sector_operator`.
 """
 
 from __future__ import annotations
@@ -74,21 +75,40 @@ def _chain_key(chains: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def coupling_level(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Clebsch-Gordan level coupling qubit n to the first n - 1 (Bacon,
+    Chuang and Harrow, PRL 97, 170502, 2006) as (prev, coeff), each (2, 2^n):
+    where the last qubit is `bit`, with z-spin x = +-1, column L of
+    `coupling_unitary(n)` is column prev[bit, L] (the parent chain at m - x;
+    -1 off it, coeff 1) of `coupling_unitary(n - 1)` times coeff[bit, L],
+    sqrt((j + 1 + x m) / (2 (j + 1))) for s = j + 1 and -x sqrt((j + 1 - x m)
+    / (2 (j + 1))) for s = j - 1, twice-value spins. A ratio of two exact
+    integer floats rounds as the exact fraction does. Cached, read-only."""
+    # a chain's labels are consecutive in its level, m descending from its
+    # first row, where m = s
+    below = enumerate_labels(n - 1)
+    first = np.flatnonzero(below[:, -1] == below[:, -2])
+    labels = enumerate_labels(n)
+    start = first[np.searchsorted(_chain_key(below[first, :-1]), _chain_key(labels[:, :-2]))]
+    j, s, m = labels[:, -3:].astype(np.int64).T
+    up = s > j
+    # the last qubit is 0 (z-spin +1/2) or 1 (-1/2)
+    x = np.array([[1], [-1]])
+    inside = np.abs(m - x) <= j
+    ratio = (j + 1 + np.where(up, x, -x) * m) / (2 * (j + 1))
+    coeff = np.where(inside, np.where(up, 1, -x) * np.sqrt(ratio), 1.0)
+    prev = np.where(inside, start + (j - m + x) // 2, -1)
+    for part in (prev, coeff):
+        part.flags.writeable = False
+    return prev, coeff
+
+
+@lru_cache(maxsize=None)
 def coupling_unitary(n: int) -> np.ndarray:
     """Dense 2^n x 2^n change of basis; column i holds the amplitudes of
-    the label in row i of enumerate_labels(n). Built qubit by qubit from
-    `coupling_unitary(n - 1)` (the sequential Clebsch-Gordan construction of
-    Bacon, Chuang and Harrow, PRL 97, 170502, 2006). Spins are twice-value
-    ints here too. On the rows where the last qubit carries z-spin x = +-1,
-    column L is the parent chain's column at m - x times the factor of
-    coupling that qubit to spin j: sqrt((j + 1 + x m) / (2 (j + 1))) for
-    s = j + 1 and -x sqrt((j + 1 - x m) / (2 (j + 1))) for s = j - 1, as
-    the per-label Clebsch-Gordan products of the test oracle give it. One
-    level is a few array expressions over the labels' (j, s, m) columns and
-    one gather per bit; a ratio of two exact integer floats rounds as the
-    exact fraction does, so the bytes match the oracle's. Cached with every
-    level below, read-only and capped at n = 12 (the
-    matrix alone is 2^24 floats)."""
+    the label in row i of enumerate_labels(n), built from
+    `coupling_unitary(n - 1)` one `coupling_level(n)` gather per bit. Cached
+    with every level below, read-only and capped at n = 12 (2^24 floats)."""
     if not 1 <= n <= MAX_DENSE_QUBITS:
         raise ValueError(f"n must be in 1..{MAX_DENSE_QUBITS} for the dense unitary, got {n}")
     if n == 1:
@@ -98,25 +118,10 @@ def coupling_unitary(n: int) -> np.ndarray:
         # a piece whose m - x leaves the parent chain reads this zero column
         # at factor +1, so it stays +0.0
         padded = np.concatenate([parent, np.zeros((len(parent), 1))], axis=1)
-        # a chain's labels are consecutive in its level, m descending from
-        # its first row, where m = s
-        below = enumerate_labels(n - 1)
-        first = np.flatnonzero(below[:, -1] == below[:, -2])
-        labels = enumerate_labels(n)
-        start = first[np.searchsorted(_chain_key(below[first, :-1]),
-                                      _chain_key(labels[:, :-2]))]
-        j, s, m = labels[:, -3:].astype(np.int64).T
-        up = s > j
         out = np.empty((2 ** n, 2 ** n))
         # axes: the first n - 1 qubits, the last one, the label
         rows = out.reshape(len(parent), 2, 2 ** n)
-        # the last qubit is 0 (z-spin +1/2) or 1 (-1/2)
-        for bit, x in ((0, 1), (1, -1)):
-            m_prev = m - x
-            inside = np.abs(m_prev) <= j
-            ratio = (j + 1 + np.where(up, x, -x) * m) / (2 * (j + 1))
-            coeff = np.where(inside, np.where(up, 1, -x) * np.sqrt(ratio), 1.0)
-            prev = np.where(inside, start + (j - m_prev) // 2, -1)
+        for bit, (prev, coeff) in enumerate(zip(*coupling_level(n))):
             np.multiply(padded[:, prev], coeff, out=rows[:, bit])
     out.flags.writeable = False
     return out

@@ -4,14 +4,15 @@ qubit inputs, spin-1/2 Clebsch-Gordan coefficients, the coupled-basis
 labels as sorted tuples and the coupled basis one label at a time, the
 eigensystem families grouped label by label, the list of pair sectors, the port element's table of a pair sector, the Hermitian square
 root of a dense measurement element, the whole-register qubit instrument
-and the receiver states it leaves, the dense joint input, a branch
-program's run and qubit instrument in that dense layout, in any system
-basis, with its amplification fold, and teleport's trial rows rendered one
-row at a time."""
+and the receiver states it leaves, the dense resource and joint input,
+in the computational and in the coupled basis, a branch program's run and
+qubit instrument in that dense layout, in any system basis, with its
+amplification fold, and teleport's trial rows rendered one row at a
+time."""
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -19,8 +20,9 @@ from portsim.circuit import Registers, StateVector
 from portsim.cli import _fmt
 from portsim.povm_analytic import port_eigensystem
 from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL, qubit_swap_permutation
-from portsim.protocols import build_program, resource_matrix
-from portsim.spinalg import Regime, failure_eigenvalue
+from portsim.protocols import ProtocolKind, build_program, dpbt_opt_deformation
+from portsim.schur import coupling_unitary, sector_operator
+from portsim.spinalg import Regime, failure_eigenvalue, optimal_scalars
 
 
 def flat(state: StateVector) -> np.ndarray:
@@ -165,6 +167,28 @@ def psd_sqrt(op: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
+def singlet_chain(n_ports: int) -> np.ndarray:
+    """Amplitude matrix of N singlet pairs, row index Alice, column Bob."""
+    pair = np.array([[0.0, 1.0], [-1.0, 0.0]]) / math.sqrt(2.0)
+    return reduce(np.kron, [pair] * n_ports)
+
+
+def resource_matrix(kind, n_ports: int) -> np.ndarray:
+    """Oracle for the resource `protocols._slot_input` reads in closed form:
+    the amplitude matrix of the singlet chain, or for the optimised kinds
+    the unit-norm image of sum_j w_j 1(j) applied to it (w_j = sqrt(nu(j))
+    for ppbt-opt, `dpbt_opt_deformation` for dpbt-opt), built densely."""
+    matrix = singlet_chain(n_ports)
+    if not kind.optimised_resource:
+        return matrix
+    if kind is ProtocolKind.PPBT_OPT:
+        weights = {j: math.sqrt(float(nu)) for j, nu in optimal_scalars(n_ports).nu.items()}
+    else:
+        weights = dict(dpbt_opt_deformation(n_ports))
+    matrix = sector_operator(n_ports, weights) @ matrix
+    return matrix / np.linalg.norm(matrix)
+
+
 def joint_input(kind, n_ports: int) -> np.ndarray:
     """The dense joint input resource (x) I_2 for chi = |0> and |1>: rows
     (Alice's N qubits, chi), columns (Bob's N qubits, d), 2^(N+1) each."""
@@ -172,11 +196,17 @@ def joint_input(kind, n_ports: int) -> np.ndarray:
     return joint.reshape(2 ** (n_ports + 1), 2 ** (n_ports + 1))
 
 
+def coupled_input(kind, n_ports: int) -> np.ndarray:
+    """Oracle for `protocols._slot_input`: `joint_input` with its rows in
+    the coupled basis of the N+1 system qubits, U_{N+1}^T times it."""
+    return coupling_unitary(n_ports + 1).T @ joint_input(kind, n_ports)
+
+
 def flagged_run(program, system_amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An amplified program's run without its check: `bare` once on the
     start state, and the flagged part divided by sin(pi/2n). On the dense
-    joint input it is the oracle for a branch program's run in weight-class
-    slots. Returns the flagged (system, port, column) rows of the start
+    coupled input it is the oracle for a branch program's run in
+    weight-class slots. Returns the flagged (system, port, column) rows of the start
     state and of that output."""
     state = StateVector.from_system(program.registers, system_amps, program.entry)
     out = program.bare.apply(state).amps[:, :, 0] / math.sin(math.pi / (2 * program.rounds))
@@ -185,13 +215,14 @@ def flagged_run(program, system_amps: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def branch_instrument(program, kind, n_ports: int) -> tuple[np.ndarray, np.ndarray]:
     """The qubit instrument of a branch program in the dense layout, read off
-    `flagged_run` on the dense joint input by einsum in whatever system
-    basis the run ends in.
+    `flagged_run` on the dense joint input in the coupled basis, which the
+    branch program starts in, by einsum in whatever system basis the run
+    ends in.
 
     Returns (per_branch, receiver): the (port_dim, 2, 2) outcome form of
     each port value and the (2, 2, 2, 2) receiver tensor of port value 0.
     """
-    _, flagged = flagged_run(program, joint_input(kind, n_ports))
+    _, flagged = flagged_run(program, coupled_input(kind, n_ports))
     amps = flagged.reshape(*flagged.shape[:2], 2 ** n_ports, 2)
     per_branch = np.einsum("xpbc,xpbd->pcd", amps.conj(), amps)
     kept = amps[:, 0].reshape(amps.shape[0], -1, 2, 2)

@@ -442,7 +442,7 @@ def test_a_complex_run_is_the_real_runs_of_its_parts(kind, n):
     program = protocols._compile(protocols._SPECS[kind], n, branch=True)
     x = protocols._slot_input(kind, n).astype(np.complex128)
     for cls in protocols._weight_classes(n):
-        x[cls.inputs] *= complex(*RNG.normal(size=2))
+        x[cls.outputs] *= complex(*RNG.normal(size=2))
     real, imag = (program.run(part).amps for part in (x.real, x.imag))
     assert real.dtype == imag.dtype == np.float64
     out = program.run(x).amps

@@ -13,8 +13,7 @@ import portsim
 from helpers import one_shot_draws, teleport_rows
 from portsim import cli, protocols
 from portsim.cli import main
-from portsim.protocols import (NumericalInvariantError, ProtocolKind, haar_inputs,
-                               resource_matrix, teleport_batch)
+from portsim.protocols import NumericalInvariantError, ProtocolKind, haar_inputs, teleport_batch
 
 KINDS = [kind.value for kind in ProtocolKind]
 
@@ -460,49 +459,49 @@ TELEPORT_SHA256 = {
     "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format human":
         "76a5fe1247f6980e83cc209b8c654fb2271f351f122726e09867769c58ec813a",
     "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format json":
-        "7dd64e6f1a37036dfed518f9b3122f28f88b19c93c72f00c3d555059b74f227f",
+        "3acfb8592cfe1233d3064bac42ce1524e9fa51ec6fb6b43df417a75123142fd8",
     "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format csv":
         "a9188f7d5e09ad7a026c60fbc72bfe85040809b5385b80a2a4eded26dfc76c0e",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format human":
         "bffc49be95b38852d24638ac5b3c52bc27c0c815e9e6559d95ff2b563a4de45e",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format json":
-        "c17eb064cca1d97ae12638c1f6570c442d3894a0511455ac3635e558176dc7b1",
+        "8d9c0bc194f47c70106056397be05fd0798104970f597c569936005313c20569",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format csv":
         "e397eb39eefe119d78e66f87f90e6d3280e86f9ab5bc7a0d759832c99b2f69e5",
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format human":
         "08bbaa2c3cb5227f9e10ab65c328521ba82783597658bc2c467488a3f9271cc1",
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format json":
-        "fcc6a2ddd669a3e6dd0097ae664c93108793036b49ccd5cb3b7a72f082f16177",
+        "b9ab16f263cff18aa4f5ac4e4746b63937851a85510271fcf5be6e5d5d196e99",
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format csv":
         "31eb9502d877cf8cd00b72eb5b00777d1a3f6f33660e07316080d1c5e2718079",
     "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format human":
         "f6ab3ce17652b250fca03c2ee4a6b153c71743afeb8905e29f48c39c7df9cde9",
     "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format json":
-        "b701785950a9d6a41fbde54b816698d755210834b37d7b03c34270c774f03c3a",
+        "a3ff9bd932c65539eb96ec0498fe1d89df60ac6a00a44eced56e174bb875f699",
     "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format csv":
         "7e6b954685856cc08492d4a30ada5d26ade292b802e0250439d781fb69ba94f6",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format human":
         "d262a07fee9a7b8b09240aa8017b3aaf755ce1bdaf292eeeb5fa0f5dab158454",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format json":
-        "cd6ee1795e5ddead4d66d53595a8ed38c0506e832a75045223e70ca621968f16",
+        "a2b4306ab1db78f7aa86f04f043b5ec24615524649fb0ddd5498d9f73935ff21",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format csv":
         "0362f4d4fb0d4d8fa33adb0d79ffd9b3c3cc082e11c8ae1dd220fc61f842a324",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format human":
         "db74cf94f636fe831217601276159543aee024668136252fa119d8cb50107487",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format json":
-        "a9436732a2b29a4aeae668745f686c4c9b8e0145543df0f345c54afb9cf61f29",
+        "e69a372dc22341bcde3f5d34fec9809ece161b2089db57204f30454d3f54ec8f",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
         "4cc390fee877e37b8a8f2ba47c60903928ab2302789ea78fe8021183393e4cfd",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format human":
         "d151203ffcad08079081e1c8ff224d252d3d22cda22e17ae6e32941868d78c6b",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format json":
-        "8ad0645ba0f7cfd61ce2b3a12eae276f60ae19c6ecc2e5d7bf1125da7a55664b",
+        "808be24375ef1f35723d9a78a61ed6db56a7e6b97edb7e90b5bb45e29793e503",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format csv":
         "beb73e8b792ba4bf62d936af2bb7e9094d8fc427a0a9ad006f66a44781d1bb68",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format human":
         "d3b335de20af80308af7bc6304294f6923b7d5b2d3876f2d661c46ad991e43f2",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format json":
-        "2c8d600992d80c587f6db3986468c92beeb2da99e4c77d43f87da8295a8b8ea0",
+        "af1bb03cb6501fd304762ff838105b77263db122d7f07649a7869651cd5b4d33",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
         "594236a6e3445edc61772669e6a22f9d407027fa3f084ab91f47c62693146b4b",
 }
@@ -520,6 +519,30 @@ def test_seeded_teleport_output_bytes_are_pinned(capsys, command):
     code, out, _ = run(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TELEPORT_SHA256[command]
+
+
+def test_seeded_json_bytes_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernel from the CPU; the instrument reads no BLAS
+    # product, so the AVX2 kernel writes the bytes the default one does
+    commands = [c for c in TELEPORT_SHA256 if c.endswith("json")]
+    script = ("import contextlib, hashlib, io, sys\n"
+              "from portsim.cli import main\n"
+              "for command in sys.argv[1:]:\n"
+              "    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out):\n"
+              "        assert main(command.split()) == 0\n"
+              "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n")
+    digests = []
+    for coretype in (None, "Haswell"):
+        env = {k: v for k, v in _src_env().items() if k != "OPENBLAS_CORETYPE"}
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        result = subprocess.run([sys.executable, "-c", script, *commands], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.split())
+    assert len(commands) == 8
+    assert digests[0] == digests[1] == [TELEPORT_SHA256[c] for c in commands]
 
 
 class _CountingWriter:
@@ -621,20 +644,21 @@ def test_chunked_draws_equal_the_one_shot_draws(chunks, offset):
 
 # stdout of 10,003 trials at N=2, seed 7, before the draws were chunked; JSON
 # and human output without the mean fidelity line, which sums one pairwise
-# tree per chunk. The dpbt-opt JSON digest is of the weight-class-slot
-# instrument: its fidelities differ from the one-shot run's by at most 1 ulp,
-# with the same draws and outcomes
+# tree per chunk. The JSON digests are of the instrument whose slot input is
+# read in closed form in the coupled basis: with the same draws and outcomes,
+# its fidelities differ from the dense-resource instrument's by at most
+# 5.6e-16
 ONE_SHOT_SHA256 = {
-    ("dpbt", "json"): "6f2cbb537c8295af62aa8bacb379a6d35224e29f291b2e9b1ad93fd89d89294c",
+    ("dpbt", "json"): "a18a03d5d4fe1f085738eec0af1b3082df445c407a81085e6b062599f1b95a5f",
     ("dpbt", "csv"): "8a57c704d9b682b820f399a2abcfc0988778a93725f7604c7b511efb0081b758",
     ("dpbt", "human"): "afddbc898ca177f8782cd7d13d8c3e7f379e13d4a411b00bb90ffaa4185f4c72",
-    ("dpbt-opt", "json"): "f2ac49c6435a01c83e0cec42e0a221f2c67f1f7ae7202ee5db0be21f7b0de109",
+    ("dpbt-opt", "json"): "2d81191bfd164fbd58f2dfedf18c744ebb43583fae88bfe5e1fdd8421be5ef12",
     ("dpbt-opt", "csv"): "7d8042100d7e613a0f03cc37fefb1c951877a09fa85022dabffbe6c4ece9cb8c",
     ("dpbt-opt", "human"): "b87a43c89425e1e1dca8e212a6077ad6aa88d099c16818c59385e53e6b6d48bd",
-    ("ppbt-mes", "json"): "984a978c225ed286ea00f93a6dcb09697ce7ad96e8a277bd07a522fc6243fa8e",
+    ("ppbt-mes", "json"): "9905d6332ba7ae218dfcf2f9aeba60d2fdecc86c488846107ff5cd2ae5491f7d",
     ("ppbt-mes", "csv"): "19aa75cd5fb2a983db220e233fc5c9ed1082ac4aff8a9df461fdbc2b88b2a9d7",
     ("ppbt-mes", "human"): "2c561049c75efcae75980ee21cb26555f96721107bef777111a7558e24db5f61",
-    ("ppbt-opt", "json"): "2718e35ebcb556cb813b6151761c28e3a2516cb06402fd0c5e51d5b2ed78fd7a",
+    ("ppbt-opt", "json"): "3fe2c98d1e33abd2b0fef582cf233809f63e5cc53aa6270938e56ef9aebf3f54",
     ("ppbt-opt", "csv"): "47c1a7921aa2cd3eb2cbe82ee81163e6226527d88b0b615fb780011fe6799a59",
     ("ppbt-opt", "human"): "b4835e9fba5fef1002af3b6f8f06ca01bb2bd97aa8249c5f2a7fcf6e31627b22",
 }
@@ -673,8 +697,8 @@ def test_teleport_memory_does_not_grow_with_the_trials(monkeypatch):
 # ---------------------------------------------------------------- plumbing ----
 
 def _scaled_resource(monkeypatch) -> str:
-    scaled = 1.1 * resource_matrix(ProtocolKind.PPBT_OPT, 2)
-    monkeypatch.setattr(protocols, "resource_matrix", lambda *_: scaled)
+    scaled = 1.1 * protocols._slot_input(ProtocolKind.PPBT_OPT, 2)
+    monkeypatch.setattr(protocols, "_slot_input", lambda *_: scaled)
     return "2.100e-01"  # the branch-sum residual, 1.1^2 - 1
 
 

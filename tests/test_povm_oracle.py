@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import psd_sqrt
+from helpers import psd_sqrt, resource_matrix, singlet_chain
 from portsim.povm_oracle import (
     MAX_POVM_PORTS,
     MAX_STATE_PORTS,
@@ -15,7 +15,7 @@ from portsim.povm_oracle import (
     signal_state,
     support_pinv_sqrt,
 )
-from portsim.protocols import ProtocolKind, resource_matrix, singlet_chain
+from portsim.protocols import ProtocolKind
 from portsim.schur import coupling_unitary, enumerate_labels, sector_operator
 from portsim.spinalg import (Regime, adjacent_pairs, failure_eigenvalue, optimal_scalars,
                              rho_eigenvalue)

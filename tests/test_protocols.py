@@ -6,11 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (action_matrix, branch_instrument, branch_weights, dense_fold, flat,
-                     flagged_run, haar_qubit, joint_input, psd_sqrt, receiver_states,
-                     whole_register_instrument)
-from portsim import protocols
-from portsim.circuit import CircuitAction, DenseSystem, Registers, StateVector
+from helpers import (action_matrix, branch_instrument, branch_weights, coupled_input,
+                     dense_fold, flat, flagged_run, haar_qubit, joint_input, psd_sqrt,
+                     receiver_states, resource_matrix, singlet_chain, whole_register_instrument)
+from portsim import protocols, schur
+from portsim.circuit import (CircuitAction, DenseSystem, Registers, StateVector,
+                              SubspaceBlocks)
 from portsim.povm_analytic import failure_eigensystem, port_eigensystem
 from portsim.povm_oracle import build_povm
 from portsim.protocols import (
@@ -24,8 +25,6 @@ from portsim.protocols import (
     expected_outcome_distribution,
     ppbt_mes_no_aa,
     resource_estimate,
-    resource_matrix,
-    singlet_chain,
     success_probability,
     success_probability_exact,
     teleport_batch,
@@ -459,8 +458,8 @@ def test_batch_probabilities_are_the_fixed_order_sum(kind):
 
 def test_broken_resource_raises_numerical_invariant_error(monkeypatch):
     kind, n = ProtocolKind.PPBT_OPT, 2
-    scaled = 1.1 * resource_matrix(kind, n)
-    monkeypatch.setattr(protocols, "resource_matrix", lambda *_: scaled)
+    scaled = 1.1 * protocols._slot_input(kind, n)
+    monkeypatch.setattr(protocols, "_slot_input", lambda *_: scaled)
     monkeypatch.setattr(protocols, "_trial_forms", protocols._trial_forms.__wrapped__)
     protocols._instrument.cache_clear()
     try:
@@ -510,7 +509,7 @@ def test_one_fold_on_the_difference_is_the_two_fold_residual(kind, n):
     prog = protocols._compile(_detuned(kind), n, branch=True)
     with pytest.raises(NumericalInvariantError) as info:
         prog.run(protocols._slot_input(kind, n))
-    diff, diagonal = dense_fold(n, *flagged_run(prog, joint_input(kind, n)))
+    diff, diagonal = dense_fold(n, *flagged_run(prog, coupled_input(kind, n)))
     residual = np.abs(diff).max() / diagonal.max()
     assert 1e-6 <= residual <= 3e-6
     assert info.value.residual == pytest.approx(residual, rel=0, abs=1e-12)
@@ -523,7 +522,7 @@ def test_class_fold_is_the_dense_fold(kind, n):
     # class fold of the slot run, on a detuned attach where it is not zero
     prog = protocols._compile(_detuned(kind), n, branch=True)
     diffs, diagonals = prog.fold(*flagged_run(prog, protocols._slot_input(kind, n)))
-    diff, diagonal = dense_fold(n, *flagged_run(prog, joint_input(kind, n)))
+    diff, diagonal = dense_fold(n, *flagged_run(prog, coupled_input(kind, n)))
     covered = np.zeros(diff.shape, dtype=bool)
     classes = protocols._weight_classes(n)
     assert len(diffs) == len(diagonals) == len(classes) == n + 2
@@ -567,6 +566,48 @@ def test_instrument_matches_the_dense_layout(kind, n):
         np.testing.assert_allclose(failure, per_branch[1], rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [*range(1, 8), *(pytest.param(n, marks=pytest.mark.slow)
+                                              for n in (8, 9))])
+def test_slot_input_is_the_coupled_joint_input(kind, n):
+    # the closed form is U_{N+1}^T (resource (x) I_2) gathered into slots;
+    # the dense product is zero outside the class blocks the slots hold
+    slots = protocols._slot_input(kind, n)
+    coupled = coupled_input(kind, n)
+    gathered = np.zeros_like(slots)
+    covered = np.zeros(coupled.shape, dtype=bool)
+    for cls in protocols._weight_classes(n):
+        gathered[cls.outputs, :len(cls.columns)] = coupled[np.ix_(cls.outputs, cls.columns)]
+        covered[np.ix_(cls.outputs, cls.columns)] = True
+    np.testing.assert_allclose(slots, gathered, rtol=0, atol=1e-14)
+    assert np.abs(coupled[~covered]).max(initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_instrument_builds_no_transform_past_the_resource_qubits(monkeypatch, n):
+    # the branch program starts in the coupled basis, holds block ops only
+    # and reads the slot input off U_N and one coupling level
+    def capped(m):
+        if m > n:
+            raise AssertionError(f"coupling_unitary({m}) built for N={n}")
+        return unitary(m)
+
+    unitary = schur.coupling_unitary
+    expected = [protocols._instrument(kind, n) for kind in KINDS]
+    monkeypatch.setattr(schur, "coupling_unitary", capped)
+    monkeypatch.setattr(protocols, "coupling_unitary", capped)
+    protocols._compile.cache_clear()
+    try:
+        for kind, (ports, _, receiver) in zip(KINDS, expected):
+            program = protocols._compile(protocols._SPECS[kind], n, branch=True)
+            assert all(isinstance(op, SubspaceBlocks) for op in program.bare.ops)
+            built = protocols._instrument.__wrapped__(kind, n)
+            np.testing.assert_array_equal(built[0], ports)
+            np.testing.assert_array_equal(built[2], receiver)
+    finally:
+        protocols._compile.cache_clear()
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_branch_run_holds_one_slot_per_column_of_the_widest_class(monkeypatch, n):
     widths = []
@@ -582,8 +623,7 @@ def test_branch_run_holds_one_slot_per_column_of_the_widest_class(monkeypatch, n
     assert widths == [math.comb(n + 1, (n + 1) // 2)] * len(KINDS)
     classes = protocols._weight_classes(n)
     assert [len(c.columns) for c in classes] == [math.comb(n + 1, w) for w in range(n + 2)]
-    assert [len(c.inputs) for c in classes] == [len(c.outputs) for c in classes] \
-        == [len(c.columns) for c in classes]
+    assert [len(c.outputs) for c in classes] == [len(c.columns) for c in classes]
 
 
 def test_instrument_working_memory_stays_in_its_slots():

@@ -1,13 +1,15 @@
 import hashlib
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from helpers import coupling_oracle, label_oracle
+from helpers import clebsch_gordan, coupling_oracle, label_oracle
 from portsim.schur import (
     MAX_DENSE_QUBITS,
     MAX_ENUMERATE_QUBITS,
+    coupling_level,
     coupling_unitary,
     enumerate_labels,
     sector_operator,
@@ -193,6 +195,37 @@ def test_coupling_unitary_is_built_once_and_read_only():
 def test_coupling_unitary_respects_dense_cap():
     with pytest.raises(ValueError):
         coupling_unitary(MAX_DENSE_QUBITS + 1)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_coupling_level_holds_one_clebsch_gordan_factor_per_piece(n):
+    prev, coeff = coupling_level(n)
+    assert prev.shape == coeff.shape == (2, 2 ** n)
+    assert not prev.flags.writeable and not coeff.flags.writeable
+    assert coupling_level(n)[0] is prev
+    below, labels = enumerate_labels(n - 1).tolist(), enumerate_labels(n).tolist()
+    for bit, x in ((0, 1), (1, -1)):
+        for label, p, c in zip(labels, prev[bit].tolist(), coeff[bit].tolist()):
+            if p < 0:
+                # m - x leaves the parent chain: the piece reads a zero column
+                assert c == 1.0 and abs(label[-1] - x) > label[-3]
+                continue
+            assert below[p][:-1] == label[:-2] and below[p][-1] == label[-1] - x
+            assert c == pytest.approx(
+                clebsch_gordan(label[-3], label[-1] - x, x, label[-2], label[-1]), abs=1e-15)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_singlet_chain_is_a_signed_m_reversal(n):
+    # u eps u^T = eps for u in SU(2): in the coupled basis eps^(x)n sends
+    # label L = (chain, m) to L + m = (chain, -m), with sign (-1)^((s-m)/2)
+    u = coupling_unitary(n)
+    labels = enumerate_labels(n).astype(np.int64)
+    s, m = labels[:, -2], labels[:, -1]
+    reversal = np.zeros((2 ** n, 2 ** n))
+    reversal[np.arange(2 ** n), np.arange(2 ** n) + m] = (-1.0) ** ((s - m) // 2)
+    eps = reduce(np.kron, [np.array([[0.0, 1.0], [-1.0, 0.0]])] * n)
+    np.testing.assert_allclose(u.T @ eps @ u, reversal, rtol=0, atol=1e-13)
 
 
 # ------------------------------------------------------ spin projectors ----
