@@ -18,6 +18,13 @@ port value. Every op only applies forward; an inverse is built as an op of
 its own. Each block counts one rotation, the way a real register machine
 would implement it (one controlled rotation per block, not one per amplitude
 pair).
+
+A circuit whose ops never mix some classes of system rows, and whose
+amplification throws the r = 1 level away, can also run on the flagged part
+alone (`ClassBlocks`): one block per class, each over its own batch
+columns, with no r = 1 level and no padding. `FlaggedBlocks` is a block op
+restricted to that state, split by class when it is built; it applies in
+place, so such a run holds one copy of its state.
 """
 
 from __future__ import annotations
@@ -105,6 +112,43 @@ class StateVector:
         return self.amps.shape[3]
 
 
+@dataclass
+class ClassBlocks:
+    """The flagged part (r = 0) of a state whose system rows fall into
+    classes no op mixes, each class over its own batch columns: class c is a
+    (port, rows, columns) block of shape `shapes[c]` on every port value.
+    `amps` holds the classes one after another along its second axis,
+    (port_dim, sum_c rows_c columns_c), so it stores no r = 1 level and no
+    padding."""
+
+    amps: np.ndarray
+    shapes: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        size = sum(rows * cols for rows, cols in self.shapes)
+        if self.amps.ndim != 2 or self.amps.shape[1] != size:
+            raise ValueError(f"amplitude shape {self.amps.shape} does not hold "
+                             f"{size} amplitudes per port value")
+
+    @classmethod
+    def from_blocks(cls, shapes: tuple[tuple[int, int], ...], blocks: np.ndarray,
+                    entry: Sequence[float]) -> "ClassBlocks":
+        """State with the class blocks `blocks`, flat and one after another,
+        times `entry[p]` on port value p; float64 for a real input,
+        complex128 for a complex one."""
+        blocks = np.asarray(blocks, dtype=np.complex128 if np.iscomplexobj(blocks)
+                            else np.float64)
+        return cls(np.multiply.outer(np.asarray(entry, dtype=float), blocks), shapes)
+
+    def blocks(self) -> list[np.ndarray]:
+        """Each class as a (port, rows, columns) view of `amps`."""
+        views, start = [], 0
+        for rows, cols in self.shapes:
+            views.append(self.amps[:, start:start + rows * cols].reshape(-1, rows, cols))
+            start += rows * cols
+        return views
+
+
 class DenseSystem:
     """Dense unitary on the system factor, identity on port and r."""
 
@@ -144,7 +188,8 @@ class SubspaceBlocks:
             k = block.matrix.shape[0]
             if block.matrix.shape != (k, k):
                 raise InvalidSubspaceSpec(f"{name}: block matrix must be square")
-            gram = block.matrix.conj().T @ block.matrix
+            # einsum, not BLAS: a few 2x2 products need no BLAS library
+            gram = np.einsum("ki,kj->ij", block.matrix.conj(), block.matrix)
             if np.abs(gram - np.eye(k)).max() > 1e-10:
                 raise InvalidSubspaceSpec(f"{name}: block {pos} is not unitary")
             inst = block.instances
@@ -169,6 +214,88 @@ class SubspaceBlocks:
         return StateVector(state.registers, amps)
 
 
+class FlaggedBlocks:
+    """A real `SubspaceBlocks` op on a `ClassBlocks` state: its r = 0 part,
+    split by class once, when it is built; `rows[c]` lists the system rows
+    of class c in block order.
+
+    Each instance keeps its entries on r = 0. Two make a rotation of two
+    rows of one class, applied as the fixed-order sums a x + b y and
+    c x + d y with no BLAS kernel; one makes a scale by its diagonal entry,
+    a zero scale a zeroing. That is the op's flagged part wherever its r = 1
+    entries meet zero amplitudes: an attach, the one op that mixes the
+    levels, meets each branch's r = 1 level while it is still zero. Entries
+    on r = 1 drop out. The op's blocks must be disjoint; applies in place."""
+
+    def __init__(self, op: SubspaceBlocks, rows: Sequence[np.ndarray]):
+        regs = op.registers
+        label = np.full(regs.system_dim, -1)
+        position = np.zeros(regs.system_dim, dtype=np.intp)
+        for c, members in enumerate(rows):
+            label[members] = c
+            position[members] = np.arange(len(members))
+        # flagged entries as system row * port_dim + port value
+        pairs, pair_m = [np.zeros((0, 2), dtype=np.intp)], [np.zeros((0, 2, 2))]
+        factors = np.ones(regs.system_dim * regs.port_dim)
+        scaled = np.zeros(regs.system_dim * regs.port_dim, dtype=np.intp)
+        for block in op.blocks:
+            matrix, inst = block.matrix, block.instances
+            if np.iscomplexobj(matrix):
+                raise InvalidSubspaceSpec(f"{op.name}: a flagged block must be real")
+            flagged = inst % 2 == 0
+            count = flagged.sum(axis=1)
+            if len(matrix) > 2 and count.any():
+                raise InvalidSubspaceSpec(f"{op.name}: only 1- and 2-level blocks restrict "
+                                          "to the flagged level")
+            if len(matrix) == 2:
+                pairs.append(inst[count == 2] // 2)
+                pair_m.append(np.repeat(matrix[None], len(pairs[-1]), axis=0))
+                scaled[inst[count == 2] // 2] += 1
+            for entry in range(len(matrix)):
+                one = inst[(count == 1) & flagged[:, entry], entry] // 2
+                factors[one] = matrix[entry, entry]
+                scaled[one] += 1
+        pairs, pair_m = np.concatenate(pairs), np.concatenate(pair_m)[:, :, :, None]
+        system, port = pairs // regs.port_dim, pairs % regs.port_dim
+        if (label[system[:, 0]] != label[system[:, 1]]).any():
+            raise InvalidSubspaceSpec(f"{op.name}: a rotation mixes two classes")
+        if (label[np.flatnonzero(scaled) // regs.port_dim] < 0).any():
+            raise InvalidSubspaceSpec(f"{op.name}: a block touches a row of no class")
+        if scaled.max(initial=0) > 1:
+            raise InvalidSubspaceSpec(f"{op.name}: blocks overlap on the flagged level")
+        factors = factors.reshape(regs.system_dim, regs.port_dim)
+        owner = label[system[:, 0]]
+        self.steps = []
+        for c, members in enumerate(rows):
+            mine = np.flatnonzero(owner == c) if len(owner) else owner
+            m = pair_m[mine]
+            rotation = (port[mine, 0], position[system[mine, 0]], port[mine, 1],
+                        position[system[mine, 1]], m[:, 0, 0], m[:, 0, 1], m[:, 1, 0],
+                        m[:, 1, 1]) if len(mine) else None
+            column = factors[members]
+            branch_scales = [(p, column[:, p, None], np.flatnonzero(column[:, p] == 0))
+                             for p in np.flatnonzero((column != 1).any(axis=0)).tolist()]
+            self.steps.append((rotation, branch_scales))
+
+    def apply(self, state: ClassBlocks) -> ClassBlocks:
+        for block, (rotation, branch_scales) in zip(state.blocks(), self.steps):
+            if rotation is not None:
+                pa, ia, pb, ib, a, b, c, d = rotation
+                x, y = block[pa, ia], block[pb, ib]
+                first = x * a
+                first += y * b
+                x *= c
+                y *= d
+                x += y
+                block[pa, ia] = first
+                block[pb, ib] = x
+            for port, column, zero in branch_scales:
+                rows = block[port]
+                rows *= column
+                rows[zero] = 0
+        return state
+
+
 class CircuitAction:
     """Ordered unitary ops, applied first to last through their shared
     `apply`."""
@@ -186,9 +313,10 @@ class CircuitAction:
         return sum(op.rotation_count for op in self.ops)
 
 
-# (flagged input rows, flagged output rows) -> (Gram differences, input Gram
-# diagonals) of the register the precondition is checked on
-Fold = Callable[[np.ndarray, np.ndarray], tuple[Sequence[np.ndarray], Sequence[np.ndarray]]]
+# a flagged input -> the check of the scaled output on it: (largest entry of
+# the Gram difference, largest input Gram diagonal) of the register the
+# precondition holds on
+Fold = Callable[[ClassBlocks], Callable[[ClassBlocks], tuple[float, float]]]
 
 
 class OaaAction:
@@ -207,15 +335,13 @@ class OaaAction:
     columns that span the start subspace make this the lemma's full
     precondition Pi U^dagger Pi~ U Pi = s^2 Pi.
 
-    When U runs a few branches standing in for a larger register, or its
-    batch columns are not whole input vectors, `fold` takes the flagged
-    (system, port, batch) rows of the input and of the scaled output and
-    returns the larger register's Gram difference and input Gram diagonal,
-    each as a list of arrays that together hold all of its entries. The
-    residual is the largest entry of the differences, and its scale the
-    largest entry of the diagonals. A branch program in weight-class slots
-    is one such case: rows of different S_z classes share a batch column
-    there, so the fold forms each class's Grams from its own rows.
+    On a `ClassBlocks` state U is an action of `FlaggedBlocks`, which holds
+    only the flagged level that Pi~ keeps, and every port value it holds is
+    a start branch. U runs in place there, on the one copy of the state, so
+    `fold` takes the input's Grams first and returns the check of the scaled
+    output. The fold also says which register the precondition holds on:
+    when the state's branches stand in for a larger register, as a branch
+    program's do, it forms that register's Grams class by class.
     """
 
     def __init__(self, u, n: int, start_ports: int = 1, fold: Fold | None = None):
@@ -226,30 +352,35 @@ class OaaAction:
         self.start_ports = start_ports
         self.fold = fold
 
-    def apply(self, state: StateVector) -> StateVector:
-        amps = state.amps
-        if amps[:, self.start_ports:].any() or amps[:, :, 1].any():
-            raise ValueError("amplitude amplification input leaves the start subspace")
+    def apply(self, state):
         s = math.sin(math.pi / (2 * self.n))
-        out = self.u.apply(state).amps
-        # scaled in place, unless U hands back the input's own amplitudes
-        if np.may_share_memory(out, amps):
-            out = out.copy()
-        out *= 1.0 / s
-        out[:, :, 1] = 0
-        if self.fold is None:
+        if isinstance(state, ClassBlocks):
+            if self.fold is None:
+                raise ValueError("a flagged run needs a fold to check its precondition")
+            check = self.fold(state)
+            result = self.u.apply(state)
+            result.amps *= 1.0 / s
+            miss, scale = check(result)
+        else:
+            amps = state.amps
+            if amps[:, self.start_ports:].any() or amps[:, :, 1].any():
+                raise ValueError("amplitude amplification input leaves the start subspace")
+            out = self.u.apply(state).amps
+            # scaled in place, unless U hands back the input's own amplitudes
+            if np.may_share_memory(out, amps):
+                out = out.copy()
+            out *= 1.0 / s
+            out[:, :, 1] = 0
             rows_in, rows_out = (x[:, :, 0].reshape(-1, state.batch) for x in (amps, out))
             gram = rows_in.conj().T @ rows_in
-            diffs, diagonals = [rows_out.conj().T @ rows_out - gram], [gram.diagonal().real]
-        else:
-            diffs, diagonals = self.fold(amps[:, :, 0], out[:, :, 0])
-        miss = max(float(np.abs(diff).max()) for diff in diffs)
-        scale = max(float(diagonal.max()) for diagonal in diagonals)
+            miss = float(np.abs(rows_out.conj().T @ rows_out - gram).max())
+            scale = float(gram.diagonal().real.max())
+            result = StateVector(state.registers, out)
         if miss > 1e-9 * scale:
             raise NumericalInvariantError(
                 f"amplification precondition Pi~ U Pi = sin(pi/{2 * self.n}) V fails: "
                 f"relative Gram residual {miss / scale:.3e}", miss / scale)
-        return StateVector(state.registers, out)
+        return result
 
 
 def c_star(target_amp: float) -> tuple[float, int]:

@@ -22,13 +22,15 @@ image of the last one, so all ports share its outcome form and receiver
 tensor. The branch program starts and ends in the coupled basis, on a
 joint input read off in closed form there (`_slot_input`), so it holds
 block ops only. Every op conserves the system's total S_z, and each column
-of the joint input lies in one weight class (`_weight_classes`), so it runs
-on max_w C(N+1, w) slots instead of 2^(N+1) columns: slot k of a row holds
-the k-th column of the row's class, and the read-out and the amplification
-check go class by class. The whole-register program, which builds the dense
-transform, stays for the gate-count model and the tests. Seeded Haar
-inputs come a chunk at a time (`haar_inputs`), each chunk equal to its slice
-of one draw of all trials, so a long run samples in flat memory.
+of the joint input lies in one weight class (`_weight_classes`), so the run
+holds one block per class, its C(N+1, w) coupled rows over its own
+C(N+1, w) columns, and only the flagged level the amplification keeps: the
+ops split by class at compile time and act on that state in place, and the
+read-out and the amplification check go class by class. The whole-register
+program, which builds the dense transform, stays for the gate-count model
+and the tests. Seeded Haar inputs come a chunk at a time (`haar_inputs`),
+each chunk equal to its slice of one draw of all trials, so a long run
+samples in flat memory.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .circuit import (Block, CircuitAction, DenseSystem, Fold, NumericalInvariantError,
-                      OaaAction, Registers, StateVector, SubspaceBlocks, c_star,
-                      port_cswap, port_prepare)
+from .circuit import (Block, CircuitAction, ClassBlocks, DenseSystem, FlaggedBlocks, Fold,
+                      NumericalInvariantError, OaaAction, Registers, StateVector,
+                      SubspaceBlocks, c_star, port_cswap, port_prepare)
 from .povm_analytic import EigenSystem, failure_eigensystem, port_eigensystem
 from .povm_oracle import qubit_swap_permutation
-from .schur import MAX_DENSE_QUBITS, coupling_level, coupling_unitary, enumerate_labels
+from .schur import (MAX_DENSE_QUBITS, coupling_entries, coupling_level, coupling_unitary,
+                    enumerate_labels)
 from .spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
                       optimal_scalars, spin_values)
 
@@ -94,15 +97,17 @@ class NaimarkProgram:
     start subspace, with those amplitudes. A whole-register program prepares
     the port register itself (`entry` is (1,)). A branch program holds only
     the last port branch, on port value 0, and the failure branch after it;
-    the input enters each with its port amplitude, and `fold` checks the
-    amplification precondition of the whole register through the other
-    ports' qubit-swap images. It runs only on the joint input
-    resource (x) I_2 in the coupled basis and in weight-class slots
-    (`_slot_input`): the batch axis holds max_w C(N+1, w) slots, and slot k
-    of a row holds the k-th column of the row's S_z class, so `fold` reads
-    each class over its own rows and first C(N+1, w) slots
-    (`_fold_classes`). A branch program holds neither transform of the
-    coupled basis, so its `run()` returns the flagged part in that basis.
+    the input enters each with its port amplitude. It runs only on the joint
+    input resource (x) I_2 in the coupled basis, split into weight classes
+    (`_slot_input`), and only its flagged part: `flagged` holds its ops
+    restricted to r = 0 and split by class, and its `run()` goes through
+    them on a `ClassBlocks` state, class w a (branch, C(N+1, w), C(N+1, w))
+    block of its coupled rows and its own joint-input columns, with `fold`
+    checking the amplification precondition of the whole register through
+    the other ports' qubit-swap images (`_fold_classes`). `bare` keeps the
+    same ops on the whole register layout. A branch program holds neither
+    transform of the coupled basis, so its `run()` returns the flagged part
+    in that basis.
     """
 
     registers: Registers
@@ -112,14 +117,21 @@ class NaimarkProgram:
     failure_branches: tuple[int, ...]
     entry: np.ndarray
     fold: Fold | None = None
+    flagged: CircuitAction | None = None
+    shapes: tuple[tuple[int, int], ...] = ()
 
-    def run(self, system_amps: np.ndarray) -> StateVector:
+    def run(self, system_amps: np.ndarray | ClassBlocks) -> StateVector | ClassBlocks:
+        if self.flagged is not None:
+            # a caller that builds the start state can drop the flat blocks
+            state = system_amps if isinstance(system_amps, ClassBlocks) \
+                else ClassBlocks.from_blocks(self.shapes, system_amps, self.entry)
+            return OaaAction(self.flagged, self.rounds, fold=self.fold).apply(state)
         state = StateVector.from_system(self.registers, system_amps, self.entry)
         if self.rounds == 0:
             flagged = self.bare.apply(state).amps
             flagged[:, :, 1] = 0
             return StateVector(self.registers, flagged)
-        return OaaAction(self.bare, self.rounds, len(self.entry), self.fold).apply(state)
+        return OaaAction(self.bare, self.rounds, len(self.entry)).apply(state)
 
     @property
     def rotation_count(self) -> int:
@@ -226,9 +238,11 @@ class _WeightClass:
     """One S_z sector of the N+1 system qubits, w of them in |1>: the
     coupled-basis rows `outputs` of doubled m = N+1-2w, which the branch
     program reads and writes, and the joint-input columns (b, d) of class
-    w = N - wt(b) + d, as flat indices 2b + d ascending, whose k-th sits in
-    slot k. `swaps[i]` is the in-class position of each column's image under
-    port i's swap of Bob's qubits i+1 and N, which keeps wt(b)."""
+    w = N - wt(b) + d, as flat indices 4b' + q, b' Bob's first N-1 qubits
+    and q = 2i + d his last qubit and the chi' bit, sorted by q and then b':
+    the k-th is column k of the class's block. `swaps[i]` is the in-class
+    position of each column's image under port i's swap of Bob's qubits i+1
+    and N, which keeps wt(b)."""
 
     outputs: np.ndarray
     columns: np.ndarray
@@ -247,43 +261,86 @@ def _weight_classes(n_ports: int) -> tuple[_WeightClass, ...]:
     column_class = sum((flipped >> t) & 1 for t in range(qubits))
     m = enumerate_labels(qubits)[:, -1]
     perms = np.stack([qubit_swap_permutation(qubits, i + 1, n_ports) for i in range(n_ports)])
+    low = np.arange(2 ** qubits) & 3
+    position = np.empty(2 ** qubits, dtype=np.intp)
     classes = []
     for w in range(qubits + 1):
-        columns = np.flatnonzero(column_class == w)
-        parts = (np.flatnonzero(m == qubits - 2 * w), columns,
-                 np.searchsorted(columns, perms[:, columns]))
+        columns = np.concatenate([np.flatnonzero((column_class == w) & (low == q))
+                                  for q in range(4)])
+        position[columns] = np.arange(len(columns))
+        parts = (np.flatnonzero(m == qubits - 2 * w), columns, position[perms[:, columns]])
         for part in parts:
             part.flags.writeable = False
         classes.append(_WeightClass(*parts))
     return tuple(classes)
 
 
-def _fold_classes(classes: tuple[_WeightClass, ...], before: np.ndarray, after: np.ndarray
-                  ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The whole register's amplification Gram difference and input Gram
-    diagonal, per weight class, from a branch run in slots: the flagged
-    (system, port, slot) rows `before` and `after` it, both in the coupled
-    basis. Class by class, the per-port-value Grams of its coupled rows
-    `outputs` over its first C(N+1, w) slots give
-    D = G_after - G_before; the last port branch's D folds in once under
-    each port's swap of Bob's qubits, which maps the class onto itself, and
-    the failure branch's once. The dense fold is block-diagonal in class, so
-    these blocks hold every entry it can make nonzero."""
-    diffs, diagonals = [], []
-    for cls in classes:
-        width = len(cls.columns)
-        grams = []
-        for amps in (before, after):
-            part = amps[cls.outputs, :, :width].transpose(1, 0, 2)
-            grams.append(part.conj().swapaxes(-1, -2) @ part)
-        gram_in, diff = grams
-        diff -= gram_in
-        diagonal = gram_in.diagonal(axis1=-2, axis2=-1).real
-        swaps = cls.swaps
-        diffs.append(diff[0][swaps[:, :, None], swaps[:, None]].sum(axis=0)
-                     + diff[1:].sum(axis=0))
-        diagonals.append(diagonal[0][swaps].sum(axis=0) + diagonal[1:].sum(axis=0))
-    return diffs, diagonals
+# classes narrower than this form their amplification Grams by einsum, so a
+# run at N <= 6 never starts the BLAS library, whose first call adds a few
+# hundred kB to the resident set; wider ones need BLAS (with einsum only, a
+# cold _instrument(PPBT_OPT, 11) takes 2.1 s instead of 0.29 s)
+_BLAS_WIDTH = 64
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    if rows.shape[-1] < _BLAS_WIDTH:
+        return np.einsum("ki,kj->ij", rows.conj(), rows)
+    return rows.conj().T @ rows
+
+
+def _input_grams(classes: tuple[_WeightClass, ...], state: ClassBlocks) -> list[np.ndarray]:
+    """Per class, the whole register's Gram of a branch run's input: N
+    copies of the last port branch's plus the failure branch's. Every other
+    port branch of the whole register is the last one with two system
+    qubits swapped, which leaves its Gram as it is."""
+    grams = []
+    for cls, block in zip(classes, state.blocks()):
+        gram = _gram(block[0])
+        gram *= len(cls.swaps)
+        for rows in block[1:]:
+            gram += _gram(rows)
+        grams.append(gram)
+    return grams
+
+
+def _output_grams(classes: tuple[_WeightClass, ...], state: ClassBlocks
+                  ) -> Iterator[np.ndarray]:
+    """Per class, the whole register's Gram of a branch run's output: the
+    last port branch's folded in once under each port's swap of Bob's
+    qubits, which maps the class onto itself, one image at a time, and the
+    failure branch's once."""
+    for cls, block in zip(classes, state.blocks()):
+        last = _gram(block[0])
+        gram = np.zeros_like(last)
+        for swap in cls.swaps:
+            gram += last[swap[:, None], swap]
+        for rows in block[1:]:
+            gram += _gram(rows)
+        yield gram
+
+
+def _fold_classes(classes: tuple[_WeightClass, ...], before: ClassBlocks
+                  ) -> Callable[[ClassBlocks], tuple[float, float]]:
+    """The whole register's amplification check from a branch run on
+    flagged class blocks: the input Grams are taken `before` the run
+    (`_input_grams`), and the returned check of the run's scaled output
+    gives (largest entry of the whole register's Gram difference, largest
+    entry of its input Gram diagonal), each class adding its output Grams
+    (`_output_grams`) and its largest difference as it goes. The dense fold
+    is block-diagonal in class, so these blocks hold every entry it can make
+    nonzero."""
+    grams_in = _input_grams(classes, before)
+    scale = max(float(gram.diagonal().real.max()) for gram in grams_in)
+
+    def check(after: ClassBlocks) -> tuple[float, float]:
+        miss = 0.0
+        for diff in _output_grams(classes, after):
+            diff -= grams_in.pop(0)
+            np.abs(diff, out=diff)
+            miss = max(miss, float(diff.real.max()))
+        return miss, scale
+
+    return check
 
 
 @lru_cache(maxsize=32)
@@ -297,21 +354,29 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
     the failure branch: it needs neither the preparation nor the swap, which
     exchanges qubit N with itself on that branch, and its amplification
     check folds in the other ports' images class by class
-    (`_fold_classes`), so it runs on the slot input of `_slot_input`. That
+    (`_fold_classes`), so it runs on the class blocks of `_slot_input`. That
     input is already in the coupled basis, so the program holds neither
     transform, only the block ops, and its `run` returns the flagged part in
     that basis: every quantity read off it (the outcome forms, the receiver
     tensor, the amplification Grams) sums over a class's rows, and so does
     not change under a real orthogonal change of their basis within the
-    class. Every block's instances share one doubled m = N+1-2w, so the ops
-    act on each weight class's rows alone, and a slot may hold a different
-    column in each class. Cached per spec, since programs are stateless and
-    every apply is functional. The N+1 qubit coupled basis caps N before
-    anything is built."""
+    class. Every block instance shares one doubled m = N+1-2w, so each lies
+    in one weight class, and the ops split by class here, once: `flagged`
+    holds them on the r = 0 level alone (`FlaggedBlocks`). The family
+    rotations become fixed-order 2x2 sums, each attach a per-label scale by
+    its reflection's (0, 0) entry, since its branch's r = 1 level is still
+    zero there, and the drop block a zeroing. Cached per spec, since
+    programs are stateless and every run builds its own state. The whole
+    register builds the dense N+1 qubit coupled basis, so it caps N at
+    MAX_DENSE_QUBITS - 1; the branch program reads the entries it needs of
+    the N qubit one off the N-1 qubit one and stops at N = MAX_DENSE_QUBITS,
+    where its state holds 2 C(26, 13) floats (159 MiB). Both caps hold
+    before anything is built."""
     _check_ports(n_ports)
-    if n_ports >= MAX_DENSE_QUBITS:
-        raise ValueError(f"n_ports must be in 1..{MAX_DENSE_QUBITS - 1} for a compiled "
-                         f"program, got {n_ports}")
+    cap = MAX_DENSE_QUBITS if branch else MAX_DENSE_QUBITS - 1
+    if n_ports > cap:
+        raise ValueError(f"n_ports must be in 1..{cap} for a compiled "
+                         f"{'branch ' if branch else ''}program, got {n_ports}")
     amps = spec.amplitudes(n_ports)
     ports = range(1) if branch else range(n_ports)
     # the kept port branches, then the failure branch if any
@@ -331,9 +396,13 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
                                   for b in reversed(rot.blocks)], name="family-unrotation")
     ops = [rot, *attach, unrot]
     if branch:
-        entry, fold = amps[n_ports - 1:], partial(_fold_classes, _weight_classes(n_ports))
+        classes = _weight_classes(n_ports)
+        rows = [cls.outputs for cls in classes]
+        layout = dict(entry=amps[n_ports - 1:], fold=partial(_fold_classes, classes),
+                      flagged=CircuitAction([FlaggedBlocks(op, rows) for op in ops]),
+                      shapes=tuple((len(cls.outputs), len(cls.columns)) for cls in classes))
     else:
-        entry, fold = np.ones(1), None
+        layout = dict(entry=np.ones(1))
         cswap = port_cswap(regs, [qubit_swap_permutation(n_ports + 1, i + 1, n_ports)
                                   for i in range(n_ports)])
         couple = coupling_unitary(n_ports + 1)
@@ -341,7 +410,7 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
                DenseSystem(couple), cswap]
     return NaimarkProgram(registers=regs, bare=CircuitAction(ops), rounds=rounds,
                           c_star=rescale, failure_branches=tuple(range(len(ports), regs.port_dim)),
-                          entry=entry, fold=fold)
+                          **layout)
 
 
 def ppbt_mes_no_aa(n_ports: int) -> NaimarkProgram:
@@ -407,9 +476,11 @@ def expected_outcome_distribution(kind: ProtocolKind, n_ports: int) -> np.ndarra
 
 def _slot_input(kind: ProtocolKind, n_ports: int) -> np.ndarray:
     """The joint input resource (x) I_2 in the coupled basis of the N+1
-    system qubits, in weight-class slots: a (2^(N+1), max_w C(N+1, w))
-    array whose row X holds in slot k the k-th column (b, d) of X's class;
-    a class's rows past its width stay 0. A gather, with no matrix product.
+    system qubits, as weight-class blocks: class w's (C(N+1, w), C(N+1, w))
+    block holds rows `outputs` and columns `columns`, every entry of the
+    dense product outside them being zero, and the blocks follow one
+    another flat, C(2N+2, N+1) floats in all. A gather, with no matrix
+    product.
 
     The resource is R = O C / |O C|: C = eps^(x)N / 2^(N/2) is the singlet
     chain, eps = [[0, 1], [-1, 0]], and O = sum_s w_s P_s is diagonal in the
@@ -417,8 +488,10 @@ def _slot_input(kind: ProtocolKind, n_ports: int) -> np.ndarray:
     for u in SU(2)). So row L of U_N^T R is w_L (-1)^((s-m)/2) / sqrt(sum
     w_L^2) times row L + m (same chain, opposite m) of U_N^T, and entry
     (X, (b, d)) is coeff[d, X] times that row at prev[d, X], column b, by
-    one Clebsch-Gordan level (`coupling_level`). The norm is an exact sum
-    (`math.fsum`), so no BLAS kernel moves a seeded byte."""
+    one Clebsch-Gordan level (`coupling_level`). Those entries of U_N are
+    read off U_{N-1} (`coupling_entries`), so no N qubit transform is
+    built. The norm is an exact sum (`math.fsum`), so no BLAS kernel moves a
+    seeded byte."""
     labels = enumerate_labels(n_ports).astype(np.int64)
     spin, m = labels[:, -2], labels[:, -1]
     if kind is ProtocolKind.PPBT_OPT:
@@ -433,39 +506,45 @@ def _slot_input(kind: ProtocolKind, n_ports: int) -> np.ndarray:
     scale = np.append(scale * (-1.0) ** ((spin - m) // 2) / norm, 0.0)
     reverse = np.append(np.arange(len(m)) + m, 0)
     prev, coeff = coupling_level(n_ports + 1)
-    basis = coupling_unitary(n_ports)
     classes = _weight_classes(n_ports)
-    slots = np.zeros((2 ** (n_ports + 1), max(len(c.columns) for c in classes)))
+    blocks = np.empty(sum(len(c.outputs) * len(c.columns) for c in classes))
+    start = 0
     for cls in classes:
         x, b, d = cls.outputs[:, None], cls.columns >> 1, cls.columns & 1
         row = prev[d, x]
-        slots[cls.outputs, :len(b)] = coeff[d, x] * scale[row] * basis[b, reverse[row]]
-    return slots
+        block = blocks[start:start + row.size].reshape(row.shape)
+        np.multiply(coeff[d, x] * scale[row], coupling_entries(n_ports, b, reverse[row]),
+                    out=block)
+        start += row.size
+    return blocks
 
 
 def _pair_gram(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """sum over rows x and over Bob's first N-1 qubits b' of outer(v, v),
-    where v holds rows[x, ..., k] at the two low bits (Bob's last qubit and
-    the chi' bit) of each column k = 4b' + q: the Gram a dense layout forms
-    after reshaping its columns to (b', q), read off one class."""
-    group = columns >> 2
-    # columns ascend, so each b' has consecutive columns
-    position = np.cumsum(np.diff(group, prepend=-1) != 0) - 1
-    # axes: ..., q, b', x, so each of the four rows of the grid is contiguous
-    rows = np.moveaxis(rows, 0, -1)
-    grid = np.zeros((*rows.shape[:-2], 4, position[-1] + 1, rows.shape[-1]))
-    grid[..., columns & 3, position, :] = rows
-    grid = grid.reshape(*rows.shape[:-2], 4, -1)
-    # einsum, not BLAS: no kernel moves a seeded byte
-    return np.einsum("...ik,...jk->...ij", grid, grid)
+    where v holds rows[..., x, k] at the two low bits q = 2i + d (Bob's last
+    qubit i and the chi' bit d) of each column k = 4b' + q: the Gram a dense
+    layout forms after reshaping its columns to (b', q), read off one class.
+
+    Within class w the columns of one q hold every b' of weight N - w + d - i,
+    so q = 0 and q = 3 share their b', and q = 1 and q = 2 share none with
+    any other q. The columns run sorted by q and then b', so each q is one
+    slice of the block, and q = 0 and 3 line up column by column: five sums,
+    by einsum and not BLAS, so no kernel moves a seeded byte."""
+    bounds = np.searchsorted(columns & 3, np.arange(5))
+    part = [rows[..., start:stop] for start, stop in zip(bounds, bounds[1:])]
+    gram = np.zeros((*rows.shape[:-2], 4, 4), dtype=rows.dtype)
+    for q in range(4):
+        gram[..., q, q] = np.einsum("...xk,...xk->...", part[q], part[q])
+    gram[..., 0, 3] = gram[..., 3, 0] = np.einsum("...xk,...xk->...", part[0], part[3])
+    return gram
 
 
 @lru_cache(maxsize=32)
 def _instrument(kind: ProtocolKind, n_ports: int
                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """The protocol as a qubit instrument, from one branch-program run on the
-    joint inputs for chi = |0> and |1> (2 * 2^N columns), held in
-    weight-class slots.
+    joint inputs for chi = |0> and |1> (2 * 2^N columns), held as flagged
+    weight-class blocks.
 
     The circuit is linear in the input chi, so for every input the weight of
     outcome i is chi^dagger G[i] chi, with the failure branches summed into
@@ -480,27 +559,32 @@ def _instrument(kind: ProtocolKind, n_ports: int
 
     Every op conserves the system's S_z, and the joint input's column (b, d)
     lies in the one weight class w = N - wt(b) + d (`_weight_classes`). So
-    the run holds max_w C(N+1, w) slot columns, not 2^(N+1): slot k of a
-    row holds the k-th column of its class, read off in closed form in the
-    coupled basis (`_slot_input`), where class w is the rows of doubled
-    m = N+1-2w. G and K sum over the rows of each class and its first
-    C(N+1, w) slots, class by class, and the amplification check folds the
-    port images per class (`_fold_classes`), so no 2^(N+1) x 2^(N+1) Gram
-    or transform is formed; the sums over a class's rows are the same in
-    the computational basis. The resource and every op are real, so the
-    run and the forms are float64 (see `StateVector.from_system`).
+    the run holds class w as one (branch, C(N+1, w), C(N+1, w)) block of
+    its coupled rows, where its doubled m is N+1-2w, and its own columns,
+    read off in closed form in the coupled basis (`_slot_input`): the
+    branches times C(2N+2, N+1) floats in all. The amplification throws the
+    block qubit's r = 1 level away, so the run holds only r = 0 (see
+    `ClassBlocks` and `FlaggedBlocks`), and its ops act on it in place.
+    G and K sum over the rows and columns of each class (`_pair_gram`), and
+    the amplification check folds the port images per class
+    (`_fold_classes`), so no 2^(N+1) x 2^(N+1) Gram or transform is formed;
+    the sums over a class's rows are the same in the computational basis.
+    The resource and every op are real, so the run and the forms are
+    float64.
 
     Returns (ports, failure, receiver), read-only: the (N, 2, 2) port forms,
     views of the last port's; the failure form, None for the deterministic
     kinds; and the (2, 2, 2, 2) receiver tensor K of every port.
     """
     program = _compile(_SPECS[kind], n_ports, branch=True)
-    # the flagged part, r = 0, is all of the output; axes: system, port
-    # branch, slot
-    flagged = program.run(_slot_input(kind, n_ports)).amps[:, :, 0]
+    # the flat input is dropped before the run, which then holds one state
+    start = ClassBlocks.from_blocks(program.shapes, _slot_input(kind, n_ports), program.entry)
+    # the flagged part, r = 0, is all of the output; per class, axes: port
+    # branch, coupled row, column
+    flagged = program.run(start).blocks()
     # per port value, the Gram over (Bob's last qubit i, chi' bit c) pairs
-    grams = sum(_pair_gram(flagged[cls.outputs, :, :len(cls.columns)], cls.columns)
-                for cls in _weight_classes(n_ports))
+    grams = sum(_pair_gram(block, cls.columns)
+                for cls, block in zip(_weight_classes(n_ports), flagged))
     # the outcome forms trace out Bob's last qubit; port N-1 teleports to it
     per_branch = np.einsum("picid->pcd", grams.reshape(-1, 2, 2, 2, 2))
     receiver = grams[0].reshape(2, 2, 2, 2)

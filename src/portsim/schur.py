@@ -16,7 +16,8 @@ The dense transform `coupling_unitary` is built qubit by qubit from the one
 below it, one Clebsch-Gordan level (`coupling_level`) at a time, and shared
 read-only up to 12 qubits; basis vectors are its columns, and the dense
 oracle's spin-sector operators sum_s w_s P_s are read off them by
-`sector_operator`.
+`sector_operator`. `coupling_entries` reads single entries of the transform
+one level up without building it.
 """
 
 from __future__ import annotations
@@ -125,6 +126,20 @@ def coupling_unitary(n: int) -> np.ndarray:
             np.multiply(padded[:, prev], coeff, out=rows[:, bit])
     out.flags.writeable = False
     return out
+
+
+def coupling_entries(n: int, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The entries coupling_unitary(n)[rows, labels], broadcast, read off
+    `coupling_unitary(n - 1)` and `coupling_level(n)` the way that transform
+    is built, bit for bit, without building it: for n = 12 a gather from
+    the 2^22 floats below it instead of 2^24."""
+    if n == 1:
+        return np.eye(2)[rows, labels]
+    prev, coeff = coupling_level(n)
+    bit = rows & 1
+    parent = prev[bit, labels]
+    return np.where(parent >= 0, coupling_unitary(n - 1)[rows >> 1, parent] * coeff[bit, labels],
+                    0.0)
 
 
 def sector_operator(n: int, weights: Mapping) -> np.ndarray:

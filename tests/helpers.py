@@ -7,8 +7,8 @@ root of a dense measurement element, the whole-register qubit instrument
 and the receiver states it leaves, the dense resource and joint input,
 in the computational and in the coupled basis, a branch program's run and
 qubit instrument in that dense layout, in any system basis, with its
-amplification fold, and teleport's trial rows rendered one row at a
-time."""
+amplification fold, the same run on flagged class blocks without its
+check, and teleport's trial rows rendered one row at a time."""
 
 import math
 from fractions import Fraction
@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from portsim.circuit import Registers, StateVector
+from portsim.circuit import ClassBlocks, Registers, StateVector
 from portsim.cli import _fmt
 from portsim.povm_analytic import port_eigensystem
 from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL, qubit_swap_permutation
@@ -205,12 +205,22 @@ def coupled_input(kind, n_ports: int) -> np.ndarray:
 def flagged_run(program, system_amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An amplified program's run without its check: `bare` once on the
     start state, and the flagged part divided by sin(pi/2n). On the dense
-    coupled input it is the oracle for a branch program's run in
-    weight-class slots. Returns the flagged (system, port, column) rows of the start
-    state and of that output."""
+    coupled input it is the oracle for a branch program's run on flagged
+    class blocks. Returns the flagged (system, port, column) rows of the
+    start state and of that output."""
     state = StateVector.from_system(program.registers, system_amps, program.entry)
     out = program.bare.apply(state).amps[:, :, 0] / math.sin(math.pi / (2 * program.rounds))
     return state.amps[:, :, 0], out
+
+
+def class_block_run(program, blocks: np.ndarray) -> tuple[ClassBlocks, ClassBlocks]:
+    """A branch program's run on flagged class blocks without its check:
+    `flagged` once on a copy of the start state, divided by sin(pi/2n).
+    Returns the start state and that output."""
+    before = ClassBlocks.from_blocks(program.shapes, blocks, program.entry)
+    after = program.flagged.apply(ClassBlocks(before.amps.copy(), before.shapes))
+    after.amps /= math.sin(math.pi / (2 * program.rounds))
+    return before, after
 
 
 def branch_instrument(program, kind, n_ports: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,9 @@ from portsim import circuit, protocols
 from portsim.circuit import (
     Block,
     CircuitAction,
+    ClassBlocks,
     DenseSystem,
+    FlaggedBlocks,
     InvalidSubspaceSpec,
     OaaAction,
     Registers,
@@ -321,6 +323,88 @@ def test_oaa_rejects_even_round_counts():
         OaaAction(u, 0)
 
 
+# ---------------------------------------------------- flagged class blocks ----
+
+# two system qubits in three classes; every op below keeps each class
+CLASSES = [np.array([0]), np.array([2, 1]), np.array([3])]
+
+
+def _flagged_ops(regs: Registers) -> list[SubspaceBlocks]:
+    """A rotation of rows 1 and 2 on both r levels of port 0 and a sign on
+    row 0 of port 1, then reflections of every row of port 0 onto r = 1,
+    row 3's amplitude 0.6 and the others' 0."""
+    index = regs.index
+    theta = 0.3
+    rotation = np.array([[math.cos(theta), -math.sin(theta)],
+                         [math.sin(theta), math.cos(theta)]])
+    rotate = SubspaceBlocks(regs, [
+        Block(matrix=rotation, instances=index[[1, 2], 0].T.copy()),
+        Block(matrix=np.array([[-1.0]]), instances=index[0, 1, :1, None].copy())])
+    attach = SubspaceBlocks(regs, [
+        Block(matrix=np.array([[0.6, 0.8], [0.8, -0.6]]), instances=index[[3], 0]),
+        Block(matrix=np.array([[0.0, 1.0], [1.0, 0.0]]), instances=index[[0, 1, 2], 0])])
+    return [rotate, attach]
+
+
+def _class_state(amps: np.ndarray) -> ClassBlocks:
+    """The r = 0 level of a (system, port, r, batch) array, class by class,
+    each class over every batch column."""
+    batch = amps.shape[-1]
+    blocks = [amps[rows, :, 0].transpose(1, 0, 2).reshape(amps.shape[1], -1)
+              for rows in CLASSES]
+    return ClassBlocks(np.concatenate(blocks, axis=1),
+                       tuple((len(rows), batch) for rows in CLASSES))
+
+
+def test_flagged_blocks_are_the_flagged_part_of_the_op():
+    # r = 1 starts at zero, so the flagged run is the r = 0 level of the
+    # whole-layout run, to the last bit on the scales
+    regs = Registers(n_system=2, port_dim=2)
+    amps = np.zeros((4, 2, 2, 3))
+    amps[:, :, 0] = RNG.normal(size=(4, 2, 3))
+    dense, state = StateVector(regs, amps), _class_state(amps)
+    ops = _flagged_ops(regs)
+    for op in ops:
+        dense = op.apply(dense)
+        assert FlaggedBlocks(op, CLASSES).apply(state) is state
+    np.testing.assert_allclose(state.amps, _class_state(dense.amps).amps, rtol=0, atol=1e-15)
+    assert not state.blocks()[1][0].any()
+    np.testing.assert_array_equal(state.blocks()[2][0], 0.6 * amps[3, 0, 0][None])
+
+
+def test_flagged_blocks_reject_what_does_not_restrict():
+    regs = Registers(n_system=2, port_dim=2)
+    index = regs.index
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    bad = {
+        "real": [Block(matrix=np.diag([1j, 1.0]), instances=index[[1, 2], 0, 0][None])],
+        "mixes two classes": [Block(matrix=swap, instances=index[[0, 3], 0, 0][None])],
+        "no class": [Block(matrix=swap, instances=index[[1, 2], 0, 0][None])],
+        "overlap": [Block(matrix=swap, instances=index[[1, 2], 0, 0][None]),
+                    Block(matrix=swap, instances=index[[1, 2], 0, 0][None])],
+        "2-level": [Block(matrix=np.eye(4), instances=index[:, 0, 0][None])],
+    }
+    for message, blocks in bad.items():
+        rows = CLASSES[:1] + CLASSES[2:] if message == "no class" else CLASSES
+        with pytest.raises(InvalidSubspaceSpec, match=message):
+            FlaggedBlocks(SubspaceBlocks(regs, blocks), rows)
+
+
+def test_class_blocks_hold_each_class_over_its_own_columns():
+    shapes = ((1, 1), (2, 3), (1, 2))
+    flat = np.arange(1.0, 10.0)
+    state = ClassBlocks.from_blocks(shapes, flat, (1.0, -2.0))
+    assert state.amps.shape == (2, 9) and state.amps.dtype == np.float64
+    assert [b.shape for b in state.blocks()] == [(2, 1, 1), (2, 2, 3), (2, 1, 2)]
+    np.testing.assert_array_equal(state.blocks()[1][1], -2.0 * flat[1:7].reshape(2, 3))
+    assert all(np.shares_memory(b, state.amps) for b in state.blocks())
+    assert ClassBlocks.from_blocks(shapes, flat * 1j, (1.0,)).amps.dtype == np.complex128
+    with pytest.raises(ValueError, match="9 amplitudes"):
+        ClassBlocks(np.zeros((2, 8)), shapes)
+    with pytest.raises(ValueError, match="fold"):
+        OaaAction(CircuitAction([]), 3).apply(state)
+
+
 def test_rescale_factor_and_round_count():
     assert c_star(1.0) == (1.0, 1)
     assert c_star(0.5) == (1.0, 3)
@@ -437,12 +521,14 @@ def test_a_complex_block_promotes_a_real_state():
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 @pytest.mark.parametrize("n", range(1, 5))
 def test_a_complex_run_is_the_real_runs_of_its_parts(kind, n):
-    # every op acts on each weight class's rows alone, so a complex factor
+    # every op acts on each weight class's block alone, so a complex factor
     # per class commutes with the run and leaves the fold's check intact
     program = protocols._compile(protocols._SPECS[kind], n, branch=True)
     x = protocols._slot_input(kind, n).astype(np.complex128)
-    for cls in protocols._weight_classes(n):
-        x[cls.outputs] *= complex(*RNG.normal(size=2))
+    start = 0
+    for rows, cols in program.shapes:
+        x[start:start + rows * cols] *= complex(*RNG.normal(size=2))
+        start += rows * cols
     real, imag = (program.run(part).amps for part in (x.real, x.imag))
     assert real.dtype == imag.dtype == np.float64
     out = program.run(x).amps

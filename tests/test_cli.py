@@ -350,7 +350,7 @@ def test_port_cap_env_override_rejects_garbage(capsys, monkeypatch, argv, raw):
     ["table", "--metric", "resources", "--ports", "1", "--epsilon", "1e-310"],
     ["teleport", "--regime", "dpbt", "--ports", "2", "--trials", "3", "--seed", "-1"],
     ["povm-check", "--ports", "6..7"],
-    ["teleport", "--regime", "dpbt", "--ports", "12", "--trials", "1"],
+    ["teleport", "--regime", "dpbt", "--ports", "13", "--trials", "1"],
 ])
 def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
     # a raised cap lets the request through to the library's own limits
@@ -363,9 +363,10 @@ def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
     assert "Traceback" not in err
     if "--seed" in argv:
         assert "--seed" in err
-    if "12" in argv:
-        # the compile cap names the requested port count, not the qubit count
-        assert "12" in err and "13" not in err
+    for ports in ("12", "13"):
+        if ports in argv:
+            # the compile cap names the requested port count, not the qubit count
+            assert ports in err and str(int(ports) + 1) not in err
 
 
 def test_success_table_needs_no_label_enumeration(capsys, monkeypatch):
@@ -471,7 +472,7 @@ TELEPORT_SHA256 = {
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format human":
         "08bbaa2c3cb5227f9e10ab65c328521ba82783597658bc2c467488a3f9271cc1",
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format json":
-        "b9ab16f263cff18aa4f5ac4e4746b63937851a85510271fcf5be6e5d5d196e99",
+        "fa50c186b8b24a24fdd0d46f518e0ce62eca934b8f52cf7e8170d461cf213721",
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format csv":
         "31eb9502d877cf8cd00b72eb5b00777d1a3f6f33660e07316080d1c5e2718079",
     "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format human":
@@ -489,7 +490,7 @@ TELEPORT_SHA256 = {
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format human":
         "db74cf94f636fe831217601276159543aee024668136252fa119d8cb50107487",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format json":
-        "e69a372dc22341bcde3f5d34fec9809ece161b2089db57204f30454d3f54ec8f",
+        "e29c698e7bb33c0ff39302eb275fd4ec38704df40178efcda9fd3707a6deaf44",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
         "4cc390fee877e37b8a8f2ba47c60903928ab2302789ea78fe8021183393e4cfd",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format human":
@@ -501,7 +502,7 @@ TELEPORT_SHA256 = {
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format human":
         "d3b335de20af80308af7bc6304294f6923b7d5b2d3876f2d661c46ad991e43f2",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format json":
-        "af1bb03cb6501fd304762ff838105b77263db122d7f07649a7869651cd5b4d33",
+        "b044295313dd0967c242475b7d4e4fddff48bfa136c0ba28daac951d475dee29",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
         "594236a6e3445edc61772669e6a22f9d407027fa3f084ab91f47c62693146b4b",
 }
@@ -523,7 +524,8 @@ def test_seeded_teleport_output_bytes_are_pinned(capsys, command):
 
 def test_seeded_json_bytes_do_not_depend_on_the_blas_kernel():
     # OpenBLAS picks its kernel from the CPU; the instrument reads no BLAS
-    # product, so the AVX2 kernel writes the bytes the default one does
+    # product, so the AVX2 and the AVX kernels write the bytes the default
+    # one does
     commands = [c for c in TELEPORT_SHA256 if c.endswith("json")]
     script = ("import contextlib, hashlib, io, sys\n"
               "from portsim.cli import main\n"
@@ -533,7 +535,7 @@ def test_seeded_json_bytes_do_not_depend_on_the_blas_kernel():
               "        assert main(command.split()) == 0\n"
               "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n")
     digests = []
-    for coretype in (None, "Haswell"):
+    for coretype in (None, "Haswell", "Sandybridge"):
         env = {k: v for k, v in _src_env().items() if k != "OPENBLAS_CORETYPE"}
         if coretype:
             env["OPENBLAS_CORETYPE"] = coretype
@@ -542,7 +544,7 @@ def test_seeded_json_bytes_do_not_depend_on_the_blas_kernel():
         assert result.returncode == 0, result.stderr
         digests.append(result.stdout.split())
     assert len(commands) == 8
-    assert digests[0] == digests[1] == [TELEPORT_SHA256[c] for c in commands]
+    assert digests[0] == digests[1] == digests[2] == [TELEPORT_SHA256[c] for c in commands]
 
 
 class _CountingWriter:
@@ -644,10 +646,10 @@ def test_chunked_draws_equal_the_one_shot_draws(chunks, offset):
 
 # stdout of 10,003 trials at N=2, seed 7, before the draws were chunked; JSON
 # and human output without the mean fidelity line, which sums one pairwise
-# tree per chunk. The JSON digests are of the instrument whose slot input is
-# read in closed form in the coupled basis: with the same draws and outcomes,
-# its fidelities differ from the dense-resource instrument's by at most
-# 5.6e-16
+# tree per chunk. The JSON digests are of the instrument whose input is read
+# in closed form in the coupled basis and whose family rotations are
+# fixed-order sums: with the same draws and outcomes, its fidelities differ
+# from the dense-resource instrument's by at most 5.6e-16
 ONE_SHOT_SHA256 = {
     ("dpbt", "json"): "a18a03d5d4fe1f085738eec0af1b3082df445c407a81085e6b062599f1b95a5f",
     ("dpbt", "csv"): "8a57c704d9b682b820f399a2abcfc0988778a93725f7604c7b511efb0081b758",
@@ -655,7 +657,7 @@ ONE_SHOT_SHA256 = {
     ("dpbt-opt", "json"): "2d81191bfd164fbd58f2dfedf18c744ebb43583fae88bfe5e1fdd8421be5ef12",
     ("dpbt-opt", "csv"): "7d8042100d7e613a0f03cc37fefb1c951877a09fa85022dabffbe6c4ece9cb8c",
     ("dpbt-opt", "human"): "b87a43c89425e1e1dca8e212a6077ad6aa88d099c16818c59385e53e6b6d48bd",
-    ("ppbt-mes", "json"): "9905d6332ba7ae218dfcf2f9aeba60d2fdecc86c488846107ff5cd2ae5491f7d",
+    ("ppbt-mes", "json"): "2067ab6ab33cbb68edeb81e08c583ef3df4547d534554f2498edf0853505c020",
     ("ppbt-mes", "csv"): "19aa75cd5fb2a983db220e233fc5c9ed1082ac4aff8a9df461fdbc2b88b2a9d7",
     ("ppbt-mes", "human"): "2c561049c75efcae75980ee21cb26555f96721107bef777111a7558e24db5f61",
     ("ppbt-opt", "json"): "3fe2c98d1e33abd2b0fef582cf233809f63e5cc53aa6270938e56ef9aebf3f54",

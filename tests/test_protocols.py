@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (action_matrix, branch_instrument, branch_weights, coupled_input,
-                     dense_fold, flat, flagged_run, haar_qubit, joint_input, psd_sqrt,
+from helpers import (action_matrix, branch_instrument, branch_weights, class_block_run,
+                     coupled_input, dense_fold, flat, flagged_run, haar_qubit, joint_input,
+                     psd_sqrt,
                      receiver_states, resource_matrix, singlet_chain, whole_register_instrument)
 from portsim import protocols, schur
 from portsim.circuit import (CircuitAction, DenseSystem, Registers, StateVector,
@@ -504,8 +505,9 @@ def test_detuned_attach_breaks_the_amplification_precondition(monkeypatch, kind,
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [2, 6])
 def test_one_fold_on_the_difference_is_the_two_fold_residual(kind, n):
-    # the slot run folds G_out - G_in once, class by class; the dense layout
-    # folding G_out and G_in apart and subtracting gives the same residual
+    # the class-block run folds only G_out under the port images and takes
+    # G_in as N copies of the last port branch's; the dense layout folding
+    # G_out and G_in apart under the images gives the same residual
     prog = protocols._compile(_detuned(kind), n, branch=True)
     with pytest.raises(NumericalInvariantError) as info:
         prog.run(protocols._slot_input(kind, n))
@@ -519,20 +521,28 @@ def test_one_fold_on_the_difference_is_the_two_fold_residual(kind, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_class_fold_is_the_dense_fold(kind, n):
     # the dense fold is block-diagonal in weight class, and each block is the
-    # class fold of the slot run, on a detuned attach where it is not zero
+    # class fold of the class-block run, on a detuned attach where it is not
+    # zero
     prog = protocols._compile(_detuned(kind), n, branch=True)
-    diffs, diagonals = prog.fold(*flagged_run(prog, protocols._slot_input(kind, n)))
+    before, after = class_block_run(prog, protocols._slot_input(kind, n))
+    classes = protocols._weight_classes(n)
+    grams_in = protocols._input_grams(classes, before)
+    grams_out = list(protocols._output_grams(classes, after))
     diff, diagonal = dense_fold(n, *flagged_run(prog, coupled_input(kind, n)))
     covered = np.zeros(diff.shape, dtype=bool)
-    classes = protocols._weight_classes(n)
-    assert len(diffs) == len(diagonals) == len(classes) == n + 2
-    for cls, block, diag in zip(classes, diffs, diagonals):
-        np.testing.assert_allclose(block, diff[np.ix_(cls.columns, cls.columns)],
+    assert len(grams_in) == len(grams_out) == len(classes) == n + 2
+    for cls, gram_in, gram_out in zip(classes, grams_in, grams_out):
+        np.testing.assert_allclose(gram_out - gram_in, diff[np.ix_(cls.columns, cls.columns)],
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(diag, diagonal[cls.columns], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gram_in.diagonal(), diagonal[cls.columns],
+                                   rtol=0, atol=1e-12)
         covered[np.ix_(cls.columns, cls.columns)] = True
     assert not diff[~covered].any()
     assert np.abs(diff).max() >= 1e-6 * diagonal.max()
+    # the check keeps the largest of every class's entries
+    miss, scale = prog.fold(before)(after)
+    assert miss == max(float(np.abs(o - i).max()) for i, o in zip(grams_in, grams_out))
+    assert scale == max(float(gram.diagonal().max()) for gram in grams_in)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -570,25 +580,27 @@ def test_instrument_matches_the_dense_layout(kind, n):
 @pytest.mark.parametrize("n", [*range(1, 8), *(pytest.param(n, marks=pytest.mark.slow)
                                               for n in (8, 9))])
 def test_slot_input_is_the_coupled_joint_input(kind, n):
-    # the closed form is U_{N+1}^T (resource (x) I_2) gathered into slots;
-    # the dense product is zero outside the class blocks the slots hold
-    slots = protocols._slot_input(kind, n)
+    # the closed form is U_{N+1}^T (resource (x) I_2) gathered into class
+    # blocks; the dense product is zero outside them
+    blocks = protocols._slot_input(kind, n)
     coupled = coupled_input(kind, n)
-    gathered = np.zeros_like(slots)
+    gathered = []
     covered = np.zeros(coupled.shape, dtype=bool)
     for cls in protocols._weight_classes(n):
-        gathered[cls.outputs, :len(cls.columns)] = coupled[np.ix_(cls.outputs, cls.columns)]
+        gathered.append(coupled[np.ix_(cls.outputs, cls.columns)].ravel())
         covered[np.ix_(cls.outputs, cls.columns)] = True
-    np.testing.assert_allclose(slots, gathered, rtol=0, atol=1e-14)
+    assert blocks.shape == (math.comb(2 * n + 2, n + 1),)
+    np.testing.assert_allclose(blocks, np.concatenate(gathered), rtol=0, atol=1e-14)
     assert np.abs(coupled[~covered]).max(initial=0.0) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_instrument_builds_no_transform_past_the_resource_qubits(monkeypatch, n):
     # the branch program starts in the coupled basis, holds block ops only
-    # and reads the slot input off U_N and one coupling level
+    # and reads the input's entries of U_N off U_{N-1} and two coupling
+    # levels
     def capped(m):
-        if m > n:
+        if m >= n:
             raise AssertionError(f"coupling_unitary({m}) built for N={n}")
         return unitary(m)
 
@@ -610,25 +622,53 @@ def test_instrument_builds_no_transform_past_the_resource_qubits(monkeypatch, n)
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_branch_run_holds_one_slot_per_column_of_the_widest_class(monkeypatch, n):
-    widths = []
+    # each class now holds its own columns only: a (C(N+1, w), C(N+1, w))
+    # block, no slot padded out to the widest class
+    shapes = []
     apply = CircuitAction.apply
 
     def recorded(self, state):
-        widths.append(state.batch)
+        shapes.append(state.shapes)
         return apply(self, state)
 
     monkeypatch.setattr(CircuitAction, "apply", recorded)
     for kind in KINDS:
         protocols._instrument.__wrapped__(kind, n)
-    assert widths == [math.comb(n + 1, (n + 1) // 2)] * len(KINDS)
     classes = protocols._weight_classes(n)
+    assert shapes == [tuple((math.comb(n + 1, w),) * 2 for w in range(n + 2))] * len(KINDS)
     assert [len(c.columns) for c in classes] == [math.comb(n + 1, w) for w in range(n + 2)]
     assert [len(c.outputs) for c in classes] == [len(c.columns) for c in classes]
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_branch_state_holds_only_flagged_class_blocks(monkeypatch, n):
+    # branches x C(2N+2, N+1) floats: one block per class over its own
+    # columns, no r = 1 level and no padding to the widest class
+    sizes = []
+    apply = CircuitAction.apply
+
+    def recorded(self, state):
+        sizes.append((state.amps.shape, state.amps.dtype))
+        return apply(self, state)
+
+    def dense(*_):
+        raise AssertionError("the branch run built a whole-layout state")
+
+    expected = {kind: protocols._instrument(kind, n) for kind in KINDS}
+    monkeypatch.setattr(CircuitAction, "apply", recorded)
+    monkeypatch.setattr(StateVector, "from_system", dense)
+    for kind in KINDS:
+        built = protocols._instrument.__wrapped__(kind, n)
+        np.testing.assert_array_equal(built[0], expected[kind][0])
+        np.testing.assert_array_equal(built[2], expected[kind][2])
+    branches = [1 if kind.deterministic else 2 for kind in KINDS]
+    assert sizes == [((b, math.comb(2 * n + 2, n + 1)), np.float64) for b in branches]
+
+
 def test_instrument_working_memory_stays_in_its_slots():
     # the dense layout's state alone is 2^9 x 2 x 2 x 2^9 floats (8 MB) at
-    # N=8, and its run peaked at 34 MB; the slot state is 126 slots wide
+    # N=8, and its run peaked at 34 MB; the class-block state holds
+    # 2 x C(18, 9) floats (0.8 MB)
     kind, n = ProtocolKind.PPBT_OPT, 8
     protocols._instrument.__wrapped__(kind, n)
     tracemalloc.start()
@@ -637,7 +677,7 @@ def test_instrument_working_memory_stays_in_its_slots():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2 ** 20
+    assert peak < 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -9,6 +9,7 @@ from helpers import clebsch_gordan, coupling_oracle, label_oracle
 from portsim.schur import (
     MAX_DENSE_QUBITS,
     MAX_ENUMERATE_QUBITS,
+    coupling_entries,
     coupling_level,
     coupling_unitary,
     enumerate_labels,
@@ -213,6 +214,20 @@ def test_coupling_level_holds_one_clebsch_gordan_factor_per_piece(n):
             assert below[p][:-1] == label[:-2] and below[p][-1] == label[-1] - x
             assert c == pytest.approx(
                 clebsch_gordan(label[-3], label[-1] - x, x, label[-2], label[-1]), abs=1e-15)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_coupling_entries_are_the_transform_bit_for_bit(n):
+    # read one level up from the transform below, signed zeros included
+    rows = np.arange(2 ** n)[:, None]
+    labels = np.arange(2 ** n)[None]
+    entries = coupling_entries(n, rows, labels)
+    unitary = coupling_unitary(n)
+    np.testing.assert_array_equal(entries, unitary)
+    assert (np.signbit(entries) == np.signbit(unitary)).all()
+    # broadcast like a gather
+    picked = coupling_entries(n, rows[::3, 0], labels[0, ::3][::-1])
+    np.testing.assert_array_equal(picked, unitary[rows[::3, 0], labels[0, ::3][::-1]])
 
 
 @pytest.mark.parametrize("n", range(1, 11))
