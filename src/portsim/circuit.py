@@ -188,8 +188,7 @@ class SubspaceBlocks:
             k = block.matrix.shape[0]
             if block.matrix.shape != (k, k):
                 raise InvalidSubspaceSpec(f"{name}: block matrix must be square")
-            # einsum, not BLAS: a few 2x2 products need no BLAS library
-            gram = np.einsum("ki,kj->ij", block.matrix.conj(), block.matrix)
+            gram = block.matrix.conj().T @ block.matrix
             if np.abs(gram - np.eye(k)).max() > 1e-10:
                 raise InvalidSubspaceSpec(f"{name}: block {pos} is not unitary")
             inst = block.instances
@@ -223,12 +222,19 @@ class FlaggedBlocks:
     rows of one class, applied as the fixed-order sums a x + b y and
     c x + d y with no BLAS kernel; one makes a scale by its diagonal entry,
     a zero scale a zeroing. That is the op's flagged part wherever its r = 1
-    entries meet zero amplitudes: an attach, the one op that mixes the
-    levels, meets each branch's r = 1 level while it is still zero. Entries
-    on r = 1 drop out. The op's blocks must be disjoint; applies in place."""
+    entries meet zero amplitudes, so what it moves onto r = 1 drops out.
+    `junk` marks the (system row, port value) pairs, flat as
+    row * port_dim + port, whose r = 1 level the ops before this one may
+    have made nonzero (None: none), and `self.junk` does the same after it;
+    an instance with an r = 0 entry that meets one is rejected, since it
+    would bring dropped amplitude back onto the flagged level. The op's
+    blocks must be disjoint; applies in place."""
 
-    def __init__(self, op: SubspaceBlocks, rows: Sequence[np.ndarray]):
+    def __init__(self, op: SubspaceBlocks, rows: Sequence[np.ndarray],
+                 junk: np.ndarray | None = None):
         regs = op.registers
+        self.junk = np.zeros(regs.system_dim * regs.port_dim, dtype=bool) if junk is None \
+            else junk.copy()
         label = np.full(regs.system_dim, -1)
         position = np.zeros(regs.system_dim, dtype=np.intp)
         for c, members in enumerate(rows):
@@ -244,6 +250,13 @@ class FlaggedBlocks:
                 raise InvalidSubspaceSpec(f"{op.name}: a flagged block must be real")
             flagged = inst % 2 == 0
             count = flagged.sum(axis=1)
+            # blocks apply in order, so each meets what the ones before it moved
+            meets = (self.junk[inst // 2] & ~flagged).any(axis=1)
+            if (meets & (count > 0)).any():
+                raise InvalidSubspaceSpec(f"{op.name}: a flagged block meets r = 1 amplitudes "
+                                          "moved there before it")
+            moves = (count > 0) | meets
+            self.junk[inst[moves][~flagged[moves]] // 2] = True
             if len(matrix) > 2 and count.any():
                 raise InvalidSubspaceSpec(f"{op.name}: only 1- and 2-level blocks restrict "
                                           "to the flagged level")
@@ -313,6 +326,19 @@ class CircuitAction:
         return sum(op.rotation_count for op in self.ops)
 
 
+def flagged_action(ops: Sequence[SubspaceBlocks], rows: Sequence[np.ndarray]
+                   ) -> CircuitAction:
+    """`ops` restricted to the flagged level, first to last, each told which
+    r = 1 amplitudes the ones before it may have made nonzero
+    (`FlaggedBlocks`), so a run that starts with r = 1 at zero keeps the
+    whole run's flagged part."""
+    flagged, junk = [], None
+    for op in ops:
+        flagged.append(FlaggedBlocks(op, rows, junk))
+        junk = flagged[-1].junk
+    return CircuitAction(flagged)
+
+
 # a flagged input -> the check of the scaled output on it: (largest entry of
 # the Gram difference, largest input Gram diagonal) of the register the
 # precondition holds on
@@ -341,7 +367,8 @@ class OaaAction:
     `fold` takes the input's Grams first and returns the check of the scaled
     output. The fold also says which register the precondition holds on:
     when the state's branches stand in for a larger register, as a branch
-    program's do, it forms that register's Grams class by class.
+    program's do, it forms that register's Grams class by class. A
+    `StateVector` run checks its own columns and takes no fold.
     """
 
     def __init__(self, u, n: int, start_ports: int = 1, fold: Fold | None = None):
@@ -362,6 +389,8 @@ class OaaAction:
             result.amps *= 1.0 / s
             miss, scale = check(result)
         else:
+            if self.fold is not None:
+                raise ValueError("a fold checks only a flagged run")
             amps = state.amps
             if amps[:, self.start_ports:].any() or amps[:, :, 1].any():
                 raise ValueError("amplitude amplification input leaves the start subspace")

@@ -44,9 +44,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .circuit import (Block, CircuitAction, ClassBlocks, DenseSystem, FlaggedBlocks, Fold,
+from .circuit import (Block, CircuitAction, ClassBlocks, DenseSystem, Fold,
                       NumericalInvariantError, OaaAction, Registers, StateVector,
-                      SubspaceBlocks, c_star, port_cswap, port_prepare)
+                      SubspaceBlocks, c_star, flagged_action, port_cswap, port_prepare)
 from .povm_analytic import EigenSystem, failure_eigensystem, port_eigensystem
 from .povm_oracle import qubit_swap_permutation
 from .schur import (MAX_DENSE_QUBITS, coupling_entries, coupling_level, coupling_unitary,
@@ -100,11 +100,13 @@ class NaimarkProgram:
     the input enters each with its port amplitude. It runs only on the joint
     input resource (x) I_2 in the coupled basis, split into weight classes
     (`_slot_input`), and only its flagged part: `flagged` holds its ops
-    restricted to r = 0 and split by class, and its `run()` goes through
-    them on a `ClassBlocks` state, class w a (branch, C(N+1, w), C(N+1, w))
-    block of its coupled rows and its own joint-input columns, with `fold`
-    checking the amplification precondition of the whole register through
-    the other ports' qubit-swap images (`_fold_classes`). `bare` keeps the
+    restricted to r = 0 and split by class, and its `run()` takes only its
+    `ClassBlocks` start state (`ClassBlocks.from_blocks` with `shapes` and
+    `entry`) and goes through them there, class w a
+    (branch, C(N+1, w), C(N+1, w)) block of its coupled rows and its own
+    joint-input columns, with `fold` checking the amplification
+    precondition of the whole register through the other ports' qubit-swap
+    images (`_fold_classes`). `bare` keeps the
     same ops on the whole register layout. A branch program holds neither
     transform of the coupled basis, so its `run()` returns the flagged part
     in that basis.
@@ -122,10 +124,9 @@ class NaimarkProgram:
 
     def run(self, system_amps: np.ndarray | ClassBlocks) -> StateVector | ClassBlocks:
         if self.flagged is not None:
-            # a caller that builds the start state can drop the flat blocks
-            state = system_amps if isinstance(system_amps, ClassBlocks) \
-                else ClassBlocks.from_blocks(self.shapes, system_amps, self.entry)
-            return OaaAction(self.flagged, self.rounds, fold=self.fold).apply(state)
+            if not isinstance(system_amps, ClassBlocks):
+                raise TypeError("a branch program runs on its ClassBlocks start state")
+            return OaaAction(self.flagged, self.rounds, fold=self.fold).apply(system_amps)
         state = StateVector.from_system(self.registers, system_amps, self.entry)
         if self.rounds == 0:
             flagged = self.bare.apply(state).amps
@@ -275,19 +276,6 @@ def _weight_classes(n_ports: int) -> tuple[_WeightClass, ...]:
     return tuple(classes)
 
 
-# classes narrower than this form their amplification Grams by einsum, so a
-# run at N <= 6 never starts the BLAS library, whose first call adds a few
-# hundred kB to the resident set; wider ones need BLAS (with einsum only, a
-# cold _instrument(PPBT_OPT, 11) takes 2.1 s instead of 0.29 s)
-_BLAS_WIDTH = 64
-
-
-def _gram(rows: np.ndarray) -> np.ndarray:
-    if rows.shape[-1] < _BLAS_WIDTH:
-        return np.einsum("ki,kj->ij", rows.conj(), rows)
-    return rows.conj().T @ rows
-
-
 def _input_grams(classes: tuple[_WeightClass, ...], state: ClassBlocks) -> list[np.ndarray]:
     """Per class, the whole register's Gram of a branch run's input: N
     copies of the last port branch's plus the failure branch's. Every other
@@ -295,10 +283,10 @@ def _input_grams(classes: tuple[_WeightClass, ...], state: ClassBlocks) -> list[
     qubits swapped, which leaves its Gram as it is."""
     grams = []
     for cls, block in zip(classes, state.blocks()):
-        gram = _gram(block[0])
+        gram = block[0].conj().T @ block[0]
         gram *= len(cls.swaps)
         for rows in block[1:]:
-            gram += _gram(rows)
+            gram += rows.conj().T @ rows
         grams.append(gram)
     return grams
 
@@ -310,12 +298,12 @@ def _output_grams(classes: tuple[_WeightClass, ...], state: ClassBlocks
     qubits, which maps the class onto itself, one image at a time, and the
     failure branch's once."""
     for cls, block in zip(classes, state.blocks()):
-        last = _gram(block[0])
+        last = block[0].conj().T @ block[0]
         gram = np.zeros_like(last)
         for swap in cls.swaps:
             gram += last[swap[:, None], swap]
         for rows in block[1:]:
-            gram += _gram(rows)
+            gram += rows.conj().T @ rows
         yield gram
 
 
@@ -362,11 +350,14 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
     not change under a real orthogonal change of their basis within the
     class. Every block instance shares one doubled m = N+1-2w, so each lies
     in one weight class, and the ops split by class here, once: `flagged`
-    holds them on the r = 0 level alone (`FlaggedBlocks`). The family
+    holds them on the r = 0 level alone (`flagged_action`). The family
     rotations become fixed-order 2x2 sums, each attach a per-label scale by
-    its reflection's (0, 0) entry, since its branch's r = 1 level is still
-    zero there, and the drop block a zeroing. Cached per spec, since
-    programs are stateless and every run builds its own state. The whole
+    its reflection's (0, 0) entry, and the drop block a zeroing; that is
+    exact because the port and failure attaches act on disjoint branches,
+    so each meets its branch's r = 1 level while it is still zero, and the
+    build raises InvalidSubspaceSpec if an op would meet r = 1 amplitudes an
+    earlier one moved there. Cached per spec, since programs are stateless
+    and every run builds its own state. The whole
     register builds the dense N+1 qubit coupled basis, so it caps N at
     MAX_DENSE_QUBITS - 1; the branch program reads the entries it needs of
     the N qubit one off the N-1 qubit one and stops at N = MAX_DENSE_QUBITS,
@@ -397,9 +388,8 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
     ops = [rot, *attach, unrot]
     if branch:
         classes = _weight_classes(n_ports)
-        rows = [cls.outputs for cls in classes]
         layout = dict(entry=amps[n_ports - 1:], fold=partial(_fold_classes, classes),
-                      flagged=CircuitAction([FlaggedBlocks(op, rows) for op in ops]),
+                      flagged=flagged_action(ops, [cls.outputs for cls in classes]),
                       shapes=tuple((len(cls.outputs), len(cls.columns)) for cls in classes))
     else:
         layout = dict(entry=np.ones(1))

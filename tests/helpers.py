@@ -213,11 +213,16 @@ def flagged_run(program, system_amps: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return state.amps[:, :, 0], out
 
 
+def class_start(program, blocks: np.ndarray) -> ClassBlocks:
+    """A branch program's start state on the flat class blocks `blocks`."""
+    return ClassBlocks.from_blocks(program.shapes, blocks, program.entry)
+
+
 def class_block_run(program, blocks: np.ndarray) -> tuple[ClassBlocks, ClassBlocks]:
     """A branch program's run on flagged class blocks without its check:
     `flagged` once on a copy of the start state, divided by sin(pi/2n).
     Returns the start state and that output."""
-    before = ClassBlocks.from_blocks(program.shapes, blocks, program.entry)
+    before = class_start(program, blocks)
     after = program.flagged.apply(ClassBlocks(before.amps.copy(), before.shapes))
     after.amps /= math.sin(math.pi / (2 * program.rounds))
     return before, after

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import action_matrix, branch_weights, flat
+from helpers import action_matrix, branch_weights, class_start, flat
 from portsim import circuit, protocols
 from portsim.circuit import (
     Block,
@@ -19,6 +19,7 @@ from portsim.circuit import (
     StateVector,
     SubspaceBlocks,
     c_star,
+    flagged_action,
     port_cswap,
     port_prepare,
 )
@@ -390,6 +391,35 @@ def test_flagged_blocks_reject_what_does_not_restrict():
             FlaggedBlocks(SubspaceBlocks(regs, blocks), rows)
 
 
+def test_flagged_blocks_reject_a_block_that_meets_moved_junk():
+    # an attach moves row 3's flagged amplitude onto r = 1 of port 0; a
+    # second attach there would read it back, which the flagged run drops
+    regs = Registers(n_system=2, port_dim=2)
+    index = regs.index
+    reflection = np.array([[0.6, 0.8], [0.8, -0.6]])
+
+    def attach(row, port):
+        return SubspaceBlocks(regs, [Block(matrix=reflection, instances=index[[row], port])])
+
+    first = FlaggedBlocks(attach(3, 0), CLASSES)
+    np.testing.assert_array_equal(np.flatnonzero(first.junk), [3 * 2 + 0])
+    with pytest.raises(InvalidSubspaceSpec, match="moved there"):
+        flagged_action([attach(3, 0), attach(3, 0)], CLASSES)
+    # the other port value's r = 1 level is still zero
+    assert len(flagged_action([attach(3, 0), attach(3, 1)], CLASSES).ops) == 2
+    # a rotation within r = 1 carries the junk on to row 0
+    mix = SubspaceBlocks(regs, [Block(matrix=reflection, instances=index[[3, 0], 0, 1][None])])
+    moved = FlaggedBlocks(mix, CLASSES, first.junk)
+    np.testing.assert_array_equal(np.flatnonzero(moved.junk), [0, 3 * 2 + 0])
+    with pytest.raises(InvalidSubspaceSpec, match="moved there"):
+        FlaggedBlocks(attach(0, 0), CLASSES, moved.junk)
+    # a block of the same op counts as an earlier one
+    twice = SubspaceBlocks(regs, [Block(matrix=reflection, instances=index[[3], 0]),
+                                  Block(matrix=reflection, instances=index[[3], 0])])
+    with pytest.raises(InvalidSubspaceSpec, match="moved there"):
+        FlaggedBlocks(twice, CLASSES)
+
+
 def test_class_blocks_hold_each_class_over_its_own_columns():
     shapes = ((1, 1), (2, 3), (1, 2))
     flat = np.arange(1.0, 10.0)
@@ -403,6 +433,12 @@ def test_class_blocks_hold_each_class_over_its_own_columns():
         ClassBlocks(np.zeros((2, 8)), shapes)
     with pytest.raises(ValueError, match="fold"):
         OaaAction(CircuitAction([]), 3).apply(state)
+    dense = StateVector.from_system(Registers(n_system=1, port_dim=1), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="fold checks only a flagged run"):
+        OaaAction(CircuitAction([]), 3, fold=lambda before: None).apply(dense)
+    program = protocols._compile(protocols._SPECS[ProtocolKind.PPBT_OPT], 2, branch=True)
+    with pytest.raises(TypeError, match="ClassBlocks"):
+        program.run(protocols._slot_input(ProtocolKind.PPBT_OPT, 2))
 
 
 def test_rescale_factor_and_round_count():
@@ -529,8 +565,8 @@ def test_a_complex_run_is_the_real_runs_of_its_parts(kind, n):
     for rows, cols in program.shapes:
         x[start:start + rows * cols] *= complex(*RNG.normal(size=2))
         start += rows * cols
-    real, imag = (program.run(part).amps for part in (x.real, x.imag))
+    real, imag = (program.run(class_start(program, part)).amps for part in (x.real, x.imag))
     assert real.dtype == imag.dtype == np.float64
-    out = program.run(x).amps
+    out = program.run(class_start(program, x)).amps
     assert out.dtype == np.complex128
     np.testing.assert_allclose(out, real + 1j * imag, rtol=0, atol=1e-15)

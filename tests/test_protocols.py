@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import (action_matrix, branch_instrument, branch_weights, class_block_run,
-                     coupled_input, dense_fold, flat, flagged_run, haar_qubit, joint_input,
-                     psd_sqrt,
+                     class_start, coupled_input, dense_fold, flat, flagged_run, haar_qubit,
+                     joint_input, psd_sqrt,
                      receiver_states, resource_matrix, singlet_chain, whole_register_instrument)
 from portsim import protocols, schur
 from portsim.circuit import (CircuitAction, DenseSystem, Registers, StateVector,
@@ -510,7 +510,7 @@ def test_one_fold_on_the_difference_is_the_two_fold_residual(kind, n):
     # G_out and G_in apart under the images gives the same residual
     prog = protocols._compile(_detuned(kind), n, branch=True)
     with pytest.raises(NumericalInvariantError) as info:
-        prog.run(protocols._slot_input(kind, n))
+        prog.run(class_start(prog, protocols._slot_input(kind, n)))
     diff, diagonal = dense_fold(n, *flagged_run(prog, coupled_input(kind, n)))
     residual = np.abs(diff).max() / diagonal.max()
     assert 1e-6 <= residual <= 3e-6
@@ -621,34 +621,15 @@ def test_instrument_builds_no_transform_past_the_resource_qubits(monkeypatch, n)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_branch_run_holds_one_slot_per_column_of_the_widest_class(monkeypatch, n):
-    # each class now holds its own columns only: a (C(N+1, w), C(N+1, w))
-    # block, no slot padded out to the widest class
-    shapes = []
-    apply = CircuitAction.apply
-
-    def recorded(self, state):
-        shapes.append(state.shapes)
-        return apply(self, state)
-
-    monkeypatch.setattr(CircuitAction, "apply", recorded)
-    for kind in KINDS:
-        protocols._instrument.__wrapped__(kind, n)
-    classes = protocols._weight_classes(n)
-    assert shapes == [tuple((math.comb(n + 1, w),) * 2 for w in range(n + 2))] * len(KINDS)
-    assert [len(c.columns) for c in classes] == [math.comb(n + 1, w) for w in range(n + 2)]
-    assert [len(c.outputs) for c in classes] == [len(c.columns) for c in classes]
-
-
-@pytest.mark.parametrize("n", range(1, 9))
 def test_branch_state_holds_only_flagged_class_blocks(monkeypatch, n):
-    # branches x C(2N+2, N+1) floats: one block per class over its own
-    # columns, no r = 1 level and no padding to the widest class
-    sizes = []
+    # branches x C(2N+2, N+1) floats: class w a (C(N+1, w), C(N+1, w))
+    # block over its own columns, no r = 1 level and no padding to the
+    # widest class
+    states = []
     apply = CircuitAction.apply
 
     def recorded(self, state):
-        sizes.append((state.amps.shape, state.amps.dtype))
+        states.append((state.shapes, state.amps.shape, state.amps.dtype))
         return apply(self, state)
 
     def dense(*_):
@@ -661,8 +642,12 @@ def test_branch_state_holds_only_flagged_class_blocks(monkeypatch, n):
         built = protocols._instrument.__wrapped__(kind, n)
         np.testing.assert_array_equal(built[0], expected[kind][0])
         np.testing.assert_array_equal(built[2], expected[kind][2])
+    shapes = tuple((math.comb(n + 1, w),) * 2 for w in range(n + 2))
     branches = [1 if kind.deterministic else 2 for kind in KINDS]
-    assert sizes == [((b, math.comb(2 * n + 2, n + 1)), np.float64) for b in branches]
+    assert states == [(shapes, (b, math.comb(2 * n + 2, n + 1)), np.float64)
+                      for b in branches]
+    classes = protocols._weight_classes(n)
+    assert [(len(c.outputs), len(c.columns)) for c in classes] == list(shapes)
 
 
 def test_instrument_working_memory_stays_in_its_slots():
