@@ -19,12 +19,12 @@ its own. Each block counts one rotation, the way a real register machine
 would implement it (one controlled rotation per block, not one per amplitude
 pair).
 
-A circuit whose ops never mix some classes of system rows, and whose
-amplification throws the r = 1 level away, can also run on the flagged part
-alone (`ClassBlocks`): one block per class, each over its own batch
-columns, with no r = 1 level and no padding. `FlaggedBlocks` is a block op
-restricted to that state, split by class when it is built; it applies in
-place, so such a run holds one copy of its state.
+A measurement whose elements never mix some classes of system rows can also
+run on the flagged part alone (`ClassBlocks`): one block per class, each
+over its own batch columns, with no r = 1 level and no padding. There the
+elements' roots act as what they are, one rank-one piece a v v^T per family
+of rows (`FamilyRoots`), in place, so such a run holds one copy of its
+state.
 """
 
 from __future__ import annotations
@@ -213,98 +213,47 @@ class SubspaceBlocks:
         return StateVector(state.registers, amps)
 
 
-class FlaggedBlocks:
-    """A real `SubspaceBlocks` op on a `ClassBlocks` state: its r = 0 part,
-    split by class once, when it is built; `rows[c]` lists the system rows
-    of class c in block order.
+class FamilyRoots:
+    """A sum of rank-one pieces a v v^T on a `ClassBlocks` state, one per
+    family of rows, applied in place.
 
-    Each instance keeps its entries on r = 0. Two make a rotation of two
-    rows of one class, applied as the fixed-order sums a x + b y and
-    c x + d y with no BLAS kernel; one makes a scale by its diagonal entry,
-    a zero scale a zeroing. That is the op's flagged part wherever its r = 1
-    entries meet zero amplitudes, so what it moves onto r = 1 drops out.
-    `junk` marks the (system row, port value) pairs, flat as
-    row * port_dim + port, whose r = 1 level the ops before this one may
-    have made nonzero (None: none), and `self.junk` does the same after it;
-    an instance with an r = 0 entry that meets one is rejected, since it
-    would bring dropped amplitude back onto the flagged level. The op's
-    blocks must be disjoint; applies in place."""
+    `groups[c][p]` lists the families of class c on port value p in groups
+    of one size L: (rows, v, a), with rows (F, L) the families' positions
+    among the class's rows, v (F, L) their real unit vectors and a (F,)
+    their amplitudes. A family's rows x_0 .. x_(L-1) become k v_0 ..
+    k v_(L-1), where k = x_0 v_0 + x_1 v_1 + ... is summed in that order and
+    then scaled by a, so no BLAS kernel moves a bit. Every row of a class
+    that no family of that port value lists is zeroed; `row_counts[c]`
+    counts the class's rows."""
 
-    def __init__(self, op: SubspaceBlocks, rows: Sequence[np.ndarray],
-                 junk: np.ndarray | None = None):
-        regs = op.registers
-        self.junk = np.zeros(regs.system_dim * regs.port_dim, dtype=bool) if junk is None \
-            else junk.copy()
-        label = np.full(regs.system_dim, -1)
-        position = np.zeros(regs.system_dim, dtype=np.intp)
-        for c, members in enumerate(rows):
-            label[members] = c
-            position[members] = np.arange(len(members))
-        # flagged entries as system row * port_dim + port value
-        pairs, pair_m = [np.zeros((0, 2), dtype=np.intp)], [np.zeros((0, 2, 2))]
-        factors = np.ones(regs.system_dim * regs.port_dim)
-        scaled = np.zeros(regs.system_dim * regs.port_dim, dtype=np.intp)
-        for block in op.blocks:
-            matrix, inst = block.matrix, block.instances
-            if np.iscomplexobj(matrix):
-                raise InvalidSubspaceSpec(f"{op.name}: a flagged block must be real")
-            flagged = inst % 2 == 0
-            count = flagged.sum(axis=1)
-            # blocks apply in order, so each meets what the ones before it moved
-            meets = (self.junk[inst // 2] & ~flagged).any(axis=1)
-            if (meets & (count > 0)).any():
-                raise InvalidSubspaceSpec(f"{op.name}: a flagged block meets r = 1 amplitudes "
-                                          "moved there before it")
-            moves = (count > 0) | meets
-            self.junk[inst[moves][~flagged[moves]] // 2] = True
-            if len(matrix) > 2 and count.any():
-                raise InvalidSubspaceSpec(f"{op.name}: only 1- and 2-level blocks restrict "
-                                          "to the flagged level")
-            if len(matrix) == 2:
-                pairs.append(inst[count == 2] // 2)
-                pair_m.append(np.repeat(matrix[None], len(pairs[-1]), axis=0))
-                scaled[inst[count == 2] // 2] += 1
-            for entry in range(len(matrix)):
-                one = inst[(count == 1) & flagged[:, entry], entry] // 2
-                factors[one] = matrix[entry, entry]
-                scaled[one] += 1
-        pairs, pair_m = np.concatenate(pairs), np.concatenate(pair_m)[:, :, :, None]
-        system, port = pairs // regs.port_dim, pairs % regs.port_dim
-        if (label[system[:, 0]] != label[system[:, 1]]).any():
-            raise InvalidSubspaceSpec(f"{op.name}: a rotation mixes two classes")
-        if (label[np.flatnonzero(scaled) // regs.port_dim] < 0).any():
-            raise InvalidSubspaceSpec(f"{op.name}: a block touches a row of no class")
-        if scaled.max(initial=0) > 1:
-            raise InvalidSubspaceSpec(f"{op.name}: blocks overlap on the flagged level")
-        factors = factors.reshape(regs.system_dim, regs.port_dim)
-        owner = label[system[:, 0]]
+    def __init__(self, groups: Sequence[Sequence[Sequence[tuple]]],
+                 row_counts: Sequence[int]):
         self.steps = []
-        for c, members in enumerate(rows):
-            mine = np.flatnonzero(owner == c) if len(owner) else owner
-            m = pair_m[mine]
-            rotation = (port[mine, 0], position[system[mine, 0]], port[mine, 1],
-                        position[system[mine, 1]], m[:, 0, 0], m[:, 0, 1], m[:, 1, 0],
-                        m[:, 1, 1]) if len(mine) else None
-            column = factors[members]
-            branch_scales = [(p, column[:, p, None], np.flatnonzero(column[:, p] == 0))
-                             for p in np.flatnonzero((column != 1).any(axis=0)).tolist()]
-            self.steps.append((rotation, branch_scales))
+        for class_groups, count in zip(groups, row_counts):
+            branches = []
+            for port_groups in class_groups:
+                listed = np.bincount(np.concatenate([np.zeros(0, dtype=np.intp)] + [
+                    rows.ravel() for rows, _, _ in port_groups]), minlength=count)
+                if len(listed) > count or listed.max(initial=0) > 1:
+                    raise InvalidSubspaceSpec("families must be disjoint rows of their class")
+                # per group, one row index and one vector entry per family
+                # and position, and each family's amplitude
+                branches.append(([(rows.T.copy(), np.asarray(v, dtype=float).T[:, :, None].copy(),
+                                   np.asarray(a, dtype=float)[:, None])
+                                  for rows, v, a in port_groups],
+                                 np.flatnonzero(listed == 0)))
+            self.steps.append(branches)
 
     def apply(self, state: ClassBlocks) -> ClassBlocks:
-        for block, (rotation, branch_scales) in zip(state.blocks(), self.steps):
-            if rotation is not None:
-                pa, ia, pb, ib, a, b, c, d = rotation
-                x, y = block[pa, ia], block[pb, ib]
-                first = x * a
-                first += y * b
-                x *= c
-                y *= d
-                x += y
-                block[pa, ia] = first
-                block[pb, ib] = x
-            for port, column, zero in branch_scales:
-                rows = block[port]
-                rows *= column
+        for block, branches in zip(state.blocks(), self.steps):
+            for rows, (port_groups, zero) in zip(block, branches):
+                for index, vector, amplitude in port_groups:
+                    k = rows[index[0]] * vector[0]
+                    for at, entry in zip(index[1:], vector[1:]):
+                        k += rows[at] * entry
+                    k *= amplitude
+                    for at, entry in zip(index, vector):
+                        rows[at] = k * entry
                 rows[zero] = 0
         return state
 
@@ -324,19 +273,6 @@ class CircuitAction:
     @property
     def rotation_count(self) -> int:
         return sum(op.rotation_count for op in self.ops)
-
-
-def flagged_action(ops: Sequence[SubspaceBlocks], rows: Sequence[np.ndarray]
-                   ) -> CircuitAction:
-    """`ops` restricted to the flagged level, first to last, each told which
-    r = 1 amplitudes the ones before it may have made nonzero
-    (`FlaggedBlocks`), so a run that starts with r = 1 at zero keeps the
-    whole run's flagged part."""
-    flagged, junk = [], None
-    for op in ops:
-        flagged.append(FlaggedBlocks(op, rows, junk))
-        junk = flagged[-1].junk
-    return CircuitAction(flagged)
 
 
 # a flagged input -> the check of the scaled output on it: (largest entry of
@@ -361,14 +297,14 @@ class OaaAction:
     columns that span the start subspace make this the lemma's full
     precondition Pi U^dagger Pi~ U Pi = s^2 Pi.
 
-    On a `ClassBlocks` state U is an action of `FlaggedBlocks`, which holds
-    only the flagged level that Pi~ keeps, and every port value it holds is
-    a start branch. U runs in place there, on the one copy of the state, so
-    `fold` takes the input's Grams first and returns the check of the scaled
-    output. The fold also says which register the precondition holds on:
-    when the state's branches stand in for a larger register, as a branch
-    program's do, it forms that register's Grams class by class. A
-    `StateVector` run checks its own columns and takes no fold.
+    On a `ClassBlocks` state U is the flagged part Pi~ U Pi itself, such as
+    `FamilyRoots`, and every port value the state holds is a start branch.
+    U runs in place there, on the one copy of the state, so `fold` takes the
+    input's Grams first and returns the check of the scaled output. The fold
+    also says which register the precondition holds on: when the state's
+    branches stand in for a larger register, as the sampled instrument's do,
+    it forms that register's Grams class by class. A `StateVector` run
+    checks its own columns and takes no fold.
     """
 
     def __init__(self, u, n: int, start_ports: int = 1, fold: Fold | None = None):

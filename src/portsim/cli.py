@@ -28,8 +28,8 @@ per-command caps. The library's own limits still hold past them
 (MAX_POVM_PORTS = 6, MAX_STATE_PORTS = 7, MAX_DENSE_QUBITS = 12,
 MAX_ENUMERATE_QUBITS = 20, N <= MAX_DENSE_QUBITS - 1 = 11 for a compiled
 whole-register program, whose N+1 qubit coupled basis is dense, and
-N <= MAX_DENSE_QUBITS = 12 for teleport's branch program): a request beyond
-one exits 2 with one error line.
+N <= MAX_DENSE_QUBITS = 12 for teleport's sampled instrument): a request
+beyond one exits 2 with one error line.
 
 Exit codes: 0 on success, 1 when a check or a numerical invariant of the
 compiled circuits fails or stdout closes early, 2 on bad arguments,

@@ -10,11 +10,12 @@ otherwise-unreached maximal-spin sector. The failure element of the
 probabilistic regimes is one scalar per (j, s) sector, diagonal on labels.
 Every label no sector lists is in the element's kernel.
 
-These tables have two readers, each building one block per sector:
-`analytic_povm` assembles dense elements from them, one U D U^T per table
-with U the coupling unitary, which the brute-force oracle is tested against,
-and `protocols` compiles its family rotations and attach amplitudes from
-them.
+These tables have two readers: `analytic_povm` assembles dense elements from
+them, one U D U^T per table with U the coupling unitary, which the
+brute-force oracle is tested against, and `protocols` builds from them both
+the whole-register circuit, one family rotation and attach reflection per
+sector, and the sampled instrument's element-root run, one rank-one piece
+a c c^T per family (`protocols._element_roots`).
 """
 
 from __future__ import annotations

@@ -14,19 +14,20 @@ row, the same circuit left unamplified.
 Sampling never runs a statevector per trial: each protocol is compiled once
 into a qubit instrument (`_instrument`), and every trial reads its outcome
 weights and fidelity off that instrument, as forms in four real features
-of its input. The instrument comes from a branch program, the same builder
-on a register holding only the last port branch and the failure branch.
-The square-root measurement is port-permutation covariant (Studzinski et
-al., Sci. Rep. 7, 10871, 2017): every other port branch is a qubit-swap
-image of the last one, so all ports share its outcome form and receiver
-tensor. The branch program starts and ends in the coupled basis, on a
-joint input read off in closed form there (`_slot_input`), so it holds
-block ops only. Every op conserves the system's total S_z, and each column
-of the joint input lies in one weight class (`_weight_classes`), so the run
-holds one block per class, its C(N+1, w) coupled rows over its own
-C(N+1, w) columns, and only the flagged level the amplification keeps: the
-ops split by class at compile time and act on that state in place, and the
-read-out and the amplification check go class by class. The whole-register
+of its input. The instrument comes from the last port branch and the
+failure branch alone. The square-root measurement is port-permutation
+covariant (Studzinski et al., Sci. Rep. 7, 10871, 2017): every other port
+branch is a qubit-swap image of the last one, so all ports share its
+outcome form and receiver tensor. On the flagged level the circuit's
+rotate, attach and unrotate is, family by family, a v (v^T x), the
+element's root read straight off the sector tables (`_element_roots`), so
+the sampled run applies just that (`circuit.FamilyRoots`), on a joint input
+read off in closed form in the coupled basis (`_slot_input`). Every family
+shares one S_z, and each column of the joint input lies in one weight class
+(`_weight_classes`), so the run holds one block per class, its C(N+1, w)
+coupled rows over its own C(N+1, w) columns, in place; the read-out and
+the amplification check go class by class, and the result is checked
+against the instrument's covariant closed form. The whole-register
 program, which builds the dense transform, stays for the gate-count model
 and the tests. Seeded Haar inputs come a chunk at a time (`haar_inputs`),
 each chunk equal to its slice of one draw of all trials, so a long run
@@ -44,9 +45,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .circuit import (Block, CircuitAction, ClassBlocks, DenseSystem, Fold,
+from .circuit import (Block, CircuitAction, ClassBlocks, DenseSystem, FamilyRoots,
                       NumericalInvariantError, OaaAction, Registers, StateVector,
-                      SubspaceBlocks, c_star, flagged_action, port_cswap, port_prepare)
+                      SubspaceBlocks, c_star, port_cswap, port_prepare)
 from .povm_analytic import EigenSystem, failure_eigensystem, port_eigensystem
 from .povm_oracle import qubit_swap_permutation
 from .schur import (MAX_DENSE_QUBITS, coupling_entries, coupling_level, coupling_unitary,
@@ -93,23 +94,10 @@ class NaimarkProgram:
     one checked projection (see `OaaAction`); rounds == 0 means the program
     runs unamplified, and `run()` zeroes the r = 1 level of U's output.
 
-    The input enters on r = 0 of the first len(`entry`) port values, the
-    start subspace, with those amplitudes. A whole-register program prepares
-    the port register itself (`entry` is (1,)). A branch program holds only
-    the last port branch, on port value 0, and the failure branch after it;
-    the input enters each with its port amplitude. It runs only on the joint
-    input resource (x) I_2 in the coupled basis, split into weight classes
-    (`_slot_input`), and only its flagged part: `flagged` holds its ops
-    restricted to r = 0 and split by class, and its `run()` takes only its
-    `ClassBlocks` start state (`ClassBlocks.from_blocks` with `shapes` and
-    `entry`) and goes through them there, class w a
-    (branch, C(N+1, w), C(N+1, w)) block of its coupled rows and its own
-    joint-input columns, with `fold` checking the amplification
-    precondition of the whole register through the other ports' qubit-swap
-    images (`_fold_classes`). `bare` keeps the
-    same ops on the whole register layout. A branch program holds neither
-    transform of the coupled basis, so its `run()` returns the flagged part
-    in that basis.
+    The input enters on r = 0 of port value 0, the start subspace, and the
+    program prepares the port register itself. This whole-register circuit
+    is the gate-count model and the tests' oracle; the sampled instrument
+    runs the element roots alone (`_element_roots`).
     """
 
     registers: Registers
@@ -117,32 +105,30 @@ class NaimarkProgram:
     rounds: int
     c_star: float
     failure_branches: tuple[int, ...]
-    entry: np.ndarray
-    fold: Fold | None = None
-    flagged: CircuitAction | None = None
-    shapes: tuple[tuple[int, int], ...] = ()
 
-    def run(self, system_amps: np.ndarray | ClassBlocks) -> StateVector | ClassBlocks:
-        if self.flagged is not None:
-            if not isinstance(system_amps, ClassBlocks):
-                raise TypeError("a branch program runs on its ClassBlocks start state")
-            return OaaAction(self.flagged, self.rounds, fold=self.fold).apply(system_amps)
-        state = StateVector.from_system(self.registers, system_amps, self.entry)
+    def run(self, system_amps: np.ndarray) -> StateVector:
+        state = StateVector.from_system(self.registers, system_amps)
         if self.rounds == 0:
             flagged = self.bare.apply(state).amps
             flagged[:, :, 1] = 0
             return StateVector(self.registers, flagged)
-        return OaaAction(self.bare, self.rounds, len(self.entry)).apply(state)
+        return OaaAction(self.bare, self.rounds).apply(state)
 
     @property
     def rotation_count(self) -> int:
         return self.bare.rotation_count
 
 
-def _reflection(amplitude: float) -> np.ndarray:
+def _attach_amplitude(amplitude: float) -> float:
+    """An attach amplitude, clipped to 1 within rounding; past it, no
+    reflection has it as its flagged entry."""
     if amplitude > 1.0 + 1e-9:
         raise ValueError(f"attach amplitude {amplitude} exceeds 1")
-    a = min(amplitude, 1.0)
+    return min(amplitude, 1.0)
+
+
+def _reflection(amplitude: float) -> np.ndarray:
+    a = _attach_amplitude(amplitude)
     b = math.sqrt(max(0.0, 1.0 - a * a))
     return np.array([[a, b], [b, -a]])
 
@@ -191,7 +177,8 @@ def _attach_op(es: EigenSystem, regs: Registers, branches: range, scale: float,
 
 @dataclass(frozen=True)
 class _Spec:
-    """The per-kind data of the one program builder, `_compile`.
+    """The per-kind data of the program builder `_compile` and of the
+    sampled instrument's `_element_roots`.
 
     amplitudes(N) is the port preparation, N port values plus the failure
     branch of the heralded kinds; target(N) the flagged amplitude that
@@ -332,46 +319,21 @@ def _fold_classes(classes: tuple[_WeightClass, ...], before: ClassBlocks
 
 
 @lru_cache(maxsize=32)
-def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
+def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
     """Build the square-root-measurement circuit of one spec: port
     preparation, port-controlled swap, coupled basis, family rotation,
     amplitude attach read off the closed-form eigensystems, then the basis
-    changes undone. Ports past N are failure branches.
-
-    With `branch`, the register holds the last port branch (N-1) alone, plus
-    the failure branch: it needs neither the preparation nor the swap, which
-    exchanges qubit N with itself on that branch, and its amplification
-    check folds in the other ports' images class by class
-    (`_fold_classes`), so it runs on the class blocks of `_slot_input`. That
-    input is already in the coupled basis, so the program holds neither
-    transform, only the block ops, and its `run` returns the flagged part in
-    that basis: every quantity read off it (the outcome forms, the receiver
-    tensor, the amplification Grams) sums over a class's rows, and so does
-    not change under a real orthogonal change of their basis within the
-    class. Every block instance shares one doubled m = N+1-2w, so each lies
-    in one weight class, and the ops split by class here, once: `flagged`
-    holds them on the r = 0 level alone (`flagged_action`). The family
-    rotations become fixed-order 2x2 sums, each attach a per-label scale by
-    its reflection's (0, 0) entry, and the drop block a zeroing; that is
-    exact because the port and failure attaches act on disjoint branches,
-    so each meets its branch's r = 1 level while it is still zero, and the
-    build raises InvalidSubspaceSpec if an op would meet r = 1 amplitudes an
-    earlier one moved there. Cached per spec, since programs are stateless
-    and every run builds its own state. The whole
-    register builds the dense N+1 qubit coupled basis, so it caps N at
-    MAX_DENSE_QUBITS - 1; the branch program reads the entries it needs of
-    the N qubit one off the N-1 qubit one and stops at N = MAX_DENSE_QUBITS,
-    where its state holds 2 C(26, 13) floats (159 MiB). Both caps hold
-    before anything is built."""
+    changes undone. Ports past N are failure branches. Cached per spec,
+    since programs are stateless and every run builds its own state. The
+    register builds the dense N+1 qubit coupled basis, so N is capped at
+    MAX_DENSE_QUBITS - 1 before anything is built."""
     _check_ports(n_ports)
-    cap = MAX_DENSE_QUBITS if branch else MAX_DENSE_QUBITS - 1
-    if n_ports > cap:
-        raise ValueError(f"n_ports must be in 1..{cap} for a compiled "
-                         f"{'branch ' if branch else ''}program, got {n_ports}")
+    if n_ports > MAX_DENSE_QUBITS - 1:
+        raise ValueError(f"n_ports must be in 1..{MAX_DENSE_QUBITS - 1} for a compiled "
+                         f"program, got {n_ports}")
     amps = spec.amplitudes(n_ports)
-    ports = range(1) if branch else range(n_ports)
-    # the kept port branches, then the failure branch if any
-    regs = Registers(n_ports + 1, len(amps) - n_ports + len(ports))
+    ports = range(n_ports)
+    regs = Registers(n_ports + 1, len(amps))
     rescale, rounds = (1.0, 0) if spec.target is None else c_star(spec.target(n_ports))
     eigen = port_eigensystem(spec.regime, n_ports)
     # scale by the reciprocal: seeded outputs are pinned to these exact floats
@@ -379,28 +341,96 @@ def _compile(spec: _Spec, n_ports: int, branch: bool = False) -> NaimarkProgram:
                          "port-attach")]
     if spec.fail is not None:
         attach.append(_attach_op(failure_eigensystem(spec.regime, n_ports), regs,
-                                 range(len(ports), regs.port_dim),
+                                 range(n_ports, regs.port_dim),
                                  spec.fail * (1.0 / rescale), "failure-attach"))
     rot = _rotation_op(eigen, regs, ports)
     # the real orthogonal blocks and transform are undone by their transposes
     unrot = SubspaceBlocks(regs, [Block(matrix=b.matrix.T, instances=b.instances)
                                   for b in reversed(rot.blocks)], name="family-unrotation")
-    ops = [rot, *attach, unrot]
-    if branch:
-        classes = _weight_classes(n_ports)
-        layout = dict(entry=amps[n_ports - 1:], fold=partial(_fold_classes, classes),
-                      flagged=flagged_action(ops, [cls.outputs for cls in classes]),
-                      shapes=tuple((len(cls.outputs), len(cls.columns)) for cls in classes))
-    else:
-        layout = dict(entry=np.ones(1))
-        cswap = port_cswap(regs, [qubit_swap_permutation(n_ports + 1, i + 1, n_ports)
-                                  for i in range(n_ports)])
-        couple = coupling_unitary(n_ports + 1)
-        ops = [port_prepare(regs, amps), cswap, DenseSystem(couple.T), *ops,
-               DenseSystem(couple), cswap]
+    cswap = port_cswap(regs, [qubit_swap_permutation(n_ports + 1, i + 1, n_ports)
+                              for i in ports])
+    couple = coupling_unitary(n_ports + 1)
+    ops = [port_prepare(regs, amps), cswap, DenseSystem(couple.T), rot, *attach, unrot,
+           DenseSystem(couple), cswap]
     return NaimarkProgram(registers=regs, bare=CircuitAction(ops), rounds=rounds,
-                          c_star=rescale, failure_branches=tuple(range(len(ports), regs.port_dim)),
-                          **layout)
+                          c_star=rescale, failure_branches=tuple(range(n_ports, regs.port_dim)))
+
+
+@dataclass(frozen=True, eq=False)
+class _ElementRoots:
+    """The sampled instrument's run (`_element_roots`): the element roots
+    `roots` on the flagged blocks of the weight classes `classes`, the
+    input's amplitudes `entry` on the last port branch and the failure
+    branch, and the amplification schedule."""
+
+    roots: FamilyRoots
+    classes: tuple[_WeightClass, ...]
+    entry: np.ndarray
+    rounds: int
+    c_star: float
+
+    def start(self, blocks: np.ndarray) -> ClassBlocks:
+        """The run's start state on the flat class blocks `blocks`."""
+        shapes = tuple((len(cls.outputs), len(cls.columns)) for cls in self.classes)
+        return ClassBlocks.from_blocks(shapes, blocks, self.entry)
+
+    def run(self, start: ClassBlocks) -> ClassBlocks:
+        """The amplified run, in place: the roots once, divided by
+        sin(pi/2n), with the whole register's amplification precondition
+        checked through the other ports' qubit-swap images
+        (`_fold_classes`)."""
+        return OaaAction(self.roots, self.rounds,
+                         fold=partial(_fold_classes, self.classes)).apply(start)
+
+
+@lru_cache(maxsize=32)
+def _element_roots(spec: _Spec, n_ports: int) -> _ElementRoots:
+    """The roots of the last port's element and of the failure element on
+    the flagged level, read straight off the sector tables.
+
+    On r = 0, `_compile`'s rotate, attach and unrotate is, family by family,
+    a v (v^T x): v the family's eigenvector coefficients and a its sector's
+    attach amplitude, sqrt(value) times the spec's attach (or fail) scale
+    over c*. Every label no family holds is dropped. A family's labels share
+    one doubled m = N+1-2w, so each family lies in weight class w, and this
+    lays them onto the class's row positions (`FamilyRoots`), branch 0 the
+    port element's and branch 1 the failure element's. The state holds
+    2 C(2N+2, N+1) floats, so N is capped at MAX_DENSE_QUBITS (159 MiB at
+    N = 12) before anything is built. Cached per spec, read-only."""
+    _check_ports(n_ports)
+    if n_ports > MAX_DENSE_QUBITS:
+        raise ValueError(f"n_ports must be in 1..{MAX_DENSE_QUBITS} for a sampled "
+                         f"instrument, got {n_ports}")
+    rescale, rounds = c_star(spec.target(n_ports))
+    # scale by the reciprocal: seeded outputs are pinned to these exact floats
+    tables = [(port_eigensystem(spec.regime, n_ports), spec.attach(n_ports) * (1.0 / rescale))]
+    if spec.fail is not None:
+        tables.append((failure_eigensystem(spec.regime, n_ports), spec.fail * (1.0 / rescale)))
+    classes = _weight_classes(n_ports)
+    # each label's class and its row among the class's rows
+    owner, position = np.empty((2, 2 ** (n_ports + 1)), dtype=np.intp)
+    for w, cls in enumerate(classes):
+        owner[cls.outputs], position[cls.outputs] = w, np.arange(len(cls.outputs))
+    groups = [[[] for _ in tables] for _ in classes]
+    for branch, (es, scale) in enumerate(tables):
+        for size in {sector.families.shape[1] for sector in es.sectors}:
+            sectors = [sector for sector in es.sectors if sector.families.shape[1] == size]
+            rows = np.concatenate([sector.families for sector in sectors])
+            vectors = np.concatenate([np.broadcast_to(sector.coeffs, sector.families.shape)
+                                      for sector in sectors])
+            amps = np.concatenate([
+                np.full(len(sector.families),
+                        _attach_amplitude(math.sqrt(float(sector.value)) * scale))
+                for sector in sectors])
+            family_class = owner[rows[:, 0]]
+            for w, cls_groups in enumerate(groups):
+                mine = family_class == w
+                if mine.any():
+                    cls_groups[branch].append((position[rows[mine]], vectors[mine], amps[mine]))
+    amps = spec.amplitudes(n_ports)
+    return _ElementRoots(roots=FamilyRoots(groups, [len(cls.outputs) for cls in classes]),
+                         classes=classes, entry=amps[n_ports - 1:], rounds=rounds,
+                         c_star=rescale)
 
 
 def ppbt_mes_no_aa(n_ports: int) -> NaimarkProgram:
@@ -532,9 +562,9 @@ def _pair_gram(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _instrument(kind: ProtocolKind, n_ports: int
                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The protocol as a qubit instrument, from one branch-program run on the
-    joint inputs for chi = |0> and |1> (2 * 2^N columns), held as flagged
-    weight-class blocks.
+    """The protocol as a qubit instrument, from one run of the element roots
+    (`_element_roots`) on the joint inputs for chi = |0> and |1>
+    (2 * 2^N columns), held as flagged weight-class blocks.
 
     The circuit is linear in the input chi, so for every input the weight of
     outcome i is chi^dagger G[i] chi, with the failure branches summed into
@@ -543,35 +573,43 @@ def _instrument(kind: ProtocolKind, n_ports: int
     port-permutation covariant (Studzinski et al., Sci. Rep. 7, 10871, 2017):
     port branch p of the whole register is the last port branch with system
     qubits p+1 and N swapped and, the resource being symmetric under
-    exchanging pairs, Bob's qubits p+1 and N too. So the branch program
-    (`_compile` with `branch`) runs the last port and the failure branch
-    only, and every port shares the last port's G and K.
+    exchanging pairs, Bob's qubits p+1 and N too. So the run holds the last
+    port and the failure branch only, and every port shares the last port's
+    G and K.
 
-    Every op conserves the system's S_z, and the joint input's column (b, d)
-    lies in the one weight class w = N - wt(b) + d (`_weight_classes`). So
-    the run holds class w as one (branch, C(N+1, w), C(N+1, w)) block of
-    its coupled rows, where its doubled m is N+1-2w, and its own columns,
-    read off in closed form in the coupled basis (`_slot_input`): the
-    branches times C(2N+2, N+1) floats in all. The amplification throws the
-    block qubit's r = 1 level away, so the run holds only r = 0 (see
-    `ClassBlocks` and `FlaggedBlocks`), and its ops act on it in place.
+    Every family of the roots shares one S_z, and the joint input's column
+    (b, d) lies in the one weight class w = N - wt(b) + d
+    (`_weight_classes`). So the run holds class w as one
+    (branch, C(N+1, w), C(N+1, w)) block of its coupled rows, where its
+    doubled m is N+1-2w, and its own columns, read off in closed form in the
+    coupled basis (`_slot_input`): the branches times C(2N+2, N+1) floats
+    in all, the flagged level the amplification keeps and nothing else, and
+    the roots act on it in place.
     G and K sum over the rows and columns of each class (`_pair_gram`), and
     the amplification check folds the port images per class
     (`_fold_classes`), so no 2^(N+1) x 2^(N+1) Gram or transform is formed;
     the sums over a class's rows are the same in the computational basis.
-    The resource and every op are real, so the run and the forms are
+    The resource and the roots are real, so the run and the forms are
     float64.
+
+    Three checks raise `NumericalInvariantError` with their residual: the
+    amplification precondition, the branch sum N G[0] + G_fail = I, and the
+    covariant closed form (SU(2) covariance makes each port a depolarizing
+    channel with an input-independent weight: G_i = p_i I, and
+    K = p (lam E + (1 - lam) I/2), lam = (4F - 1)/3 for the deterministic
+    kinds and 1 for the heralded ones, F and p the exact figures of merit),
+    each gap above 1e-9.
 
     Returns (ports, failure, receiver), read-only: the (N, 2, 2) port forms,
     views of the last port's; the failure form, None for the deterministic
     kinds; and the (2, 2, 2, 2) receiver tensor K of every port.
     """
-    program = _compile(_SPECS[kind], n_ports, branch=True)
+    branches = _element_roots(_SPECS[kind], n_ports)
     # the flat input is dropped before the run, which then holds one state
-    start = ClassBlocks.from_blocks(program.shapes, _slot_input(kind, n_ports), program.entry)
+    start = branches.start(_slot_input(kind, n_ports))
     # the flagged part, r = 0, is all of the output; per class, axes: port
     # branch, coupled row, column
-    flagged = program.run(start).blocks()
+    flagged = branches.run(start).blocks()
     # per port value, the Gram over (Bob's last qubit i, chi' bit c) pairs
     grams = sum(_pair_gram(block, cls.columns)
                 for cls, block in zip(_weight_classes(n_ports), flagged))
@@ -585,8 +623,22 @@ def _instrument(kind: ProtocolKind, n_ports: int
         raise NumericalInvariantError(
             f"{kind.value} N={n_ports}: outcome weights miss 1 by {residual:.3e}",
             residual)
+    eye = np.eye(2)
+    if kind.deterministic:
+        weights, lam = [1.0 / n_ports], (4 * entanglement_fidelity(kind, n_ports) - 1) / 3
+    else:
+        p = float(success_probability_exact(kind, n_ports))
+        weights, lam = [p / n_ports, 1 - p], 1.0
+    closed = weights[0] * (lam * np.einsum("ac,bd->acbd", eye, eye)
+                           + (1 - lam) * np.einsum("cd,ab->acbd", eye, eye) / 2)
+    gap = float(max(np.abs(per_branch - np.multiply.outer(weights, eye)).max(),
+                    np.abs(receiver - closed).max()))
+    if gap > 1e-9:
+        raise NumericalInvariantError(
+            f"{kind.value} N={n_ports}: instrument misses its covariant closed form by "
+            f"{gap:.3e}", gap)
     receiver.flags.writeable = False
-    failure = per_branch[1] if program.failure_branches else None
+    failure = per_branch[1] if len(per_branch) > 1 else None
     return np.broadcast_to(per_branch[0], (n_ports, 2, 2)), failure, receiver
 
 
@@ -663,7 +715,7 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
         raise ValueError("every input amplitude must be finite")
     if np.max(np.abs(np.linalg.norm(chi, axis=0) - 1.0)) > 1e-10:
         raise ValueError("every input column must be normalized")
-    program = _compile(_SPECS[kind], n_ports, branch=True)
+    branches = _element_roots(_SPECS[kind], n_ports)
     weights, quadratic, trace, expected = _trial_forms(kind, n_ports)
     # the outcome weights: (outcomes, trials) linear forms in the features
     cross = chi[0].conj() * chi[1]
@@ -681,7 +733,7 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
     fidelities = np.full(chi.shape[1], np.nan)
     fidelities[success] = (sum(row * _combine(q, kept) for row, q in zip(kept, quadratic))
                            / _combine(trace, kept))
-    return TeleportBatch(rounds=program.rounds, c_star=program.c_star, outcomes=outcomes + 1,
+    return TeleportBatch(rounds=branches.rounds, c_star=branches.c_star, outcomes=outcomes + 1,
                          fidelities=fidelities, probabilities=probs, expected=expected)
 
 

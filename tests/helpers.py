@@ -2,13 +2,14 @@
 dense matrices of circuit actions, branch weights of a state, Haar-random
 qubit inputs, spin-1/2 Clebsch-Gordan coefficients, the coupled-basis
 labels as sorted tuples and the coupled basis one label at a time, the
-eigensystem families grouped label by label, the list of pair sectors, the port element's table of a pair sector, the Hermitian square
-root of a dense measurement element, the whole-register qubit instrument
-and the receiver states it leaves, the dense resource and joint input,
-in the computational and in the coupled basis, a branch program's run and
-qubit instrument in that dense layout, in any system basis, with its
-amplification fold, the same run on flagged class blocks without its
-check, and teleport's trial rows rendered one row at a time."""
+eigensystem families grouped label by label, the list of pair sectors,
+the port element's table of a pair sector, the Hermitian square root of a
+dense measurement element, the whole-register qubit instrument and the
+receiver states it leaves, the dense resource and joint input, in the
+computational and in the coupled basis, the whole register's unchecked
+amplified run and its Gram difference, the sampled instrument's run on
+flagged class blocks without its check, and teleport's trial rows rendered
+one row at a time."""
 
 import math
 from fractions import Fraction
@@ -19,7 +20,7 @@ import numpy as np
 from portsim.circuit import ClassBlocks, Registers, StateVector
 from portsim.cli import _fmt
 from portsim.povm_analytic import port_eigensystem
-from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL, qubit_swap_permutation
+from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL
 from portsim.protocols import ProtocolKind, build_program, dpbt_opt_deformation
 from portsim.schur import coupling_unitary, sector_operator
 from portsim.spinalg import Regime, failure_eigenvalue, optimal_scalars
@@ -202,63 +203,27 @@ def coupled_input(kind, n_ports: int) -> np.ndarray:
     return coupling_unitary(n_ports + 1).T @ joint_input(kind, n_ports)
 
 
-def flagged_run(program, system_amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An amplified program's run without its check: `bare` once on the
-    start state, and the flagged part divided by sin(pi/2n). On the dense
-    coupled input it is the oracle for a branch program's run on flagged
-    class blocks. Returns the flagged (system, port, column) rows of the
-    start state and of that output."""
-    state = StateVector.from_system(program.registers, system_amps, program.entry)
+def register_fold(program, system_amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for `protocols._fold_classes`: an amplified whole-register
+    program's run without its check, `bare` once on the start state and the
+    flagged part divided by sin(pi/2n), as the Gram difference G_out - G_in
+    over its columns, and the diagonal of G_in."""
+    state = StateVector.from_system(program.registers, system_amps)
     out = program.bare.apply(state).amps[:, :, 0] / math.sin(math.pi / (2 * program.rounds))
-    return state.amps[:, :, 0], out
+    before, after = (rows.reshape(-1, state.batch) for rows in (state.amps[:, :, 0], out))
+    gram = before.conj().T @ before
+    return after.conj().T @ after - gram, gram.diagonal().real
 
 
-def class_start(program, blocks: np.ndarray) -> ClassBlocks:
-    """A branch program's start state on the flat class blocks `blocks`."""
-    return ClassBlocks.from_blocks(program.shapes, blocks, program.entry)
-
-
-def class_block_run(program, blocks: np.ndarray) -> tuple[ClassBlocks, ClassBlocks]:
-    """A branch program's run on flagged class blocks without its check:
-    `flagged` once on a copy of the start state, divided by sin(pi/2n).
-    Returns the start state and that output."""
-    before = class_start(program, blocks)
-    after = program.flagged.apply(ClassBlocks(before.amps.copy(), before.shapes))
-    after.amps /= math.sin(math.pi / (2 * program.rounds))
+def class_block_run(branches, blocks: np.ndarray) -> tuple[ClassBlocks, ClassBlocks]:
+    """The sampled instrument's run (`protocols._element_roots`) on flat
+    class blocks without its check: the roots once on a copy of the start
+    state, divided by sin(pi/2n). Returns the start state and that
+    output."""
+    before = branches.start(blocks)
+    after = branches.roots.apply(ClassBlocks(before.amps.copy(), before.shapes))
+    after.amps /= math.sin(math.pi / (2 * branches.rounds))
     return before, after
-
-
-def branch_instrument(program, kind, n_ports: int) -> tuple[np.ndarray, np.ndarray]:
-    """The qubit instrument of a branch program in the dense layout, read off
-    `flagged_run` on the dense joint input in the coupled basis, which the
-    branch program starts in, by einsum in whatever system basis the run
-    ends in.
-
-    Returns (per_branch, receiver): the (port_dim, 2, 2) outcome form of
-    each port value and the (2, 2, 2, 2) receiver tensor of port value 0.
-    """
-    _, flagged = flagged_run(program, coupled_input(kind, n_ports))
-    amps = flagged.reshape(*flagged.shape[:2], 2 ** n_ports, 2)
-    per_branch = np.einsum("xpbc,xpbd->pcd", amps.conj(), amps)
-    kept = amps[:, 0].reshape(amps.shape[0], -1, 2, 2)
-    return per_branch, np.einsum("xyic,xyjd->icjd", kept, kept.conj())
-
-
-def dense_fold(n_ports: int, before: np.ndarray, after: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle for `protocols._fold_classes`: the whole register's Gram
-    difference and input Gram diagonal from a dense-layout branch run's
-    flagged rows, folding the per-port-value B x B Grams of the input and of
-    the output apart: the last port branch's once under each port's swap of
-    Bob's qubits, plus the failure branch's."""
-    perms = [qubit_swap_permutation(n_ports + 1, i + 1, n_ports) for i in range(n_ports)]
-
-    def fold(amps):
-        grams = np.stack([rows.conj().T @ rows for rows in amps.transpose(1, 0, 2)])
-        return sum(grams[0][np.ix_(p, p)] for p in perms) + grams[1:].sum(axis=0)
-
-    gram_in = fold(before)
-    return fold(after) - gram_in, gram_in.diagonal().real
 
 
 def whole_register_instrument(kind, n_ports: int, dtype=np.float64

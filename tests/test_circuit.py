@@ -5,21 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import action_matrix, branch_weights, class_start, flat
+from helpers import action_matrix, branch_weights, flat
 from portsim import circuit, protocols
 from portsim.circuit import (
     Block,
     CircuitAction,
     ClassBlocks,
     DenseSystem,
-    FlaggedBlocks,
+    FamilyRoots,
     InvalidSubspaceSpec,
     OaaAction,
     Registers,
     StateVector,
     SubspaceBlocks,
     c_star,
-    flagged_action,
     port_cswap,
     port_prepare,
 )
@@ -326,98 +325,58 @@ def test_oaa_rejects_even_round_counts():
 
 # ---------------------------------------------------- flagged class blocks ----
 
-# two system qubits in three classes; every op below keeps each class
-CLASSES = [np.array([0]), np.array([2, 1]), np.array([3])]
+# four classes of 1, 3, 2 and 3 rows, each over its own batch columns
+SHAPES = ((1, 2), (3, 1), (2, 3), (3, 2))
+# per class and port value: families of one size as (rows, v, a); row 2 of
+# class 1 on port value 0, and classes 2 and 3 on port value 1, are in no
+# family
+THETA = 0.3
+GROUPS = [
+    [[(np.array([[0]]), np.array([[-1.0]]), np.array([0.5]))], []],
+    [[(np.array([[1, 0]]), np.array([[math.cos(THETA), math.sin(THETA)]]), np.array([0.6]))],
+     [(np.array([[0], [2]]), np.array([[1.0], [-1.0]]), np.array([0.25, 1.0])),
+      (np.array([[1]]), np.array([[1.0]]), np.array([0.0]))]],
+    [[(np.array([[1, 0]]), np.array([[0.6, -0.8]]), np.array([0.9]))], []],
+    [[(np.array([[2, 0, 1]]), np.array([[2.0, -1.0, 2.0]]) / 3, np.array([0.7]))], []],
+]
 
 
-def _flagged_ops(regs: Registers) -> list[SubspaceBlocks]:
-    """A rotation of rows 1 and 2 on both r levels of port 0 and a sign on
-    row 0 of port 1, then reflections of every row of port 0 onto r = 1,
-    row 3's amplitude 0.6 and the others' 0."""
-    index = regs.index
-    theta = 0.3
-    rotation = np.array([[math.cos(theta), -math.sin(theta)],
-                         [math.sin(theta), math.cos(theta)]])
-    rotate = SubspaceBlocks(regs, [
-        Block(matrix=rotation, instances=index[[1, 2], 0].T.copy()),
-        Block(matrix=np.array([[-1.0]]), instances=index[0, 1, :1, None].copy())])
-    attach = SubspaceBlocks(regs, [
-        Block(matrix=np.array([[0.6, 0.8], [0.8, -0.6]]), instances=index[[3], 0]),
-        Block(matrix=np.array([[0.0, 1.0], [1.0, 0.0]]), instances=index[[0, 1, 2], 0])])
-    return [rotate, attach]
+def _dense_roots(port: int, cls: int) -> np.ndarray:
+    """The class's sum over families of a v v^T on one port value, dense."""
+    rows = SHAPES[cls][0]
+    dense = np.zeros((rows, rows))
+    for index, vectors, amps in GROUPS[cls][port]:
+        for at, v, a in zip(index, vectors, amps):
+            dense[np.ix_(at, at)] += a * np.outer(v, v)
+    return dense
 
 
-def _class_state(amps: np.ndarray) -> ClassBlocks:
-    """The r = 0 level of a (system, port, r, batch) array, class by class,
-    each class over every batch column."""
-    batch = amps.shape[-1]
-    blocks = [amps[rows, :, 0].transpose(1, 0, 2).reshape(amps.shape[1], -1)
-              for rows in CLASSES]
-    return ClassBlocks(np.concatenate(blocks, axis=1),
-                       tuple((len(rows), batch) for rows in CLASSES))
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_family_roots_are_the_dense_rank_one_sum(dtype):
+    rng = np.random.default_rng(np.random.PCG64(28))
+    flat = rng.normal(size=17)
+    if dtype is np.complex128:
+        flat = flat + 1j * rng.normal(size=17)
+    state = ClassBlocks.from_blocks(SHAPES, flat, (1.0, -2.0))
+    expected = [[_dense_roots(p, c) @ rows for p, rows in enumerate(block)]
+                for c, block in enumerate(state.blocks())]
+    roots = FamilyRoots(GROUPS, [rows for rows, _ in SHAPES])
+    assert roots.apply(state) is state
+    assert state.amps.dtype == dtype
+    for block, dense in zip(state.blocks(), expected):
+        np.testing.assert_allclose(block, dense, rtol=0, atol=1e-14)
+    # rows that no family lists read exactly zero
+    assert not state.blocks()[1][0, 2].any()
+    assert not state.blocks()[2][1].any() and not state.blocks()[3][1].any()
 
 
-def test_flagged_blocks_are_the_flagged_part_of_the_op():
-    # r = 1 starts at zero, so the flagged run is the r = 0 level of the
-    # whole-layout run, to the last bit on the scales
-    regs = Registers(n_system=2, port_dim=2)
-    amps = np.zeros((4, 2, 2, 3))
-    amps[:, :, 0] = RNG.normal(size=(4, 2, 3))
-    dense, state = StateVector(regs, amps), _class_state(amps)
-    ops = _flagged_ops(regs)
-    for op in ops:
-        dense = op.apply(dense)
-        assert FlaggedBlocks(op, CLASSES).apply(state) is state
-    np.testing.assert_allclose(state.amps, _class_state(dense.amps).amps, rtol=0, atol=1e-15)
-    assert not state.blocks()[1][0].any()
-    np.testing.assert_array_equal(state.blocks()[2][0], 0.6 * amps[3, 0, 0][None])
-
-
-def test_flagged_blocks_reject_what_does_not_restrict():
-    regs = Registers(n_system=2, port_dim=2)
-    index = regs.index
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    bad = {
-        "real": [Block(matrix=np.diag([1j, 1.0]), instances=index[[1, 2], 0, 0][None])],
-        "mixes two classes": [Block(matrix=swap, instances=index[[0, 3], 0, 0][None])],
-        "no class": [Block(matrix=swap, instances=index[[1, 2], 0, 0][None])],
-        "overlap": [Block(matrix=swap, instances=index[[1, 2], 0, 0][None]),
-                    Block(matrix=swap, instances=index[[1, 2], 0, 0][None])],
-        "2-level": [Block(matrix=np.eye(4), instances=index[:, 0, 0][None])],
-    }
-    for message, blocks in bad.items():
-        rows = CLASSES[:1] + CLASSES[2:] if message == "no class" else CLASSES
-        with pytest.raises(InvalidSubspaceSpec, match=message):
-            FlaggedBlocks(SubspaceBlocks(regs, blocks), rows)
-
-
-def test_flagged_blocks_reject_a_block_that_meets_moved_junk():
-    # an attach moves row 3's flagged amplitude onto r = 1 of port 0; a
-    # second attach there would read it back, which the flagged run drops
-    regs = Registers(n_system=2, port_dim=2)
-    index = regs.index
-    reflection = np.array([[0.6, 0.8], [0.8, -0.6]])
-
-    def attach(row, port):
-        return SubspaceBlocks(regs, [Block(matrix=reflection, instances=index[[row], port])])
-
-    first = FlaggedBlocks(attach(3, 0), CLASSES)
-    np.testing.assert_array_equal(np.flatnonzero(first.junk), [3 * 2 + 0])
-    with pytest.raises(InvalidSubspaceSpec, match="moved there"):
-        flagged_action([attach(3, 0), attach(3, 0)], CLASSES)
-    # the other port value's r = 1 level is still zero
-    assert len(flagged_action([attach(3, 0), attach(3, 1)], CLASSES).ops) == 2
-    # a rotation within r = 1 carries the junk on to row 0
-    mix = SubspaceBlocks(regs, [Block(matrix=reflection, instances=index[[3, 0], 0, 1][None])])
-    moved = FlaggedBlocks(mix, CLASSES, first.junk)
-    np.testing.assert_array_equal(np.flatnonzero(moved.junk), [0, 3 * 2 + 0])
-    with pytest.raises(InvalidSubspaceSpec, match="moved there"):
-        FlaggedBlocks(attach(0, 0), CLASSES, moved.junk)
-    # a block of the same op counts as an earlier one
-    twice = SubspaceBlocks(regs, [Block(matrix=reflection, instances=index[[3], 0]),
-                                  Block(matrix=reflection, instances=index[[3], 0])])
-    with pytest.raises(InvalidSubspaceSpec, match="moved there"):
-        FlaggedBlocks(twice, CLASSES)
+def test_family_roots_reject_overlapping_families():
+    overlap = [[[(np.array([[0, 1], [1, 2]]), np.ones((2, 2)) / math.sqrt(2), np.ones(2))]]]
+    with pytest.raises(InvalidSubspaceSpec, match="disjoint"):
+        FamilyRoots(overlap, [3])
+    outside = [[[(np.array([[3]]), np.ones((1, 1)), np.ones(1))]]]
+    with pytest.raises(InvalidSubspaceSpec, match="disjoint"):
+        FamilyRoots(outside, [3])
 
 
 def test_class_blocks_hold_each_class_over_its_own_columns():
@@ -436,9 +395,6 @@ def test_class_blocks_hold_each_class_over_its_own_columns():
     dense = StateVector.from_system(Registers(n_system=1, port_dim=1), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="fold checks only a flagged run"):
         OaaAction(CircuitAction([]), 3, fold=lambda before: None).apply(dense)
-    program = protocols._compile(protocols._SPECS[ProtocolKind.PPBT_OPT], 2, branch=True)
-    with pytest.raises(TypeError, match="ClassBlocks"):
-        program.run(protocols._slot_input(ProtocolKind.PPBT_OPT, 2))
 
 
 def test_rescale_factor_and_round_count():
@@ -559,14 +515,15 @@ def test_a_complex_block_promotes_a_real_state():
 def test_a_complex_run_is_the_real_runs_of_its_parts(kind, n):
     # every op acts on each weight class's block alone, so a complex factor
     # per class commutes with the run and leaves the fold's check intact
-    program = protocols._compile(protocols._SPECS[kind], n, branch=True)
+    branches = protocols._element_roots(protocols._SPECS[kind], n)
     x = protocols._slot_input(kind, n).astype(np.complex128)
     start = 0
-    for rows, cols in program.shapes:
-        x[start:start + rows * cols] *= complex(*RNG.normal(size=2))
-        start += rows * cols
-    real, imag = (program.run(class_start(program, part)).amps for part in (x.real, x.imag))
+    for cls in branches.classes:
+        size = len(cls.outputs) * len(cls.columns)
+        x[start:start + size] *= complex(*RNG.normal(size=2))
+        start += size
+    real, imag = (branches.run(branches.start(part)).amps for part in (x.real, x.imag))
     assert real.dtype == imag.dtype == np.float64
-    out = program.run(class_start(program, x)).amps
+    out = branches.run(branches.start(x)).amps
     assert out.dtype == np.complex128
     np.testing.assert_allclose(out, real + 1j * imag, rtol=0, atol=1e-15)

@@ -717,7 +717,7 @@ def _detuned_attach(monkeypatch) -> str:
 @pytest.mark.parametrize("breakage", [_scaled_resource, _detuned_attach],
                          ids=["resource", "attach"])
 def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakage):
-    protocols._compile.cache_clear()
+    protocols._element_roots.cache_clear()
     protocols._instrument.cache_clear()
     # the batches read the rebuilt instrument, not forms cached before the breakage
     monkeypatch.setattr(protocols, "_trial_forms", protocols._trial_forms.__wrapped__)
@@ -726,7 +726,7 @@ def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakag
         code, out, err = run(capsys, ["teleport", "--regime", "ppbt-opt",
                                       "--ports", "2", "--trials", "5"])
     finally:
-        protocols._compile.cache_clear()
+        protocols._element_roots.cache_clear()
         protocols._instrument.cache_clear()
     assert code == 1
     assert out == ""

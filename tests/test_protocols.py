@@ -6,13 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (action_matrix, branch_instrument, branch_weights, class_block_run,
-                     class_start, coupled_input, dense_fold, flat, flagged_run, haar_qubit,
-                     joint_input, psd_sqrt,
-                     receiver_states, resource_matrix, singlet_chain, whole_register_instrument)
+from helpers import (action_matrix, branch_weights, class_block_run, coupled_input, flat,
+                     haar_qubit, joint_input, psd_sqrt, receiver_states, register_fold,
+                     resource_matrix, singlet_chain, whole_register_instrument)
 from portsim import protocols, schur
-from portsim.circuit import (CircuitAction, DenseSystem, Registers, StateVector,
-                              SubspaceBlocks)
+from portsim.circuit import FamilyRoots, Registers, StateVector
 from portsim.povm_analytic import failure_eigensystem, port_eigensystem
 from portsim.povm_oracle import build_povm
 from portsim.protocols import (
@@ -30,7 +28,7 @@ from portsim.protocols import (
     success_probability_exact,
     teleport_batch,
 )
-from portsim.schur import coupling_unitary, enumerate_labels, sector_operator
+from portsim.schur import enumerate_labels, sector_operator
 from portsim.spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
                              optimal_scalars, spin_values)
 
@@ -111,16 +109,6 @@ def test_bare_circuit_is_unitary(kind, n):
                                np.eye(matrix.shape[0]), atol=1e-10)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_branch_circuit_is_unitary(kind, n):
-    # the branch program is the one the sampled instrument runs
-    prog = protocols._compile(protocols._SPECS[kind], n, branch=True)
-    matrix = action_matrix(prog.bare, prog.registers)
-    np.testing.assert_allclose(matrix.conj().T @ matrix,
-                               np.eye(matrix.shape[0]), atol=1e-10)
-
-
 def _project(state: StateVector, ports: int | None = None) -> StateVector:
     """Keep the flag subspace r = 0, or with `ports` the start subspace:
     r = 0 on the first `ports` port values."""
@@ -161,7 +149,7 @@ def _reflection_product(prog, state: StateVector) -> StateVector:
         flagged = _project(current)
         current = StateVector(current.registers, 2 * flagged.amps - current.amps)
         undone = (u_dagger @ flat(current)).reshape(current.amps.shape)
-        back = u.apply(_project(StateVector(current.registers, undone), len(prog.entry)))
+        back = u.apply(_project(StateVector(current.registers, undone), 1))
         current = StateVector(current.registers, current.amps - 2 * back.amps)
     return current
 
@@ -490,8 +478,8 @@ def test_detuned_attach_breaks_the_amplification_precondition(monkeypatch, kind,
         prog.run(joint_input(kind, n))
     assert not isinstance(info.value, ValueError)
     assert 1e-6 <= info.value.residual <= 3e-6
-    # the branch program checks the whole register's precondition through
-    # the port-swap images, so it raises the same residual
+    # the sampled instrument checks the whole register's precondition
+    # through the port-swap images, so it raises the same residual
     monkeypatch.setitem(protocols._SPECS, kind, broken)
     protocols._instrument.cache_clear()
     try:
@@ -506,12 +494,13 @@ def test_detuned_attach_breaks_the_amplification_precondition(monkeypatch, kind,
 @pytest.mark.parametrize("n", [2, 6])
 def test_one_fold_on_the_difference_is_the_two_fold_residual(kind, n):
     # the class-block run folds only G_out under the port images and takes
-    # G_in as N copies of the last port branch's; the dense layout folding
-    # G_out and G_in apart under the images gives the same residual
-    prog = protocols._compile(_detuned(kind), n, branch=True)
+    # G_in as N copies of the last port branch's; the whole register, every
+    # port branch run, gives the same residual
+    detuned = _detuned(kind)
+    branches = protocols._element_roots(detuned, n)
     with pytest.raises(NumericalInvariantError) as info:
-        prog.run(class_start(prog, protocols._slot_input(kind, n)))
-    diff, diagonal = dense_fold(n, *flagged_run(prog, coupled_input(kind, n)))
+        branches.run(branches.start(protocols._slot_input(kind, n)))
+    diff, diagonal = register_fold(protocols._compile(detuned, n), joint_input(kind, n))
     residual = np.abs(diff).max() / diagonal.max()
     assert 1e-6 <= residual <= 3e-6
     assert info.value.residual == pytest.approx(residual, rel=0, abs=1e-12)
@@ -520,15 +509,16 @@ def test_one_fold_on_the_difference_is_the_two_fold_residual(kind, n):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_class_fold_is_the_dense_fold(kind, n):
-    # the dense fold is block-diagonal in weight class, and each block is the
-    # class fold of the class-block run, on a detuned attach where it is not
-    # zero
-    prog = protocols._compile(_detuned(kind), n, branch=True)
-    before, after = class_block_run(prog, protocols._slot_input(kind, n))
+    # the whole register's Gram difference is block-diagonal in weight
+    # class, and each block is the class fold of the class-block run, on a
+    # detuned attach where it is not zero
+    detuned = _detuned(kind)
+    before, after = class_block_run(protocols._element_roots(detuned, n),
+                                    protocols._slot_input(kind, n))
     classes = protocols._weight_classes(n)
     grams_in = protocols._input_grams(classes, before)
     grams_out = list(protocols._output_grams(classes, after))
-    diff, diagonal = dense_fold(n, *flagged_run(prog, coupled_input(kind, n)))
+    diff, diagonal = register_fold(protocols._compile(detuned, n), joint_input(kind, n))
     covered = np.zeros(diff.shape, dtype=bool)
     assert len(grams_in) == len(grams_out) == len(classes) == n + 2
     for cls, gram_in, gram_out in zip(classes, grams_in, grams_out):
@@ -540,40 +530,9 @@ def test_class_fold_is_the_dense_fold(kind, n):
     assert not diff[~covered].any()
     assert np.abs(diff).max() >= 1e-6 * diagonal.max()
     # the check keeps the largest of every class's entries
-    miss, scale = prog.fold(before)(after)
+    miss, scale = protocols._fold_classes(classes, before)(after)
     assert miss == max(float(np.abs(o - i).max()) for i, o in zip(grams_in, grams_out))
     assert scale == max(float(gram.diagonal().max()) for gram in grams_in)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", range(1, 8))
-def test_instrument_is_the_same_in_the_computational_basis(kind, n):
-    # the branch program ends in the coupled basis; every form sums over the
-    # system rows, so undoing that basis change leaves the instrument as it is
-    program = protocols._compile(protocols._SPECS[kind], n, branch=True)
-    undone = dataclasses.replace(program, bare=CircuitAction(
-        [*program.bare.ops, DenseSystem(coupling_unitary(n + 1))]))
-    per_branch, receiver = branch_instrument(undone, kind, n)
-    ports, failure, shared = protocols._instrument(kind, n)
-    np.testing.assert_allclose(ports[0], per_branch[0], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(shared, receiver, rtol=0, atol=1e-13)
-    if failure is not None:
-        np.testing.assert_allclose(failure, per_branch[1], rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [*range(1, 8), *(pytest.param(n, marks=pytest.mark.slow)
-                                              for n in (8, 9))])
-def test_instrument_matches_the_dense_layout(kind, n):
-    # the slot run read off class by class equals the branch program run on
-    # every joint-input column whole
-    program = protocols._compile(protocols._SPECS[kind], n, branch=True)
-    per_branch, receiver = branch_instrument(program, kind, n)
-    ports, failure, shared = protocols._instrument(kind, n)
-    np.testing.assert_allclose(ports[0], per_branch[0], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(shared, receiver, rtol=0, atol=1e-13)
-    if failure is not None:
-        np.testing.assert_allclose(failure, per_branch[1], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -596,28 +555,33 @@ def test_slot_input_is_the_coupled_joint_input(kind, n):
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_instrument_builds_no_transform_past_the_resource_qubits(monkeypatch, n):
-    # the branch program starts in the coupled basis, holds block ops only
-    # and reads the input's entries of U_N off U_{N-1} and two coupling
-    # levels
+    # the run starts in the coupled basis, reads the input's entries of U_N
+    # off U_{N-1} and two coupling levels, and builds no register circuit:
+    # the element roots come straight off the sector tables
     def capped(m):
         if m >= n:
             raise AssertionError(f"coupling_unitary({m}) built for N={n}")
         return unitary(m)
 
+    def register_circuit(*_, **__):
+        raise AssertionError("the sampled instrument built a register circuit")
+
     unitary = schur.coupling_unitary
     expected = [protocols._instrument(kind, n) for kind in KINDS]
     monkeypatch.setattr(schur, "coupling_unitary", capped)
     monkeypatch.setattr(protocols, "coupling_unitary", capped)
-    protocols._compile.cache_clear()
+    monkeypatch.setattr(protocols, "SubspaceBlocks", register_circuit)
+    monkeypatch.setattr(protocols, "Registers", register_circuit)
+    protocols._element_roots.cache_clear()
     try:
-        for kind, (ports, _, receiver) in zip(KINDS, expected):
-            program = protocols._compile(protocols._SPECS[kind], n, branch=True)
-            assert all(isinstance(op, SubspaceBlocks) for op in program.bare.ops)
+        for kind, (ports, failure, receiver) in zip(KINDS, expected):
             built = protocols._instrument.__wrapped__(kind, n)
             np.testing.assert_array_equal(built[0], ports)
             np.testing.assert_array_equal(built[2], receiver)
+            if failure is not None:
+                np.testing.assert_array_equal(built[1], failure)
     finally:
-        protocols._compile.cache_clear()
+        protocols._element_roots.cache_clear()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -626,7 +590,7 @@ def test_branch_state_holds_only_flagged_class_blocks(monkeypatch, n):
     # block over its own columns, no r = 1 level and no padding to the
     # widest class
     states = []
-    apply = CircuitAction.apply
+    apply = FamilyRoots.apply
 
     def recorded(self, state):
         states.append((state.shapes, state.amps.shape, state.amps.dtype))
@@ -636,7 +600,7 @@ def test_branch_state_holds_only_flagged_class_blocks(monkeypatch, n):
         raise AssertionError("the branch run built a whole-layout state")
 
     expected = {kind: protocols._instrument(kind, n) for kind in KINDS}
-    monkeypatch.setattr(CircuitAction, "apply", recorded)
+    monkeypatch.setattr(FamilyRoots, "apply", recorded)
     monkeypatch.setattr(StateVector, "from_system", dense)
     for kind in KINDS:
         built = protocols._instrument.__wrapped__(kind, n)
@@ -669,7 +633,8 @@ def test_instrument_working_memory_stays_in_its_slots():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_branch_instrument_matches_the_whole_register(kind, n):
     # ports 0..N-2 are the last port branch's qubit-swap images; the real
-    # branch program also matches the whole register run on complex amplitudes
+    # sampled instrument also matches the whole register run on complex
+    # amplitudes
     ports, failure, receiver = protocols._instrument(kind, n)
     assert ports.dtype == receiver.dtype == np.float64
     for dtype in (np.float64, np.complex128) if n <= 5 else (np.float64,):
@@ -685,7 +650,8 @@ def test_branch_instrument_matches_the_whole_register(kind, n):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [*range(1, 9), *(pytest.param(n, marks=pytest.mark.slow)
+                                              for n in (9, 10))])
 def test_instrument_is_the_covariant_closed_form(kind, n):
     # SU(2) covariance makes every port a depolarizing channel with an
     # input-independent weight: G_i = p_i I, and K = p (lam E + (1 - lam) I/2),
@@ -704,6 +670,44 @@ def test_instrument_is_the_covariant_closed_form(kind, n):
     closed = weight * (lam * np.einsum("ac,bd->acbd", eye, eye)
                        + (1 - lam) * np.einsum("cd,ab->acbd", eye, eye) / 2)
     np.testing.assert_allclose(receiver, closed, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.DPBT_OPT, ProtocolKind.PPBT_OPT])
+@pytest.mark.parametrize("n", [2, 5])
+def test_instrument_checks_its_covariant_closed_form(monkeypatch, kind, n):
+    # the fold and the branch sum hold for any resource, so only the
+    # covariant closed form sees an optimised kind run on the singlet chain
+    singlet = protocols._slot_input(ProtocolKind.DPBT_MES, n)
+    monkeypatch.setattr(protocols, "_slot_input", lambda *_: singlet)
+    protocols._instrument.cache_clear()
+    try:
+        with pytest.raises(NumericalInvariantError, match="covariant closed form") as info:
+            protocols._instrument(kind, n)
+    finally:
+        protocols._instrument.cache_clear()
+    assert info.value.residual > 1e-9
+    if kind.deterministic:
+        # dpbt's instrument, against lam = (4F - 1)/3 of the optimised F:
+        # the receiver gap is |delta lam| / N
+        gap = 4 * (entanglement_fidelity(kind, n)
+                   - entanglement_fidelity(ProtocolKind.DPBT_MES, n)) / (3 * n)
+        assert info.value.residual == pytest.approx(gap, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_attach_amplitude_above_one_is_rejected(monkeypatch, kind):
+    # as `_reflection` rejects it on the whole register
+    spec = protocols._SPECS[kind]
+    monkeypatch.setitem(protocols._SPECS, kind,
+                        dataclasses.replace(spec, attach=lambda m: 10 * spec.attach(m)))
+    protocols._instrument.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="exceeds 1"):
+            protocols._instrument(kind, 3)
+    finally:
+        protocols._instrument.cache_clear()
+    with pytest.raises(ValueError, match="exceeds 1"):
+        protocols._compile(protocols._SPECS[kind], 3)
 
 
 @pytest.mark.parametrize("kind", KINDS)
