@@ -8,8 +8,9 @@ dense measurement element, the whole-register qubit instrument and the
 receiver states it leaves, the dense resource and joint input, in the
 computational and in the coupled basis, the whole register's unchecked
 amplified run and its Gram difference, the sampled instrument's run on
-flagged class blocks without its check, and teleport's trial rows rendered
-one row at a time."""
+flagged class blocks without its check, its element roots as dense
+matrices and its qubit instrument read off them in the dense layout, and
+teleport's trial rows rendered one row at a time."""
 
 import math
 from fractions import Fraction
@@ -17,9 +18,10 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from portsim.circuit import ClassBlocks, Registers, StateVector
+from portsim import protocols
+from portsim.circuit import ClassBlocks, Registers, StateVector, c_star
 from portsim.cli import _fmt
-from portsim.povm_analytic import port_eigensystem
+from portsim.povm_analytic import failure_eigensystem, port_eigensystem
 from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL
 from portsim.protocols import ProtocolKind, build_program, dpbt_opt_deformation
 from portsim.schur import coupling_unitary, sector_operator
@@ -224,6 +226,60 @@ def class_block_run(branches, blocks: np.ndarray) -> tuple[ClassBlocks, ClassBlo
     after = branches.roots.apply(ClassBlocks(before.amps.copy(), before.shapes))
     after.amps /= math.sin(math.pi / (2 * branches.rounds))
     return before, after
+
+
+def root_matrices(spec, n_ports: int) -> list[np.ndarray]:
+    """Oracle for `protocols._element_roots`: the last port's element root
+    and, for a spec with a failure attach, the failure element's, each a
+    dense 2^(N+1) x 2^(N+1) matrix in the coupled basis, the sum over every
+    sector's families of a v v^T at the family's labels, v the sector's
+    coefficients and a its attach amplitude, sqrt(value) times the spec's
+    attach (or fail) scale over c*."""
+    rescale, _ = c_star(spec.target(n_ports))
+    tables = [(port_eigensystem(spec.regime, n_ports), spec.attach(n_ports))]
+    if spec.fail is not None:
+        tables.append((failure_eigensystem(spec.regime, n_ports), spec.fail))
+    roots = []
+    for es, scale in tables:
+        root = np.zeros((2 ** (n_ports + 1),) * 2)
+        for sector in es.sectors:
+            a = protocols._attach_amplitude(math.sqrt(float(sector.value)) * scale / rescale)
+            v = np.asarray(sector.coeffs)
+            fam = sector.families
+            root[fam[:, :, None], fam[:, None, :]] = a * np.outer(v, v)
+        roots.append(root)
+    return roots
+
+
+def branch_instrument(kind, n_ports: int, computational: bool = False
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for `protocols._instrument`: the element roots as dense
+    matrices (`root_matrices`), times the port preparation's amplitude on
+    the last port branch and on the failure branch, applied to every column
+    of the dense joint input whole and divided by sin(pi/2n), in the coupled
+    basis of the N+1 system qubits or, with `computational`, in the
+    computational basis, the roots conjugated by U_{N+1}.
+
+    Returns (per_branch, receiver): the (branches, 2, 2) outcome form of
+    each branch and the (2, 2, 2, 2) receiver tensor of the last port.
+    """
+    spec = protocols._SPECS[kind]
+    _, rounds = c_star(spec.target(n_ports))
+    roots = root_matrices(spec, n_ports)
+    entry = spec.amplitudes(n_ports)[n_ports - 1:]
+    if computational:
+        couple = coupling_unitary(n_ports + 1)
+        roots = [couple @ root @ couple.T for root in roots]
+        inputs = joint_input(kind, n_ports)
+    else:
+        inputs = coupled_input(kind, n_ports)
+    flagged = np.stack([amp * (root @ inputs) for amp, root in zip(entry, roots)])
+    flagged /= math.sin(math.pi / (2 * rounds))
+    # axes: branch, system row, Bob's qubits, chi' bit
+    amps = flagged.reshape(*flagged.shape[:2], 2 ** n_ports, 2)
+    per_branch = np.einsum("pxbc,pxbd->pcd", amps.conj(), amps)
+    kept = amps[0].reshape(amps.shape[1], -1, 2, 2)
+    return per_branch, np.einsum("xyic,xyjd->icjd", kept, kept.conj())
 
 
 def whole_register_instrument(kind, n_ports: int, dtype=np.float64

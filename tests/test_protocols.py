@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (action_matrix, branch_weights, class_block_run, coupled_input, flat,
-                     haar_qubit, joint_input, psd_sqrt, receiver_states, register_fold,
-                     resource_matrix, singlet_chain, whole_register_instrument)
+from helpers import (action_matrix, branch_instrument, branch_weights, class_block_run,
+                     coupled_input, flat, haar_qubit, joint_input, psd_sqrt, receiver_states,
+                     register_fold, resource_matrix, root_matrices, singlet_chain,
+                     whole_register_instrument)
 from portsim import protocols, schur
 from portsim.circuit import FamilyRoots, Registers, StateVector
 from portsim.povm_analytic import failure_eigensystem, port_eigensystem
@@ -28,7 +29,7 @@ from portsim.protocols import (
     success_probability_exact,
     teleport_batch,
 )
-from portsim.schur import enumerate_labels, sector_operator
+from portsim.schur import coupling_unitary, enumerate_labels, sector_operator
 from portsim.spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
                              optimal_scalars, spin_values)
 
@@ -107,6 +108,27 @@ def test_bare_circuit_is_unitary(kind, n):
     matrix = action_matrix(prog.bare, prog.registers)
     np.testing.assert_allclose(matrix.conj().T @ matrix,
                                np.eye(matrix.shape[0]), atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_branch_circuit_is_unitary(kind, n):
+    # the element roots the sampled instrument runs are blocks of the whole
+    # register's unitary circuit: from the start subspace to the flagged
+    # level of the last port branch (whose swap is the identity) and of the
+    # failure branch, times the port preparation's amplitude there, in the
+    # coupled basis
+    spec = protocols._SPECS[kind]
+    prog = protocols._compile(spec, n)
+    matrix = action_matrix(prog.bare, prog.registers)
+    np.testing.assert_allclose(matrix.conj().T @ matrix,
+                               np.eye(matrix.shape[0]), atol=1e-10)
+    index, couple = prog.registers.index, coupling_unitary(n + 1)
+    roots = root_matrices(spec, n)
+    assert len(roots) == (1 if kind.deterministic else 2)
+    for branch, (amp, root) in enumerate(zip(spec.amplitudes(n)[n - 1:], roots)):
+        block = matrix[np.ix_(index[:, n - 1 + branch, 0], index[:, 0, 0])]
+        np.testing.assert_allclose(couple.T @ block @ couple, amp * root, rtol=0, atol=1e-12)
 
 
 def _project(state: StateVector, ports: int | None = None) -> StateVector:
@@ -533,6 +555,36 @@ def test_class_fold_is_the_dense_fold(kind, n):
     miss, scale = protocols._fold_classes(classes, before)(after)
     assert miss == max(float(np.abs(o - i).max()) for i, o in zip(grams_in, grams_out))
     assert scale == max(float(gram.diagonal().max()) for gram in grams_in)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_instrument_is_the_same_in_the_computational_basis(kind, n):
+    # the element roots act in the coupled basis; every form sums over the
+    # system rows, so the roots conjugated back to the computational basis,
+    # on the joint input there, leave the instrument as it is
+    per_branch, receiver = branch_instrument(kind, n, computational=True)
+    ports, failure, shared = protocols._instrument(kind, n)
+    np.testing.assert_allclose(ports[0], per_branch[0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(shared, receiver, rtol=0, atol=1e-13)
+    assert len(per_branch) == (1 if failure is None else 2)
+    if failure is not None:
+        np.testing.assert_allclose(failure, per_branch[1], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [*range(1, 8), *(pytest.param(n, marks=pytest.mark.slow)
+                                              for n in (8, 9))])
+def test_instrument_matches_the_dense_layout(kind, n):
+    # the run read off class by class equals the element roots, as dense
+    # matrices, on every joint-input column whole
+    per_branch, receiver = branch_instrument(kind, n)
+    ports, failure, shared = protocols._instrument(kind, n)
+    np.testing.assert_allclose(ports[0], per_branch[0], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(shared, receiver, rtol=0, atol=1e-13)
+    assert len(per_branch) == (1 if failure is None else 2)
+    if failure is not None:
+        np.testing.assert_allclose(failure, per_branch[1], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", KINDS)
