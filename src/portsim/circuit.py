@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from typing import ClassVar
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,18 +49,27 @@ class NumericalInvariantError(ArithmeticError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
 class Registers:
     """Shape of the composite space: n_system qubits, a port register of
-    arbitrary dimension, and the block qubit r (r_dim, always 2)."""
+    arbitrary dimension, and the block qubit r (r_dim, always 2). Equal
+    sizes make equal registers."""
 
-    n_system: int
-    port_dim: int
-    r_dim: ClassVar[int] = 2
+    __slots__ = ("n_system", "port_dim")
+    r_dim = 2
 
-    def __post_init__(self) -> None:
-        if self.n_system < 1 or self.port_dim < 1:
+    def __init__(self, n_system: int, port_dim: int):
+        if n_system < 1 or port_dim < 1:
             raise ValueError("register sizes must be positive")
+        self.n_system = n_system
+        self.port_dim = port_dim
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Registers):
+            return NotImplemented
+        return (self.n_system, self.port_dim) == (other.n_system, other.port_dim)
+
+    def __hash__(self) -> int:
+        return hash((self.n_system, self.port_dim))
 
     @property
     def system_dim(self) -> int:
@@ -78,15 +86,15 @@ class Registers:
             self.system_dim, self.port_dim, self.r_dim)
 
 
-@dataclass
 class StateVector:
-    registers: Registers
-    amps: np.ndarray
+    __slots__ = ("registers", "amps")
 
-    def __post_init__(self) -> None:
-        expected = (self.registers.system_dim, self.registers.port_dim, self.registers.r_dim)
-        if self.amps.shape[:3] != expected or self.amps.ndim != 4:
-            raise ValueError(f"amplitude shape {self.amps.shape} does not match {expected} + batch")
+    def __init__(self, registers: Registers, amps: np.ndarray):
+        expected = (registers.system_dim, registers.port_dim, registers.r_dim)
+        if amps.shape[:3] != expected or amps.ndim != 4:
+            raise ValueError(f"amplitude shape {amps.shape} does not match {expected} + batch")
+        self.registers = registers
+        self.amps = amps
 
     @classmethod
     def from_system(cls, registers: Registers, system_amps: np.ndarray,
@@ -112,7 +120,6 @@ class StateVector:
         return self.amps.shape[3]
 
 
-@dataclass
 class ClassBlocks:
     """The flagged part (r = 0) of a state whose system rows fall into
     classes no op mixes, each class over its own batch columns: class c is a
@@ -121,14 +128,15 @@ class ClassBlocks:
     (port_dim, sum_c rows_c columns_c), so it stores no r = 1 level and no
     padding."""
 
-    amps: np.ndarray
-    shapes: tuple[tuple[int, int], ...]
+    __slots__ = ("amps", "shapes")
 
-    def __post_init__(self) -> None:
-        size = sum(rows * cols for rows, cols in self.shapes)
-        if self.amps.ndim != 2 or self.amps.shape[1] != size:
-            raise ValueError(f"amplitude shape {self.amps.shape} does not hold "
+    def __init__(self, amps: np.ndarray, shapes: tuple[tuple[int, int], ...]):
+        size = sum(rows * cols for rows, cols in shapes)
+        if amps.ndim != 2 or amps.shape[1] != size:
+            raise ValueError(f"amplitude shape {amps.shape} does not hold "
                              f"{size} amplitudes per port value")
+        self.amps = amps
+        self.shapes = shapes
 
     @classmethod
     def from_blocks(cls, shapes: tuple[tuple[int, int], ...], blocks: np.ndarray,
@@ -166,8 +174,7 @@ class DenseSystem:
         return StateVector(state.registers, np.ascontiguousarray(amps))
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One register-level two-level (or k-level) rotation: a small unitary
     repeated over disjoint index tuples."""
 

@@ -21,8 +21,8 @@ a c c^T per family (`protocols._element_roots`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,22 +31,24 @@ from .schur import coupling_unitary, enumerate_labels
 from .spinalg import Regime, adjacent_pairs, failure_eigenvalue, pair_weights
 
 
-@dataclass(frozen=True, eq=False)
 class Sector:
     """One nonzero (s, j) sector of an element: the exact eigenvalue `value`,
     shared by one eigenvector per family. `families` holds the label indices
     of each family, one row per family with the kept label (of spins s, j)
     last; `coeffs` are the eigenvector's coefficients on a row's labels."""
 
-    s: int
-    j: int
-    value: Fraction
-    coeffs: tuple[float, ...]
-    families: np.ndarray
+    __slots__ = ("s", "j", "value", "coeffs", "families")
+
+    def __init__(self, s: int, j: int, value: Fraction, coeffs: tuple[float, ...],
+                 families: np.ndarray):
+        self.s = s
+        self.j = j
+        self.value = value
+        self.coeffs = coeffs
+        self.families = families
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """The nonzero spectrum of one measurement element, sector by sector in
     ascending (s, j)."""
 

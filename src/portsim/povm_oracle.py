@@ -11,7 +11,6 @@ is O(4^N); builds are hard-capped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,14 +85,16 @@ def support_pinv_sqrt(op: np.ndarray) -> np.ndarray:
     return (v * inv) @ v.conj().T
 
 
-@dataclass
 class PovmSet:
     """Measurement elements in port order; the probabilistic regimes carry the
     failure element last (outcome N+1)."""
 
-    regime: Regime
-    n_ports: int
-    elements: list[np.ndarray]
+    __slots__ = ("regime", "n_ports", "elements")
+
+    def __init__(self, regime: Regime, n_ports: int, elements: list[np.ndarray]):
+        self.regime = regime
+        self.n_ports = n_ports
+        self.elements = elements
 
     @property
     def n_outcomes(self) -> int:

@@ -38,10 +38,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class ProtocolKind(Enum):
         return self in (ProtocolKind.DPBT_OPT, ProtocolKind.PPBT_OPT)
 
 
-@dataclass
 class NaimarkProgram:
     """A compiled measurement circuit plus its amplification schedule.
 
@@ -100,11 +99,15 @@ class NaimarkProgram:
     runs the element roots alone (`_element_roots`).
     """
 
-    registers: Registers
-    bare: CircuitAction
-    rounds: int
-    c_star: float
-    failure_branches: tuple[int, ...]
+    __slots__ = ("registers", "bare", "rounds", "c_star", "failure_branches")
+
+    def __init__(self, registers: Registers, bare: CircuitAction, rounds: int, c_star: float,
+                 failure_branches: tuple[int, ...]):
+        self.registers = registers
+        self.bare = bare
+        self.rounds = rounds
+        self.c_star = c_star
+        self.failure_branches = failure_branches
 
     def run(self, system_amps: np.ndarray) -> StateVector:
         state = StateVector.from_system(self.registers, system_amps)
@@ -175,8 +178,7 @@ def _attach_op(es: EigenSystem, regs: Registers, branches: range, scale: float,
     return SubspaceBlocks(regs, blocks, name=name)
 
 
-@dataclass(frozen=True)
-class _Spec:
+class _Spec(NamedTuple):
     """The per-kind data of the program builder `_compile` and of the
     sampled instrument's `_element_roots`.
 
@@ -221,7 +223,6 @@ def _check_ports(n_ports: int) -> None:
         raise ValueError(f"n_ports must be >= 1, got {n_ports}")
 
 
-@dataclass(frozen=True, eq=False)
 class _WeightClass:
     """One S_z sector of the N+1 system qubits, w of them in |1>: the
     coupled-basis rows `outputs` of doubled m = N+1-2w, which the branch
@@ -232,9 +233,12 @@ class _WeightClass:
     position of each column's image under port i's swap of Bob's qubits i+1
     and N, which keeps wt(b)."""
 
-    outputs: np.ndarray
-    columns: np.ndarray
-    swaps: np.ndarray
+    __slots__ = ("outputs", "columns", "swaps")
+
+    def __init__(self, outputs: np.ndarray, columns: np.ndarray, swaps: np.ndarray):
+        self.outputs = outputs
+        self.columns = columns
+        self.swaps = swaps
 
 
 @lru_cache(maxsize=32)
@@ -356,18 +360,21 @@ def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
                           c_star=rescale, failure_branches=tuple(range(n_ports, regs.port_dim)))
 
 
-@dataclass(frozen=True, eq=False)
 class _ElementRoots:
     """The sampled instrument's run (`_element_roots`): the element roots
     `roots` on the flagged blocks of the weight classes `classes`, the
     input's amplitudes `entry` on the last port branch and the failure
     branch, and the amplification schedule."""
 
-    roots: FamilyRoots
-    classes: tuple[_WeightClass, ...]
-    entry: np.ndarray
-    rounds: int
-    c_star: float
+    __slots__ = ("roots", "classes", "entry", "rounds", "c_star")
+
+    def __init__(self, roots: FamilyRoots, classes: tuple[_WeightClass, ...],
+                 entry: np.ndarray, rounds: int, c_star: float):
+        self.roots = roots
+        self.classes = classes
+        self.entry = entry
+        self.rounds = rounds
+        self.c_star = c_star
 
     def start(self, blocks: np.ndarray) -> ClassBlocks:
         """The run's start state on the flat class blocks `blocks`."""
@@ -464,19 +471,22 @@ def dpbt_opt_deformation(n_ports: int) -> tuple[tuple[int, float], ...]:
         for j in spin_values(n_ports))
 
 
-@dataclass
 class TeleportBatch:
     """Vectorized trial record: one sampled outcome per input column plus the
     exact per-trial distributions and the average distribution the counts
     should reproduce when the inputs are Haar samples (read-only, shared by
     every batch of the protocol)."""
 
-    rounds: int
-    c_star: float
-    outcomes: np.ndarray
-    fidelities: np.ndarray
-    probabilities: np.ndarray
-    expected: np.ndarray
+    __slots__ = ("rounds", "c_star", "outcomes", "fidelities", "probabilities", "expected")
+
+    def __init__(self, rounds: int, c_star: float, outcomes: np.ndarray,
+                 fidelities: np.ndarray, probabilities: np.ndarray, expected: np.ndarray):
+        self.rounds = rounds
+        self.c_star = c_star
+        self.outcomes = outcomes
+        self.fidelities = fidelities
+        self.probabilities = probabilities
+        self.expected = expected
 
 
 def expected_outcome_distribution(kind: ProtocolKind, n_ports: int) -> np.ndarray:
@@ -752,6 +762,8 @@ def haar_inputs(seed: int, trials: int, chunk: int
     streams are rows 0 and 1 of the real parts and of the imaginary parts;
     the pass ends where the uniforms start.
     """
+    # numpy loads np.random on first use, so only a command that draws pays
+    # its import (about 6 ms and 6 MB); keep it off the module level
     gen = np.random.default_rng(np.random.PCG64(seed))
     firsts, cursors = [], []
     for _ in range(4):
@@ -834,8 +846,7 @@ class SchurVariant(Enum):
     SPIN = "spin"
 
 
-@dataclass(frozen=True)
-class ResourceEstimate:
+class ResourceEstimate(NamedTuple):
     kind: ProtocolKind
     n_ports: int
     epsilon: float

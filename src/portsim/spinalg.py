@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 
 class Regime(Enum):
@@ -89,8 +89,7 @@ def weight_norm(n_ports: int) -> Fraction:
     return Fraction(6, (n_ports + 1) * (n_ports + 2) * (n_ports + 3))
 
 
-@dataclass(frozen=True)
-class OptScalars:
+class OptScalars(NamedTuple):
     """Exact tables for the optimised probabilistic measurement on N ports.
 
     nu: deformation weight per N-qubit spin j (the port-side operator is

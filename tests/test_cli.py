@@ -1,5 +1,6 @@
-import dataclasses
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import portsim
 from helpers import one_shot_draws, teleport_rows
@@ -706,7 +709,7 @@ def _scaled_resource(monkeypatch) -> str:
 
 def _detuned_attach(monkeypatch) -> str:
     spec = protocols._SPECS[ProtocolKind.PPBT_OPT]
-    broken = dataclasses.replace(spec, attach=lambda n: spec.attach(n) * (1 - 1e-6))
+    broken = spec._replace(attach=lambda n: spec.attach(n) * (1 - 1e-6))
     monkeypatch.setitem(protocols._SPECS, ProtocolKind.PPBT_OPT, broken)
     with pytest.raises(NumericalInvariantError) as info:
         protocols._instrument(ProtocolKind.PPBT_OPT, 2)
@@ -787,6 +790,73 @@ def test_program_builds_and_teleport_never_import_numpy_ma():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_cli_import_generates_no_dataclasses_and_only_teleport_draws():
+    # the records are NamedTuples and plain classes, so importing the CLI
+    # generates no code; numpy.random (about 6 ms and 6 MB) is left to
+    # teleport, the one command that draws
+    script = (
+        "import contextlib, io, sys\n"
+        "import portsim.cli\n"
+        "print('dataclasses' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['table', '--metric', 'resources', '--ports', '1..3'],\n"
+        "                 ['povm-check', '--ports', '1..2'], ['schur', '--n', '3']):\n"
+        "        assert portsim.cli.main(argv) == 0, argv\n"
+        "print('numpy.random' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\nFalse\n"
+
+
+_PORT_RANGES = st.sampled_from(["1", "2", "1..3", "2..5", "3..1", "0", "-1", "8", "1..8",
+                                "a..b", "1..", ""])
+_FORMATS = st.sampled_from(["human", "json", "csv", "xml"])
+_FLAGS = {
+    "schur": {"--n": st.integers(-2, 8).map(str), "--format": _FORMATS},
+    "povm-check": {"--regime": st.sampled_from(["dpbt", "ppbt-mes", "ppbt-opt", "all", "x"]),
+                   "--ports": _PORT_RANGES, "--inject-fault": st.none()},
+    "teleport": {"--regime": st.sampled_from([*KINDS, "pbt"]),
+                 "--ports": st.integers(-2, 8).map(str),
+                 "--trials": st.integers(-1, 50).map(str),
+                 "--seed": st.integers(-1, 3).map(str), "--format": _FORMATS},
+    "table": {"--metric": st.sampled_from(["fidelity", "success", "resources", "cost"]),
+              "--ports": _PORT_RANGES,
+              "--epsilon": st.sampled_from(["nan", "inf", "-inf", "1e-310", "0", "1",
+                                            "0.5", "1e-10", "eps"]),
+              "--schur-variant": st.sampled_from(["bch", "spin", "fft"]),
+              "--format": _FORMATS},
+}
+
+
+@st.composite
+def _argv(draw):
+    # each of the command's flags three times in four, then at most one
+    # unknown or malformed flag, in any order
+    command = draw(st.sampled_from(list(_FLAGS)))
+    groups = []
+    for name, values in _FLAGS[command].items():
+        if draw(st.integers(0, 3)):
+            value = draw(values)
+            groups.append([name] if value is None else [name, value])
+    groups += [[flag] for flag in draw(st.lists(st.sampled_from(
+        ["--bogus", "--ports=2", "-q", "--trials", "--format=json"]), max_size=1))]
+    return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_exits_0_1_or_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert sum("error:" in line for line in lines) == 1, (argv, lines)
 
 
 def test_missing_subcommand_exits_with_usage_error(capsys):

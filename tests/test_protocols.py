@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -486,7 +485,7 @@ def _detuned(kind):
     """The kind's spec with one attach factor off by 1e-6, which leaves the
     flagged amplitude off sin(pi/2n)."""
     spec = protocols._SPECS[kind]
-    return dataclasses.replace(spec, attach=lambda m: spec.attach(m) * (1 - 1e-6))
+    return spec._replace(attach=lambda m: spec.attach(m) * (1 - 1e-6))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -703,7 +702,7 @@ def test_branch_instrument_matches_the_whole_register(kind, n):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [*range(1, 9), *(pytest.param(n, marks=pytest.mark.slow)
-                                              for n in (9, 10))])
+                                              for n in (9, 10, 11))])
 def test_instrument_is_the_covariant_closed_form(kind, n):
     # SU(2) covariance makes every port a depolarizing channel with an
     # input-independent weight: G_i = p_i I, and K = p (lam E + (1 - lam) I/2),
@@ -751,7 +750,7 @@ def test_an_attach_amplitude_above_one_is_rejected(monkeypatch, kind):
     # as `_reflection` rejects it on the whole register
     spec = protocols._SPECS[kind]
     monkeypatch.setitem(protocols._SPECS, kind,
-                        dataclasses.replace(spec, attach=lambda m: 10 * spec.attach(m)))
+                        spec._replace(attach=lambda m: 10 * spec.attach(m)))
     protocols._instrument.cache_clear()
     try:
         with pytest.raises(ValueError, match="exceeds 1"):
