@@ -17,9 +17,8 @@ invocation reproduces its output byte for byte.
 `teleport` streams its trials a chunk at a time: each chunk is drawn,
 sampled, written and added to the summary counts before the next, so memory
 stays flat in --trials. The chunks read the seeded streams from saved
-generator states, so every trial equals the one a single draw of all trials
-gives; only the mean success fidelity, summed chunk by chunk, may differ in
-its last bits past one chunk. `schur` output leaves in blocks as well.
+generator states, so every trial, and the whole output, equals what a single
+draw of all trials gives. `schur` output leaves in blocks as well.
 
 Desk-scale caps guard against accidental huge dense builds: 5 ports for
 povm-check, 6 for teleport and table, and MAX_ENUMERATE_QUBITS = 20 qubits
@@ -45,7 +44,7 @@ import math
 import os
 import re
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -233,35 +232,20 @@ def _outcome_z(counts: np.ndarray, expected: np.ndarray, trials: int) -> list[fl
     return scores
 
 
-def _row_blocks(outcome: np.ndarray, fidelity: np.ndarray, success: np.ndarray,
-                tail: Callable[[int, float | None], str], head: str = "", width: int = 0,
+def _row_blocks(outcome: np.ndarray, tails: Sequence[str], head: str = "", width: int = 0,
                 sep: str = "", offset: int = 0) -> Iterator[str]:
     """Trial rows as strings of at most _BLOCK_ROWS rows each: row i is
     `head`, the trial number offset + i + 1 right-justified to `width`, then
-    the tail of its (outcome, fidelity) pair, and rows are joined by `sep`,
-    which also leads every block but the run's first.
-
-    Port covariance (Studzinski et al., Sci. Rep. 7, 10871, 2017) leaves a
-    run few distinct pairs, so each block codes its rows with one sort over
-    outcome and fidelity bits and renders each distinct pair's tail once, as
-    `tail(outcome, fidelity)`, the fidelity None for a failed trial. Failed
-    trials share one fidelity key. (np.unique would import numpy.ma.)"""
+    the tail of its outcome, `tails[outcome - 1]`, and rows are joined by
+    `sep`, which also leads every block but the run's first. Every success
+    has the one fidelity of its protocol, so a run formats one tail per
+    outcome and each row is a lookup."""
     for start in range(0, len(outcome), _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        out, ok = outcome[start:stop], success[start:stop]
-        fid = fidelity[start:stop]
-        bits = np.where(ok, fid.view(np.int64), 0)
-        order = np.lexsort((bits, out))
-        ranked = np.stack([out[order], bits[order]])
-        new = np.concatenate([[True], (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)])
-        codes = np.empty_like(order)
-        codes[order] = np.cumsum(new) - 1
-        tails = [tail(int(out[k]), float(fid[k]) if ok[k] else None)
-                 for k in order[new].tolist()]
+        out = outcome[start:start + _BLOCK_ROWS] - 1
         numbers = range(offset + start + 1, offset + start + len(out) + 1)
         if width:
             numbers = [str(i).rjust(width) for i in numbers]
-        rows = [f"{head}{i}{tails[c]}" for i, c in zip(numbers, codes.tolist())]
+        rows = [f"{head}{i}{tails[k]}" for i, k in zip(numbers, out.tolist())]
         if offset + start:
             rows[0] = sep + rows[0]
         yield sep.join(rows)
@@ -311,17 +295,16 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     first = next(batches)
     expected = first.expected
     counts = np.zeros(len(expected), dtype=np.int64)
-    fidelity_sums = []
+    # every success has this one fidelity
+    exact_f = average_fidelity(kind, n) if kind.deterministic else 1.0
 
     def rows(tail, **layout):
-        # each chunk's row blocks, adding to the summary as they go
+        # each chunk's row blocks, adding to the counts as they go
+        tails = [tail(k, exact_f if k <= n else None) for k in range(1, len(expected) + 1)]
         for start, batch in zip(range(0, trials, _CHUNK_TRIALS),
                                 itertools.chain([first], batches)):
-            success = batch.outcomes <= n
             counts[:] += np.bincount(batch.outcomes - 1, minlength=len(expected))
-            fidelity_sums.append(float(batch.fidelities[success].sum()))
-            yield from _row_blocks(batch.outcomes, batch.fidelities, success, tail,
-                                   offset=start, **layout)
+            yield from _row_blocks(batch.outcomes, tails, offset=start, **layout)
 
     if args.format == "csv":
         _write_blocks("trial,outcome,success,fidelity\r\n", rows(_csv_tail))
@@ -344,11 +327,8 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     z_scores = _outcome_z(counts, expected, trials)
     max_z = max(abs(z) for z in z_scores)
     rate = successes / trials
-    # numpy's mean sums one pairwise tree over all successes; past one chunk
-    # this adds up the chunks' trees, which may differ in the last bits
-    mean_fid = math.fsum(fidelity_sums) / successes if successes else float("nan")
+    mean_fid = exact_f if successes else float("nan")
     exact_p = None if kind.deterministic else success_probability(kind, n)
-    exact_f = average_fidelity(kind, n) if kind.deterministic else 1.0
 
     if args.format == "json":
         # the summary follows the trial list, one level deep
@@ -402,25 +382,25 @@ def cmd_table(args: argparse.Namespace) -> int:
     if not 0.0 < args.epsilon < 1.0:
         raise ValueError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
     variant = SchurVariant(args.schur_variant)
+    # the largest N first, so a library limit it breaks raises before any work
+    ports = range(hi, lo - 1, -1)
+    rows = []
     if args.metric == "fidelity":
         header = _FIDELITY_HEADER
-        rows = []
-        for n in range(lo, hi + 1):
+        for n in ports:
             f_mes = average_fidelity(ProtocolKind.DPBT_MES, n)
             f_opt = average_fidelity(ProtocolKind.DPBT_OPT, n)
             rows.append([n, f_mes, f_opt, (1 - f_mes) * n, (1 - f_opt) * n ** 2])
     elif args.metric == "success":
         header = _SUCCESS_HEADER
-        rows = []
-        for n in range(lo, hi + 1):
+        for n in ports:
             p_mes = success_probability(ProtocolKind.PPBT_MES, n)
             p_opt = success_probability(ProtocolKind.PPBT_OPT, n)
             rows.append([n, p_mes, p_opt,
                          (1 - p_mes) * math.sqrt(n), (1 - p_opt) * n])
     else:
         header = _resource_header()
-        rows = []
-        for n in range(lo, hi + 1):
+        for n in ports:
             row: list = [n]
             for kind in ProtocolKind:
                 est = resource_estimate(kind, n, epsilon=args.epsilon,
@@ -428,6 +408,7 @@ def cmd_table(args: argparse.Namespace) -> int:
                 row += [est.two_level_rotations, est.rounds,
                         est.ancilla_qubits, est.total_cost]
             rows.append(row)
+    rows.reverse()
     if args.format == "json":
         sys.stdout.write(json.dumps({
             "schema": SCHEMA, "command": "table", "metric": args.metric,

@@ -11,27 +11,31 @@ amplitudes, flagged target amplitude and attach factors. The
 singlet-resource measure-and-hope variant (`ppbt_mes_no_aa`) is one more
 row, the same circuit left unamplified.
 
-Sampling never runs a statevector per trial: each protocol is compiled once
-into a qubit instrument (`_instrument`), and every trial reads its outcome
-weights and fidelity off that instrument, as forms in four real features
-of its input. The instrument comes from the last port branch and the
-failure branch alone. The square-root measurement is port-permutation
-covariant (Studzinski et al., Sci. Rep. 7, 10871, 2017): every other port
-branch is a qubit-swap image of the last one, so all ports share its
-outcome form and receiver tensor. On the flagged level the circuit's
+Sampling reads the instrument's closed form. The square-root measurement
+is SU(2) covariant (Ishizaka and Hiroshima, PRL 101, 240501, 2008) and
+port-permutation covariant (Studzinski et al., Sci. Rep. 7, 10871, 2017),
+so every qubit PBT channel is depolarizing with one weight per outcome: no
+trial's outcome weights or fidelity depend on its input.
+Each trial draws its outcome from `expected_outcome_distribution`, and
+every success has one fidelity, the exact average (`average_fidelity`) for
+the deterministic kinds and 1 for the heralded ones (`teleport_batch`).
+Before it samples, each protocol's instrument is computed once and checked
+against that closed form (`_instrument`). The run uses the last port
+branch and the failure branch alone: every other port branch is a
+qubit-swap image of the last one. On the flagged level the circuit's
 rotate, attach and unrotate is, family by family, a v (v^T x), the
 element's root read straight off the sector tables (`_element_roots`), so
-the sampled run applies just that (`circuit.FamilyRoots`), on a joint input
-read off in closed form in the coupled basis (`_slot_input`). Every family
+the run applies just that (`circuit.FamilyRoots`), on a joint input read
+off in closed form in the coupled basis (`_slot_input`). Every family
 shares one S_z, and each column of the joint input lies in one weight class
 (`_weight_classes`), so the run holds one block per class, its C(N+1, w)
 coupled rows over its own C(N+1, w) columns, in place; the read-out and
-the amplification check go class by class, and the result is checked
-against the instrument's covariant closed form. The whole-register
-program, which builds the dense transform, stays for the gate-count model
-and the tests. Seeded Haar inputs come a chunk at a time (`haar_inputs`),
-each chunk equal to its slice of one draw of all trials, so a long run
-samples in flat memory.
+the amplification check go class by class. The whole-register program,
+which builds the dense transform, stays for the gate-count model and the
+tests. Seeded Haar inputs come a chunk at a time (`haar_inputs`), each
+chunk equal to its slice of one draw of all trials, so a long run samples
+in flat memory; they are drawn, though no trial reads them, so the seeded
+uniforms stay where they are.
 """
 
 from __future__ import annotations
@@ -472,10 +476,10 @@ def dpbt_opt_deformation(n_ports: int) -> tuple[tuple[int, float], ...]:
 
 
 class TeleportBatch:
-    """Vectorized trial record: one sampled outcome per input column plus the
-    exact per-trial distributions and the average distribution the counts
-    should reproduce when the inputs are Haar samples (read-only, shared by
-    every batch of the protocol)."""
+    """Vectorized trial record: one sampled outcome and success fidelity
+    (NaN on failure) per input column, the amplification schedule, and the
+    exact outcome distribution `expected` that every trial shares, so that
+    `probabilities`, one column per trial, is its read-only broadcast."""
 
     __slots__ = ("rounds", "c_star", "outcomes", "fidelities", "probabilities", "expected")
 
@@ -574,7 +578,9 @@ def _instrument(kind: ProtocolKind, n_ports: int
                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """The protocol as a qubit instrument, from one run of the element roots
     (`_element_roots`) on the joint inputs for chi = |0> and |1>
-    (2 * 2^N columns), held as flagged weight-class blocks.
+    (2 * 2^N columns), held as flagged weight-class blocks. It is the check
+    of the covariant closed form below, which `teleport_batch` samples
+    from: every batch calls it first, and it runs once per protocol.
 
     The circuit is linear in the input chi, so for every input the weight of
     outcome i is chi^dagger G[i] chi, with the failure branches summed into
@@ -610,9 +616,10 @@ def _instrument(kind: ProtocolKind, n_ports: int
     kinds and 1 for the heralded ones, F and p the exact figures of merit),
     each gap above 1e-9.
 
-    Returns (ports, failure, receiver), read-only: the (N, 2, 2) port forms,
-    views of the last port's; the failure form, None for the deterministic
-    kinds; and the (2, 2, 2, 2) receiver tensor K of every port.
+    Returns (ports, failure, receiver), read-only, for the tests that
+    compare the run with the dense routes: the (N, 2, 2) port forms, views
+    of the last port's; the failure form, None for the deterministic kinds;
+    and the (2, 2, 2, 2) receiver tensor K of every port.
     """
     branches = _element_roots(_SPECS[kind], n_ports)
     # the flat input is dropped before the run, which then holds one state
@@ -652,69 +659,19 @@ def _instrument(kind: ProtocolKind, n_ports: int
     return np.broadcast_to(per_branch[0], (n_ports, 2, 2)), failure, receiver
 
 
-def _fidelity_forms(receiver: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The receiver tensor K as forms in an input's outcome features
-    f = (|chi0|^2, |chi1|^2, Re conj(chi0) chi1, Im conj(chi0) chi1).
-
-    chi chi^dagger = sum_k f_k B_k (`basis`), so the unnormalized receiver
-    state K(chi chi^dagger) is linear in f: its trace is the linear form
-    t . f, and its overlap with chi chi^dagger the quadratic form f^T Q f.
-    Both are real for every f, so the imaginary parts drop. Returns the
-    (4, 4) Q and the 4-vector t.
-    """
-    basis = np.zeros((4, 2, 2), dtype=np.complex128)
-    basis[0, 0, 0] = basis[1, 1, 1] = 1.0
-    basis[2, 1, 0] = basis[2, 0, 1] = 1.0
-    basis[3, 1, 0], basis[3, 0, 1] = 1j, -1j
-    quadratic = np.einsum("icjd,kcd,lji->kl", receiver, basis, basis).real
-    trace = np.einsum("icid,kcd->k", receiver, basis).real
-    return quadratic, trace
-
-
-@lru_cache(maxsize=32)
-def _trial_forms(kind: ProtocolKind, n_ports: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What every `teleport_batch` call of one protocol shares, read off
-    `_instrument` once: the (outcomes, 4) outcome weight forms and the
-    fidelity forms (Q, t) in an input's features, and the expected outcome
-    distribution. Read-only.
-
-    chi^dagger G chi = G00 |chi0|^2 + G11 |chi1|^2 + 2 Re(G01 conj(chi0) chi1),
-    so row i of the weights holds outcome i's coefficients of the features.
-    """
-    ports, failure, receiver = _instrument(kind, n_ports)
-    gram = ports if failure is None else np.concatenate([ports, failure[None]])
-    weights = np.stack([gram[:, 0, 0].real, gram[:, 1, 1].real,
-                        2 * gram[:, 0, 1].real, -2 * gram[:, 0, 1].imag], axis=1)
-    forms = (weights, *_fidelity_forms(receiver),
-             expected_outcome_distribution(kind, n_ports))
-    for form in forms:
-        form.flags.writeable = False
-    return forms
-
-
-def _combine(coeffs: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] (x) features[k], summed elementwise in a fixed order,
-    so the bytes of a seeded run do not depend on a BLAS kernel; coeffs[k]
-    is a scalar or one coefficient per outcome. The terms add in place into
-    one zeroed total, as Python's sum from 0 would add them, but holding one
-    temporary at a time."""
-    total = np.zeros(np.shape(coeffs[0]) + features.shape[1:])
-    for c, row in zip(coeffs, features):
-        total += np.multiply.outer(c, row)
-    return total
-
-
 def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
                    rng: np.random.Generator | int | None = None) -> TeleportBatch:
-    """Run one teleportation per input column through the compiled instrument.
+    """Run one teleportation per input column from the instrument's closed
+    form.
 
-    Outcome weights are linear forms, and fidelities ratios of a quadratic
-    to a linear form, in four real features of each input, read off
-    `_instrument`; so a trial costs O(N) once the protocol is compiled.
-    Outcome sampling draws one uniform per trial and inverts the per-trial
-    cumulative distribution under the named generator (PCG64 when given a
-    seed).
+    The square-root measurement is covariant, so no outcome weight or
+    success fidelity depends on the input (`_instrument`): every trial
+    samples its outcome from `expected_outcome_distribution`, and every
+    success has the average fidelity of the deterministic kinds, or 1 for
+    the heralded ones. `_instrument` runs first, as the check of that
+    closed form; the inputs are validated and otherwise unread. Outcome
+    sampling draws one uniform per trial and inverts the cumulative
+    distribution under the named generator (PCG64 when given a seed).
     """
     chi = np.asarray(input_states, dtype=np.complex128)
     if chi.ndim != 2 or chi.shape[0] != 2:
@@ -726,25 +683,20 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
     if np.max(np.abs(np.linalg.norm(chi, axis=0) - 1.0)) > 1e-10:
         raise ValueError("every input column must be normalized")
     branches = _element_roots(_SPECS[kind], n_ports)
-    weights, quadratic, trace, expected = _trial_forms(kind, n_ports)
-    # the outcome weights: (outcomes, trials) linear forms in the features
-    cross = chi[0].conj() * chi[1]
-    features = np.stack([np.abs(chi[0]) ** 2, np.abs(chi[1]) ** 2, cross.real, cross.imag])
-    probs = _combine(weights.T, features)
+    _instrument(kind, n_ports)
+    expected = expected_outcome_distribution(kind, n_ports)
+    expected.flags.writeable = False
     gen = rng if isinstance(rng, np.random.Generator) \
         else np.random.default_rng(np.random.PCG64(rng))
     draws = gen.random(chi.shape[1])
-    cumulative = probs / probs.sum(axis=0)
-    np.cumsum(cumulative, axis=0, out=cumulative)
-    outcomes = np.minimum((cumulative < draws).sum(axis=0), len(weights) - 1)
-    success = outcomes < n_ports
-    # <chi|K(chi chi^dagger)|chi> / tr K(chi chi^dagger), every port sharing K
-    kept = features[:, success]
-    fidelities = np.full(chi.shape[1], np.nan)
-    fidelities[success] = (sum(row * _combine(q, kept) for row, q in zip(kept, quadratic))
-                           / _combine(trace, kept))
-    return TeleportBatch(rounds=branches.rounds, c_star=branches.c_star, outcomes=outcomes + 1,
-                         fidelities=fidelities, probabilities=probs, expected=expected)
+    # the number of cumulative weights below each draw
+    outcomes = np.minimum(np.searchsorted(np.cumsum(expected), draws), len(expected) - 1) + 1
+    fidelity = average_fidelity(kind, n_ports) if kind.deterministic else 1.0
+    return TeleportBatch(rounds=branches.rounds, c_star=branches.c_star, outcomes=outcomes,
+                         fidelities=np.where(outcomes <= n_ports, fidelity, np.nan),
+                         probabilities=np.broadcast_to(expected[:, None],
+                                                       (len(expected), chi.shape[1])),
+                         expected=expected)
 
 
 def haar_inputs(seed: int, trials: int, chunk: int

@@ -372,6 +372,25 @@ def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
             assert ports in err and str(int(ports) + 1) not in err
 
 
+def test_resource_table_checks_its_whole_range_before_any_compile(capsys, monkeypatch):
+    # N=12 is past the compiled program's limit, so N=10 and 11 never compile
+    compiled = []
+    original = protocols._compile
+
+    def counted(spec, n):
+        program = original(spec, n)
+        compiled.append(n)
+        return program
+
+    monkeypatch.setattr(protocols, "_compile", counted)
+    monkeypatch.setenv("PORTSIM_MAX_PORTS", "12")
+    code, out, err = run(capsys, ["table", "--metric", "resources", "--ports", "10..12"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.rstrip().endswith("got 12")
+    assert compiled == []
+
+
 def test_success_table_needs_no_label_enumeration(capsys, monkeypatch):
     # 22 qubits is past the label enumeration cap, which the sector sum never meets
     monkeypatch.setenv("PORTSIM_MAX_PORTS", "25")
@@ -463,49 +482,49 @@ TELEPORT_SHA256 = {
     "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format human":
         "76a5fe1247f6980e83cc209b8c654fb2271f351f122726e09867769c58ec813a",
     "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format json":
-        "3acfb8592cfe1233d3064bac42ce1524e9fa51ec6fb6b43df417a75123142fd8",
+        "4be688b1ff608661a75395f7ca99f2969f617391607fc80f2988ccfe74a0cd61",
     "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format csv":
         "a9188f7d5e09ad7a026c60fbc72bfe85040809b5385b80a2a4eded26dfc76c0e",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format human":
         "bffc49be95b38852d24638ac5b3c52bc27c0c815e9e6559d95ff2b563a4de45e",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format json":
-        "8d9c0bc194f47c70106056397be05fd0798104970f597c569936005313c20569",
+        "cc9cfb75d58d1bffa2947ecb89884c64e143e6fd400f421a3a3a68ffd5d6b84a",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format csv":
         "e397eb39eefe119d78e66f87f90e6d3280e86f9ab5bc7a0d759832c99b2f69e5",
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format human":
         "08bbaa2c3cb5227f9e10ab65c328521ba82783597658bc2c467488a3f9271cc1",
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format json":
-        "fa50c186b8b24a24fdd0d46f518e0ce62eca934b8f52cf7e8170d461cf213721",
+        "fdb6bcf959e13e47084c7ae4d5eb3272c18ab5bfb42f91f4f2b1240a11a5e9db",
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format csv":
         "31eb9502d877cf8cd00b72eb5b00777d1a3f6f33660e07316080d1c5e2718079",
     "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format human":
         "f6ab3ce17652b250fca03c2ee4a6b153c71743afeb8905e29f48c39c7df9cde9",
     "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format json":
-        "a3ff9bd932c65539eb96ec0498fe1d89df60ac6a00a44eced56e174bb875f699",
+        "99cb345c771de0d2f907644959958bf4a4c10b7b6e1644957f7a92a82e22b0c3",
     "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format csv":
         "7e6b954685856cc08492d4a30ada5d26ade292b802e0250439d781fb69ba94f6",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format human":
-        "d262a07fee9a7b8b09240aa8017b3aaf755ce1bdaf292eeeb5fa0f5dab158454",
+        "eef94e3cd9105079574626225c23db30c4bc748a47c11fd6a169c8c5cf5d3423",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format json":
-        "a2b4306ab1db78f7aa86f04f043b5ec24615524649fb0ddd5498d9f73935ff21",
+        "17418aac06604a9e9b8ce6fd4b4ca0db32f4f70a8c766d7c3e6d0706ad96497f",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format csv":
         "0362f4d4fb0d4d8fa33adb0d79ffd9b3c3cc082e11c8ae1dd220fc61f842a324",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format human":
         "db74cf94f636fe831217601276159543aee024668136252fa119d8cb50107487",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format json":
-        "e29c698e7bb33c0ff39302eb275fd4ec38704df40178efcda9fd3707a6deaf44",
+        "335e97e8bf5550ca5843b9f19e8cced6c8370e5a8003ca6652b0f65378ef1e65",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
         "4cc390fee877e37b8a8f2ba47c60903928ab2302789ea78fe8021183393e4cfd",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format human":
         "d151203ffcad08079081e1c8ff224d252d3d22cda22e17ae6e32941868d78c6b",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format json":
-        "808be24375ef1f35723d9a78a61ed6db56a7e6b97edb7e90b5bb45e29793e503",
+        "0bebed480129d6b3dc4e3776180ea8d09a4a2fb72870c47b5124fa3a86f30745",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format csv":
         "beb73e8b792ba4bf62d936af2bb7e9094d8fc427a0a9ad006f66a44781d1bb68",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format human":
         "d3b335de20af80308af7bc6304294f6923b7d5b2d3876f2d661c46ad991e43f2",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format json":
-        "b044295313dd0967c242475b7d4e4fddff48bfa136c0ba28daac951d475dee29",
+        "4d08574c6e0f45ce69228f074c6f94aaac422206b8e10d9edb941c580ee9d225",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
         "594236a6e3445edc61772669e6a22f9d407027fa3f084ab91f47c62693146b4b",
 }
@@ -647,43 +666,34 @@ def test_chunked_draws_equal_the_one_shot_draws(chunks, offset):
         assert uniform.bit_generator.state == gen.bit_generator.state
 
 
-# stdout of 10,003 trials at N=2, seed 7, before the draws were chunked; JSON
-# and human output without the mean fidelity line, which sums one pairwise
-# tree per chunk. The JSON digests are of the instrument whose input is read
-# in closed form in the coupled basis and whose family rotations are
-# fixed-order sums: with the same draws and outcomes, its fidelities differ
-# from the dense-resource instrument's by at most 5.6e-16
+# stdout of 10,003 trials at N=2, seed 7, three chunks or one. Every success
+# has the one exact fidelity, so the chunks leave no byte to differ, the mean
+# fidelity line included
 ONE_SHOT_SHA256 = {
-    ("dpbt", "json"): "a18a03d5d4fe1f085738eec0af1b3082df445c407a81085e6b062599f1b95a5f",
+    ("dpbt", "json"): "9d96c53d524916648c2af2d68eb42a4df02bade1093da1dd7bd1986e87dfc9d2",
     ("dpbt", "csv"): "8a57c704d9b682b820f399a2abcfc0988778a93725f7604c7b511efb0081b758",
-    ("dpbt", "human"): "afddbc898ca177f8782cd7d13d8c3e7f379e13d4a411b00bb90ffaa4185f4c72",
-    ("dpbt-opt", "json"): "2d81191bfd164fbd58f2dfedf18c744ebb43583fae88bfe5e1fdd8421be5ef12",
+    ("dpbt", "human"): "1fb45d1e5e9b69e118272f85c6dca1b6bf06b01122c15b253a57da86aa7d2057",
+    ("dpbt-opt", "json"): "08d68973765bdd8571ada18cab0583ad7b2de82e9ff2bcb811ee3deb423ee4fd",
     ("dpbt-opt", "csv"): "7d8042100d7e613a0f03cc37fefb1c951877a09fa85022dabffbe6c4ece9cb8c",
-    ("dpbt-opt", "human"): "b87a43c89425e1e1dca8e212a6077ad6aa88d099c16818c59385e53e6b6d48bd",
-    ("ppbt-mes", "json"): "2067ab6ab33cbb68edeb81e08c583ef3df4547d534554f2498edf0853505c020",
+    ("dpbt-opt", "human"): "94df1b470edd346255876b194ec5e7598d0ad2c542fcddba2ca3ed1cc0414928",
+    ("ppbt-mes", "json"): "809948fc8a7086fb02d97b4105bb5b4433a399e8f38dbea3f19192081f748555",
     ("ppbt-mes", "csv"): "19aa75cd5fb2a983db220e233fc5c9ed1082ac4aff8a9df461fdbc2b88b2a9d7",
-    ("ppbt-mes", "human"): "2c561049c75efcae75980ee21cb26555f96721107bef777111a7558e24db5f61",
-    ("ppbt-opt", "json"): "3fe2c98d1e33abd2b0fef582cf233809f63e5cc53aa6270938e56ef9aebf3f54",
+    ("ppbt-mes", "human"): "b2416405e7bd59806df45d47be2020e5dddee9ca53b2aee21066f2f14938604f",
+    ("ppbt-opt", "json"): "dc2f7a633d612faed95821c8cb2b0565a1ddadfe34340a60025cd2cd2f608386",
     ("ppbt-opt", "csv"): "47c1a7921aa2cd3eb2cbe82ee81163e6226527d88b0b615fb780011fe6799a59",
-    ("ppbt-opt", "human"): "b4835e9fba5fef1002af3b6f8f06ca01bb2bd97aa8249c5f2a7fcf6e31627b22",
+    ("ppbt-opt", "human"): "eec7a6fec38851963a761e2a6fa58f1565e913ee8a11d5c2936aed0bf6823e2c",
 }
 
 
 @pytest.mark.parametrize("kind, fmt", list(ONE_SHOT_SHA256))
-def test_chunked_output_matches_the_one_shot_bytes(capsys, kind, fmt):
-    code, out, _ = run(capsys, ["teleport", "--regime", kind, "--ports", "2", "--trials",
-                                "10003", "--seed", "7", "--format", fmt])
+def test_chunked_output_matches_the_one_shot_bytes(capsys, monkeypatch, kind, fmt):
+    argv = ["teleport", "--regime", kind, "--ports", "2", "--trials", "10003", "--seed", "7",
+            "--format", fmt]
+    code, out, _ = run(capsys, argv)
     assert code == 0
-    kept = "".join(line for line in out.splitlines(keepends=True)
-                   if not line.lstrip().startswith(('"mean_success_fidelity"', "mean ")))
-    assert len(kept) < len(out) if fmt != "csv" else kept == out
-    assert hashlib.sha256(kept.encode()).hexdigest() == ONE_SHOT_SHA256[kind, fmt]
-    if fmt == "json":
-        # the mean keeps to within a few ulp of the one pairwise sum
-        payload = json.loads(out)
-        fidelities = [r["fidelity"] for r in payload["trial_results"] if r["success"]]
-        mean = payload["summary"]["mean_success_fidelity"]
-        assert abs(mean - np.mean(fidelities)) <= 4 * np.spacing(mean)
+    assert hashlib.sha256(out.encode()).hexdigest() == ONE_SHOT_SHA256[kind, fmt]
+    monkeypatch.setattr(cli, "_CHUNK_TRIALS", 11 * cli._BLOCK_ROWS)
+    assert run(capsys, argv) == (0, out, "")
 
 
 def test_teleport_memory_does_not_grow_with_the_trials(monkeypatch):
@@ -722,8 +732,6 @@ def _detuned_attach(monkeypatch) -> str:
 def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakage):
     protocols._element_roots.cache_clear()
     protocols._instrument.cache_clear()
-    # the batches read the rebuilt instrument, not forms cached before the breakage
-    monkeypatch.setattr(protocols, "_trial_forms", protocols._trial_forms.__wrapped__)
     try:
         residual = breakage(monkeypatch)
         code, out, err = run(capsys, ["teleport", "--regime", "ppbt-opt",

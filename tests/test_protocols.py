@@ -254,7 +254,7 @@ def test_single_port_deterministic_run_is_a_coin_flip_channel():
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", range(1, 6))
 def test_batch_fidelities_match_the_dense_receiver_states(kind, n):
-    # the feature forms against <chi|rho|chi> of the dense 2x2 receiver state
+    # the sampled fidelities against <chi|rho|chi> of the dense 2x2 receiver state
     rng = np.random.default_rng(np.random.PCG64(70 + n))
     chi = rng.normal(size=(2, 300)) + 1j * rng.normal(size=(2, 300))
     chi /= np.linalg.norm(chi, axis=0)
@@ -269,22 +269,27 @@ def test_batch_fidelities_match_the_dense_receiver_states(kind, n):
     assert np.isnan(batch.fidelities[~success]).all()
 
 
-def test_batch_fidelities_follow_a_generic_receiver_tensor(monkeypatch):
-    # a covariant K is depolarizing, which hides a transposed basis, so the
-    # forms are also checked on a random completely positive K
-    rng = np.random.default_rng(np.random.PCG64(77))
-    kraus = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-    receiver = np.einsum("aic,ajd->icjd", kraus, kraus.conj())
-    ports, failure, _ = protocols._instrument(ProtocolKind.DPBT_MES, 2)
-    monkeypatch.setattr(protocols, "_instrument", lambda *_: (ports, failure, receiver))
-    monkeypatch.setattr(protocols, "_trial_forms", protocols._trial_forms.__wrapped__)
-    chi = rng.normal(size=(2, 200)) + 1j * rng.normal(size=(2, 200))
-    chi /= np.linalg.norm(chi, axis=0)
-    batch = teleport_batch(ProtocolKind.DPBT_MES, 2, chi, rng=0)
-    states = receiver_states(receiver, chi)
-    oracle = np.einsum("it,tij,jt->t", chi.conj(), states, chi).real
-    assert np.ptp(oracle) > 0.1
-    np.testing.assert_allclose(batch.fidelities, oracle, rtol=0, atol=1e-14)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_trials_read_the_closed_form_whatever_the_input(kind, n):
+    # covariance leaves no outcome weight or fidelity to the input, so two
+    # input arrays under one seed give the same trials
+    rng = np.random.default_rng(np.random.PCG64(90 + n))
+    chi = np.column_stack([haar_qubit(rng) for _ in range(200)])
+    basis = np.tile([[1.0], [0.0]], 200)
+    first = teleport_batch(kind, n, chi, rng=11)
+    second = teleport_batch(kind, n, basis, rng=11)
+    np.testing.assert_array_equal(first.outcomes, second.outcomes)
+    np.testing.assert_array_equal(first.fidelities, second.fidelities)
+    success = first.outcomes <= n
+    assert success.any()
+    exact = average_fidelity(kind, n) if kind.deterministic else 1.0
+    assert (first.fidelities[success] == exact).all()
+    assert np.isnan(first.fidelities[~success]).all()
+    assert first.probabilities.shape == (len(first.expected), 200)
+    assert not first.probabilities.flags.writeable
+    for column in first.probabilities.T:
+        np.testing.assert_array_equal(column, first.expected)
 
 
 def test_single_port_heralded_run_probabilities():
@@ -433,44 +438,10 @@ def test_instrument_haar_averages_match_closed_forms(kind, n):
         assert fidelity == pytest.approx(success_probability(kind, n), abs=1e-12)
 
 
-def test_batch_weights_are_the_instrument_quadratic_forms(monkeypatch):
-    # a generic Hermitian form set, unlike the covariant ones the protocols
-    # compile to, so the cross terms of chi^dagger G chi count
-    kind, n = ProtocolKind.PPBT_OPT, 2
-    receiver = protocols._instrument(kind, n)[2]
-    rng = np.random.default_rng(np.random.PCG64(77))
-    raw = rng.normal(size=(n + 1, 2, 2)) + 1j * rng.normal(size=(n + 1, 2, 2))
-    forms = np.einsum("icd,ied->ice", raw, raw.conj())
-    monkeypatch.setattr(protocols, "_instrument", lambda *_: (forms[:n], forms[n], receiver))
-    monkeypatch.setattr(protocols, "_trial_forms", protocols._trial_forms.__wrapped__)
-    chi = np.column_stack([haar_qubit(rng) for _ in range(50)])
-    batch = teleport_batch(kind, n, chi, rng=3)
-    np.testing.assert_allclose(batch.probabilities,
-                               np.einsum("ct,icd,dt->it", chi.conj(), forms, chi).real,
-                               rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_batch_probabilities_are_the_fixed_order_sum(kind):
-    # the four feature terms add in one fixed order, bit for bit, so no BLAS
-    # kernel can move a seeded outcome
-    n = 6
-    chi = np.column_stack([haar_qubit(np.random.default_rng(np.random.PCG64(t)))
-                           for t in range(500)])
-    weights = protocols._trial_forms(kind, n)[0]
-    cross = chi[0].conj() * chi[1]
-    features = [np.abs(chi[0]) ** 2, np.abs(chi[1]) ** 2, cross.real, cross.imag]
-    expected = sum(w[:, None] * row for w, row in zip(weights.T, features))
-    batch = teleport_batch(kind, n, chi, rng=1)
-    assert batch.probabilities.dtype == expected.dtype
-    np.testing.assert_array_equal(batch.probabilities, expected)
-
-
 def test_broken_resource_raises_numerical_invariant_error(monkeypatch):
     kind, n = ProtocolKind.PPBT_OPT, 2
     scaled = 1.1 * protocols._slot_input(kind, n)
     monkeypatch.setattr(protocols, "_slot_input", lambda *_: scaled)
-    monkeypatch.setattr(protocols, "_trial_forms", protocols._trial_forms.__wrapped__)
     protocols._instrument.cache_clear()
     try:
         with pytest.raises(NumericalInvariantError) as info:
@@ -769,10 +740,6 @@ def test_ports_share_one_read_only_form(kind, n):
     assert np.shares_memory(ports[0], ports[-1])
     for form in (ports, receiver) if failure is None else (ports, failure, receiver):
         assert not form.flags.writeable
-    # every batch reads one cached, read-only set of forms
-    forms = protocols._trial_forms(kind, n)
-    assert protocols._trial_forms(kind, n) is forms
-    assert not any(form.flags.writeable for form in forms)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -789,7 +756,6 @@ def test_batch_never_compiles_the_whole_register(monkeypatch):
         raise AssertionError("teleport_batch compiled the whole register")
 
     monkeypatch.setattr(protocols, "build_program", whole_register)
-    monkeypatch.setattr(protocols, "_trial_forms", protocols._trial_forms.__wrapped__)
     protocols._instrument.cache_clear()
     try:
         for kind in KINDS:
