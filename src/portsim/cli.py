@@ -14,11 +14,11 @@ integers while human output prints them as fractions. All randomness flows
 from numpy's PCG64 bit generator seeded with --seed, so repeating an
 invocation reproduces its output byte for byte.
 
-`teleport` streams its trials a chunk at a time: each chunk is drawn,
-sampled, written and added to the summary counts before the next, so memory
-stays flat in --trials. The chunks read the seeded streams from saved
-generator states, so every trial, and the whole output, equals what a single
-draw of all trials gives. `schur` output leaves in blocks as well.
+`teleport` streams its trials a chunk at a time: each chunk is sampled,
+written and added to the summary counts before the next, so memory stays
+flat in --trials. A trial reads one uniform from the one seeded generator
+that every chunk shares, so every trial, and the whole output, equals what
+a single draw of all trials gives. `schur` output leaves in blocks as well.
 
 Desk-scale caps guard against accidental huge dense builds: 5 ports for
 povm-check, 6 for teleport and table, and MAX_ENUMERATE_QUBITS = 20 qubits
@@ -56,7 +56,6 @@ from .protocols import (
     ProtocolKind,
     SchurVariant,
     average_fidelity,
-    haar_inputs,
     resource_estimate,
     success_probability,
     teleport_batch,
@@ -75,9 +74,9 @@ _TABLE_CAP = 6
 _CHECK_TOLERANCE = 1e-9
 # teleport rows joined into one stdout write
 _BLOCK_ROWS = 1000
-# teleport trials drawn, sampled and rendered together: whole row blocks,
-# and a chunk's (2, trials) complex inputs, 32 bytes a trial, stay under
-# glibc's 128 KiB mmap threshold
+# teleport trials sampled and rendered together: whole row blocks, and a
+# chunk's uniforms, outcomes and fidelities, 8 bytes a trial each, stay
+# under glibc's 128 KiB mmap threshold
 _CHUNK_TRIALS = 4 * _BLOCK_ROWS
 
 
@@ -193,26 +192,27 @@ def cmd_povm_check(args: argparse.Namespace) -> int:
     regimes = list(Regime) if args.regime == "all" else [Regime(args.regime)]
     worst = 0.0
     failures = 0
-    # write after every suite has run, so a range error leaves stdout empty
+    # every suite in reverse, the largest N first, so a library limit it
+    # breaks raises before any build; stdout gets the lines once all have run
     lines = []
-    for regime in regimes:
-        for n in range(lo, hi + 1):
-            oracle = build_povm(regime, n)
-            closed = analytic_povm(regime, n)
-            if args.inject_fault:
-                # Deliberately corrupt one closed-form scalar so the suite
-                # exercises its own failure path.
-                closed.elements[0] = closed.elements[0] * (1.0 + 1e-6)
-            residual = closed.completeness_residual()
-            low = closed.min_eigenvalue()
-            frob = max(np.linalg.norm(a - b)
-                       for a, b in zip(oracle.elements, closed.elements))
-            worst = max(worst, frob)
-            ok = residual <= 1e-10 and low >= -1e-10 and frob <= _CHECK_TOLERANCE
-            failures += 0 if ok else 1
-            lines.append(f"[{'PASS' if ok else 'FAIL'}] regime={regime.value} ports={n} "
-                         f"outcomes={closed.n_outcomes} completeness={residual:.3e} "
-                         f"min_eig={low:+.3e} max_frobenius={frob:.3e}\n")
+    for regime, n in itertools.product(regimes[::-1], range(hi, lo - 1, -1)):
+        oracle = build_povm(regime, n)
+        closed = analytic_povm(regime, n)
+        if args.inject_fault:
+            # Deliberately corrupt one closed-form scalar so the suite
+            # exercises its own failure path.
+            closed.elements[0] = closed.elements[0] * (1.0 + 1e-6)
+        residual = closed.completeness_residual()
+        low = closed.min_eigenvalue()
+        frob = max(np.linalg.norm(a - b)
+                   for a, b in zip(oracle.elements, closed.elements))
+        worst = max(worst, frob)
+        ok = residual <= 1e-10 and low >= -1e-10 and frob <= _CHECK_TOLERANCE
+        failures += 0 if ok else 1
+        lines.append(f"[{'PASS' if ok else 'FAIL'}] regime={regime.value} ports={n} "
+                     f"outcomes={closed.n_outcomes} completeness={residual:.3e} "
+                     f"min_eig={low:+.3e} max_frobenius={frob:.3e}\n")
+    lines.reverse()
     lines.append(f"{len(lines) - failures}/{len(lines)} suites passed; "
                  f"worst frobenius {worst:.3e} (tolerance {_CHECK_TOLERANCE:g})\n")
     sys.stdout.write("".join(lines))
@@ -289,8 +289,9 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     kind = ProtocolKind(args.regime)
     n, trials = args.ports, args.trials
-    batches = (teleport_batch(kind, n, chi, rng)
-               for chi, rng in haar_inputs(args.seed, trials, _CHUNK_TRIALS))
+    rng = np.random.default_rng(np.random.PCG64(args.seed))
+    batches = (teleport_batch(kind, n, min(_CHUNK_TRIALS, trials - start), rng)
+               for start in range(0, trials, _CHUNK_TRIALS))
     # the first chunk compiles and checks the instrument before any output
     first = next(batches)
     expected = first.expected

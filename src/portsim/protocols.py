@@ -32,10 +32,9 @@ shares one S_z, and each column of the joint input lies in one weight class
 coupled rows over its own C(N+1, w) columns, in place; the read-out and
 the amplification check go class by class. The whole-register program,
 which builds the dense transform, stays for the gate-count model and the
-tests. Seeded Haar inputs come a chunk at a time (`haar_inputs`), each
-chunk equal to its slice of one draw of all trials, so a long run samples
-in flat memory; they are drawn, though no trial reads them, so the seeded
-uniforms stay where they are.
+tests. A trial has no input: it reads one seeded uniform and nothing
+else, so chunks that share one generator read exactly what one draw of all
+trials gives.
 """
 
 from __future__ import annotations
@@ -477,34 +476,36 @@ def dpbt_opt_deformation(n_ports: int) -> tuple[tuple[int, float], ...]:
 
 class TeleportBatch:
     """Vectorized trial record: one sampled outcome and success fidelity
-    (NaN on failure) per input column, the amplification schedule, and the
-    exact outcome distribution `expected` that every trial shares, so that
-    `probabilities`, one column per trial, is its read-only broadcast."""
+    (NaN on failure) per trial, the amplification schedule, and the exact
+    outcome distribution `expected` that every trial shares."""
 
-    __slots__ = ("rounds", "c_star", "outcomes", "fidelities", "probabilities", "expected")
+    __slots__ = ("rounds", "c_star", "outcomes", "fidelities", "expected")
 
     def __init__(self, rounds: int, c_star: float, outcomes: np.ndarray,
-                 fidelities: np.ndarray, probabilities: np.ndarray, expected: np.ndarray):
+                 fidelities: np.ndarray, expected: np.ndarray):
         self.rounds = rounds
         self.c_star = c_star
         self.outcomes = outcomes
         self.fidelities = fidelities
-        self.probabilities = probabilities
         self.expected = expected
 
 
+@lru_cache(maxsize=32)
 def expected_outcome_distribution(kind: ProtocolKind, n_ports: int) -> np.ndarray:
     """Outcome distribution averaged over uniformly random pure inputs.
 
     The resource reduction and the branch operators are both covariant under
     port permutations, so the success weight splits evenly across ports.
+    Cached per protocol, read-only.
     """
     _check_ports(n_ports)
     if kind.deterministic:
-        return np.full(n_ports, 1.0 / n_ports)
-    p = float(success_probability_exact(kind, n_ports))
-    dist = np.full(n_ports + 1, p / n_ports)
-    dist[n_ports] = 1.0 - p
+        dist = np.full(n_ports, 1.0 / n_ports)
+    else:
+        p = float(success_probability_exact(kind, n_ports))
+        dist = np.full(n_ports + 1, p / n_ports)
+        dist[n_ports] = 1.0 - p
+    dist.flags.writeable = False
     return dist
 
 
@@ -659,77 +660,37 @@ def _instrument(kind: ProtocolKind, n_ports: int
     return np.broadcast_to(per_branch[0], (n_ports, 2, 2)), failure, receiver
 
 
-def teleport_batch(kind: ProtocolKind, n_ports: int, input_states: np.ndarray,
+def teleport_batch(kind: ProtocolKind, n_ports: int, trials: int,
                    rng: np.random.Generator | int | None = None) -> TeleportBatch:
-    """Run one teleportation per input column from the instrument's closed
-    form.
+    """Run `trials` teleportations from the instrument's closed form.
 
     The square-root measurement is covariant, so no outcome weight or
-    success fidelity depends on the input (`_instrument`): every trial
-    samples its outcome from `expected_outcome_distribution`, and every
-    success has the average fidelity of the deterministic kinds, or 1 for
-    the heralded ones. `_instrument` runs first, as the check of that
-    closed form; the inputs are validated and otherwise unread. Outcome
-    sampling draws one uniform per trial and inverts the cumulative
-    distribution under the named generator (PCG64 when given a seed).
+    success fidelity depends on the input (`_instrument`), and a trial has
+    none: every trial samples its outcome from
+    `expected_outcome_distribution`, and every success has the average
+    fidelity of the deterministic kinds, or 1 for the heralded ones.
+    `_instrument` runs first, as the check of that closed form. Sampling
+    draws one uniform per trial (`Generator.random`, one 64-bit word each)
+    and inverts the cumulative distribution under the named generator
+    (PCG64 when given a seed), so batches that share a generator read what
+    one batch of all their trials would.
     """
-    chi = np.asarray(input_states, dtype=np.complex128)
-    if chi.ndim != 2 or chi.shape[0] != 2:
-        raise ValueError("input_states must be a (2, trials) array")
-    if chi.shape[1] == 0:
-        raise ValueError("need at least one trial column")
-    if not np.isfinite(chi).all():
-        raise ValueError("every input amplitude must be finite")
-    if np.max(np.abs(np.linalg.norm(chi, axis=0) - 1.0)) > 1e-10:
-        raise ValueError("every input column must be normalized")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     branches = _element_roots(_SPECS[kind], n_ports)
     _instrument(kind, n_ports)
     expected = expected_outcome_distribution(kind, n_ports)
-    expected.flags.writeable = False
+    # numpy loads np.random on first use, so only a command that draws pays
+    # its import (about 6 ms and 6 MB); keep it off the module level
     gen = rng if isinstance(rng, np.random.Generator) \
         else np.random.default_rng(np.random.PCG64(rng))
-    draws = gen.random(chi.shape[1])
-    # the number of cumulative weights below each draw
-    outcomes = np.minimum(np.searchsorted(np.cumsum(expected), draws), len(expected) - 1) + 1
+    # the number of cumulative weights below each uniform
+    outcomes = np.minimum(np.searchsorted(np.cumsum(expected), gen.random(trials)),
+                          len(expected) - 1) + 1
     fidelity = average_fidelity(kind, n_ports) if kind.deterministic else 1.0
     return TeleportBatch(rounds=branches.rounds, c_star=branches.c_star, outcomes=outcomes,
                          fidelities=np.where(outcomes <= n_ports, fidelity, np.nan),
-                         probabilities=np.broadcast_to(expected[:, None],
-                                                       (len(expected), chi.shape[1])),
                          expected=expected)
-
-
-def haar_inputs(seed: int, trials: int, chunk: int
-                ) -> Iterator[tuple[np.ndarray, np.random.Generator]]:
-    """Seeded Haar-random qubit inputs for `trials` trials as (2, chunk)
-    columns, the last chunk shorter, each with the generator that samples
-    its outcomes (`teleport_batch`'s `rng`).
-
-    The chunks equal one draw of all trials from PCG64(seed): the real
-    parts, then the imaginary parts, each one `normal(size=(2, trials))`,
-    then one uniform per trial. A normal takes a variable number of PCG64
-    words (ziggurat rejection), so one pass first draws the 4 * trials
-    normals, a chunk at a time, keeps each stream's first chunk, drops the
-    rest and saves the state where each stream's second chunk starts. The
-    streams are rows 0 and 1 of the real parts and of the imaginary parts;
-    the pass ends where the uniforms start.
-    """
-    # numpy loads np.random on first use, so only a command that draws pays
-    # its import (about 6 ms and 6 MB); keep it off the module level
-    gen = np.random.default_rng(np.random.PCG64(seed))
-    firsts, cursors = [], []
-    for _ in range(4):
-        firsts.append(gen.normal(size=min(chunk, trials)))
-        if trials > chunk:
-            cursors.append(np.random.Generator(np.random.PCG64(seed)))
-            cursors[-1].bit_generator.state = gen.bit_generator.state
-        for start in range(chunk, trials, chunk):
-            gen.normal(size=min(chunk, trials - start))
-    for start in range(0, trials, chunk):
-        parts = [c.normal(size=min(chunk, trials - start)) for c in cursors] if start \
-            else firsts
-        amps = np.stack(parts[:2]) + 1j * np.stack(parts[2:])
-        yield amps / np.linalg.norm(amps, axis=0), gen
 
 
 def entanglement_fidelity(kind: ProtocolKind, n_ports: int) -> float:

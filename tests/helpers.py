@@ -320,14 +320,19 @@ def receiver_states(receiver: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return states
 
 
-def one_shot_draws(seed: int, trials: int) -> tuple[np.ndarray, np.random.Generator]:
-    """Oracle for `protocols.haar_inputs`: all `trials` Haar columns at once
-    from the seeded PCG64 generator, the real parts' (2, trials) normals
-    before the imaginary parts', and the generator, left where the trials'
-    uniforms start."""
-    gen = np.random.default_rng(np.random.PCG64(seed))
-    amps = gen.normal(size=(2, trials)) + 1j * gen.normal(size=(2, trials))
-    return amps / np.linalg.norm(amps, axis=0), gen
+def one_shot_draws(seed: int, trials: int) -> np.ndarray:
+    """Oracle for the uniforms of `protocols.teleport_batch` and of the
+    `teleport` command: all `trials` of them in one draw from the seeded
+    PCG64 generator."""
+    return np.random.Generator(np.random.PCG64(seed)).random(trials)
+
+
+def stream_outcomes(expected: np.ndarray, seed: int, trials: int) -> np.ndarray:
+    """Oracle for the sampled outcomes, 1-based: the number of cumulative
+    weights of `expected` below each of the one-shot uniforms
+    (`one_shot_draws`), the last outcome taking any rounding gap at 1."""
+    draws = one_shot_draws(seed, trials)
+    return np.minimum(np.searchsorted(np.cumsum(expected), draws), len(expected) - 1) + 1
 
 
 def teleport_rows(fmt: str, outcomes: np.ndarray, fidelities: np.ndarray,

@@ -7,16 +7,16 @@ import subprocess
 import sys
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import portsim
-from helpers import one_shot_draws, teleport_rows
+from helpers import stream_outcomes, teleport_rows
 from portsim import cli, protocols
 from portsim.cli import main
-from portsim.protocols import NumericalInvariantError, ProtocolKind, haar_inputs, teleport_batch
+from portsim.protocols import (NumericalInvariantError, ProtocolKind,
+                               expected_outcome_distribution, teleport_batch)
 
 KINDS = [kind.value for kind in ProtocolKind]
 
@@ -214,7 +214,7 @@ def test_teleport_json_is_the_indented_dump_of_its_payload(capsys, kind, n):
 def test_teleport_csv_and_human_text_is_pinned(capsys):
     argv = ["teleport", "--regime", "ppbt-opt", "--ports", "2",
             "--trials", "12", "--seed", "5"]
-    outcomes = [1, 3, 1, 3, 2, 3, 2, 3, 3, 2, 3, 3]
+    outcomes = [3, 3, 3, 2, 1, 2, 3, 1, 1, 3, 3, 2]
     code, out, _ = run(capsys, argv + ["--format", "csv"])
     assert code == 0
     assert out == "trial,outcome,success,fidelity\r\n" + "".join(
@@ -227,27 +227,27 @@ def test_teleport_csv_and_human_text_is_pinned(capsys):
         "# teleport regime=ppbt-opt ports=2 trials=12 seed=5 rounds=3 "
         "c_star=1.15470053838 generator=PCG64\n"
         " trial outcome result  fidelity\n"
-        "     1       1 ok      1\n"
+        "     1       3 fail    -\n"
         "     2       3 fail    -\n"
-        "     3       1 ok      1\n"
-        "     4       3 fail    -\n"
-        "     5       2 ok      1\n"
-        "     6       3 fail    -\n"
-        "     7       2 ok      1\n"
-        "     8       3 fail    -\n"
-        "     9       3 fail    -\n"
-        "    10       2 ok      1\n"
+        "     3       3 fail    -\n"
+        "     4       2 ok      1\n"
+        "     5       1 ok      1\n"
+        "     6       2 ok      1\n"
+        "     7       3 fail    -\n"
+        "     8       1 ok      1\n"
+        "     9       1 ok      1\n"
+        "    10       3 fail    -\n"
         "    11       3 fail    -\n"
-        "    12       3 fail    -\n")
+        "    12       2 ok      1\n")
     assert "".join(lines[14:19]) == (
         "summary:\n"
-        "  port 1   count      2  expected       2.40  z -0.289\n"
+        "  port 1   count      3  expected       2.40  z +0.433\n"
         "  port 2   count      3  expected       2.40  z +0.433\n"
-        "  fail     count      7  expected       7.20  z -0.118\n"
-        "  success rate 0.416666666667  exact 0.4  z +0.118\n")
+        "  fail     count      6  expected       7.20  z -0.707\n"
+        "  success rate 0.5  exact 0.4  z +0.707\n")
     # the deviation is a last-bit rounding residue, so only its layout is pinned
     assert lines[19].startswith("  mean success fidelity 1  exact 1  |dev| ")
-    assert lines[20:] == ["  max outcome |z| 0.433\n"]
+    assert lines[20:] == ["  max outcome |z| 0.707\n"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -391,6 +391,27 @@ def test_resource_table_checks_its_whole_range_before_any_compile(capsys, monkey
     assert compiled == []
 
 
+def test_povm_check_checks_its_whole_range_before_any_build(capsys, monkeypatch):
+    # N=7 is past the dense oracle's limit, so no N=6 suite builds first: the
+    # one call is N=7's, which raises at its argument check
+    calls, built = [], []
+    original = cli.build_povm
+
+    def counted(regime, n):
+        calls.append(n)
+        povm = original(regime, n)
+        built.append(n)
+        return povm
+
+    monkeypatch.setattr(cli, "build_povm", counted)
+    monkeypatch.setenv("PORTSIM_MAX_PORTS", "25")
+    code, out, err = run(capsys, ["povm-check", "--ports", "6..7"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.rstrip().endswith("got 7")
+    assert (calls, built) == ([7], [])
+
+
 def test_success_table_needs_no_label_enumeration(capsys, monkeypatch):
     # 22 qubits is past the label enumeration cap, which the sector sum never meets
     monkeypatch.setenv("PORTSIM_MAX_PORTS", "25")
@@ -480,53 +501,53 @@ OUTPUT_SHA256 = {
 # numpy's PCG64 streams and the exact float arithmetic of every trial.
 TELEPORT_SHA256 = {
     "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format human":
-        "76a5fe1247f6980e83cc209b8c654fb2271f351f122726e09867769c58ec813a",
+        "9e04856f7a013f2d4281c17de67503c3c15519a228ab7b4e04514f66cb5fe1ef",
     "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format json":
-        "4be688b1ff608661a75395f7ca99f2969f617391607fc80f2988ccfe74a0cd61",
+        "ae5f9032ff94d0874f2ba476072c118b9d95dac6206f1ceb38f1fa2eb4b0d4c6",
     "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format csv":
-        "a9188f7d5e09ad7a026c60fbc72bfe85040809b5385b80a2a4eded26dfc76c0e",
+        "73453286e19f1684a10735aebd084062ee6430e110881bf2ab8b433e4c1cc0ec",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format human":
-        "bffc49be95b38852d24638ac5b3c52bc27c0c815e9e6559d95ff2b563a4de45e",
+        "fb240035b0923661beb69596149261ce9c327cf0fdad3170788dd807a483eff6",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format json":
-        "cc9cfb75d58d1bffa2947ecb89884c64e143e6fd400f421a3a3a68ffd5d6b84a",
+        "a181864e25aba06c5e190c6a47b2a72d67da380c403ac50bbd088995a06090bb",
     "teleport --regime dpbt-opt --ports 2 --trials 3000 --seed 7 --format csv":
-        "e397eb39eefe119d78e66f87f90e6d3280e86f9ab5bc7a0d759832c99b2f69e5",
+        "c7db9767523bbf83e7a99289fc4ede70863472109709ab0123788664739f6e4e",
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format human":
-        "08bbaa2c3cb5227f9e10ab65c328521ba82783597658bc2c467488a3f9271cc1",
+        "0c6d5593c0ede07a8f01f7c823c942084fec71dfc614627acf894d7a61ec7c12",
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format json":
-        "fdb6bcf959e13e47084c7ae4d5eb3272c18ab5bfb42f91f4f2b1240a11a5e9db",
+        "b05092d67a78242a0df7d14da77c45b93e3a45781b4e9f3ce726d4cf18d0f2c7",
     "teleport --regime ppbt-mes --ports 2 --trials 3000 --seed 7 --format csv":
-        "31eb9502d877cf8cd00b72eb5b00777d1a3f6f33660e07316080d1c5e2718079",
+        "1f25d3384dee44b9fffd9ebd3e9798aca5b5a976f0344e13d6f1911a29b6e9a8",
     "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format human":
-        "f6ab3ce17652b250fca03c2ee4a6b153c71743afeb8905e29f48c39c7df9cde9",
+        "f51380b1d0a4052b6fbbdf01e023f5c2f7d08b28a768b7b987f7c8c57f276929",
     "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format json":
-        "99cb345c771de0d2f907644959958bf4a4c10b7b6e1644957f7a92a82e22b0c3",
+        "bddd0214678cbc2c24d5933496a1f7b1ec0b70412f0b787a172f40972c2f3c5b",
     "teleport --regime ppbt-opt --ports 2 --trials 3000 --seed 7 --format csv":
-        "7e6b954685856cc08492d4a30ada5d26ade292b802e0250439d781fb69ba94f6",
+        "73da079739a58bd0c28519be236de7926975473140f60b4ba8e51b95cdba76c0",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format human":
-        "eef94e3cd9105079574626225c23db30c4bc748a47c11fd6a169c8c5cf5d3423",
+        "df49a1ba48af89d5bb8df25f6ed26b95e94dd46c11fec739171189389e10de32",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format json":
-        "17418aac06604a9e9b8ce6fd4b4ca0db32f4f70a8c766d7c3e6d0706ad96497f",
+        "3f832fc048e67d0b497a9f8662d363f93a67d78cf27afb85ed8f229b35383ddd",
     "teleport --regime dpbt --ports 5 --trials 3000 --seed 7 --format csv":
-        "0362f4d4fb0d4d8fa33adb0d79ffd9b3c3cc082e11c8ae1dd220fc61f842a324",
+        "64530c91d500a1a778cfdb1969445fc72b4dccaafecf1e9c6b99aff5469e6802",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format human":
-        "db74cf94f636fe831217601276159543aee024668136252fa119d8cb50107487",
+        "5b1e20236030e47923119b82f118ba7f6d83e5ea445e3fef3f1febce2a3ad530",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format json":
-        "335e97e8bf5550ca5843b9f19e8cced6c8370e5a8003ca6652b0f65378ef1e65",
+        "d909b32f9525d6d84e6f4f8defa4471e590f5836d308a35e8d474023b54d0fc6",
     "teleport --regime dpbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
-        "4cc390fee877e37b8a8f2ba47c60903928ab2302789ea78fe8021183393e4cfd",
+        "e1658322094fe6ace38d48d21b5646c718b1ca74413ddbbbac7f63acff66885c",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format human":
-        "d151203ffcad08079081e1c8ff224d252d3d22cda22e17ae6e32941868d78c6b",
+        "ec362fa61d3b58c806ad6b1ea766a7ce7eda2af35abcc3c719ed83a7caa5f0c3",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format json":
-        "0bebed480129d6b3dc4e3776180ea8d09a4a2fb72870c47b5124fa3a86f30745",
+        "cb69df91c8605dbe42be140c1082fa0eb6fb45a0a0c20bcfe043977c473824a5",
     "teleport --regime ppbt-mes --ports 5 --trials 3000 --seed 7 --format csv":
-        "beb73e8b792ba4bf62d936af2bb7e9094d8fc427a0a9ad006f66a44781d1bb68",
+        "c66088f61f98b15642589076ab72f27cad9bde9e276b88b7842e760f69926186",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format human":
-        "d3b335de20af80308af7bc6304294f6923b7d5b2d3876f2d661c46ad991e43f2",
+        "4d9b80f412733d90fbe6d63fb5022b8b95a5f498a5205d0c246b5db376b4a7fe",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format json":
-        "4d08574c6e0f45ce69228f074c6f94aaac422206b8e10d9edb941c580ee9d225",
+        "568e9cf3cf189a78996325da6513583c33afd9cef0271bcef76cc0248edecad2",
     "teleport --regime ppbt-opt --ports 5 --trials 3000 --seed 7 --format csv":
-        "594236a6e3445edc61772669e6a22f9d407027fa3f084ab91f47c62693146b4b",
+        "d26d8f3cd57a6fd06bd72c85b654b330d7ca9ac42683ea939f492159f30c6586",
 }
 
 
@@ -621,7 +642,7 @@ def _rows_and_batch(capsys, fmt, kind, n, trials, seed):
         rows = "".join(out.splitlines(keepends=True)[2:2 + trials])
     else:
         rows = out.partition('"trial_results": [')[2].rpartition("\n  ]")[0]
-    batch = teleport_batch(ProtocolKind(kind), n, *one_shot_draws(seed, trials))
+    batch = teleport_batch(ProtocolKind(kind), n, trials, rng=seed)
     return rows, batch
 
 
@@ -647,41 +668,49 @@ def test_block_rows_without_a_success(capsys, monkeypatch, fmt):
         assert rows == teleport_rows(fmt, batch.outcomes, batch.fidelities, 1)
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
-@pytest.mark.parametrize("chunks", [1, 3])
-def test_chunked_draws_equal_the_one_shot_draws(chunks, offset):
-    # T = C - 1, C, C + 1 and 3C - 1, 3C, 3C + 1, and one trial
-    size = cli._CHUNK_TRIALS
-    for trials in {chunks * size + offset, 1}:
-        inputs = list(haar_inputs(5, trials, size))
-        assert [chi.shape[1] for chi, _ in inputs] == \
-            [min(size, trials - start) for start in range(0, trials, size)]
-        columns = np.concatenate([chi for chi, _ in inputs], axis=1)
-        uniform = inputs[0][1]
-        assert all(rng is uniform for _, rng in inputs)
-        uniforms = np.concatenate([uniform.random(chi.shape[1]) for chi, _ in inputs])
-        chi, gen = one_shot_draws(5, trials)
-        assert np.array_equal(columns, chi)
-        assert np.array_equal(uniforms, gen.random(trials))
-        assert uniform.bit_generator.state == gen.bit_generator.state
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_teleport_outcomes_follow_the_seeded_uniforms(capsys, monkeypatch, kind, n):
+    # the stream contract across chunks of one block: the t-th trial reads
+    # the t-th uniform of one PCG64(seed) draw
+    monkeypatch.setattr(cli, "_CHUNK_TRIALS", cli._BLOCK_ROWS)
+    expected = expected_outcome_distribution(ProtocolKind(kind), n)
+    for seed in (0, 7, 1234):
+        code, out, _ = run(capsys, ["teleport", "--regime", kind, "--ports", str(n),
+                                    "--trials", "2000", "--seed", str(seed),
+                                    "--format", "csv"])
+        assert code == 0
+        outcomes = [int(row.split(",")[1]) for row in out.split("\r\n")[1:-1]]
+        assert outcomes == stream_outcomes(expected, seed, 2000).tolist()
+
+
+def test_expected_distribution_is_built_once_per_run(capsys, monkeypatch):
+    # three chunks share one cached, read-only array
+    protocols.expected_outcome_distribution.cache_clear()
+    monkeypatch.setattr(cli, "_CHUNK_TRIALS", cli._BLOCK_ROWS)
+    code, _, _ = run(capsys, ["teleport", "--regime", "ppbt-mes", "--ports", "6",
+                              "--trials", "2500", "--format", "csv"])
+    assert code == 0
+    info = protocols.expected_outcome_distribution.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 # stdout of 10,003 trials at N=2, seed 7, three chunks or one. Every success
 # has the one exact fidelity, so the chunks leave no byte to differ, the mean
 # fidelity line included
 ONE_SHOT_SHA256 = {
-    ("dpbt", "json"): "9d96c53d524916648c2af2d68eb42a4df02bade1093da1dd7bd1986e87dfc9d2",
-    ("dpbt", "csv"): "8a57c704d9b682b820f399a2abcfc0988778a93725f7604c7b511efb0081b758",
-    ("dpbt", "human"): "1fb45d1e5e9b69e118272f85c6dca1b6bf06b01122c15b253a57da86aa7d2057",
-    ("dpbt-opt", "json"): "08d68973765bdd8571ada18cab0583ad7b2de82e9ff2bcb811ee3deb423ee4fd",
-    ("dpbt-opt", "csv"): "7d8042100d7e613a0f03cc37fefb1c951877a09fa85022dabffbe6c4ece9cb8c",
-    ("dpbt-opt", "human"): "94df1b470edd346255876b194ec5e7598d0ad2c542fcddba2ca3ed1cc0414928",
-    ("ppbt-mes", "json"): "809948fc8a7086fb02d97b4105bb5b4433a399e8f38dbea3f19192081f748555",
-    ("ppbt-mes", "csv"): "19aa75cd5fb2a983db220e233fc5c9ed1082ac4aff8a9df461fdbc2b88b2a9d7",
-    ("ppbt-mes", "human"): "b2416405e7bd59806df45d47be2020e5dddee9ca53b2aee21066f2f14938604f",
-    ("ppbt-opt", "json"): "dc2f7a633d612faed95821c8cb2b0565a1ddadfe34340a60025cd2cd2f608386",
-    ("ppbt-opt", "csv"): "47c1a7921aa2cd3eb2cbe82ee81163e6226527d88b0b615fb780011fe6799a59",
-    ("ppbt-opt", "human"): "eec7a6fec38851963a761e2a6fa58f1565e913ee8a11d5c2936aed0bf6823e2c",
+    ("dpbt", "json"): "efc00f55278068bfd29787530b9dad51678c0fdc853b9409922dfcc5b32c5804",
+    ("dpbt", "csv"): "eb3e9f98be5b9b783cdeea31cb360e6bb601a44fecfc9783cd5b3aebb88888aa",
+    ("dpbt", "human"): "9b7fb6a6b66eea9ba50e7348090e1da538fbdbaf915746220714156d9087e635",
+    ("dpbt-opt", "json"): "455a7b3c5332249140a0810b9852bc615b2b9511c4f10aabe29ab6c82d1c0cd1",
+    ("dpbt-opt", "csv"): "bd532c8fb9ba8501207f23bbba001578e82073a557d6dd0b262e41b350f2aaf9",
+    ("dpbt-opt", "human"): "21bd824a84e09d6f4a6e0ab5414103aeb13e8faa4d76fc6dd1d422652383be2f",
+    ("ppbt-mes", "json"): "4143d81189225a662818a30b9d891e6d7b50482c395d5cbe6e0376281652bfd6",
+    ("ppbt-mes", "csv"): "5e0d57a600385b4605819a60cc21689366946d7a68dd96f70dea12bfa1acbdf5",
+    ("ppbt-mes", "human"): "9acfd55a875929d3ef0700d1d364403f2bb7c192b55feddbe6bac902fdf7219d",
+    ("ppbt-opt", "json"): "1ad0a115b86fd240908d610bb819ea6342be79a0337bbdff2528b4d5ec7358d8",
+    ("ppbt-opt", "csv"): "40ba08ed05273e724fc8f1fa5b30fd25b076bcdec6805789cbd030316281c982",
+    ("ppbt-opt", "human"): "ac43bca640475a6e45a66b1f6355cfcd7e13660db92a90c281348cd9504975cd",
 }
 
 
@@ -747,17 +776,16 @@ def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakag
 
 
 def test_out_of_memory_exits_2_with_one_error_line(capsys, monkeypatch):
-    def exhausted(seed, trials, chunk):
-        raise MemoryError(f"Unable to allocate {chunk * 32} bytes")
-        yield
+    def exhausted(kind, n_ports, trials, rng):
+        raise MemoryError(f"Unable to allocate {trials * 8} bytes")
 
     # the first chunk's draw fails, before any output
-    monkeypatch.setattr(cli, "haar_inputs", exhausted)
+    monkeypatch.setattr(cli, "teleport_batch", exhausted)
     code, out, err = run(capsys, ["teleport", "--regime", "dpbt", "--ports", "2",
                                   "--trials", "100000000", "--format", "csv"])
     assert code == 2
     assert out == ""
-    assert err == f"error: out of memory: Unable to allocate {cli._CHUNK_TRIALS * 32} bytes\n"
+    assert err == f"error: out of memory: Unable to allocate {cli._CHUNK_TRIALS * 8} bytes\n"
     assert "Traceback" not in err
 
 

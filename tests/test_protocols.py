@@ -8,7 +8,7 @@ import pytest
 from helpers import (action_matrix, branch_instrument, branch_weights, class_block_run,
                      coupled_input, flat, haar_qubit, joint_input, psd_sqrt, receiver_states,
                      register_fold, resource_matrix, root_matrices, singlet_chain,
-                     whole_register_instrument)
+                     stream_outcomes, whole_register_instrument)
 from portsim import protocols, schur
 from portsim.circuit import FamilyRoots, Registers, StateVector
 from portsim.povm_analytic import failure_eigensystem, port_eigensystem
@@ -242,8 +242,8 @@ def test_unamplified_run_returns_only_the_flagged_part(n):
 
 def test_single_port_deterministic_run_is_a_coin_flip_channel():
     chi = np.array([[1.0], [0.0]])
-    run = teleport_batch(ProtocolKind.DPBT_MES, 1, chi, rng=5)
-    np.testing.assert_allclose(run.probabilities[:, 0], [1.0], atol=1e-12)
+    run = teleport_batch(ProtocolKind.DPBT_MES, 1, 1, rng=5)
+    np.testing.assert_allclose(run.expected, [1.0], atol=1e-12)
     assert run.outcomes[0] == 1
     assert run.fidelities[0] == pytest.approx(0.5, abs=1e-10)
     _, _, receiver = protocols._instrument(ProtocolKind.DPBT_MES, 1)
@@ -254,11 +254,13 @@ def test_single_port_deterministic_run_is_a_coin_flip_channel():
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", range(1, 6))
 def test_batch_fidelities_match_the_dense_receiver_states(kind, n):
-    # the sampled fidelities against <chi|rho|chi> of the dense 2x2 receiver state
+    # the sampled fidelities against <chi|rho|chi> of the dense 2x2 receiver
+    # state, one Haar input drawn here per trial: covariance leaves every
+    # success the one fidelity whatever the input
     rng = np.random.default_rng(np.random.PCG64(70 + n))
     chi = rng.normal(size=(2, 300)) + 1j * rng.normal(size=(2, 300))
     chi /= np.linalg.norm(chi, axis=0)
-    batch = teleport_batch(kind, n, chi, rng=n)
+    batch = teleport_batch(kind, n, 300, rng=n)
     success = batch.outcomes <= n
     assert success.any()
     _, _, receiver = protocols._instrument(kind, n)
@@ -271,31 +273,30 @@ def test_batch_fidelities_match_the_dense_receiver_states(kind, n):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", range(1, 7))
-def test_trials_read_the_closed_form_whatever_the_input(kind, n):
-    # covariance leaves no outcome weight or fidelity to the input, so two
-    # input arrays under one seed give the same trials
-    rng = np.random.default_rng(np.random.PCG64(90 + n))
-    chi = np.column_stack([haar_qubit(rng) for _ in range(200)])
-    basis = np.tile([[1.0], [0.0]], 200)
-    first = teleport_batch(kind, n, chi, rng=11)
-    second = teleport_batch(kind, n, basis, rng=11)
-    np.testing.assert_array_equal(first.outcomes, second.outcomes)
-    np.testing.assert_array_equal(first.fidelities, second.fidelities)
-    success = first.outcomes <= n
+@pytest.mark.parametrize("seed", [0, 7, 1234])
+def test_trials_read_the_closed_form(kind, n, seed):
+    # covariance leaves no outcome weight or fidelity to an input, so trial t
+    # is the t-th PCG64(seed) uniform against the exact outcome distribution
+    batch = teleport_batch(kind, n, 2000, rng=seed)
+    expected = expected_outcome_distribution(kind, n)
+    np.testing.assert_array_equal(batch.outcomes, stream_outcomes(expected, seed, 2000))
+    success = batch.outcomes <= n
     assert success.any()
     exact = average_fidelity(kind, n) if kind.deterministic else 1.0
-    assert (first.fidelities[success] == exact).all()
-    assert np.isnan(first.fidelities[~success]).all()
-    assert first.probabilities.shape == (len(first.expected), 200)
-    assert not first.probabilities.flags.writeable
-    for column in first.probabilities.T:
-        np.testing.assert_array_equal(column, first.expected)
+    assert (batch.fidelities[success] == exact).all()
+    assert np.isnan(batch.fidelities[~success]).all()
+    assert batch.expected is expected
+    assert not batch.expected.flags.writeable
+    # batches that share one generator read the one-shot uniforms
+    gen = np.random.default_rng(np.random.PCG64(seed))
+    chunks = [teleport_batch(kind, n, size, rng=gen).outcomes for size in (1, 998, 1000, 1)]
+    np.testing.assert_array_equal(np.concatenate(chunks), batch.outcomes)
 
 
 def test_single_port_heralded_run_probabilities():
     for seed in range(6):
-        run = teleport_batch(ProtocolKind.PPBT_MES, 1, np.array([[0.6], [0.8j]]), rng=seed)
-        np.testing.assert_allclose(run.probabilities[:, 0], [0.25, 0.75], atol=1e-10)
+        run = teleport_batch(ProtocolKind.PPBT_MES, 1, 1, rng=seed)
+        np.testing.assert_allclose(run.expected, [0.25, 0.75], atol=1e-10)
         if run.outcomes[0] == 1:
             assert run.fidelities[0] == pytest.approx(1.0, abs=1e-9)
         else:
@@ -305,28 +306,17 @@ def test_single_port_heralded_run_probabilities():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_teleport_is_reproducible(kind):
-    chi = np.array([[0.28], [0.96j]])
-    first = teleport_batch(kind, 2, chi, rng=123)
-    second = teleport_batch(kind, 2, chi, rng=123)
+    first = teleport_batch(kind, 2, 1, rng=123)
+    second = teleport_batch(kind, 2, 1, rng=123)
     np.testing.assert_array_equal(first.outcomes, second.outcomes)
     np.testing.assert_array_equal(first.fidelities, second.fidelities)
-    np.testing.assert_allclose(first.probabilities, second.probabilities, atol=0)
+    np.testing.assert_array_equal(first.expected, second.expected)
 
 
-def test_teleport_rejects_unnormalized_input():
-    with pytest.raises(ValueError):
-        teleport_batch(ProtocolKind.DPBT_MES, 2, np.array([[1.0], [1.0]]), rng=0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_inputs_are_rejected(bad):
-    with pytest.raises(ValueError, match="finite"):
-        teleport_batch(ProtocolKind.DPBT_MES, 2, np.array([[bad], [0.0]]), rng=1)
-    with pytest.raises(ValueError, match="finite"):
-        teleport_batch(ProtocolKind.PPBT_OPT, 2, np.array([[1.0], [complex(0.0, bad)]]), rng=1)
-    # one bad column among normalized ones rejects the whole batch
-    with pytest.raises(ValueError, match="finite"):
-        teleport_batch(ProtocolKind.DPBT_MES, 2, np.array([[bad, 1.0], [0.0, 0.0]]), rng=1)
+@pytest.mark.parametrize("trials", [0, -1])
+def test_teleport_needs_at_least_one_trial(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        teleport_batch(ProtocolKind.DPBT_MES, 2, trials, rng=0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -334,7 +324,7 @@ def test_non_finite_inputs_are_rejected(bad):
 def test_port_counts_below_one_raise_one_value_error(kind, n):
     entry_points = [
         lambda: build_program(kind, n),
-        lambda: teleport_batch(kind, n, np.array([[1.0], [0.0]]), rng=0),
+        lambda: teleport_batch(kind, n, 1, rng=0),
         lambda: resource_estimate(kind, n),
         lambda: expected_outcome_distribution(kind, n),
     ]
@@ -348,12 +338,9 @@ def test_port_counts_below_one_raise_one_value_error(kind, n):
 def test_batch_agrees_with_single_runs(kind, n):
     # covariance makes every per-input fidelity equal the exact average, so
     # each sampled deterministic trial is checked against the closed form
-    rng = np.random.default_rng(np.random.PCG64(31))
-    chi = np.column_stack([haar_qubit(rng) for _ in range(40)])
-    batch = teleport_batch(kind, n, chi, rng=7)
-    single = teleport_batch(kind, n, chi[:, :1], rng=0)
-    np.testing.assert_allclose(batch.probabilities[:, 0], single.probabilities[:, 0],
-                               atol=1e-10)
+    batch = teleport_batch(kind, n, 40, rng=7)
+    single = teleport_batch(kind, n, 1, rng=0)
+    np.testing.assert_allclose(batch.expected, single.expected, atol=1e-10)
     expected = expected_outcome_distribution(kind, n)
     assert expected.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(batch.expected, expected, atol=0)
@@ -445,7 +432,7 @@ def test_broken_resource_raises_numerical_invariant_error(monkeypatch):
     protocols._instrument.cache_clear()
     try:
         with pytest.raises(NumericalInvariantError) as info:
-            teleport_batch(kind, n, np.array([[1.0], [0.0]]), rng=0)
+            teleport_batch(kind, n, 1, rng=0)
     finally:
         protocols._instrument.cache_clear()
     assert not isinstance(info.value, ValueError)
@@ -744,9 +731,8 @@ def test_ports_share_one_read_only_form(kind, n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_batch_reads_the_schedule_of_the_branch_program(n):
-    chi = np.array([[1.0], [0.0]])
     for kind in KINDS:
-        batch = teleport_batch(kind, n, chi, rng=0)
+        batch = teleport_batch(kind, n, 1, rng=0)
         whole = build_program(kind, n)
         assert (batch.rounds, batch.c_star) == (whole.rounds, whole.c_star)
 
@@ -759,7 +745,7 @@ def test_batch_never_compiles_the_whole_register(monkeypatch):
     protocols._instrument.cache_clear()
     try:
         for kind in KINDS:
-            batch = teleport_batch(kind, 3, np.array([[0.6], [0.8j]]), rng=4)
+            batch = teleport_batch(kind, 3, 1, rng=4)
             assert batch.outcomes.shape == (1,)
     finally:
         protocols._instrument.cache_clear()
@@ -775,14 +761,12 @@ def test_teleport_samples_like_a_categorical_draw(kind, n):
     for seed in range(20):
         rng = np.random.default_rng(np.random.PCG64(seed))
         slot = int(rng.choice(len(weights), p=weights / weights.sum()))
-        assert teleport_batch(kind, n, chi[:, None], rng=seed).outcomes[0] == slot + 1
+        assert teleport_batch(kind, n, 1, rng=seed).outcomes[0] == slot + 1
 
 
 def test_batch_is_seed_deterministic():
-    rng = np.random.default_rng(np.random.PCG64(5))
-    chi = np.column_stack([haar_qubit(rng) for _ in range(10)])
-    a = teleport_batch(ProtocolKind.PPBT_OPT, 2, chi, rng=99)
-    b = teleport_batch(ProtocolKind.PPBT_OPT, 2, chi, rng=99)
+    a = teleport_batch(ProtocolKind.PPBT_OPT, 2, 10, rng=99)
+    b = teleport_batch(ProtocolKind.PPBT_OPT, 2, 10, rng=99)
     np.testing.assert_array_equal(a.outcomes, b.outcomes)
 
 
