@@ -11,8 +11,9 @@ Machine formats stay stable: JSON payloads carry a top-level
 ``"schema": "portsim/v1"`` tag, CSV follows RFC 4180 (CRLF line endings; no
 cell needs quoting), and half-integer spins are encoded as twice-value
 integers while human output prints them as fractions. All randomness flows
-from numpy's PCG64 bit generator seeded with --seed, so repeating an
-invocation reproduces its output byte for byte.
+from one PCG64 stream seeded with --seed, bit-identical to numpy's
+`Generator(PCG64(seed)).random` (`pcg64.Pcg64`), so repeating an invocation
+reproduces its output byte for byte.
 
 `teleport` streams its trials a chunk at a time: each chunk is sampled,
 written and added to the summary counts before the next, so memory stays
@@ -289,7 +290,9 @@ def cmd_teleport(args: argparse.Namespace) -> int:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     kind = ProtocolKind(args.regime)
     n, trials = args.ports, args.trials
-    rng = np.random.default_rng(np.random.PCG64(args.seed))
+    # imported here, so that only the command that draws loads the stream
+    from .pcg64 import Pcg64
+    rng = Pcg64(args.seed)
     batches = (teleport_batch(kind, n, min(_CHUNK_TRIALS, trials - start), rng)
                for start in range(0, trials, _CHUNK_TRIALS))
     # the first chunk compiles and checks the instrument before any output

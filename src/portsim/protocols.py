@@ -44,7 +44,7 @@ from collections.abc import Callable, Iterator
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -57,6 +57,9 @@ from .schur import (MAX_DENSE_QUBITS, coupling_entries, coupling_level, coupling
                     enumerate_labels)
 from .spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
                       optimal_scalars, spin_values)
+
+if TYPE_CHECKING:
+    from .pcg64 import Pcg64
 
 
 class ProtocolKind(Enum):
@@ -661,7 +664,7 @@ def _instrument(kind: ProtocolKind, n_ports: int
 
 
 def teleport_batch(kind: ProtocolKind, n_ports: int, trials: int,
-                   rng: np.random.Generator | int | None = None) -> TeleportBatch:
+                   rng: Pcg64 | int | None = None) -> TeleportBatch:
     """Run `trials` teleportations from the instrument's closed form.
 
     The square-root measurement is covariant, so no outcome weight or
@@ -670,20 +673,21 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, trials: int,
     `expected_outcome_distribution`, and every success has the average
     fidelity of the deterministic kinds, or 1 for the heralded ones.
     `_instrument` runs first, as the check of that closed form. Sampling
-    draws one uniform per trial (`Generator.random`, one 64-bit word each)
-    and inverts the cumulative distribution under the named generator
-    (PCG64 when given a seed), so batches that share a generator read what
-    one batch of all their trials would.
+    draws one uniform per trial and inverts the cumulative distribution.
+    `rng` is any generator with a `random(n)` method, used as given, or a
+    seed (an int, or None for fresh entropy) of a `Pcg64`: a PCG64 stream,
+    bit-identical to numpy's `Generator(PCG64(seed)).random`, one 64-bit
+    word a uniform. Batches that share a generator read what one batch of
+    all their trials would.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     branches = _element_roots(_SPECS[kind], n_ports)
     _instrument(kind, n_ports)
     expected = expected_outcome_distribution(kind, n_ports)
-    # numpy loads np.random on first use, so only a command that draws pays
-    # its import (about 6 ms and 6 MB); keep it off the module level
-    gen = rng if isinstance(rng, np.random.Generator) \
-        else np.random.default_rng(np.random.PCG64(rng))
+    # imported here, so that only a command that draws loads the stream
+    from .pcg64 import Pcg64
+    gen = rng if hasattr(rng, "random") else Pcg64(rng)
     # the number of cumulative weights below each uniform
     outcomes = np.minimum(np.searchsorted(np.cumsum(expected), gen.random(trials)),
                           len(expected) - 1) + 1

@@ -14,6 +14,7 @@ import pytest
 
 from helpers import branch_weights, psd_sqrt
 from portsim.circuit import c_star
+from portsim.pcg64 import Pcg64
 from portsim.povm_analytic import analytic_povm
 from portsim.povm_oracle import build_povm, ensemble_average
 from portsim.protocols import (
@@ -239,7 +240,7 @@ def test_criterion_8_sampled_outcome_frequencies():
     worst = 0.0
     for kind in KINDS:
         for n in (1, 2, 3):
-            gen = np.random.default_rng(np.random.PCG64(7000 + n))
+            gen = Pcg64(7000 + n)
             expected = expected_outcome_distribution(kind, n)
             counts = np.zeros(len(expected))
             for _ in range(trials // chunk):

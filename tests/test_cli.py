@@ -498,7 +498,8 @@ OUTPUT_SHA256 = {
 
 
 # Seeded runs long enough to span several stdout blocks. The digests pin
-# numpy's PCG64 streams and the exact float arithmetic of every trial.
+# the PCG64 streams, bit-identical to numpy's Generator(PCG64(seed)).random,
+# and the exact float arithmetic of every trial.
 TELEPORT_SHA256 = {
     "teleport --regime dpbt --ports 2 --trials 3000 --seed 7 --format human":
         "9e04856f7a013f2d4281c17de67503c3c15519a228ab7b4e04514f66cb5fe1ef",
@@ -830,8 +831,9 @@ def test_program_builds_and_teleport_never_import_numpy_ma():
 
 def test_cli_import_generates_no_dataclasses_and_only_teleport_draws():
     # the records are NamedTuples and plain classes, so importing the CLI
-    # generates no code; numpy.random (about 6 ms and 6 MB) is left to
-    # teleport, the one command that draws
+    # generates no code; the PCG64 stream is left to teleport, the one
+    # command that draws, and even teleport never loads numpy.random (with
+    # it secrets, hmac and _hashlib)
     script = (
         "import contextlib, io, sys\n"
         "import portsim.cli\n"
@@ -840,11 +842,15 @@ def test_cli_import_generates_no_dataclasses_and_only_teleport_draws():
         "    for argv in (['table', '--metric', 'resources', '--ports', '1..3'],\n"
         "                 ['povm-check', '--ports', '1..2'], ['schur', '--n', '3']):\n"
         "        assert portsim.cli.main(argv) == 0, argv\n"
-        "print('numpy.random' in sys.modules)\n")
+        "print([m for m in ('numpy.random', 'secrets', 'portsim.pcg64') if m in sys.modules])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert portsim.cli.main(['teleport', '--regime', 'dpbt', '--ports', '2',\n"
+        "                             '--trials', '5000', '--format', 'csv']) == 0\n"
+        "print([m for m in ('numpy.random', 'secrets', 'portsim.pcg64') if m in sys.modules])\n")
     result = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\nFalse\n"
+    assert result.stdout == "False\n[]\n['portsim.pcg64']\n"
 
 
 _PORT_RANGES = st.sampled_from(["1", "2", "1..3", "2..5", "3..1", "0", "-1", "8", "1..8",

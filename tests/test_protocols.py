@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from helpers import (action_matrix, branch_instrument, branch_weights, class_block_run,
-                     coupled_input, flat, haar_qubit, joint_input, psd_sqrt, receiver_states,
-                     register_fold, resource_matrix, root_matrices, singlet_chain,
-                     stream_outcomes, whole_register_instrument)
+                     coupled_input, flat, haar_qubit, joint_input, one_shot_draws, psd_sqrt,
+                     receiver_states, register_fold, resource_matrix, root_matrices,
+                     singlet_chain, stream_outcomes, whole_register_instrument)
 from portsim import protocols, schur
 from portsim.circuit import FamilyRoots, Registers, StateVector
+from portsim.pcg64 import Pcg64
 from portsim.povm_analytic import failure_eigensystem, port_eigensystem
 from portsim.povm_oracle import build_povm
 from portsim.protocols import (
@@ -287,10 +288,25 @@ def test_trials_read_the_closed_form(kind, n, seed):
     assert np.isnan(batch.fidelities[~success]).all()
     assert batch.expected is expected
     assert not batch.expected.flags.writeable
-    # batches that share one generator read the one-shot uniforms
-    gen = np.random.default_rng(np.random.PCG64(seed))
+    # batches that share one stream carry it across their chunks
+    gen = Pcg64(seed)
     chunks = [teleport_batch(kind, n, size, rng=gen).outcomes for size in (1, 998, 1000, 1)]
     np.testing.assert_array_equal(np.concatenate(chunks), batch.outcomes)
+
+
+def test_a_given_generator_is_used_as_given():
+    # anything with a random(n) method draws in place of the seeded stream
+    gen = np.random.default_rng(np.random.PCG64(3))
+    batch = teleport_batch(ProtocolKind.PPBT_MES, 2, 50, rng=gen)
+    expected = expected_outcome_distribution(ProtocolKind.PPBT_MES, 2)
+    np.testing.assert_array_equal(batch.outcomes, stream_outcomes(expected, 3, 50))
+    assert gen.random() == one_shot_draws(3, 51)[-1]
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+def test_a_bad_seed_raises_as_numpys_does(seed, error):
+    with pytest.raises(error):
+        teleport_batch(ProtocolKind.DPBT_MES, 2, 1, rng=seed)
 
 
 def test_single_port_heralded_run_probabilities():
