@@ -8,8 +8,8 @@ inputs. Amplitudes are stored as a dense array of shape
 complex128 when it is complex; every op keeps that dtype unless one of its
 own matrices is complex. The compiled circuits are real throughout, so a
 real input runs in half the memory. The layout is fixed: the block qubit's
-r = 0 level is the flag subspace, and the start subspace is r = 0 on the
-first port values.
+r = 0 level is the flag subspace, and the start subspace is r = 0 on port
+value 0.
 
 Unitaries come in two shapes: dense operators on the system factor, and
 block operations defined by small matrices repeated over explicit index
@@ -229,9 +229,8 @@ class FamilyRoots:
     among the class's rows, v (F, L) their real unit vectors and a (F,)
     their amplitudes. A family's rows x_0 .. x_(L-1) become k v_0 ..
     k v_(L-1), where k = x_0 v_0 + x_1 v_1 + ... is summed in that order and
-    then scaled by a, so no BLAS kernel moves a bit. Every row of a class
-    that no family of that port value lists is zeroed; `row_counts[c]`
-    counts the class's rows."""
+    then scaled by a. Every row of a class that no family of that port value
+    lists is zeroed; `row_counts[c]` counts the class's rows."""
 
     def __init__(self, groups: Sequence[Sequence[Sequence[tuple]]],
                  row_counts: Sequence[int]):
@@ -293,8 +292,8 @@ class OaaAction:
     Kothari and Somma, arXiv:1312.1414): if Pi~ U Pi = sin(pi/2n) V with V an
     isometry, n rounds send every start-subspace input x exactly to
     Pi~ U x / sin(pi/2n). The register layout defines both projectors: Pi~
-    keeps the block qubit's r = 0 level, Pi keeps r = 0 on the first
-    `start_ports` port values.
+    keeps the block qubit's r = 0 level, Pi keeps r = 0 on port value 0,
+    where every program's input enters.
 
     `apply` rejects inputs outside the start subspace, runs U once on the
     input, keeps its flagged rows and divides by s = sin(pi/2n). It checks
@@ -314,12 +313,11 @@ class OaaAction:
     checks its own columns and takes no fold.
     """
 
-    def __init__(self, u, n: int, start_ports: int = 1, fold: Fold | None = None):
+    def __init__(self, u, n: int, fold: Fold | None = None):
         if n < 1 or n % 2 == 0:
             raise ValueError(f"round count must be odd and positive, got {n}")
         self.u = u
         self.n = n
-        self.start_ports = start_ports
         self.fold = fold
 
     def apply(self, state):
@@ -335,7 +333,7 @@ class OaaAction:
             if self.fold is not None:
                 raise ValueError("a fold checks only a flagged run")
             amps = state.amps
-            if amps[:, self.start_ports:].any() or amps[:, :, 1].any():
+            if amps[:, 1:].any() or amps[:, :, 1].any():
                 raise ValueError("amplitude amplification input leaves the start subspace")
             out = self.u.apply(state).amps
             # scaled in place, unless U hands back the input's own amplitudes

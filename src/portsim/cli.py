@@ -58,6 +58,7 @@ from .protocols import (
     SchurVariant,
     average_fidelity,
     resource_estimate,
+    success_fidelity,
     success_probability,
     teleport_batch,
 )
@@ -299,8 +300,9 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     first = next(batches)
     expected = first.expected
     counts = np.zeros(len(expected), dtype=np.int64)
-    # every success has this one fidelity
-    exact_f = average_fidelity(kind, n) if kind.deterministic else 1.0
+    # every success has the one fidelity that the batches sample and the
+    # instrument's check guards
+    exact_f = success_fidelity(kind, n)
 
     def rows(tail, **layout):
         # each chunk's row blocks, adding to the counts as they go

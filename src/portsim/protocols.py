@@ -15,26 +15,27 @@ Sampling reads the instrument's closed form. The square-root measurement
 is SU(2) covariant (Ishizaka and Hiroshima, PRL 101, 240501, 2008) and
 port-permutation covariant (Studzinski et al., Sci. Rep. 7, 10871, 2017),
 so every qubit PBT channel is depolarizing with one weight per outcome: no
-trial's outcome weights or fidelity depend on its input.
-Each trial draws its outcome from `expected_outcome_distribution`, and
-every success has one fidelity, the exact average (`average_fidelity`) for
-the deterministic kinds and 1 for the heralded ones (`teleport_batch`).
-Before it samples, each protocol's instrument is computed once and checked
-against that closed form (`_instrument`). The run uses the last port
-branch and the failure branch alone: every other port branch is a
-qubit-swap image of the last one. On the flagged level the circuit's
-rotate, attach and unrotate is, family by family, a v (v^T x), the
-element's root read straight off the sector tables (`_element_roots`), so
-the run applies just that (`circuit.FamilyRoots`), on a joint input read
-off in closed form in the coupled basis (`_slot_input`). Every family
-shares one S_z, and each column of the joint input lies in one weight class
-(`_weight_classes`), so the run holds one block per class, its C(N+1, w)
-coupled rows over its own C(N+1, w) columns, in place; the read-out and
-the amplification check go class by class. The whole-register program,
-which builds the dense transform, stays for the gate-count model and the
-tests. A trial has no input: it reads one seeded uniform and nothing
-else, so chunks that share one generator read exactly what one draw of all
-trials gives.
+trial's outcome weights or fidelity depend on its input. The closed form
+has one source: the outcome weights (`expected_outcome_distribution`) and
+the one success fidelity (`success_fidelity`), the exact average for the
+deterministic kinds and 1 for the heralded ones. Each trial draws its
+outcome from those weights, and every success has that fidelity
+(`teleport_batch`). Before it samples, each protocol's instrument is
+computed once and checked against exactly these numbers (`_instrument`).
+The run uses the last port branch and the failure branch alone: every
+other port branch is a qubit-swap image of the last one. On the flagged
+level the circuit's rotate, attach and unrotate is, family by family,
+a v (v^T x), the element's root read straight off the sector tables that
+`_compile` attaches (`_attach_tables`), so the run applies just that
+(`_element_roots`), on a joint input read off in closed form in the
+coupled basis (`_slot_input`). Every family shares one S_z, and each
+column of the joint input lies in one weight class (`_weight_classes`),
+so the run holds one block per class, its C(N+1, w) coupled rows over its
+own C(N+1, w) columns, in place; the read-out and the amplification check
+go class by class. The whole-register program, which builds the dense
+transform, stays for the gate-count model and the tests. A trial has no
+input: it reads one seeded uniform and nothing else, so chunks that share
+one generator read exactly what one draw of all trials gives.
 """
 
 from __future__ import annotations
@@ -328,6 +329,24 @@ def _fold_classes(classes: tuple[_WeightClass, ...], before: ClassBlocks
     return check
 
 
+def _schedule(spec: _Spec, n_ports: int) -> tuple[float, int]:
+    """The spec's rescale c* and amplification rounds: (1, 0) for a spec
+    left unamplified."""
+    return (1.0, 0) if spec.target is None else c_star(spec.target(n_ports))
+
+
+def _attach_tables(spec: _Spec, n_ports: int) -> list[tuple[EigenSystem, float]]:
+    """The port eigensystem and, for a spec with a failure attach, the
+    failure eigensystem, each with its attach scale over c*: the one table
+    that the program's attach (`_compile`) and the sampled instrument's
+    roots (`_element_roots`) both read."""
+    rescale, _ = _schedule(spec, n_ports)
+    tables = [(port_eigensystem(spec.regime, n_ports), spec.attach(n_ports) * (1.0 / rescale))]
+    if spec.fail is not None:
+        tables.append((failure_eigensystem(spec.regime, n_ports), spec.fail * (1.0 / rescale)))
+    return tables
+
+
 @lru_cache(maxsize=32)
 def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
     """Build the square-root-measurement circuit of one spec: port
@@ -344,15 +363,11 @@ def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
     amps = spec.amplitudes(n_ports)
     ports = range(n_ports)
     regs = Registers(n_ports + 1, len(amps))
-    rescale, rounds = (1.0, 0) if spec.target is None else c_star(spec.target(n_ports))
-    eigen = port_eigensystem(spec.regime, n_ports)
-    # scale by the reciprocal: seeded outputs are pinned to these exact floats
-    attach = [_attach_op(eigen, regs, ports, spec.attach(n_ports) * (1.0 / rescale),
-                         "port-attach")]
-    if spec.fail is not None:
-        attach.append(_attach_op(failure_eigensystem(spec.regime, n_ports), regs,
-                                 range(n_ports, regs.port_dim),
-                                 spec.fail * (1.0 / rescale), "failure-attach"))
+    rescale, rounds = _schedule(spec, n_ports)
+    (eigen, scale), *failure = _attach_tables(spec, n_ports)
+    attach = [_attach_op(eigen, regs, ports, scale, "port-attach")]
+    attach += [_attach_op(es, regs, range(n_ports, regs.port_dim), fail, "failure-attach")
+               for es, fail in failure]
     rot = _rotation_op(eigen, regs, ports)
     # the real orthogonal blocks and transform are undone by their transposes
     unrot = SubspaceBlocks(regs, [Block(matrix=b.matrix.T, instances=b.instances)
@@ -366,59 +381,25 @@ def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
                           c_star=rescale, failure_branches=tuple(range(n_ports, regs.port_dim)))
 
 
-class _ElementRoots:
-    """The sampled instrument's run (`_element_roots`): the element roots
-    `roots` on the flagged blocks of the weight classes `classes`, the
-    input's amplitudes `entry` on the last port branch and the failure
-    branch, and the amplification schedule."""
-
-    __slots__ = ("roots", "classes", "entry", "rounds", "c_star")
-
-    def __init__(self, roots: FamilyRoots, classes: tuple[_WeightClass, ...],
-                 entry: np.ndarray, rounds: int, c_star: float):
-        self.roots = roots
-        self.classes = classes
-        self.entry = entry
-        self.rounds = rounds
-        self.c_star = c_star
-
-    def start(self, blocks: np.ndarray) -> ClassBlocks:
-        """The run's start state on the flat class blocks `blocks`."""
-        shapes = tuple((len(cls.outputs), len(cls.columns)) for cls in self.classes)
-        return ClassBlocks.from_blocks(shapes, blocks, self.entry)
-
-    def run(self, start: ClassBlocks) -> ClassBlocks:
-        """The amplified run, in place: the roots once, divided by
-        sin(pi/2n), with the whole register's amplification precondition
-        checked through the other ports' qubit-swap images
-        (`_fold_classes`)."""
-        return OaaAction(self.roots, self.rounds,
-                         fold=partial(_fold_classes, self.classes)).apply(start)
-
-
-@lru_cache(maxsize=32)
-def _element_roots(spec: _Spec, n_ports: int) -> _ElementRoots:
+def _element_roots(spec: _Spec, n_ports: int) -> FamilyRoots:
     """The roots of the last port's element and of the failure element on
     the flagged level, read straight off the sector tables.
 
     On r = 0, `_compile`'s rotate, attach and unrotate is, family by family,
     a v (v^T x): v the family's eigenvector coefficients and a its sector's
-    attach amplitude, sqrt(value) times the spec's attach (or fail) scale
-    over c*. Every label no family holds is dropped. A family's labels share
-    one doubled m = N+1-2w, so each family lies in weight class w, and this
-    lays them onto the class's row positions (`FamilyRoots`), branch 0 the
-    port element's and branch 1 the failure element's. The state holds
+    attach amplitude, sqrt(value) times the scale `_compile` attaches
+    (`_attach_tables`). Every label no family holds is dropped. A family's
+    labels share one doubled m = N+1-2w, so each family lies in weight class
+    w, and this lays them onto the class's row positions, branch 0 the port
+    element's and branch 1 the failure element's. The run's state holds
     2 C(2N+2, N+1) floats, so N is capped at MAX_DENSE_QUBITS (159 MiB at
-    N = 12) before anything is built. Cached per spec, read-only."""
+    N = 12) before anything is built. Built once per protocol, by the cached
+    `_instrument`."""
     _check_ports(n_ports)
     if n_ports > MAX_DENSE_QUBITS:
         raise ValueError(f"n_ports must be in 1..{MAX_DENSE_QUBITS} for a sampled "
                          f"instrument, got {n_ports}")
-    rescale, rounds = c_star(spec.target(n_ports))
-    # scale by the reciprocal: seeded outputs are pinned to these exact floats
-    tables = [(port_eigensystem(spec.regime, n_ports), spec.attach(n_ports) * (1.0 / rescale))]
-    if spec.fail is not None:
-        tables.append((failure_eigensystem(spec.regime, n_ports), spec.fail * (1.0 / rescale)))
+    tables = _attach_tables(spec, n_ports)
     classes = _weight_classes(n_ports)
     # each label's class and its row among the class's rows
     owner, position = np.empty((2, 2 ** (n_ports + 1)), dtype=np.intp)
@@ -440,10 +421,7 @@ def _element_roots(spec: _Spec, n_ports: int) -> _ElementRoots:
                 mine = family_class == w
                 if mine.any():
                     cls_groups[branch].append((position[rows[mine]], vectors[mine], amps[mine]))
-    amps = spec.amplitudes(n_ports)
-    return _ElementRoots(roots=FamilyRoots(groups, [len(cls.outputs) for cls in classes]),
-                         classes=classes, entry=amps[n_ports - 1:], rounds=rounds,
-                         c_star=rescale)
+    return FamilyRoots(groups, [len(cls.outputs) for cls in classes])
 
 
 def ppbt_mes_no_aa(n_ports: int) -> NaimarkProgram:
@@ -528,8 +506,8 @@ def _slot_input(kind: ProtocolKind, n_ports: int) -> np.ndarray:
     (X, (b, d)) is coeff[d, X] times that row at prev[d, X], column b, by
     one Clebsch-Gordan level (`coupling_level`). Those entries of U_N are
     read off U_{N-1} (`coupling_entries`), so no N qubit transform is
-    built. The norm is an exact sum (`math.fsum`), so no BLAS kernel moves a
-    seeded byte."""
+    built. The norm is an exact sum (`math.fsum`), correctly rounded in any
+    summation order."""
     labels = enumerate_labels(n_ports).astype(np.int64)
     spin, m = labels[:, -2], labels[:, -1]
     if kind is ProtocolKind.PPBT_OPT:
@@ -567,7 +545,7 @@ def _pair_gram(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
     so q = 0 and q = 3 share their b', and q = 1 and q = 2 share none with
     any other q. The columns run sorted by q and then b', so each q is one
     slice of the block, and q = 0 and 3 line up column by column: five sums,
-    by einsum and not BLAS, so no kernel moves a seeded byte."""
+    by einsum."""
     bounds = np.searchsorted(columns & 3, np.arange(5))
     part = [rows[..., start:stop] for start, stop in zip(bounds, bounds[1:])]
     gram = np.zeros((*rows.shape[:-2], 4, 4), dtype=rows.dtype)
@@ -583,8 +561,8 @@ def _instrument(kind: ProtocolKind, n_ports: int
     """The protocol as a qubit instrument, from one run of the element roots
     (`_element_roots`) on the joint inputs for chi = |0> and |1>
     (2 * 2^N columns), held as flagged weight-class blocks. It is the check
-    of the covariant closed form below, which `teleport_batch` samples
-    from: every batch calls it first, and it runs once per protocol.
+    of the covariant closed form that `teleport_batch` samples and `teleport`
+    prints: every batch calls it first, and it runs once per protocol.
 
     The circuit is linear in the input chi, so for every input the weight of
     outcome i is chi^dagger G[i] chi, with the failure branches summed into
@@ -594,8 +572,8 @@ def _instrument(kind: ProtocolKind, n_ports: int
     port branch p of the whole register is the last port branch with system
     qubits p+1 and N swapped and, the resource being symmetric under
     exchanging pairs, Bob's qubits p+1 and N too. So the run holds the last
-    port and the failure branch only, and every port shares the last port's
-    G and K.
+    port and the failure branch only, each times its port preparation
+    amplitude, and every port shares the last port's G and K.
 
     Every family of the roots shares one S_z, and the joint input's column
     (b, d) lies in the one weight class w = N - wt(b) + d
@@ -604,7 +582,7 @@ def _instrument(kind: ProtocolKind, n_ports: int
     doubled m is N+1-2w, and its own columns, read off in closed form in the
     coupled basis (`_slot_input`): the branches times C(2N+2, N+1) floats
     in all, the flagged level the amplification keeps and nothing else, and
-    the roots act on it in place.
+    the roots act on it in place (`circuit.OaaAction`).
     G and K sum over the rows and columns of each class (`_pair_gram`), and
     the amplification check folds the port images per class
     (`_fold_classes`), so no 2^(N+1) x 2^(N+1) Gram or transform is formed;
@@ -614,26 +592,31 @@ def _instrument(kind: ProtocolKind, n_ports: int
 
     Three checks raise `NumericalInvariantError` with their residual: the
     amplification precondition, the branch sum N G[0] + G_fail = I, and the
-    covariant closed form (SU(2) covariance makes each port a depolarizing
-    channel with an input-independent weight: G_i = p_i I, and
-    K = p (lam E + (1 - lam) I/2), lam = (4F - 1)/3 for the deterministic
-    kinds and 1 for the heralded ones, F and p the exact figures of merit),
-    each gap above 1e-9.
+    covariant closed form, each gap above 1e-9. SU(2) covariance makes each
+    port a depolarizing channel with an input-independent weight: the port
+    and failure forms are the weights of `expected_outcome_distribution`
+    times I, and K = p (lam E + (1 - lam) I/2), p the port weight and
+    lam = 2 F - 1 for the success fidelity F of `success_fidelity`.
 
     Returns (ports, failure, receiver), read-only, for the tests that
     compare the run with the dense routes: the (N, 2, 2) port forms, views
     of the last port's; the failure form, None for the deterministic kinds;
     and the (2, 2, 2, 2) receiver tensor K of every port.
     """
-    branches = _element_roots(_SPECS[kind], n_ports)
-    # the flat input is dropped before the run, which then holds one state
-    start = branches.start(_slot_input(kind, n_ports))
+    spec = _SPECS[kind]
+    roots = _element_roots(spec, n_ports)
+    _, rounds = _schedule(spec, n_ports)
+    classes = _weight_classes(n_ports)
+    shapes = tuple((len(cls.outputs), len(cls.columns)) for cls in classes)
+    # the flat input is dropped once the start state holds it, so the run
+    # holds one state
+    start = ClassBlocks.from_blocks(shapes, _slot_input(kind, n_ports),
+                                    spec.amplitudes(n_ports)[n_ports - 1:])
     # the flagged part, r = 0, is all of the output; per class, axes: port
     # branch, coupled row, column
-    flagged = branches.run(start).blocks()
+    flagged = OaaAction(roots, rounds, fold=partial(_fold_classes, classes)).apply(start)
     # per port value, the Gram over (Bob's last qubit i, chi' bit c) pairs
-    grams = sum(_pair_gram(block, cls.columns)
-                for cls, block in zip(_weight_classes(n_ports), flagged))
+    grams = sum(_pair_gram(block, cls.columns) for cls, block in zip(classes, flagged.blocks()))
     # the outcome forms trace out Bob's last qubit; port N-1 teleports to it
     per_branch = np.einsum("picid->pcd", grams.reshape(-1, 2, 2, 2, 2))
     receiver = grams[0].reshape(2, 2, 2, 2)
@@ -645,11 +628,9 @@ def _instrument(kind: ProtocolKind, n_ports: int
             f"{kind.value} N={n_ports}: outcome weights miss 1 by {residual:.3e}",
             residual)
     eye = np.eye(2)
-    if kind.deterministic:
-        weights, lam = [1.0 / n_ports], (4 * entanglement_fidelity(kind, n_ports) - 1) / 3
-    else:
-        p = float(success_probability_exact(kind, n_ports))
-        weights, lam = [p / n_ports, 1 - p], 1.0
+    # the last port's weight, then the failure weight of a heralded kind
+    weights = expected_outcome_distribution(kind, n_ports)[n_ports - 1:]
+    lam = 2 * success_fidelity(kind, n_ports) - 1
     closed = weights[0] * (lam * np.einsum("ac,bd->acbd", eye, eye)
                            + (1 - lam) * np.einsum("cd,ab->acbd", eye, eye) / 2)
     gap = float(max(np.abs(per_branch - np.multiply.outer(weights, eye)).max(),
@@ -668,22 +649,22 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, trials: int,
     """Run `trials` teleportations from the instrument's closed form.
 
     The square-root measurement is covariant, so no outcome weight or
-    success fidelity depends on the input (`_instrument`), and a trial has
-    none: every trial samples its outcome from
-    `expected_outcome_distribution`, and every success has the average
-    fidelity of the deterministic kinds, or 1 for the heralded ones.
-    `_instrument` runs first, as the check of that closed form. Sampling
-    draws one uniform per trial and inverts the cumulative distribution.
-    `rng` is any generator with a `random(n)` method, used as given, or a
-    seed (an int, or None for fresh entropy) of a `Pcg64`: a PCG64 stream,
-    bit-identical to numpy's `Generator(PCG64(seed)).random`, one 64-bit
-    word a uniform. Batches that share a generator read what one batch of
-    all their trials would.
+    success fidelity depends on the input, and a trial has none: every
+    trial samples its outcome from `expected_outcome_distribution`, and
+    every success has the fidelity `success_fidelity`. `_instrument` runs
+    first, as the check of exactly these numbers, and of the port count
+    before the amplification schedule is read. Sampling draws one uniform
+    per trial and inverts the cumulative distribution. `rng` is any
+    generator with a `random(n)` method, used as given, or a seed (an int,
+    or None for fresh entropy) of a `Pcg64`: a PCG64 stream, bit-identical
+    to numpy's `Generator(PCG64(seed)).random`, one 64-bit word a uniform.
+    Batches that share a generator read what one batch of all their trials
+    would.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    branches = _element_roots(_SPECS[kind], n_ports)
     _instrument(kind, n_ports)
+    rescale, rounds = _schedule(_SPECS[kind], n_ports)
     expected = expected_outcome_distribution(kind, n_ports)
     # imported here, so that only a command that draws loads the stream
     from .pcg64 import Pcg64
@@ -691,9 +672,9 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, trials: int,
     # the number of cumulative weights below each uniform
     outcomes = np.minimum(np.searchsorted(np.cumsum(expected), gen.random(trials)),
                           len(expected) - 1) + 1
-    fidelity = average_fidelity(kind, n_ports) if kind.deterministic else 1.0
-    return TeleportBatch(rounds=branches.rounds, c_star=branches.c_star, outcomes=outcomes,
-                         fidelities=np.where(outcomes <= n_ports, fidelity, np.nan),
+    return TeleportBatch(rounds=rounds, c_star=rescale, outcomes=outcomes,
+                         fidelities=np.where(outcomes <= n_ports,
+                                             success_fidelity(kind, n_ports), np.nan),
                          expected=expected)
 
 
@@ -722,6 +703,14 @@ def average_fidelity(kind: ProtocolKind, n_ports: int) -> float:
     """Average output fidelity over pure inputs of the deterministic
     protocol, via the standard qubit relation to entanglement fidelity."""
     return (2.0 * entanglement_fidelity(kind, n_ports) + 1.0) / 3.0
+
+
+def success_fidelity(kind: ProtocolKind, n_ports: int) -> float:
+    """The fidelity of every successful trial, whatever its input: the
+    average fidelity of a deterministic kind, 1 for a heralded one, whose
+    success teleports perfectly."""
+    _check_ports(n_ports)
+    return average_fidelity(kind, n_ports) if kind.deterministic else 1.0
 
 
 def success_probability_exact(kind: ProtocolKind, n_ports: int) -> Fraction:

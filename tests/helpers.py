@@ -7,19 +7,19 @@ the port element's table of a pair sector, the Hermitian square root of a
 dense measurement element, the whole-register qubit instrument and the
 receiver states it leaves, the dense resource and joint input, in the
 computational and in the coupled basis, the whole register's unchecked
-amplified run and its Gram difference, the sampled instrument's run on
-flagged class blocks without its check, its element roots as dense
-matrices and its qubit instrument read off them in the dense layout, and
-teleport's trial rows rendered one row at a time."""
+amplified run and its Gram difference, the sampled instrument's start
+state and run on flagged class blocks, with and without its check, its
+element roots as dense matrices and its qubit instrument read off them in
+the dense layout, and teleport's trial rows rendered one row at a time."""
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
 from portsim import protocols
-from portsim.circuit import ClassBlocks, Registers, StateVector, c_star
+from portsim.circuit import ClassBlocks, OaaAction, Registers, StateVector, c_star
 from portsim.cli import _fmt
 from portsim.povm_analytic import failure_eigensystem, port_eigensystem
 from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL
@@ -217,14 +217,37 @@ def register_fold(program, system_amps: np.ndarray) -> tuple[np.ndarray, np.ndar
     return after.conj().T @ after - gram, gram.diagonal().real
 
 
-def class_block_run(branches, blocks: np.ndarray) -> tuple[ClassBlocks, ClassBlocks]:
-    """The sampled instrument's run (`protocols._element_roots`) on flat
-    class blocks without its check: the roots once on a copy of the start
-    state, divided by sin(pi/2n). Returns the start state and that
+def class_block_start(spec, n_ports: int, blocks: np.ndarray) -> ClassBlocks:
+    """The sampled instrument's start state, as `protocols._instrument`
+    builds it, on flat class blocks: each weight class's block times the
+    port preparation's amplitude on the last port branch and on the failure
+    branch."""
+    shapes = tuple((len(cls.outputs), len(cls.columns))
+                   for cls in protocols._weight_classes(n_ports))
+    return ClassBlocks.from_blocks(shapes, blocks, spec.amplitudes(n_ports)[n_ports - 1:])
+
+
+def checked_class_block_run(spec, n_ports: int, blocks: np.ndarray) -> ClassBlocks:
+    """The sampled instrument's run, as `protocols._instrument` makes it, on
+    flat class blocks: the element roots (`protocols._element_roots`) on the
+    start state, amplified, with the whole register's precondition checked
+    through the class fold (`protocols._fold_classes`)."""
+    _, rounds = c_star(spec.target(n_ports))
+    fold = partial(protocols._fold_classes, protocols._weight_classes(n_ports))
+    return OaaAction(protocols._element_roots(spec, n_ports), rounds, fold=fold).apply(
+        class_block_start(spec, n_ports, blocks))
+
+
+def class_block_run(spec, n_ports: int, blocks: np.ndarray) -> tuple[ClassBlocks, ClassBlocks]:
+    """The sampled instrument's run on flat class blocks without its check:
+    the element roots (`protocols._element_roots`) once on a copy of the
+    start state, divided by sin(pi/2n). Returns the start state and that
     output."""
-    before = branches.start(blocks)
-    after = branches.roots.apply(ClassBlocks(before.amps.copy(), before.shapes))
-    after.amps /= math.sin(math.pi / (2 * branches.rounds))
+    _, rounds = c_star(spec.target(n_ports))
+    before = class_block_start(spec, n_ports, blocks)
+    after = protocols._element_roots(spec, n_ports).apply(
+        ClassBlocks(before.amps.copy(), before.shapes))
+    after.amps /= math.sin(math.pi / (2 * rounds))
     return before, after
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import action_matrix, branch_weights, flat
+from helpers import action_matrix, branch_weights, checked_class_block_run, flat
 from portsim import circuit, protocols
 from portsim.circuit import (
     Block,
@@ -264,16 +264,6 @@ def test_oaa_lands_exactly_on_the_flag_subspace(n):
     np.testing.assert_allclose(out.amps[:, 1], 0, atol=1e-10)
 
 
-def test_oaa_start_subspace_spans_the_first_start_ports():
-    regs = Registers(n_system=1, port_dim=3)
-    u = _toy_reflection(regs, 0.5)
-    state = StateVector.from_system(regs, np.array([0.6, 0.8]), entry=(0.8, 0.6))
-    out = OaaAction(u, 3, start_ports=2).apply(state)
-    np.testing.assert_allclose(out.amps, state.amps, atol=1e-12)
-    with pytest.raises(ValueError, match="start subspace"):
-        OaaAction(u, 3).apply(state)
-
-
 def test_oaa_with_half_amplitude_needs_three_rounds():
     regs = Registers(n_system=1, port_dim=2)
     u = _toy_reflection(regs, 0.5)  # sin(pi/6)
@@ -515,15 +505,15 @@ def test_a_complex_block_promotes_a_real_state():
 def test_a_complex_run_is_the_real_runs_of_its_parts(kind, n):
     # every op acts on each weight class's block alone, so a complex factor
     # per class commutes with the run and leaves the fold's check intact
-    branches = protocols._element_roots(protocols._SPECS[kind], n)
+    spec = protocols._SPECS[kind]
     x = protocols._slot_input(kind, n).astype(np.complex128)
     start = 0
-    for cls in branches.classes:
+    for cls in protocols._weight_classes(n):
         size = len(cls.outputs) * len(cls.columns)
         x[start:start + size] *= complex(*RNG.normal(size=2))
         start += size
-    real, imag = (branches.run(branches.start(part)).amps for part in (x.real, x.imag))
+    real, imag = (checked_class_block_run(spec, n, part).amps for part in (x.real, x.imag))
     assert real.dtype == imag.dtype == np.float64
-    out = branches.run(branches.start(x)).amps
+    out = checked_class_block_run(spec, n, x).amps
     assert out.dtype == np.complex128
     np.testing.assert_allclose(out, real + 1j * imag, rtol=0, atol=1e-15)

@@ -245,9 +245,24 @@ def test_teleport_csv_and_human_text_is_pinned(capsys):
         "  port 2   count      3  expected       2.40  z +0.433\n"
         "  fail     count      6  expected       7.20  z -0.707\n"
         "  success rate 0.5  exact 0.4  z +0.707\n")
-    # the deviation is a last-bit rounding residue, so only its layout is pinned
-    assert lines[19].startswith("  mean success fidelity 1  exact 1  |dev| ")
-    assert lines[20:] == ["  max outcome |z| 0.707\n"]
+    # every success has the one exact fidelity, so a run with any success
+    # deviates by nothing
+    assert lines[19:] == ["  mean success fidelity 1  exact 1  |dev| 0.000e+00\n",
+                          "  max outcome |z| 0.707\n"]
+
+
+def test_teleport_human_summary_without_successes(capsys):
+    # no trial succeeds, so the mean and its deviation are undefined
+    code, out, _ = run(capsys, ["teleport", "--regime", "ppbt-mes", "--ports", "1",
+                                "--trials", "1", "--seed", "1"])
+    assert code == 0
+    assert out.splitlines(keepends=True)[3:] == [
+        "summary:\n",
+        "  port 1   count      0  expected       0.25  z -0.577\n",
+        "  fail     count      1  expected       0.75  z +0.577\n",
+        "  success rate 0  exact 0.25  z -0.577\n",
+        "  mean success fidelity nan  exact 1  |dev| nan\n",
+        "  max outcome |z| 0.577\n"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -760,14 +775,12 @@ def _detuned_attach(monkeypatch) -> str:
 @pytest.mark.parametrize("breakage", [_scaled_resource, _detuned_attach],
                          ids=["resource", "attach"])
 def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakage):
-    protocols._element_roots.cache_clear()
     protocols._instrument.cache_clear()
     try:
         residual = breakage(monkeypatch)
         code, out, err = run(capsys, ["teleport", "--regime", "ppbt-opt",
                                       "--ports", "2", "--trials", "5"])
     finally:
-        protocols._element_roots.cache_clear()
         protocols._instrument.cache_clear()
     assert code == 1
     assert out == ""

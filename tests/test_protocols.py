@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (action_matrix, branch_instrument, branch_weights, class_block_run,
-                     coupled_input, flat, haar_qubit, joint_input, one_shot_draws, psd_sqrt,
-                     receiver_states, register_fold, resource_matrix, root_matrices,
-                     singlet_chain, stream_outcomes, whole_register_instrument)
+from helpers import (action_matrix, branch_instrument, branch_weights, checked_class_block_run,
+                     class_block_run, coupled_input, flat, haar_qubit, joint_input,
+                     one_shot_draws, psd_sqrt, receiver_states, register_fold, resource_matrix,
+                     root_matrices, singlet_chain, stream_outcomes, whole_register_instrument)
 from portsim import protocols, schur
 from portsim.circuit import FamilyRoots, Registers, StateVector
 from portsim.pcg64 import Pcg64
@@ -492,9 +492,8 @@ def test_one_fold_on_the_difference_is_the_two_fold_residual(kind, n):
     # G_in as N copies of the last port branch's; the whole register, every
     # port branch run, gives the same residual
     detuned = _detuned(kind)
-    branches = protocols._element_roots(detuned, n)
     with pytest.raises(NumericalInvariantError) as info:
-        branches.run(branches.start(protocols._slot_input(kind, n)))
+        checked_class_block_run(detuned, n, protocols._slot_input(kind, n))
     diff, diagonal = register_fold(protocols._compile(detuned, n), joint_input(kind, n))
     residual = np.abs(diff).max() / diagonal.max()
     assert 1e-6 <= residual <= 3e-6
@@ -508,8 +507,7 @@ def test_class_fold_is_the_dense_fold(kind, n):
     # class, and each block is the class fold of the class-block run, on a
     # detuned attach where it is not zero
     detuned = _detuned(kind)
-    before, after = class_block_run(protocols._element_roots(detuned, n),
-                                    protocols._slot_input(kind, n))
+    before, after = class_block_run(detuned, n, protocols._slot_input(kind, n))
     classes = protocols._weight_classes(n)
     grams_in = protocols._input_grams(classes, before)
     grams_out = list(protocols._output_grams(classes, after))
@@ -597,16 +595,12 @@ def test_instrument_builds_no_transform_past_the_resource_qubits(monkeypatch, n)
     monkeypatch.setattr(protocols, "coupling_unitary", capped)
     monkeypatch.setattr(protocols, "SubspaceBlocks", register_circuit)
     monkeypatch.setattr(protocols, "Registers", register_circuit)
-    protocols._element_roots.cache_clear()
-    try:
-        for kind, (ports, failure, receiver) in zip(KINDS, expected):
-            built = protocols._instrument.__wrapped__(kind, n)
-            np.testing.assert_array_equal(built[0], ports)
-            np.testing.assert_array_equal(built[2], receiver)
-            if failure is not None:
-                np.testing.assert_array_equal(built[1], failure)
-    finally:
-        protocols._element_roots.cache_clear()
+    for kind, (ports, failure, receiver) in zip(KINDS, expected):
+        built = protocols._instrument.__wrapped__(kind, n)
+        np.testing.assert_array_equal(built[0], ports)
+        np.testing.assert_array_equal(built[2], receiver)
+        if failure is not None:
+            np.testing.assert_array_equal(built[1], failure)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -716,6 +710,35 @@ def test_instrument_checks_its_covariant_closed_form(monkeypatch, kind, n):
         # the receiver gap is |delta lam| / N
         gap = 4 * (entanglement_fidelity(kind, n)
                    - entanglement_fidelity(ProtocolKind.DPBT_MES, n)) / (3 * n)
+        assert info.value.residual == pytest.approx(gap, rel=0, abs=1e-12)
+
+
+def _off_by(monkeypatch, name: str, delta: float) -> None:
+    """Shift what protocols' `name` returns by `delta`."""
+    original = getattr(protocols, name)
+    monkeypatch.setattr(protocols, name, lambda kind, n: original(kind, n) + delta)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 4])
+def test_instrument_checks_the_numbers_teleport_samples(monkeypatch, kind, n):
+    # the run is right and the closed form that teleport samples and prints
+    # is off by 1e-6, so only the covariant check sees it: weights off by
+    # 1e-6 miss the outcome forms by 1e-6, and a success fidelity off by
+    # 1e-6 moves lam = 2F - 1 by 2e-6 and the receiver tensor by the port
+    # weight times that
+    weight = expected_outcome_distribution(kind, n)[0]
+    for name, gap in [("expected_outcome_distribution", 1e-6),
+                      ("success_fidelity", 2e-6 * weight)]:
+        with monkeypatch.context() as patch:
+            _off_by(patch, name, 1e-6)
+            protocols._instrument.cache_clear()
+            try:
+                with pytest.raises(NumericalInvariantError,
+                                   match="covariant closed form") as info:
+                    protocols._instrument(kind, n)
+            finally:
+                protocols._instrument.cache_clear()
         assert info.value.residual == pytest.approx(gap, rel=0, abs=1e-12)
 
 
