@@ -31,6 +31,15 @@ whole-register program, whose N+1 qubit coupled basis is dense, and
 N <= MAX_DENSE_QUBITS = 12 for teleport's sampled instrument): a request
 beyond one exits 2 with one error line.
 
+Options are read from one table, `COMMANDS`, which is also the only source
+of their defaults, type and choice checks, and --help text. An option is
+`--name value` or `--name=value`, and a name may be cut to any unique
+prefix (`--port 2` is `--ports 2`). A repeated option keeps its last value,
+and a value is taken as given even when it starts with "-", so `--seed -1`
+reaches the command's own check. `-h` or `--help`, before or after the command, writes help to
+stdout and exits 0. There are no positional arguments. Every bad argument,
+like every library limit, exits 2 with one `error:` line on stderr.
+
 Exit codes: 0 on success, 1 when a check or a numerical invariant of the
 compiled circuits fails or stdout closes early, 2 on bad arguments,
 including a request that runs out of memory.
@@ -38,7 +47,6 @@ including a request that runs out of memory.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
@@ -47,6 +55,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -100,12 +109,11 @@ def _check_cap(hi: int, default: int) -> None:
 def _port_range(text: str) -> tuple[int, int]:
     match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text.strip())
     if match is None:
-        raise argparse.ArgumentTypeError(
-            f"expected a port count N or a range LO..HI, got {text!r}")
+        raise ValueError(f"expected a port count N or a range LO..HI, got {text!r}")
     lo = int(match.group(1))
     hi = int(match.group(2)) if match.group(2) is not None else lo
     if lo < 1 or hi < lo:
-        raise argparse.ArgumentTypeError(f"bad port range {text!r}")
+        raise ValueError(f"bad port range {text!r}")
     return lo, hi
 
 
@@ -138,7 +146,7 @@ def _label_blocks(labels: np.ndarray) -> Iterator[Iterator[tuple[int, int, int]]
         yield zip(range(start, stop), chain[start:stop].tolist(), m[start:stop].tolist())
 
 
-def cmd_schur(args: argparse.Namespace) -> int:
+def cmd_schur(args: SimpleNamespace) -> int:
     n = args.n
     _check_cap(n, MAX_ENUMERATE_QUBITS)
     labels = enumerate_labels(n)
@@ -188,7 +196,7 @@ def cmd_schur(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------- povm-check ----
 
-def cmd_povm_check(args: argparse.Namespace) -> int:
+def cmd_povm_check(args: SimpleNamespace) -> int:
     lo, hi = args.ports
     _check_cap(hi, _CHECK_CAP)
     regimes = list(Regime) if args.regime == "all" else [Regime(args.regime)]
@@ -281,7 +289,7 @@ def _human_tail(outcome: int, fidelity: float | None) -> str:
         else f" {outcome:>7} ok      {_fmt(fidelity)}\n"
 
 
-def cmd_teleport(args: argparse.Namespace) -> int:
+def cmd_teleport(args: SimpleNamespace) -> int:
     if args.ports < 1:
         raise ValueError(f"--ports must be positive, got {args.ports}")
     _check_cap(args.ports, _TELEPORT_CAP)
@@ -382,7 +390,7 @@ def _resource_header() -> list[str]:
     return cols
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
     lo, hi = args.ports
     _check_cap(hi, _TABLE_CAP)
     if not 0.0 < args.epsilon < 1.0:
@@ -434,59 +442,123 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- main ----
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="portsim",
-        description="Exact simulator and verification suite for qubit "
-                    "port-based teleportation at desk scale.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = ...
+_FORMAT = ("--format", ("human", "json", "csv"), "human", "FORMAT", "output format")
+_HELP = ("--help", bool)
 
-    s = sub.add_parser("schur", help="enumerate the coupled spin basis")
-    s.add_argument("--n", type=int, required=True, metavar="QUBITS",
-                   help="number of qubits (capped unless PORTSIM_MAX_PORTS is set)")
-    s.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    s.set_defaults(func=cmd_schur)
+# command: (help line, handler, options); an option is (name, type or choice
+# tuple, default as argv text or _REQUIRED, metavar, help). A bool option is
+# a flag that takes no value. No name is a prefix of another in its command,
+# so a unique prefix of a name is never also another option's whole name.
+COMMANDS = {
+    "schur": ("enumerate the coupled spin basis", cmd_schur, (
+        ("--n", int, _REQUIRED, "QUBITS",
+         "number of qubits, capped unless PORTSIM_MAX_PORTS is set"),
+        _FORMAT)),
+    "povm-check": ("closed-form measurement elements vs the dense oracle", cmd_povm_check, (
+        ("--regime", ("dpbt", "ppbt-mes", "ppbt-opt", "all"), "all", "REGIME",
+         "measurement regime to check"),
+        ("--ports", _port_range, "1..3", "LO..HI", "port count N or range of them"),
+        ("--inject-fault", bool, False, "",
+         "corrupt one closed-form scalar; the run must then fail"))),
+    "teleport": ("sample seeded protocol runs", cmd_teleport, (
+        ("--regime", tuple(k.value for k in ProtocolKind), _REQUIRED, "KIND",
+         "protocol to run"),
+        ("--ports", int, _REQUIRED, "N", "number of ports"),
+        ("--trials", int, "1000", "TRIALS", "number of sampled runs"),
+        ("--seed", int, "0", "SEED", "PCG64 seed; equal seeds give byte-identical output"),
+        _FORMAT)),
+    "table": ("figures of merit and resource counts", cmd_table, (
+        ("--metric", ("fidelity", "success", "resources"), _REQUIRED, "METRIC",
+         "quantity to tabulate against N"),
+        ("--ports", _port_range, "1..6", "LO..HI", "port count N or range of them"),
+        ("--epsilon", float, "1e-10", "EPSILON", "target precision for the resource model"),
+        ("--schur-variant", tuple(v.value for v in SchurVariant), "bch", "VARIANT",
+         "basis-transform cost model"),
+        _FORMAT)),
+}
 
-    p = sub.add_parser("povm-check",
-                       help="closed-form measurement elements vs the dense oracle")
-    p.add_argument("--regime", choices=("dpbt", "ppbt-mes", "ppbt-opt", "all"),
-                   default="all")
-    p.add_argument("--ports", type=_port_range, default=(1, 3), metavar="LO..HI")
-    p.add_argument("--inject-fault", action="store_true",
-                   help="corrupt one closed-form scalar; the run must then fail")
-    p.set_defaults(func=cmd_povm_check)
 
-    t = sub.add_parser("teleport", help="sample seeded protocol runs")
-    t.add_argument("--regime", choices=[k.value for k in ProtocolKind],
-                   required=True)
-    t.add_argument("--ports", type=int, required=True, metavar="N")
-    t.add_argument("--trials", type=int, default=1000)
-    t.add_argument("--seed", type=int, default=0,
-                   help="PCG64 seed; equal seeds give byte-identical output")
-    t.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    t.set_defaults(func=cmd_teleport)
+def _help(command: str) -> int:
+    """Write the help of `command`, or of the program when it is ""."""
+    if command not in COMMANDS:
+        sys.stdout.write(
+            "usage: portsim COMMAND [options]\n\nExact simulator and verification suite for "
+            "qubit port-based teleportation at desk scale.\n\ncommands:\n"
+            + "".join(f"  {name:<12}{line}\n" for name, (line, _, _) in COMMANDS.items())
+            + "\nRun 'portsim COMMAND --help' for a command's options.\n")
+        return 0
+    line, _, options = COMMANDS[command]
+    text = [f"usage: portsim {command} [options]\n\n{line}\n\n"
+            "options:\n  -h, --help\n      show this help and exit\n"]
+    for name, kind, default, metavar, info in options:
+        if isinstance(kind, tuple):
+            info += f": {', '.join(kind)}"
+        if kind is not bool:
+            info += " (required)" if default is _REQUIRED else f" (default {default})"
+        text.append(f"  {name} {metavar}".rstrip() + f"\n      {info}\n")
+    sys.stdout.write("".join(text))
+    return 0
 
-    tb = sub.add_parser("table", help="figures of merit and resource counts")
-    tb.add_argument("--metric", choices=("fidelity", "success", "resources"),
-                    required=True)
-    tb.add_argument("--ports", type=_port_range, default=(1, 6), metavar="LO..HI")
-    tb.add_argument("--epsilon", type=float, default=1e-10,
-                    help="target precision for the resource model")
-    tb.add_argument("--schur-variant", choices=[v.value for v in SchurVariant],
-                    default="bch", help="basis-transform cost model")
-    tb.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    tb.set_defaults(func=cmd_table)
-    return parser
+
+def _parse(argv: Sequence[str]):
+    """A command line's handler and the argument it takes: the command's
+    options, or for a help request `_help` and the command. A bad argument
+    raises ValueError."""
+    command, *rest = argv or [""]
+    if command in ("-h", "--help"):
+        return _help, ""
+    if command not in COMMANDS:
+        raise ValueError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+    _, func, options = COMMANDS[command]
+    values = {}
+    tokens = iter(rest)
+    for token in tokens:
+        flag, eq, value = ("--help", "", "") if token == "-h" else token.partition("=")
+        # a whole name or a unique prefix of one; a bare "--", a lone "-" or
+        # a positional matches no name or more than one
+        matches = [opt for opt in (*options, _HELP) if opt[0].startswith(flag)]
+        if len(matches) != 1:
+            raise ValueError(f"unrecognized or ambiguous argument {token!r}")
+        name, kind = matches[0][:2]
+        if kind is bool:
+            if eq:
+                raise ValueError(f"argument {name}: takes no value, got {value!r}")
+            if name == "--help":
+                return _help, command
+            values[name] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"argument {name}: expected one value")
+        values[name] = _convert(name, kind, value)
+    for name, kind, default, _, _ in options:
+        if name not in values:
+            if default is _REQUIRED:
+                raise ValueError(f"argument {name} is required")
+            values[name] = _convert(name, kind, default)
+    return func, SimpleNamespace(**{name[2:].replace("-", "_"): value
+                                    for name, value in values.items()})
+
+
+def _convert(name: str, kind, text: str):
+    """An option's argv text as its type, or checked against its choices."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValueError(f"argument {name}: invalid choice {text!r}: "
+                             f"choose from {', '.join(kind)}")
+        return text
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"argument {name}: {exc}") from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        code = args.func(args)
+        func, args = _parse(sys.argv[1:] if argv is None else argv)
+        code = func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -846,11 +846,13 @@ def test_cli_import_generates_no_dataclasses_and_only_teleport_draws():
     # the records are NamedTuples and plain classes, so importing the CLI
     # generates no code; the PCG64 stream is left to teleport, the one
     # command that draws, and even teleport never loads numpy.random (with
-    # it secrets, hmac and _hashlib)
+    # it secrets, hmac and _hashlib); the command line is read without
+    # argparse, so neither gettext nor, once a command runs, locale loads
     script = (
         "import contextlib, io, sys\n"
         "import portsim.cli\n"
         "print('dataclasses' in sys.modules)\n"
+        "print([m for m in ('argparse', 'gettext') if m in sys.modules])\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for argv in (['table', '--metric', 'resources', '--ports', '1..3'],\n"
         "                 ['povm-check', '--ports', '1..2'], ['schur', '--n', '3']):\n"
@@ -859,11 +861,12 @@ def test_cli_import_generates_no_dataclasses_and_only_teleport_draws():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert portsim.cli.main(['teleport', '--regime', 'dpbt', '--ports', '2',\n"
         "                             '--trials', '5000', '--format', 'csv']) == 0\n"
-        "print([m for m in ('numpy.random', 'secrets', 'portsim.pcg64') if m in sys.modules])\n")
+        "print([m for m in ('numpy.random', 'secrets', 'portsim.pcg64') if m in sys.modules])\n"
+        "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n")
     result = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n[]\n['portsim.pcg64']\n"
+    assert result.stdout == "False\n[]\n[]\n['portsim.pcg64']\n[]\n"
 
 
 _PORT_RANGES = st.sampled_from(["1", "2", "1..3", "2..5", "3..1", "0", "-1", "8", "1..8",
@@ -897,7 +900,8 @@ def _argv(draw):
             value = draw(values)
             groups.append([name] if value is None else [name, value])
     groups += [[flag] for flag in draw(st.lists(st.sampled_from(
-        ["--bogus", "--ports=2", "-q", "--trials", "--format=json"]), max_size=1))]
+        ["--bogus", "--ports=2", "-q", "--trials", "--format=json", "extra", "--",
+         "--form=json", "--inject-fault=1"]), max_size=1))]
     return [command, *(token for group in draw(st.permutations(groups)) for token in group)]
 
 
@@ -910,13 +914,129 @@ def test_fuzzed_argv_exits_0_1_or_2_with_one_error_line(argv):
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
     if code == 2:
-        lines = err.getvalue().splitlines()
-        assert sum("error:" in line for line in lines) == 1, (argv, lines)
+        assert _one_error_line(err.getvalue()), (argv, err.getvalue())
 
 
-def test_missing_subcommand_exits_with_usage_error(capsys):
-    assert main([]) == 2
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
 
-def test_help_exits_cleanly(capsys):
-    assert main(["--help"]) == 0
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--bogus"], ["Table"]])
+def test_missing_subcommand_exits_with_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert _one_error_line(err), err
+    assert "schur, povm-check, teleport, table" in err
+
+
+# ----------------------------------------------------------------- parser ----
+
+_FORMAT_CHOICES = ["human", "json", "csv"]
+# every option of every command, with its choices
+_OPTIONS = {
+    "schur": {"--n": [], "--format": _FORMAT_CHOICES},
+    "povm-check": {"--regime": ["dpbt", "ppbt-mes", "ppbt-opt", "all"], "--ports": [],
+                   "--inject-fault": []},
+    "teleport": {"--regime": KINDS, "--ports": [], "--trials": [], "--seed": [],
+                 "--format": _FORMAT_CHOICES},
+    "table": {"--metric": ["fidelity", "success", "resources"], "--ports": [],
+              "--epsilon": [], "--schur-variant": ["bch", "spin"],
+              "--format": _FORMAT_CHOICES},
+}
+
+_SMALL_RUNS = {argv[0]: argv for argv in SIZE_3_COMMANDS}
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_command_help_lists_every_option_and_choice(capsys, command, flag):
+    # help needs none of the required options, and wins over those given
+    for argv in ([command, flag], [command, *_SMALL_RUNS[command][1:], flag]):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith(f"usage: portsim {command} ")
+        for name, choices in _OPTIONS[command].items():
+            assert f"  {name}" in out, name
+            for choice in choices:
+                assert choice in out, (name, choice)
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_exits_cleanly(capsys, flag):
+    code, out, err = run(capsys, [flag])
+    assert (code, err) == (0, "")
+    assert [line.split()[0] for line in out.split("commands:\n")[1].splitlines()[:4]] \
+        == list(_OPTIONS)
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["schur", "--n", "3"], ["--format", "human"]),
+    (["povm-check"], ["--regime", "all", "--ports", "1..3"]),
+    (["teleport", "--regime", "ppbt-mes", "--ports", "2"],
+     ["--trials", "1000", "--seed", "0", "--format", "human"]),
+    (["table", "--metric", "resources"],
+     ["--ports", "1..6", "--epsilon", "1e-10", "--schur-variant", "bch", "--format", "human"]),
+], ids=list(_OPTIONS))
+def test_omitted_options_take_their_defaults(capsys, argv, defaults):
+    implicit = run(capsys, argv)
+    assert implicit[0] == 0
+    assert run(capsys, argv + defaults) == implicit
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_equals_forms_and_unique_prefixes_read_as_whole_names(capsys, command):
+    argv = _SMALL_RUNS[command] + ["--format", "csv"] * (command != "povm-check")
+    expected = run(capsys, argv)
+    assert expected[0] == 0
+    # --name=value, then a unique prefix of every name
+    joined = [argv[0]] + [f"{name}={value}" for name, value in zip(argv[1::2], argv[2::2])]
+    assert run(capsys, joined) == expected
+    prefixes = {"--ports": "--port", "--format": "--f", "--regime": "--r", "--trials": "--t",
+                "--metric": "--m", "--n": "--n"}
+    assert run(capsys, [prefixes.get(token, token) for token in argv]) == expected
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_a_repeated_option_takes_its_last_value(capsys, command):
+    argv = _SMALL_RUNS[command]
+    expected = run(capsys, argv)
+    assert expected[0] == 0
+    # an earlier value of the last option, valid but different, is overridden
+    earlier = {"schur": "2", "povm-check": "1..2", "teleport": "40", "table": "2..4"}[command]
+    assert run(capsys, argv[:-1] + [earlier, argv[-2], argv[-1]]) == expected
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["teleport", "--regime", "dpbt", "--ports"], "--ports"),
+    (["schur", "--n", "2", "--format"], "--format"),
+    (["table", "--metric", "fidelity", "--bogus", "1"], "--bogus"),
+    (["schur", "--n", "2", "-q"], "-q"),
+    (["povm-check", "--ports", "1", "extra"], "extra"),
+    (["povm-check", "--ports", "1", "--"], "--"),
+    (["schur", "--n", "2", "--format", "xml"], "--format"),
+    (["teleport", "--regime", "pbt", "--ports", "2"], "--regime"),
+    (["table", "--metric", "cost"], "--metric"),
+    (["table", "--metric", "resources", "--schur-variant", "fft"], "--schur-variant"),
+    (["teleport", "--regime", "dpbt", "--ports", "2", "--trials", "many"], "--trials"),
+    (["schur", "--n", "2.5"], "--n"),
+    (["teleport", "--regime", "dpbt", "--ports", "2", "--seed", ""], "--seed"),
+    (["table", "--metric", "resources", "--epsilon", "tiny"], "--epsilon"),
+    (["povm-check", "--ports", "a..b"], "--ports"),
+    (["povm-check", "--inject-fault=1"], "--inject-fault"),
+    (["table", "--ports", "1"], "--metric"),
+    (["teleport", "--ports", "2"], "--regime"),
+])
+def test_bad_arguments_exit_2_with_one_error_line_naming_the_option(capsys, argv, named):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert _one_error_line(err), err
+    assert named in err
+
+
+def test_a_value_is_taken_as_given(capsys):
+    # a value that starts with "-" is the option's value, not the next option
+    # (`--seed -1` reaching its own check is a library range case above)
+    code, out, err = run(capsys, ["povm-check", "--ports", "--regime"])
+    assert (code, out) == (2, "")
+    assert err == ("error: argument --ports: expected a port count N or a range LO..HI, "
+                   "got '--regime'\n")
