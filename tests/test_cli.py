@@ -581,6 +581,24 @@ def test_seeded_teleport_output_bytes_are_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == TELEPORT_SHA256[command]
 
 
+# one sha256 over the stdout of 216 seeded runs, every kind at N = 1..6
+TELEPORT_GRID_SHA256 = "b5fc536d479106533504cace6d0b2e5fd018fc567b6766253898eb95156b4681"
+
+
+def test_teleport_bytes_across_kinds_ports_seeds_and_formats_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for kind in KINDS:
+        for n in range(1, 7):
+            for seed in (0, 7, 1234):
+                for fmt in ("json", "csv", "human"):
+                    code, out, _ = run(capsys, ["teleport", "--regime", kind, "--ports", str(n),
+                                                "--trials", "2000", "--seed", str(seed),
+                                                "--format", fmt])
+                    assert code == 0
+                    digest.update(out.encode())
+    assert digest.hexdigest() == TELEPORT_GRID_SHA256
+
+
 def test_seeded_json_bytes_do_not_depend_on_the_blas_kernel():
     # OpenBLAS picks its kernel from the CPU; the instrument reads no BLAS
     # product, so the AVX2 and the AVX kernels write the bytes the default
