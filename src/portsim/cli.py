@@ -304,12 +304,11 @@ def cmd_teleport(args: SimpleNamespace) -> int:
     rng = Pcg64(args.seed)
     batches = (teleport_batch(kind, n, min(_CHUNK_TRIALS, trials - start), rng)
                for start in range(0, trials, _CHUNK_TRIALS))
-    # the first chunk compiles and checks the instrument before any output
+    # the first chunk checks the amplification precondition before any output
     first = next(batches)
     expected = first.expected
     counts = np.zeros(len(expected), dtype=np.int64)
-    # every success has the one fidelity that the batches sample and the
-    # instrument's check guards
+    # every success has the one closed-form fidelity that the batches sample
     exact_f = success_fidelity(kind, n)
 
     def rows(tail, **layout):

@@ -15,7 +15,6 @@ arithmetic runs on arrays: numpy warns on a scalar overflow, not an array one.
 from __future__ import annotations
 
 import operator
-import os
 
 import numpy as np
 
@@ -77,12 +76,9 @@ def _mul_add(hi: np.ndarray, lo: np.ndarray, x: int, add_hi, add_lo):
 
 class Pcg64:
     """A PCG64 uniform stream, equal draw for draw to numpy's
-    `Generator(PCG64(seed)).random`. `seed` is a non-negative int, or None
-    for 128 bits of `os.urandom`, as `SeedSequence()` takes."""
+    `Generator(PCG64(seed)).random`. `seed` is a non-negative int."""
 
-    def __init__(self, seed: int | None = None):
-        if seed is None:
-            seed = int.from_bytes(os.urandom(16), "little")
+    def __init__(self, seed: int):
         seed = operator.index(seed)
         if seed < 0:
             raise ValueError(f"expected non-negative integer, got {seed}")

@@ -20,19 +20,20 @@ has one source: the outcome weights (`expected_outcome_distribution`) and
 the one success fidelity (`success_fidelity`), the exact average for the
 deterministic kinds and 1 for the heralded ones. Each trial draws its
 outcome from those weights, and every success has that fidelity
-(`teleport_batch`). Before it samples, each protocol's instrument is
-computed once and checked against exactly these numbers (`_instrument`).
-The run uses the last port branch and the failure branch alone: every
-other port branch is a qubit-swap image of the last one. On the flagged
-level the circuit's rotate, attach and unrotate is, family by family,
-a v (v^T x), the element's root read straight off the sector tables that
-`_compile` attaches (`_attach_tables`), so the run applies just that
-(`_element_roots`), on a joint input read off in closed form in the
-coupled basis (`_slot_input`). Every family shares one S_z, and each
-column of the joint input lies in one weight class (`_weight_classes`),
-so the run holds one block per class, its C(N+1, w) coupled rows over its
-own C(N+1, w) columns, in place; the read-out and the amplification check
-go class by class. The whole-register program, which builds the dense
+(`teleport_batch`); the tests check the closed form against the dense
+routes. Before it samples, each protocol's circuit is checked once against
+the amplification precondition, which the schedule `teleport` prints rests
+on (`_check_amplification`). The run uses the last port branch and the
+failure branch alone: every other port branch is a qubit-swap image of the
+last one. On the flagged level the circuit's rotate, attach and unrotate
+is, family by family, a v (v^T x), the element's root read straight off
+the sector tables that `_compile` attaches (`_attach_tables`), so the run
+applies just that (`_element_roots`), on a joint input read off in closed
+form in the coupled basis (`_slot_input`). Every family shares one S_z,
+and each column of the joint input lies in one weight class
+(`_weight_classes`), so the run holds one block per class, its C(N+1, w)
+coupled rows over its own C(N+1, w) columns, in place, and the check goes
+class by class. The whole-register program, which builds the dense
 transform, stays for the gate-count model and the tests. A trial has no
 input: it reads one seeded uniform and nothing else, so chunks that share
 one generator read exactly what one draw of all trials gives.
@@ -102,7 +103,7 @@ class NaimarkProgram:
 
     The input enters on r = 0 of port value 0, the start subspace, and the
     program prepares the port register itself. This whole-register circuit
-    is the gate-count model and the tests' oracle; the sampled instrument
+    is the gate-count model and the tests' oracle; the amplification check
     runs the element roots alone (`_element_roots`).
     """
 
@@ -187,7 +188,7 @@ def _attach_op(es: EigenSystem, regs: Registers, branches: range, scale: float,
 
 class _Spec(NamedTuple):
     """The per-kind data of the program builder `_compile` and of the
-    sampled instrument's `_element_roots`.
+    amplification check's `_element_roots`.
 
     amplitudes(N) is the port preparation, N port values plus the failure
     branch of the heralded kinds; target(N) the flagged amplitude that
@@ -234,11 +235,10 @@ class _WeightClass:
     """One S_z sector of the N+1 system qubits, w of them in |1>: the
     coupled-basis rows `outputs` of doubled m = N+1-2w, which the branch
     program reads and writes, and the joint-input columns (b, d) of class
-    w = N - wt(b) + d, as flat indices 4b' + q, b' Bob's first N-1 qubits
-    and q = 2i + d his last qubit and the chi' bit, sorted by q and then b':
-    the k-th is column k of the class's block. `swaps[i]` is the in-class
-    position of each column's image under port i's swap of Bob's qubits i+1
-    and N, which keeps wt(b)."""
+    w = N - wt(b) + d, as flat indices 2b + d in ascending order: the k-th
+    is column k of the class's block. `swaps[i]` is the in-class position
+    of each column's image under port i's swap of Bob's qubits i+1 and N,
+    which keeps wt(b)."""
 
     __slots__ = ("outputs", "columns", "swaps")
 
@@ -260,12 +260,10 @@ def _weight_classes(n_ports: int) -> tuple[_WeightClass, ...]:
     column_class = sum((flipped >> t) & 1 for t in range(qubits))
     m = enumerate_labels(qubits)[:, -1]
     perms = np.stack([qubit_swap_permutation(qubits, i + 1, n_ports) for i in range(n_ports)])
-    low = np.arange(2 ** qubits) & 3
     position = np.empty(2 ** qubits, dtype=np.intp)
     classes = []
     for w in range(qubits + 1):
-        columns = np.concatenate([np.flatnonzero((column_class == w) & (low == q))
-                                  for q in range(4)])
+        columns = np.flatnonzero(column_class == w)
         position[columns] = np.arange(len(columns))
         parts = (np.flatnonzero(m == qubits - 2 * w), columns, position[perms[:, columns]])
         for part in parts:
@@ -338,7 +336,7 @@ def _schedule(spec: _Spec, n_ports: int) -> tuple[float, int]:
 def _attach_tables(spec: _Spec, n_ports: int) -> list[tuple[EigenSystem, float]]:
     """The port eigensystem and, for a spec with a failure attach, the
     failure eigensystem, each with its attach scale over c*: the one table
-    that the program's attach (`_compile`) and the sampled instrument's
+    that the program's attach (`_compile`) and the amplification check's
     roots (`_element_roots`) both read."""
     rescale, _ = _schedule(spec, n_ports)
     tables = [(port_eigensystem(spec.regime, n_ports), spec.attach(n_ports) * (1.0 / rescale))]
@@ -394,7 +392,7 @@ def _element_roots(spec: _Spec, n_ports: int) -> FamilyRoots:
     element's and branch 1 the failure element's. The run's state holds
     2 C(2N+2, N+1) floats, so N is capped at MAX_DENSE_QUBITS (159 MiB at
     N = 12) before anything is built. Built once per protocol, by the cached
-    `_instrument`."""
+    `_check_amplification`."""
     _check_ports(n_ports)
     if n_ports > MAX_DENSE_QUBITS:
         raise ValueError(f"n_ports must be in 1..{MAX_DENSE_QUBITS} for a sampled "
@@ -535,45 +533,21 @@ def _slot_input(kind: ProtocolKind, n_ports: int) -> np.ndarray:
     return blocks
 
 
-def _pair_gram(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """sum over rows x and over Bob's first N-1 qubits b' of outer(v, v),
-    where v holds rows[..., x, k] at the two low bits q = 2i + d (Bob's last
-    qubit i and the chi' bit d) of each column k = 4b' + q: the Gram a dense
-    layout forms after reshaping its columns to (b', q), read off one class.
-
-    Within class w the columns of one q hold every b' of weight N - w + d - i,
-    so q = 0 and q = 3 share their b', and q = 1 and q = 2 share none with
-    any other q. The columns run sorted by q and then b', so each q is one
-    slice of the block, and q = 0 and 3 line up column by column: five sums,
-    by einsum."""
-    bounds = np.searchsorted(columns & 3, np.arange(5))
-    part = [rows[..., start:stop] for start, stop in zip(bounds, bounds[1:])]
-    gram = np.zeros((*rows.shape[:-2], 4, 4), dtype=rows.dtype)
-    for q in range(4):
-        gram[..., q, q] = np.einsum("...xk,...xk->...", part[q], part[q])
-    gram[..., 0, 3] = gram[..., 3, 0] = np.einsum("...xk,...xk->...", part[0], part[3])
-    return gram
-
-
 @lru_cache(maxsize=32)
-def _instrument(kind: ProtocolKind, n_ports: int
-                ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The protocol as a qubit instrument, from one run of the element roots
-    (`_element_roots`) on the joint inputs for chi = |0> and |1>
-    (2 * 2^N columns), held as flagged weight-class blocks. It is the check
-    of the covariant closed form that `teleport_batch` samples and `teleport`
-    prints: every batch calls it first, and it runs once per protocol.
+def _check_amplification(kind: ProtocolKind, n_ports: int) -> None:
+    """Check the amplification precondition of the protocol's circuit, on
+    one run of the element roots (`_element_roots`) on the joint inputs for
+    chi = |0> and |1> (2 * 2^N columns), held as flagged weight-class
+    blocks. The schedule `teleport` prints rests on it: every batch calls it
+    first, and it runs once per protocol.
 
-    The circuit is linear in the input chi, so for every input the weight of
-    outcome i is chi^dagger G[i] chi, with the failure branches summed into
-    one form, and the unnormalized receiver state after port k is
-    sum_cd chi_c conj(chi_d) K_k[:, c, :, d]. The square-root measurement is
-    port-permutation covariant (Studzinski et al., Sci. Rep. 7, 10871, 2017):
-    port branch p of the whole register is the last port branch with system
-    qubits p+1 and N swapped and, the resource being symmetric under
-    exchanging pairs, Bob's qubits p+1 and N too. So the run holds the last
-    port and the failure branch only, each times its port preparation
-    amplitude, and every port shares the last port's G and K.
+    The square-root measurement is port-permutation covariant (Studzinski
+    et al., Sci. Rep. 7, 10871, 2017): port branch p of the whole register
+    is the last port branch with system qubits p+1 and N swapped and, the
+    resource being symmetric under exchanging pairs, Bob's qubits p+1 and N
+    too. So the run holds the last port and the failure branch only, each
+    times its port preparation amplitude, and the check folds the port
+    images in class by class (`_fold_classes`).
 
     Every family of the roots shares one S_z, and the joint input's column
     (b, d) lies in the one weight class w = N - wt(b) + d
@@ -582,26 +556,10 @@ def _instrument(kind: ProtocolKind, n_ports: int
     doubled m is N+1-2w, and its own columns, read off in closed form in the
     coupled basis (`_slot_input`): the branches times C(2N+2, N+1) floats
     in all, the flagged level the amplification keeps and nothing else, and
-    the roots act on it in place (`circuit.OaaAction`).
-    G and K sum over the rows and columns of each class (`_pair_gram`), and
-    the amplification check folds the port images per class
-    (`_fold_classes`), so no 2^(N+1) x 2^(N+1) Gram or transform is formed;
-    the sums over a class's rows are the same in the computational basis.
-    The resource and the roots are real, so the run and the forms are
-    float64.
-
-    Three checks raise `NumericalInvariantError` with their residual: the
-    amplification precondition, the branch sum N G[0] + G_fail = I, and the
-    covariant closed form, each gap above 1e-9. SU(2) covariance makes each
-    port a depolarizing channel with an input-independent weight: the port
-    and failure forms are the weights of `expected_outcome_distribution`
-    times I, and K = p (lam E + (1 - lam) I/2), p the port weight and
-    lam = 2 F - 1 for the success fidelity F of `success_fidelity`.
-
-    Returns (ports, failure, receiver), read-only, for the tests that
-    compare the run with the dense routes: the (N, 2, 2) port forms, views
-    of the last port's; the failure form, None for the deterministic kinds;
-    and the (2, 2, 2, 2) receiver tensor K of every port.
+    the roots act on it in place (`circuit.OaaAction`). No 2^(N+1) x 2^(N+1)
+    Gram or transform is formed. The resource and the roots are real, so
+    the run is float64. A relative Gram residual above 1e-9 raises
+    `NumericalInvariantError`, which carries it.
     """
     spec = _SPECS[kind]
     roots = _element_roots(spec, n_ports)
@@ -612,58 +570,29 @@ def _instrument(kind: ProtocolKind, n_ports: int
     # holds one state
     start = ClassBlocks.from_blocks(shapes, _slot_input(kind, n_ports),
                                     spec.amplitudes(n_ports)[n_ports - 1:])
-    # the flagged part, r = 0, is all of the output; per class, axes: port
-    # branch, coupled row, column
-    flagged = OaaAction(roots, rounds, fold=partial(_fold_classes, classes)).apply(start)
-    # per port value, the Gram over (Bob's last qubit i, chi' bit c) pairs
-    grams = sum(_pair_gram(block, cls.columns) for cls, block in zip(classes, flagged.blocks()))
-    # the outcome forms trace out Bob's last qubit; port N-1 teleports to it
-    per_branch = np.einsum("picid->pcd", grams.reshape(-1, 2, 2, 2, 2))
-    receiver = grams[0].reshape(2, 2, 2, 2)
-    per_branch.flags.writeable = False
-    residual = float(np.abs(n_ports * per_branch[0] + per_branch[1:].sum(axis=0)
-                            - np.eye(2)).max())
-    if residual > 1e-9:
-        raise NumericalInvariantError(
-            f"{kind.value} N={n_ports}: outcome weights miss 1 by {residual:.3e}",
-            residual)
-    eye = np.eye(2)
-    # the last port's weight, then the failure weight of a heralded kind
-    weights = expected_outcome_distribution(kind, n_ports)[n_ports - 1:]
-    lam = 2 * success_fidelity(kind, n_ports) - 1
-    closed = weights[0] * (lam * np.einsum("ac,bd->acbd", eye, eye)
-                           + (1 - lam) * np.einsum("cd,ab->acbd", eye, eye) / 2)
-    gap = float(max(np.abs(per_branch - np.multiply.outer(weights, eye)).max(),
-                    np.abs(receiver - closed).max()))
-    if gap > 1e-9:
-        raise NumericalInvariantError(
-            f"{kind.value} N={n_ports}: instrument misses its covariant closed form by "
-            f"{gap:.3e}", gap)
-    receiver.flags.writeable = False
-    failure = per_branch[1] if len(per_branch) > 1 else None
-    return np.broadcast_to(per_branch[0], (n_ports, 2, 2)), failure, receiver
+    OaaAction(roots, rounds, fold=partial(_fold_classes, classes)).apply(start)
 
 
 def teleport_batch(kind: ProtocolKind, n_ports: int, trials: int,
-                   rng: Pcg64 | int | None = None) -> TeleportBatch:
+                   rng: Pcg64 | int) -> TeleportBatch:
     """Run `trials` teleportations from the instrument's closed form.
 
     The square-root measurement is covariant, so no outcome weight or
     success fidelity depends on the input, and a trial has none: every
     trial samples its outcome from `expected_outcome_distribution`, and
-    every success has the fidelity `success_fidelity`. `_instrument` runs
-    first, as the check of exactly these numbers, and of the port count
-    before the amplification schedule is read. Sampling draws one uniform
-    per trial and inverts the cumulative distribution. `rng` is any
-    generator with a `random(n)` method, used as given, or a seed (an int,
-    or None for fresh entropy) of a `Pcg64`: a PCG64 stream, bit-identical
-    to numpy's `Generator(PCG64(seed)).random`, one 64-bit word a uniform.
-    Batches that share a generator read what one batch of all their trials
-    would.
+    every success has the fidelity `success_fidelity`.
+    `_check_amplification` runs first, as the check of the amplification
+    schedule the batch carries, and of the port count before that schedule
+    is read. Sampling draws one uniform per trial and inverts the
+    cumulative distribution. `rng` is any generator with a `random(n)`
+    method, used as given, or the int seed of a `Pcg64`: a PCG64 stream,
+    bit-identical to numpy's `Generator(PCG64(seed)).random`, one 64-bit
+    word a uniform. Batches that share a generator read what one batch of
+    all their trials would.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _instrument(kind, n_ports)
+    _check_amplification(kind, n_ports)
     rescale, rounds = _schedule(_SPECS[kind], n_ports)
     expected = expected_outcome_distribution(kind, n_ports)
     # imported here, so that only a command that draws loads the stream

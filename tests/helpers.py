@@ -7,10 +7,11 @@ the port element's table of a pair sector, the Hermitian square root of a
 dense measurement element, the whole-register qubit instrument and the
 receiver states it leaves, the dense resource and joint input, in the
 computational and in the coupled basis, the whole register's unchecked
-amplified run and its Gram difference, the sampled instrument's start
-state and run on flagged class blocks, with and without its check, its
-element roots as dense matrices and its qubit instrument read off them in
-the dense layout, and teleport's trial rows rendered one row at a time."""
+amplified run and its Gram difference, the sampled run's start state and
+run on flagged class blocks, with and without its check, the qubit
+instrument read off that run, its element roots as dense matrices and its
+qubit instrument read off them in the dense layout, and teleport's trial
+rows rendered one row at a time."""
 
 import math
 from fractions import Fraction
@@ -218,7 +219,7 @@ def register_fold(program, system_amps: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def class_block_start(spec, n_ports: int, blocks: np.ndarray) -> ClassBlocks:
-    """The sampled instrument's start state, as `protocols._instrument`
+    """The sampled run's start state, as `protocols._check_amplification`
     builds it, on flat class blocks: each weight class's block times the
     port preparation's amplitude on the last port branch and on the failure
     branch."""
@@ -228,7 +229,7 @@ def class_block_start(spec, n_ports: int, blocks: np.ndarray) -> ClassBlocks:
 
 
 def checked_class_block_run(spec, n_ports: int, blocks: np.ndarray) -> ClassBlocks:
-    """The sampled instrument's run, as `protocols._instrument` makes it, on
+    """The sampled run, as `protocols._check_amplification` makes it, on
     flat class blocks: the element roots (`protocols._element_roots`) on the
     start state, amplified, with the whole register's precondition checked
     through the class fold (`protocols._fold_classes`)."""
@@ -239,7 +240,7 @@ def checked_class_block_run(spec, n_ports: int, blocks: np.ndarray) -> ClassBloc
 
 
 def class_block_run(spec, n_ports: int, blocks: np.ndarray) -> tuple[ClassBlocks, ClassBlocks]:
-    """The sampled instrument's run on flat class blocks without its check:
+    """The sampled run on flat class blocks without its check:
     the element roots (`protocols._element_roots`) once on a copy of the
     start state, divided by sin(pi/2n). Returns the start state and that
     output."""
@@ -249,6 +250,24 @@ def class_block_run(spec, n_ports: int, blocks: np.ndarray) -> tuple[ClassBlocks
         ClassBlocks(before.amps.copy(), before.shapes))
     after.amps /= math.sin(math.pi / (2 * rounds))
     return before, after
+
+
+def class_block_instrument(kind, n_ports: int) -> tuple[np.ndarray, np.ndarray]:
+    """The qubit instrument read off the sampled run (`class_block_run`) on
+    the closed-form joint input, class by class: each class's Gram over its
+    rows, summed over the column pairs that share Bob's first N-1 qubits,
+    lands on the entry of their two low bits q = 2i + c, Bob's last qubit i
+    and the chi' bit c. Returns (per_branch, receiver) as `branch_instrument`
+    does, without a 2^(N+1) x 2^(N+1) matrix."""
+    _, flagged = class_block_run(protocols._SPECS[kind], n_ports,
+                                 protocols._slot_input(kind, n_ports))
+    grams = np.zeros((len(flagged.amps), 4, 4))
+    for cls, block in zip(protocols._weight_classes(n_ports), flagged.blocks()):
+        low, high = np.eye(4)[cls.columns & 3], cls.columns >> 2
+        pairs = block.transpose(0, 2, 1) @ block * (high[:, None] == high)
+        grams += low.T @ pairs @ low
+    per_branch = np.einsum("picid->pcd", grams.reshape(-1, 2, 2, 2, 2))
+    return per_branch, grams[0].reshape(2, 2, 2, 2)
 
 
 def root_matrices(spec, n_ports: int) -> list[np.ndarray]:
@@ -276,12 +295,12 @@ def root_matrices(spec, n_ports: int) -> list[np.ndarray]:
 
 def branch_instrument(kind, n_ports: int, computational: bool = False
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle for `protocols._instrument`: the element roots as dense
-    matrices (`root_matrices`), times the port preparation's amplitude on
-    the last port branch and on the failure branch, applied to every column
-    of the dense joint input whole and divided by sin(pi/2n), in the coupled
-    basis of the N+1 system qubits or, with `computational`, in the
-    computational basis, the roots conjugated by U_{N+1}.
+    """Oracle for the closed form that `teleport` samples: the element roots
+    as dense matrices (`root_matrices`), times the port preparation's
+    amplitude on the last port branch and on the failure branch, applied to
+    every column of the dense joint input whole and divided by sin(pi/2n),
+    in the coupled basis of the N+1 system qubits or, with `computational`,
+    in the computational basis, the roots conjugated by U_{N+1}.
 
     Returns (per_branch, receiver): the (branches, 2, 2) outcome form of
     each branch and the (2, 2, 2, 2) receiver tensor of the last port.
@@ -307,9 +326,10 @@ def branch_instrument(kind, n_ports: int, computational: bool = False
 
 def whole_register_instrument(kind, n_ports: int, dtype=np.float64
                               ) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle for `protocols._instrument`: the whole-register program, every
-    port branch compiled and run, on the joint inputs for chi = |0> and |1>,
-    cast to `dtype` (complex128 runs every op on complex amplitudes).
+    """Oracle for the closed form that `teleport` samples: the
+    whole-register program, every port branch compiled and run, on the joint
+    inputs for chi = |0> and |1>, cast to `dtype` (complex128 runs every op
+    on complex amplitudes).
 
     Returns (gram, receiver): the (N or N+1, 2, 2) outcome forms, failure
     branches summed into slot N, and the (N, 2, 2, 2, 2) receiver tensors

@@ -774,32 +774,25 @@ def test_teleport_memory_does_not_grow_with_the_trials(monkeypatch):
 
 # ---------------------------------------------------------------- plumbing ----
 
-def _scaled_resource(monkeypatch) -> str:
-    scaled = 1.1 * protocols._slot_input(ProtocolKind.PPBT_OPT, 2)
-    monkeypatch.setattr(protocols, "_slot_input", lambda *_: scaled)
-    return "2.100e-01"  # the branch-sum residual, 1.1^2 - 1
-
-
 def _detuned_attach(monkeypatch) -> str:
     spec = protocols._SPECS[ProtocolKind.PPBT_OPT]
     broken = spec._replace(attach=lambda n: spec.attach(n) * (1 - 1e-6))
     monkeypatch.setitem(protocols._SPECS, ProtocolKind.PPBT_OPT, broken)
     with pytest.raises(NumericalInvariantError) as info:
-        protocols._instrument(ProtocolKind.PPBT_OPT, 2)
+        protocols._check_amplification(ProtocolKind.PPBT_OPT, 2)
     assert 1e-6 <= info.value.residual <= 3e-6
     return f"{info.value.residual:.3e}"  # the amplification precondition residual
 
 
-@pytest.mark.parametrize("breakage", [_scaled_resource, _detuned_attach],
-                         ids=["resource", "attach"])
+@pytest.mark.parametrize("breakage", [_detuned_attach], ids=["attach"])
 def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakage):
-    protocols._instrument.cache_clear()
+    protocols._check_amplification.cache_clear()
     try:
         residual = breakage(monkeypatch)
         code, out, err = run(capsys, ["teleport", "--regime", "ppbt-opt",
                                       "--ports", "2", "--trials", "5"])
     finally:
-        protocols._instrument.cache_clear()
+        protocols._check_amplification.cache_clear()
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

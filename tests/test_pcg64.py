@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import one_shot_draws
-from portsim import pcg64
 from portsim.pcg64 import BLOCK, Pcg64
 
 _SPLITS = [1, 998, BLOCK, BLOCK + 1]
@@ -57,21 +56,3 @@ def test_a_non_integer_seed_raises_type_error_as_numpys_does(seed):
 def test_numpy_integer_seeds_read_the_same_stream():
     np.testing.assert_array_equal(Pcg64(np.uint64(2 ** 64 - 1)).random(3),
                                   one_shot_draws(2 ** 64 - 1, 3))
-
-
-def test_no_seed_takes_128_bits_of_os_entropy(monkeypatch):
-    entropy = bytes(range(3, 19))
-    taken = []
-
-    def urandom(size):
-        taken.append(size)
-        return entropy
-
-    monkeypatch.setattr(pcg64.os, "urandom", urandom)
-    draws = Pcg64().random(4)
-    assert taken == [16]
-    np.testing.assert_array_equal(draws, one_shot_draws(int.from_bytes(entropy, "little"), 4))
-
-
-def test_unseeded_streams_differ():
-    assert not np.array_equal(Pcg64(None).random(4), Pcg64(None).random(4))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import (action_matrix, branch_instrument, branch_weights, checked_class_block_run,
-                     class_block_run, coupled_input, flat, haar_qubit, joint_input,
-                     one_shot_draws, psd_sqrt, receiver_states, register_fold, resource_matrix,
-                     root_matrices, singlet_chain, stream_outcomes, whole_register_instrument)
+                     class_block_instrument, class_block_run, coupled_input, flat, haar_qubit,
+                     joint_input, one_shot_draws, psd_sqrt, receiver_states, register_fold,
+                     resource_matrix, root_matrices, singlet_chain, stream_outcomes,
+                     whole_register_instrument)
 from portsim import protocols, schur
 from portsim.circuit import FamilyRoots, Registers, StateVector
 from portsim.pcg64 import Pcg64
@@ -25,6 +26,7 @@ from portsim.protocols import (
     expected_outcome_distribution,
     ppbt_mes_no_aa,
     resource_estimate,
+    success_fidelity,
     success_probability,
     success_probability_exact,
     teleport_batch,
@@ -247,8 +249,10 @@ def test_single_port_deterministic_run_is_a_coin_flip_channel():
     np.testing.assert_allclose(run.expected, [1.0], atol=1e-12)
     assert run.outcomes[0] == 1
     assert run.fidelities[0] == pytest.approx(0.5, abs=1e-10)
-    _, _, receiver = protocols._instrument(ProtocolKind.DPBT_MES, 1)
-    bob = receiver_states(receiver, chi)[0]
+    _, receivers = whole_register_instrument(ProtocolKind.DPBT_MES, 1)
+    np.testing.assert_allclose(receivers[0], closed_form(ProtocolKind.DPBT_MES, 1)[1],
+                               rtol=0, atol=1e-13)
+    bob = receiver_states(receivers[0], chi)[0]
     np.testing.assert_allclose(bob, np.eye(2) / 2, atol=1e-10)
 
 
@@ -256,17 +260,19 @@ def test_single_port_deterministic_run_is_a_coin_flip_channel():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_batch_fidelities_match_the_dense_receiver_states(kind, n):
     # the sampled fidelities against <chi|rho|chi> of the dense 2x2 receiver
-    # state, one Haar input drawn here per trial: covariance leaves every
-    # success the one fidelity whatever the input
+    # state of the whole register's port branch each trial lands on, one Haar
+    # input drawn here per trial: covariance leaves every success the one
+    # fidelity whatever the input and the port
     rng = np.random.default_rng(np.random.PCG64(70 + n))
     chi = rng.normal(size=(2, 300)) + 1j * rng.normal(size=(2, 300))
     chi /= np.linalg.norm(chi, axis=0)
     batch = teleport_batch(kind, n, 300, rng=n)
     success = batch.outcomes <= n
     assert success.any()
-    _, _, receiver = protocols._instrument(kind, n)
+    _, receivers = whole_register_instrument(kind, n)
     kept = chi[:, success]
-    states = receiver_states(receiver, kept)
+    states = np.stack([receiver_states(receivers[o - 1], kept[:, [t]])[0]
+                       for t, o in enumerate(batch.outcomes[success])])
     oracle = np.einsum("it,tij,jt->t", kept.conj(), states, kept).real
     np.testing.assert_allclose(batch.fidelities[success], oracle, rtol=0, atol=1e-14)
     assert np.isnan(batch.fidelities[~success]).all()
@@ -390,17 +396,32 @@ def direct_run(kind, n, chi):
     return weights, states
 
 
-def outcome_forms(kind, n):
-    """The instrument's weight form of every outcome, the failure one last."""
-    ports, failure, _ = protocols._instrument(kind, n)
-    return ports if failure is None else np.concatenate([ports, failure[None]])
+def closed_form(kind, n):
+    """The covariant closed form that teleport samples: the outcome forms
+    p_i I, the failure one last, and the receiver tensor
+    K = p (lam E + (1 - lam) I/2) of every port, p the port weight and
+    lam = 2 F - 1 for the success fidelity F."""
+    eye = np.eye(2)
+    weights = expected_outcome_distribution(kind, n)
+    lam = 2 * success_fidelity(kind, n) - 1
+    receiver = weights[0] * (lam * np.einsum("ac,bd->acbd", eye, eye)
+                             + (1 - lam) * np.einsum("cd,ab->acbd", eye, eye) / 2)
+    return np.multiply.outer(weights, eye), receiver
+
+
+def assert_closed_form(kind, n, per_branch, receiver):
+    """A last-port-and-failure instrument, as `branch_instrument` returns
+    it, against the closed form, to 1e-13."""
+    forms, closed = closed_form(kind, n)
+    assert len(per_branch) == (1 if kind.deterministic else 2)
+    np.testing.assert_allclose(per_branch, forms[n - 1:], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(receiver, closed, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_instrument_matches_direct_runs(kind, n):
-    gram = outcome_forms(kind, n)
-    receiver = protocols._instrument(kind, n)[2]
+    gram, receiver = closed_form(kind, n)
     assert gram.shape == (n if kind.deterministic else n + 1, 2, 2)
     assert receiver.shape == (2, 2, 2, 2)
     rng = np.random.default_rng(np.random.PCG64(40 + n))
@@ -417,42 +438,19 @@ def test_instrument_matches_direct_runs(kind, n):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", range(1, 7))
-def test_instrument_is_covariant(kind, n):
-    # outcome probabilities of port-based teleportation do not depend on the
-    # input, so every Gram form is a multiple of the identity
-    for g in outcome_forms(kind, n):
-        assert np.linalg.norm(g - np.trace(g).real / 2 * np.eye(2)) <= 1e-12
-
-
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", range(1, 7))
 def test_instrument_haar_averages_match_closed_forms(kind, n):
-    # E[conj(chi_i) chi_c conj(chi_d) chi_j] = (d_ic d_dj + d_ij d_cd) / 6
-    ports, _, receiver = protocols._instrument(kind, n)
-    success = float(np.einsum("icc->", ports).real) / 2
-    # every port leaves the one receiver tensor, so the port sum is N times it
-    fidelity = n * float((np.einsum("iijj->", receiver)
-                          + np.einsum("icic->", receiver)).real) / 6
+    # E[conj(chi_i) chi_c conj(chi_d) chi_j] = (d_ic d_dj + d_ij d_cd) / 6,
+    # on the whole register's forms and the receiver tensor of every port
+    gram, receivers = whole_register_instrument(kind, n)
+    success = float(np.einsum("icc->", gram[:n]).real) / 2
+    fidelity = float((np.einsum("kiijj->", receivers)
+                      + np.einsum("kicic->", receivers)).real) / 6
     if kind.deterministic:
         assert success == pytest.approx(1.0, abs=1e-12)
         assert fidelity == pytest.approx(average_fidelity(kind, n), abs=1e-12)
     else:
         assert success == pytest.approx(success_probability(kind, n), abs=1e-12)
         assert fidelity == pytest.approx(success_probability(kind, n), abs=1e-12)
-
-
-def test_broken_resource_raises_numerical_invariant_error(monkeypatch):
-    kind, n = ProtocolKind.PPBT_OPT, 2
-    scaled = 1.1 * protocols._slot_input(kind, n)
-    monkeypatch.setattr(protocols, "_slot_input", lambda *_: scaled)
-    protocols._instrument.cache_clear()
-    try:
-        with pytest.raises(NumericalInvariantError) as info:
-            teleport_batch(kind, n, 1, rng=0)
-    finally:
-        protocols._instrument.cache_clear()
-    assert not isinstance(info.value, ValueError)
-    assert info.value.residual == pytest.approx(1.1 ** 2 - 1, abs=1e-12)
 
 
 def _detuned(kind):
@@ -473,15 +471,15 @@ def test_detuned_attach_breaks_the_amplification_precondition(monkeypatch, kind,
         prog.run(joint_input(kind, n))
     assert not isinstance(info.value, ValueError)
     assert 1e-6 <= info.value.residual <= 3e-6
-    # the sampled instrument checks the whole register's precondition
-    # through the port-swap images, so it raises the same residual
+    # the sampled run checks the whole register's precondition through the
+    # port-swap images, so it raises the same residual
     monkeypatch.setitem(protocols._SPECS, kind, broken)
-    protocols._instrument.cache_clear()
+    protocols._check_amplification.cache_clear()
     try:
         with pytest.raises(NumericalInvariantError) as branch:
-            protocols._instrument(kind, n)
+            protocols._check_amplification(kind, n)
     finally:
-        protocols._instrument.cache_clear()
+        protocols._check_amplification.cache_clear()
     assert branch.value.residual == pytest.approx(info.value.residual, rel=0, abs=1e-12)
 
 
@@ -533,29 +531,21 @@ def test_class_fold_is_the_dense_fold(kind, n):
 def test_instrument_is_the_same_in_the_computational_basis(kind, n):
     # the element roots act in the coupled basis; every form sums over the
     # system rows, so the roots conjugated back to the computational basis,
-    # on the joint input there, leave the instrument as it is
-    per_branch, receiver = branch_instrument(kind, n, computational=True)
-    ports, failure, shared = protocols._instrument(kind, n)
-    np.testing.assert_allclose(ports[0], per_branch[0], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(shared, receiver, rtol=0, atol=1e-13)
-    assert len(per_branch) == (1 if failure is None else 2)
-    if failure is not None:
-        np.testing.assert_allclose(failure, per_branch[1], rtol=0, atol=1e-13)
+    # on the joint input there, leave the closed form as it is
+    assert_closed_form(kind, n, *branch_instrument(kind, n, computational=True))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [*range(1, 8), *(pytest.param(n, marks=pytest.mark.slow)
                                               for n in (8, 9))])
 def test_instrument_matches_the_dense_layout(kind, n):
-    # the run read off class by class equals the element roots, as dense
-    # matrices, on every joint-input column whole
+    # the element roots, as dense matrices, on every joint-input column
+    # whole give the closed form, and so does the run read off class by class
     per_branch, receiver = branch_instrument(kind, n)
-    ports, failure, shared = protocols._instrument(kind, n)
-    np.testing.assert_allclose(ports[0], per_branch[0], rtol=0, atol=1e-13)
+    assert_closed_form(kind, n, per_branch, receiver)
+    blocks, shared = class_block_instrument(kind, n)
+    np.testing.assert_allclose(blocks, per_branch, rtol=0, atol=1e-13)
     np.testing.assert_allclose(shared, receiver, rtol=0, atol=1e-13)
-    assert len(per_branch) == (1 if failure is None else 2)
-    if failure is not None:
-        np.testing.assert_allclose(failure, per_branch[1], rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -587,20 +577,15 @@ def test_instrument_builds_no_transform_past_the_resource_qubits(monkeypatch, n)
         return unitary(m)
 
     def register_circuit(*_, **__):
-        raise AssertionError("the sampled instrument built a register circuit")
+        raise AssertionError("the sampled run built a register circuit")
 
     unitary = schur.coupling_unitary
-    expected = [protocols._instrument(kind, n) for kind in KINDS]
     monkeypatch.setattr(schur, "coupling_unitary", capped)
     monkeypatch.setattr(protocols, "coupling_unitary", capped)
     monkeypatch.setattr(protocols, "SubspaceBlocks", register_circuit)
     monkeypatch.setattr(protocols, "Registers", register_circuit)
-    for kind, (ports, failure, receiver) in zip(KINDS, expected):
-        built = protocols._instrument.__wrapped__(kind, n)
-        np.testing.assert_array_equal(built[0], ports)
-        np.testing.assert_array_equal(built[2], receiver)
-        if failure is not None:
-            np.testing.assert_array_equal(built[1], failure)
+    for kind in KINDS:
+        assert protocols._check_amplification.__wrapped__(kind, n) is None
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -618,13 +603,10 @@ def test_branch_state_holds_only_flagged_class_blocks(monkeypatch, n):
     def dense(*_):
         raise AssertionError("the branch run built a whole-layout state")
 
-    expected = {kind: protocols._instrument(kind, n) for kind in KINDS}
     monkeypatch.setattr(FamilyRoots, "apply", recorded)
     monkeypatch.setattr(StateVector, "from_system", dense)
     for kind in KINDS:
-        built = protocols._instrument.__wrapped__(kind, n)
-        np.testing.assert_array_equal(built[0], expected[kind][0])
-        np.testing.assert_array_equal(built[2], expected[kind][2])
+        protocols._check_amplification.__wrapped__(kind, n)
     shapes = tuple((math.comb(n + 1, w),) * 2 for w in range(n + 2))
     branches = [1 if kind.deterministic else 2 for kind in KINDS]
     assert states == [(shapes, (b, math.comb(2 * n + 2, n + 1)), np.float64)
@@ -638,10 +620,10 @@ def test_instrument_working_memory_stays_in_its_slots():
     # N=8, and its run peaked at 34 MB; the class-block state holds
     # 2 x C(18, 9) floats (0.8 MB)
     kind, n = ProtocolKind.PPBT_OPT, 8
-    protocols._instrument.__wrapped__(kind, n)
+    protocols._check_amplification.__wrapped__(kind, n)
     tracemalloc.start()
     try:
-        protocols._instrument.__wrapped__(kind, n)
+        protocols._check_amplification.__wrapped__(kind, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -651,21 +633,20 @@ def test_instrument_working_memory_stays_in_its_slots():
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", range(1, 8))
 def test_branch_instrument_matches_the_whole_register(kind, n):
-    # ports 0..N-2 are the last port branch's qubit-swap images; the real
-    # sampled instrument also matches the whole register run on complex
-    # amplitudes
-    ports, failure, receiver = protocols._instrument(kind, n)
-    assert ports.dtype == receiver.dtype == np.float64
+    # ports 0..N-2 are the last port branch's qubit-swap images: every port
+    # branch of the whole register, run on real and on complex amplitudes,
+    # leaves the closed form the last port branch's dense roots leave
+    per_branch, receiver = branch_instrument(kind, n)
+    assert per_branch.dtype == receiver.dtype == np.float64
+    forms, closed = closed_form(kind, n)
     for dtype in (np.float64, np.complex128) if n <= 5 else (np.float64,):
         gram, receivers = whole_register_instrument(kind, n, dtype)
         assert gram.dtype == receivers.dtype == dtype
-        np.testing.assert_allclose(ports, gram[:n], rtol=0, atol=1e-13)
-        np.testing.assert_allclose(np.broadcast_to(receiver, receivers.shape), receivers,
+        assert len(gram) == len(forms)
+        np.testing.assert_allclose(gram, forms, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(receivers, np.broadcast_to(closed, receivers.shape),
                                    rtol=0, atol=1e-13)
-        if kind.deterministic:
-            assert failure is None and len(gram) == n
-        else:
-            np.testing.assert_allclose(failure, gram[n], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(receivers[-1], receiver, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -674,72 +655,25 @@ def test_branch_instrument_matches_the_whole_register(kind, n):
 def test_instrument_is_the_covariant_closed_form(kind, n):
     # SU(2) covariance makes every port a depolarizing channel with an
     # input-independent weight: G_i = p_i I, and K = p (lam E + (1 - lam) I/2),
-    # lam = (4F - 1)/3 for the deterministic kinds and 1 for the heralded ones
-    ports, failure, receiver = protocols._instrument(kind, n)
+    # lam = (4F - 1)/3 for the deterministic kinds and 1 for the heralded ones;
+    # past N = 8 the forms are read off the class-block run, which the dense
+    # layout matches up to N = 9
+    forms, closed = closed_form(kind, n)
     eye = np.eye(2)
     if kind.deterministic:
         weight, lam = 1.0 / n, (4 * entanglement_fidelity(kind, n) - 1) / 3
-        assert failure is None
     else:
         p = float(success_probability_exact(kind, n))
         weight, lam = p / n, 1.0
-        np.testing.assert_allclose(failure, (1 - p) * eye, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(ports, np.broadcast_to(weight * eye, (n, 2, 2)),
+        np.testing.assert_allclose(forms[n], (1 - p) * eye, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(forms[:n], np.broadcast_to(weight * eye, (n, 2, 2)),
                                rtol=0, atol=1e-13)
-    closed = weight * (lam * np.einsum("ac,bd->acbd", eye, eye)
-                       + (1 - lam) * np.einsum("cd,ab->acbd", eye, eye) / 2)
-    np.testing.assert_allclose(receiver, closed, rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("kind", [ProtocolKind.DPBT_OPT, ProtocolKind.PPBT_OPT])
-@pytest.mark.parametrize("n", [2, 5])
-def test_instrument_checks_its_covariant_closed_form(monkeypatch, kind, n):
-    # the fold and the branch sum hold for any resource, so only the
-    # covariant closed form sees an optimised kind run on the singlet chain
-    singlet = protocols._slot_input(ProtocolKind.DPBT_MES, n)
-    monkeypatch.setattr(protocols, "_slot_input", lambda *_: singlet)
-    protocols._instrument.cache_clear()
-    try:
-        with pytest.raises(NumericalInvariantError, match="covariant closed form") as info:
-            protocols._instrument(kind, n)
-    finally:
-        protocols._instrument.cache_clear()
-    assert info.value.residual > 1e-9
-    if kind.deterministic:
-        # dpbt's instrument, against lam = (4F - 1)/3 of the optimised F:
-        # the receiver gap is |delta lam| / N
-        gap = 4 * (entanglement_fidelity(kind, n)
-                   - entanglement_fidelity(ProtocolKind.DPBT_MES, n)) / (3 * n)
-        assert info.value.residual == pytest.approx(gap, rel=0, abs=1e-12)
-
-
-def _off_by(monkeypatch, name: str, delta: float) -> None:
-    """Shift what protocols' `name` returns by `delta`."""
-    original = getattr(protocols, name)
-    monkeypatch.setattr(protocols, name, lambda kind, n: original(kind, n) + delta)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [1, 4])
-def test_instrument_checks_the_numbers_teleport_samples(monkeypatch, kind, n):
-    # the run is right and the closed form that teleport samples and prints
-    # is off by 1e-6, so only the covariant check sees it: weights off by
-    # 1e-6 miss the outcome forms by 1e-6, and a success fidelity off by
-    # 1e-6 moves lam = 2F - 1 by 2e-6 and the receiver tensor by the port
-    # weight times that
-    weight = expected_outcome_distribution(kind, n)[0]
-    for name, gap in [("expected_outcome_distribution", 1e-6),
-                      ("success_fidelity", 2e-6 * weight)]:
-        with monkeypatch.context() as patch:
-            _off_by(patch, name, 1e-6)
-            protocols._instrument.cache_clear()
-            try:
-                with pytest.raises(NumericalInvariantError,
-                                   match="covariant closed form") as info:
-                    protocols._instrument(kind, n)
-            finally:
-                protocols._instrument.cache_clear()
-        assert info.value.residual == pytest.approx(gap, rel=0, abs=1e-12)
+    np.testing.assert_allclose(
+        closed, weight * (lam * np.einsum("ac,bd->acbd", eye, eye)
+                          + (1 - lam) * np.einsum("cd,ab->acbd", eye, eye) / 2),
+        rtol=0, atol=1e-13)
+    run = branch_instrument if n <= 8 else class_block_instrument
+    assert_closed_form(kind, n, *run(kind, n))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -748,24 +682,14 @@ def test_an_attach_amplitude_above_one_is_rejected(monkeypatch, kind):
     spec = protocols._SPECS[kind]
     monkeypatch.setitem(protocols._SPECS, kind,
                         spec._replace(attach=lambda m: 10 * spec.attach(m)))
-    protocols._instrument.cache_clear()
+    protocols._check_amplification.cache_clear()
     try:
         with pytest.raises(ValueError, match="exceeds 1"):
-            protocols._instrument(kind, 3)
+            protocols._check_amplification(kind, 3)
     finally:
-        protocols._instrument.cache_clear()
+        protocols._check_amplification.cache_clear()
     with pytest.raises(ValueError, match="exceeds 1"):
         protocols._compile(protocols._SPECS[kind], 3)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [1, 6])
-def test_ports_share_one_read_only_form(kind, n):
-    ports, failure, receiver = protocols._instrument(kind, n)
-    assert ports.shape == (n, 2, 2) and receiver.shape == (2, 2, 2, 2)
-    assert np.shares_memory(ports[0], ports[-1])
-    for form in (ports, receiver) if failure is None else (ports, failure, receiver):
-        assert not form.flags.writeable
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -781,13 +705,13 @@ def test_batch_never_compiles_the_whole_register(monkeypatch):
         raise AssertionError("teleport_batch compiled the whole register")
 
     monkeypatch.setattr(protocols, "build_program", whole_register)
-    protocols._instrument.cache_clear()
+    protocols._check_amplification.cache_clear()
     try:
         for kind in KINDS:
             batch = teleport_batch(kind, 3, 1, rng=4)
             assert batch.outcomes.shape == (1,)
     finally:
-        protocols._instrument.cache_clear()
+        protocols._check_amplification.cache_clear()
 
 
 @pytest.mark.parametrize("kind", KINDS)
