@@ -401,12 +401,27 @@ def closed_form(kind, n):
     p_i I, the failure one last, and the receiver tensor
     K = p (lam E + (1 - lam) I/2) of every port, p the port weight and
     lam = 2 F - 1 for the success fidelity F."""
+    return covariant_form(expected_outcome_distribution(kind, n), success_fidelity(kind, n))
+
+
+def covariant_form(weights, fidelity):
+    """The outcome forms p_i I and the receiver tensor
+    K = p_0 (lam E + (1 - lam) I/2), lam = 2 F - 1, of outcome weights p and
+    success fidelity F."""
     eye = np.eye(2)
-    weights = expected_outcome_distribution(kind, n)
-    lam = 2 * success_fidelity(kind, n) - 1
+    lam = 2 * fidelity - 1
     receiver = weights[0] * (lam * np.einsum("ac,bd->acbd", eye, eye)
                              + (1 - lam) * np.einsum("cd,ab->acbd", eye, eye) / 2)
     return np.multiply.outer(weights, eye), receiver
+
+
+def closed_form_gap(kind, n, per_branch, receiver, forms=None, closed=None):
+    """The largest entry gap between a last-port-and-failure instrument and
+    the closed form (or the given `forms` and `closed` receiver)."""
+    if forms is None:
+        forms, closed = closed_form(kind, n)
+    return max(float(np.abs(per_branch - forms[n - 1:]).max()),
+               float(np.abs(receiver - closed).max()))
 
 
 def assert_closed_form(kind, n, per_branch, receiver):
@@ -434,6 +449,25 @@ def test_instrument_matches_direct_runs(kind, n):
         state = np.einsum("icjd,c,d->ij", receiver, chi, chi.conj())
         for k in range(n):
             np.testing.assert_allclose(state, states[k], atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_instrument_is_covariant(kind, n):
+    # outcome probabilities of port-based teleportation do not depend on the
+    # input, so every Gram form of the whole register is a multiple of the
+    # identity, and every port's channel commutes with a qubit unitary:
+    # K(U rho U^dagger) = U K(rho) U^dagger
+    gram, receivers = whole_register_instrument(kind, n)
+    for g in gram:
+        assert np.linalg.norm(g - np.trace(g).real / 2 * np.eye(2)) <= 1e-12
+    rng = np.random.default_rng(np.random.PCG64(60 + n))
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    rho = np.outer(haar_qubit(rng), haar_qubit(rng).conj())
+    for k in receivers:
+        rotated = np.einsum("icjd,cd->ij", k, u @ rho @ u.conj().T)
+        np.testing.assert_allclose(rotated, u @ np.einsum("icjd,cd->ij", k, rho) @ u.conj().T,
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -674,6 +708,64 @@ def test_instrument_is_the_covariant_closed_form(kind, n):
         rtol=0, atol=1e-13)
     run = branch_instrument if n <= 8 else class_block_instrument
     assert_closed_form(kind, n, *run(kind, n))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 4])
+def test_dense_route_sees_the_sampled_numbers_off_by_1e_6(kind, n):
+    # the numbers teleport samples and prints, off by 1e-6, miss the dense
+    # run by exactly that: weights off by 1e-6 miss the outcome forms by
+    # 1e-6, and a success fidelity off by 1e-6 moves lam = 2F - 1 by 2e-6
+    # and the receiver tensor by the port weight times that
+    per_branch, receiver = branch_instrument(kind, n)
+    weights = expected_outcome_distribution(kind, n)
+    fidelity = success_fidelity(kind, n)
+    assert closed_form_gap(kind, n, per_branch, receiver) <= 1e-13
+    for shifted, gap in [(covariant_form(weights + 1e-6, fidelity), 1e-6),
+                         (covariant_form(weights, fidelity + 1e-6), 2e-6 * weights[0])]:
+        residual = closed_form_gap(kind, n, per_branch, receiver, *shifted)
+        assert residual == pytest.approx(gap, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.DPBT_OPT, ProtocolKind.PPBT_OPT])
+@pytest.mark.parametrize("n", [2, 5])
+def test_optimised_kind_on_the_singlet_chain_misses_its_closed_form(monkeypatch, kind, n):
+    # the class-block run of an optimised kind on the singlet chain leaves a
+    # different instrument, which the closed form of the kind does not match
+    singlet = protocols._slot_input(ProtocolKind.DPBT_MES, n)
+    monkeypatch.setattr(protocols, "_slot_input", lambda *_: singlet)
+    residual = closed_form_gap(kind, n, *class_block_instrument(kind, n))
+    assert residual > 1e-9
+    if kind.deterministic:
+        # dpbt's instrument, against lam = (4F - 1)/3 of the optimised F:
+        # the receiver gap is |delta lam| / N
+        gap = 4 * (entanglement_fidelity(kind, n)
+                   - entanglement_fidelity(ProtocolKind.DPBT_MES, n)) / (3 * n)
+        assert residual == pytest.approx(gap, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_a_scaled_resource_passes_the_amplification_check(monkeypatch, kind, n):
+    # the precondition is a relative Gram residual, homogeneous in the
+    # input: a resource scaled by 1.1 scales every form by 1.21 and leaves
+    # the check, and every number teleport samples, as they are
+    expected = teleport_batch(kind, n, 50, rng=3)
+    scaled = 1.1 * protocols._slot_input(kind, n)
+    monkeypatch.setattr(protocols, "_slot_input", lambda *_: scaled)
+    per_branch, receiver = class_block_instrument(kind, n)
+    forms, closed = closed_form(kind, n)
+    np.testing.assert_allclose(per_branch, 1.21 * forms[n - 1:], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(receiver, 1.21 * closed, rtol=0, atol=1e-13)
+    protocols._check_amplification.cache_clear()
+    try:
+        assert protocols._check_amplification(kind, n) is None
+        batch = teleport_batch(kind, n, 50, rng=3)
+    finally:
+        protocols._check_amplification.cache_clear()
+    np.testing.assert_array_equal(batch.outcomes, expected.outcomes)
+    np.testing.assert_array_equal(batch.fidelities, expected.fidelities)
+    assert (batch.rounds, batch.c_star) == (expected.rounds, expected.c_star)
 
 
 @pytest.mark.parametrize("kind", KINDS)
