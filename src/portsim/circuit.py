@@ -281,10 +281,9 @@ class CircuitAction:
         return sum(op.rotation_count for op in self.ops)
 
 
-# a flagged input -> the check of the scaled output on it: (largest entry of
-# the Gram difference, largest input Gram diagonal) of the register the
-# precondition holds on
-Fold = Callable[[ClassBlocks], Callable[[ClassBlocks], tuple[float, float]]]
+# a flagged run's scaled output -> its largest entry of |G_out - I| on the
+# register the precondition holds on, for an input whose Gram there is I
+Fold = Callable[[ClassBlocks], float]
 
 
 class OaaAction:
@@ -305,12 +304,13 @@ class OaaAction:
 
     On a `ClassBlocks` state U is the flagged part Pi~ U Pi itself, such as
     `FamilyRoots`, and every port value the state holds is a start branch.
-    U runs in place there, on the one copy of the state, so `fold` takes the
-    input's Grams first and returns the check of the scaled output. The fold
-    also says which register the precondition holds on: when the state's
-    branches stand in for a larger register, as the sampled instrument's do,
-    it forms that register's Grams class by class. A `StateVector` run
-    checks its own columns and takes no fold.
+    U runs in place there, on the one copy of the state, so the input must
+    be orthonormal on the register the precondition holds on, its Gram the
+    identity, and `fold` checks the scaled output alone against it, once,
+    after the run. The fold also says which register that is: when the
+    state's branches stand in for a larger register, as the amplification
+    check's do, it forms that register's Grams class by class. A
+    `StateVector` run checks its own columns and takes no fold.
     """
 
     def __init__(self, u, n: int, fold: Fold | None = None):
@@ -325,10 +325,9 @@ class OaaAction:
         if isinstance(state, ClassBlocks):
             if self.fold is None:
                 raise ValueError("a flagged run needs a fold to check its precondition")
-            check = self.fold(state)
             result = self.u.apply(state)
             result.amps *= 1.0 / s
-            miss, scale = check(result)
+            miss, scale = self.fold(result), 1.0
         else:
             if self.fold is not None:
                 raise ValueError("a fold checks only a flagged run")

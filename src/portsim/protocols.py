@@ -23,16 +23,17 @@ outcome from those weights, and every success has that fidelity
 (`teleport_batch`); the tests check the closed form against the dense
 routes. Before it samples, each protocol's circuit is checked once against
 the amplification precondition, which the schedule `teleport` prints rests
-on (`_check_amplification`). The run uses the last port branch and the
-failure branch alone: every other port branch is a qubit-swap image of the
-last one. On the flagged level the circuit's rotate, attach and unrotate
-is, family by family, a v (v^T x), the element's root read straight off
-the sector tables that `_compile` attaches (`_attach_tables`), so the run
-applies just that (`_element_roots`), on a joint input read off in closed
-form in the coupled basis (`_slot_input`). Every family shares one S_z,
-and each column of the joint input lies in one weight class
-(`_weight_classes`), so the run holds one block per class, its C(N+1, w)
-coupled rows over its own C(N+1, w) columns, in place, and the check goes
+on (`_check_amplification`). The precondition is a property of the circuit
+alone, so the check runs it on an orthonormal input, the coupled basis
+change itself, whose Gram is the identity. The run uses the last port
+branch and the failure branch alone: every other port branch is a qubit-swap
+image of the last one. On the flagged level the circuit's rotate, attach
+and unrotate is, family by family, a v (v^T x), the element's root read
+straight off the sector tables that `_compile` attaches (`_attach_tables`),
+so the run applies just that (`_element_roots`). Every family shares one
+S_z, and so does each column of the basis change, so the run holds one
+block per weight class (`_weight_classes`), its C(N+1, w) coupled rows over
+its own C(N+1, w) columns, in place (`_class_input`), and the check goes
 class by class. The whole-register program, which builds the dense
 transform, stays for the gate-count model and the tests. A trial has no
 input: it reads one seeded uniform and nothing else, so chunks that share
@@ -57,8 +58,7 @@ from .povm_analytic import EigenSystem, failure_eigensystem, port_eigensystem
 from .povm_oracle import qubit_swap_permutation
 from .schur import (MAX_DENSE_QUBITS, coupling_entries, coupling_level, coupling_unitary,
                     enumerate_labels)
-from .spinalg import (Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue,
-                      optimal_scalars, spin_values)
+from .spinalg import Regime, adjacent_pairs, chain_multiplicity, failure_eigenvalue
 
 if TYPE_CHECKING:
     from .pcg64 import Pcg64
@@ -234,11 +234,12 @@ def _check_ports(n_ports: int) -> None:
 class _WeightClass:
     """One S_z sector of the N+1 system qubits, w of them in |1>: the
     coupled-basis rows `outputs` of doubled m = N+1-2w, which the branch
-    program reads and writes, and the joint-input columns (b, d) of class
-    w = N - wt(b) + d, as flat indices 2b + d in ascending order: the k-th
-    is column k of the class's block. `swaps[i]` is the in-class position
-    of each column's image under port i's swap of Bob's qubits i+1 and N,
-    which keeps wt(b)."""
+    program reads and writes, and the computational basis states of weight
+    w as `columns`, each the state's index with its first N bits flipped,
+    in ascending order: the k-th is column k of the class's block.
+    `swaps[i]` is the in-class position of each column's image under port
+    i's swap of qubits i+1 and N, which keeps the weight and commutes with
+    the flip."""
 
     __slots__ = ("outputs", "columns", "swaps")
 
@@ -250,12 +251,12 @@ class _WeightClass:
 
 @lru_cache(maxsize=32)
 def _weight_classes(n_ports: int) -> tuple[_WeightClass, ...]:
-    """The N+2 weight classes of the joint input resource (x) I_2: its
-    column (b, d), Bob's N qubits and the chi' bit, touches only rows of
-    Hamming weight N - wt(b) + d, since the resource conserves S_z. Each
-    class holds C(N+1, w) rows and as many columns. Cached, read-only."""
+    """The N+2 weight classes of the N+1 system qubits: the coupled basis
+    change maps the computational states of weight w onto the labels of
+    doubled m = N+1-2w, since it conserves S_z. Each class holds C(N+1, w)
+    rows and as many columns. Cached, read-only."""
     qubits = n_ports + 1
-    # N - wt(b) + d is the weight of the column index with Bob's bits flipped
+    # a column's weight is that of its index with the first N bits flipped
     flipped = np.arange(2 ** qubits) ^ (2 ** qubits - 2)
     column_class = sum((flipped >> t) & 1 for t in range(qubits))
     m = enumerate_labels(qubits)[:, -1]
@@ -272,26 +273,11 @@ def _weight_classes(n_ports: int) -> tuple[_WeightClass, ...]:
     return tuple(classes)
 
 
-def _input_grams(classes: tuple[_WeightClass, ...], state: ClassBlocks) -> list[np.ndarray]:
-    """Per class, the whole register's Gram of a branch run's input: N
-    copies of the last port branch's plus the failure branch's. Every other
-    port branch of the whole register is the last one with two system
-    qubits swapped, which leaves its Gram as it is."""
-    grams = []
-    for cls, block in zip(classes, state.blocks()):
-        gram = block[0].conj().T @ block[0]
-        gram *= len(cls.swaps)
-        for rows in block[1:]:
-            gram += rows.conj().T @ rows
-        grams.append(gram)
-    return grams
-
-
 def _output_grams(classes: tuple[_WeightClass, ...], state: ClassBlocks
                   ) -> Iterator[np.ndarray]:
     """Per class, the whole register's Gram of a branch run's output: the
-    last port branch's folded in once under each port's swap of Bob's
-    qubits, which maps the class onto itself, one image at a time, and the
+    last port branch's folded in once under each port's swap of qubits i+1
+    and N, which maps the class onto itself, one image at a time, and the
     failure branch's once."""
     for cls, block in zip(classes, state.blocks()):
         last = block[0].conj().T @ block[0]
@@ -303,28 +289,19 @@ def _output_grams(classes: tuple[_WeightClass, ...], state: ClassBlocks
         yield gram
 
 
-def _fold_classes(classes: tuple[_WeightClass, ...], before: ClassBlocks
-                  ) -> Callable[[ClassBlocks], tuple[float, float]]:
-    """The whole register's amplification check from a branch run on
-    flagged class blocks: the input Grams are taken `before` the run
-    (`_input_grams`), and the returned check of the run's scaled output
-    gives (largest entry of the whole register's Gram difference, largest
-    entry of its input Gram diagonal), each class adding its output Grams
-    (`_output_grams`) and its largest difference as it goes. The dense fold
-    is block-diagonal in class, so these blocks hold every entry it can make
-    nonzero."""
-    grams_in = _input_grams(classes, before)
-    scale = max(float(gram.diagonal().real.max()) for gram in grams_in)
-
-    def check(after: ClassBlocks) -> tuple[float, float]:
-        miss = 0.0
-        for diff in _output_grams(classes, after):
-            diff -= grams_in.pop(0)
-            np.abs(diff, out=diff)
-            miss = max(miss, float(diff.real.max()))
-        return miss, scale
-
-    return check
+def _fold_classes(classes: tuple[_WeightClass, ...], after: ClassBlocks) -> float:
+    """The whole register's amplification check from a branch run of the
+    orthonormal class input (`_class_input`), whose whole-register Gram is
+    the identity: the largest entry of |G_out - I| over the run's scaled
+    output, each class adding its output Grams (`_output_grams`) as it
+    goes. The dense fold is block-diagonal in class, so these blocks hold
+    every entry it can make nonzero."""
+    miss = 0.0
+    for diff in _output_grams(classes, after):
+        diff[np.diag_indices(len(diff))] -= 1.0
+        np.abs(diff, out=diff)
+        miss = max(miss, float(diff.real.max()))
+    return miss
 
 
 def _schedule(spec: _Spec, n_ports: int) -> tuple[float, int]:
@@ -391,7 +368,7 @@ def _element_roots(spec: _Spec, n_ports: int) -> FamilyRoots:
     w, and this lays them onto the class's row positions, branch 0 the port
     element's and branch 1 the failure element's. The run's state holds
     2 C(2N+2, N+1) floats, so N is capped at MAX_DENSE_QUBITS (159 MiB at
-    N = 12) before anything is built. Built once per protocol, by the cached
+    N = 12) before anything is built. Built once per spec, by the cached
     `_check_amplification`."""
     _check_ports(n_ports)
     if n_ports > MAX_DENSE_QUBITS:
@@ -436,23 +413,6 @@ def build_program(kind: ProtocolKind, n_ports: int) -> NaimarkProgram:
     return _compile(_SPECS[kind], n_ports)
 
 
-def dpbt_opt_deformation(n_ports: int) -> tuple[tuple[int, float], ...]:
-    """Spin-sector weights w_j of the deterministic-optimal resource
-    O = sum_j w_j 1(j) applied to the singlet chain.
-
-    Closed form of Ishizaka and Hiroshima (PRA 79, 042306, 2009):
-    w_j = sin(pi (2j+1)/(N+2)) sqrt(2^(N+2) / ((N+2) m_N(j) (2j+1))),
-    normalized so that sum_j m_N(j) (2j+1) w_j^2 / 2^N = 1, a unit resource
-    state. It maximizes the entanglement fidelity over the family, reaching
-    cos^2(pi/(N+2)).
-    """
-    return tuple(
-        (j, math.sin(math.pi * (j + 1) / (n_ports + 2))
-         * math.sqrt(2 ** (n_ports + 2)
-                     / ((n_ports + 2) * chain_multiplicity(n_ports, j) * (j + 1))))
-        for j in spin_values(n_ports))
-
-
 class TeleportBatch:
     """Vectorized trial record: one sampled outcome and success fidelity
     (NaN on failure) per trial, the amplification schedule, and the exact
@@ -488,37 +448,19 @@ def expected_outcome_distribution(kind: ProtocolKind, n_ports: int) -> np.ndarra
     return dist
 
 
-def _slot_input(kind: ProtocolKind, n_ports: int) -> np.ndarray:
-    """The joint input resource (x) I_2 in the coupled basis of the N+1
-    system qubits, as weight-class blocks: class w's (C(N+1, w), C(N+1, w))
-    block holds rows `outputs` and columns `columns`, every entry of the
-    dense product outside them being zero, and the blocks follow one
-    another flat, C(2N+2, N+1) floats in all. A gather, with no matrix
-    product.
+def _class_input(n_ports: int) -> np.ndarray:
+    """The coupled basis change U_{N+1}^T as weight-class blocks: class w's
+    (C(N+1, w), C(N+1, w)) block holds rows `outputs` and columns `columns`
+    (`_weight_classes`), every entry outside them being zero, and the blocks
+    follow one another flat, C(2N+2, N+1) floats in all. Each block is
+    orthogonal. A gather, with no matrix product.
 
-    The resource is R = O C / |O C|: C = eps^(x)N / 2^(N/2) is the singlet
-    chain, eps = [[0, 1], [-1, 0]], and O = sum_s w_s P_s is diagonal in the
-    coupled basis, where eps^(x)N is a signed m-reversal (u eps u^T = eps
-    for u in SU(2)). So row L of U_N^T R is w_L (-1)^((s-m)/2) / sqrt(sum
-    w_L^2) times row L + m (same chain, opposite m) of U_N^T, and entry
-    (X, (b, d)) is coeff[d, X] times that row at prev[d, X], column b, by
-    one Clebsch-Gordan level (`coupling_level`). Those entries of U_N are
-    read off U_{N-1} (`coupling_entries`), so no N qubit transform is
-    built. The norm is an exact sum (`math.fsum`), correctly rounded in any
-    summation order."""
-    labels = enumerate_labels(n_ports).astype(np.int64)
-    spin, m = labels[:, -2], labels[:, -1]
-    if kind is ProtocolKind.PPBT_OPT:
-        weights = {j: math.sqrt(float(nu)) for j, nu in optimal_scalars(n_ports).nu.items()}
-    elif kind is ProtocolKind.DPBT_OPT:
-        weights = dict(dpbt_opt_deformation(n_ports))
-    else:
-        weights = dict.fromkeys(spin_values(n_ports), 1.0)
-    scale = np.array([weights[s] for s in spin.tolist()])
-    norm = math.sqrt(math.fsum(scale ** 2))
-    # a prev of -1 (the piece leaves the parent chain) reads a zero weight
-    scale = np.append(scale * (-1.0) ** ((spin - m) // 2) / norm, 0.0)
-    reverse = np.append(np.arange(len(m)) + m, 0)
+    Column (b, d), b the first N bits of `columns` and d the last, is the
+    computational state 2 b' + d, b' = b with its bits flipped, so entry
+    (L, (b, d)) is coeff[d, L] U_N[b', prev[d, L]] by one Clebsch-Gordan
+    level (`coupling_level`), and 0 where prev[d, L] < 0. Those entries of
+    U_N are read off U_{N-1} (`coupling_entries`), so no N qubit transform
+    is built."""
     prev, coeff = coupling_level(n_ports + 1)
     classes = _weight_classes(n_ports)
     blocks = np.empty(sum(len(c.outputs) * len(c.columns) for c in classes))
@@ -527,48 +469,47 @@ def _slot_input(kind: ProtocolKind, n_ports: int) -> np.ndarray:
         x, b, d = cls.outputs[:, None], cls.columns >> 1, cls.columns & 1
         row = prev[d, x]
         block = blocks[start:start + row.size].reshape(row.shape)
-        np.multiply(coeff[d, x] * scale[row], coupling_entries(n_ports, b, reverse[row]),
-                    out=block)
+        # a prev of -1 (the piece leaves the parent chain) reads the last
+        # label's entry, which the zero coefficient drops
+        np.multiply(np.where(row >= 0, coeff[d, x], 0.0),
+                    coupling_entries(n_ports, b ^ (2 ** n_ports - 1), row), out=block)
         start += row.size
     return blocks
 
 
 @lru_cache(maxsize=32)
-def _check_amplification(kind: ProtocolKind, n_ports: int) -> None:
-    """Check the amplification precondition of the protocol's circuit, on
-    one run of the element roots (`_element_roots`) on the joint inputs for
-    chi = |0> and |1> (2 * 2^N columns), held as flagged weight-class
-    blocks. The schedule `teleport` prints rests on it: every batch calls it
-    first, and it runs once per protocol.
+def _check_amplification(spec: _Spec, n_ports: int) -> None:
+    """Check the amplification precondition of one spec's circuit, on one
+    run of the element roots (`_element_roots`) on the orthonormal class
+    input (`_class_input`), held as flagged weight-class blocks. The
+    schedule `teleport` prints rests on it: every batch calls it first, and
+    it runs once per spec, so kinds that share a program share the check.
 
-    The square-root measurement is port-permutation covariant (Studzinski
-    et al., Sci. Rep. 7, 10871, 2017): port branch p of the whole register
-    is the last port branch with system qubits p+1 and N swapped and, the
-    resource being symmetric under exchanging pairs, Bob's qubits p+1 and N
-    too. So the run holds the last port and the failure branch only, each
-    times its port preparation amplitude, and the check folds the port
-    images in class by class (`_fold_classes`).
+    The amplification lemma needs Pi U^dagger Pi~ U Pi = sin^2(pi/2n) Pi, a
+    property of the circuit alone, which an orthonormal basis of the start
+    subspace checks whole. The square-root measurement is port-permutation
+    covariant (Studzinski et al., Sci. Rep. 7, 10871, 2017): port branch p
+    of the whole register is the last port branch with system qubits p+1
+    and N swapped. So the run holds the last port and the failure branch
+    only, each times its port preparation amplitude, and the check folds
+    the port images in class by class (`_fold_classes`).
 
-    Every family of the roots shares one S_z, and the joint input's column
-    (b, d) lies in the one weight class w = N - wt(b) + d
-    (`_weight_classes`). So the run holds class w as one
-    (branch, C(N+1, w), C(N+1, w)) block of its coupled rows, where its
-    doubled m is N+1-2w, and its own columns, read off in closed form in the
-    coupled basis (`_slot_input`): the branches times C(2N+2, N+1) floats
-    in all, the flagged level the amplification keeps and nothing else, and
-    the roots act on it in place (`circuit.OaaAction`). No 2^(N+1) x 2^(N+1)
-    Gram or transform is formed. The resource and the roots are real, so
-    the run is float64. A relative Gram residual above 1e-9 raises
-    `NumericalInvariantError`, which carries it.
+    Every family of the roots shares one S_z, and so does every column of
+    the input, so the run holds class w as one (branch, C(N+1, w),
+    C(N+1, w)) block, the branches times C(2N+2, N+1) floats in all, the
+    flagged level the amplification keeps and nothing else, and the roots
+    act on it in place (`circuit.OaaAction`). No 2^(N+1) x 2^(N+1) Gram or
+    transform is formed. The input and the roots are real, so the run is
+    float64. A Gram residual above 1e-9 raises `NumericalInvariantError`,
+    which carries it.
     """
-    spec = _SPECS[kind]
     roots = _element_roots(spec, n_ports)
     _, rounds = _schedule(spec, n_ports)
     classes = _weight_classes(n_ports)
     shapes = tuple((len(cls.outputs), len(cls.columns)) for cls in classes)
     # the flat input is dropped once the start state holds it, so the run
     # holds one state
-    start = ClassBlocks.from_blocks(shapes, _slot_input(kind, n_ports),
+    start = ClassBlocks.from_blocks(shapes, _class_input(n_ports),
                                     spec.amplitudes(n_ports)[n_ports - 1:])
     OaaAction(roots, rounds, fold=partial(_fold_classes, classes)).apply(start)
 
@@ -592,8 +533,9 @@ def teleport_batch(kind: ProtocolKind, n_ports: int, trials: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_amplification(kind, n_ports)
-    rescale, rounds = _schedule(_SPECS[kind], n_ports)
+    spec = _SPECS[kind]
+    _check_amplification(spec, n_ports)
+    rescale, rounds = _schedule(spec, n_ports)
     expected = expected_outcome_distribution(kind, n_ports)
     # imported here, so that only a command that draws loads the stream
     from .pcg64 import Pcg64

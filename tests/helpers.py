@@ -5,11 +5,13 @@ labels as sorted tuples and the coupled basis one label at a time, the
 eigensystem families grouped label by label, the list of pair sectors,
 the port element's table of a pair sector, the Hermitian square root of a
 dense measurement element, the whole-register qubit instrument and the
-receiver states it leaves, the dense resource and joint input, in the
-computational and in the coupled basis, the whole register's unchecked
-amplified run and its Gram difference, the sampled run's start state and
-run on flagged class blocks, with and without its check, the qubit
-instrument read off that run, its element roots as dense matrices and its
+receiver states it leaves, the optimised deterministic resource's sector
+weights, the dense resource and joint input, in the computational and in
+the coupled basis, and the joint input's closed form as weight-class
+blocks, the whole register's unchecked amplified run and its Gram
+difference, the amplification check's start state and run on flagged
+class blocks, with and without its check, the qubit instrument read off
+that run on the joint input, its element roots as dense matrices and its
 qubit instrument read off them in the dense layout, and teleport's trial
 rows rendered one row at a time."""
 
@@ -24,9 +26,11 @@ from portsim.circuit import ClassBlocks, OaaAction, Registers, StateVector, c_st
 from portsim.cli import _fmt
 from portsim.povm_analytic import failure_eigensystem, port_eigensystem
 from portsim.povm_oracle import PSD_TOLERANCE, SUPPORT_RTOL
-from portsim.protocols import ProtocolKind, build_program, dpbt_opt_deformation
-from portsim.schur import coupling_unitary, sector_operator
-from portsim.spinalg import Regime, failure_eigenvalue, optimal_scalars
+from portsim.protocols import ProtocolKind, build_program
+from portsim.schur import (coupling_entries, coupling_level, coupling_unitary, enumerate_labels,
+                           sector_operator)
+from portsim.spinalg import (Regime, chain_multiplicity, failure_eigenvalue, optimal_scalars,
+                             spin_values)
 
 
 def flat(state: StateVector) -> np.ndarray:
@@ -177,8 +181,25 @@ def singlet_chain(n_ports: int) -> np.ndarray:
     return reduce(np.kron, [pair] * n_ports)
 
 
+def dpbt_opt_deformation(n_ports: int) -> tuple[tuple[int, float], ...]:
+    """Spin-sector weights w_j of the deterministic-optimal resource
+    O = sum_j w_j 1(j) applied to the singlet chain.
+
+    Closed form of Ishizaka and Hiroshima (PRA 79, 042306, 2009):
+    w_j = sin(pi (2j+1)/(N+2)) sqrt(2^(N+2) / ((N+2) m_N(j) (2j+1))),
+    normalized so that sum_j m_N(j) (2j+1) w_j^2 / 2^N = 1, a unit resource
+    state. It maximizes the entanglement fidelity over the family, reaching
+    cos^2(pi/(N+2)).
+    """
+    return tuple(
+        (j, math.sin(math.pi * (j + 1) / (n_ports + 2))
+         * math.sqrt(2 ** (n_ports + 2)
+                     / ((n_ports + 2) * chain_multiplicity(n_ports, j) * (j + 1))))
+        for j in spin_values(n_ports))
+
+
 def resource_matrix(kind, n_ports: int) -> np.ndarray:
-    """Oracle for the resource `protocols._slot_input` reads in closed form:
+    """Oracle for the resource `slot_input` reads in closed form:
     the amplitude matrix of the singlet chain, or for the optimised kinds
     the unit-norm image of sum_j w_j 1(j) applied to it (w_j = sqrt(nu(j))
     for ppbt-opt, `dpbt_opt_deformation` for dpbt-opt), built densely."""
@@ -201,9 +222,54 @@ def joint_input(kind, n_ports: int) -> np.ndarray:
 
 
 def coupled_input(kind, n_ports: int) -> np.ndarray:
-    """Oracle for `protocols._slot_input`: `joint_input` with its rows in
+    """Oracle for `slot_input`: `joint_input` with its rows in
     the coupled basis of the N+1 system qubits, U_{N+1}^T times it."""
     return coupling_unitary(n_ports + 1).T @ joint_input(kind, n_ports)
+
+
+def slot_input(kind, n_ports: int) -> np.ndarray:
+    """The joint input resource (x) I_2 in the coupled basis of the N+1
+    system qubits, as weight-class blocks (`protocols._weight_classes`):
+    class w's (C(N+1, w), C(N+1, w)) block holds rows `outputs` and columns
+    `columns`, every entry of the dense product outside them being zero,
+    and the blocks follow one another flat, C(2N+2, N+1) floats in all. A
+    gather, with no matrix product.
+
+    The resource is R = O C / |O C|: C = eps^(x)N / 2^(N/2) is the singlet
+    chain, eps = [[0, 1], [-1, 0]], and O = sum_s w_s P_s is diagonal in the
+    coupled basis, where eps^(x)N is a signed m-reversal (u eps u^T = eps
+    for u in SU(2)). So row L of U_N^T R is w_L (-1)^((s-m)/2) / sqrt(sum
+    w_L^2) times row L + m (same chain, opposite m) of U_N^T, and entry
+    (X, (b, d)) is coeff[d, X] times that row at prev[d, X], column b, by
+    one Clebsch-Gordan level (`coupling_level`). Those entries of U_N are
+    read off U_{N-1} (`coupling_entries`), so no N qubit transform is
+    built. The norm is an exact sum (`math.fsum`), correctly rounded in any
+    summation order."""
+    labels = enumerate_labels(n_ports).astype(np.int64)
+    spin, m = labels[:, -2], labels[:, -1]
+    if kind is ProtocolKind.PPBT_OPT:
+        weights = {j: math.sqrt(float(nu)) for j, nu in optimal_scalars(n_ports).nu.items()}
+    elif kind is ProtocolKind.DPBT_OPT:
+        weights = dict(dpbt_opt_deformation(n_ports))
+    else:
+        weights = dict.fromkeys(spin_values(n_ports), 1.0)
+    scale = np.array([weights[s] for s in spin.tolist()])
+    norm = math.sqrt(math.fsum(scale ** 2))
+    # a prev of -1 (the piece leaves the parent chain) reads a zero weight
+    scale = np.append(scale * (-1.0) ** ((spin - m) // 2) / norm, 0.0)
+    reverse = np.append(np.arange(len(m)) + m, 0)
+    prev, coeff = coupling_level(n_ports + 1)
+    classes = protocols._weight_classes(n_ports)
+    blocks = np.empty(sum(len(c.outputs) * len(c.columns) for c in classes))
+    start = 0
+    for cls in classes:
+        x, b, d = cls.outputs[:, None], cls.columns >> 1, cls.columns & 1
+        row = prev[d, x]
+        block = blocks[start:start + row.size].reshape(row.shape)
+        np.multiply(coeff[d, x] * scale[row], coupling_entries(n_ports, b, reverse[row]),
+                    out=block)
+        start += row.size
+    return blocks
 
 
 def register_fold(program, system_amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,20 +285,22 @@ def register_fold(program, system_amps: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def class_block_start(spec, n_ports: int, blocks: np.ndarray) -> ClassBlocks:
-    """The sampled run's start state, as `protocols._check_amplification`
-    builds it, on flat class blocks: each weight class's block times the
-    port preparation's amplitude on the last port branch and on the failure
-    branch."""
+    """The amplification check's start state, as
+    `protocols._check_amplification` builds it, on flat class blocks: each
+    weight class's block times the port preparation's amplitude on the last
+    port branch and on the failure branch."""
     shapes = tuple((len(cls.outputs), len(cls.columns))
                    for cls in protocols._weight_classes(n_ports))
     return ClassBlocks.from_blocks(shapes, blocks, spec.amplitudes(n_ports)[n_ports - 1:])
 
 
 def checked_class_block_run(spec, n_ports: int, blocks: np.ndarray) -> ClassBlocks:
-    """The sampled run, as `protocols._check_amplification` makes it, on
-    flat class blocks: the element roots (`protocols._element_roots`) on the
-    start state, amplified, with the whole register's precondition checked
-    through the class fold (`protocols._fold_classes`)."""
+    """The amplification check's run, as `protocols._check_amplification`
+    makes it, on flat class blocks: the element roots
+    (`protocols._element_roots`) on the start state, amplified, with the
+    whole register's precondition checked through the class fold
+    (`protocols._fold_classes`), which holds the blocks to an orthonormal
+    input such as `protocols._class_input`."""
     _, rounds = c_star(spec.target(n_ports))
     fold = partial(protocols._fold_classes, protocols._weight_classes(n_ports))
     return OaaAction(protocols._element_roots(spec, n_ports), rounds, fold=fold).apply(
@@ -240,10 +308,10 @@ def checked_class_block_run(spec, n_ports: int, blocks: np.ndarray) -> ClassBloc
 
 
 def class_block_run(spec, n_ports: int, blocks: np.ndarray) -> tuple[ClassBlocks, ClassBlocks]:
-    """The sampled run on flat class blocks without its check:
-    the element roots (`protocols._element_roots`) once on a copy of the
-    start state, divided by sin(pi/2n). Returns the start state and that
-    output."""
+    """The amplification check's run on flat class blocks without its
+    check: the element roots (`protocols._element_roots`) once on a copy of
+    the start state, divided by sin(pi/2n). Returns the start state and
+    that output."""
     _, rounds = c_star(spec.target(n_ports))
     before = class_block_start(spec, n_ports, blocks)
     after = protocols._element_roots(spec, n_ports).apply(
@@ -252,15 +320,18 @@ def class_block_run(spec, n_ports: int, blocks: np.ndarray) -> tuple[ClassBlocks
     return before, after
 
 
-def class_block_instrument(kind, n_ports: int) -> tuple[np.ndarray, np.ndarray]:
-    """The qubit instrument read off the sampled run (`class_block_run`) on
-    the closed-form joint input, class by class: each class's Gram over its
-    rows, summed over the column pairs that share Bob's first N-1 qubits,
-    lands on the entry of their two low bits q = 2i + c, Bob's last qubit i
-    and the chi' bit c. Returns (per_branch, receiver) as `branch_instrument`
-    does, without a 2^(N+1) x 2^(N+1) matrix."""
-    _, flagged = class_block_run(protocols._SPECS[kind], n_ports,
-                                 protocols._slot_input(kind, n_ports))
+def class_block_instrument(kind, n_ports: int, blocks: np.ndarray | None = None
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """The qubit instrument read off the run on class blocks
+    (`class_block_run`) of the joint input, by default the kind's own
+    (`slot_input`), class by class: each class's Gram over its rows, summed
+    over the column pairs that share Bob's first N-1 qubits, lands on the
+    entry of their two low bits q = 2i + c, Bob's last qubit i and the chi'
+    bit c. Returns (per_branch, receiver) as `branch_instrument` does,
+    without a 2^(N+1) x 2^(N+1) matrix."""
+    if blocks is None:
+        blocks = slot_input(kind, n_ports)
+    _, flagged = class_block_run(protocols._SPECS[kind], n_ports, blocks)
     grams = np.zeros((len(flagged.amps), 4, 4))
     for cls, block in zip(protocols._weight_classes(n_ports), flagged.blocks()):
         low, high = np.eye(4)[cls.columns & 3], cls.columns >> 2

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import action_matrix, branch_weights, checked_class_block_run, flat
+from helpers import (action_matrix, branch_weights, checked_class_block_run, class_block_run, flat,
+                     slot_input)
 from portsim import circuit, protocols
 from portsim.circuit import (
     Block,
@@ -384,7 +385,7 @@ def test_class_blocks_hold_each_class_over_its_own_columns():
         OaaAction(CircuitAction([]), 3).apply(state)
     dense = StateVector.from_system(Registers(n_system=1, port_dim=1), np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="fold checks only a flagged run"):
-        OaaAction(CircuitAction([]), 3, fold=lambda before: None).apply(dense)
+        OaaAction(CircuitAction([]), 3, fold=lambda after: 0.0).apply(dense)
 
 
 def test_rescale_factor_and_round_count():
@@ -504,16 +505,20 @@ def test_a_complex_block_promotes_a_real_state():
 @pytest.mark.parametrize("n", range(1, 5))
 def test_a_complex_run_is_the_real_runs_of_its_parts(kind, n):
     # every op acts on each weight class's block alone, so a complex factor
-    # per class commutes with the run and leaves the fold's check intact
+    # per class commutes with the run, here on the joint input; a phase per
+    # class keeps the check's orthonormal input orthonormal, so the fold's
+    # check stays intact on the complex run
     spec = protocols._SPECS[kind]
-    x = protocols._slot_input(kind, n).astype(np.complex128)
-    start = 0
-    for cls in protocols._weight_classes(n):
-        size = len(cls.outputs) * len(cls.columns)
-        x[start:start + size] *= complex(*RNG.normal(size=2))
-        start += size
-    real, imag = (checked_class_block_run(spec, n, part).amps for part in (x.real, x.imag))
+    sizes = [len(cls.outputs) * len(cls.columns) for cls in protocols._weight_classes(n)]
+    factors = RNG.normal(size=(n + 2, 2)) @ np.array([1.0, 1j])
+    x = slot_input(kind, n) * np.repeat(factors, sizes)
+    real, imag = (class_block_run(spec, n, part)[1].amps for part in (x.real, x.imag))
     assert real.dtype == imag.dtype == np.float64
-    out = checked_class_block_run(spec, n, x).amps
+    out = class_block_run(spec, n, x)[1].amps
     assert out.dtype == np.complex128
     np.testing.assert_allclose(out, real + 1j * imag, rtol=0, atol=1e-15)
+    basis, phases = protocols._class_input(n), np.repeat(factors / np.abs(factors), sizes)
+    checked = checked_class_block_run(spec, n, basis * phases).amps
+    assert checked.dtype == np.complex128
+    np.testing.assert_allclose(checked, checked_class_block_run(spec, n, basis).amps * phases,
+                               rtol=0, atol=1e-15)

@@ -779,7 +779,7 @@ def _detuned_attach(monkeypatch) -> str:
     broken = spec._replace(attach=lambda n: spec.attach(n) * (1 - 1e-6))
     monkeypatch.setitem(protocols._SPECS, ProtocolKind.PPBT_OPT, broken)
     with pytest.raises(NumericalInvariantError) as info:
-        protocols._check_amplification(ProtocolKind.PPBT_OPT, 2)
+        protocols._check_amplification(broken, 2)
     assert 1e-6 <= info.value.residual <= 3e-6
     return f"{info.value.residual:.3e}"  # the amplification precondition residual
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import (action_matrix, branch_instrument, branch_weights, checked_class_block_run,
-                     class_block_instrument, class_block_run, coupled_input, flat, haar_qubit,
-                     joint_input, one_shot_draws, psd_sqrt, receiver_states, register_fold,
-                     resource_matrix, root_matrices, singlet_chain, stream_outcomes,
-                     whole_register_instrument)
+                     class_block_instrument, class_block_run, coupled_input, dpbt_opt_deformation,
+                     flat, haar_qubit, one_shot_draws, psd_sqrt, receiver_states,
+                     register_fold, resource_matrix, root_matrices, singlet_chain, slot_input,
+                     stream_outcomes, whole_register_instrument)
 from portsim import protocols, schur
 from portsim.circuit import FamilyRoots, Registers, StateVector
 from portsim.pcg64 import Pcg64
@@ -21,7 +21,6 @@ from portsim.protocols import (
     SchurVariant,
     average_fidelity,
     build_program,
-    dpbt_opt_deformation,
     entanglement_fidelity,
     expected_outcome_distribution,
     ppbt_mes_no_aa,
@@ -502,31 +501,28 @@ def test_detuned_attach_breaks_the_amplification_precondition(monkeypatch, kind,
     broken = _detuned(kind)
     prog = protocols._compile(broken, n)
     with pytest.raises(NumericalInvariantError) as info:
-        prog.run(joint_input(kind, n))
+        prog.run(np.eye(2 ** (n + 1)))
     assert not isinstance(info.value, ValueError)
     assert 1e-6 <= info.value.residual <= 3e-6
-    # the sampled run checks the whole register's precondition through the
-    # port-swap images, so it raises the same residual
+    # the check runs the class blocks of the basis change, whose whole-register
+    # Gram is the identity, and folds in the port-swap images, so it raises
+    # the residual of the whole register on the identity start input
     monkeypatch.setitem(protocols._SPECS, kind, broken)
-    protocols._check_amplification.cache_clear()
-    try:
-        with pytest.raises(NumericalInvariantError) as branch:
-            protocols._check_amplification(kind, n)
-    finally:
-        protocols._check_amplification.cache_clear()
+    with pytest.raises(NumericalInvariantError) as branch:
+        teleport_batch(kind, n, 1, rng=0)
     assert branch.value.residual == pytest.approx(info.value.residual, rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [2, 6])
 def test_one_fold_on_the_difference_is_the_two_fold_residual(kind, n):
-    # the class-block run folds only G_out under the port images and takes
-    # G_in as N copies of the last port branch's; the whole register, every
-    # port branch run, gives the same residual
+    # the class-block run folds only G_out under the port images and
+    # subtracts the identity once; the whole register, every port branch run
+    # on the identity start input, gives the same residual
     detuned = _detuned(kind)
     with pytest.raises(NumericalInvariantError) as info:
-        checked_class_block_run(detuned, n, protocols._slot_input(kind, n))
-    diff, diagonal = register_fold(protocols._compile(detuned, n), joint_input(kind, n))
+        checked_class_block_run(detuned, n, protocols._class_input(n))
+    diff, diagonal = register_fold(protocols._compile(detuned, n), np.eye(2 ** (n + 1)))
     residual = np.abs(diff).max() / diagonal.max()
     assert 1e-6 <= residual <= 3e-6
     assert info.value.residual == pytest.approx(residual, rel=0, abs=1e-12)
@@ -535,29 +531,28 @@ def test_one_fold_on_the_difference_is_the_two_fold_residual(kind, n):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_class_fold_is_the_dense_fold(kind, n):
-    # the whole register's Gram difference is block-diagonal in weight
-    # class, and each block is the class fold of the class-block run, on a
-    # detuned attach where it is not zero
+    # the whole register's Gram difference on the identity start input is
+    # block-diagonal in weight class, and each block, its columns the class's
+    # computational states, is the class fold of the class-block run less
+    # the identity, on a detuned attach where it is not zero
     detuned = _detuned(kind)
-    before, after = class_block_run(detuned, n, protocols._slot_input(kind, n))
+    _, after = class_block_run(detuned, n, protocols._class_input(n))
     classes = protocols._weight_classes(n)
-    grams_in = protocols._input_grams(classes, before)
     grams_out = list(protocols._output_grams(classes, after))
-    diff, diagonal = register_fold(protocols._compile(detuned, n), joint_input(kind, n))
+    diff, diagonal = register_fold(protocols._compile(detuned, n), np.eye(2 ** (n + 1)))
+    np.testing.assert_array_equal(diagonal, 1.0)
     covered = np.zeros(diff.shape, dtype=bool)
-    assert len(grams_in) == len(grams_out) == len(classes) == n + 2
-    for cls, gram_in, gram_out in zip(classes, grams_in, grams_out):
-        np.testing.assert_allclose(gram_out - gram_in, diff[np.ix_(cls.columns, cls.columns)],
+    assert len(grams_out) == len(classes) == n + 2
+    for cls, gram_out in zip(classes, grams_out):
+        states = cls.columns ^ (2 ** (n + 1) - 2)
+        np.testing.assert_allclose(gram_out - np.eye(len(states)), diff[np.ix_(states, states)],
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(gram_in.diagonal(), diagonal[cls.columns],
-                                   rtol=0, atol=1e-12)
-        covered[np.ix_(cls.columns, cls.columns)] = True
+        covered[np.ix_(states, states)] = True
     assert not diff[~covered].any()
-    assert np.abs(diff).max() >= 1e-6 * diagonal.max()
+    assert np.abs(diff).max() >= 1e-6
     # the check keeps the largest of every class's entries
-    miss, scale = protocols._fold_classes(classes, before)(after)
-    assert miss == max(float(np.abs(o - i).max()) for i, o in zip(grams_in, grams_out))
-    assert scale == max(float(gram.diagonal().max()) for gram in grams_in)
+    miss = protocols._fold_classes(classes, after)
+    assert miss == max(float(np.abs(o - np.eye(len(o))).max()) for o in grams_out)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -588,7 +583,7 @@ def test_instrument_matches_the_dense_layout(kind, n):
 def test_slot_input_is_the_coupled_joint_input(kind, n):
     # the closed form is U_{N+1}^T (resource (x) I_2) gathered into class
     # blocks; the dense product is zero outside them
-    blocks = protocols._slot_input(kind, n)
+    blocks = slot_input(kind, n)
     coupled = coupled_input(kind, n)
     gathered = []
     covered = np.zeros(coupled.shape, dtype=bool)
@@ -598,6 +593,52 @@ def test_slot_input_is_the_coupled_joint_input(kind, n):
     assert blocks.shape == (math.comb(2 * n + 2, n + 1),)
     np.testing.assert_allclose(blocks, np.concatenate(gathered), rtol=0, atol=1e-14)
     assert np.abs(coupled[~covered]).max(initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_class_input_is_the_coupled_basis_change(n):
+    # the check's input is U_{N+1}^T gathered on the class layout, column k
+    # of class w the computational state columns[k] with its first N bits
+    # flipped; the transform is zero outside the blocks, and every block is
+    # orthogonal, so the whole register's input Gram is the identity
+    blocks = protocols._class_input(n)
+    transform = coupling_unitary(n + 1).T
+    covered = np.zeros(transform.shape, dtype=bool)
+    assert blocks.shape == (math.comb(2 * n + 2, n + 1),)
+    start = 0
+    for cls in protocols._weight_classes(n):
+        states = cls.columns ^ (2 ** (n + 1) - 2)
+        block = blocks[start:start + len(cls.outputs) * len(states)].reshape(len(cls.outputs), -1)
+        start += block.size
+        np.testing.assert_array_equal(block, transform[np.ix_(cls.outputs, states)])
+        np.testing.assert_allclose(block.T @ block, np.eye(len(states)), rtol=0, atol=1e-13)
+        covered[np.ix_(cls.outputs, states)] = True
+    assert not transform[~covered].any()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_deterministic_kinds_share_one_amplification_check(monkeypatch, n):
+    # dpbt and dpbt-opt differ only in their resource, which the check does
+    # not read: they share one spec, and one cache entry serves both
+    protocols._check_amplification.cache_clear()
+    try:
+        for kind in DETERMINISTIC:
+            teleport_batch(kind, n, 1, rng=0)
+        info = protocols._check_amplification.cache_info()
+    finally:
+        protocols._check_amplification.cache_clear()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    # a detuned attach of that spec breaks both with one residual
+    broken = _detuned(ProtocolKind.DPBT_MES)
+    residuals = []
+    for kind in DETERMINISTIC:
+        monkeypatch.setitem(protocols._SPECS, kind, broken)
+    for kind in DETERMINISTIC:
+        with pytest.raises(NumericalInvariantError) as raised:
+            teleport_batch(kind, n, 1, rng=0)
+        residuals.append(raised.value.residual)
+    assert residuals[0] == residuals[1]
+    assert 1e-6 <= residuals[0] <= 3e-6
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -619,7 +660,7 @@ def test_instrument_builds_no_transform_past_the_resource_qubits(monkeypatch, n)
     monkeypatch.setattr(protocols, "SubspaceBlocks", register_circuit)
     monkeypatch.setattr(protocols, "Registers", register_circuit)
     for kind in KINDS:
-        assert protocols._check_amplification.__wrapped__(kind, n) is None
+        assert protocols._check_amplification.__wrapped__(protocols._SPECS[kind], n) is None
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -640,7 +681,7 @@ def test_branch_state_holds_only_flagged_class_blocks(monkeypatch, n):
     monkeypatch.setattr(FamilyRoots, "apply", recorded)
     monkeypatch.setattr(StateVector, "from_system", dense)
     for kind in KINDS:
-        protocols._check_amplification.__wrapped__(kind, n)
+        protocols._check_amplification.__wrapped__(protocols._SPECS[kind], n)
     shapes = tuple((math.comb(n + 1, w),) * 2 for w in range(n + 2))
     branches = [1 if kind.deterministic else 2 for kind in KINDS]
     assert states == [(shapes, (b, math.comb(2 * n + 2, n + 1)), np.float64)
@@ -653,11 +694,11 @@ def test_instrument_working_memory_stays_in_its_slots():
     # the dense layout's state alone is 2^9 x 2 x 2 x 2^9 floats (8 MB) at
     # N=8, and its run peaked at 34 MB; the class-block state holds
     # 2 x C(18, 9) floats (0.8 MB)
-    kind, n = ProtocolKind.PPBT_OPT, 8
-    protocols._check_amplification.__wrapped__(kind, n)
+    spec, n = protocols._SPECS[ProtocolKind.PPBT_OPT], 8
+    protocols._check_amplification.__wrapped__(spec, n)
     tracemalloc.start()
     try:
-        protocols._check_amplification.__wrapped__(kind, n)
+        protocols._check_amplification.__wrapped__(spec, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -729,12 +770,11 @@ def test_dense_route_sees_the_sampled_numbers_off_by_1e_6(kind, n):
 
 @pytest.mark.parametrize("kind", [ProtocolKind.DPBT_OPT, ProtocolKind.PPBT_OPT])
 @pytest.mark.parametrize("n", [2, 5])
-def test_optimised_kind_on_the_singlet_chain_misses_its_closed_form(monkeypatch, kind, n):
+def test_optimised_kind_on_the_singlet_chain_misses_its_closed_form(kind, n):
     # the class-block run of an optimised kind on the singlet chain leaves a
     # different instrument, which the closed form of the kind does not match
-    singlet = protocols._slot_input(ProtocolKind.DPBT_MES, n)
-    monkeypatch.setattr(protocols, "_slot_input", lambda *_: singlet)
-    residual = closed_form_gap(kind, n, *class_block_instrument(kind, n))
+    singlet = slot_input(ProtocolKind.DPBT_MES, n)
+    residual = closed_form_gap(kind, n, *class_block_instrument(kind, n, singlet))
     assert residual > 1e-9
     if kind.deterministic:
         # dpbt's instrument, against lam = (4F - 1)/3 of the optimised F:
@@ -742,30 +782,6 @@ def test_optimised_kind_on_the_singlet_chain_misses_its_closed_form(monkeypatch,
         gap = 4 * (entanglement_fidelity(kind, n)
                    - entanglement_fidelity(ProtocolKind.DPBT_MES, n)) / (3 * n)
         assert residual == pytest.approx(gap, rel=0, abs=1e-12)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_a_scaled_resource_passes_the_amplification_check(monkeypatch, kind, n):
-    # the precondition is a relative Gram residual, homogeneous in the
-    # input: a resource scaled by 1.1 scales every form by 1.21 and leaves
-    # the check, and every number teleport samples, as they are
-    expected = teleport_batch(kind, n, 50, rng=3)
-    scaled = 1.1 * protocols._slot_input(kind, n)
-    monkeypatch.setattr(protocols, "_slot_input", lambda *_: scaled)
-    per_branch, receiver = class_block_instrument(kind, n)
-    forms, closed = closed_form(kind, n)
-    np.testing.assert_allclose(per_branch, 1.21 * forms[n - 1:], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(receiver, 1.21 * closed, rtol=0, atol=1e-13)
-    protocols._check_amplification.cache_clear()
-    try:
-        assert protocols._check_amplification(kind, n) is None
-        batch = teleport_batch(kind, n, 50, rng=3)
-    finally:
-        protocols._check_amplification.cache_clear()
-    np.testing.assert_array_equal(batch.outcomes, expected.outcomes)
-    np.testing.assert_array_equal(batch.fidelities, expected.fidelities)
-    assert (batch.rounds, batch.c_star) == (expected.rounds, expected.c_star)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -777,7 +793,7 @@ def test_an_attach_amplitude_above_one_is_rejected(monkeypatch, kind):
     protocols._check_amplification.cache_clear()
     try:
         with pytest.raises(ValueError, match="exceeds 1"):
-            protocols._check_amplification(kind, 3)
+            protocols._check_amplification(protocols._SPECS[kind], 3)
     finally:
         protocols._check_amplification.cache_clear()
     with pytest.raises(ValueError, match="exceeds 1"):
