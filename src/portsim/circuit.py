@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -81,9 +82,17 @@ class Registers:
 
     @property
     def index(self) -> np.ndarray:
-        """Flat index of each (system, port, r): the grid ops index into."""
-        return np.arange(self.dim, dtype=np.intp).reshape(
-            self.system_dim, self.port_dim, self.r_dim)
+        """Flat index of each (system, port, r): the grid ops index into.
+        Built once for equal registers and read-only."""
+        return _register_index(self.system_dim, self.port_dim, self.r_dim)
+
+
+@lru_cache(maxsize=32)
+def _register_index(system_dim: int, port_dim: int, r_dim: int) -> np.ndarray:
+    index = np.arange(system_dim * port_dim * r_dim, dtype=np.intp).reshape(
+        system_dim, port_dim, r_dim)
+    index.flags.writeable = False
+    return index
 
 
 class StateVector:
@@ -191,6 +200,7 @@ class SubspaceBlocks:
     def __init__(self, registers: Registers, blocks: list[Block], name: str = "blocks"):
         self.registers = registers
         self.name = name
+        dim = registers.dim
         for pos, block in enumerate(blocks):
             k = block.matrix.shape[0]
             if block.matrix.shape != (k, k):
@@ -201,10 +211,10 @@ class SubspaceBlocks:
             inst = block.instances
             if inst.ndim != 2 or inst.shape[1] != k or inst.dtype.kind not in "iu":
                 raise InvalidSubspaceSpec(f"{name}: instance array {inst.dtype} {inst.shape}")
-            if inst.size and (inst.min() < 0 or inst.max() >= registers.dim):
+            if inst.size and (inst.min() < 0 or inst.max() >= dim):
                 raise InvalidSubspaceSpec(f"{name}: instance index out of range")
             # bincount, not np.unique: numpy 2's unique imports numpy.ma
-            if np.bincount(inst.ravel(), minlength=registers.dim).max() > 1:
+            if np.bincount(inst.ravel(), minlength=dim).max() > 1:
                 raise InvalidSubspaceSpec(f"{name}: block {pos} reuses an index")
         self.blocks = blocks
         self.rotation_count = len(blocks)

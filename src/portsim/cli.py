@@ -28,7 +28,7 @@ per-command caps. The library's own limits still hold past them
 (MAX_POVM_PORTS = 6, MAX_STATE_PORTS = 7, MAX_DENSE_QUBITS = 12,
 MAX_ENUMERATE_QUBITS = 20, N <= MAX_DENSE_QUBITS - 1 = 11 for a compiled
 whole-register program, whose N+1 qubit coupled basis is dense, and
-N <= MAX_DENSE_QUBITS = 12 for teleport's sampled instrument): a request
+N <= MAX_DENSE_QUBITS = 12 for teleport's amplification check): a request
 beyond one exits 2 with one error line.
 
 Options are read from one table, `COMMANDS`, which is also the only source
@@ -51,7 +51,6 @@ import itertools
 import json
 import math
 import os
-import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -107,11 +106,13 @@ def _check_cap(hi: int, default: int) -> None:
 
 
 def _port_range(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text.strip())
-    if match is None:
+    """N or LO..HI, each a run of decimal digits of any script, as int reads
+    them, around optional whitespace."""
+    first, dots, last = text.strip().partition("..")
+    if not first.isdecimal() or (dots and not last.isdecimal()):
         raise ValueError(f"expected a port count N or a range LO..HI, got {text!r}")
-    lo = int(match.group(1))
-    hi = int(match.group(2)) if match.group(2) is not None else lo
+    lo = int(first)
+    hi = int(last) if dots else lo
     if lo < 1 or hi < lo:
         raise ValueError(f"bad port range {text!r}")
     return lo, hi

@@ -14,7 +14,7 @@ These tables have two readers: `analytic_povm` assembles dense elements from
 them, one U D U^T per table with U the coupling unitary, which the
 brute-force oracle is tested against, and `protocols` builds from them both
 the whole-register circuit, one family rotation and attach reflection per
-sector, and the sampled instrument's element-root run, one rank-one piece
+sector, and the amplification check's element-root run, one rank-one piece
 a c c^T per family (`protocols._element_roots`).
 """
 
@@ -130,7 +130,7 @@ def analytic_povm(regime: Regime, n_ports: int) -> PovmSet:
     elements = []
     for i in range(1, n_ports):
         perm = qubit_swap_permutation(n_ports + 1, i, n_ports)
-        elements.append(last[np.ix_(perm, perm)])
+        elements.append(last[perm[:, None], perm])
     elements.append(last)
     if regime is not Regime.DPBT:
         elements.append(_dense_element(failure_eigensystem(regime, n_ports), basis))

@@ -11,6 +11,7 @@ is O(4^N); builds are hard-capped.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,29 +31,46 @@ _SINGLET[2] = -1 / math.sqrt(2)
 SINGLET_PROJECTOR = np.outer(_SINGLET, _SINGLET)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: the same products in one broadcast multiply,
+    without np.kron's general-rank set-up."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _check_ports(n_ports: int, cap: int) -> None:
     if not 1 <= n_ports <= cap:
         raise ValueError(f"n_ports must be in 1..{cap} for dense builds, got {n_ports}")
 
 
+@lru_cache(maxsize=256)
 def qubit_swap_permutation(n_qubits: int, qa: int, qb: int) -> np.ndarray:
     """Basis-index permutation exchanging qubits qa and qb (1-based, qubit 1
-    most significant)."""
+    most significant). Cached per (n_qubits, qa, qb) and read-only: the
+    oracle, the analytic build, the compiled port swap and the amplification
+    check's weight classes share it."""
     if not (1 <= qa <= n_qubits and 1 <= qb <= n_qubits):
         raise ValueError("qubit out of range")
     idx = np.arange(2 ** n_qubits)
-    if qa == qb:
-        return idx
-    pa, pb = n_qubits - qa, n_qubits - qb
-    bit_a = (idx >> pa) & 1
-    bit_b = (idx >> pb) & 1
-    swapped = idx & ~(1 << pa) & ~(1 << pb)
-    return swapped | (bit_b << pa) | (bit_a << pb)
+    if qa != qb:
+        pa, pb = n_qubits - qa, n_qubits - qb
+        bit_a = (idx >> pa) & 1
+        bit_b = (idx >> pb) & 1
+        swapped = idx & ~(1 << pa) & ~(1 << pb)
+        idx = swapped | (bit_b << pa) | (bit_a << pb)
+    idx.flags.writeable = False
+    return idx
 
 
 def _swap_conjugate(op: np.ndarray, n_qubits: int, qa: int, qb: int) -> np.ndarray:
     perm = qubit_swap_permutation(n_qubits, qa, qb)
-    return op[np.ix_(perm, perm)]
+    return op[perm[:, None], perm]
+
+
+def _last_signal(n_ports: int) -> np.ndarray:
+    """The port-N signal state: the singlet on qubits (N, N+1) tensored with
+    identity, normalized to unit trace."""
+    return _kron(np.eye(2 ** (n_ports - 1)), SINGLET_PROJECTOR) / 2 ** (n_ports - 1)
 
 
 def signal_state(i: int, n_ports: int) -> np.ndarray:
@@ -61,16 +79,17 @@ def signal_state(i: int, n_ports: int) -> np.ndarray:
     _check_ports(n_ports, MAX_STATE_PORTS)
     if not 1 <= i <= n_ports:
         raise ValueError(f"port {i} out of range 1..{n_ports}")
-    base = np.kron(np.eye(2 ** (n_ports - 1)), SINGLET_PROJECTOR) / 2 ** (n_ports - 1)
-    return _swap_conjugate(base, n_ports + 1, i, n_ports)
+    return _swap_conjugate(_last_signal(n_ports), n_ports + 1, i, n_ports)
 
 
 def ensemble_average(n_ports: int) -> np.ndarray:
-    """Unnormalized sum of the N signal states; trace N, rank 2^(N+1)-(N+2)."""
+    """Unnormalized sum of the N signal states; trace N, rank 2^(N+1)-(N+2).
+    The port-N state is built once and conjugated into each port."""
     _check_ports(n_ports, MAX_STATE_PORTS)
+    last = _last_signal(n_ports)
     out = np.zeros((2 ** (n_ports + 1), 2 ** (n_ports + 1)))
     for i in range(1, n_ports + 1):
-        out += signal_state(i, n_ports)
+        out += _swap_conjugate(last, n_ports + 1, i, n_ports)
     return out
 
 
@@ -111,7 +130,9 @@ class PovmSet:
         return np.abs(total - np.eye(total.shape[0])).max()
 
     def min_eigenvalue(self) -> float:
-        return min(np.linalg.eigvalsh(e).min() for e in self.elements)
+        """The smallest eigenvalue of any element, from one eigensolve of
+        the stacked elements: LAPACK runs the same routine on each."""
+        return np.linalg.eigvalsh(np.stack(self.elements)).min()
 
 
 def _port_covariant_set(regime: Regime, n_ports: int, pi_last: np.ndarray,
@@ -136,7 +157,7 @@ def pgm_povm(n_ports: int) -> PovmSet:
     root = support_pinv_sqrt(rho)
     support = root @ rho @ root
     delta = (np.eye(rho.shape[0]) - support) / n_ports
-    pi_last = root @ signal_state(n_ports, n_ports) @ root + delta
+    pi_last = root @ _last_signal(n_ports) @ root + delta
     return _port_covariant_set(Regime.DPBT, n_ports, pi_last, with_failure=False)
 
 
@@ -146,7 +167,7 @@ def ppbt_mes_povm(n_ports: int) -> PovmSet:
     theta = sector_operator(n_ports - 1, {
         s: 1 / (2 ** (n_ports - 1) * rho_eigenvalue(n_ports, s + 1, s))
         for s in spin_values(n_ports - 1)})
-    pi_last = np.kron(theta, SINGLET_PROJECTOR)
+    pi_last = _kron(theta, SINGLET_PROJECTOR)
     return _port_covariant_set(Regime.PPBT_MES, n_ports, pi_last, with_failure=True)
 
 
@@ -157,8 +178,8 @@ def ppbt_opt_povm(n_ports: int) -> PovmSet:
     opt = optimal_scalars(n_ports)
     o_inv = sector_operator(n_ports, {j: 1 / math.sqrt(float(nu)) for j, nu in opt.nu.items()})
     theta = sector_operator(n_ports - 1, opt.u)
-    o_inv_full = np.kron(o_inv, np.eye(2))
-    pi_last = o_inv_full @ np.kron(theta, SINGLET_PROJECTOR) @ o_inv_full
+    o_inv_full = _kron(o_inv, np.eye(2))
+    pi_last = o_inv_full @ _kron(theta, SINGLET_PROJECTOR) @ o_inv_full
     return _port_covariant_set(Regime.PPBT_OPT, n_ports, pi_last, with_failure=True)
 
 

@@ -372,8 +372,8 @@ def _element_roots(spec: _Spec, n_ports: int) -> FamilyRoots:
     `_check_amplification`."""
     _check_ports(n_ports)
     if n_ports > MAX_DENSE_QUBITS:
-        raise ValueError(f"n_ports must be in 1..{MAX_DENSE_QUBITS} for a sampled "
-                         f"instrument, got {n_ports}")
+        raise ValueError(f"n_ports must be in 1..{MAX_DENSE_QUBITS} for the amplification "
+                         f"check, got {n_ports}")
     tables = _attach_tables(spec, n_ports)
     classes = _weight_classes(n_ports)
     # each label's class and its row among the class's rows

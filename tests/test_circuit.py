@@ -51,6 +51,19 @@ def test_index_is_row_major_system_port_r():
         regs.index[0, 3, 0]
 
 
+@pytest.mark.parametrize("n_system, port_dim", [(1, 1), (2, 3), (4, 5), (7, 8)])
+def test_index_is_shared_read_only_and_freshly_equal(n_system, port_dim):
+    regs = Registers(n_system=n_system, port_dim=port_dim)
+    index = regs.index
+    # equal sizes make equal registers, which share one index
+    assert index is Registers(n_system=n_system, port_dim=port_dim).index
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0, 0, 0] = 1
+    fresh = np.arange(regs.dim, dtype=np.intp).reshape(regs.system_dim, port_dim, regs.r_dim)
+    assert index.dtype == fresh.dtype and np.array_equal(index, fresh)
+
+
 def test_registers_always_hold_the_block_qubit():
     with pytest.raises(TypeError):
         Registers(n_system=1, port_dim=2, r_dim=1)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -116,6 +117,66 @@ def test_povm_check_port_range_validation(capsys):
     assert "error:" in err
     code, _, err = run(capsys, ["povm-check", "--ports", "3..2"])
     assert code == 2
+
+
+def _regex_port_range(text: str) -> tuple[int, int]:
+    """The port range parse as a regular expression: the oracle for
+    `cli._port_range`. `\\d` is any Unicode decimal digit, as int reads them."""
+    match = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text.strip())
+    if match is None:
+        raise ValueError(f"expected a port count N or a range LO..HI, got {text!r}")
+    lo = int(match.group(1))
+    hi = int(match.group(2)) if match.group(2) is not None else lo
+    if lo < 1 or hi < lo:
+        raise ValueError(f"bad port range {text!r}")
+    return lo, hi
+
+
+# ASCII digits, an Arabic-Indic three, a fullwidth one and a superscript two
+# (a digit, but not a decimal one), dots, signs, an underscore and whitespace
+_RANGE_CHARS = "0123456789\u0663\uff11\u00b2.+-_ \t\n\u3000"
+
+
+@st.composite
+def _range_text(draw):
+    # a free string, or two digit runs around up to three dots, padded on
+    # each side
+    chars = st.text(alphabet=_RANGE_CHARS, max_size=4)
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=_RANGE_CHARS, max_size=12))
+    digits = st.text(alphabet="0123456789\u0663\uff11\u00b2", max_size=3)
+    return (draw(chars) + draw(digits) + draw(st.sampled_from(["", ".", "..", "..."]))
+            + draw(digits) + draw(chars))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_range_text())
+def test_port_range_parses_as_the_regular_expression(text):
+    try:
+        want = _regex_port_range(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            cli._port_range(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert cli._port_range(text) == want
+
+
+@pytest.mark.parametrize("text, want", [
+    ("3", (3, 3)), (" 1..5\n", (1, 5)), ("\u0663", (3, 3)), ("\uff11..\u0663", (1, 3)),
+    ("007..10", (7, 10))])
+def test_port_range_reads_decimal_digits_of_any_script(text, want):
+    assert cli._port_range(text) == want == _regex_port_range(text)
+
+
+@pytest.mark.parametrize("text", ["\u00b2", "1..\u00b2", "+1", "1_0", "1...3", "1..", "..2",
+                                  "1 ..2", "", "0", "3..2"])
+def test_port_range_rejects_what_the_regular_expression_rejects(text):
+    with pytest.raises(ValueError) as got:
+        cli._port_range(text)
+    with pytest.raises(ValueError) as want:
+        _regex_port_range(text)
+    assert str(got.value) == str(want.value)
 
 
 def test_povm_check_has_no_tolerance_option(capsys):
@@ -385,6 +446,16 @@ def test_library_range_errors_exit_as_bad_arguments(capsys, monkeypatch, argv):
         if ports in argv:
             # the compile cap names the requested port count, not the qubit count
             assert ports in err and str(int(ports) + 1) not in err
+
+
+def test_teleport_past_the_check_cap_names_the_amplification_check(capsys, monkeypatch):
+    monkeypatch.setenv("PORTSIM_MAX_PORTS", "13")
+    code, out, err = run(capsys, ["teleport", "--regime", "dpbt", "--ports", "13",
+                                  "--trials", "1"])
+    assert code == 2 and out == ""
+    assert err == "error: n_ports must be in 1..12 for the amplification check, got 13\n"
+    # the CI step greps only this end of the line
+    assert err.endswith("got 13\n")
 
 
 def test_resource_table_checks_its_whole_range_before_any_compile(capsys, monkeypatch):

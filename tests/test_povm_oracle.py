@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from helpers import psd_sqrt, resource_matrix, singlet_chain
+from portsim.povm_analytic import analytic_povm
 from portsim.povm_oracle import (
     MAX_POVM_PORTS,
     MAX_STATE_PORTS,
     SINGLET_PROJECTOR,
+    _kron,
     build_povm,
     ensemble_average,
     pgm_povm,
@@ -49,6 +51,32 @@ def test_signal_state_last_port_is_plain_tensor_factor():
     np.testing.assert_allclose(signal_state(2, 2), expect, atol=1e-15)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_swap_permutations_are_shared_read_only_and_freshly_equal(n):
+    for qa in range(1, n + 1):
+        for qb in range(1, n + 1):
+            perm = qubit_swap_permutation(n, qa, qb)
+            assert perm is qubit_swap_permutation(n, qa, qb)
+            assert not perm.flags.writeable
+            with pytest.raises(ValueError):
+                perm[0] = 1
+            assert np.array_equal(perm, qubit_swap_permutation.__wrapped__(n, qa, qb))
+            # index x with bits qa and qb exchanged, qubit 1 the most significant
+            bits = [format(x, f"0{n}b") for x in range(2 ** n)]
+            swapped = [list(b) for b in bits]
+            for b in swapped:
+                b[qa - 1], b[qb - 1] = b[qb - 1], b[qa - 1]
+            assert perm.tolist() == [int("".join(b), 2) for b in swapped]
+
+
+@pytest.mark.parametrize("shapes", [((1, 1), (4, 4)), ((8, 8), (4, 4)), ((16, 16), (2, 2)),
+                                    ((3, 5), (2, 7))])
+def test_kron_is_numpy_kron_bit_for_bit(shapes):
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
+    assert np.array_equal(_kron(a, b), np.kron(a, b))
+
+
 def test_signal_state_rejects_bad_port():
     with pytest.raises(ValueError):
         signal_state(0, 3)
@@ -69,6 +97,14 @@ def test_ensemble_average_trace_and_null_dimension(n):
     np.testing.assert_allclose(np.trace(rho), n, atol=1e-10)
     eigs = np.linalg.eigvalsh(rho)
     assert np.sum(np.abs(eigs) < 1e-10) == n + 2
+
+
+@pytest.mark.parametrize("n", range(1, MAX_STATE_PORTS + 1))
+def test_ensemble_average_is_the_sum_of_signal_states_bit_for_bit(n):
+    total = np.zeros((2 ** (n + 1), 2 ** (n + 1)))
+    for i in range(1, n + 1):
+        total += signal_state(i, n)
+    assert np.array_equal(ensemble_average(n), total)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -172,6 +208,13 @@ def test_validate_passes_for_every_regime(regime, n):
     assert povm.n_outcomes == (n if regime == Regime.DPBT else n + 1)
     assert povm.completeness_residual() <= 1e-10
     assert povm.min_eigenvalue() >= -1e-10
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("n", range(1, MAX_POVM_PORTS + 1))
+def test_stacked_min_eigenvalue_is_the_per_element_minimum(regime, n):
+    for povm in (build_povm(regime, n), analytic_povm(regime, n)):
+        assert povm.min_eigenvalue() == min(np.linalg.eigvalsh(e).min() for e in povm.elements)
 
 
 @pytest.mark.parametrize("regime", REGIMES)

@@ -114,7 +114,7 @@ def test_bare_circuit_is_unitary(kind, n):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_branch_circuit_is_unitary(kind, n):
-    # the element roots the sampled instrument runs are blocks of the whole
+    # the element roots the amplification check runs are blocks of the whole
     # register's unitary circuit: from the start subspace to the flagged
     # level of the last port branch (whose swap is the identity) and of the
     # failure branch, times the port preparation's amplitude there, in the
