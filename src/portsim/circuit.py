@@ -1,15 +1,13 @@
 """Statevector primitives for the measurement circuits.
 
 A state lives on (system qubits) x (port register) x (block qubit r), with a
-trailing batch axis for anything that rides along unmeasured: Bob's halves of
-the resource pairs during teleportation, or a stack of independent test
-inputs. Amplitudes are stored as a dense array of shape
-(2^n_system, port_dim, 2, batch), float64 when the input is real and
-complex128 when it is complex; every op keeps that dtype unless one of its
-own matrices is complex. The compiled circuits are real throughout, so a
-real input runs in half the memory. The layout is fixed: the block qubit's
-r = 0 level is the flag subspace, and the start subspace is r = 0 on port
-value 0.
+trailing batch axis of independent inputs, one column each. Amplitudes are
+stored as a dense array of shape (2^n_system, port_dim, 2, batch), float64
+when the input is real and complex128 when it is complex; every op keeps
+that dtype unless one of its own matrices is complex. The compiled circuits
+are real throughout, so a real input runs in half the memory. The layout is
+fixed: the block qubit's r = 0 level is the flag subspace, and the start
+subspace is r = 0 on port value 0.
 
 Unitaries come in two shapes: dense operators on the system factor, and
 block operations defined by small matrices repeated over explicit index
@@ -22,8 +20,9 @@ pair).
 A measurement whose elements never mix some classes of system rows can also
 run on the flagged part alone (`ClassBlocks`): one block per class, each
 over its own batch columns, with no r = 1 level and no padding. There the
-elements' roots act as what they are, one rank-one piece a v v^T per family
-of rows (`FamilyRoots`), in place, so such a run holds one copy of its
+elements' roots act as what they are, a sum of rank-one pieces a v v^T over
+families of rows, each piece one vector v and one amplitude a shared by its
+families (`FamilyRoots`), in place, so such a run holds one copy of its
 state.
 """
 
@@ -52,8 +51,8 @@ class NumericalInvariantError(ArithmeticError):
 
 class Registers:
     """Shape of the composite space: n_system qubits, a port register of
-    arbitrary dimension, and the block qubit r (r_dim, always 2). Equal
-    sizes make equal registers."""
+    arbitrary dimension, and the block qubit r (r_dim, always 2). Registers
+    of equal sizes share one read-only `index`."""
 
     __slots__ = ("n_system", "port_dim")
     r_dim = 2
@@ -63,14 +62,6 @@ class Registers:
             raise ValueError("register sizes must be positive")
         self.n_system = n_system
         self.port_dim = port_dim
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Registers):
-            return NotImplemented
-        return (self.n_system, self.port_dim) == (other.n_system, other.port_dim)
-
-    def __hash__(self) -> int:
-        return hash((self.n_system, self.port_dim))
 
     @property
     def system_dim(self) -> int:
@@ -83,7 +74,7 @@ class Registers:
     @property
     def index(self) -> np.ndarray:
         """Flat index of each (system, port, r): the grid ops index into.
-        Built once for equal registers and read-only."""
+        Built once per register size and read-only."""
         return _register_index(self.system_dim, self.port_dim, self.r_dim)
 
 
@@ -106,22 +97,20 @@ class StateVector:
         self.amps = amps
 
     @classmethod
-    def from_system(cls, registers: Registers, system_amps: np.ndarray,
-                    entry: Sequence[float] = (1.0,)) -> "StateVector":
-        """State with the system factor given, `entry` on the first port values
-        and r = 0; a 2-d input supplies one system vector per batch column.
-        The amplitudes are float64 for a real input, complex128 for a complex
-        one."""
+    def from_system(cls, registers: Registers, system_amps: np.ndarray) -> "StateVector":
+        """State with the system factor given on port value 0 and r = 0, the
+        start subspace; a 2-d input supplies one system vector per batch
+        column. The amplitudes are float64 for a real input, complex128 for
+        a complex one."""
         sys_amps = np.asarray(system_amps, dtype=np.complex128 if np.iscomplexobj(system_amps)
                               else np.float64)
         if sys_amps.ndim == 1:
             sys_amps = sys_amps[:, None]
         if sys_amps.shape[0] != registers.system_dim:
             raise ValueError("system amplitude length mismatch")
-        entry = np.asarray(entry, dtype=float)
         amps = np.zeros((registers.system_dim, registers.port_dim, registers.r_dim,
                          sys_amps.shape[1]), dtype=sys_amps.dtype)
-        amps[:, :len(entry), 0] = sys_amps[:, None, :] * entry[:, None]
+        amps[:, 0, 0] = sys_amps
         return cls(registers, amps)
 
     @property
@@ -231,39 +220,37 @@ class SubspaceBlocks:
 
 
 class FamilyRoots:
-    """A sum of rank-one pieces a v v^T on a `ClassBlocks` state, one per
-    family of rows, applied in place.
+    """A sum of rank-one pieces a v v^T on a `ClassBlocks` state, applied in
+    place.
 
-    `groups[c][p]` lists the families of class c on port value p in groups
-    of one size L: (rows, v, a), with rows (F, L) the families' positions
-    among the class's rows, v (F, L) their real unit vectors and a (F,)
-    their amplitudes. A family's rows x_0 .. x_(L-1) become k v_0 ..
+    `pieces[c][p]` lists the pieces of class c on port value p as
+    (rows, v, a): rows (F, L) the positions of F families among the class's
+    rows, v the L real coefficients of the one unit vector they share and a
+    their one amplitude. A family's rows x_0 .. x_(L-1) become k v_0 ..
     k v_(L-1), where k = x_0 v_0 + x_1 v_1 + ... is summed in that order and
-    then scaled by a. Every row of a class that no family of that port value
-    lists is zeroed; `row_counts[c]` counts the class's rows."""
+    then scaled by a. Families are disjoint rows of their class, and every
+    row of a class that no piece of that port value lists is zeroed;
+    `row_counts[c]` counts the class's rows."""
 
-    def __init__(self, groups: Sequence[Sequence[Sequence[tuple]]],
+    def __init__(self, pieces: Sequence[Sequence[Sequence[tuple]]],
                  row_counts: Sequence[int]):
         self.steps = []
-        for class_groups, count in zip(groups, row_counts):
+        for class_pieces, count in zip(pieces, row_counts):
             branches = []
-            for port_groups in class_groups:
+            for port_pieces in class_pieces:
                 listed = np.bincount(np.concatenate([np.zeros(0, dtype=np.intp)] + [
-                    rows.ravel() for rows, _, _ in port_groups]), minlength=count)
+                    rows.ravel() for rows, _, _ in port_pieces]), minlength=count)
                 if len(listed) > count or listed.max(initial=0) > 1:
                     raise InvalidSubspaceSpec("families must be disjoint rows of their class")
-                # per group, one row index and one vector entry per family
-                # and position, and each family's amplitude
-                branches.append(([(rows.T.copy(), np.asarray(v, dtype=float).T[:, :, None].copy(),
-                                   np.asarray(a, dtype=float)[:, None])
-                                  for rows, v, a in port_groups],
+                # per piece, one row index per family and position
+                branches.append(([(rows.T.copy(), v, a) for rows, v, a in port_pieces],
                                  np.flatnonzero(listed == 0)))
             self.steps.append(branches)
 
     def apply(self, state: ClassBlocks) -> ClassBlocks:
         for block, branches in zip(state.blocks(), self.steps):
-            for rows, (port_groups, zero) in zip(block, branches):
-                for index, vector, amplitude in port_groups:
+            for rows, (port_pieces, zero) in zip(block, branches):
+                for index, vector, amplitude in port_pieces:
                     k = rows[index[0]] * vector[0]
                     for at, entry in zip(index[1:], vector[1:]):
                         k += rows[at] * entry

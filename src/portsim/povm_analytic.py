@@ -15,7 +15,8 @@ them, one U D U^T per table with U the coupling unitary, which the
 brute-force oracle is tested against, and `protocols` builds from them both
 the whole-register circuit, one family rotation and attach reflection per
 sector, and the amplification check's element-root run, one rank-one piece
-a c c^T per family (`protocols._element_roots`).
+a c c^T per sector and weight class, shared by the sector's families there
+(`protocols._element_roots`).
 """
 
 from __future__ import annotations

@@ -29,15 +29,16 @@ change itself, whose Gram is the identity. The run uses the last port
 branch and the failure branch alone: every other port branch is a qubit-swap
 image of the last one. On the flagged level the circuit's rotate, attach
 and unrotate is, family by family, a v (v^T x), the element's root read
-straight off the sector tables that `_compile` attaches (`_attach_tables`),
-so the run applies just that (`_element_roots`). Every family shares one
-S_z, and so does each column of the basis change, so the run holds one
-block per weight class (`_weight_classes`), its C(N+1, w) coupled rows over
-its own C(N+1, w) columns, in place (`_class_input`), and the check goes
-class by class. The whole-register program, which builds the dense
-transform, stays for the gate-count model and the tests. A trial has no
-input: it reads one seeded uniform and nothing else, so chunks that share
-one generator read exactly what one draw of all trials gives.
+straight off the one attach table that `_compile` reads too
+(`_attach_tables`), so the run applies just that, one piece per sector
+(`_element_roots`). Every family shares one S_z, and so does each column of
+the basis change, so the run holds one block per weight class
+(`_weight_classes`), its C(N+1, w) coupled rows over its own C(N+1, w)
+columns, in place (`_class_input`), and the check goes class by class. The
+whole-register program, which builds the dense transform, stays for the
+gate-count model and the tests. A trial has no input: it reads one seeded
+uniform and nothing else, so chunks that share one generator read exactly
+what one draw of all trials gives.
 """
 
 from __future__ import annotations
@@ -75,11 +76,7 @@ class ProtocolKind(Enum):
 
     @property
     def regime(self) -> Regime:
-        if self in (ProtocolKind.DPBT_MES, ProtocolKind.DPBT_OPT):
-            return Regime.DPBT
-        if self is ProtocolKind.PPBT_MES:
-            return Regime.PPBT_MES
-        return Regime.PPBT_OPT
+        return _SPECS[self].regime
 
     @property
     def deterministic(self) -> bool:
@@ -131,15 +128,18 @@ class NaimarkProgram:
 
 
 def _attach_amplitude(amplitude: float) -> float:
-    """An attach amplitude, clipped to 1 within rounding; past it, no
-    reflection has it as its flagged entry."""
+    """An attach amplitude, clipped to 1 within rounding. Past it no
+    reflection has it as its flagged entry, a broken invariant of the
+    spec's scales: `NumericalInvariantError` carries the excess over 1."""
     if amplitude > 1.0 + 1e-9:
-        raise ValueError(f"attach amplitude {amplitude} exceeds 1")
+        raise NumericalInvariantError(
+            f"attach amplitude {amplitude} exceeds 1 by {amplitude - 1.0:.3e}", amplitude - 1.0)
     return min(amplitude, 1.0)
 
 
-def _reflection(amplitude: float) -> np.ndarray:
-    a = _attach_amplitude(amplitude)
+def _reflection(a: float) -> np.ndarray:
+    """The real reflection with flagged entry a, an attach amplitude already
+    clipped to [0, 1] (`_attach_amplitude`)."""
     b = math.sqrt(max(0.0, 1.0 - a * a))
     return np.array([[a, b], [b, -a]])
 
@@ -161,26 +161,25 @@ def _rotation_op(es: EigenSystem, regs: Registers, ports: range) -> SubspaceBloc
     return SubspaceBlocks(regs, blocks, name="family-rotation")
 
 
-def _attach_op(es: EigenSystem, regs: Registers, branches: range, scale: float,
+def _attach_op(es: EigenSystem, amplitudes: list[float], regs: Registers, branches: range,
                name: str) -> SubspaceBlocks:
     """Reflections moving what one element does not keep from the flagged
     part (r = 0) of each listed branch to the block qubit's r = 1 level.
 
     Each family keeps its last label: the port element's after the family
     rotation, the failure element's single label as it is. The kept labels
-    of one (s, j) sector reflect with amplitude sqrt(value) * scale, one
-    block per sector; every other label swaps out entirely, in one more
-    block when there is any.
+    of one (s, j) sector reflect with that sector's attach amplitude
+    (`_attach_tables`), one block per sector; every other label swaps out
+    entirely, in one more block when there is any.
     """
     grid = regs.index[:, branches.start:branches.stop]
     dropped = np.ones(regs.system_dim, dtype=bool)
     blocks = []
-    for sector in es.sectors:
+    for sector, amplitude in zip(es.sectors, amplitudes):
         kept = sector.families[:, -1]
         dropped[kept] = False
         # rows (label, branch), columns (r = 0, r = 1)
-        blocks.append(Block(matrix=_reflection(math.sqrt(float(sector.value)) * scale),
-                            instances=grid[kept].reshape(-1, 2)))
+        blocks.append(Block(matrix=_reflection(amplitude), instances=grid[kept].reshape(-1, 2)))
     if dropped.any():
         blocks.append(Block(matrix=_reflection(0.0), instances=grid[dropped].reshape(-1, 2)))
     return SubspaceBlocks(regs, blocks, name=name)
@@ -310,16 +309,19 @@ def _schedule(spec: _Spec, n_ports: int) -> tuple[float, int]:
     return (1.0, 0) if spec.target is None else c_star(spec.target(n_ports))
 
 
-def _attach_tables(spec: _Spec, n_ports: int) -> list[tuple[EigenSystem, float]]:
+def _attach_tables(spec: _Spec, n_ports: int) -> list[tuple[EigenSystem, list[float]]]:
     """The port eigensystem and, for a spec with a failure attach, the
-    failure eigensystem, each with its attach scale over c*: the one table
-    that the program's attach (`_compile`) and the amplification check's
-    roots (`_element_roots`) both read."""
+    failure eigensystem, each with its attach amplitudes, one per sector:
+    sqrt(value) times the spec's attach (or fail) scale over c*, clipped by
+    `_attach_amplitude`. This is the one table that the program's attach
+    (`_compile`) and the amplification check's roots (`_element_roots`)
+    both read."""
     rescale, _ = _schedule(spec, n_ports)
-    tables = [(port_eigensystem(spec.regime, n_ports), spec.attach(n_ports) * (1.0 / rescale))]
+    tables = [(port_eigensystem(spec.regime, n_ports), spec.attach(n_ports))]
     if spec.fail is not None:
-        tables.append((failure_eigensystem(spec.regime, n_ports), spec.fail * (1.0 / rescale)))
-    return tables
+        tables.append((failure_eigensystem(spec.regime, n_ports), spec.fail))
+    return [(es, [_attach_amplitude(math.sqrt(float(sector.value)) * (scale * (1.0 / rescale)))
+                  for sector in es.sectors]) for es, scale in tables]
 
 
 @lru_cache(maxsize=32)
@@ -339,10 +341,10 @@ def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
     ports = range(n_ports)
     regs = Registers(n_ports + 1, len(amps))
     rescale, rounds = _schedule(spec, n_ports)
-    (eigen, scale), *failure = _attach_tables(spec, n_ports)
-    attach = [_attach_op(eigen, regs, ports, scale, "port-attach")]
-    attach += [_attach_op(es, regs, range(n_ports, regs.port_dim), fail, "failure-attach")
-               for es, fail in failure]
+    (eigen, amplitudes), *failure = _attach_tables(spec, n_ports)
+    attach = [_attach_op(eigen, amplitudes, regs, ports, "port-attach")]
+    attach += [_attach_op(es, amps, regs, range(n_ports, regs.port_dim), "failure-attach")
+               for es, amps in failure]
     rot = _rotation_op(eigen, regs, ports)
     # the real orthogonal blocks and transform are undone by their transposes
     unrot = SubspaceBlocks(regs, [Block(matrix=b.matrix.T, instances=b.instances)
@@ -358,18 +360,18 @@ def _compile(spec: _Spec, n_ports: int) -> NaimarkProgram:
 
 def _element_roots(spec: _Spec, n_ports: int) -> FamilyRoots:
     """The roots of the last port's element and of the failure element on
-    the flagged level, read straight off the sector tables.
+    the flagged level, read straight off the attach table.
 
     On r = 0, `_compile`'s rotate, attach and unrotate is, family by family,
     a v (v^T x): v the family's eigenvector coefficients and a its sector's
-    attach amplitude, sqrt(value) times the scale `_compile` attaches
-    (`_attach_tables`). Every label no family holds is dropped. A family's
-    labels share one doubled m = N+1-2w, so each family lies in weight class
-    w, and this lays them onto the class's row positions, branch 0 the port
-    element's and branch 1 the failure element's. The run's state holds
-    2 C(2N+2, N+1) floats, so N is capped at MAX_DENSE_QUBITS (159 MiB at
-    N = 12) before anything is built. Built once per spec, by the cached
-    `_check_amplification`."""
+    attach amplitude, the one `_compile` attaches (`_attach_tables`). Every
+    label no family holds is dropped. A family's labels share one doubled
+    m = N+1-2w, so each family lies in weight class w, and this lays each
+    sector's families onto the class's row positions as one piece per
+    (sector, class, branch), branch 0 the port element's and branch 1 the
+    failure element's. The run's state holds 2 C(2N+2, N+1) floats, so N is
+    capped at MAX_DENSE_QUBITS (159 MiB at N = 12) before anything is
+    built. Built once per spec, by the cached `_check_amplification`."""
     _check_ports(n_ports)
     if n_ports > MAX_DENSE_QUBITS:
         raise ValueError(f"n_ports must be in 1..{MAX_DENSE_QUBITS} for the amplification "
@@ -380,23 +382,14 @@ def _element_roots(spec: _Spec, n_ports: int) -> FamilyRoots:
     owner, position = np.empty((2, 2 ** (n_ports + 1)), dtype=np.intp)
     for w, cls in enumerate(classes):
         owner[cls.outputs], position[cls.outputs] = w, np.arange(len(cls.outputs))
-    groups = [[[] for _ in tables] for _ in classes]
-    for branch, (es, scale) in enumerate(tables):
-        for size in {sector.families.shape[1] for sector in es.sectors}:
-            sectors = [sector for sector in es.sectors if sector.families.shape[1] == size]
-            rows = np.concatenate([sector.families for sector in sectors])
-            vectors = np.concatenate([np.broadcast_to(sector.coeffs, sector.families.shape)
-                                      for sector in sectors])
-            amps = np.concatenate([
-                np.full(len(sector.families),
-                        _attach_amplitude(math.sqrt(float(sector.value)) * scale))
-                for sector in sectors])
-            family_class = owner[rows[:, 0]]
-            for w, cls_groups in enumerate(groups):
-                mine = family_class == w
-                if mine.any():
-                    cls_groups[branch].append((position[rows[mine]], vectors[mine], amps[mine]))
-    return FamilyRoots(groups, [len(cls.outputs) for cls in classes])
+    pieces = [[[] for _ in tables] for _ in classes]
+    for branch, (es, amplitudes) in enumerate(tables):
+        for sector, amplitude in zip(es.sectors, amplitudes):
+            family_class = owner[sector.families[:, 0]]
+            for w in set(family_class.tolist()):
+                pieces[w][branch].append((position[sector.families[family_class == w]],
+                                          sector.coeffs, amplitude))
+    return FamilyRoots(pieces, [len(cls.outputs) for cls in classes])
 
 
 def ppbt_mes_no_aa(n_ports: int) -> NaimarkProgram:

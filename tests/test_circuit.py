@@ -55,7 +55,7 @@ def test_index_is_row_major_system_port_r():
 def test_index_is_shared_read_only_and_freshly_equal(n_system, port_dim):
     regs = Registers(n_system=n_system, port_dim=port_dim)
     index = regs.index
-    # equal sizes make equal registers, which share one index
+    # registers of equal sizes share one index
     assert index is Registers(n_system=n_system, port_dim=port_dim).index
     assert not index.flags.writeable
     with pytest.raises(ValueError):
@@ -75,26 +75,18 @@ def test_registers_reject_nonpositive_sizes():
 
 
 def test_from_system_places_registers_in_basis_states():
+    # the input enters the start subspace: port value 0, r = 0
     regs = Registers(n_system=1, port_dim=2)
-    state = StateVector.from_system(regs, np.array([0.6, 0.8]), entry=(0.0, 1.0))
+    state = StateVector.from_system(regs, np.array([0.6, 0.8]))
     assert state.batch == 1
     assert np.linalg.norm(state.amps) == pytest.approx(1.0)
-    np.testing.assert_allclose(state.amps[:, 1, 0, 0], [0.6, 0.8])
-    assert np.abs(state.amps[:, 0]).max() == 0
+    np.testing.assert_array_equal(state.amps[:, 0, 0, 0], [0.6, 0.8])
+    assert np.abs(state.amps[:, 1]).max() == 0
     assert np.abs(state.amps[:, :, 1]).max() == 0
     two = StateVector.from_system(regs, np.eye(2))
     assert two.batch == 2
     np.testing.assert_array_equal(two.amps[:, 0, 0], np.eye(2))
     assert np.abs(two.amps[:, 1]).max() == 0
-
-
-def test_from_system_spreads_the_input_over_the_entry_ports():
-    regs = Registers(n_system=1, port_dim=3)
-    state = StateVector.from_system(regs, np.array([0.6, 0.8]), entry=(0.8, 0.6))
-    np.testing.assert_allclose(state.amps[:, :2, 0, 0],
-                               np.outer([0.6, 0.8], [0.8, 0.6]), atol=0)
-    assert np.abs(state.amps[:, 2]).max() == 0
-    assert np.abs(state.amps[:, :, 1]).max() == 0
 
 
 # ------------------------------------------------------------------ cswap ----
@@ -243,7 +235,9 @@ def test_subspace_blocks_reject_overlapping_instances():
 
 def test_measurement_of_a_basis_port_is_deterministic():
     regs = Registers(n_system=1, port_dim=3)
-    state = StateVector.from_system(regs, np.array([0.0, 1.0]), entry=(0.0, 0.0, 1.0))
+    amps = np.zeros((2, 3, 2, 1))
+    amps[1, 2, 0, 0] = 1.0
+    state = StateVector(regs, amps)
     np.testing.assert_allclose(branch_weights(state, "port")[:, 0], [0, 0, 1], atol=0)
     np.testing.assert_allclose(branch_weights(state, "r")[:, 0], [1, 0], atol=0)
 
@@ -331,17 +325,16 @@ def test_oaa_rejects_even_round_counts():
 
 # four classes of 1, 3, 2 and 3 rows, each over its own batch columns
 SHAPES = ((1, 2), (3, 1), (2, 3), (3, 2))
-# per class and port value: families of one size as (rows, v, a); row 2 of
-# class 1 on port value 0, and classes 2 and 3 on port value 1, are in no
-# family
+# per class and port value: pieces (rows, v, a), each of F families of L
+# rows sharing one vector v and one amplitude a; row 2 of class 1 on port
+# value 0, and classes 2 and 3 on port value 1, are in no family
 THETA = 0.3
-GROUPS = [
-    [[(np.array([[0]]), np.array([[-1.0]]), np.array([0.5]))], []],
-    [[(np.array([[1, 0]]), np.array([[math.cos(THETA), math.sin(THETA)]]), np.array([0.6]))],
-     [(np.array([[0], [2]]), np.array([[1.0], [-1.0]]), np.array([0.25, 1.0])),
-      (np.array([[1]]), np.array([[1.0]]), np.array([0.0]))]],
-    [[(np.array([[1, 0]]), np.array([[0.6, -0.8]]), np.array([0.9]))], []],
-    [[(np.array([[2, 0, 1]]), np.array([[2.0, -1.0, 2.0]]) / 3, np.array([0.7]))], []],
+PIECES = [
+    [[(np.array([[0]]), (-1.0,), 0.5)], []],
+    [[(np.array([[1, 0]]), (math.cos(THETA), math.sin(THETA)), 0.6)],
+     [(np.array([[0], [2]]), (-1.0,), 0.25), (np.array([[1]]), (1.0,), 0.0)]],
+    [[(np.array([[1, 0]]), (0.6, -0.8), 0.9)], []],
+    [[(np.array([[2, 0, 1]]), (2 / 3, -1 / 3, 2 / 3), 0.7)], []],
 ]
 
 
@@ -349,8 +342,8 @@ def _dense_roots(port: int, cls: int) -> np.ndarray:
     """The class's sum over families of a v v^T on one port value, dense."""
     rows = SHAPES[cls][0]
     dense = np.zeros((rows, rows))
-    for index, vectors, amps in GROUPS[cls][port]:
-        for at, v, a in zip(index, vectors, amps):
+    for index, v, a in PIECES[cls][port]:
+        for at in index:
             dense[np.ix_(at, at)] += a * np.outer(v, v)
     return dense
 
@@ -364,7 +357,7 @@ def test_family_roots_are_the_dense_rank_one_sum(dtype):
     state = ClassBlocks.from_blocks(SHAPES, flat, (1.0, -2.0))
     expected = [[_dense_roots(p, c) @ rows for p, rows in enumerate(block)]
                 for c, block in enumerate(state.blocks())]
-    roots = FamilyRoots(GROUPS, [rows for rows, _ in SHAPES])
+    roots = FamilyRoots(PIECES, [rows for rows, _ in SHAPES])
     assert roots.apply(state) is state
     assert state.amps.dtype == dtype
     for block, dense in zip(state.blocks(), expected):
@@ -375,10 +368,15 @@ def test_family_roots_are_the_dense_rank_one_sum(dtype):
 
 
 def test_family_roots_reject_overlapping_families():
-    overlap = [[[(np.array([[0, 1], [1, 2]]), np.ones((2, 2)) / math.sqrt(2), np.ones(2))]]]
+    v = (1 / math.sqrt(2),) * 2
+    overlap = [[[(np.array([[0, 1], [1, 2]]), v, 1.0)]]]
     with pytest.raises(InvalidSubspaceSpec, match="disjoint"):
         FamilyRoots(overlap, [3])
-    outside = [[[(np.array([[3]]), np.ones((1, 1)), np.ones(1))]]]
+    # families of two pieces overlap as well
+    across = [[[(np.array([[0, 1]]), v, 1.0), (np.array([[1]]), (1.0,), 0.5)]]]
+    with pytest.raises(InvalidSubspaceSpec, match="disjoint"):
+        FamilyRoots(across, [3])
+    outside = [[[(np.array([[3]]), (1.0,), 1.0)]]]
     with pytest.raises(InvalidSubspaceSpec, match="disjoint"):
         FamilyRoots(outside, [3])
 

@@ -855,15 +855,32 @@ def _detuned_attach(monkeypatch) -> str:
     return f"{info.value.residual:.3e}"  # the amplification precondition residual
 
 
-@pytest.mark.parametrize("breakage", [_detuned_attach], ids=["attach"])
-def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakage):
+def _attach_above_one(monkeypatch) -> str:
+    spec = protocols._SPECS[ProtocolKind.PPBT_OPT]
+    broken = spec._replace(attach=lambda n: spec.attach(n) * 10)
+    monkeypatch.setitem(protocols._SPECS, ProtocolKind.PPBT_OPT, broken)
+    with pytest.raises(NumericalInvariantError) as info:
+        protocols._check_amplification(broken, 2)
+    assert info.value.residual > 1
+    return f"{info.value.residual:.3e}"  # the attach amplitude's excess over 1
+
+
+TELEPORT = "teleport --regime ppbt-opt --ports 2 --trials 5"
+
+
+@pytest.mark.parametrize("breakage, command", [
+    (_detuned_attach, TELEPORT), (_attach_above_one, TELEPORT),
+    # the whole-register build reads the same attach table as the check
+    (_attach_above_one, "table --metric resources --ports 2"),
+], ids=["attach", "attach-above-one", "attach-above-one-table"])
+def test_broken_invariant_exits_with_one_error_line(capsys, monkeypatch, breakage, command):
     protocols._check_amplification.cache_clear()
     try:
         residual = breakage(monkeypatch)
-        code, out, err = run(capsys, ["teleport", "--regime", "ppbt-opt",
-                                      "--ports", "2", "--trials", "5"])
+        code, out, err = run(capsys, command.split())
     finally:
         protocols._check_amplification.cache_clear()
+        protocols._compile.cache_clear()
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -11,7 +11,7 @@ from helpers import (action_matrix, branch_instrument, branch_weights, checked_c
                      register_fold, resource_matrix, root_matrices, singlet_chain, slot_input,
                      stream_outcomes, whole_register_instrument)
 from portsim import protocols, schur
-from portsim.circuit import FamilyRoots, Registers, StateVector
+from portsim.circuit import FamilyRoots, StateVector
 from portsim.pcg64 import Pcg64
 from portsim.povm_analytic import failure_eigensystem, port_eigensystem
 from portsim.povm_oracle import build_povm
@@ -231,7 +231,7 @@ def test_unamplified_program_keeps_half_roots():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_unamplified_run_returns_only_the_flagged_part(n):
     prog = ppbt_mes_no_aa(n)
-    assert prog.registers == Registers(n + 1, n)
+    assert (prog.registers.n_system, prog.registers.port_dim) == (n + 1, n)
     rng = np.random.default_rng(np.random.PCG64(30 + n))
     psi = haar_system(rng, n + 1)
     out = prog.run(psi)
@@ -786,18 +786,56 @@ def test_optimised_kind_on_the_singlet_chain_misses_its_closed_form(kind, n):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_an_attach_amplitude_above_one_is_rejected(monkeypatch, kind):
-    # as `_reflection` rejects it on the whole register
+    # a broken invariant of the spec's scales, raised where the one attach
+    # table is built, so the check and the whole register both meet it
     spec = protocols._SPECS[kind]
-    monkeypatch.setitem(protocols._SPECS, kind,
-                        spec._replace(attach=lambda m: 10 * spec.attach(m)))
+    broken = spec._replace(attach=lambda m: 10 * spec.attach(m))
+    monkeypatch.setitem(protocols._SPECS, kind, broken)
+    rescale, _ = protocols._schedule(broken, 3)
+    first = next(a for a in (math.sqrt(float(sector.value)) * (broken.attach(3) * (1.0 / rescale))
+                             for sector in port_eigensystem(spec.regime, 3).sectors)
+                 if a > 1 + 1e-9)
     protocols._check_amplification.cache_clear()
     try:
-        with pytest.raises(ValueError, match="exceeds 1"):
-            protocols._check_amplification(protocols._SPECS[kind], 3)
+        with pytest.raises(NumericalInvariantError, match="exceeds 1") as info:
+            protocols._check_amplification(broken, 3)
     finally:
         protocols._check_amplification.cache_clear()
-    with pytest.raises(ValueError, match="exceeds 1"):
-        protocols._compile(protocols._SPECS[kind], 3)
+    assert info.value.residual == first - 1
+    with pytest.raises(NumericalInvariantError, match="exceeds 1") as info:
+        protocols._compile(broken, 3)
+    assert info.value.residual == first - 1
+
+
+@pytest.mark.parametrize("kind", [ProtocolKind.DPBT_MES, *HERALDED])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_element_root_amplitudes_are_the_compiled_attach_entries(kind, n):
+    # both read one attach table: every piece's amplitude is the flagged
+    # entry [0, 0] of the attach block that reflects its families' kept
+    # labels, bit for bit, and the pieces cover every sector block's labels
+    spec = protocols._SPECS[kind]
+    prog = protocols._compile(spec, n)
+    attaches = [op for op in prog.bare.ops if getattr(op, "name", "").endswith("-attach")]
+    eigen = [port_eigensystem(spec.regime, n)]
+    if spec.fail is not None:
+        eigen.append(failure_eigensystem(spec.regime, n))
+    assert [op.name for op in attaches] == ["port-attach", "failure-attach"][:len(eigen)]
+    roots = protocols._element_roots(spec, n)
+    classes = protocols._weight_classes(n)
+    layer = prog.registers.port_dim * prog.registers.r_dim
+    for branch, (op, es) in enumerate(zip(attaches, eigen)):
+        entry = {}
+        for block in op.blocks[:len(es.sectors)]:
+            for label in block.instances[:, 0] // layer:
+                entry[int(label)] = block.matrix[0, 0]
+        read = {}
+        for cls, steps in zip(classes, roots.steps):
+            for index, _, amplitude in steps[branch][0]:
+                for label in cls.outputs[index[-1]]:
+                    read[int(label)] = amplitude
+        assert read.keys() == entry.keys()
+        for label, amplitude in read.items():
+            assert amplitude.hex() == float(entry[label]).hex()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
